@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -81,6 +84,26 @@ class TestResizeMode:
     def test_modes_are_exclusive(self):
         with pytest.raises(ValueError):
             run_chaos(crashes=True, resizes=True)
+
+
+class TestSeededPipelineOutcomes:
+    """The pipeline rows of the CI crash and resize sweeps, pinned to what
+    the three separate drivers produced before they were merged."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "chaos_pipeline_golden.json").read_text()
+    )
+
+    @pytest.mark.parametrize("mode", ["crashes", "resizes"])
+    def test_outcomes_match_golden(self, mode):
+        golden = self.GOLDEN[mode]
+        report = run_chaos(**golden["args"], **{mode: True})
+        rows = [
+            [run.index, run.workload, run.backend, run.transport, run.outcome]
+            for run in report.runs
+            if run.workload.startswith("pipeline")
+        ]
+        assert rows == golden["rows"]
 
 
 class TestToDict:

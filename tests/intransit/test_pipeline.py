@@ -135,3 +135,30 @@ class TestPipeline:
         results = spmd(6, fn)
         root = next(r for r in results if r.role == "analysis_root")
         assert root.data_reduction > 0.80
+
+
+class TestModeParity:
+    def test_fault_free_modes_agree_bitwise(self):
+        """Plain, shrink-armed and scheduled-resize runs are one frame loop:
+        with no fault injected, two variables come out identical."""
+        base = dict(m=3, n=2, steps=30, output_every=10,
+                    variables=("vorticity", "density"))
+        modes = {
+            "plain": {},
+            "shrink": dict(on_rank_loss="shrink"),
+            "resize": dict(on_load="resize", resize_schedule=((1, 2, 2),)),
+        }
+        roots = {}
+        for mode, extra in modes.items():
+            config = make_config(**base, **extra)
+            results = spmd(5, lambda comm: run_pipeline(comm, config))
+            roots[mode] = next(r for r in results if r.role == "analysis_root")
+        plain = roots["plain"]
+        assert len(plain.frames_rendered) == 3
+        for mode in ("shrink", "resize"):
+            root = roots[mode]
+            assert root.jpeg_bytes == plain.jpeg_bytes, mode
+            assert root.jpeg_bytes_by_variable == plain.jpeg_bytes_by_variable, mode
+            assert len(root.frames_rendered) == len(plain.frames_rendered), mode
+            for ours, theirs in zip(root.frames_rendered, plain.frames_rendered):
+                assert np.array_equal(ours, theirs), mode
