@@ -22,13 +22,9 @@ from typing import Any, Callable, Optional, Sequence, Union
 import numpy as np
 
 from ..faults.policy import ReliabilityPolicy
-from ..mpisim.comm import (
-    TRANSPORT_PACKED,
-    TRANSPORT_SHM,
-    TRANSPORT_ZEROCOPY,
-    Communicator,
-)
+from ..mpisim.comm import Communicator
 from ..mpisim.datatypes import NamedType
+from ..mpisim.transport import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY
 from .box import Box, boxes_from_flat
 from .descriptor import DataDescriptor, DataLayout
 from .engine import ExchangeProgress, default_backend, get_engine

@@ -40,13 +40,14 @@ import numpy as np
 
 from ..faults.injector import FAULTS
 from ..faults.policy import ReliabilityPolicy
-from ..mpisim.comm import TRANSPORT_PACKED, Communicator
+from ..mpisim.comm import Communicator
 from ..mpisim.errors import (
     MemoryBudgetError,
     RetriesExhaustedError,
     TransientFaultError,
 )
 from ..mpisim.request import Request, wait_all
+from ..mpisim.transport import TRANSPORT_PACKED
 from ..obs.tracer import TRACER
 from ..utils.membudget import MEMORY_BUDGET
 from .box import Box

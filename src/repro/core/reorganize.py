@@ -41,9 +41,9 @@ def reorganize_data(
 
     Repeat calls with the same arrays skip buffer revalidation (the mapping
     caches the accepted set) and — on the default zero-copy transport —
-    allocate no staging arrays at all.  ``transport`` forces ``"packed"``
-    or ``"zerocopy"`` for this call; ``None`` uses the communicator/process
-    default.
+    allocate no staging arrays at all.  ``transport`` forces ``"packed"``,
+    ``"zerocopy"`` or ``"shm"`` for this call; ``None`` uses the
+    communicator/process default.
     """
     mapping = mapping_from_descriptor(descriptor)
     get_engine("alltoallw").execute(comm, mapping, data_own, data_need, transport)

@@ -35,9 +35,10 @@ from ..core.box import Box
 from ..intransit.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from ..lbm.decompose import slab_box
 from ..lbm.simulation import LbmConfig
-from ..mpisim.comm import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY, Communicator
+from ..mpisim.comm import Communicator
 from ..mpisim.errors import MpiSimError, RankCrashError
 from ..mpisim.executor import RankFailure, SpmdHangError, run_spmd
+from ..mpisim.transport import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY
 from ..resilience import ResilientRedistributor
 from ..utils.membudget import MEMORY_BUDGET, budget_scope
 from ..volren.decompose import grid_boxes, grid_shape

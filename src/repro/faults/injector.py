@@ -1,7 +1,7 @@
 """The process-wide fault layer the transport consults (``FAULTS``).
 
-``repro.mpisim.comm`` guards every injection point with a single attribute
-check — ``if FAULTS.active:`` — exactly the ``TRACER.enabled`` /
+``repro.mpisim`` (``comm``, ``transport``) guards every injection point
+with a single attribute check — ``if FAULTS.active:`` — exactly the ``TRACER.enabled`` /
 ``TRANSFER_COUNTERS.enabled`` discipline, so an uninstalled fault layer
 costs one attribute load per operation on the hot path.
 
@@ -10,9 +10,10 @@ When a :class:`~repro.faults.plan.FaultPlan` is installed the layer:
 * counts each rank's transport operations (the plan's op index);
 * kills a rank with :class:`~repro.mpisim.errors.RankCrashError` at its
   scheduled op;
-* stalls operations (message delay), discards outgoing messages (drop —
-  releasing a zero-copy sender so only the *receiver* pays, with a typed
-  per-op deadline timeout), and simulates transient send/recv failures
+* stalls operations (message delay), tells the sender to discard outgoing
+  messages (drop — the transport's discard releases a zero-copy sender so
+  only the *receiver* pays, with a typed per-op deadline timeout), and
+  simulates transient send/recv failures
   which it heals in place with the installed
   :class:`~repro.faults.policy.ReliabilityPolicy`'s
   retry-with-exponential-backoff (raising
@@ -28,7 +29,7 @@ Every injected fault and recovery is counted in :class:`FaultStats` and —
 when tracing is enabled — recorded as a ``fault.*`` span, so chaos runs
 are fully visible in Perfetto traces and metrics summaries.
 
-Import discipline: this module is imported by ``repro.mpisim.comm`` at
+Import discipline: this module is imported by the ``repro.mpisim`` modules at
 module level, so it must not import ``repro.mpisim`` at *its* module level
 (the error types are imported lazily inside the raising functions).
 """
@@ -58,7 +59,7 @@ __all__ = [
 
 
 def _errors():
-    # Deferred: repro.mpisim.comm imports this module, so importing
+    # Deferred: repro.mpisim imports this module, so importing
     # repro.mpisim here at module level would be a cycle.  Injection only
     # happens at runtime, long after both packages are initialised.
     from ..mpisim import errors
@@ -224,7 +225,8 @@ class FaultLayer:
             self.pending_retries.pop(rank, None)
 
     def on_send(self, rank: int, message: Any) -> bool:
-        """Consult the plan before posting; returns False when dropped."""
+        """Consult the plan before posting; returns False when the caller
+        must drop (discard) the message instead of posting it."""
         assert self.plan is not None
         op = self._next_op(rank)
         tag = getattr(message, "tag", None)
@@ -237,12 +239,8 @@ class FaultLayer:
             if TRACER.enabled:
                 with TRACER.span("fault.drop", rank=rank, op=op, tag=tag):
                     pass
-            # A dropped rendezvous lane must still release the sender: the
-            # loss is the receiver's problem (per-op deadline), never a
-            # sender-side hang.
-            complete = getattr(message.payload, "complete", None)
-            if callable(complete):
-                complete()
+            # The caller discards the message through the transport, which
+            # releases a rendezvous sender / shm segment / budget charge.
             return False
         self._seal(rank, op, tag, message)
         return True

@@ -2,7 +2,7 @@
 
 A :class:`ReliabilityPolicy` is consumed at three layers:
 
-* **transport** (``repro.mpisim.comm``) — retry budget and exponential
+* **transport** (``repro.mpisim``) — retry budget and exponential
   backoff for injected transient send/recv failures, the corruption
   handling mode for checksum mismatches, and the per-operation receive
   deadline that turns a silently dropped message into a prompt, typed

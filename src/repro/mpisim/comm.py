@@ -1,26 +1,22 @@
-"""An in-process MPI runtime: ranks are threads, messages are NumPy copies
-— or, on the zero-copy transport, direct shared-memory copies.
+"""The MPI surface of the in-process runtime: :class:`Communicator`.
 
 Why this exists: the paper's DDR library drives ``MPI_Alltoallw`` with
 subarray datatypes across a real cluster.  This environment has no MPI, so
 we execute the *identical algorithm* on a thread-backed SPMD runtime with
 matched-queue point-to-point semantics and the collectives DDR and the two
-use cases need.  By default, message payloads are copied at send time
-(eager/buffered semantics), so the usual MPI correctness discipline — no
-buffer reuse races, ordered matching per (source, tag) — is preserved and
-testable.
+use cases need.  The usual MPI correctness discipline — no buffer reuse
+races, ordered matching per (source, tag) — is preserved and testable.
 
-Because every rank is a thread of one process, the operations DDR's hot
-path uses (``Alltoallw``, ``Sendrecv``, rendezvous ``Isend``) also support
-a *zero-copy transport*: the sender posts a live reference to its buffer
-and the receiver copies straight from the sender's datatype view into its
-own — one ``np.copyto`` per lane instead of pack + payload + unpack.  A
-per-message completion event keeps the sender inside the operation until
-every receiver has drained its lane, so the sender's buffer is provably
-stable for the duration of the exchange.  Select transports globally with
-:func:`set_transport` / the ``DDR_TRANSPORT`` environment variable, or per
-scope with the :func:`transport` context manager; the packed path remains
-fully supported for debugging and as the benchmark baseline.
+The runtime is three modules.  :mod:`~repro.mpisim.fabric` owns the shared
+mailboxes, liveness and world growth and moves opaque messages.
+:mod:`~repro.mpisim.transport` owns how a typed payload crosses between
+ranks (``packed`` / ``zerocopy`` / ``shm``) and who releases its resources:
+every typed send here stages through :meth:`Communicator._post_lane` and
+every typed receive drains through ``deliver``, so budget release, purge
+and fault-drop each live in one place.  This module is the endpoint:
+argument validation at the boundary, point-to-point, collectives over
+dense internal lanes, ULFM-style ``revoke`` / ``agree`` / ``shrink``, and
+``spawn``.
 
 The send/recv/collective paths consult the process-wide fault layer
 (:data:`repro.faults.injector.FAULTS`) behind a single attribute check, so
@@ -38,139 +34,22 @@ Timing of the paper's *experiments* is handled separately by
 from __future__ import annotations
 
 import copy as _copy
-import os
-import threading
 import time
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
 from ..faults.injector import FAULTS
 from ..obs.tracer import TRACER
-from ..utils.membudget import MEMORY_BUDGET
-from ..utils.timing import TRANSFER_COUNTERS
-from .datatypes import Datatype, named_type_for
-from .errors import (
-    AbortError,
-    CommunicatorError,
-    DeadlineError,
-    ProcessFailedError,
-    RankCrashError,
-    RevokedError,
-    TruncationError,
-)
+from .datatypes import Datatype
+from .errors import CommunicatorError, DeadlineError, TruncationError
+from .fabric import Fabric, _Message
 from .request import CompletedRequest, DeferredRequest, Request, Status
-from .shm import ShmStagingPool, ShmTicket
-from .shm import attach as _shm_attach
+from .transport import copy_local, deliver, discard, materialize, resolve, stage
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-#: Default seconds a blocking call may wait before declaring deadlock.  Long
-#: enough for slow CI machines, short enough that a hung test fails visibly.
-DEFAULT_DEADLOCK_TIMEOUT = 120.0
-
-
-# ---------------------------------------------------------------------------
-# Transport selection
-# ---------------------------------------------------------------------------
-
-#: Rendezvous shared-memory transport: one direct copy per lane.  Requires
-#: every rank to share one address space (the thread executor).
-TRANSPORT_ZEROCOPY = "zerocopy"
-#: Eager staged transport: pack -> mailbox payload -> unpack.
-TRANSPORT_PACKED = "packed"
-#: Staged transport through POSIX shared-memory segments: pack into a
-#: shared segment, post a tiny ticket, unpack out of the mapping.  The
-#: cross-process analogue of ``packed`` without pickling payload bytes;
-#: ``zerocopy`` degrades to this on fabrics that cannot share live buffer
-#: references (the process executor).
-TRANSPORT_SHM = "shm"
-
-_VALID_TRANSPORTS = (TRANSPORT_ZEROCOPY, TRANSPORT_PACKED, TRANSPORT_SHM)
-
-#: Messages below this many payload bytes skip shm staging: a pickled
-#: ndarray through the queue beats a segment round-trip at tiny sizes.
-SHM_MIN_BYTES = 512
-
-
-def _validated_transport(mode: str) -> str:
-    mode = mode.strip().lower()
-    if mode not in _VALID_TRANSPORTS:
-        raise CommunicatorError(
-            f"unknown transport {mode!r} (use one of {_VALID_TRANSPORTS})"
-        )
-    return mode
-
-
-_default_transport = _validated_transport(
-    os.environ.get("DDR_TRANSPORT", TRANSPORT_ZEROCOPY)
-)
-
-
-def set_transport(mode: str) -> None:
-    """Set the process-wide default transport (``zerocopy`` or ``packed``)."""
-    global _default_transport
-    _default_transport = _validated_transport(mode)
-
-
-def get_transport() -> str:
-    return _default_transport
-
-
-@contextmanager
-def transport(mode: str) -> Iterator[None]:
-    """Run a block under the given default transport (e.g. to force the
-    packed baseline for debugging or benchmarking)."""
-    previous = get_transport()
-    set_transport(mode)
-    try:
-        yield
-    finally:
-        set_transport(previous)
-
-
-class _ZeroCopyHandle:
-    """Rendezvous payload: a live reference to the sender's buffer.
-
-    The receiver copies straight out of ``buffer`` (through ``datatype``'s
-    selection when given) and then sets ``done``; the sender stays inside
-    the posting operation until ``done`` is set, so the buffer cannot be
-    reused or freed while a receiver still reads it.  ``error`` records a
-    receiver-side failure for diagnostics; the sender still completes, as
-    a real MPI sender would for a receiver-local truncation error.
-    """
-
-    __slots__ = ("buffer", "datatype", "done", "error", "dest_world")
-
-    def __init__(
-        self,
-        buffer: np.ndarray,
-        datatype: Optional[Datatype],
-        dest_world: Optional[int] = None,
-    ) -> None:
-        self.buffer = buffer
-        self.datatype = datatype
-        self.done = threading.Event()
-        self.error: Optional[BaseException] = None
-        #: World rank of the receiver, so a sender blocked in the rendezvous
-        #: can notice (via the liveness table) that its receiver died.
-        self.dest_world = dest_world
-
-    def size_elements(self) -> int:
-        if self.datatype is not None:
-            return self.datatype.size_elements()
-        return int(self.buffer.size)
-
-    def itemsize(self) -> int:
-        return int(self.buffer.dtype.itemsize)
-
-    def complete(self, error: Optional[BaseException] = None) -> None:
-        self.error = error
-        self.done.set()
 
 
 # ---------------------------------------------------------------------------
@@ -194,595 +73,6 @@ LAND = Op("MPI_LAND", np.logical_and)
 LOR = Op("MPI_LOR", np.logical_or)
 BAND = Op("MPI_BAND", np.bitwise_and)
 BOR = Op("MPI_BOR", np.bitwise_or)
-
-
-# ---------------------------------------------------------------------------
-# Fabric: shared mailboxes + abort propagation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Message:
-    source: int  # rank within the communicator
-    tag: int
-    internal: bool
-    payload: Any  # ndarray for typed traffic, arbitrary object for lowercase API
-    # Set by the fault layer only (see repro.faults.injector): a CRC32 seal
-    # over the staged payload, and — for an injected corruption — the
-    # sender's retained pristine payload, the verify-and-reretrieve source.
-    checksum: Optional[int] = None
-    pristine: Any = None
-    # Staging-budget charge carried by the message: bytes reserved against
-    # ``budget_rank``'s ledger when the payload was staged, released by
-    # whoever drains the message (deliver, purge, or error path).
-    budget_rank: Optional[int] = None
-    budget_bytes: int = 0
-
-
-class Fabric:
-    """Shared state connecting every rank of one SPMD execution."""
-
-    #: Whether rank-to-rank traffic may carry live buffer references (the
-    #: zero-copy rendezvous transport).  True here — every rank is a thread
-    #: of this process.  The process executor's fabric sets this False and
-    #: ``resolve_transport`` degrades ``zerocopy`` to ``shm``.
-    supports_zerocopy = True
-
-    def __init__(self, nprocs: int, deadlock_timeout: float = DEFAULT_DEADLOCK_TIMEOUT) -> None:
-        if nprocs < 1:
-            raise CommunicatorError(f"nprocs must be >= 1, got {nprocs}")
-        self.nprocs = nprocs
-        self.deadlock_timeout = deadlock_timeout
-        self._locks = [threading.Lock() for _ in range(nprocs)]
-        self._conds = [threading.Condition(lock) for lock in self._locks]
-        self._mailboxes: dict[tuple[Hashable, int], deque[_Message]] = {}
-        self._abort_exc: Optional[BaseException] = None
-        #: ULFM-style failure state.  ``hazard`` is the single attribute the
-        #: hot path checks (the FAULTS/TRACER discipline): it flips to True
-        #: the first time a rank dies, retires, or a communicator is
-        #: revoked, and never flips back during a run, so the fault-free
-        #: cost is one attribute load per operation.
-        self.hazard = False
-        self._dead: set[int] = set()         # crashed world ranks
-        self._retired: set[int] = set()      # ranks that exited cleanly early
-        self._gone: frozenset[int] = frozenset()  # dead | retired, for checks
-        self._revoked: set[Hashable] = set()  # revoked communicator ids
-        self._state_lock = threading.Lock()
-        #: Cross-rank blackboard for layers built on top of the fabric (the
-        #: resilience package keeps its buddy checkpoint store here), so
-        #: higher layers get process-shared state without import cycles.
-        self.shared: dict[str, Any] = {}
-        self.shared_lock = threading.Lock()
-        self._agreements: dict[Hashable, dict[str, Any]] = {}
-        self._shm_pool: Optional[ShmStagingPool] = None
-        self._shm_lock = threading.Lock()
-        #: Segment-name prefix for this fabric's staging pool; the process
-        #: executor overrides it with a per-run prefix so the parent can
-        #: sweep ``/dev/shm`` for hard-killed ranks' leftovers.
-        self.shm_prefix: Optional[str] = None
-        #: Segment-name prefix for cross-process blackboard stores (the
-        #: shm-backed buddy checkpoint store).  ``None`` on the thread
-        #: fabric — there, ``shared`` is already one address space.
-        self.blackboard_prefix: Optional[str] = None
-        #: Whether the executor that owns this fabric runs in resilient
-        #: mode (``run_spmd(..., resilient=True)``): a spawned rank that
-        #: raises :class:`RankCrashError` is then marked dead instead of
-        #: aborting the run, mirroring the original ranks' contract.
-        self.resilient = False
-        #: Next unallocated world rank (``Communicator.spawn`` grows from
-        #: here) and failures raised by spawned ranks — those have no slot
-        #: in the driver's result list, so the executor merges this dict
-        #: into its failure report after the join.
-        self._next_world = nprocs
-        self.spawn_failures: dict[int, BaseException] = {}
-
-    # -- shm staging ---------------------------------------------------------
-
-    def shm_pool(self) -> ShmStagingPool:
-        """Lazily-created staging pool for the ``shm`` transport."""
-        with self._shm_lock:
-            if self._shm_pool is None:
-                prefix = self.shm_prefix or f"ddr{os.getpid()}_f{id(self):x}"
-                self._shm_pool = ShmStagingPool(prefix)
-            return self._shm_pool
-
-    def close_shm(self) -> None:
-        """Unlink any shm segments this fabric's pool created."""
-        with self._shm_lock:
-            pool, self._shm_pool = self._shm_pool, None
-        if pool is not None:
-            pool.close()
-
-    # -- abort ------------------------------------------------------------
-
-    def abort(self, exc: BaseException) -> None:
-        """Record a failure and wake every waiting rank so they raise too."""
-        self._abort_exc = exc
-        for cond in self._conds:
-            with cond:
-                cond.notify_all()
-
-    @property
-    def aborted(self) -> Optional[BaseException]:
-        return self._abort_exc
-
-    def check_abort(self) -> None:
-        if self._abort_exc is not None:
-            raise AbortError(f"peer rank failed: {self._abort_exc!r}") from self._abort_exc
-
-    # -- liveness + revocation (ULFM-style) --------------------------------
-
-    def _wake_all(self) -> None:
-        for cond in self._conds:
-            with cond:
-                cond.notify_all()
-
-    def mark_dead(self, world_rank: int) -> None:
-        """Record a crashed rank in the liveness table and wake every waiter.
-
-        Blocked operations involving the dead rank then raise a prompt
-        :class:`ProcessFailedError` instead of waiting out a timeout.
-        """
-        with self._state_lock:
-            self._dead.add(world_rank)
-            self._gone = frozenset(self._dead | self._retired)
-        self.hazard = True
-        self._wake_all()
-
-    def mark_retired(self, world_rank: int) -> None:
-        """Record a rank that finished its work and exited early.
-
-        For liveness purposes a retired rank behaves like a dead one — it
-        will never contribute to an agreement or send another message —
-        but its already-sent messages stay deliverable and diagnostics
-        report it as retired, not crashed.
-        """
-        with self._state_lock:
-            self._retired.add(world_rank)
-            self._gone = frozenset(self._dead | self._retired)
-        self.hazard = True
-        self._wake_all()
-
-    def is_dead(self, world_rank: int) -> bool:
-        return world_rank in self._dead
-
-    def is_gone(self, world_rank: int) -> bool:
-        """Dead or retired: the rank will never take part in another op."""
-        return world_rank in self._gone
-
-    def dead_ranks(self) -> frozenset[int]:
-        return frozenset(self._dead)
-
-    def gone_ranks(self) -> frozenset[int]:
-        return self._gone
-
-    def revoke(self, comm_id: Hashable) -> None:
-        """Revoke a communicator: every pending or future operation on it
-        (or on a communicator derived from it — lineage is checked) raises
-        :class:`RevokedError`.  Idempotent; wakes all waiters."""
-        with self._state_lock:
-            self._revoked.add(comm_id)
-        self.hazard = True
-        self._wake_all()
-
-    def is_revoked(self, lineage: Sequence[Hashable]) -> bool:
-        revoked = self._revoked
-        if not revoked:
-            return False
-        return not revoked.isdisjoint(lineage)
-
-    def check_hazard(
-        self,
-        lineage: Sequence[Hashable],
-        source_world: Optional[int],
-        my_world: int,
-    ) -> None:
-        """Raise the typed ULFM error for a blocked op, if one applies.
-
-        Callers only invoke this under ``self.hazard``; messages already in
-        the mailbox are always drained first, so traffic a rank managed to
-        send before dying remains deliverable.
-        """
-        if self._revoked and not self._revoked.isdisjoint(lineage):
-            raise RevokedError(
-                f"communicator {lineage[-1]!r} was revoked while rank "
-                f"(world {my_world}) had a pending operation"
-            )
-        if source_world is not None and source_world in self._gone:
-            kind = "crashed" if source_world in self._dead else "retired"
-            raise ProcessFailedError(
-                f"rank (world {my_world}) is waiting on world rank "
-                f"{source_world}, which has {kind} and will never respond"
-            )
-
-    # -- fault-aware agreement ---------------------------------------------
-
-    def agree_contribute(self, key: Hashable, world_rank: int, value: Any) -> None:
-        with self._state_lock:
-            entry = self._agreements.setdefault(key, {"values": {}, "reads": set()})
-            entry["values"][world_rank] = value
-        self._wake_all()
-
-    def agree_poll(self, key: Hashable, members: Sequence[int]) -> Optional[dict[int, Any]]:
-        """Return the contribution map once every live member contributed.
-
-        Membership is re-evaluated against the liveness table on every
-        poll, so a member dying mid-agreement unblocks the survivors.  The
-        map only ever grows and dead ranks never contribute afterwards, so
-        every caller that completes folds the same contribution set.
-        """
-        with self._state_lock:
-            entry = self._agreements.setdefault(key, {"values": {}, "reads": set()})
-            values = entry["values"]
-            gone = self._gone
-            if all(w in values for w in members if w not in gone):
-                return dict(values)
-            return None
-
-    def agree_finish(self, key: Hashable, world_rank: int, members: Sequence[int]) -> None:
-        """Garbage-collect an agreement once every live member has read it."""
-        with self._state_lock:
-            entry = self._agreements.get(key)
-            if entry is None:
-                return
-            entry["reads"].add(world_rank)
-            gone = self._gone
-            if all(w in entry["reads"] for w in members if w not in gone):
-                self._agreements.pop(key, None)
-
-    # -- dynamic world growth (Communicator.spawn) ---------------------------
-
-    def claim_world_slots(self, count: int) -> list[int]:
-        """Allocate ``count`` fresh world ranks (called by the spawn root).
-
-        The thread fabric grows in place: new per-rank condition variables
-        are appended, so existing world ranks keep their indices and every
-        established queue stays valid.  The process executor overrides this
-        to hand out pre-provisioned reserve slots instead (forked ranks
-        need queues that existed before the fork).
-        """
-        with self._state_lock:
-            start = self._next_world
-            for _ in range(count):
-                lock = threading.Lock()
-                self._locks.append(lock)
-                self._conds.append(threading.Condition(lock))
-            self.nprocs = len(self._locks)
-            self._next_world = start + count
-            return list(range(start, start + count))
-
-    def note_world_slots(self, worlds: Sequence[int]) -> None:
-        """Record world slots another rank's fabric claimed.
-
-        On the thread fabric every rank shares one object, so this is a
-        no-op beyond an idempotent counter bump; under the process executor
-        each rank holds its own fabric and uses this to keep the slot
-        allocator in lockstep with the spawn root.
-        """
-        if not worlds:
-            return
-        top = max(worlds) + 1
-        with self._state_lock:
-            while len(self._locks) < top:
-                lock = threading.Lock()
-                self._locks.append(lock)
-                self._conds.append(threading.Condition(lock))
-            self.nprocs = max(self.nprocs, len(self._locks))
-            self._next_world = max(self._next_world, top)
-
-    def launch_rank(
-        self,
-        world_rank: int,
-        comm_id: Hashable,
-        world_ranks: Sequence[int],
-        rank: int,
-        lineage: Sequence[Hashable],
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-    ) -> None:
-        """Start a freshly spawned rank running ``fn(comm, *args, **kwargs)``.
-
-        Thread-fabric implementation: a daemon worker thread with the same
-        failure contract as ``run_spmd``'s original workers — a clean
-        return retires the rank in the liveness table, a
-        :class:`RankCrashError` on a resilient fabric marks it dead, and
-        anything else aborts the run and is recorded in
-        ``spawn_failures`` (spawned ranks have no result-list slot).
-        """
-        comm = Communicator(self, comm_id, world_ranks, rank, lineage=lineage)
-
-        def main() -> None:
-            TRACER.set_thread_rank(world_rank)
-            try:
-                fn(comm, *args, **kwargs)
-            except AbortError:
-                pass
-            except RankCrashError as exc:
-                if self.resilient:
-                    self.mark_dead(world_rank)
-                else:
-                    with self._state_lock:
-                        self.spawn_failures[world_rank] = exc
-                    self.abort(exc)
-            except BaseException as exc:  # noqa: BLE001 - must propagate anything
-                with self._state_lock:
-                    self.spawn_failures[world_rank] = exc
-                self.abort(exc)
-            else:
-                self.mark_retired(world_rank)
-
-        threading.Thread(
-            target=main, name=f"spmd-spawn-{world_rank}", daemon=True
-        ).start()
-
-    # -- mailbox operations -------------------------------------------------
-
-    def _box(self, comm_id: Hashable, world_rank: int) -> deque[_Message]:
-        key = (comm_id, world_rank)
-        box = self._mailboxes.get(key)
-        if box is None:
-            box = self._mailboxes.setdefault(key, deque())
-        return box
-
-    def post(self, comm_id: Hashable, dest_world: int, message: _Message) -> None:
-        cond = self._conds[dest_world]
-        with cond:
-            self._box(comm_id, dest_world).append(message)
-            cond.notify_all()
-
-    def try_consume(
-        self,
-        comm_id: Hashable,
-        my_world: int,
-        match: Callable[[_Message], bool],
-    ) -> Optional[_Message]:
-        """Atomically remove and return the first matching message, if any."""
-        cond = self._conds[my_world]
-        with cond:
-            return self._scan(comm_id, my_world, match)
-
-    def _scan(
-        self, comm_id: Hashable, my_world: int, match: Callable[[_Message], bool]
-    ) -> Optional[_Message]:
-        box = self._box(comm_id, my_world)
-        for index, message in enumerate(box):
-            if match(message):
-                del box[index]
-                return message
-        return None
-
-    def consume(
-        self,
-        comm_id: Hashable,
-        my_world: int,
-        match: Callable[[_Message], bool],
-        deadline_s: Optional[float] = None,
-        source_world: Optional[int] = None,
-        lineage: Optional[Sequence[Hashable]] = None,
-    ) -> _Message:
-        """Blocking matched receive with abort, failure, and deadlock handling.
-
-        ``deadline_s`` (from a :class:`~repro.faults.ReliabilityPolicy`'s
-        per-operation deadline) bounds this one receive below the global
-        deadlock timeout, so a dropped message surfaces as a prompt, typed
-        :class:`DeadlineError` instead of a full watchdog wait.
-
-        ``source_world``/``lineage`` feed the liveness and revocation
-        checks: if the awaited source is known dead (and no matching
-        message is already queued) or the communicator is revoked, the
-        wait ends in a typed error instead of a hang.  Both checks run
-        only under :attr:`hazard`, and only after the mailbox scan, so
-        messages sent before a crash stay deliverable.
-        """
-        timeout = self.deadlock_timeout
-        per_op = deadline_s is not None and deadline_s < timeout
-        if per_op:
-            timeout = deadline_s
-        cond = self._conds[my_world]
-        deadline = time.monotonic() + timeout
-        with cond:
-            while True:
-                self.check_abort()
-                found = self._scan(comm_id, my_world, match)
-                if found is not None:
-                    return found
-                if self.hazard:
-                    self.check_hazard(
-                        lineage if lineage is not None else (comm_id,),
-                        source_world,
-                        my_world,
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    if per_op:
-                        raise DeadlineError(
-                            f"rank (world {my_world}) got no matching message on "
-                            f"comm {comm_id!r} within the {timeout}s per-operation "
-                            f"deadline; message lost or peer stalled "
-                            f"({FAULTS.diagnostics()})"
-                        )
-                    raise DeadlineError(
-                        f"rank (world {my_world}) blocked > {self.deadlock_timeout}s "
-                        f"waiting on comm {comm_id!r}; likely deadlock"
-                    )
-                cond.wait(timeout=min(0.25, remaining))
-
-    def mailbox_depth(
-        self,
-        world_rank: Optional[int] = None,
-        comm_id: Optional[Hashable] = None,
-    ) -> int:
-        """Number of queued (undelivered) messages, for leak assertions.
-
-        Counts across every mailbox by default; narrow with ``world_rank``
-        (one receiver) and/or ``comm_id`` (one communicator).  Each rank's
-        boxes are counted under that rank's own condition lock, so the
-        total is a consistent per-rank snapshot even while senders post.
-        """
-        total = 0
-        for (box_comm, box_rank), box in list(self._mailboxes.items()):
-            if world_rank is not None and box_rank != world_rank:
-                continue
-            if comm_id is not None and box_comm != comm_id:
-                continue
-            with self._conds[box_rank]:
-                total += len(box)
-        return total
-
-
-# ---------------------------------------------------------------------------
-# Communicator
-# ---------------------------------------------------------------------------
-
-
-def _payload_from(buf: np.ndarray, datatype: Optional[Datatype]) -> np.ndarray:
-    """Pack a send buffer into a dense 1-D payload copy."""
-    arr = np.asarray(buf)
-    if datatype is not None:
-        return datatype.pack(np.ascontiguousarray(arr))
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_alloc(arr.nbytes)
-        TRANSFER_COUNTERS.count_copy("payload", arr.nbytes)
-    return arr.reshape(-1).copy()
-
-
-def _payload_into(buf: np.ndarray, datatype: Optional[Datatype], payload: np.ndarray) -> int:
-    """Unpack a received payload into the user's buffer; returns bytes written."""
-    if datatype is not None:
-        if datatype.size_elements() != payload.size:
-            # Same typed error the rendezvous path raises for a selection
-            # mismatch, instead of numpy's broadcast ValueError.
-            raise TruncationError(
-                f"message of {payload.size} elements does not match receive "
-                f"type selecting {datatype.size_elements()}"
-            )
-        datatype.unpack(buf, payload)
-        return payload.size * payload.dtype.itemsize
-    arr = np.asarray(buf)
-    if not arr.flags["C_CONTIGUOUS"]:
-        raise CommunicatorError("Recv into a non-contiguous buffer requires a datatype")
-    flat = arr.reshape(-1)
-    if payload.size > flat.size:
-        raise TruncationError(
-            f"message of {payload.size} elements truncated: receive buffer holds {flat.size}"
-        )
-    flat[: payload.size] = payload.astype(flat.dtype, copy=False)
-    if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_copy("unpack", payload.size * payload.dtype.itemsize)
-    return payload.size * payload.dtype.itemsize
-
-
-def _receive_rendezvous(
-    buf: np.ndarray, datatype: Optional[Datatype], handle: _ZeroCopyHandle
-) -> int:
-    """Drain a zero-copy lane: copy from the sender's buffer into ``buf``.
-
-    Always completes the handle — on success *and* on failure — so the
-    blocked sender is released either way (receiver-local errors stay
-    receiver-local, as in MPI).
-    """
-    try:
-        nbytes = _rendezvous_copy(buf, datatype, handle)
-    except BaseException as exc:
-        handle.complete(exc)
-        raise
-    handle.complete()
-    return nbytes
-
-
-def _rendezvous_copy(
-    buf: np.ndarray, datatype: Optional[Datatype], handle: _ZeroCopyHandle
-) -> int:
-    count = handle.size_elements()
-    if datatype is not None:
-        if datatype.size_elements() != count:
-            raise TruncationError(
-                f"message of {count} elements does not match receive type "
-                f"selecting {datatype.size_elements()}"
-            )
-        src_type = handle.datatype
-        if src_type is None:
-            src_type = named_type_for(handle.buffer.dtype).Create_contiguous(count)
-        return src_type.copy_into(handle.buffer, buf, datatype)
-    arr = np.asarray(buf)
-    if not arr.flags["C_CONTIGUOUS"]:
-        raise CommunicatorError("Recv into a non-contiguous buffer requires a datatype")
-    flat = arr.reshape(-1)
-    if count > flat.size:
-        raise TruncationError(
-            f"message of {count} elements truncated: receive buffer holds {flat.size}"
-        )
-    if handle.datatype is not None:
-        src_view = handle.datatype.view(handle.buffer)
-        if src_view is None:
-            flat[:count] = handle.datatype.pack(handle.buffer)
-            if TRANSFER_COUNTERS.enabled:
-                TRANSFER_COUNTERS.count_copy("payload", count * handle.itemsize())
-            return count * handle.itemsize()
-    else:
-        src_view = handle.buffer.reshape(-1)
-    np.copyto(flat[:count].reshape(src_view.shape), src_view, casting="unsafe")
-    if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_copy("direct", count * handle.itemsize())
-    return count * handle.itemsize()
-
-
-def _receive_shm(buf: np.ndarray, datatype: Optional[Datatype], ticket: ShmTicket) -> int:
-    """Drain an shm-staged message: unpack out of the mapped segment.
-
-    The drained flag is set in all cases — success and receiver-local
-    error alike — so the sender's pool can recycle the segment (the same
-    always-release contract the rendezvous path keeps for its sender).
-    """
-    segment = _shm_attach(ticket.name)
-    try:
-        return _payload_into(
-            buf, datatype, segment.view(np.dtype(ticket.dtype), ticket.count)
-        )
-    finally:
-        segment.mark_drained()
-
-
-def _release_budget(message: "_Message") -> None:
-    """Return a message's staging-budget charge to its sender's ledger.
-
-    Idempotent (the charge is zeroed once released) so deliver-then-error
-    paths cannot double-credit, and runs on every drain outcome — success,
-    truncation, purge — matching the always-release contract the transport
-    keeps for rendezvous handles and shm segments.
-    """
-    if message.budget_bytes:
-        MEMORY_BUDGET.release(message.budget_bytes, rank=message.budget_rank)
-        message.budget_bytes = 0
-
-
-def _receive_payload(buf: np.ndarray, datatype: Optional[Datatype], message: "_Message") -> int:
-    """Unified typed receive: staged payloads, shm tickets, and rendezvous."""
-    try:
-        if isinstance(message.payload, _ZeroCopyHandle):
-            return _receive_rendezvous(buf, datatype, message.payload)
-        if isinstance(message.payload, ShmTicket):
-            return _receive_shm(buf, datatype, message.payload)
-        return _payload_into(buf, datatype, message.payload)
-    finally:
-        _release_budget(message)
-
-
-def _discard_payload(payload: Any) -> None:
-    """Drop a message without delivering it, releasing transport resources.
-
-    The purge counterpart of :func:`_receive_payload`: a rendezvous handle
-    must complete (or its sender blocks forever) and an shm ticket must be
-    marked drained (or its segment never returns to the pool).  Dense
-    payloads just fall to the garbage collector.
-    """
-    if isinstance(payload, _ZeroCopyHandle):
-        payload.complete()
-    elif isinstance(payload, ShmTicket):
-        _shm_attach(payload.name).mark_drained()
 
 
 class Communicator:
@@ -830,15 +120,9 @@ class Communicator:
         every call site stay transport-agnostic; only the lane mechanics
         change underneath them.
         """
-        if override is not None:
-            mode = _validated_transport(override)
-        elif self.transport is not None:
-            mode = _validated_transport(self.transport)
-        else:
-            mode = _default_transport
-        if mode == TRANSPORT_ZEROCOPY and not self.fabric.supports_zerocopy:
-            return TRANSPORT_SHM
-        return mode
+        return resolve(
+            self.fabric.supports_zerocopy, override, self.transport
+        )
 
     # -- introspection ------------------------------------------------------
 
@@ -865,8 +149,15 @@ class Communicator:
         return self._world_ranks
 
     def _check_rank(self, rank: int, what: str) -> None:
-        if not (0 <= rank < self.size):
+        if not 0 <= rank < len(self._world_ranks):
             raise CommunicatorError(f"{what} {rank} out of range for size {self.size}")
+
+    def _check_send(self, dest: int, tag: int) -> None:
+        """Boundary validation of every send (runs once per posted lane)."""
+        if not 0 <= dest < len(self._world_ranks):
+            self._check_rank(dest, "dest")
+        if tag < 0:
+            raise CommunicatorError(f"user tags must be >= 0, got {tag}")
 
     # -- ULFM-style fault tolerance -----------------------------------------
 
@@ -1031,42 +322,48 @@ class Communicator:
 
     @staticmethod
     def _nbytes_of(buf: np.ndarray, datatype: Optional[Datatype]) -> int:
-        if datatype is not None:
-            return datatype.size_elements() * np.asarray(buf).dtype.itemsize
         arr = np.asarray(buf)
-        return int(arr.size) * arr.dtype.itemsize
-
-    # -- staging-budget hooks -------------------------------------------------
-
-    def _charge_staging(self, nbytes: int, what: str) -> int:
-        """Alloc-fault hook plus predictive budget reserve for one staged
-        buffer.
-
-        Runs *before* the allocation, so an over-budget staging surfaces
-        as a typed :class:`~repro.mpisim.errors.MemoryBudgetError` rather
-        than an ambient ``MemoryError`` mid-pack.  Returns the bytes
-        actually reserved (0 when no budget is active) for the message to
-        carry to its release site.
-        """
-        world = self._world_ranks[self._rank]
-        if FAULTS.active:
-            FAULTS.on_alloc(world, nbytes)
-        if MEMORY_BUDGET.active:
-            MEMORY_BUDGET.reserve(nbytes, what, rank=world)
-            return nbytes
-        return 0
-
-    def _staged_message(
-        self, tag: int, internal: bool, payload: Any, charged: int
-    ) -> _Message:
-        """Wrap a staged payload, carrying its budget charge for release."""
-        message = _Message(self._rank, tag, internal, payload)
-        if charged:
-            message.budget_rank = self._world_ranks[self._rank]
-            message.budget_bytes = charged
-        return message
+        count = datatype.size_elements() if datatype is not None else int(arr.size)
+        return count * arr.dtype.itemsize
 
     # -- point to point -------------------------------------------------------
+
+    def _post_lane(
+        self,
+        buf: np.ndarray,
+        dest: int,
+        tag: int,
+        internal: bool,
+        datatype: Optional[Datatype],
+        mode: str,
+        what: str,
+        rendezvous: bool,
+    ) -> Any:
+        """The one typed send: validate, stage through the transport, post.
+
+        Every uppercase send entry point (``Send``, ``Isend``, ``Sendrecv``,
+        each ``Alltoallw`` lane) lands here.  Returns the pending rendezvous
+        lane the caller must :meth:`_await_lanes` before its buffer is its
+        own again, or ``None`` when the payload was staged eagerly.
+        """
+        self._check_send(dest, tag)
+        world = self._world_ranks[self._rank]
+        payload, charged, pending = stage(
+            self.fabric, world, self._world_ranks[dest],
+            buf, datatype, mode, what, rendezvous,
+        )
+        message = _Message(self._rank, tag, internal, payload)
+        if charged:
+            message.budget_rank = world
+            message.budget_bytes = charged
+        try:
+            self._post(dest, message)
+        except BaseException:
+            # Refused at post time (abort, revoked, dead peer, injected
+            # crash): the staged payload will never reach a drain site.
+            discard(message)
+            raise
+        return pending
 
     def Send(
         self,
@@ -1075,6 +372,8 @@ class Communicator:
         tag: int = 0,
         datatype: Optional[Datatype] = None,
     ) -> None:
+        """Blocking send with eager buffered semantics on every transport:
+        the payload is copied out before the call returns."""
         if TRACER.enabled:
             with self._span(
                 "mpi.Send", peer=dest, tag=tag, nbytes=self._nbytes_of(buf, datatype)
@@ -1083,52 +382,12 @@ class Communicator:
         return self._send(buf, dest, tag, datatype)
 
     def _send(
-        self,
-        buf: np.ndarray,
-        dest: int,
-        tag: int,
-        datatype: Optional[Datatype],
+        self, buf: np.ndarray, dest: int, tag: int, datatype: Optional[Datatype]
     ) -> None:
-        self._check_rank(dest, "dest")
-        if tag < 0:
-            raise CommunicatorError(f"user tags must be >= 0, got {tag}")
-        if self.resolve_transport() == TRANSPORT_SHM:
-            staged = self._stage_shm(buf, datatype)
-            if staged is not None:
-                ticket, charged = staged
-                self._post(dest, self._staged_message(tag, False, ticket, charged))
-                return
-        nbytes = self._nbytes_of(buf, datatype)
-        charged = self._charge_staging(nbytes, "packed payload")
-        payload = _payload_from(buf, datatype)
-        self._post(dest, self._staged_message(tag, False, payload, charged))
-
-    def _stage_shm(
-        self, buf: np.ndarray, datatype: Optional[Datatype]
-    ) -> Optional[tuple[ShmTicket, int]]:
-        """Pack ``buf`` into a pooled shm segment; ``None`` below threshold
-        (tiny messages travel faster as pickled payloads).  Returns the
-        ticket plus the bytes charged against the staging budget."""
-        arr = np.asarray(buf)
-        if datatype is not None:
-            count = datatype.size_elements()
-        else:
-            count = int(arr.size)
-        nbytes = count * arr.dtype.itemsize
-        if nbytes < SHM_MIN_BYTES:
-            return None
-        charged = self._charge_staging(nbytes, "shm staging")
-        segment = self.fabric.shm_pool().acquire(nbytes)
-        view = segment.view(arr.dtype, count)
-        if datatype is not None:
-            datatype.pack(np.ascontiguousarray(arr), out=view)
-        else:
-            if not arr.flags["C_CONTIGUOUS"]:
-                arr = np.ascontiguousarray(arr)
-            view[:] = arr.reshape(-1)
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("payload", nbytes)
-        return ShmTicket(segment.name, arr.dtype.str, count, segment=segment), charged
+        self._post_lane(
+            buf, dest, tag, False, datatype, self.resolve_transport(),
+            "packed payload", rendezvous=False,
+        )
 
     def Isend(
         self,
@@ -1166,18 +425,19 @@ class Communicator:
         datatype: Optional[Datatype],
         rendezvous: bool,
     ) -> Request:
-        if rendezvous and self.resolve_transport() == TRANSPORT_ZEROCOPY:
-            handle = self._post_rendezvous(buf, dest, tag, datatype, internal=False)
-            if handle is not None:
-                status = Status(source=self._rank, tag=tag)
+        lane = self._post_lane(
+            buf, dest, tag, False, datatype, self.resolve_transport(),
+            "packed payload", rendezvous,
+        )
+        status = Status(source=self._rank, tag=tag)
+        if lane is None:
+            return CompletedRequest(status)
 
-                def wait_fn() -> Status:
-                    self._await_handles((handle,))
-                    return status
+        def wait_fn() -> Status:
+            self._await_lanes((lane,))
+            return status
 
-                return DeferredRequest(handle.done.is_set, wait_fn)
-        self.Send(buf, dest, tag, datatype)
-        return CompletedRequest(Status(source=self._rank, tag=tag))
+        return DeferredRequest(lane.completed, wait_fn)
 
     def Recv(
         self,
@@ -1203,7 +463,7 @@ class Communicator:
         status: Optional[Status],
     ) -> Status:
         message = self._consume(self._match(source, tag, internal=False), source)
-        nbytes = _receive_payload(buf, datatype, message)
+        nbytes = deliver(buf, datatype, message)
         result = status or Status()
         result.source, result.tag, result.count_bytes = message.source, message.tag, nbytes
         return result
@@ -1235,7 +495,7 @@ class Communicator:
             message = stash.pop("msg", None)
             if message is None:
                 message = self._consume(match, source)
-            nbytes = _receive_payload(buf, datatype, message)
+            nbytes = deliver(buf, datatype, message)
             return Status(source=message.source, tag=message.tag, count_bytes=nbytes)
 
         return DeferredRequest(test_fn, wait_fn)
@@ -1279,25 +539,21 @@ class Communicator:
         send_datatype: Optional[Datatype],
         recv_datatype: Optional[Datatype],
     ) -> Status:
-        # Zero-copy rendezvous: post a live buffer reference, satisfy our
-        # receive (which drains the partner's handle and releases them),
+        # Post (by reference when the transport allows), satisfy our
+        # receive — which drains the partner's lane and releases them —
         # then wait for the partner to drain ours.  Both endpoints make
         # progress before blocking, so symmetric pairs cannot deadlock.
-        # Self-exchange stays on the staged path: the user may legally pass
-        # overlapping buffers there.
-        if dest != self._rank and self.resolve_transport() == TRANSPORT_ZEROCOPY:
-            self._check_rank(dest, "dest")
-            if sendtag < 0:
-                raise CommunicatorError(f"user tags must be >= 0, got {sendtag}")
-            handle = self._post_rendezvous(
-                sendbuf, dest, sendtag, send_datatype, internal=False
-            )
-            if handle is not None:
-                result = self.Recv(recvbuf, source, recvtag, recv_datatype)
-                self._await_handles((handle,))
-                return result
-        self.Send(sendbuf, dest, sendtag, send_datatype)
-        return self.Recv(recvbuf, source, recvtag, recv_datatype)
+        # Self-exchange stays eager: the user may legally pass overlapping
+        # buffers there.
+        self._check_source(source)  # before anything is posted
+        lane = self._post_lane(
+            sendbuf, dest, sendtag, False, send_datatype, self.resolve_transport(),
+            "packed payload", rendezvous=dest != self._rank,
+        )
+        result = self.Recv(recvbuf, source, recvtag, recv_datatype)
+        if lane is not None:
+            self._await_lanes((lane,))
+        return result
 
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         probe = {"hit": False}
@@ -1330,42 +586,20 @@ class Communicator:
             )
             if found is None:
                 return purged
-            _discard_payload(found.payload)
-            _release_budget(found)
+            discard(found)
             purged += 1
 
     # lowercase (object) p2p ---------------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_rank(dest, "dest")
+        self._check_send(dest, tag)
         self._post(dest, _Message(self._rank, tag, False, _safe_copy(obj)))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+        """Receive an object; an uppercase (typed) send arrives as a dense
+        private copy, releasing its sender."""
         message = self._consume(self._match(source, tag, internal=False), source)
-        _release_budget(message)
-        payload = message.payload
-        if isinstance(payload, _ZeroCopyHandle):
-            # A rendezvous (uppercase) send drained by the object API:
-            # materialise a private copy and release the sender.
-            try:
-                if payload.datatype is not None:
-                    data = payload.datatype.pack(payload.buffer)
-                else:
-                    data = payload.buffer.copy()
-            except BaseException as exc:
-                payload.complete(exc)
-                raise
-            payload.complete()
-            return data
-        if isinstance(payload, ShmTicket):
-            # An shm-staged (uppercase) send drained by the object API:
-            # copy out of the mapping and release the segment.
-            segment = _shm_attach(payload.name)
-            try:
-                return segment.view(np.dtype(payload.dtype), payload.count).copy()
-            finally:
-                segment.mark_drained()
-        return payload
+        return materialize(message)
 
     # -- collectives ------------------------------------------------------------
 
@@ -1404,11 +638,9 @@ class Communicator:
         if self._rank == root:
             for dest in range(self.size):
                 if dest != root:
-                    message = _Message(self._rank, self._coll_tag(seq), True, _safe_copy(obj))
-                    self._post(dest, message)
+                    self._coll_post(_safe_copy(obj), dest, seq)
             return obj
-        message = self._consume(self._match(root, self._coll_tag(seq), internal=True), root)
-        return message.payload
+        return self._coll_take(root, seq)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list[Any]]:
         self._check_rank(root, "root")
@@ -1418,12 +650,9 @@ class Communicator:
             out[root] = _safe_copy(obj)
             for source in range(self.size):
                 if source != root:
-                    message = self._consume(
-                        self._match(source, self._coll_tag(seq), internal=True), source
-                    )
-                    out[source] = message.payload
+                    out[source] = self._coll_take(source, seq)
             return out
-        self._post(root, _Message(self._rank, self._coll_tag(seq), True, _safe_copy(obj)))
+        self._coll_post(_safe_copy(obj), root, seq)
         return None
 
     def scatter(self, objs: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
@@ -1434,13 +663,9 @@ class Communicator:
                 raise CommunicatorError("scatter at root requires one object per rank")
             for dest in range(self.size):
                 if dest != root:
-                    self._post(
-                        dest,
-                        _Message(self._rank, self._coll_tag(seq), True, _safe_copy(objs[dest])),
-                    )
+                    self._coll_post(_safe_copy(objs[dest]), dest, seq)
             return _safe_copy(objs[root])
-        message = self._consume(self._match(root, self._coll_tag(seq), internal=True), root)
-        return message.payload
+        return self._coll_take(root, seq)
 
     def allgather(self, obj: Any) -> list[Any]:
         gathered = self.gather(obj, root=0)
@@ -1450,16 +675,14 @@ class Communicator:
         if len(objs) != self.size:
             raise CommunicatorError("alltoall requires one object per rank")
         seq = self._next_seq()
-        tag = self._coll_tag(seq)
         for dest in range(self.size):
             if dest != self._rank:
-                self._post(dest, _Message(self._rank, tag, True, _safe_copy(objs[dest])))
+                self._coll_post(_safe_copy(objs[dest]), dest, seq)
         out: list[Any] = [None] * self.size
         out[self._rank] = _safe_copy(objs[self._rank])
         for source in range(self.size):
             if source != self._rank:
-                message = self._consume(self._match(source, tag, internal=True), source)
-                out[source] = message.payload
+                out[source] = self._coll_take(source, seq)
         return out
 
     def Gather(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], root: int = 0) -> None:
@@ -1551,17 +774,13 @@ class Communicator:
                 else:
                     self._coll_send(chunk, dest, seq)
         else:
-            message = self._consume(
-                self._match(root, self._coll_tag(seq), internal=True), root
-            )
-            if message.payload.size > recv_flat.size:
+            chunk = self._coll_take(root, seq)
+            if chunk.size > recv_flat.size:
                 raise TruncationError(
-                    f"scatterv lane {root}->{self._rank}: got {message.payload.size}, "
+                    f"scatterv lane {root}->{self._rank}: got {chunk.size}, "
                     f"buffer holds {recv_flat.size}"
                 )
-            recv_flat[: message.payload.size] = message.payload.astype(
-                recv_flat.dtype, copy=False
-            )
+            recv_flat[: chunk.size] = chunk.astype(recv_flat.dtype, copy=False)
 
     def Alltoall(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         """Equal-block all-to-all: block ``d`` of sendbuf goes to rank ``d``."""
@@ -1710,29 +929,20 @@ class Communicator:
         if len(sendtypes) != self.size or len(recvtypes) != self.size:
             raise CommunicatorError("Alltoallw requires one datatype slot per rank")
         mode = self.resolve_transport(transport)
-        zero_copy = mode == TRANSPORT_ZEROCOPY
-        shm_mode = mode == TRANSPORT_SHM
-        seq = self._next_seq()
-        tag = self._coll_tag(seq)
+        tag = self._next_seq()
 
-        # Self-exchange first: no mailbox round-trip.  The direct path is
-        # taken only when the two buffers cannot alias; pack/unpack remains
-        # the safe fallback for overlapping self-transfers.  The self lane
-        # never leaves this process, so shm mode copies directly too.
+        # Self-exchange first: no mailbox round-trip.
         stype = sendtypes[self._rank]
         rtype = recvtypes[self._rank]
         if stype is not None and stype.size_elements() > 0:
             if rtype is None or rtype.size_elements() != stype.size_elements():
                 raise CommunicatorError("self send/recv types disagree in Alltoallw")
             assert sendbuf is not None and recvbuf is not None
-            if (zero_copy or shm_mode) and not np.may_share_memory(sendbuf, recvbuf):
-                stype.copy_into(sendbuf, recvbuf, rtype)
-            else:
-                rtype.unpack(recvbuf, stype.pack(sendbuf))
+            copy_local(sendbuf, stype, recvbuf, rtype, mode)
         elif rtype is not None and rtype.size_elements() > 0:
             raise CommunicatorError("self send/recv types disagree in Alltoallw")
 
-        handles: list[_ZeroCopyHandle] = []
+        lanes = []
         for dest in range(self.size):
             if dest == self._rank:
                 continue
@@ -1740,27 +950,11 @@ class Communicator:
             if datatype is None or datatype.size_elements() == 0:
                 continue
             assert sendbuf is not None
-            if zero_copy:
-                # Validate geometry sender-side (as pack would) so errors
-                # surface on the offending rank, then post the reference.
-                datatype.view(sendbuf)
-                handle = _ZeroCopyHandle(
-                    sendbuf, datatype, dest_world=self._world_ranks[dest]
-                )
-                handles.append(handle)
-                self._post(dest, _Message(self._rank, tag, True, handle))
-                continue
-            if shm_mode:
-                staged = self._stage_shm(sendbuf, datatype)
-                if staged is not None:
-                    ticket, charged = staged
-                    self._post(dest, self._staged_message(tag, True, ticket, charged))
-                    continue
-            nbytes = datatype.size_elements() * np.asarray(sendbuf).dtype.itemsize
-            charged = self._charge_staging(nbytes, "Alltoallw lane")
-            self._post(
-                dest, self._staged_message(tag, True, datatype.pack(sendbuf), charged)
+            lane = self._post_lane(
+                sendbuf, dest, tag, True, datatype, mode, "Alltoallw lane", True
             )
+            if lane is not None:
+                lanes.append(lane)
 
         for source in range(self.size):
             if source == self._rank:
@@ -1770,33 +964,16 @@ class Communicator:
                 continue
             assert recvbuf is not None
             message = self._consume(self._match(source, tag, internal=True), source)
-            payload = message.payload
             try:
-                if isinstance(payload, _ZeroCopyHandle):
-                    got = payload.size_elements()
-                elif isinstance(payload, ShmTicket):
-                    got = payload.count
-                else:
-                    got = int(payload.size)
-                if got != datatype.size_elements():
-                    complete = getattr(payload, "complete", None)
-                    if callable(complete):
-                        complete()  # release the sender; the error is ours
-                    raise TruncationError(
-                        f"Alltoallw lane {source}->{self._rank}: got {got} "
-                        f"elements, type expects {datatype.size_elements()}"
-                    )
-                if isinstance(payload, _ZeroCopyHandle):
-                    _receive_rendezvous(recvbuf, datatype, payload)
-                elif isinstance(payload, ShmTicket):
-                    _receive_shm(recvbuf, datatype, payload)
-                else:
-                    datatype.unpack(recvbuf, payload)
-            finally:
-                _release_budget(message)
+                deliver(recvbuf, datatype, message)
+            except TruncationError as exc:
+                # The sender is already released; the error is ours.
+                raise TruncationError(
+                    f"Alltoallw lane {source}->{self._rank}: {exc}"
+                ) from None
 
-        if handles:
-            self._await_handles(handles)
+        if lanes:
+            self._await_lanes(lanes)
 
     def Alltoallv(
         self,
@@ -1833,7 +1010,6 @@ class Communicator:
         ):
             raise CommunicatorError("Alltoallv requires size-length count/displ arrays")
         seq = self._next_seq()
-        tag = self._coll_tag(seq)
         sflat = np.ascontiguousarray(sendbuf).reshape(-1)
         rflat = recvbuf.reshape(-1)
 
@@ -1848,20 +1024,19 @@ class Communicator:
             if dest == self._rank or not int(sendcounts[dest]):
                 continue
             start = int(sdispls[dest])
-            chunk = sflat[start : start + int(sendcounts[dest])].copy()
-            self._post(dest, _Message(self._rank, tag, True, chunk))
+            self._coll_post(sflat[start : start + int(sendcounts[dest])].copy(), dest, seq)
         for source in range(self.size):
             if source == self._rank or not int(recvcounts[source]):
                 continue
-            message = self._consume(self._match(source, tag, internal=True), source)
+            chunk = self._coll_take(source, seq)
             start = int(rdispls[source])
             expect = int(recvcounts[source])
-            if message.payload.size != expect:
+            if chunk.size != expect:
                 raise TruncationError(
-                    f"Alltoallv lane {source}->{self._rank}: got {message.payload.size}, "
+                    f"Alltoallv lane {source}->{self._rank}: got {chunk.size}, "
                     f"expected {expect}"
                 )
-            rflat[start : start + expect] = message.payload
+            rflat[start : start + expect] = chunk
 
     # -- communicator management ---------------------------------------------
 
@@ -1897,70 +1072,38 @@ class Communicator:
         self._coll_seq += 1
         return self._coll_seq
 
-    @staticmethod
-    def _coll_tag(seq: int) -> int:
-        return seq
-
     def _post(self, dest: int, message: _Message) -> None:
         self.fabric.check_abort()
         if self.fabric.hazard:
             self.fabric.check_hazard(
                 self._lineage, self._world_ranks[dest], self._world_ranks[self._rank]
             )
-        if FAULTS.active and not FAULTS.on_send(
-            self._world_ranks[self._rank], message
-        ):
-            # Dropped by the fault plan (rendezvous senders released); a
-            # dropped staged payload is gone, so its charge comes back too.
-            _release_budget(message)
+        if FAULTS.active and not FAULTS.on_send(self._world_ranks[self._rank], message):
+            # Dropped by the fault plan: the loss is the receiver's problem
+            # (per-op deadline), never a sender-side hang or a leaked charge.
+            discard(message)
             return
         self.fabric.post(self.comm_id, self._world_ranks[dest], message)
 
-    def _post_rendezvous(
-        self,
-        buf: np.ndarray,
-        dest: int,
-        tag: int,
-        datatype: Optional[Datatype],
-        internal: bool,
-    ) -> Optional[_ZeroCopyHandle]:
-        """Post a zero-copy handle; returns ``None`` when ``buf`` cannot be
-        shared safely (not contiguous), letting the caller fall back to the
-        eager packed path."""
-        arr = np.asarray(buf)
-        if not arr.flags["C_CONTIGUOUS"]:
-            return None
-        if datatype is not None:
-            # Sender-side geometry/dtype validation, exactly where pack
-            # would have raised on the eager path.
-            datatype.view(arr)
-        handle = _ZeroCopyHandle(arr, datatype, dest_world=self._world_ranks[dest])
-        self._post(dest, _Message(self._rank, tag, internal, handle))
-        return handle
-
-    def _await_handles(self, handles: Sequence[_ZeroCopyHandle]) -> None:
-        """Block until every posted rendezvous lane has been drained.
-
-        Polls with short waits so a peer failure (fabric abort) or a
-        deadlock still surfaces instead of hanging forever.
-        """
+    def _await_lanes(self, lanes: Sequence[Any]) -> None:
+        """Block until every pending lane :meth:`_post_lane` returned has
+        been drained, polling so a peer failure (fabric abort) or a deadlock
+        still surfaces instead of hanging forever."""
         if TRACER.enabled:
-            with self._span("mpi.wait", lanes=len(handles)):
-                return self._await_handles_impl(handles)
-        return self._await_handles_impl(handles)
+            with self._span("mpi.wait", lanes=len(lanes)):
+                return self._await_lanes_impl(lanes)
+        return self._await_lanes_impl(lanes)
 
-    def _await_handles_impl(self, handles: Sequence[_ZeroCopyHandle]) -> None:
+    def _await_lanes_impl(self, lanes: Sequence[Any]) -> None:
         deadline = time.monotonic() + self.fabric.deadlock_timeout
-        for handle in handles:
-            while not handle.done.wait(timeout=0.05):
+        for lane in lanes:
+            while not lane.wait(0.05):
                 self.fabric.check_abort()
                 if self.fabric.hazard:
                     # A dead receiver will never drain this lane; a revoked
                     # communicator means nobody should wait on it at all.
                     self.fabric.check_hazard(
-                        self._lineage,
-                        handle.dest_world,
-                        self._world_ranks[self._rank],
+                        self._lineage, lane.dest_world, self._world_ranks[self._rank]
                     )
                 if time.monotonic() > deadline:
                     raise DeadlineError(
@@ -1971,41 +1114,50 @@ class Communicator:
     def _consume(
         self, match: Callable[[_Message], bool], source: int = ANY_SOURCE
     ) -> _Message:
-        deadline_s = None
-        if FAULTS.active:
-            deadline_s = FAULTS.on_recv(self._world_ranks[self._rank])
-        source_world = None
-        if source != ANY_SOURCE:
-            source_world = self._world_ranks[source]
+        world = self._world_ranks[self._rank]
+        deadline_s = FAULTS.on_recv(world) if FAULTS.active else None
+        source_world = self._world_ranks[source] if source != ANY_SOURCE else None
         message = self.fabric.consume(
-            self.comm_id,
-            self._world_ranks[self._rank],
-            match,
-            deadline_s=deadline_s,
-            source_world=source_world,
-            lineage=self._lineage,
+            self.comm_id, world, match,
+            deadline_s=deadline_s, source_world=source_world, lineage=self._lineage,
         )
         if FAULTS.active:
             FAULTS.on_deliver(message)
         return message
 
+    # Collective traffic rides dense, uncharged internal lanes: the payload
+    # is always a private copy (ndarray or object) and never enters the
+    # transport.  ``seq`` is the collective's sequence number, used as tag.
+
+    def _coll_post(self, payload: Any, dest: int, seq: int) -> None:
+        self._post(dest, _Message(self._rank, seq, True, payload))
+
+    def _coll_take(self, source: int, seq: int) -> Any:
+        return self._consume(self._match(source, seq, internal=True), source).payload
+
     def _coll_send(self, buf: np.ndarray, dest: int, seq: int) -> None:
-        payload = np.ascontiguousarray(buf).reshape(-1).copy()
-        self._post(dest, _Message(self._rank, self._coll_tag(seq), True, payload))
+        self._coll_post(np.ascontiguousarray(buf).reshape(-1).copy(), dest, seq)
 
     def _coll_recv(self, buf: np.ndarray, source: int, seq: int) -> None:
-        message = self._consume(
-            self._match(source, self._coll_tag(seq), internal=True), source
-        )
+        payload = self._coll_take(source, seq)
         flat = np.asarray(buf).reshape(-1)
-        if message.payload.size != flat.size:
+        if payload.size != flat.size:
             raise TruncationError(
-                f"collective lane {source}->{self._rank}: got {message.payload.size} "
+                f"collective lane {source}->{self._rank}: got {payload.size} "
                 f"elements, buffer holds {flat.size}"
             )
-        flat[:] = message.payload.astype(flat.dtype, copy=False)
+        flat[:] = payload.astype(flat.dtype, copy=False)
+
+    def _check_source(self, source: int) -> None:
+        if source != ANY_SOURCE and not 0 <= source < len(self._world_ranks):
+            self._check_rank(source, "source")
 
     def _match(self, source: int, tag: int, internal: bool) -> Callable[[_Message], bool]:
+        """Matching predicate for a receive; the one place every receive
+        entry point (``Recv``/``Irecv``/``recv``/``Iprobe``/``purge`` and
+        the collectives) validates ``source``."""
+        self._check_source(source)
+
         def fn(message: _Message) -> bool:
             if message.internal != internal:
                 return False

@@ -1,7 +1,7 @@
 """SPMD thread executor: run ``fn(comm, *args)`` once per rank.
 
 ``run_spmd(nprocs, fn)`` is this runtime's ``mpiexec -n nprocs``.  Each rank
-runs in its own thread over a shared :class:`~repro.mpisim.comm.Fabric`; the
+runs in its own thread over a shared :class:`~repro.mpisim.fabric.Fabric`; the
 first exception aborts every blocked peer (MPI_Abort semantics) and is
 re-raised to the caller with its rank attached.
 
@@ -23,8 +23,9 @@ from typing import Any, Callable, Optional
 
 from ..faults.injector import FAULTS
 from ..obs.tracer import TRACER
-from .comm import DEFAULT_DEADLOCK_TIMEOUT, Communicator, Fabric
+from .comm import Communicator
 from .errors import AbortError, CommunicatorError, RankCrashError
+from .fabric import DEFAULT_DEADLOCK_TIMEOUT, Fabric
 
 WORLD_ID = "world"
 
@@ -239,8 +240,17 @@ def run_spmd(
         # Join with a progress-renewed timeout: as long as at least one rank
         # finishes per window the wait continues, so long multi-phase runs are
         # unaffected; only a window with zero completions declares a hang.
+        # Ranks started mid-run by ``Communicator.spawn`` are adopted into
+        # the same wait (keyed by world rank): they may still be draining
+        # shm lanes, or about to report a failure, when the originals return.
         pending = list(enumerate(threads))
-        while pending:
+        adopted = 0
+        while True:
+            spawned = fabric.spawned_threads()
+            pending.extend(spawned[adopted:])
+            adopted = len(spawned)
+            if not pending:
+                break
             progressed = False
             deadline = time.monotonic() + join_timeout
             for rank, thread in list(pending):

@@ -67,8 +67,9 @@ from typing import Any, Callable, Hashable, Optional, Sequence
 
 from ..faults.injector import FAULTS
 from ..obs.tracer import TRACER, SpanRecord
-from .comm import DEFAULT_DEADLOCK_TIMEOUT, Communicator, Fabric, _Message
+from .comm import Communicator
 from .errors import AbortError, CommunicatorError, ProcessFailedError, RankCrashError
+from .fabric import DEFAULT_DEADLOCK_TIMEOUT, Fabric, _Message
 from .shm import sweep_prefix
 
 __all__ = ["ProcessFabric", "run_spmd_processes"]

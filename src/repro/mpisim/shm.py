@@ -35,7 +35,6 @@ import atexit
 import os
 import threading
 from multiprocessing import shared_memory
-from typing import Optional
 
 import numpy as np
 
@@ -349,43 +348,23 @@ class ShmStagingPool:
 class ShmTicket:
     """The picklable message payload for shm-staged traffic.
 
-    Carries only the segment name and the payload geometry; the receiving
-    process attaches by name and unpacks.  The creator-side reference to
-    the segment (``_segment``) never crosses the pickle boundary — it
-    exists so a message dropped sender-side by the fault plan can still
-    release its segment back to the pool (:meth:`complete`, the same
-    contract ``_ZeroCopyHandle.complete`` gives the drop path).
+    Carries only the segment name and the payload geometry; whoever drains
+    the message (:mod:`repro.mpisim.transport`) resolves the name with
+    :func:`attach` — to the mapped segment in a receiving process, to the
+    creator's own segment when the sender itself discards a dropped
+    message — and marks it drained.
     """
 
-    __slots__ = ("name", "dtype", "count", "_segment")
+    __slots__ = ("name", "dtype", "count")
 
-    def __init__(
-        self,
-        name: str,
-        dtype: str,
-        count: int,
-        segment: Optional[ShmSegment] = None,
-    ) -> None:
+    def __init__(self, name: str, dtype: str, count: int) -> None:
         self.name = name
         self.dtype = dtype
         self.count = count
-        self._segment = segment
 
     @property
     def nbytes(self) -> int:
         return self.count * np.dtype(self.dtype).itemsize
-
-    def complete(self, error: Optional[BaseException] = None) -> None:
-        """Release the segment without a receiver (dropped message)."""
-        if self._segment is not None:
-            self._segment.mark_drained()
-
-    def __getstate__(self):
-        return (self.name, self.dtype, self.count)
-
-    def __setstate__(self, state):
-        self.name, self.dtype, self.count = state
-        self._segment = None
 
     def __repr__(self) -> str:
         return f"ShmTicket({self.name!r}, {self.dtype}, n={self.count})"

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.box import Box
-from ..mpisim.comm import Fabric
+from ..mpisim.fabric import Fabric
 
 _STORE_KEY = "buddy_store"
 

@@ -47,7 +47,7 @@ __all__ = [
 
 
 def _budget_error():
-    # Lazy: utils must stay importable without repro.mpisim (and mpisim.comm
+    # Lazy: utils must stay importable without repro.mpisim (and mpisim
     # imports utils.arrays), so the typed error is fetched on first raise —
     # the same pattern faults.injector uses for transport error types.
     from ..mpisim.errors import MemoryBudgetError

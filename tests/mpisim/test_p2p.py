@@ -10,9 +10,38 @@ from repro.mpisim import (
     ANY_TAG,
     CommunicatorError,
     FLOAT,
+    TRANSPORT_PACKED,
+    TRANSPORT_SHM,
+    TRANSPORT_ZEROCOPY,
     TruncationError,
 )
 from tests.conftest import spmd
+
+TRANSPORTS = [TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, TRANSPORT_SHM]
+
+# One send through each typed entry point that shares the post helper, and
+# one receive through each entry point that takes a ``source``.
+SENDS = {
+    "Send": lambda comm, dest, tag: comm.Send(np.zeros(2), dest, tag),
+    "Isend": lambda comm, dest, tag: comm.Isend(np.zeros(2), dest, tag),
+    "Isend-rendezvous": lambda comm, dest, tag: comm.Isend(
+        np.zeros(2), dest, tag, rendezvous=True
+    ),
+    "Sendrecv": lambda comm, dest, tag: comm.Sendrecv(
+        np.zeros(2), dest, np.zeros(2), ANY_SOURCE, sendtag=tag
+    ),
+    "send": lambda comm, dest, tag: comm.send("obj", dest, tag),
+}
+RECEIVES = {
+    "Recv": lambda comm, source: comm.Recv(np.zeros(2), source),
+    "Irecv": lambda comm, source: comm.Irecv(np.zeros(2), source).Wait(),
+    "recv": lambda comm, source: comm.recv(source),
+    "Sendrecv": lambda comm, source: comm.Sendrecv(
+        np.zeros(2), comm.rank, np.zeros(2), source
+    ),
+    "Iprobe": lambda comm, source: comm.Iprobe(source),
+    "purge": lambda comm, source: comm.purge(source),
+}
 
 
 class TestSendRecv:
@@ -114,6 +143,38 @@ class TestSendRecv:
                     comm.Send(np.zeros(1), dest=1, tag=-3)
 
         spmd(2, fn)
+
+    @pytest.mark.parametrize("mode", TRANSPORTS)
+    @pytest.mark.parametrize("entry", sorted(SENDS))
+    @pytest.mark.parametrize(
+        "dest, tag", [(-1, 0), (2, 0), (1, -3)], ids=["dest=-1", "dest=size", "tag<0"]
+    )
+    def test_every_send_validates_dest_and_tag(self, entry, mode, dest, tag):
+        """``dest=-1`` must not wrap to the last rank, ``dest>=size`` must
+        not be a bare IndexError, and a negative user tag is rejected —
+        identically on every entry point and transport."""
+
+        def fn(comm):
+            comm.transport = mode
+            with pytest.raises(CommunicatorError):
+                SENDS[entry](comm, dest, tag)
+            return comm.fabric.mailbox_depth()
+
+        assert spmd(2, fn) == [0, 0]  # nothing was posted before the raise
+
+    @pytest.mark.parametrize("entry", sorted(RECEIVES))
+    @pytest.mark.parametrize("source", [2, -2], ids=["source=size", "source=-2"])
+    def test_every_receive_validates_source(self, entry, source):
+        """An out-of-range source raises at the boundary instead of an
+        IndexError (``>= size``) or a full deadlock-timeout wait (``< 0``
+        other than ANY_SOURCE); Sendrecv checks before it posts."""
+
+        def fn(comm):
+            with pytest.raises(CommunicatorError, match="source"):
+                RECEIVES[entry](comm, source)
+            return comm.fabric.mailbox_depth()
+
+        assert spmd(2, fn, deadlock_timeout=5.0) == [0, 0]
 
     def test_datatype_send_recv(self):
         """Send a 2x2 corner of a 4x4 via subarray types on both ends."""

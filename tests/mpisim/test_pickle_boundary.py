@@ -96,25 +96,15 @@ class TestObservability:
 
 
 class TestShmTicket:
-    def test_ticket_drops_segment_handle(self):
-        """The creator-side segment reference must never cross the pickle
-        boundary — the receiver attaches by name instead."""
-
-        class Boom:
-            def __reduce__(self):
-                raise AssertionError("segment handle crossed the boundary")
-
-        ticket = ShmTicket("ddr_test_1", "float32", 100, segment=Boom())
-        back = roundtrip(ticket)
+    def test_ticket_carries_name_and_geometry_only(self):
+        """A ticket is just (name, dtype, count): the receiver attaches by
+        name, so no segment handle can cross the pickle boundary."""
+        back = roundtrip(ShmTicket("ddr_test_1", "float32", 100))
         assert back.name == "ddr_test_1"
         assert back.dtype == "float32"
         assert back.count == 100
         assert back.nbytes == 400
-        assert back._segment is None
-
-    def test_detached_ticket_complete_is_noop(self):
-        back = roundtrip(ShmTicket("ddr_test_2", "int64", 8))
-        back.complete()  # no segment attached: must not raise
+        assert ShmTicket.__slots__ == ("name", "dtype", "count")
 
 
 class TestExceptions:

@@ -15,7 +15,6 @@ from repro.mpisim.shm import (
     MIN_SEGMENT_BYTES,
     ShmArena,
     ShmStagingPool,
-    ShmTicket,
     attach,
     sweep_prefix,
 )
@@ -130,21 +129,6 @@ class TestStagingPool:
             small.mark_drained()
             big = pool.acquire(100_000)
             assert big is not small
-        finally:
-            pool.close()
-
-
-class TestTicketLifecycle:
-    def test_complete_releases_segment(self):
-        """A sender-side drop (fault injection) must return the segment to
-        the pool even though no receiver ever attached."""
-        pool = ShmStagingPool("ddrtesttkt")
-        try:
-            segment = pool.acquire(512)
-            ticket = ShmTicket(segment.name, "float32", 16, segment=segment)
-            assert pool.outstanding() == 1
-            ticket.complete()
-            assert pool.outstanding() == 0
         finally:
             pool.close()
 

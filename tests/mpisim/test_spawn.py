@@ -11,10 +11,14 @@ forked into reserve queue slots (``spawn_slots``).
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 
+from repro.mpisim import TRANSPORT_SHM, transport
 from repro.mpisim.errors import CommunicatorError
-from tests.conftest import spmd
+from tests.conftest import spmd, thread_only
 
 
 def _child(comm, marker):
@@ -98,3 +102,27 @@ def test_collectives_root_at_spawned_rank():
 def test_spawn_counts(count):
     results = spmd(2, _parent, count, "c", spawn_slots=3)
     assert all(r["size"] == 2 + count for r in results)
+
+
+@thread_only
+def test_driver_joins_spawned_ranks_before_teardown():
+    """A spawned rank may still be draining an shm lane when every original
+    rank has returned: ``run_spmd`` must join it before it unlinks the
+    staging pool and before it folds ``spawn_failures`` into the result."""
+    drained = []
+
+    def late_receiver(comm):
+        time.sleep(0.5)  # the originals are long gone by now
+        buf = np.zeros(4096, dtype=np.float32)
+        comm.Recv(buf, source=0, tag=1)
+        drained.append(bool((buf == 7).all()))
+
+    def fn(comm):
+        union = comm.spawn(1, late_receiver)
+        if union.rank == 0:
+            union.Send(np.full(4096, 7, dtype=np.float32), union.size - 1, tag=1)
+        return True
+
+    with transport(TRANSPORT_SHM):  # eager, segment owned by the fabric's pool
+        assert spmd(2, fn) == [True, True]
+    assert drained == [True]

@@ -2,29 +2,36 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, FaultSpec, fault_plan
 from repro.mpisim import (
     FLOAT,
     INT,
     CommunicatorError,
+    RevokedError,
     SubarrayType,
     TRANSPORT_PACKED,
+    TRANSPORT_SHM,
     TRANSPORT_ZEROCOPY,
     TruncationError,
     get_transport,
     set_transport,
     transport,
 )
+from repro.utils.membudget import MEMORY_BUDGET, budget_scope
 from tests.conftest import counted_region, spmd, thread_only
 
 TRANSPORTS = [TRANSPORT_ZEROCOPY, TRANSPORT_PACKED]
 
 
 class TestSelection:
-    def test_default_is_zerocopy(self):
-        assert get_transport() == TRANSPORT_ZEROCOPY
+    def test_default_is_zerocopy_unless_env_overrides(self):
+        # CI runs this suite under DDR_TRANSPORT=packed and =shm as well.
+        assert get_transport() == os.environ.get("DDR_TRANSPORT", TRANSPORT_ZEROCOPY)
 
     def test_context_manager_restores(self):
         before = get_transport()
@@ -160,7 +167,24 @@ class TestRendezvousP2P:
                 assert recv.tolist() == list(range(16))
             return True
 
-        assert all(spmd(2, fn))
+        with transport(TRANSPORT_ZEROCOPY):  # the other transports stage eagerly
+            assert all(spmd(2, fn))
+
+    def test_handle_completion_is_idempotent_and_reusable(self):
+        """The rendezvous handle's lock-based completion: pending until
+        completed, completing twice is harmless, and a finished wait leaves
+        it complete for the next ``Test``/``Wait``."""
+        from repro.mpisim.transport import _ZeroCopyHandle
+
+        handle = _ZeroCopyHandle(np.zeros(4), None, dest_world=1)
+        assert not handle.completed()
+        assert handle.wait(0.01) is False  # still pending: times out
+        assert not handle.completed()
+        handle.complete()
+        handle.complete()
+        assert handle.completed()
+        assert handle.wait(0.01) is True
+        assert handle.completed() and handle.wait(0.0) is True
 
     def test_isend_rendezvous_strided_falls_back_eager(self):
         """A non-contiguous buffer cannot be posted by reference."""
@@ -198,29 +222,6 @@ class TestAlltoallwErrorPaths:
 
         assert all(spmd(2, fn))
 
-    def test_truncation_releases_sender(self, mode):
-        """Receiver-local truncation must not strand a rendezvous sender."""
-
-        def fn(comm):
-            stypes: list = [None] * comm.size
-            rtypes: list = [None] * comm.size
-            if comm.rank == 0:
-                stypes[1] = INT.Create_contiguous(2)
-                comm.Alltoallw(
-                    np.arange(2, dtype=np.int32), stypes, None, rtypes,
-                    transport=mode,
-                )
-            else:
-                rtypes[0] = INT.Create_contiguous(4)  # expects more than sent
-                with pytest.raises(TruncationError, match="lane 0->1"):
-                    comm.Alltoallw(
-                        None, stypes, np.zeros(4, dtype=np.int32), rtypes,
-                        transport=mode,
-                    )
-            return True
-
-        assert all(spmd(2, fn))
-
     def test_all_none_rows(self, mode):
         def fn(comm):
             none_row: list = [None] * comm.size
@@ -250,3 +251,110 @@ class TestAlltoallwErrorPaths:
             return True
 
         assert all(spmd(3, fn))
+
+
+# ---------------------------------------------------------------------------
+# The drain contract: stage -> (deliver | materialize | discard)
+# ---------------------------------------------------------------------------
+
+DRAIN_TAG = 41
+DRAIN_COUNT = 256  # float32 -> 1 KiB, above the shm staging threshold
+DRAIN_BYTES = DRAIN_COUNT * 4
+
+
+def _drain_deliver(comm, data):
+    buf = np.zeros(DRAIN_COUNT, dtype=np.float32)
+    status = comm.Recv(buf, 0, DRAIN_TAG)
+    assert np.array_equal(buf, data) and status.count_bytes == DRAIN_BYTES
+
+
+def _drain_truncation(comm, data):
+    with pytest.raises(TruncationError):
+        comm.Recv(np.zeros(DRAIN_COUNT // 2, dtype=np.float32), 0, DRAIN_TAG)
+
+
+def _drain_object_recv(comm, data):
+    got = comm.recv(0, DRAIN_TAG)
+    assert isinstance(got, np.ndarray) and np.array_equal(got, data)
+
+
+def _drain_purge(comm, data):
+    while not comm.Iprobe(0, DRAIN_TAG):
+        pass
+    assert comm.purge(0, DRAIN_TAG) == 1
+
+
+def _drain_dropped(comm, data):
+    comm.Barrier()  # the sender's post (dropped by the plan) is behind us
+    assert not comm.Iprobe(0, DRAIN_TAG)
+
+
+DRAINS = {
+    "deliver": _drain_deliver,
+    "truncation": _drain_truncation,
+    "object-recv": _drain_object_recv,
+    "purge": _drain_purge,
+    "fault-drop": _drain_dropped,
+    "alltoallw-count-mismatch": None,  # collective on both sides, see below
+    "post-refused": None,  # the staged payload never reaches a mailbox
+}
+
+
+@thread_only  # one shared ledger / fault layer / fabric to inspect
+@pytest.mark.parametrize("outcome", sorted(DRAINS))
+@pytest.mark.parametrize(
+    "mode", [TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, TRANSPORT_SHM]
+)
+def test_drain_contract(mode, outcome):
+    """However a staged payload ends — delivered, truncated at the receiver,
+    drained by the object API, purged, dropped by the fault plan, rejected
+    for its count, or refused at post time (revoked communicator) — the
+    sender returns, its shm segment is back in the pool, and its budget
+    charge is back in the ledger."""
+
+    def fn(comm):
+        comm.transport = mode
+        data = np.arange(DRAIN_COUNT, dtype=np.float32)
+        if outcome == "alltoallw-count-mismatch":
+            stypes: list = [None, None]
+            rtypes: list = [None, None]
+            if comm.rank == 0:
+                stypes[1] = FLOAT.Create_contiguous(DRAIN_COUNT)
+                comm.Alltoallw(data, stypes, None, rtypes)  # must return
+            else:
+                rtypes[0] = FLOAT.Create_contiguous(DRAIN_COUNT + 1)
+                with pytest.raises(TruncationError, match="lane 0->1"):
+                    comm.Alltoallw(None, stypes, np.zeros(DRAIN_COUNT + 1, np.float32), rtypes)
+        elif outcome == "post-refused":
+            dup = comm.Dup()
+            dup.transport = mode
+            if comm.rank == 0:
+                dup.revoke()
+                with pytest.raises(RevokedError):
+                    dup.Isend(data, 1, DRAIN_TAG, rendezvous=True)
+        elif comm.rank == 0:
+            # Rendezvous where the transport allows it: Wait() returning is
+            # the "sender not blocked" half of the contract.
+            comm.Isend(data, 1, DRAIN_TAG, rendezvous=True).Wait()
+            if outcome == "fault-drop":
+                comm.Barrier()
+        else:
+            DRAINS[outcome](comm, data)
+        comm.Barrier()
+        return (
+            comm.fabric.shm_pool().outstanding(),
+            MEMORY_BUDGET.used_bytes(comm.rank),
+            MEMORY_BUDGET.peak_bytes(comm.rank),
+        ), comm.fabric
+
+    plan = FaultPlan(
+        seed=0, nranks=2,
+        events=(FaultSpec(kind="drop", rank=0, tag=DRAIN_TAG),)
+        if outcome == "fault-drop" else (),
+    )
+    with budget_scope(limit_bytes=1 << 20), fault_plan(plan):
+        (sender, fabric), (receiver, _) = spmd(2, fn, deadlock_timeout=10.0)
+    staged = 0 if mode == TRANSPORT_ZEROCOPY else DRAIN_BYTES
+    assert sender == (0, 0, staged)  # charged iff a copy was staged
+    assert receiver == (0, 0, 0)
+    assert fabric.mailbox_depth() == 0
