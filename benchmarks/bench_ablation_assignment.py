@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.plan import compute_global_plan
+from repro.core import compute_global_plan
 from repro.io.assignment import Assignment, StackGeometry, all_owned_chunks
 from repro.netmodel import COOLEY, exchange_cost, needed_boxes
 from repro.utils.units import MiB

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import Box, Redistributor, message_count_p2p
+from repro.core import Box, Redistributor
 from repro.io.assignment import Assignment, StackGeometry
 from repro.mpisim.executor import run_spmd
 from repro.netmodel import COOLEY, ddr_plan, exchange_cost, point_to_point_cost
@@ -104,7 +104,7 @@ def test_p2p_message_count_is_sparse(benchmark):
             need=Box(((rank % 2) * half, (rank // 2) * (SIDE // (size // 2))),
                      (half, SIDE // (size // 2))),
         )
-        return message_count_p2p(red.descriptor)
+        return red.mapping.schedule.message_count
 
     counts = benchmark.pedantic(
         lambda: run_spmd(NPROCS, fn), rounds=1, iterations=1

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import Redistributor, compute_global_plan, global_schedules
+from repro.core import Redistributor, compute_global_plan
 from repro.lbm.decompose import slab_box
 from repro.mpisim.executor import run_spmd
 from repro.utils.membudget import MEMORY_BUDGET, auditing_memory, budget_scope
@@ -51,9 +51,7 @@ def unbounded_peak_bytes() -> int:
         [need for _, need in layouts],
         element_size=4,
     )
-    return max(
-        rnd.max_round_bytes for s in global_schedules(plan) for rnd in s.rounds
-    )
+    return max(rnd.max_round_bytes for rnd in plan.schedules[0].rounds)
 
 
 def _exchange(comm, backend: str, iters: int = ITERS):

@@ -12,7 +12,7 @@ import pytest
 from repro.bench import table3
 from repro.bench.paperdata import TABLE3_SCHEDULE
 from repro.io.assignment import Assignment, PAPER_STACK, all_owned_chunks
-from repro.core.plan import compute_global_plan
+from repro.core import compute_global_plan
 from repro.netmodel.predict import needed_boxes
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from ..core.api import DDR_NewDataDescriptor, DDR_ReorganizeData, DDR_SetupDataMapping
 from ..core.box import Box
 from ..core.descriptor import DATA_TYPE_2D
-from ..core.plan import compute_global_plan
+from ..core.schedule import compute_global_plan
 from ..mpisim.datatypes import FLOAT
 from ..mpisim.executor import run_spmd
 from .paperdata import TABLE1_E1
@@ -64,10 +64,10 @@ def rank0_mapping() -> dict:
     """Figure 1 panel B: rank 0's send and receive map."""
     owns = [[Box((0, r), (8, 1)), Box((0, r + 4), (8, 1))] for r in range(4)]
     needs = [Box((4 * (r % 2), 4 * (r // 2)), (4, 4)) for r in range(4)]
-    plan = compute_global_plan(owns, needs, 4).rank_plans[0]
+    rounds = compute_global_plan(owns, needs, 4).schedules[0].rounds
     return {
-        "sends": {(s.round, s.dest): s.overlap for s in plan.sends},
-        "recvs": {(r.round, r.source): r.overlap for r in plan.recvs},
+        "sends": {(r.index, lane.peer): lane.region for r in rounds for lane in r.all_sends()},
+        "recvs": {(r.index, lane.peer): lane.region for r in rounds for lane in r.all_recvs()},
     }
 
 

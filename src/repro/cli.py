@@ -84,7 +84,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_engines(args: argparse.Namespace) -> int:
-    from .core import Box, compute_global_plan, global_schedules
+    from .core import Box, compute_global_plan
     from .netmodel import COOLEY, engine_cost
 
     nprocs = args.nprocs
@@ -116,7 +116,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
             [layout(r)[1] for r in range(nprocs)],
             element_size=4,
         )
-        sched = global_schedules(plan)[0]
+        sched = plan.schedules[0]
         print(f"\n{name}: {sched.nrounds} round(s), "
               f"max partners/round {sched.max_partners}")
         for backend in ("alltoallw", "p2p", "auto", "bounded"):

@@ -16,18 +16,7 @@ from .descriptor import (
     DataDescriptor,
     DataLayout,
 )
-from .engine import (
-    ENGINES,
-    AlltoallwEngine,
-    AutoEngine,
-    BoundedEngine,
-    ExchangeEngine,
-    ExchangeProgress,
-    P2PEngine,
-    default_backend,
-    get_engine,
-    round_staging_estimate,
-)
+from .engine import ExchangeProgress, default_backend, execute, round_protocol
 from .mapcache import MappingCache
 from .mapping import (
     LocalMapping,
@@ -36,22 +25,17 @@ from .mapping import (
     setup_data_mapping,
 )
 from .packing import BufferCache, check_buffers, check_buffers_cached
-from .p2p import message_count_p2p, reorganize_data_p2p
-from .plan import GlobalPlan, RankPlan, RecvEntry, SendEntry, compute_global_plan
-from .reorganize import reorganize_data, reorganize_rounds
 from .schedule import (
     DEFAULT_BOUNDED_CHUNK_BYTES,
     MIN_CHUNK_BYTES,
     PIECE_INFLIGHT,
     ExchangeSchedule,
+    GlobalPlan,
     Lane,
     RoundSchedule,
-    build_schedule,
     chunk_bytes_for,
     collective_preferred,
-    global_schedules,
-    round_max_partners,
-    round_peak_stats,
+    compute_global_plan,
 )
 from .serialize import (
     attach_loaded_plan,
@@ -64,12 +48,8 @@ from .validate import MappingValidationError, check_send_coverage, infer_domain
 
 __all__ = [
     "DEFAULT_BOUNDED_CHUNK_BYTES",
-    "ENGINES",
     "MIN_CHUNK_BYTES",
     "PIECE_INFLIGHT",
-    "AlltoallwEngine",
-    "AutoEngine",
-    "BoundedEngine",
     "Box",
     "BufferCache",
     "DATA_TYPE_1D",
@@ -80,7 +60,6 @@ __all__ = [
     "DDR_SetupDataMapping",
     "DataDescriptor",
     "DataLayout",
-    "ExchangeEngine",
     "ExchangeProgress",
     "ExchangeSchedule",
     "GhostExchanger",
@@ -89,17 +68,12 @@ __all__ = [
     "LocalMapping",
     "MappingCache",
     "MappingValidationError",
-    "P2PEngine",
-    "RankPlan",
-    "RecvEntry",
     "Redistributor",
     "ResizeResult",
     "RoundSchedule",
-    "SendEntry",
     "StaleMappingError",
     "attach_loaded_plan",
     "boxes_from_flat",
-    "build_schedule",
     "check_buffers",
     "check_buffers_cached",
     "check_send_coverage",
@@ -107,22 +81,15 @@ __all__ = [
     "collective_preferred",
     "compute_global_plan",
     "default_backend",
-    "get_engine",
-    "global_schedules",
+    "execute",
     "infer_domain",
     "inflate_box",
     "intersect_many",
     "load_plan",
-    "message_count_p2p",
     "plan_from_declarations",
     "plan_from_dict",
     "plan_to_dict",
-    "round_max_partners",
-    "round_peak_stats",
-    "round_staging_estimate",
+    "round_protocol",
     "save_plan",
-    "reorganize_data",
-    "reorganize_data_p2p",
-    "reorganize_rounds",
     "setup_data_mapping",
 ]

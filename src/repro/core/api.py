@@ -17,7 +17,7 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +27,17 @@ from ..mpisim.datatypes import NamedType
 from ..mpisim.transport import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY
 from .box import Box, boxes_from_flat
 from .descriptor import DataDescriptor, DataLayout
-from .engine import ExchangeProgress, default_backend, get_engine
+from .engine import (
+    Buffers,
+    ExchangeProgress,
+    check_backend,
+    default_backend,
+    direct_transport,
+    execute,
+    normalise_own,
+    round_protocol,
+)
 from .mapping import LocalMapping, setup_data_mapping
-from .reorganize import reorganize_data
 
 
 def DDR_NewDataDescriptor(
@@ -86,16 +94,26 @@ def DDR_SetupDataMapping(
 def DDR_ReorganizeData(
     comm: Communicator,
     nprocs: int,
-    data_own: Union[np.ndarray, Sequence[np.ndarray], None],
+    data_own: Buffers,
     data_need: Optional[np.ndarray],
     descriptor: DataDescriptor,
 ) -> None:
-    """Exchange the data (paper §III-C): one ``Alltoallw`` per round."""
+    """Exchange the data (paper §III-C): one ``Alltoallw`` per round.
+
+    Safe to call repeatedly on *new data with the same layout* — the set-up
+    step prebuilt every subarray datatype (the paper's "dynamic data"
+    property used by the in-transit use case).
+    """
     if nprocs != comm.size:
         raise ValueError(
             f"nprocs argument {nprocs} does not match communicator size {comm.size}"
         )
-    reorganize_data(comm, descriptor, data_own, data_need)
+    mapping = descriptor.plan
+    if not isinstance(mapping, LocalMapping):
+        raise RuntimeError(
+            "DDR_SetupDataMapping must be called before DDR_ReorganizeData"
+        )
+    execute(comm, mapping, data_own, data_need)
 
 
 class Redistributor:
@@ -111,11 +129,12 @@ class Redistributor:
     with the same buffers also skip revalidation and staging allocations
     (see :class:`~repro.core.packing.BufferCache`).
 
-    ``backend`` picks the execution engine: ``"alltoallw"`` (dense
-    collective), ``"p2p"`` (direct sends), or ``"auto"`` (per-round
-    selection driven by the plan's sparsity).  ``None`` follows the
-    process default — the ``DDR_BACKEND`` environment variable when set,
-    otherwise ``"alltoallw"``.
+    ``backend`` picks how rounds hit the wire: ``"alltoallw"`` (dense
+    collective), ``"p2p"`` (direct sends), ``"auto"`` (per-round selection
+    driven by the plan's sparsity and the memory budget), or ``"bounded"``
+    (every staged round lowered into budget-sized pieces).  ``None``
+    follows the process default — the ``DDR_BACKEND`` environment variable
+    when set, otherwise ``"alltoallw"``.
 
     ``transport`` picks the mpisim wire strategy for every exchange this
     instance performs: ``"zerocopy"`` (receiver copies straight out of the
@@ -153,8 +172,7 @@ class Redistributor:
         self.set_reliability(reliability)
 
     def set_backend(self, backend: str) -> None:
-        self._engine = get_engine(backend)
-        self.backend = backend
+        self.backend = check_backend(backend)
 
     def set_transport(self, transport: Optional[str]) -> None:
         if transport not in (None, TRANSPORT_ZEROCOPY, TRANSPORT_PACKED, TRANSPORT_SHM):
@@ -214,7 +232,7 @@ class Redistributor:
 
     def exchange(
         self,
-        own_buffers: Union[np.ndarray, Sequence[np.ndarray], None],
+        own_buffers: Buffers,
         need_buffer: Optional[np.ndarray],
         mapping: Optional[LocalMapping] = None,
         progress: Optional[ExchangeProgress] = None,
@@ -227,23 +245,31 @@ class Redistributor:
         after a failure, pass it back as ``progress`` to resume without
         re-running the rounds that already completed.
         """
-        return self._engine.execute(
+        return execute(
             self.comm,
             self.mapping if mapping is None else mapping,
             own_buffers,
             need_buffer,
-            transport=self.transport,
-            reliability=self.reliability,
-            progress=progress,
+            self.backend,
+            self.transport,
+            self.reliability,
+            progress,
         )
 
     def engine_choices(self, mapping: Optional[LocalMapping] = None) -> list[str]:
-        """Per-round engine the ``auto`` backend would pick for a mapping."""
-        return (self.mapping if mapping is None else mapping).schedule.engine_choices()
+        """Per-round wire protocol (``alltoallw`` / ``p2p`` / ``bounded``) an
+        exchange through this instance's backend and transport runs under
+        the installed memory budget; raises ``MemoryBudgetError`` exactly
+        when the exchange would."""
+        zero_copy = direct_transport(self.comm, self.transport)
+        return [
+            round_protocol(self.backend, rnd, zero_copy)
+            for rnd in (self.mapping if mapping is None else mapping).rounds
+        ]
 
     def gather_need(
         self,
-        own_buffers: Union[np.ndarray, Sequence[np.ndarray], None],
+        own_buffers: Buffers,
         fill: float | int = 0,
         reuse_out: bool = False,
         mapping: Optional[LocalMapping] = None,
@@ -310,7 +336,7 @@ class Redistributor:
     def resize(
         self,
         new_n: int,
-        own_buffers: Union[np.ndarray, Sequence[np.ndarray], None],
+        own_buffers: Buffers,
         layout: Callable[[int, int], Optional[Box]],
         *,
         worker: Optional[Callable[..., Any]] = None,
@@ -349,12 +375,7 @@ class Redistributor:
         m = self.comm.size
         rank = self.comm.rank
         own_boxes = list(self.mapping.own_chunks)
-        if own_buffers is None:
-            bufs: list[np.ndarray] = []
-        elif isinstance(own_buffers, np.ndarray):
-            bufs = [own_buffers]
-        else:
-            bufs = list(own_buffers)
+        bufs = normalise_own(own_buffers)
         if len(bufs) != len(own_boxes):
             raise ValueError(
                 f"resize needs one buffer per active own chunk: got "

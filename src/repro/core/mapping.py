@@ -3,7 +3,7 @@
 Each rank declares only its *local* picture — the chunks it owns and the
 single chunk it needs (paper §III-B, Table I).  The mapping step is a
 collective: ranks allgather their declarations, every rank runs the same
-deterministic planner (:func:`repro.core.plan.compute_global_plan`), and
+deterministic planner (:func:`repro.core.schedule.compute_global_plan`), and
 each keeps its own :class:`LocalMapping` — a first-class, ready-to-execute
 handle (schedule IR + buffer cache + staging pool).
 
@@ -28,14 +28,7 @@ from ..utils.arrays import StagingPool
 from .box import Box
 from .descriptor import DataDescriptor
 from .packing import BufferCache
-from .plan import GlobalPlan, RankPlan, compute_global_plan
-from .schedule import (
-    ExchangeSchedule,
-    RoundSchedule,
-    build_schedule,
-    round_max_partners,
-    round_peak_stats,
-)
+from .schedule import ExchangeSchedule, GlobalPlan, RoundSchedule, compute_global_plan
 from .validate import (
     check_receives_within_domain,
     check_send_coverage,
@@ -51,7 +44,7 @@ class StaleMappingError(RuntimeError):
 class LocalMapping:
     """One rank's ready-to-execute schedule — a first-class handle.
 
-    Holds everything an execution engine needs (the schedule IR with
+    Holds everything the executor needs (this rank's schedule with
     prebuilt datatypes, the descriptor's element dtype/components) plus the
     per-mapping caches: :class:`~repro.core.packing.BufferCache` (skips
     buffer revalidation on repeat calls with the same arrays) and
@@ -64,7 +57,6 @@ class LocalMapping:
     rank: int
     nprocs: int
     nrounds: int
-    plan: RankPlan
     schedule: ExchangeSchedule
     domain: Optional[Box]
     dtype: np.dtype = np.dtype(np.float32)
@@ -75,7 +67,7 @@ class LocalMapping:
     #: Monotonic exchange counter; advances in lockstep on every rank
     #: (``execute`` is collective), giving each exchange a unique tag epoch
     #: so a message lost from one exchange can never satisfy a receive of a
-    #: later one (see ``ExchangeEngine._round_tag``).
+    #: later one (see :func:`repro.core.engine.execute`).
     _tag_epoch: int = field(default=0, init=False, repr=False)
 
     def next_tag_epoch(self) -> int:
@@ -85,11 +77,11 @@ class LocalMapping:
 
     @property
     def own_chunks(self) -> list[Box]:
-        return self.plan.own_chunks
+        return self.schedule.own_chunks
 
     @property
     def need(self) -> Optional[Box]:
-        return self.plan.need
+        return self.schedule.need
 
     @property
     def rounds(self) -> list[RoundSchedule]:
@@ -106,7 +98,7 @@ class LocalMapping:
         self.pool.clear()
 
     def check_usable(self, comm: Communicator) -> None:
-        """Engine preamble: reject stale handles and mismatched worlds."""
+        """Executor preamble: reject stale handles and mismatched worlds."""
         if self._stale:
             raise StaleMappingError(
                 f"mapping (rank {self.rank}/{self.nprocs}) was invalidated by a "
@@ -145,23 +137,14 @@ def local_mapping_from_global(
     rank: int,
     descriptor: DataDescriptor,
 ) -> LocalMapping:
-    plan = global_plan.rank_plans[rank]
-    schedule = build_schedule(
-        plan,
-        global_plan.nprocs,
-        global_plan.nrounds,
-        descriptor.element_size,
-        mpi_type=descriptor.mpi_type,
-        components=descriptor.components,
-        round_max_partners=round_max_partners(global_plan),
-        round_peak_bytes=round_peak_stats(global_plan),
-    )
+    """Bind ``rank``'s slice of the plan to the descriptor's element type."""
     return LocalMapping(
         rank=rank,
         nprocs=global_plan.nprocs,
         nrounds=global_plan.nrounds,
-        plan=plan,
-        schedule=schedule,
+        schedule=global_plan.schedules[rank].bind(
+            descriptor.mpi_type, descriptor.components
+        ),
         domain=domain,
         dtype=descriptor.dtype,
         components=descriptor.components,

@@ -1,23 +1,25 @@
-"""Datatype construction: plan entries -> MPI subarray types (paper §III-C).
+"""Datatype construction: lanes -> MPI subarray types (paper §III-C).
 
 The paper: "custom subarray types are needed to describe multidimensional
 subsets of data", hence ``MPI_Alltoallw`` rather than ``MPI_Alltoallv``.
-Each :class:`~repro.core.plan.SendEntry` becomes a subarray type *within the
-owned chunk's buffer*; each :class:`~repro.core.plan.RecvEntry` becomes a
-subarray type *within the need buffer* (the lowering itself lives in
-:func:`repro.core.schedule.build_schedule`).  This module also owns the
-buffer-validation layer shared by every execution engine.
+Each send :class:`~repro.core.schedule.Lane` becomes a subarray type
+*within the owned chunk's buffer*; each receive lane becomes a subarray
+type *within the need buffer* (see
+:meth:`repro.core.schedule.ExchangeSchedule.bind`).  This module also owns
+the buffer-validation layer in front of every exchange.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..mpisim.datatypes import NamedType, SubarrayType
 from .box import Box
-from .plan import RankPlan
+
+if TYPE_CHECKING:
+    from .schedule import ExchangeSchedule
 
 
 def subarray_for(
@@ -41,7 +43,7 @@ def subarray_for(
 
 
 class BufferCache:
-    """Remembers the last buffer set :func:`check_buffers` accepted for a plan.
+    """Remembers the last buffer set :func:`check_buffers` accepted for a schedule.
 
     The paper's repeated-call pattern (``DDR_ReorganizeData`` once per
     simulation frame, same buffers every time) revalidates identical
@@ -121,7 +123,7 @@ class BufferCache:
 
 
 def check_buffers_cached(
-    plan: RankPlan,
+    schedule: ExchangeSchedule,
     dtype: np.dtype,
     data_own: list[np.ndarray],
     data_need: Optional[np.ndarray],
@@ -133,61 +135,62 @@ def check_buffers_cached(
     cached = cache.lookup(signature)
     if cached is not None:
         return cached
-    own, need = check_buffers(plan, dtype, data_own, data_need, components)
+    own, need = check_buffers(schedule, dtype, data_own, data_need, components)
     cache.store(signature, own, need)
     return own, need
 
 
 def check_buffers(
-    plan: RankPlan,
+    schedule: ExchangeSchedule,
     dtype: np.dtype,
     data_own: list[np.ndarray],
     data_need: Optional[np.ndarray],
     components: int = 1,
 ) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
-    """Validate user buffers against the plan geometry; returns normalised views.
+    """Validate user buffers against the schedule's geometry; returns normalised views.
 
     Owned buffers may be passed with the natural C-order shape of their chunk
     (with a trailing component axis when ``components > 1``) or flat; either
     way they must be C-contiguous and hold exactly ``volume * components``
     base values.
     """
-    if len(data_own) != len(plan.own_chunks):
+    if len(data_own) != len(schedule.own_chunks):
         raise ValueError(
-            f"rank {plan.rank}: {len(data_own)} owned buffers for "
-            f"{len(plan.own_chunks)} declared chunks"
+            f"rank {schedule.rank}: {len(data_own)} owned buffers for "
+            f"{len(schedule.own_chunks)} declared chunks"
         )
     own_norm: list[np.ndarray] = []
-    for index, (chunk, buf) in enumerate(zip(plan.own_chunks, data_own)):
+    for index, (chunk, buf) in enumerate(zip(schedule.own_chunks, data_own)):
         arr = np.asarray(buf)
         if arr.dtype != dtype:
             raise ValueError(
-                f"rank {plan.rank} chunk {index}: buffer dtype {arr.dtype} != descriptor {dtype}"
+                f"rank {schedule.rank} chunk {index}: buffer dtype {arr.dtype} "
+                f"!= descriptor {dtype}"
             )
         if arr.size != chunk.volume() * components:
             raise ValueError(
-                f"rank {plan.rank} chunk {index}: buffer has {arr.size} values, "
+                f"rank {schedule.rank} chunk {index}: buffer has {arr.size} values, "
                 f"chunk {chunk} needs {chunk.volume()} x {components}"
             )
         if not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError(f"rank {plan.rank} chunk {index}: buffer must be C-contiguous")
+            raise ValueError(f"rank {schedule.rank} chunk {index}: buffer must be C-contiguous")
         own_norm.append(arr)
 
     need_norm: Optional[np.ndarray] = None
-    if plan.need is not None and not plan.need.is_empty():
+    if schedule.need is not None and not schedule.need.is_empty():
         if data_need is None:
-            raise ValueError(f"rank {plan.rank} declared a need but passed no need buffer")
+            raise ValueError(f"rank {schedule.rank} declared a need but passed no need buffer")
         arr = np.asarray(data_need)
         if arr.dtype != dtype:
             raise ValueError(
-                f"rank {plan.rank}: need buffer dtype {arr.dtype} != descriptor {dtype}"
+                f"rank {schedule.rank}: need buffer dtype {arr.dtype} != descriptor {dtype}"
             )
-        if arr.size != plan.need.volume() * components:
+        if arr.size != schedule.need.volume() * components:
             raise ValueError(
-                f"rank {plan.rank}: need buffer has {arr.size} values, "
-                f"need {plan.need} needs {plan.need.volume()} x {components}"
+                f"rank {schedule.rank}: need buffer has {arr.size} values, "
+                f"need {schedule.need} needs {schedule.need.volume()} x {components}"
             )
         if not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError(f"rank {plan.rank}: need buffer must be C-contiguous")
+            raise ValueError(f"rank {schedule.rank}: need buffer must be C-contiguous")
         need_norm = arr
     return own_norm, need_norm

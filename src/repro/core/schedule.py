@@ -1,37 +1,43 @@
-"""The exchange-schedule IR: one rank's per-round communication lanes.
+"""The exchange IR: what ``DDR_SetupDataMapping`` decides, written down once.
 
-The planner (:mod:`repro.core.plan`) produces geometric send/recv entries;
-the executors need per-peer datatypes and the network models need per-round
-byte volumes and sparsity statistics.  Previously each consumer re-derived
-its own view by rescanning the plan.  This module builds the shared
-intermediate representation exactly once:
+Given every rank's owned chunks and needed chunk, the planner
+(:func:`compute_global_plan`, paper §III-B/C) intersects each owned chunk
+with each need and lays the transfers out in *rounds*: round ``c`` moves
+data out of every rank's chunk slot ``c``, so the number of exchange rounds
+equals the maximum number of chunks owned by any rank — the scheduling rule
+the paper states and quantifies in Table III.  Each overlap becomes a pair
+of :class:`Lane`\\ s — a send lane on the owner, a receive lane on the
+needer — appended straight into the per-rank, per-round lists:
 
-``RankPlan`` -> :func:`build_schedule` -> :class:`ExchangeSchedule`
-(one :class:`RoundSchedule` per round, each a list of :class:`Lane`\\ s)
+:class:`GlobalPlan` -> one :class:`ExchangeSchedule` per rank -> one
+:class:`RoundSchedule` per round -> :class:`Lane`\\ s ordered by peer
 
-and every execution engine (:mod:`repro.core.engine`) and both network cost
-models (:mod:`repro.netmodel.analytic`, :mod:`repro.netmodel.desnet`)
-consume it identically.  A lane is (peer, byte volume, optional datatype);
-schedules built for cost modeling omit the datatypes, so the full-scale
-216-rank predictions never materialise subarray types.
+and that one structure is what the executor (:mod:`repro.core.engine`)
+replays, what plan files store (:mod:`repro.core.serialize`), and what both
+network cost models (:mod:`repro.netmodel.analytic`,
+:mod:`repro.netmodel.desnet`) and the Table-III statistics read.  Planning
+is pure (no communication) and lanes carry geometry only, so the full-scale
+experiments (4096 chunks x 216 ranks) are scheduled without instantiating
+any runtime or datatype; :meth:`ExchangeSchedule.bind` attaches the
+subarray datatypes to the one rank that will execute.
 
-The IR also carries the *global* per-round sparsity statistic
-(``max_partners``: the busiest rank's partner count that round) that drives
-the paper's §V future-work idea, made real by ``AutoEngine``: dense rounds
-go through the ``Alltoallw`` collective, sparse rounds through direct
-sends.  Because the statistic comes from the deterministic global plan,
-every rank derives the same per-round decision without communicating.
+Every rank's copy of a round also carries the *plan-wide* worst-rank
+statistics of that round (``max_partners``, ``max_round_bytes``).  They come
+from the deterministic global plan, so every rank derives the same wire
+protocol for a round (dense -> collective, sparse -> direct, over budget ->
+lowered pieces) without communicating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from ..mpisim.datatypes import NamedType, SubarrayType
-from .box import Box
+from .box import Box, intersect_many
 from .packing import subarray_for
-from .plan import GlobalPlan, RankPlan
 
 #: A round whose busiest rank talks to at least this fraction of the other
 #: ranks is considered dense: the O(P) collective amortises better than
@@ -43,23 +49,23 @@ AUTO_DENSITY_THRESHOLD = 0.5
 #: payload; ``zerocopy`` stages nothing and peaks at the self-copy temp.
 STAGED_TRANSPORTS = ("packed", "shm")
 
-#: Pieces resident at once per lowered sub-step of the bounded engine: the
+#: Pieces resident at once per lowered sub-step of a bounded round: the
 #: eagerly staged outgoing piece, the in-flight incoming piece, and the
 #: pack/unpack temporaries on either side of them.
 PIECE_INFLIGHT = 4
 
-#: Lower bound on the bounded engine's piece size.  Below this, per-message
+#: Lower bound on a bounded round's piece size.  Below this, per-message
 #: latency dominates any memory saved, and the piece count per lane stays
 #: sane even under absurd budgets.
 MIN_CHUNK_BYTES = 64 * 1024
 
-#: Piece size the bounded engine lowers with when no budget is installed
-#: (running it explicitly is then a pure lane-chunking ablation).
+#: Piece size bounded rounds lower with when no budget is installed
+#: (running ``backend="bounded"`` is then a pure lane-chunking ablation).
 DEFAULT_BOUNDED_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 def chunk_bytes_for(limit_bytes: int) -> int:
-    """Piece size the bounded engine lowers with under ``limit_bytes``.
+    """Piece size a bounded round lowers with under ``limit_bytes``.
 
     Targets a lowered peak near half the limit (``PIECE_INFLIGHT`` resident
     pieces, times two for slack against estimate error), floored at
@@ -85,20 +91,27 @@ def collective_preferred(
 
 @dataclass(frozen=True)
 class Lane:
-    """One point-to-point transfer of one round.
+    """One point-to-point transfer of one round: ``region`` (global
+    coordinates) moves between this rank and ``peer``.
 
-    ``datatype`` selects the moved cells out of the owning buffer (send
-    lanes: the chunk buffer; recv lanes: the need buffer).  It is ``None``
-    for schedules built purely for cost modeling.  ``container``/``region``
-    keep the geometry the datatype was built from, so the bounded engine
-    can re-slice the lane into budget-sized pieces without replanning.
+    ``container`` is the box of the buffer the cells live in on *this* side
+    (send lanes: the owned chunk; recv lanes: the need), which is all a
+    bounded round needs to re-slice the lane into budget-sized pieces.
+    ``datatype`` selects ``region`` out of that buffer; it is ``None`` until
+    :meth:`ExchangeSchedule.bind` — cost models never materialise it.
     """
 
     peer: int
     nbytes: int
+    container: Box
+    region: Box
     datatype: Optional[SubarrayType] = None
-    container: Optional[Box] = None
-    region: Optional[Box] = None
+
+
+def _in_peer_order(lanes: list[Lane], self_lane: Optional[Lane]) -> list[Lane]:
+    if self_lane is None:
+        return lanes
+    return sorted(lanes + [self_lane], key=lambda lane: lane.peer)
 
 
 @dataclass
@@ -107,7 +120,7 @@ class RoundSchedule:
 
     ``sends``/``recvs`` hold only *remote* lanes, ordered by peer; the
     self-transfer (data a rank keeps across the redistribution) is split
-    out because every engine handles it as a local copy, never a message.
+    out because it is always a local copy, never a message.
     """
 
     index: int
@@ -117,30 +130,36 @@ class RoundSchedule:
     recvs: list[Lane] = field(default_factory=list)
     self_send: Optional[Lane] = None
     self_recv: Optional[Lane] = None
-    #: Busiest rank's partner count this round, across the *whole* plan
-    #: (0 when the schedule was built without global context).
+    #: Busiest rank's partner count this round, across the *whole* plan.
     max_partners: int = 0
     #: Busiest rank's estimated staged-transport peak this round, across the
-    #: *whole* plan (0 without global context).  Like ``max_partners`` this
-    #: is identical on every rank, so budget-driven lowering decisions need
-    #: no communication.
+    #: *whole* plan.  Like ``max_partners`` this is identical on every rank,
+    #: so budget-driven lowering decisions need no communication.
     max_round_bytes: int = 0
-    #: Geometry context for peak estimates and bounded lowering.
-    element_size: int = 1
+    #: Element type the lanes were bound with (``None`` on unbound rounds).
     components: int = 1
     mpi_type: Optional[NamedType] = field(default=None, repr=False)
-    # Dense per-peer tables for the Alltoallw collective, built lazily and
-    # cached: the repeated-exchange hot path must not rebuild them per call.
-    _sendtypes: Optional[list[Optional[SubarrayType]]] = field(
-        default=None, init=False, repr=False
+    #: Dense per-peer datatype tables for the Alltoallw collective (slot
+    #: ``p`` = the lane to / from rank ``p``, self lane on the diagonal),
+    #: built once by :meth:`ExchangeSchedule.bind` — the repeated-exchange
+    #: hot path must not rebuild them per call.
+    sendtypes: Optional[list[Optional[SubarrayType]]] = field(
+        default=None, repr=False, compare=False
     )
-    _recvtypes: Optional[list[Optional[SubarrayType]]] = field(
-        default=None, init=False, repr=False
+    recvtypes: Optional[list[Optional[SubarrayType]]] = field(
+        default=None, repr=False, compare=False
     )
-    # Piece datatypes the bounded engine slices lanes into, keyed by
-    # (container, region, chunk_bytes); cached for the same reason as the
-    # dense tables — repeated exchanges must not rebuild subarray types.
-    _piece_cache: dict = field(default_factory=dict, init=False, repr=False)
+    #: Piece datatypes bounded rounds slice lanes into, keyed by
+    #: (container, region, chunk_bytes); cached for the same reason as the
+    #: dense tables — repeated exchanges must not rebuild subarray types.
+    piece_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def all_sends(self) -> list[Lane]:
+        """Send lanes including the self lane, ordered by peer."""
+        return _in_peer_order(self.sends, self.self_send)
+
+    def all_recvs(self) -> list[Lane]:
+        return _in_peer_order(self.recvs, self.self_recv)
 
     # -- sparsity statistics -------------------------------------------------
 
@@ -171,7 +190,7 @@ class RoundSchedule:
 
     @property
     def message_count(self) -> int:
-        """Messages a direct-send engine posts for this round."""
+        """Messages a direct round posts (one per send lane)."""
         return len(self.sends)
 
     # -- peak-memory accounting ----------------------------------------------
@@ -179,11 +198,8 @@ class RoundSchedule:
     @property
     def largest_lane_bytes(self) -> int:
         """Largest single transfer this round (self-copy included)."""
-        largest = max(
-            (lane.nbytes for lane in self.sends), default=0
-        )
-        largest = max(largest, max((lane.nbytes for lane in self.recvs), default=0))
-        return max(largest, self.self_bytes)
+        lanes = self.sends + self.recvs
+        return max(max((lane.nbytes for lane in lanes), default=0), self.self_bytes)
 
     def peak_bytes(self, transport: str = "packed") -> int:
         """Estimated per-rank staging high-water mark for this round.
@@ -192,20 +208,17 @@ class RoundSchedule:
         into a dense payload and hold every incoming payload until it is
         unpacked, so the worst instant is all sends staged while all recvs
         have arrived unconsumed — plus the self-transfer's packed payload,
-        which exists once (posted to and drained from this rank's own
-        mailbox).  ``zerocopy`` stages nothing; only the self-copy may
-        materialise a pack temporary.  User buffers are never counted:
+        which exists once.  ``zerocopy`` stages nothing; only the self-copy
+        may materialise a pack temporary.  User buffers are never counted:
         the budget governs library staging, not the data itself.
         """
         if transport not in STAGED_TRANSPORTS:
             return self.self_bytes
         return self.bytes_out + self.bytes_in + self.self_bytes
 
-    def lowered_peak_bytes(
-        self, chunk_bytes: int, transport: str = "packed"
-    ) -> int:
-        """Estimated staging peak when the bounded engine runs this round
-        in pieces of at most ``chunk_bytes``.
+    def lowered_peak_bytes(self, chunk_bytes: int, transport: str = "packed") -> int:
+        """Estimated staging peak when this round runs bounded, in pieces
+        of at most ``chunk_bytes``.
 
         At any lowered sub-step only :data:`PIECE_INFLIGHT` pieces are
         resident, so the peak is capped near ``PIECE_INFLIGHT * piece``
@@ -217,45 +230,20 @@ class RoundSchedule:
         full = self.peak_bytes(transport)
         if chunk_bytes <= 0:
             return full
-        largest = self.largest_lane_bytes
-        if largest == 0:
-            return 0
-        return min(full, PIECE_INFLIGHT * min(int(chunk_bytes), largest))
-
-    # -- dense tables for the collective engine ------------------------------
-
-    def sendtypes(self) -> list[Optional[SubarrayType]]:
-        """Per-peer send datatype table (slot ``d`` = lane to rank ``d``)."""
-        if self._sendtypes is None:
-            table: list[Optional[SubarrayType]] = [None] * self.nprocs
-            for lane in self.sends:
-                table[lane.peer] = lane.datatype
-            if self.self_send is not None:
-                table[self.self_send.peer] = self.self_send.datatype
-            self._sendtypes = table
-        return self._sendtypes
-
-    def recvtypes(self) -> list[Optional[SubarrayType]]:
-        """Per-peer recv datatype table (slot ``s`` = lane from rank ``s``)."""
-        if self._recvtypes is None:
-            table: list[Optional[SubarrayType]] = [None] * self.nprocs
-            for lane in self.recvs:
-                table[lane.peer] = lane.datatype
-            if self.self_recv is not None:
-                table[self.self_recv.peer] = self.self_recv.datatype
-            self._recvtypes = table
-        return self._recvtypes
+        return min(full, PIECE_INFLIGHT * min(int(chunk_bytes), self.largest_lane_bytes))
 
 
 @dataclass
 class ExchangeSchedule:
-    """One rank's complete, ready-to-execute exchange schedule."""
+    """Everything one rank declared and must do across all rounds."""
 
     rank: int
     nprocs: int
     nrounds: int
     element_size: int
     rounds: list[RoundSchedule]
+    own_chunks: list[Box] = field(default_factory=list)
+    need: Optional[Box] = None
 
     @property
     def max_partners(self) -> int:
@@ -279,172 +267,223 @@ class ExchangeSchedule:
         schedule peak is the worst round, not the sum."""
         return max((r.peak_bytes(transport) for r in self.rounds), default=0)
 
-    def engine_choices(
-        self, threshold: float = AUTO_DENSITY_THRESHOLD
-    ) -> list[str]:
-        """Per-round engine the auto rule selects (``alltoallw`` / ``p2p``)."""
+    def bind(self, mpi_type: NamedType, components: int = 1) -> "ExchangeSchedule":
+        """A copy whose lanes carry prebuilt subarray datatypes.
+
+        The execution form — the paper's "setup once, reorganize
+        repeatedly" property hinges on this happening exactly once per
+        mapping.  The unbound schedule is left untouched (plans are shared
+        between ranks and cached across calls).
+        """
+
+        def typed(lane: Optional[Lane]) -> Optional[Lane]:
+            if lane is None:
+                return None
+            datatype = subarray_for(lane.container, lane.region, mpi_type, components)
+            return Lane(lane.peer, lane.nbytes, lane.container, lane.region, datatype)
+
+        def table(lanes: list[Lane]) -> list[Optional[SubarrayType]]:
+            dense: list[Optional[SubarrayType]] = [None] * self.nprocs
+            for lane in lanes:
+                dense[lane.peer] = lane.datatype
+            return dense
+
+        rounds = []
+        for rnd in self.rounds:
+            bound = RoundSchedule(
+                rnd.index,
+                rnd.chunk_index,
+                rnd.nprocs,
+                [typed(lane) for lane in rnd.sends],
+                [typed(lane) for lane in rnd.recvs],
+                typed(rnd.self_send),
+                typed(rnd.self_recv),
+                rnd.max_partners,
+                rnd.max_round_bytes,
+                components,
+                mpi_type,
+            )
+            bound.sendtypes = table(bound.all_sends())
+            bound.recvtypes = table(bound.all_recvs())
+            rounds.append(bound)
+        return replace(self, rounds=rounds)
+
+
+@dataclass
+class GlobalPlan:
+    """Every rank's schedule, plus the Table-III statistics over their lanes."""
+
+    nprocs: int
+    ndims: int
+    element_size: int
+    nrounds: int
+    schedules: list[ExchangeSchedule]
+
+    def total_bytes_moved(self, exclude_self: bool = True) -> int:
+        total = sum(s.total_bytes_out for s in self.schedules)
+        if not exclude_self:
+            total += sum(s.total_self_bytes for s in self.schedules)
+        return total
+
+    def mean_bytes_per_rank_per_round(self, exclude_self: bool = True) -> float:
+        """Average payload each process puts on the network per round —
+        the "Data Size (MB)" column of the paper's Table III."""
+        if self.nrounds == 0:
+            return 0.0
+        return self.total_bytes_moved(exclude_self) / (self.nprocs * self.nrounds)
+
+    def mean_bytes_per_chunk_round(self, exclude_self: bool = True) -> float:
+        """Average payload per *occupied* chunk slot.
+
+        With uneven chunk counts (e.g. 4096 images round-robin over 125
+        ranks) some ranks sit out the last round;
+        :meth:`mean_bytes_per_rank_per_round` averages over all P x rounds
+        slots while this method averages only over slots that actually hold
+        a chunk — the convention behind the paper's Table III round-robin
+        column (total bytes / 4096 images).
+        """
+        occupied = sum(len(s.own_chunks) for s in self.schedules)
+        if occupied == 0:
+            return 0.0
+        return self.total_bytes_moved(exclude_self) / occupied
+
+    def max_bytes_per_rank_per_round(self, exclude_self: bool = True) -> int:
+        return max(
+            (
+                rnd.bytes_out + (0 if exclude_self else rnd.self_bytes)
+                for s in self.schedules
+                for rnd in s.rounds
+            ),
+            default=0,
+        )
+
+    def traffic_matrix(self, round_index: Optional[int] = None) -> np.ndarray:
+        """Bytes moved ``[src, dst]`` (one round, or summed over all rounds)."""
+        matrix = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
+        for schedule in self.schedules:
+            rounds = schedule.rounds if round_index is None else [schedule.rounds[round_index]]
+            for rnd in rounds:
+                for lane in rnd.all_sends():
+                    matrix[schedule.rank, lane.peer] += lane.nbytes
+        return matrix
+
+    def partners_per_rank(self) -> list[int]:
+        """Number of distinct remote ranks each rank exchanges data with.
+
+        Drives the paper's future-work observation that sparse patterns
+        would benefit from direct sends instead of ``Alltoallw``.
+        """
         return [
-            "alltoallw"
-            if collective_preferred(r.max_partners, self.nprocs, threshold)
-            else "p2p"
-            for r in self.rounds
+            len({lane.peer for rnd in s.rounds for lane in rnd.sends + rnd.recvs})
+            for s in self.schedules
         ]
 
 
-def build_schedule(
-    plan: RankPlan,
-    nprocs: int,
-    nrounds: int,
+def assemble_plan(
+    owns: Sequence[Sequence[Box]],
+    needs: Sequence[Optional[Box]],
     element_size: int,
-    mpi_type: Optional[NamedType] = None,
-    components: int = 1,
-    round_max_partners: Optional[Sequence[int]] = None,
-    round_peak_bytes: Optional[Sequence[int]] = None,
-) -> ExchangeSchedule:
-    """Lower one rank's plan slice into the exchange IR.
+    ndims: int,
+    round_overlaps: Callable[[int], Iterable[tuple[int, int, Box]]],
+) -> GlobalPlan:
+    """Lay overlaps out as lanes — the one place the IR is written.
 
-    With ``mpi_type`` given, every lane carries a prebuilt subarray datatype
-    (the execution form — the paper's "setup once, reorganize repeatedly"
-    property hinges on this happening exactly once).  Without it the lanes
-    carry byte volumes only (the cost-model form).  ``round_max_partners``
-    and ``round_peak_bytes`` inject the global per-round sparsity and
-    peak-staging statistics; pass them whenever the full
-    :class:`~repro.core.plan.GlobalPlan` is in hand so ``AutoEngine``, the
-    memory budget, and the cost models share the same selection inputs.
+    ``round_overlaps(c)`` yields round ``c``'s ``(owner, dest, overlap)``
+    triples in ``(owner, dest)`` order (the planner computes them, the plan
+    loader reads them back), so both lane lists come out ordered by peer
+    with no sort.  The plan-wide round statistics accumulate alongside and
+    are stamped on every rank's copy of the round as it closes: set-up is
+    one pass over the overlaps.
     """
-    rounds: list[RoundSchedule] = []
-    for round_index in range(nrounds):
-        chunk_index: Optional[int] = (
-            round_index if round_index < len(plan.own_chunks) else None
-        )
-        rnd = RoundSchedule(
-            index=round_index,
-            chunk_index=chunk_index,
-            nprocs=nprocs,
-            max_partners=(
-                int(round_max_partners[round_index])
-                if round_max_partners is not None
-                else 0
-            ),
-            max_round_bytes=(
-                int(round_peak_bytes[round_index])
-                if round_peak_bytes is not None
-                else 0
-            ),
-            element_size=element_size,
-            components=components,
-            mpi_type=mpi_type,
-        )
-        for entry in plan.sends_in_round(round_index):
-            datatype = (
-                subarray_for(entry.chunk, entry.overlap, mpi_type, components)
-                if mpi_type is not None
-                else None
-            )
-            lane = Lane(
-                entry.dest,
-                entry.overlap.volume() * element_size,
-                datatype,
-                container=entry.chunk,
-                region=entry.overlap,
-            )
-            if entry.dest == plan.rank:
-                rnd.self_send = lane
-            else:
-                rnd.sends.append(lane)
-        for entry in plan.recvs_in_round(round_index):
-            if mpi_type is not None:
-                assert plan.need is not None
-                datatype = subarray_for(plan.need, entry.overlap, mpi_type, components)
-            else:
-                datatype = None
-            lane = Lane(
-                entry.source,
-                entry.overlap.volume() * element_size,
-                datatype,
-                container=plan.need,
-                region=entry.overlap,
-            )
-            if entry.source == plan.rank:
-                rnd.self_recv = lane
-            else:
-                rnd.recvs.append(lane)
-        rounds.append(rnd)
-    return ExchangeSchedule(
-        rank=plan.rank,
-        nprocs=nprocs,
-        nrounds=nrounds,
-        element_size=element_size,
-        rounds=rounds,
-    )
-
-
-def round_max_partners(global_plan: GlobalPlan) -> list[int]:
-    """Per round, the busiest rank's remote-partner count (plan-wide).
-
-    This is the statistic the auto-selection rule keys on: it is derived
-    from the deterministic global plan, so every rank computes the same
-    values and the per-round engine choice needs no extra communication.
-    """
-    out: list[int] = []
-    for round_index in range(global_plan.nrounds):
-        worst = 0
-        for plan in global_plan.rank_plans:
-            peers = {
-                s.dest for s in plan.sends_in_round(round_index) if s.dest != plan.rank
-            }
-            peers |= {
-                r.source
-                for r in plan.recvs_in_round(round_index)
-                if r.source != plan.rank
-            }
-            worst = max(worst, len(peers))
-        out.append(worst)
-    return out
-
-
-def round_peak_stats(global_plan: GlobalPlan) -> list[int]:
-    """Per round, the busiest rank's estimated staged-transport peak.
-
-    The staged model from :meth:`RoundSchedule.peak_bytes` — all send
-    payloads plus all in-flight recv payloads plus the self payload once —
-    evaluated for every rank from the deterministic global plan, worst rank
-    kept.  Every rank computes identical values, so budget comparisons
-    (round fits / round must lower, and with what piece size) are wire
-    decisions all ranks agree on without communicating.
-    """
-    element_size = global_plan.element_size
-    out: list[int] = []
-    for round_index in range(global_plan.nrounds):
-        worst = 0
-        for plan in global_plan.rank_plans:
-            total = 0
-            for entry in plan.sends_in_round(round_index):
-                total += entry.overlap.volume() * element_size
-            for entry in plan.recvs_in_round(round_index):
-                if entry.source != plan.rank:
-                    total += entry.overlap.volume() * element_size
-            worst = max(worst, total)
-        out.append(worst)
-    return out
-
-
-def global_schedules(global_plan: GlobalPlan) -> list[ExchangeSchedule]:
-    """Datatype-free schedules for every rank (the cost-model view).
-
-    The network models iterate lanes instead of rescanning raw plan
-    entries; building all ranks here is one linear pass over the plan.
-    """
-    stats = round_max_partners(global_plan)
-    peaks = round_peak_stats(global_plan)
-    return [
-        build_schedule(
-            plan,
-            global_plan.nprocs,
-            global_plan.nrounds,
-            global_plan.element_size,
-            round_max_partners=stats,
-            round_peak_bytes=peaks,
-        )
-        for plan in global_plan.rank_plans
+    nprocs = len(owns)
+    nrounds = max((len(chunks) for chunks in owns), default=0)
+    schedules = [
+        ExchangeSchedule(r, nprocs, nrounds, element_size, [], list(owns[r]), needs[r])
+        for r in range(nprocs)
     ]
+    for index in range(nrounds):
+        rounds = [
+            RoundSchedule(index, index if index < len(owns[r]) else None, nprocs)
+            for r in range(nprocs)
+        ]
+        peers: list[set[int]] = [set() for _ in range(nprocs)]
+        staged = [0] * nprocs  # sends staged + remote recvs in flight
+        for owner, dest, overlap in round_overlaps(index):
+            nbytes = overlap.volume() * element_size
+            send = Lane(dest, nbytes, owns[owner][index], overlap)
+            recv = Lane(owner, nbytes, needs[dest], overlap)
+            staged[owner] += nbytes
+            if owner == dest:
+                rounds[owner].self_send = send
+                rounds[owner].self_recv = recv
+            else:
+                rounds[owner].sends.append(send)
+                rounds[dest].recvs.append(recv)
+                peers[owner].add(dest)
+                peers[dest].add(owner)
+                staged[dest] += nbytes
+        max_partners = max(len(p) for p in peers)
+        max_round_bytes = max(staged)
+        for schedule, rnd in zip(schedules, rounds):
+            rnd.max_partners = max_partners
+            rnd.max_round_bytes = max_round_bytes
+            schedule.rounds.append(rnd)
+    return GlobalPlan(nprocs, ndims, element_size, nrounds, schedules)
+
+
+def compute_global_plan(
+    owns: Sequence[Sequence[Box]],
+    needs: Sequence[Optional[Box]],
+    element_size: int,
+    ndims: Optional[int] = None,
+) -> GlobalPlan:
+    """Plan the exchange for all ranks.
+
+    Parameters
+    ----------
+    owns:
+        ``owns[r]`` is the ordered list of chunks rank ``r`` holds before
+        redistribution.  Chunk slot order defines round membership.
+    needs:
+        ``needs[r]`` is the single contiguous box rank ``r`` requires after
+        redistribution (``None`` or an empty box means it receives nothing).
+    element_size:
+        Bytes per element, for the byte statistics.
+    """
+    nprocs = len(owns)
+    if len(needs) != nprocs:
+        raise ValueError(f"owns has {nprocs} ranks but needs has {len(needs)}")
+
+    ref_ndims = ndims
+    for chunks in owns:
+        for box in chunks:
+            ref_ndims = ref_ndims or box.ndim
+            if box.ndim != ref_ndims:
+                raise ValueError("all chunks must share one dimensionality")
+    for need in needs:
+        if need is not None:
+            ref_ndims = ref_ndims or need.ndim
+            if need.ndim != ref_ndims:
+                raise ValueError("needs must match the chunks' dimensionality")
+    if ref_ndims is None:
+        raise ValueError("cannot infer dimensionality from an empty problem")
+
+    # Vectorised geometry: all needs as (N, ndim) arrays, one pass per chunk.
+    active = [r for r in range(nprocs) if needs[r] is not None and not needs[r].is_empty()]
+    need_offsets = np.array([needs[r].offset for r in active], dtype=np.int64)
+    need_dims = np.array([needs[r].dims for r in active], dtype=np.int64)
+
+    def round_overlaps(index: int):
+        if not active:
+            return
+        for owner in range(nprocs):
+            if index >= len(owns[owner]) or owns[owner][index].is_empty():
+                continue
+            mask, lo, extent = intersect_many(owns[owner][index], need_offsets, need_dims)
+            hits = np.nonzero(mask)[0]
+            for hit, offset, dims in zip(
+                hits.tolist(), lo[hits].tolist(), extent[hits].tolist()
+            ):
+                yield owner, active[hit], Box(tuple(offset), tuple(dims))
+
+    return assemble_plan(owns, needs, element_size, ref_ndims, round_overlaps)

@@ -5,6 +5,11 @@ non-trivial (Table III's 216-rank round-robin schedule intersects 4096
 chunks with 216 needs).  Since the mapping depends only on the declared
 geometry, it can be computed once, saved as JSON, and reloaded by later
 runs — an engineering extension the paper's "setup once" design invites.
+
+A plan file is input from outside the program: :func:`plan_from_dict`
+rebuilds the lanes through the planner's own assembly step and rejects
+anything inconsistent with ``ValueError("corrupt plan: ...")`` rather than
+letting it surface later as an ``IndexError`` or as wrongly moved cells.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 from .box import Box
 from .descriptor import DataDescriptor
 from .mapping import LocalMapping, attach_mapping, local_mapping_from_global
-from .plan import GlobalPlan, RankPlan, RecvEntry, SendEntry
+from .schedule import ExchangeSchedule, GlobalPlan, assemble_plan
 
 FORMAT_VERSION = 1
 
@@ -27,11 +32,25 @@ def _box_to_list(box: Optional[Box]) -> Optional[list[list[int]]]:
     return [list(box.offset), list(box.dims)]
 
 
-def _box_from_list(data: Optional[list]) -> Optional[Box]:
-    if data is None:
-        return None
+class _CorruptPlan(ValueError):
+    def __init__(self, why: str) -> None:
+        super().__init__(f"corrupt plan: {why}")
+
+
+def _box_from_list(data: list, ndims: int) -> Box:
     offset, dims = data
-    return Box(tuple(offset), tuple(dims))
+    box = Box(tuple(offset), tuple(dims))
+    if box.ndim != ndims:
+        raise _CorruptPlan(f"{box} is {box.ndim}-D in a {ndims}-D plan")
+    return box
+
+
+def _recv_rows(schedule: ExchangeSchedule) -> list[list]:
+    return [
+        [rnd.index, lane.peer, _box_to_list(lane.region)]
+        for rnd in schedule.rounds
+        for lane in rnd.all_recvs()
+    ]
 
 
 def plan_to_dict(plan: GlobalPlan) -> dict:
@@ -44,60 +63,89 @@ def plan_to_dict(plan: GlobalPlan) -> dict:
         "nrounds": plan.nrounds,
         "ranks": [
             {
-                "rank": p.rank,
-                "own": [_box_to_list(b) for b in p.own_chunks],
-                "need": _box_to_list(p.need),
+                "rank": s.rank,
+                "own": [_box_to_list(b) for b in s.own_chunks],
+                "need": _box_to_list(s.need),
                 "sends": [
-                    [s.round, s.dest, s.chunk_index, _box_to_list(s.chunk),
-                     _box_to_list(s.overlap)]
-                    for s in p.sends
+                    [rnd.index, lane.peer, rnd.index, _box_to_list(lane.container),
+                     _box_to_list(lane.region)]
+                    for rnd in s.rounds
+                    for lane in rnd.all_sends()
                 ],
-                "recvs": [
-                    [r.round, r.source, _box_to_list(r.overlap)] for r in p.recvs
-                ],
+                "recvs": _recv_rows(s),
             }
-            for p in plan.rank_plans
+            for s in plan.schedules
         ],
     }
 
 
 def plan_from_dict(data: dict) -> GlobalPlan:
-    """Inverse of :func:`plan_to_dict`; validates the format version."""
+    """Inverse of :func:`plan_to_dict`; validates the version and every entry."""
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported plan format version {version!r}")
-    rank_plans = []
-    for entry in data["ranks"]:
-        sends = []
-        for rnd, dest, chunk_index, chunk, overlap in entry["sends"]:
+    try:
+        return _plan_from_rows(data)
+    except _CorruptPlan:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise _CorruptPlan(f"malformed entry ({exc!r})") from exc
+
+
+def _plan_from_rows(data: dict) -> GlobalPlan:
+    nprocs, ndims, nrounds = int(data["nprocs"]), int(data["ndims"]), int(data["nrounds"])
+    ranks = data["ranks"]
+    if len(ranks) != nprocs:
+        raise _CorruptPlan(f"{len(ranks)} rank entries for {nprocs} ranks")
+    owns: list[list[Box]] = []
+    needs: list[Optional[Box]] = []
+    for rank, entry in enumerate(ranks):
+        if entry["rank"] != rank:
+            raise _CorruptPlan(f"rank entry {rank} is labelled rank {entry['rank']}")
+        owns.append([_box_from_list(b, ndims) for b in entry["own"]])
+        need = entry["need"]
+        needs.append(None if need is None else _box_from_list(need, ndims))
+    if nrounds != max((len(chunks) for chunks in owns), default=0):
+        raise _CorruptPlan(f"nrounds {nrounds} is not the largest chunk count")
+
+    overlaps: list[list[tuple[int, int, Box]]] = [[] for _ in range(nrounds)]
+    for owner, entry in enumerate(ranks):
+        for rnd, dest, chunk_index, chunk, region in entry["sends"]:
             if rnd != chunk_index:
-                raise ValueError(
-                    f"corrupt plan: send round {rnd} != chunk index {chunk_index} "
+                raise _CorruptPlan(
+                    f"send round {rnd} != chunk index {chunk_index} "
                     "(round c drains chunk slot c)"
                 )
-            sends.append(
-                SendEntry(dest, chunk_index, _box_from_list(chunk), _box_from_list(overlap))
-            )
-        recvs = [
-            RecvEntry(rnd, source, _box_from_list(overlap))
-            for rnd, source, overlap in entry["recvs"]
-        ]
-        rank_plans.append(
-            RankPlan(
-                rank=entry["rank"],
-                own_chunks=[_box_from_list(b) for b in entry["own"]],
-                need=_box_from_list(entry["need"]),
-                sends=sends,
-                recvs=recvs,
-            )
-        )
-    return GlobalPlan(
-        nprocs=int(data["nprocs"]),
-        ndims=int(data["ndims"]),
-        element_size=int(data["element_size"]),
-        rank_plans=rank_plans,
-        nrounds=int(data["nrounds"]),
+            if not 0 <= rnd < nrounds:
+                raise _CorruptPlan(f"rank {owner} sends in round {rnd} of {nrounds}")
+            if not 0 <= dest < nprocs:
+                raise _CorruptPlan(f"rank {owner} sends to rank {dest} of {nprocs}")
+            if rnd >= len(owns[owner]) or _box_from_list(chunk, ndims) != owns[owner][rnd]:
+                raise _CorruptPlan(f"rank {owner} round {rnd} sends from {chunk}, not its chunk")
+            overlap = _box_from_list(region, ndims)
+            need = needs[dest]
+            if need is None:
+                raise _CorruptPlan(f"rank {dest} receives in round {rnd} but declares no need")
+            if overlap.is_empty() or not (
+                owns[owner][rnd].contains_box(overlap) and need.contains_box(overlap)
+            ):
+                raise _CorruptPlan(
+                    f"{overlap} (rank {owner} -> {dest}, round {rnd}) is not "
+                    "a non-empty part of both the chunk and the need"
+                )
+            overlaps[rnd].append((owner, dest, overlap))
+    for triples in overlaps:
+        triples.sort(key=lambda triple: triple[:2])
+        if len({triple[:2] for triple in triples}) != len(triples):
+            raise _CorruptPlan("two sends between the same pair of ranks in one round")
+
+    plan = assemble_plan(
+        owns, needs, int(data["element_size"]), ndims, overlaps.__getitem__
     )
+    for schedule, entry in zip(plan.schedules, ranks):
+        if entry["recvs"] != _recv_rows(schedule):
+            raise _CorruptPlan(f"rank {schedule.rank}'s receives do not mirror the sends")
+    return plan
 
 
 def save_plan(path, plan: GlobalPlan) -> None:

@@ -521,8 +521,7 @@ def _memory_peaks(nprocs: int) -> dict[str, int]:
     infinite budget: the ledger tracks without ever binding, and its
     high-water mark is the peak the shrinking sweep budgets against.
     """
-    from ..core.plan import compute_global_plan
-    from ..core.schedule import global_schedules
+    from ..core.schedule import compute_global_plan
 
     peaks: dict[str, int] = {}
     with budget_scope(limit_mb=PROBE_BUDGET_MB):
@@ -531,7 +530,7 @@ def _memory_peaks(nprocs: int) -> dict[str, int]:
             "alltoallw", TRANSPORT_PACKED, 3,
         )
         measured = MEMORY_BUDGET.peak_bytes()
-    # The strict engines guard on the schedule's *conservative* per-round
+    # The strict backends guard on the schedule's *conservative* per-round
     # estimate (sends staged + receives in flight at once), which the
     # timing-dependent measured peak undercuts; budget against the larger
     # of the two so the full-fraction runs admit every backend.
@@ -543,7 +542,7 @@ def _memory_peaks(nprocs: int) -> dict[str, int]:
         element_size=4,
     )
     estimated = max(
-        (rnd.max_round_bytes for s in global_schedules(plan) for rnd in s.rounds),
+        (rnd.max_round_bytes for rnd in plan.schedules[0].rounds),
         default=0,
     )
     peaks["redistribute"] = max(measured, estimated)

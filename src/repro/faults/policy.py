@@ -10,7 +10,7 @@ A :class:`ReliabilityPolicy` is consumed at three layers:
   global deadlock watchdog;
 * **engine** (``repro.core.engine``) — retry budget and backoff for
   exchange rounds that fail at entry (see
-  ``ExchangeEngine.execute(reliability=...)``);
+  ``repro.core.engine.execute(reliability=...)``);
 * **pipeline** (``repro.intransit``) — the frame receive deadline behind
   the consumer's frame-drop policy.
 

@@ -1,8 +1,8 @@
 """Analytic cost model for DDR's exchange engines.
 
-Reads the *actual* schedule produced by the planner — lowered to the same
-:class:`~repro.core.schedule.ExchangeSchedule` IR the execution engines
-replay — and converts it into wall time under the LogGP-style model in
+Reads the *actual* schedule produced by the planner — the same
+:class:`~repro.core.schedule.ExchangeSchedule` lanes the executor replays —
+and converts it into wall time under the LogGP-style model in
 :class:`~repro.netmodel.cluster.ClusterSpec`.  This is the model behind the
 Table II predictions and the Figure 3 scaling curves.
 
@@ -15,31 +15,30 @@ Per-engine costs (:func:`engine_cost`) share one per-round vocabulary:
   sets the round time.
 
 ``alltoallw`` prices every round as collective, ``p2p`` every round as
-direct, and ``auto`` applies the same per-round selection rule the
-``AutoEngine`` executes (:func:`repro.core.schedule.collective_preferred`),
-so predicted and executed engine choices agree by construction.
+direct, and ``auto`` applies the same per-round selection rule the executor
+runs (:func:`repro.core.schedule.collective_preferred`), so predicted and
+executed choices agree by construction.
 
 With a memory budget (``limit_bytes``) the vocabulary gains a third round
 shape: a *bounded* round pays a handshake per budget-sized piece plus
 serialisation at piece-size bandwidth, in exchange for a staging peak
 capped by the piece count in flight.  :func:`pareto_round_backend` is the
-(time, peak-memory) Pareto rule ``AutoEngine`` executes under a budget —
-again shared, so predicted and executed choices agree by construction.
+(time, peak-memory) Pareto rule :func:`repro.core.engine.round_protocol`
+executes for ``auto`` under a budget — again shared, so predicted and
+executed choices agree by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..core.plan import GlobalPlan
 from ..core.schedule import (
     DEFAULT_BOUNDED_CHUNK_BYTES,
     PIECE_INFLIGHT,
-    ExchangeSchedule,
+    GlobalPlan,
     chunk_bytes_for,
     collective_preferred,
-    global_schedules,
 )
 from .cluster import ClusterSpec
 
@@ -83,26 +82,16 @@ class EngineCost:
         return self.alpha_s + self.message_s + self.transfer_s + self.self_copy_s
 
 
-def round_payloads(
-    plan: GlobalPlan, schedules: Optional[Sequence[ExchangeSchedule]] = None
-) -> list[int]:
+def round_payloads(plan: GlobalPlan) -> list[int]:
     """Max bytes any rank sends (to others) in each round.
 
     The collective completes when the busiest rank drains, so the max —
     not the mean — drives round time.
     """
-    if schedules is None:
-        schedules = global_schedules(plan)
     return [
-        max((s.rounds[r].bytes_out for s in schedules), default=0)
+        max((s.rounds[r].bytes_out for s in plan.schedules), default=0)
         for r in range(plan.nrounds)
     ]
-
-
-def _self_copy_s(cluster: ClusterSpec, schedules: Sequence[ExchangeSchedule]) -> float:
-    """Worst rank's local memcpy of the data it keeps across all rounds."""
-    self_bytes = max((s.total_self_bytes for s in schedules), default=0)
-    return self_bytes / cluster.memcpy_bw
 
 
 def pareto_round_backend(
@@ -114,7 +103,7 @@ def pareto_round_backend(
     limit_bytes: Optional[int],
     chunk_bytes: Optional[int] = None,
 ) -> str:
-    """The budget-aware per-round selection rule (executed by ``AutoEngine``).
+    """The budget-aware per-round selection rule (executed for ``auto``).
 
     Every input is either a global plan statistic (identical on all ranks
     by construction) or the static budget limit, so every rank returns the
@@ -158,13 +147,12 @@ def engine_cost(
     cluster: ClusterSpec,
     plan: GlobalPlan,
     backend: str = "alltoallw",
-    schedules: Optional[Sequence[ExchangeSchedule]] = None,
     limit_bytes: Optional[int] = None,
 ) -> EngineCost:
     """Model one full redistribution under ``backend`` on ``cluster``.
 
     ``backend`` is ``"alltoallw"``, ``"p2p"``, ``"auto"``, or ``"bounded"``
-    — the same names :func:`repro.core.engine.get_engine` accepts.  With
+    — the same names ``Redistributor(backend=...)`` accepts.  With
     ``limit_bytes`` set, ``auto`` rounds are selected by
     :func:`pareto_round_backend` (time alone otherwise) and bounded rounds
     are priced with the limit's derived piece size.
@@ -174,8 +162,7 @@ def engine_cost(
             f"unknown backend {backend!r}; choose 'alltoallw', 'p2p', "
             "'auto', or 'bounded'"
         )
-    if schedules is None:
-        schedules = global_schedules(plan)
+    schedules = plan.schedules
     chunk_bytes = (
         chunk_bytes_for(limit_bytes)
         if limit_bytes is not None
@@ -199,9 +186,7 @@ def engine_cost(
                     else "p2p"
                 )
             else:
-                peak = max(
-                    (r.max_round_bytes or r.peak_bytes() for r in rounds), default=0
-                )
+                peak = max((r.max_round_bytes for r in rounds), default=0)
                 mode = pareto_round_backend(
                     cluster,
                     nprocs=plan.nprocs,
@@ -259,7 +244,9 @@ def engine_cost(
         alpha_s=alpha_s,
         message_s=message_s,
         transfer_s=transfer_s,
-        self_copy_s=_self_copy_s(cluster, schedules),
+        # Worst rank's local memcpy of the data it keeps across all rounds.
+        self_copy_s=max((s.total_self_bytes for s in schedules), default=0)
+        / cluster.memcpy_bw,
         round_engines=tuple(round_engines),
     )
 

@@ -14,12 +14,9 @@ round-robin/consecutive crossover is not an artifact of its functional form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
 import numpy as np
 
-from ..core.plan import GlobalPlan
-from ..core.schedule import ExchangeSchedule, collective_preferred, global_schedules
+from ..core.schedule import GlobalPlan, collective_preferred
 from .analytic import P2P_PER_MESSAGE_S
 from .cluster import ClusterSpec
 
@@ -122,7 +119,6 @@ def flows_for_round(
     plan: GlobalPlan,
     round_index: int,
     rank_to_node: list[int],
-    schedules: Optional[Sequence[ExchangeSchedule]] = None,
 ) -> list[Flow]:
     """Build the flow set of one exchange round from the schedule IR.
 
@@ -130,10 +126,8 @@ def flows_for_round(
     excluded (they are covered by the analytic model's memcpy term); so are
     self-transfers, which the IR already splits out of the send lanes.
     """
-    if schedules is None:
-        schedules = global_schedules(plan)
     flows: list[Flow] = []
-    for schedule in schedules:
+    for schedule in plan.schedules:
         src_node = rank_to_node[schedule.rank]
         for lane in schedule.rounds[round_index].sends:
             dst_node = rank_to_node[lane.peer]
@@ -164,10 +158,9 @@ def simulate_exchange(
         )
     if rank_to_node is None:
         rank_to_node = default_rank_to_node(plan.nprocs, cluster.procs_per_node)
-    schedules = global_schedules(plan)
     total = 0.0
     for round_index in range(plan.nrounds):
-        rounds = [s.rounds[round_index] for s in schedules]
+        rounds = [s.rounds[round_index] for s in plan.schedules]
         if engine == "alltoallw":
             collective = True
         elif engine == "p2p":
@@ -180,7 +173,7 @@ def simulate_exchange(
         else:
             worst_messages = max((r.message_count for r in rounds), default=0)
             total += worst_messages * P2P_PER_MESSAGE_S
-        flows = flows_for_round(plan, round_index, rank_to_node, schedules)
+        flows = flows_for_round(plan, round_index, rank_to_node)
         if flows:
             total += simulate_flows(flows, cluster.link_bytes_per_s)
     return total

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from ..core.plan import GlobalPlan, compute_global_plan
+from ..core.schedule import GlobalPlan, compute_global_plan
 from ..io.assignment import (
     Assignment,
     PAPER_STACK,

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.mpisim import default_executor, run_spmd
 from repro.utils import transfer_counters
+
+#: CI runs ``pytest --hypothesis-profile=ci``: the same examples on every
+#: run, so a red build is a regression rather than a new draw.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 #: Marker for tests that only make sense when SPMD ranks share one address
 #: space: live zero-copy rendezvous, process-wide counter/blackboard

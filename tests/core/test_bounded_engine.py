@@ -2,8 +2,8 @@
 
 The acceptance story of the budget machinery: a slab-to-tile redistribution
 whose staged peak exceeds ``DDR_MEM_BUDGET_MB`` must *refuse* (typed, before
-allocating) under the strict engines, and *complete bitwise-equal* under the
-``bounded`` engine at roughly half the unbounded peak — with the ledger
+allocating) under the strict backends, and *complete bitwise-equal* under the
+``bounded`` backend at roughly half the unbounded peak — with the ledger
 drained back to zero afterwards (no staging leaks).
 """
 
@@ -12,9 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Redistributor, compute_global_plan, global_schedules
-from repro.core.engine import AutoEngine
-from repro.core.schedule import MIN_CHUNK_BYTES, PIECE_INFLIGHT
+from repro.core import (
+    MIN_CHUNK_BYTES,
+    PIECE_INFLIGHT,
+    Redistributor,
+    compute_global_plan,
+    round_protocol,
+)
 from repro.lbm.decompose import slab_box
 from repro.mpisim import RankFailure
 from repro.mpisim.errors import MemoryBudgetError
@@ -64,11 +68,8 @@ def _global_plan(nprocs: int, nx: int, ny: int):
 
 
 def unbounded_peak_bytes(nprocs: int = NPROCS, nx: int = NX, ny: int = NY) -> int:
-    """The strict engines' conservative per-round staging estimate."""
-    plan = _global_plan(nprocs, nx, ny)
-    return max(
-        rnd.max_round_bytes for s in global_schedules(plan) for rnd in s.rounds
-    )
+    """The strict backends' conservative per-round staging estimate."""
+    return max(r.max_round_bytes for r in _global_plan(nprocs, nx, ny).schedules[0].rounds)
 
 
 def _assert_bitwise(expected, got):
@@ -123,13 +124,13 @@ class TestBudgetEnforcement:
 
 class TestAutoPick:
     def _dense_round(self, nx: int, ny: int):
-        schedule = global_schedules(_global_plan(NPROCS, nx, ny))[0]
+        schedule = _global_plan(NPROCS, nx, ny).schedules[0]
         return max(schedule.rounds, key=lambda r: r.max_round_bytes)
 
     def test_tight_budget_picks_bounded(self):
         rnd = self._dense_round(BIG_NX, BIG_NY)
         with budget_scope(limit_bytes=rnd.max_round_bytes // 2):
-            assert AutoEngine._pick(rnd, zero_copy=False) == "bounded"
+            assert round_protocol("auto", rnd, False) == "bounded"
 
     def test_small_round_falls_back_best_effort(self):
         # Lanes below the MIN_CHUNK floor cannot be lowered further; no
@@ -138,13 +139,13 @@ class TestAutoPick:
         rnd = self._dense_round(NX, NY)
         assert rnd.max_round_bytes // 2 < PIECE_INFLIGHT * MIN_CHUNK_BYTES
         with budget_scope(limit_bytes=rnd.max_round_bytes // 2):
-            assert AutoEngine._pick(rnd, zero_copy=False) in (
+            assert round_protocol("auto", rnd, False) in (
                 "alltoallw", "p2p", "bounded",
             )
 
     def test_generous_budget_keeps_static_rule(self):
         rnd = self._dense_round(NX, NY)
-        unbudgeted = AutoEngine._pick(rnd, zero_copy=False)
+        unbudgeted = round_protocol("auto", rnd, False)
         assert unbudgeted in ("alltoallw", "p2p")
         with budget_scope(limit_bytes=64 * rnd.max_round_bytes):
-            assert AutoEngine._pick(rnd, zero_copy=False) == unbudgeted
+            assert round_protocol("auto", rnd, False) == unbudgeted

@@ -1,8 +1,9 @@
-"""Execution engines and the mapping lifecycle.
+"""The executor and the mapping lifecycle.
 
-Covers the engine registry and ``DDR_BACKEND`` override, the auto engine's
-plan-driven protocol selection (sparse -> direct sends, dense -> collective,
-mixed plans -> both in one exchange), and the first-class mapping handles:
+Covers the ``DDR_BACKEND`` override, the ``auto`` backend's plan-driven
+protocol selection (sparse -> direct sends, dense -> collective, mixed plans
+-> both in one exchange), the guarantee that the trace, ``engine_choices()``
+and the wire name the same protocol, and the first-class mapping handles:
 re-``setup()`` invalidates the previous mapping, independent handles from
 ``new_mapping()`` stay live concurrently, and stale use fails loudly.
 """
@@ -12,29 +13,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    Box,
-    Redistributor,
-    StaleMappingError,
-    default_backend,
-    get_engine,
-)
-from repro.core.engine import ENGINES, AutoEngine
-from tests.conftest import spmd
+from repro.core import Box, Redistributor, StaleMappingError, default_backend
+from repro.mpisim.errors import MemoryBudgetError
+from repro.obs import tracing
+from repro.utils.membudget import budget_scope
+from tests.conftest import spmd, thread_only
 
 
-class TestEngineRegistry:
-    def test_known_engines(self):
-        assert set(ENGINES) == {"alltoallw", "p2p", "auto", "bounded"}
-        for name in ENGINES:
-            assert get_engine(name).name == name
+class TestDefaultBackend:
+    def test_unknown_backend_raises(self):
+        def fn(comm):
+            with pytest.raises(ValueError, match="unknown backend"):
+                Redistributor(comm, ndims=1, dtype=np.float32, backend="carrier-pigeon")
 
-    def test_engines_are_singletons(self):
-        assert get_engine("auto") is get_engine("auto")
-
-    def test_unknown_engine_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_engine("carrier-pigeon")
+        spmd(1, fn)
 
     def test_default_backend_plain(self, monkeypatch):
         monkeypatch.delenv("DDR_BACKEND", raising=False)
@@ -65,7 +57,7 @@ def dense_layout(nprocs: int, rank: int):
     return [Box((rank,), (1,))], Box((0,), (nprocs,))
 
 
-class TestAutoEngine:
+class TestAutoBackend:
     def test_picks_p2p_on_sparse_plan(self):
         def fn(comm):
             red = Redistributor(comm, ndims=1, dtype=np.float32, backend="auto")
@@ -117,14 +109,72 @@ class TestAutoEngine:
 
         assert all(spmd(nprocs, fn))
 
-    def test_choices_helper_matches_schedule(self):
-        def fn(comm):
-            red = Redistributor(comm, ndims=1, dtype=np.float32, backend="auto")
-            own, need = dense_layout(comm.size, comm.rank)
-            red.setup(own=own, need=need)
-            return AutoEngine.choices(red.mapping) == red.engine_choices()
 
-        assert all(spmd(4, fn))
+@thread_only
+class TestProtocolAgreement:
+    """Row slabs -> column slabs of a 256x256 float32 array on 4 ranks under
+    a 64 KiB budget: the round span, ``engine_choices()`` and the wire must
+    name the same protocol, for the instance's own backend and transport."""
+
+    SIDE, LIMIT = 256, 64 * 1024
+
+    def run(self, backend, transport):
+        rows = self.SIDE // 4
+
+        def fn(comm):
+            r = comm.rank
+            red = Redistributor(
+                comm, ndims=2, dtype=np.float32, backend=backend, transport=transport
+            )
+            red.setup(
+                own=[Box((0, r * rows), (self.SIDE, rows))],
+                need=Box((r * rows, 0), (rows, self.SIDE)),
+            )
+
+            def refuses(call) -> bool:
+                # A strict refusal is raised by every rank at round entry,
+                # before any message is posted: safe to catch rank-locally.
+                try:
+                    call()
+                except MemoryBudgetError:
+                    return True
+                return False
+
+            data = np.zeros((rows, self.SIDE), np.float32)
+            if refuses(lambda: red.gather_need([data])):
+                assert refuses(red.engine_choices)
+                return "refused"
+            return red.engine_choices()
+
+        with budget_scope(limit_bytes=self.LIMIT), tracing() as tracer:
+            choices = spmd(4, fn)
+        names = [r.name for r in tracer.records()]
+        rounds = [r.attrs["backend"] for r in tracer.records() if r.name == "ddr.round"]
+        return choices, rounds, names
+
+    def test_auto_on_zerocopy_reports_the_collective_it_runs(self):
+        choices, rounds, names = self.run("auto", "zerocopy")
+        assert choices == [["alltoallw"]] * 4 and rounds == ["alltoallw"] * 4
+        assert names.count("mpi.Alltoallw") == 4 and "ddr.lowering" not in names
+
+    def test_bounded_on_zerocopy_reports_the_direct_sends_it_runs(self):
+        choices, rounds, names = self.run("bounded", "zerocopy")
+        assert choices == [["p2p"]] * 4 and rounds == ["p2p"] * 4
+        assert "mpi.Isend" in names and "ddr.lowering" not in names
+
+    def test_bounded_on_packed_lowers_and_says_so(self):
+        choices, rounds, names = self.run("bounded", "packed")
+        assert choices == [["bounded"]] * 4 and rounds == ["bounded"] * 4
+        assert names.count("ddr.lowering") == 4
+
+    @pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+    def test_engine_choices_refuses_exactly_when_the_exchange_would(self, backend):
+        # Staged, the round peaks at 112 KiB > 64 KiB: both refuse, typed.
+        choices, rounds, names = self.run(backend, "packed")
+        assert choices == ["refused"] * 4 and "mpi.Isend" not in names
+        # Nothing is staged on zerocopy: both answer, and agree.
+        choices, rounds, _ = self.run(backend, "zerocopy")
+        assert choices == [[backend]] * 4 and rounds == [backend] * 4
 
 
 class TestMappingLifecycle:

@@ -1,20 +1,43 @@
-"""The exchange-schedule IR: lowering, statistics, and the auto-selection rule."""
+"""The exchange IR: the planner's lanes, their statistics, and the round rule.
+
+One plan description serves the executor, the plan files, the cost models
+and Table III, so this file checks it from each side: the geometry the
+planner writes down (paper Figure 1 / Table III, random decompositions), the
+plan-wide round statistics every rank must agree on, the accounting the
+memory budget trusts (bytes conserved, lowering monotone), and the per-round
+protocol choice being a pure function of the plan.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    MIN_CHUNK_BYTES,
+    PIECE_INFLIGHT,
     Box,
     DataDescriptor,
     DataLayout,
-    build_schedule,
+    chunk_bytes_for,
     collective_preferred,
     compute_global_plan,
-    global_schedules,
-    round_max_partners,
+    round_protocol,
 )
 from repro.core.mapping import local_mapping_from_global
+from repro.lbm.decompose import slab_box
+from repro.utils import MiB
+from repro.volren.decompose import grid_boxes, grid_shape
+from tests.core.test_reorganize_property import random_problem
+
+
+def e1_plan():
+    """The paper's running example E1 (Figure 1 / Table I)."""
+    owns = [[Box((0, r), (8, 1)), Box((0, r + 4), (8, 1))] for r in range(4)]
+    needs = [Box((4 * (r % 2), 4 * (r // 2)), (4, 4)) for r in range(4)]
+    return compute_global_plan(owns, needs, element_size=4)
 
 
 def ring_plan(nprocs: int):
@@ -31,121 +54,287 @@ def dense_plan(nprocs: int):
     return compute_global_plan(owns, needs, element_size=4)
 
 
-class TestCollectivePreferred:
-    def test_single_rank_never_collective(self):
-        assert not collective_preferred(0, 1)
-        assert not collective_preferred(5, 1)
+def mixed_plan():
+    """Rank 0 owns a wide chunk feeding three ranks (dense round) and a
+    narrow one feeding exactly one (sparse round)."""
+    owns = [[Box((0,), (6,)), Box((6,), (2,))], [], [], []]
+    needs = [Box((r * 2,), (2,)) for r in range(4)]
+    return compute_global_plan(owns, needs, element_size=4, ndims=1)
 
-    def test_threshold_boundary(self):
+
+def slab_to_tile_plan(nprocs: int, nx: int = 256, ny: int = 128):
+    """The paper's motivating remap: row slabs in, grid tiles out."""
+    tiles = grid_boxes((nx, ny), grid_shape(nprocs, (nx, ny)))
+    return compute_global_plan(
+        [[slab_box(nx, ny, nprocs, r)] for r in range(nprocs)], tiles, element_size=4
+    )
+
+
+def sends(schedule):
+    return {(r.index, lane.peer): lane.region for r in schedule.rounds for lane in r.all_sends()}
+
+
+def recvs(schedule):
+    return {(r.index, lane.peer): lane.region for r in schedule.rounds for lane in r.all_recvs()}
+
+
+def auto_choices(schedule):
+    return [round_protocol("auto", rnd, False) for rnd in schedule.rounds]
+
+
+class TestE1:
+    def test_rounds_equal_max_chunks(self):
+        assert e1_plan().nrounds == 2  # every rank owns two chunks
+
+    def test_rank0_maps_match_figure1_panel_b(self):
+        """Rank 0 owns rows y=0 and y=4: row 0 splits between ranks 0 (left)
+        and 1 (right), row 4 between ranks 2 and 3.  It needs the top-left
+        quadrant: one row slice from each rank's first chunk."""
+        rank0 = e1_plan().schedules[0]
+        assert sends(rank0) == {
+            (0, 0): Box((0, 0), (4, 1)),
+            (0, 1): Box((4, 0), (4, 1)),
+            (1, 2): Box((0, 4), (4, 1)),
+            (1, 3): Box((4, 4), (4, 1)),
+        }
+        assert recvs(rank0) == {(0, src): Box((0, src), (4, 1)) for src in range(4)}
+
+    def test_byte_accounting(self):
+        # Each rank sends 16 cells; rank r keeps the 4 of them inside its quadrant.
+        plan = e1_plan()
+        rank0 = plan.schedules[0]
+        assert rank0.total_bytes_out == 12 * 4 and rank0.total_self_bytes == 4 * 4
+        assert sum(r.bytes_in + r.self_bytes for r in rank0.rounds) == 16 * 4
+        matrix = plan.traffic_matrix()
+        assert matrix.sum() == plan.total_bytes_moved(exclude_self=False)
+        assert np.all(matrix.sum(axis=0) == 16 * 4)  # everyone receives its quadrant
+        assert plan.partners_per_rank() == [3, 3, 3, 3]
+
+
+class TestPlannerEdgeCases:
+    OWNS = [[Box((0,), (4,))], [Box((4,), (4,))]]
+
+    @pytest.mark.parametrize("need", [None, Box((0,), (0,))])
+    def test_empty_need_receives_nothing(self, need):
+        plan = compute_global_plan(self.OWNS, [Box((0,), (8,)), need], 1)
+        assert recvs(plan.schedules[1]) == {}
+        assert len(recvs(plan.schedules[0])) == 2
+
+    def test_overlapping_needs_allowed(self):
+        """Paper §III-B: receives may overlap (ghost zones)."""
+        plan = compute_global_plan(self.OWNS, [Box((0,), (6,)), Box((2,), (6,))], 1)
+        assert plan.total_bytes_moved(exclude_self=False) == 12  # 6 cells each
+
+    def test_uneven_chunk_counts(self):
+        owns = [
+            [Box((0,), (2,)), Box((4,), (2,)), Box((8,), (2,))],
+            [Box((2,), (2,)), Box((6,), (2,))],
+        ]
+        plan = compute_global_plan(owns, [Box((0,), (5,)), Box((5,), (5,))], 4)
+        assert plan.nrounds == 3
+        assert [r.chunk_index for r in plan.schedules[1].rounds] == [0, 1, None]
+
+    def test_rank_with_no_chunks(self):
+        plan = compute_global_plan(
+            [[Box((0,), (8,))], []], [Box((0,), (4,)), Box((4,), (4,))], 1
+        )
+        assert plan.nrounds == 1
+        assert sends(plan.schedules[1]) == {} and len(recvs(plan.schedules[1])) == 1
+
+    def test_bad_declarations_rejected(self):
+        with pytest.raises(ValueError):  # dimensionality mismatch
+            compute_global_plan([[Box((0,), (4,))]], [Box((0, 0), (2, 2))], 1)
+        with pytest.raises(ValueError):  # needs length mismatch
+            compute_global_plan([[Box((0,), (4,))]], [], 1)
+        with pytest.raises(ValueError):  # nothing to infer a dimensionality from
+            compute_global_plan([[], []], [None, None], 1)
+
+
+def split(n, parts):
+    base, rem = divmod(n, parts)
+    sizes = [base + (1 if i < rem else 0) for i in range(parts)]
+    return list(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
+
+
+@pytest.mark.slow
+class TestPaperTable3:
+    """Schedule math at the paper's full 128 GB scale (pure planning)."""
+
+    NX, NY, NZ, ESIZE = 4096, 2048, 4096, 4
+
+    def needs(self, grid):
+        xs, ys, zs = split(self.NX, grid), split(self.NY, grid), split(self.NZ, grid)
+        return [
+            Box((xs[i][0], ys[j][0], zs[k][0]), (xs[i][1], ys[j][1], zs[k][1]))
+            for k in range(grid) for j in range(grid) for i in range(grid)
+        ]
+
+    def test_consecutive_27(self):
+        owns = [[Box((0, 0, z0), (self.NX, self.NY, zn))] for z0, zn in split(self.NZ, 27)]
+        plan = compute_global_plan(owns, self.needs(3), self.ESIZE)
+        assert plan.nrounds == 1  # paper Table III
+        assert plan.mean_bytes_per_chunk_round() / MiB == pytest.approx(4315.12, abs=2.0)
+
+    def test_round_robin_27(self):
+        owns = [
+            [Box((0, 0, z), (self.NX, self.NY, 1)) for z in range(r, self.NZ, 27)]
+            for r in range(27)
+        ]
+        plan = compute_global_plan(owns, self.needs(3), self.ESIZE)
+        assert plan.nrounds == 152  # paper Table III
+        assert plan.mean_bytes_per_chunk_round() / MiB == pytest.approx(30.81, abs=0.1)
+
+
+@given(seed=st.integers(0, 5000))
+@settings(max_examples=60, deadline=None)
+def test_lane_invariants_on_random_decompositions(seed):
+    domain, owns, needs = random_problem(seed)
+    plan = compute_global_plan(owns, needs, 8)
+    # Paper §III-C: #rounds == max #chunks owned by any rank.
+    assert plan.nrounds == max(len(chunks) for chunks in owns)
+    matrix = plan.traffic_matrix()
+    sent, received = set(), set()
+    for s in plan.schedules:
+        # The recv lanes exactly tile the need — the owned chunks tile the domain.
+        covered: set = set()
+        for rnd in s.rounds:
+            assert [lane.peer for lane in rnd.sends] == sorted({l.peer for l in rnd.sends})
+            assert [lane.peer for lane in rnd.recvs] == sorted({l.peer for l in rnd.recvs})
+            for lane in rnd.all_recvs():
+                cells = set(lane.region.cells())
+                assert not (covered & cells), "cell received twice"
+                covered |= cells
+                received.add((lane.peer, s.rank, rnd.index, lane.region))
+            for lane in rnd.all_sends():
+                # Round c drains chunk slot c; a lane stays inside chunk and need.
+                assert lane.container == owns[s.rank][rnd.index]
+                assert lane.container.contains_box(lane.region)
+                assert needs[lane.peer].contains_box(lane.region)
+                assert lane.nbytes == lane.region.volume() * 8
+                sent.add((s.rank, lane.peer, rnd.index, lane.region))
+        assert covered == set(s.need.cells())
+        # Traffic-matrix rows/columns are what the rank sends/receives, self included.
+        assert matrix[s.rank].sum() == s.total_bytes_out + s.total_self_bytes
+        assert matrix[:, s.rank].sum() == s.need.volume() * 8
+    assert sent == received  # sends and recvs are mirror images
+    total = plan.total_bytes_moved()
+    assert plan.mean_bytes_per_rank_per_round() * plan.nprocs * plan.nrounds == pytest.approx(total)
+    assert plan.mean_bytes_per_chunk_round() * sum(map(len, owns)) == pytest.approx(total)
+    assert plan.max_bytes_per_rank_per_round() == max(
+        r.bytes_out for s in plan.schedules for r in s.rounds
+    )
+    assert all(0 <= p < plan.nprocs for p in plan.partners_per_rank())
+
+
+class TestRoundRule:
+    def test_collective_preferred(self):
+        assert not collective_preferred(0, 1) and not collective_preferred(5, 1)
         # 9 ranks: threshold 0.5 * 8 = 4 partners.
-        assert collective_preferred(4, 9)
-        assert not collective_preferred(3, 9)
-
-    def test_custom_threshold(self):
+        assert collective_preferred(4, 9) and not collective_preferred(3, 9)
         assert collective_preferred(1, 9, threshold=0.1)
         assert not collective_preferred(7, 9, threshold=1.0)
         assert collective_preferred(8, 9, threshold=1.0)
 
+    @pytest.mark.parametrize(
+        "plan, partners, choices",
+        [
+            (ring_plan(6), [2], ["p2p"]),  # one neighbour each way
+            (dense_plan(6), [5], ["alltoallw"]),
+            (mixed_plan(), [2, 1], ["alltoallw", "p2p"]),
+        ],
+    )
+    def test_round_statistics_and_choices_agree_on_every_rank(self, plan, partners, choices):
+        for s in plan.schedules:
+            # Every rank's copy of a round carries the plan-wide worst rank, so
+            # the per-round protocol needs no negotiation.
+            assert [r.max_partners for r in s.rounds] == partners
+            assert auto_choices(s) == choices
+        for k in range(plan.nrounds):
+            rounds = [s.rounds[k] for s in plan.schedules]
+            assert rounds[0].max_partners == max(r.partners for r in rounds)
+            assert {r.max_round_bytes for r in rounds} == {max(r.peak_bytes() for r in rounds)}
 
-class TestRoundMaxPartners:
-    def test_ring_is_sparse(self):
-        # Each rank sends to one neighbour and receives from the other.
-        plan = ring_plan(6)
-        assert round_max_partners(plan) == [2]
-
-    def test_dense_is_everyone(self):
-        plan = dense_plan(6)
-        assert round_max_partners(plan) == [5]
-
-    def test_statistic_is_rank_independent(self):
-        # Every rank would compute the same values from the same global plan —
-        # the property that lets AutoEngine pick protocols with no negotiation.
-        plan = ring_plan(5)
-        again = round_max_partners(plan)
-        assert again == round_max_partners(plan)
+    def test_choices_stable_across_rebuilds(self):
+        for build in (lambda: slab_to_tile_plan(5), e1_plan):
+            first = [auto_choices(s) for s in build().schedules]
+            assert first == [auto_choices(s) for s in build().schedules]
+            assert len({tuple(c) for c in first}) == 1
 
 
-class TestBuildSchedule:
-    def test_lanes_and_bytes(self):
-        plan = ring_plan(4)
-        schedules = global_schedules(plan)
-        for rank, schedule in enumerate(schedules):
-            assert schedule.rank == rank
-            assert schedule.nrounds == 1
+class TestLanes:
+    def test_ring_lanes_and_bytes(self):
+        for rank, schedule in enumerate(ring_plan(4).schedules):
+            assert (schedule.rank, schedule.nrounds) == (rank, 1)
             rnd = schedule.rounds[0]
             # One remote send (to the rank that needs my cell), one remote recv.
             assert [lane.peer for lane in rnd.sends] == [(rank - 1) % 4]
             assert [lane.peer for lane in rnd.recvs] == [(rank + 1) % 4]
-            assert rnd.bytes_out == 4
-            assert rnd.bytes_in == 4
+            assert (rnd.bytes_out, rnd.bytes_in) == (4, 4)
             assert rnd.self_send is None and rnd.self_recv is None
-            assert rnd.partners == 2
-            assert rnd.message_count == 1
+            assert (rnd.partners, rnd.message_count, schedule.message_count) == (2, 1, 1)
 
     def test_self_lane_split_out(self):
         # Rank 0 keeps its own cell: the transfer is a self lane, not a message.
-        owns = [[Box((0,), (1,))], [Box((1,), (1,))]]
-        needs = [Box((0,), (2,)), None]
-        plan = compute_global_plan(owns, needs, element_size=8)
-        schedule = global_schedules(plan)[0]
+        plan = compute_global_plan(
+            [[Box((0,), (1,))], [Box((1,), (1,))]], [Box((0,), (2,)), None], element_size=8
+        )
+        schedule = plan.schedules[0]
         rnd = schedule.rounds[0]
-        assert rnd.self_send is not None and rnd.self_send.nbytes == 8
-        assert rnd.sends == []
+        assert rnd.self_send.nbytes == 8 and rnd.sends == []
         assert [lane.peer for lane in rnd.recvs] == [1]
-        assert rnd.self_bytes == 8
-        assert schedule.total_self_bytes == 8
+        assert rnd.self_bytes == schedule.total_self_bytes == 8
 
-    def test_cost_model_form_has_no_datatypes(self):
-        plan = dense_plan(3)
-        for schedule in global_schedules(plan):
-            for rnd in schedule.rounds:
-                for lane in rnd.sends + rnd.recvs:
-                    assert lane.datatype is None
-
-    def test_execution_form_has_datatypes(self):
+    def test_bind_attaches_datatypes_to_a_copy(self):
         plan = dense_plan(3)
         descriptor = DataDescriptor.create(3, DataLayout.DATA_TYPE_1D, np.float32)
         mapping = local_mapping_from_global(plan, None, 0, descriptor)
         rnd = mapping.rounds[0]
-        for lane in rnd.sends + rnd.recvs:
-            assert lane.datatype is not None
-        # Dense per-peer tables include the self lane on the diagonal.
-        assert rnd.sendtypes()[0] is rnd.self_send.datatype
-        assert len(rnd.sendtypes()) == 3 and len(rnd.recvtypes()) == 3
-
-    def test_sendtypes_cached(self):
-        plan = dense_plan(3)
-        descriptor = DataDescriptor.create(3, DataLayout.DATA_TYPE_1D, np.float32)
-        mapping = local_mapping_from_global(plan, None, 1, descriptor)
-        rnd = mapping.rounds[0]
-        assert rnd.sendtypes() is rnd.sendtypes()
-        assert rnd.recvtypes() is rnd.recvtypes()
+        assert all(lane.datatype is not None for lane in rnd.all_sends() + rnd.all_recvs())
+        # Dense per-peer tables, prebuilt, with the self lane on the diagonal.
+        assert rnd.sendtypes[0] is rnd.self_send.datatype
+        assert rnd.recvtypes == [lane.datatype for lane in rnd.all_recvs()]
+        assert len(rnd.sendtypes) == 3 and len(rnd.recvtypes) == 3
+        # The plan itself stays the cost-model form: geometry only.
+        for schedule in plan.schedules:
+            for unbound in schedule.rounds:
+                assert all(l.datatype is None for l in unbound.all_sends() + unbound.all_recvs())
+                assert unbound.sendtypes is None
+        assert (mapping.own_chunks, mapping.need) == (plan.schedules[0].own_chunks, Box((0,), (3,)))
 
 
-class TestEngineChoices:
-    def test_ring_prefers_p2p(self):
-        plan = ring_plan(6)
-        for schedule in global_schedules(plan):
-            assert schedule.engine_choices() == ["p2p"]
+class TestAccounting:
+    @pytest.mark.parametrize("plan", [slab_to_tile_plan(2), slab_to_tile_plan(7), e1_plan()])
+    def test_bytes_conserved_round_by_round(self, plan):
+        # Rounds are synchronized: a lane sent in round k is received in round k.
+        assert plan.total_bytes_moved() > 0
+        for k in range(plan.nrounds):
+            rounds = [s.rounds[k] for s in plan.schedules]
+            assert sum(r.bytes_out for r in rounds) == sum(r.bytes_in for r in rounds)
 
-    def test_dense_prefers_alltoallw(self):
-        plan = dense_plan(6)
-        for schedule in global_schedules(plan):
-            assert schedule.engine_choices() == ["alltoallw"]
+    def test_self_bytes_never_on_the_wire(self):
+        for schedule in slab_to_tile_plan(4).schedules:
+            for rnd in schedule.rounds:
+                assert schedule.rank not in {l.peer for l in rnd.sends + rnd.recvs}
+                assert rnd.self_send is None or rnd.self_send.peer == schedule.rank
+                assert rnd.peak_bytes("zerocopy") == rnd.self_bytes
 
-    def test_mixed_plan_mixes_choices(self):
-        # Rank 0 owns two chunks: a wide one feeding three ranks (dense round)
-        # and a narrow one feeding exactly one rank (sparse round).
-        owns = [[Box((0,), (6,)), Box((6,), (2,))], [], [], []]
-        needs = [Box((r * 2,), (2,)) for r in range(4)]
-        plan = compute_global_plan(owns, needs, element_size=4, ndims=1)
-        assert round_max_partners(plan) == [2, 1]
-        for schedule in global_schedules(plan):
-            assert schedule.engine_choices() == ["alltoallw", "p2p"]
+    def test_lowered_peak_monotone_and_capped(self):
+        # Shrinking the budget-derived chunk can only shrink the footprint.
+        for schedule in slab_to_tile_plan(4).schedules + e1_plan().schedules:
+            assert schedule.peak_bytes() == max(r.peak_bytes() for r in schedule.rounds)
+            for rnd in schedule.rounds:
+                peaks = [
+                    rnd.lowered_peak_bytes(chunk)
+                    for chunk in (1, 64, 4096, 65536, 1 << 20, 1 << 30)
+                ]
+                assert peaks == sorted(peaks)
+                assert all(p <= rnd.peak_bytes() for p in peaks)
+                assert rnd.lowered_peak_bytes(4096) <= PIECE_INFLIGHT * 4096
 
-    def test_without_global_stats_defaults_to_p2p(self):
-        # Schedules built from a lone RankPlan carry max_partners == 0.
-        plan = dense_plan(4)
-        schedule = build_schedule(plan.rank_plans[0], 4, 1, 4)
-        assert schedule.rounds[0].max_partners == 0
-        assert schedule.engine_choices() == ["p2p"]
+    def test_chunk_bytes_for(self):
+        assert chunk_bytes_for(0) == chunk_bytes_for(MIN_CHUNK_BYTES) == MIN_CHUNK_BYTES
+        limits = [1 << 20, 8 << 20, 64 << 20, 1 << 30]
+        chunks = [chunk_bytes_for(limit) for limit in limits]
+        assert chunks == sorted(chunks)
+        # PIECE_INFLIGHT resident pieces (x2 slack) stay within budget.
+        assert all(PIECE_INFLIGHT * c <= limit for limit, c in zip(limits, chunks))

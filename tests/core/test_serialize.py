@@ -1,6 +1,11 @@
-"""Plan persistence: roundtrip, file I/O, and reuse by a fresh descriptor."""
+"""Plan persistence: roundtrip, file I/O, saved-format compatibility,
+rejection of corrupt files, and reuse by a fresh descriptor."""
 
 from __future__ import annotations
+
+import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +13,25 @@ import pytest
 from repro.core import (
     Box,
     DataDescriptor,
+    DDR_ReorganizeData,
     attach_loaded_plan,
     compute_global_plan,
     load_plan,
     plan_from_dict,
     plan_to_dict,
-    reorganize_data,
     save_plan,
 )
 from tests.conftest import spmd
+
+#: ``plan_to_dict`` output recorded at the commit before the plan IRs were
+#: merged (format ``version: 1``): E1 quadrants, a round-robin stack with
+#: uneven chunk counts and a need-less rank, and a shrunken rank set whose
+#: survivors keep non-contiguous slabs.  Files saved back then must load.
+GOLDEN = json.loads((Path(__file__).parent / "plan_golden_v1.json").read_text())
+
+
+def boxes(rows):
+    return [None if row is None else Box(tuple(row[0]), tuple(row[1])) for row in rows]
 
 
 def e1_plan():
@@ -33,12 +48,7 @@ class TestRoundtrip:
         assert restored.ndims == plan.ndims
         assert restored.element_size == plan.element_size
         assert restored.nrounds == plan.nrounds
-        for a, b in zip(restored.rank_plans, plan.rank_plans):
-            assert a.rank == b.rank
-            assert a.own_chunks == b.own_chunks
-            assert a.need == b.need
-            assert a.sends == b.sends
-            assert a.recvs == b.recvs
+        assert restored.schedules == plan.schedules  # lanes and round statistics
 
     def test_statistics_survive(self):
         plan = e1_plan()
@@ -51,20 +61,72 @@ class TestRoundtrip:
             [[Box((0,), (4,))], [Box((4,), (4,))]], [Box((0,), (8,)), None], 1
         )
         restored = plan_from_dict(plan_to_dict(plan))
-        assert restored.rank_plans[1].need is None
+        assert restored.schedules[1].need is None
 
     def test_file_roundtrip(self, tmp_path):
         plan = e1_plan()
         path = tmp_path / "plan.json"
         save_plan(path, plan)
         restored = load_plan(path)
-        assert restored.rank_plans[0].sends == plan.rank_plans[0].sends
+        assert restored.schedules == plan.schedules
 
     def test_version_checked(self):
         data = plan_to_dict(e1_plan())
         data["version"] = 99
         with pytest.raises(ValueError, match="version"):
             plan_from_dict(data)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_saved_plans_stay_loadable_and_byte_compatible(name):
+    saved = GOLDEN[name]
+    assert plan_to_dict(plan_from_dict(saved)) == saved
+    fresh = compute_global_plan(
+        [boxes(entry["own"]) for entry in saved["ranks"]],
+        boxes([entry["need"] for entry in saved["ranks"]]),
+        saved["element_size"],
+    )
+    assert plan_to_dict(fresh) == saved
+    assert plan_from_dict(saved).schedules == fresh.schedules
+
+
+def put(*path_and_value):
+    """An edit of the E1 plan dict: ``data[path[0]][path[1]]... = value``."""
+    *path, last, value = path_and_value
+
+    def apply(data):
+        for key in path:
+            data = data[key]
+        data[last] = value
+
+    return apply
+
+
+CORRUPTIONS = {
+    "short rank table": lambda d: d["ranks"].pop(),
+    "out-of-order rank": put("ranks", 1, "rank", 2),
+    "peer >= nprocs": put("ranks", 0, "sends", 1, 1, 4),
+    "round >= nrounds": put("nrounds", 1),
+    "send round != chunk index": put("ranks", 0, "sends", 0, 0, 1),
+    "box of the wrong dimensionality": put("ranks", 0, "sends", 0, 4, [[0], [4]]),
+    "negative dims": put("ranks", 0, "own", 0, [[0, 0], [8, -1]]),
+    "send from a box that is not the chunk": put("ranks", 0, "sends", 0, 3, [[0, 1], [8, 1]]),
+    "overlap outside the need": put("ranks", 0, "sends", 0, 4, [[2, 0], [4, 1]]),
+    "receive without a matching send": put("ranks", 2, "recvs", 0, 1, 3),
+    "receive on a rank without a need": put("ranks", 1, "need", None),
+    "duplicate send": lambda d: d["ranks"][0]["sends"].append(d["ranks"][0]["sends"][0]),
+    "malformed row": put("ranks", 0, "sends", 0, [0, 0]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(CORRUPTIONS))
+def test_corrupt_plans_are_rejected(what):
+    """A plan file is outside input: none of these may load and then fail
+    later as an ``IndexError`` or move the wrong cells."""
+    data = copy.deepcopy(GOLDEN["e1_quadrants"])
+    CORRUPTIONS[what](data)
+    with pytest.raises(ValueError, match="corrupt plan"):
+        plan_from_dict(data)
 
 
 class TestAttachLoadedPlan:
@@ -80,7 +142,8 @@ class TestAttachLoadedPlan:
             attach_loaded_plan(desc, plan, comm.rank)
             g = np.arange(64, dtype=np.float32).reshape(8, 8)
             need = np.zeros((4, 4), dtype=np.float32)
-            reorganize_data(comm, desc, [g[comm.rank].copy(), g[comm.rank + 4].copy()], need)
+            own = [g[comm.rank].copy(), g[comm.rank + 4].copy()]
+            DDR_ReorganizeData(comm, 4, own, need, desc)
             r = comm.rank
             expect = g[4 * (r // 2) : 4 * (r // 2) + 4, 4 * (r % 2) : 4 * (r % 2) + 4]
             assert np.array_equal(need, expect)

@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import Box, compute_global_plan, global_schedules
+from repro.core import Box, compute_global_plan
 from repro.faults import FaultPlan
 from repro.faults.policy import ReliabilityPolicy
 from repro.mpisim import FLOAT, SubarrayType
@@ -42,12 +42,12 @@ class TestGeometry:
             [Box((r * rows, 0), (rows, side)) for r in range(nprocs)],
             element_size=4,
         )
-        for sched in global_schedules(plan):
+        for sched in plan.schedules:
             back = roundtrip(sched)
             assert back.rank == sched.rank
             assert back.nrounds == sched.nrounds
             assert back.total_bytes_out == sched.total_bytes_out
-            assert back.engine_choices() == sched.engine_choices()
+            assert back == sched
 
     def test_subarray_type_packs_identically(self):
         datatype = SubarrayType(FLOAT, (16, 16), (4, 8), (2, 3))

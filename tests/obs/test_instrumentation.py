@@ -1,8 +1,7 @@
-"""Runtime instrumentation: spans from the engines, transports and pipeline.
+"""Runtime instrumentation: spans from the executor, transports and pipeline.
 
 The acceptance bar: every exchange round is visible in the trace, including
-which backend AutoEngine picked for it, under all three engines and both
-transports.
+which wire protocol ran it, under three backends and both transports.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ def dense_layout(nprocs, rank):
 
 
 def run_exchange(backend):
-    """One dense 1-D exchange on NPROCS ranks; returns auto's round choices."""
+    """One dense 1-D exchange on NPROCS ranks; returns the per-round protocols."""
 
     def fn(comm):
         red = Redistributor(comm, ndims=1, dtype=np.float32, backend=backend)
@@ -68,10 +67,9 @@ class TestEngineSpans:
         for rank, rank_rounds in per_rank.items():
             rank_rounds.sort(key=lambda s: s.attrs["round"])
             picked = [s.attrs["backend"] for s in rank_rounds]
-            if backend == "auto":
-                # The trace shows exactly what AutoEngine decided per round.
-                assert picked == choices_per_rank[rank]
-            else:
+            # The trace shows exactly which protocol ran each round.
+            assert picked == choices_per_rank[rank]
+            if backend != "auto":
                 assert picked == [backend] * len(rank_rounds)
             for span in rank_rounds:
                 assert span.attrs["lanes"] >= 1
