@@ -157,22 +157,12 @@ def round_protocol(backend: str, rnd: RoundSchedule, zero_copy: bool) -> str:
         # already within any budget the staging model would accept.
         return "p2p" if zero_copy else "bounded"
     if backend == "auto":
-        if limit is None or zero_copy:
-            dense = collective_preferred(rnd.max_partners, rnd.nprocs)
-            return "alltoallw" if dense else "p2p"
-        # With a budget the selection widens to a (time, peak-memory)
-        # Pareto pick priced by the analytic network model.  Lazy: netmodel
-        # imports core at module level; core must not return the favour.
-        from ..netmodel.analytic import pareto_round_backend
-        from ..netmodel.cluster import COOLEY
-
-        return pareto_round_backend(
-            COOLEY,
-            nprocs=rnd.nprocs,
-            max_partners=rnd.max_partners,
-            max_round_bytes=rnd.max_round_bytes,
-            limit_bytes=limit,
-        )
+        # The density rule, lowered only when the round's staged estimate —
+        # the one the strict backends refuse on — would not fit the budget.
+        if limit is not None and not zero_copy and rnd.max_round_bytes > limit:
+            return "bounded"
+        dense = collective_preferred(rnd.max_partners, rnd.nprocs)
+        return "alltoallw" if dense else "p2p"
     if limit is not None:
         estimate = rnd.self_bytes if zero_copy else rnd.max_round_bytes
         if estimate > limit:

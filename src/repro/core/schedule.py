@@ -13,9 +13,8 @@ needer — appended straight into the per-rank, per-round lists:
 :class:`RoundSchedule` per round -> :class:`Lane`\\ s ordered by peer
 
 and that one structure is what the executor (:mod:`repro.core.engine`)
-replays, what plan files store (:mod:`repro.core.serialize`), and what both
-network cost models (:mod:`repro.netmodel.analytic`,
-:mod:`repro.netmodel.desnet`) and the Table-III statistics read.  Planning
+replays, what plan files store (:mod:`repro.core.serialize`), and what the
+network cost models and the Table-III statistics read.  Planning
 is pure (no communication) and lanes carry geometry only, so the full-scale
 experiments (4096 chunks x 216 ranks) are scheduled without instantiating
 any runtime or datatype; :meth:`ExchangeSchedule.bind` attaches the

@@ -53,8 +53,8 @@ TRANSPORTS = (TRANSPORT_PACKED, TRANSPORT_ZEROCOPY)
 
 #: Memory-chaos backends: the strict engines (which must surface a typed
 #: ``MemoryBudgetError`` when a round cannot fit) plus the two that keep
-#: going under pressure (``bounded`` lowers rounds, ``auto`` picks per
-#: round on the time/peak Pareto frontier).
+#: going under pressure (``bounded`` lowers every round, ``auto`` the
+#: rounds whose staged estimate exceeds the budget).
 MEMORY_BACKENDS = ("alltoallw", "p2p", "auto", "bounded")
 
 #: Memory-chaos combos: thread executor + staged transport only.  The

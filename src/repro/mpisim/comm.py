@@ -267,7 +267,9 @@ class Communicator:
         new_comm.transport = self.transport
         return new_comm
 
-    def spawn(self, count: int, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> "Communicator":
+    def spawn(
+        self, count: int, fn: Callable[..., Any], *args: Any, **kwargs: Any
+    ) -> "Communicator":
         """Grow the world: launch ``count`` new ranks and merge them in.
 
         The inverse of :meth:`shrink`, and the one-call analogue of
@@ -283,8 +285,8 @@ class Communicator:
 
         Under the process executor the new ranks are forked from the spawn
         root and occupy reserve queue slots provisioned at launch
-        (``run_spmd(..., spawn_slots=k)`` or ``DDR_SPAWN_SLOTS``); the
-        thread executor grows without pre-provisioning.  A spawned rank
+        (``run_spmd(..., spawn_slots=k)``); the thread executor grows
+        without pre-provisioning.  A spawned rank
         that returns from ``fn`` retires in the liveness table; its return
         value is discarded (spawned ranks have no slot in the driver's
         result list), so workers that produce data should communicate it.

@@ -138,7 +138,7 @@ def run_spmd(
     join_timeout: Optional[float] = None,
     resilient: bool = False,
     executor: Optional[str] = None,
-    spawn_slots: Optional[int] = None,
+    spawn_slots: int = 0,
     **kwargs: Any,
 ) -> list[Any]:
     """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` ranks.
@@ -173,9 +173,9 @@ def run_spmd(
     via :meth:`Communicator.spawn` (elastic grow).  The thread executor
     grows its fabric in place and ignores the value; the process executor
     pre-provisions that many extra queue slots so forked joiners have
-    endpoints (``DDR_SPAWN_SLOTS`` sets the default).  A spawned rank has
-    no slot in the returned result list: a clean return retires it, a
-    failure aborts the run and is reported like any rank failure.
+    endpoints.  A spawned rank has no slot in the returned result list: a
+    clean return retires it, a failure aborts the run and is reported like
+    any rank failure.
     """
     if nprocs < 1:
         raise CommunicatorError(f"need at least one rank, got {nprocs}")

@@ -40,10 +40,8 @@ Control plane (parent side):
   the run the parent additionally sweeps ``/dev/shm`` by run prefix, so
   even hard-killed ranks leak nothing.
 
-The default start method is ``fork`` (override with ``DDR_MP_START``):
-children inherit ``fn``/closures/module state, so every existing
-``run_spmd`` call site works unchanged.  Under ``spawn``, ``fn`` and its
-arguments must be picklable.
+Ranks are forked: children inherit ``fn``/closures/module state, so every
+existing ``run_spmd`` call site works unchanged.
 
 Known semantic differences from the thread executor (see DESIGN.md):
 ``fabric.shared`` (the cross-rank blackboard) is process-local here —
@@ -90,11 +88,6 @@ def _next_run_prefix() -> str:
     with _run_seq_lock:
         _run_seq += 1
         return f"ddrp{os.getpid()}x{_run_seq}"
-
-
-def start_method() -> str:
-    """The multiprocessing start method (``DDR_MP_START``, default fork)."""
-    return os.environ.get("DDR_MP_START", "fork")
 
 
 @dataclass
@@ -257,7 +250,7 @@ class ProcessFabric(Fabric):
                 raise CommunicatorError(
                     f"cannot spawn {count} rank(s): {free} reserve slot(s) "
                     f"left on the process executor — launch with "
-                    f"run_spmd(..., spawn_slots=...) or DDR_SPAWN_SLOTS"
+                    f"run_spmd(..., spawn_slots=...)"
                 )
             self._next_world = start + count
             return list(range(start, start + count))
@@ -281,15 +274,9 @@ class ProcessFabric(Fabric):
     ) -> None:
         """Fork a new OS-process rank into the running world (spawn root).
 
-        Requires the ``fork`` start method: the joiner must inherit this
-        run's queues, events, and ``fn``'s closure state.
+        The joiner inherits this run's queues, events, and ``fn``'s closure
+        state.
         """
-        if start_method() != "fork":
-            raise CommunicatorError(
-                "Communicator.spawn on the process executor requires the "
-                "fork start method (DDR_MP_START=fork); joiners inherit the "
-                "run's queues and closures"
-            )
         ctx = mp.get_context("fork")
         # SPMD children are daemonic so a dying driver reaps them, but a
         # daemonic process may not fork children of its own.  Lift the flag
@@ -485,7 +472,7 @@ def run_spmd_processes(
     deadlock_timeout: float = DEFAULT_DEADLOCK_TIMEOUT,
     join_timeout: Optional[float] = None,
     resilient: bool = False,
-    spawn_slots: Optional[int] = None,
+    spawn_slots: int = 0,
     **kwargs: Any,
 ) -> list[Any]:
     """Process-executor twin of ``run_spmd``; same contract, real processes.
@@ -493,21 +480,15 @@ def run_spmd_processes(
     Called through ``run_spmd(..., executor="process")`` — see there for
     the full semantics (result ordering, ``RankFailure``, ``resilient``).
     ``spawn_slots`` pre-provisions inbox queues for ranks that may join
-    the running world via ``Communicator.spawn`` (default from
-    ``DDR_SPAWN_SLOTS``, else 0) — forked joiners need endpoints that
-    existed before any fork.
+    the running world via ``Communicator.spawn`` — forked joiners need
+    endpoints that existed before any fork.
     """
     from .executor import RankFailure, SpmdHangError, _stuck_detail
 
     if join_timeout is None:
         join_timeout = deadlock_timeout * 1.5 + 5.0
-    if spawn_slots is None:
-        try:
-            spawn_slots = int(os.environ.get("DDR_SPAWN_SLOTS", "0") or 0)
-        except ValueError:
-            spawn_slots = 0
     spawn_slots = max(0, spawn_slots)
-    ctx = mp.get_context(start_method())
+    ctx = mp.get_context("fork")
 
     # One shared resource tracker for the whole process tree: started
     # before the fork, so children do not each spawn (and fight over)

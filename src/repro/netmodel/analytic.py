@@ -19,25 +19,18 @@ direct, and ``auto`` applies the same per-round selection rule the executor
 runs (:func:`repro.core.schedule.collective_preferred`), so predicted and
 executed choices agree by construction.
 
-With a memory budget (``limit_bytes``) the vocabulary gains a third round
-shape: a *bounded* round pays a handshake per budget-sized piece plus
-serialisation at piece-size bandwidth, in exchange for a staging peak
-capped by the piece count in flight.  :func:`pareto_round_backend` is the
-(time, peak-memory) Pareto rule :func:`repro.core.engine.round_protocol`
-executes for ``auto`` under a budget — again shared, so predicted and
-executed choices agree by construction.
+``bounded`` prices a third round shape: a handshake per lowered piece plus
+serialisation at piece-size bandwidth (the default piece size — the model
+carries no budget).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.schedule import (
     DEFAULT_BOUNDED_CHUNK_BYTES,
-    PIECE_INFLIGHT,
     GlobalPlan,
-    chunk_bytes_for,
     collective_preferred,
 )
 from .cluster import ClusterSpec
@@ -94,68 +87,15 @@ def round_payloads(plan: GlobalPlan) -> list[int]:
     ]
 
 
-def pareto_round_backend(
-    cluster: ClusterSpec,
-    *,
-    nprocs: int,
-    max_partners: int,
-    max_round_bytes: int,
-    limit_bytes: Optional[int],
-    chunk_bytes: Optional[int] = None,
-) -> str:
-    """The budget-aware per-round selection rule (executed for ``auto``).
-
-    Every input is either a global plan statistic (identical on all ranks
-    by construction) or the static budget limit, so every rank returns the
-    same backend with no negotiation.  Candidates are priced on both axes:
-
-    - ``alltoallw`` / ``p2p``: the time model's collective/direct round
-      shapes, both peaking at ``max_round_bytes`` of staging;
-    - ``bounded``: per-piece handshakes and piece-size bandwidth, peaking
-      at ``PIECE_INFLIGHT`` resident pieces.
-
-    Among candidates whose peak fits ``limit_bytes``, the modeled-fastest
-    wins; when none fit, the minimum-peak one does (best effort — the
-    ledger still enforces the hard line with a typed error).
-    """
-    dense = collective_preferred(max_partners, nprocs)
-    strict = "alltoallw" if dense else "p2p"
-    if limit_bytes is None or max_round_bytes <= 0:
-        return strict
-    if chunk_bytes is None:
-        chunk_bytes = chunk_bytes_for(limit_bytes)
-    # The staged peak counts the busiest rank's payload twice (sends staged
-    # + receives in flight); halve it back to an outbound volume for time.
-    payload = max(1, max_round_bytes // 2)
-    xfer = payload / cluster.effective_bw(payload)
-    pieces = -(-payload // chunk_bytes)
-    bounded_t = pieces * BOUNDED_PER_PIECE_S + payload / cluster.effective_bw(
-        min(payload, chunk_bytes)
-    )
-    candidates = (
-        (cluster.alpha(nprocs) + xfer, max_round_bytes, "alltoallw"),
-        (max_partners * P2P_PER_MESSAGE_S + xfer, max_round_bytes, "p2p"),
-        (bounded_t, min(max_round_bytes, PIECE_INFLIGHT * chunk_bytes), "bounded"),
-    )
-    fits = [c for c in candidates if c[1] <= limit_bytes]
-    if fits:
-        return min(fits, key=lambda c: c[0])[2]
-    return min(candidates, key=lambda c: (c[1], c[0]))[2]
-
-
 def engine_cost(
     cluster: ClusterSpec,
     plan: GlobalPlan,
     backend: str = "alltoallw",
-    limit_bytes: Optional[int] = None,
 ) -> EngineCost:
     """Model one full redistribution under ``backend`` on ``cluster``.
 
     ``backend`` is ``"alltoallw"``, ``"p2p"``, ``"auto"``, or ``"bounded"``
-    — the same names ``Redistributor(backend=...)`` accepts.  With
-    ``limit_bytes`` set, ``auto`` rounds are selected by
-    :func:`pareto_round_backend` (time alone otherwise) and bounded rounds
-    are priced with the limit's derived piece size.
+    — the same names ``Redistributor(backend=...)`` accepts.
     """
     if backend not in ("alltoallw", "p2p", "auto", "bounded"):
         raise ValueError(
@@ -163,11 +103,6 @@ def engine_cost(
             "'auto', or 'bounded'"
         )
     schedules = plan.schedules
-    chunk_bytes = (
-        chunk_bytes_for(limit_bytes)
-        if limit_bytes is not None
-        else DEFAULT_BOUNDED_CHUNK_BYTES
-    )
 
     alpha_s = 0.0
     message_s = 0.0
@@ -179,22 +114,7 @@ def engine_cost(
             mode = backend
         else:
             max_partners = max((r.max_partners for r in rounds), default=0)
-            if limit_bytes is None:
-                mode = (
-                    "alltoallw"
-                    if collective_preferred(max_partners, plan.nprocs)
-                    else "p2p"
-                )
-            else:
-                peak = max((r.max_round_bytes for r in rounds), default=0)
-                mode = pareto_round_backend(
-                    cluster,
-                    nprocs=plan.nprocs,
-                    max_partners=max_partners,
-                    max_round_bytes=peak,
-                    limit_bytes=limit_bytes,
-                    chunk_bytes=chunk_bytes,
-                )
+            mode = "alltoallw" if collective_preferred(max_partners, plan.nprocs) else "p2p"
         round_engines.append(mode)
 
         if mode == "alltoallw":
@@ -210,11 +130,11 @@ def engine_cost(
             worst_xfer = 0.0
             for r in rounds:
                 pieces = sum(
-                    -(-lane.nbytes // chunk_bytes) for lane in r.sends
+                    -(-lane.nbytes // DEFAULT_BOUNDED_CHUNK_BYTES) for lane in r.sends
                 )
                 msg = pieces * BOUNDED_PER_PIECE_S
                 xfer = r.bytes_out / cluster.effective_bw(
-                    min(r.bytes_out, chunk_bytes) or 1
+                    min(r.bytes_out, DEFAULT_BOUNDED_CHUNK_BYTES) or 1
                 )
                 if msg + xfer > worst_t:
                     worst_t = msg + xfer

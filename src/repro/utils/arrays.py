@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -10,12 +9,10 @@ import numpy as np
 from .membudget import MEMORY_BUDGET
 from .timing import TRANSFER_COUNTERS
 
-#: Default per-pool byte budget.  Overridable through ``DDR_POOL_BUDGET_MB``;
-#: large enough that a single steady-state workload never evicts, small
-#: enough that a pool cannot eat the host when mappings proliferate.
-DEFAULT_POOL_BUDGET_BYTES = int(
-    float(os.environ.get("DDR_POOL_BUDGET_MB", "512")) * 1024 * 1024
-)
+#: Default per-pool byte budget: large enough that a single steady-state
+#: workload never evicts, small enough that a pool cannot eat the host when
+#: mappings proliferate.
+DEFAULT_POOL_BUDGET_BYTES = 512 * 1024 * 1024
 
 
 class StagingPool:

@@ -21,13 +21,14 @@ the driver thread) because the budget models per-host memory and every
 rank of the simulated job shares this host.
 
 :func:`auditing_memory` is the cross-check: it measures the real
-allocation peak of a block via :mod:`tracemalloc` so tests and the memory
-benchmark can hold the analytic :meth:`~repro.core.schedule.RoundSchedule.
-peak_bytes` estimates against measured reality.
+allocation peak of a block via :mod:`tracemalloc` so tests can hold the
+analytic :meth:`~repro.core.schedule.RoundSchedule.peak_bytes` estimates
+against measured reality.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import tracemalloc
@@ -81,9 +82,13 @@ class MemoryBudget:
 
     def set_limit(self, limit_bytes: Optional[int]) -> None:
         """Install (or clear, with ``None``) the per-rank byte limit."""
+        if limit_bytes is not None:
+            limit_bytes = int(limit_bytes)
+            if limit_bytes < 0:
+                raise ValueError(f"memory budget limit must be >= 0, got {limit_bytes}")
         with self._lock:
-            self.limit_bytes = None if limit_bytes is None else int(limit_bytes)
-            self.active = self.limit_bytes is not None
+            self.limit_bytes = limit_bytes
+            self.active = limit_bytes is not None
 
     def reset(self) -> None:
         """Zero the ledger and high-water marks (limit unchanged)."""
@@ -156,7 +161,15 @@ def _limit_from_env() -> Optional[int]:
     raw = os.environ.get("DDR_MEM_BUDGET_MB", "").strip()
     if not raw:
         return None
-    return int(float(raw) * 1024 * 1024)
+    try:
+        megabytes = float(raw)
+    except ValueError:
+        megabytes = math.nan
+    if not 0 < megabytes < math.inf:
+        raise ValueError(
+            f"DDR_MEM_BUDGET_MB={raw!r}: expected a finite, positive number of MiB"
+        )
+    return int(megabytes * 1024 * 1024)
 
 
 #: Process-wide singleton every staging path consults (all SPMD ranks are
@@ -176,9 +189,8 @@ def budget_scope(
 
     ``budget_scope(64)`` caps DDR staging at 64 MiB per rank for the block;
     ``budget_scope(None)`` disables the budget for the block (useful for
-    carving audit regions out of a budgeted run).  The chaos harness and
-    the memory benchmark sweep budgets with this rather than mutating the
-    environment.
+    carving audit regions out of a budgeted run).  The chaos harness sweeps
+    budgets with this rather than mutating the environment.
     """
     if limit_mb is not None and limit_bytes is not None:
         raise ValueError("pass limit_mb or limit_bytes, not both")
@@ -189,8 +201,8 @@ def budget_scope(
         prior_limit = budget.limit_bytes
         prior_used = dict(budget._used)
         prior_peak = dict(budget._peak)
+    budget.set_limit(limit_bytes)  # validates before the ledger is touched
     budget.reset()
-    budget.set_limit(limit_bytes)
     try:
         yield budget
     finally:

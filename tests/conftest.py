@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core import Box
 from repro.mpisim import default_executor, run_spmd
 from repro.utils import transfer_counters
 
@@ -28,6 +29,16 @@ def spmd(nprocs, fn, *args, **kwargs):
     """run_spmd with a short deadlock timeout so broken tests fail fast."""
     kwargs.setdefault("deadlock_timeout", 20.0)
     return run_spmd(nprocs, fn, *args, **kwargs)
+
+
+def slab_exchange(nprocs, side, dense):
+    """Row slabs of a ``side`` x ``side`` grid, needed as column slabs (dense:
+    everyone talks to everyone) or one rank over (sparse ring): owns, needs."""
+    rows = side // nprocs
+    owns = [[Box((0, r * rows), (side, rows))] for r in range(nprocs)]
+    if dense:
+        return owns, [Box((r * rows, 0), (rows, side)) for r in range(nprocs)]
+    return owns, [Box((0, (r + 1) % nprocs * rows), (side, rows)) for r in range(nprocs)]
 
 
 def counted_region(comm, fn):

@@ -24,13 +24,13 @@ from repro.mpisim import RankFailure
 from repro.mpisim.errors import MemoryBudgetError
 from repro.utils.membudget import MEMORY_BUDGET, budget_scope
 from repro.volren.decompose import grid_boxes, grid_shape
-from tests.conftest import spmd, thread_only
+from tests.conftest import slab_exchange, spmd, thread_only
 
 NPROCS = 4
 NX, NY = 256, 128
 #: Geometry big enough that ``PIECE_INFLIGHT * MIN_CHUNK_BYTES`` fits under
-#: half the unbounded peak — the regime where the Pareto rule can *model*
-#: bounded as within budget (small rounds fall back to best effort).
+#: half the unbounded peak, so lowering actually lands under the budget
+#: (smaller rounds hit the piece floor and are best effort).
 BIG_NX, BIG_NY = 1024, 512
 
 
@@ -89,12 +89,13 @@ class TestBudgetEnforcement:
         # The refusal message routes the user to the way out.
         assert "bounded" in str(info.value.original)
 
-    def test_bounded_completes_bitwise_at_half_budget(self):
+    @pytest.mark.parametrize("fraction", [1.0, 0.75, 0.5])
+    def test_bounded_bitwise_within_budget(self, fraction):
         # The acceptance criterion: the same redistribution that the strict
         # engine refuses at half the unbounded peak completes byte-for-byte
         # identically via bounded lowering.
         expected = spmd(NPROCS, _exchange, "alltoallw")
-        budget = unbounded_peak_bytes() // 2
+        budget = int(unbounded_peak_bytes() * fraction)
         with budget_scope(limit_bytes=budget):
             got = spmd(NPROCS, _exchange, "bounded")
             assert MEMORY_BUDGET.peak_bytes() <= budget
@@ -133,9 +134,9 @@ class TestAutoPick:
             assert round_protocol("auto", rnd, False) == "bounded"
 
     def test_small_round_falls_back_best_effort(self):
-        # Lanes below the MIN_CHUNK floor cannot be lowered further; no
-        # candidate fits and the rule degrades to a strict backend (the
-        # ledger still enforces the hard line at run time).
+        # Lanes below the MIN_CHUNK floor cannot be lowered further: whatever
+        # auto picks is best effort (the ledger still enforces the hard line
+        # at run time).
         rnd = self._dense_round(NX, NY)
         assert rnd.max_round_bytes // 2 < PIECE_INFLIGHT * MIN_CHUNK_BYTES
         with budget_scope(limit_bytes=rnd.max_round_bytes // 2):
@@ -149,3 +150,20 @@ class TestAutoPick:
         assert unbudgeted in ("alltoallw", "p2p")
         with budget_scope(limit_bytes=64 * rnd.max_round_bytes):
             assert round_protocol("auto", rnd, False) == unbudgeted
+
+    @pytest.mark.parametrize(
+        "nprocs, side, dense",
+        [(4, 64, True), (8, 64, True), (8, 1024, True), (27, 216, True), (8, 64, False)],
+    )
+    def test_only_a_binding_budget_changes_auto(self, nprocs, side, dense):
+        owns, needs = slab_exchange(nprocs, side, dense)
+        (rnd,) = compute_global_plan(owns, needs, element_size=4).schedules[0].rounds
+        unbudgeted = round_protocol("auto", rnd, False)
+        assert unbudgeted == ("alltoallw" if dense else "p2p")
+        for k in (1, 4, 64):
+            with budget_scope(limit_bytes=k * rnd.max_round_bytes):
+                assert round_protocol("auto", rnd, False) == unbudgeted
+        with budget_scope(limit_bytes=rnd.max_round_bytes - 1):
+            assert round_protocol("auto", rnd, False) == "bounded"
+            # Nothing is staged on a direct transport: the limit is moot.
+            assert round_protocol("auto", rnd, True) == unbudgeted

@@ -157,6 +157,18 @@ class TestDistributedEqualsSerial:
             assert curl.shape == (y1 - y0, CFG.nx)
             assert np.array_equal(curl, reference[y0:y1]), (y0, y1)
 
+    def test_thread_and_process_executors_agree(self):
+        cfg = LbmConfig(nx=64, ny=32)
+
+        def fn(comm):
+            sim = DistributedLbm(comm, cfg)
+            sim.step(10)
+            return sim.interior.copy()
+
+        threads = spmd(4, fn, executor="thread")
+        forked = spmd(4, fn, executor="process")
+        assert all(map(np.array_equal, threads, forked))
+
     def test_too_many_ranks_rejected(self):
         def fn(comm):
             with pytest.raises(ValueError, match="one row each"):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Box, compute_global_plan
+from repro.core import Box, Redistributor, compute_global_plan
 from repro.netmodel import (
     COOLEY,
     P2P_PER_MESSAGE_S,
@@ -14,6 +14,7 @@ from repro.netmodel import (
     point_to_point_cost,
     round_payloads,
 )
+from tests.conftest import slab_exchange, spmd
 
 
 def simple_plan(nprocs=4, n=16, esize=4):
@@ -134,6 +135,20 @@ class TestEngineCost:
         auto = engine_cost(COOLEY, plan, "auto")
         assert auto.round_engines == ("alltoallw",)
         assert auto.total_s == engine_cost(COOLEY, plan, "alltoallw").total_s
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["ring", "transpose"])
+    def test_auto_rounds_equal_the_executed_choices(self, dense):
+        nprocs = 8
+        owns, needs = slab_exchange(nprocs, 64, dense)
+
+        def fn(comm):
+            red = Redistributor(comm, ndims=2, dtype=np.float32, backend="auto")
+            red.setup(own=owns[comm.rank], need=needs[comm.rank])
+            return red.engine_choices()
+
+        predicted = engine_cost(COOLEY, compute_global_plan(owns, needs, 4), "auto")
+        assert predicted.round_engines == (("alltoallw",) if dense else ("p2p",))
+        assert spmd(nprocs, fn) == [list(predicted.round_engines)] * nprocs
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -1,11 +1,13 @@
 """OverloadController: ladder dynamics, admission, shed, circuit breaker."""
 
+import threading
 import time
 
 import pytest
 
 from repro.obs import tracing
 from repro.serve import (
+    AdmissionError,
     ConsumerLayout,
     FrameHub,
     HubSaturatedError,
@@ -142,6 +144,51 @@ class TestHubIntegration:
             hub.register(ConsumerLayout.make(NX, NY, mip=2))
         assert info.value.status == 503
         assert hub.stats()["admission"]["rejected"] == 2
+        hub.close()
+
+    def test_double_admission_load_is_refused_typed(self):
+        cap, per_layout, frames = 8, 3, 12
+        controller = OverloadController()
+        hub = FrameHub(NX, NY, m=M, max_viewers=cap,
+                       max_viewers_per_layout=per_layout, overload=controller)
+        layouts = [ConsumerLayout.make(NX, NY, mip=mip) for mip in (0, 1, 2)]
+        layouts.append(ConsumerLayout.make(NX, NY, x=8, y=4, w=16, h=8))
+        # Flood one layout past its cap (429s), then spread the rest of the
+        # 2x offered load round-robin until the hub-wide cap (503s).
+        offers = [layouts[0]] * (per_layout + 2)
+        offers += [layouts[1 + i % 3] for i in range(2 * cap - len(offers))]
+        admitted, refused = [], []
+        for layout in offers:
+            try:
+                admitted.append(hub.register(layout))
+            except AdmissionError as exc:
+                refused.append(exc)
+        assert len(admitted) == cap and len(refused) == cap
+        assert all(isinstance(e, (HubSaturatedError, LayoutSaturatedError)) for e in refused)
+        assert {e.status for e in refused} == {429, 503}
+        assert all(e.retry_after_s > 0 for e in refused)
+
+        seen = [-1] * cap  # last frame index each admitted viewer popped
+
+        def consume(i):
+            while seen[i] < frames - 1:
+                seen[i] = admitted[i].pop(timeout=10.0).index
+
+        consumers = [threading.Thread(target=consume, args=(i,), daemon=True) for i in range(cap)]
+        for thread in consumers:
+            thread.start()
+        for index, slabs in SyntheticSource(NX, NY, m=M).frames(frames):
+            hub.publish(index, slabs, force=index == frames - 1)
+            # Prompt consumers: every viewer takes a frame before the next
+            # one is published, so nothing here is overload.
+            deadline = time.monotonic() + 10.0
+            while min(seen) < index and time.monotonic() < deadline:
+                time.sleep(0.001)
+        for thread in consumers:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in consumers)
+        assert seen == [frames - 1] * cap
+        assert controller.level == 0 and controller.shed_total == 0
         hub.close()
 
     def test_mip_rung_coarsens_new_registrations(self):

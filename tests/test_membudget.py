@@ -9,6 +9,7 @@ from repro.mpisim.errors import MemoryBudgetError, MpiSimError
 from repro.utils.membudget import (
     MEMORY_BUDGET,
     MemoryBudget,
+    _limit_from_env,
     auditing_memory,
     budget_scope,
 )
@@ -100,6 +101,25 @@ class TestBudgetScope:
         with pytest.raises(ValueError, match="not both"):
             with budget_scope(1, limit_bytes=1024):
                 pass
+
+    def test_rejects_negative_limit_before_touching_the_ledger(self):
+        with budget_scope(limit_bytes=4096):
+            MEMORY_BUDGET.reserve(100, rank=0)
+            with pytest.raises(ValueError, match=">= 0"):
+                with budget_scope(limit_bytes=-1):
+                    pass
+            assert (MEMORY_BUDGET.limit_bytes, MEMORY_BUDGET.used_bytes(0)) == (4096, 100)
+
+
+@pytest.mark.parametrize("raw", ["-1", "0", "abc", "nan", "inf"])
+def test_env_limit_rejects_unusable_values_by_name(monkeypatch, raw):
+    # The environment is input from outside the program: a value that would
+    # refuse every reservation (or kill the import) names its variable.
+    monkeypatch.setenv("DDR_MEM_BUDGET_MB", raw)
+    with pytest.raises(ValueError, match=f"DDR_MEM_BUDGET_MB='{raw}'"):
+        _limit_from_env()
+    monkeypatch.setenv("DDR_MEM_BUDGET_MB", " 1.5 ")
+    assert _limit_from_env() == 3 << 19
 
 
 class TestAudit:

@@ -65,6 +65,23 @@ class TestDistributedMip:
         assert np.array_equal(results[0], serial)
         assert all(r is None for r in results[1:])
 
+    def test_thread_and_process_executors_agree(self):
+        dims = (24, 24, 24)
+        volume = phantom_volume("brain", VolumeSpec(*dims, np.float32)).astype(np.float64)
+        boxes = grid_boxes(dims, (2, 2, 1))
+
+        def fn(comm):
+            box = boxes[comm.rank]
+            x0, y0, z0 = box.offset
+            w, h, d = box.dims
+            partial = mip_project(volume[z0 : z0 + d, y0 : y0 + h, x0 : x0 + w], "z")
+            return composite_distributed_mip(comm, box, partial, dims, axis="z")
+
+        threads = spmd(4, fn, executor="thread")
+        forked = spmd(4, fn, executor="process")
+        assert np.array_equal(threads[0], forked[0])
+        assert threads[1:] == forked[1:] == [None] * 3
+
     def test_shape_checked(self):
         from repro.core import Box
 
