@@ -9,12 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitio import BitReader, BitWriter
 
 
 @dataclass(frozen=True)
 class HuffmanTable:
-    """One DC or AC table: DHT payload plus encode/decode maps."""
+    """One DC or AC table: DHT payload plus encode/decode maps.
+
+    ``codes[s]`` / ``lengths[s]`` are the same encode map as read-only
+    256-entry arrays for the array-at-a-time scan coder; ``lengths[s] == 0``
+    means symbol ``s`` has no code.
+    """
 
     bits: tuple[int, ...]  # 16 counts
     values: tuple[int, ...]
@@ -26,8 +33,12 @@ class HuffmanTable:
             raise ValueError(
                 f"bits declare {sum(self.bits)} codes but {len(self.values)} values given"
             )
+        if any(not 0 <= symbol <= 255 for symbol in self.values):
+            raise ValueError("Huffman symbols must be bytes (0..255)")
         encode: dict[int, tuple[int, int]] = {}
         decode: dict[tuple[int, int], int] = {}
+        codes = np.zeros(256, dtype=np.uint64)
+        lengths = np.zeros(256, dtype=np.uint8)
         code = 0
         index = 0
         for length in range(1, 17):
@@ -35,11 +46,16 @@ class HuffmanTable:
                 symbol = self.values[index]
                 encode[symbol] = (code, length)
                 decode[(length, code)] = symbol
+                codes[symbol], lengths[symbol] = code, length
                 code += 1
                 index += 1
             code <<= 1
+        codes.flags.writeable = lengths.flags.writeable = False
+        # Frozen dataclass: derived state goes in through object.__setattr__.
         object.__setattr__(self, "_encode", encode)
         object.__setattr__(self, "_decode", decode)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "lengths", lengths)
 
     def encode_symbol(self, writer: BitWriter, symbol: int) -> None:
         try:

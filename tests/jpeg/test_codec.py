@@ -177,6 +177,19 @@ class TestCodecEndToEnd:
             encode_rgb(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(ValueError):
             encode_rgb(np.zeros((4, 4, 3), dtype=np.uint8), subsampling="422")
+        # SOF0 / DRI fields are 16 bits and a frame has no empty side.
+        gray = np.zeros((16, 16), dtype=np.uint8)
+        for restart_interval in (-1, 70000, 2.5):
+            with pytest.raises(ValueError, match="restart_interval.*got"):
+                encode_gray(gray, restart_interval=restart_interval)
+        with pytest.raises(ValueError, match="height.*got 0"):
+            encode_gray(np.zeros((0, 16), dtype=np.uint8))
+        with pytest.raises(ValueError, match="width.*got 0"):
+            encode_rgb(np.zeros((16, 0, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="height.*got 65536"):
+            encode_gray(np.zeros((65536, 1), dtype=np.uint8))
+        with pytest.raises(ValueError, match="width.*got 65536"):
+            encode_rgb(np.zeros((1, 65536, 3), dtype=np.uint8))
 
     def test_decoder_rejects_garbage(self):
         with pytest.raises(JpegError):
