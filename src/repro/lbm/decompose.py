@@ -27,7 +27,7 @@ def neighbors(nprocs: int, rank: int) -> tuple[int, int]:
     """(above, below) ranks with periodic wrap.
 
     The wrap traffic only ever lands in boundary rows that the driver
-    overwrites with the inflow condition, mirroring the serial solver's
-    periodic ``np.roll`` + boundary re-imposition.
+    overwrites with the inflow condition, as the serial solver overwrites
+    the edge rows its streaming leaves stale.
     """
     return (rank - 1) % nprocs, (rank + 1) % nprocs

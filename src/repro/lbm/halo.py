@@ -11,24 +11,22 @@ TAG_UP = 101
 TAG_DOWN = 102
 
 
-def exchange_ghost_rows(comm: Communicator, f: np.ndarray) -> None:
+def exchange_ghost_rows(comm: Communicator, f: np.ndarray, buffers: np.ndarray) -> None:
     """Fill ghost rows 0 and -1 of a ``(9, h+2, nx)`` slab in place.
 
     Row 1 (the top interior row) goes to the neighbor above; row ``h`` (the
     bottom interior row) goes to the neighbor below; their counterparts fill
-    our ghosts.  Single-rank runs copy locally (periodic wrap).
+    our ghosts.  Single-rank runs copy locally (periodic wrap).  ``buffers``
+    is the caller's ``(4, 9, nx)`` staging, reusable at once: sends are eager.
     """
-    above, below = neighbors(comm.size, comm.rank)
-    top_interior = np.ascontiguousarray(f[:, 1, :])
-    bottom_interior = np.ascontiguousarray(f[:, -2, :])
-
     if comm.size == 1:
-        f[:, 0, :] = bottom_interior
-        f[:, -1, :] = top_interior
+        f[:, 0, :] = f[:, -2, :]
+        f[:, -1, :] = f[:, 1, :]
         return
-
-    top_ghost = np.empty_like(top_interior)
-    bottom_ghost = np.empty_like(bottom_interior)
+    top_interior, bottom_interior, top_ghost, bottom_ghost = buffers
+    top_interior[...] = f[:, 1, :]
+    bottom_interior[...] = f[:, -2, :]
+    above, below = neighbors(comm.size, comm.rank)
     # Post BOTH sends before any receive: sends are eager (buffered), so
     # this cannot deadlock even when above == below (two-rank ring).
     comm.Send(top_interior, above, tag=TAG_UP)

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .d2q9 import (
-    bounce_back,
-    collide,
-    equilibrium,
-    macroscopics,
-    omega_from_viscosity,
-    stream,
-)
+from .d2q9 import Kernel, equilibrium, macroscopics, omega_from_viscosity
 from .fields import vorticity
 
 
@@ -66,6 +59,9 @@ class LbmConfig:
         return max(self.ny / 6.0, 1.0)
 
     def __post_init__(self) -> None:
+        for name in ("nx", "ny"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"domain {self.nx}x{self.ny} too small (min 4x4)")
         if not (0 < self.u0 < 0.3):
@@ -106,36 +102,65 @@ class LbmConfig:
 
 
 class SerialLbm:
-    """Whole-domain reference solver."""
+    """Whole-domain reference solver, and the step both solvers run.
+
+    ``f`` is the live population buffer: a step streams into a second one
+    and swaps them, so assign into ``f`` but do not hold it across ``step``.
+    ``solid`` may be edited between ``step`` calls (its cells are looked up
+    at the top of each call).
+    """
 
     def __init__(self, config: LbmConfig) -> None:
+        self._allocate(config, 0, config.ny, ghosts=0)
+
+    def _allocate(self, config: LbmConfig, y0: int, y1: int, ghosts: int) -> None:
         self.config = config
-        self.solid = config.barrier_mask()
-        self.f = config.inflow_equilibrium(config.ny).copy()
+        self.y0, self.y1, self.rows = y0, y1, y1 - y0
+        self.solid = config.barrier_mask((y0, y1))
+        self.f = config.inflow_equilibrium(self.rows + 2 * ghosts)
         self.step_count = 0
+        self._back = np.empty_like(self.f)
+        self._edge = config.inflow_equilibrium(1)[:, 0, :]  # (9, nx)
+        self._kernel = Kernel(self.rows, config.nx)
+
+    @property
+    def interior(self) -> np.ndarray:
+        """The populations of rows ``[y0, y1)``, ``(9, rows, nx)``."""
+        return self.f
 
     def step(self, n: int = 1) -> None:
-        config = self.config
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"step count must be a non-negative integer, got {n!r}")
+        omega, kernel = self.config.omega, self._kernel
+        solid = np.nonzero(self.solid)
         for _ in range(n):
-            collide(self.f, config.omega, skip=self.solid)
-            stream(self.f)
-            bounce_back(self.f, self.solid)
+            kernel.collide(self.interior, omega, solid)
+            self._exchange_ghosts()
+            kernel.stream(self.f, self._back[:, 1:-1, 1:-1])
+            self.f, self._back = self._back, self.f
+            kernel.bounce_back(self.interior, solid)
             self._apply_boundaries()
             self.step_count += 1
 
+    def _exchange_ghosts(self) -> None:
+        """Nothing to fetch: the whole domain is here."""
+
     def _apply_boundaries(self) -> None:
-        """Re-impose uniform inflow on all four domain borders."""
-        edge = self.config.inflow_equilibrium(1)[:, 0, :]  # (9, nx)
-        self.f[:, 0, :] = edge
-        self.f[:, -1, :] = edge
+        """Re-impose uniform inflow on the domain borders this solver holds."""
+        edge, interior = self._edge, self.interior
         col = edge[:, :1]  # (9, 1) uniform value per direction
-        self.f[:, :, 0] = col
-        self.f[:, :, -1] = col
+        interior[:, :, 0] = col
+        interior[:, :, -1] = col
+        if self.y0 == 0:
+            interior[:, 0, :] = edge
+        if self.y1 == self.config.ny:
+            interior[:, -1, :] = edge
 
     # -- observables --------------------------------------------------------
 
     def macroscopics(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return macroscopics(self.f)
+        """Density and velocity of the interior, ``(rows, nx)`` each."""
+        return macroscopics(self.interior)
 
     def vorticity(self) -> np.ndarray:
         _, ux, uy = self.macroscopics()

@@ -45,6 +45,37 @@ class TestConfig:
     def test_omega_range(self):
         assert 0 < CFG.omega < 2
 
+    @pytest.mark.parametrize("bad", [
+        {"viscosity": float("nan")},  # omega = nan: the lattice was NaN two steps later
+        {"viscosity": float("inf")},  # omega = 0.0: nothing ever relaxes
+        {"nx": 8.0},  # used to surface as a TypeError inside np.zeros
+        {"ny": "8"},
+        {"u0": float("nan")},
+    ])
+    def test_non_finite_and_non_integer_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            LbmConfig(**{"nx": 8, "ny": 8, **bad})
+
+    def test_numpy_integer_extents_accepted(self):
+        assert LbmConfig(nx=np.int64(8), ny=np.int32(8)).barrier_mask().shape == (8, 8)
+
+    @pytest.mark.parametrize("bad", [-3, 1.5, "2", None])
+    def test_step_count_validated_by_both_solvers(self, bad):
+        serial = SerialLbm(LbmConfig(nx=8, ny=8))
+        with pytest.raises(ValueError, match="step count"):
+            serial.step(bad)
+        assert serial.step_count == 0
+
+        def fn(comm):
+            sim = DistributedLbm(comm, LbmConfig(nx=8, ny=8))
+            with pytest.raises(ValueError, match="step count"):
+                sim.step(bad)
+            sim.step(0)
+            sim.step(np.int64(2))
+            return sim.step_count
+
+        assert spmd(2, fn) == [2, 2]
+
 
 class TestSerialPhysics:
     def test_initial_state_is_uniform_flow(self):
