@@ -208,33 +208,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    if args.edge and (args.crashes or args.resizes or args.memory):
-        print("error: --edge is mutually exclusive with "
-              "--crashes/--resizes/--memory",
-              file=sys.stderr)
-        return 2
-    if args.edge:
-        from .faults.edgechaos import run_edge_chaos
+    from .faults.chaos import run_chaos
 
-        report = run_edge_chaos(
-            seed=args.seed,
-            runs=args.runs,
-            clients=args.clients,
-            log=None if args.quiet else print,
-        )
-    else:
-        from .faults.chaos import run_chaos
-
+    try:
         report = run_chaos(
+            args.scenario,
             seed=args.seed,
             runs=args.runs,
             ops=args.ops,
             nprocs=args.nprocs,
+            clients=args.clients,
             log=None if args.quiet else print,
-            crashes=args.crashes,
-            resizes=args.resizes,
-            memory=args.memory,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.summary())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -454,43 +442,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "chaos",
-        help="randomized fault-injection sweep (self-healing gate)",
-        description="Run seeded random fault schedules against every "
-        "engine x transport combination (plus in-transit pipeline runs) "
-        "and require bitwise-correct output or a clean typed error; hangs, "
-        "bare exceptions, and silent corruption fail.  Exit 0 iff all "
-        "runs pass.",
+        help="seeded chaos sweep (self-healing gate): one runner, five scenarios",
+        description="Run seeded chaos cases of one scenario — the message "
+        "sweep (random fault schedules against every engine x transport "
+        "combination plus in-transit pipeline runs) unless a flag picks "
+        "another — and require bitwise-correct output, degradation by "
+        "policy, or a clean typed error; hangs, bare exceptions, and silent "
+        "corruption fail.  Exit 0 iff all runs pass, 2 on bad arguments.",
     )
     pc.add_argument("--seed", type=int, default=0, help="base plan seed")
     pc.add_argument("--runs", type=int, default=50,
-                    help="number of randomized schedules (default 50)")
-    pc.add_argument("--ops", type=int, default=200,
-                    help="fault-injection horizon in transport ops per rank")
-    pc.add_argument("--nprocs", type=int, default=4,
-                    help="ranks per run (default 4)")
-    pc.add_argument("--crashes", action="store_true",
-                    help="single-crash mode: kill one rank per run and "
-                    "require ULFM-style shrink/recover (resilient workloads)")
-    pc.add_argument("--resizes", action="store_true",
-                    help="resize mode: seeded mid-epoch grow/shrink "
-                    "schedules (rank spawn + retire) under self-healing "
-                    "faults; requires bitwise-correct output or a typed "
-                    "error")
-    pc.add_argument("--memory", action="store_true",
-                    help="memory-pressure mode: run every schedule under a "
-                    "staging budget shrinking from the workload's measured "
-                    "peak, with seeded allocation faults; requires "
-                    "bitwise-correct output (bounded/auto lowering), "
-                    "degraded-by-policy frames, or a typed "
-                    "MemoryBudgetError — never an OOM kill or hang")
-    pc.add_argument("--edge", action="store_true",
-                    help="edge mode: storm a live serving edge with seeded "
-                    "misbehaving clients (slow-loris, garbage, WS "
-                    "violations, half-closed sockets, connect floods, "
-                    "never-reading consumers); requires OK / "
-                    "degraded-by-policy / typed-error outcomes")
-    pc.add_argument("--clients", type=int, default=5,
-                    help="misbehaving clients per edge storm (default 5)")
+                    help="number of seeded cases (default 50)")
+    pc.add_argument("--ops", type=int, default=None,
+                    help="fault-injection horizon in transport ops per rank "
+                    "(transport scenarios; default 200)")
+    pc.add_argument("--nprocs", type=int, default=None,
+                    help="ranks per run (transport scenarios; default 4)")
+    scenario = pc.add_mutually_exclusive_group()
+    scenario.set_defaults(scenario="message")
+    scenario.add_argument("--crashes", action="store_const", const="crash",
+                          dest="scenario",
+                          help="single-crash mode: kill one rank per run and "
+                          "require ULFM-style shrink/recover (resilient "
+                          "workloads)")
+    scenario.add_argument("--resizes", action="store_const", const="resize",
+                          dest="scenario",
+                          help="resize mode: seeded mid-epoch grow/shrink "
+                          "schedules (rank spawn + retire) under self-healing "
+                          "faults; requires bitwise-correct output or a typed "
+                          "error")
+    scenario.add_argument("--memory", action="store_const", const="memory",
+                          dest="scenario",
+                          help="memory-pressure mode: run every schedule under "
+                          "a staging budget shrinking from the workload's "
+                          "measured peak, with seeded allocation faults; "
+                          "requires bitwise-correct output (bounded/auto "
+                          "lowering), degraded-by-policy frames, or a typed "
+                          "MemoryBudgetError — never an OOM kill or hang")
+    scenario.add_argument("--edge", action="store_const", const="edge",
+                          dest="scenario",
+                          help="edge mode: storm a live serving edge with "
+                          "seeded misbehaving clients (slow-loris, garbage, WS "
+                          "violations, half-closed sockets, connect floods, "
+                          "never-reading consumers); requires OK / "
+                          "degraded-by-policy / typed-error outcomes")
+    pc.add_argument("--clients", type=int, default=None,
+                    help="misbehaving clients per edge storm (--edge; default 5)")
     pc.add_argument("--json", metavar="PATH", default=None,
                     help="write the machine-readable report to PATH")
     pc.add_argument("--quiet", action="store_true",

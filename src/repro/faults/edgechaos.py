@@ -3,11 +3,11 @@
 The serving stack (:mod:`repro.serve`) claims it survives hostile
 traffic: slow-loris header drips, garbage bytes, WebSocket protocol
 violations, half-closed sockets, connect floods, and consumers that never
-read.  This harness makes that claim falsifiable the same way
-:mod:`repro.faults.chaos` does for the transport fabric — each run boots a
-real hub + edge with tight limits, publishes real frames throughout,
-storms it with a seeded mix of misbehaving clients, and demands one of
-exactly three healthy outcomes:
+read.  The ``edge`` scenario of :func:`repro.faults.chaos.run_chaos` makes
+that claim falsifiable the same way the other four do for the transport
+fabric — each run (:func:`storm`) boots a real hub + edge with tight
+limits, publishes real frames throughout, storms it with a seeded mix of
+misbehaving clients, and demands one of exactly three healthy outcomes:
 
 * **OK** — the edge absorbed everything without engaging any policy;
 * **DEGRADED** (by policy) — the overload ladder engaged, viewers were
@@ -18,9 +18,8 @@ exactly three healthy outcomes:
 A run **FAILS** when the edge stops answering health checks afterwards,
 viewers never return to zero (stuck handlers), or event-loop tasks leak.
 ``python -m repro chaos --edge`` drives this from the command line and CI.
-
-Like :mod:`repro.faults.chaos`, this module imports the whole runtime and
-is not re-exported from :mod:`repro.faults`.
+This module holds only the clients and the storm; seeding, classification
+of escaped exceptions and reporting are the runner's.
 """
 
 from __future__ import annotations
@@ -37,19 +36,9 @@ from ..serve.edge import EdgeLimits, StreamEdge
 from ..serve.hub import FrameHub
 from ..serve.overload import OverloadController, SloPolicy
 from ..serve.producer import SyntheticSource
-from .chaos import DEGRADED, FAILED, OK, TYPED_ERROR, ChaosReport, ChaosRun
+from .chaos import DEGRADED, OK, TYPED_ERROR, ChaosVerificationError
 
-__all__ = ["BEHAVIORS", "run_edge_chaos"]
-
-#: Misbehaving-client behaviors a seeded plan draws from.
-BEHAVIORS = (
-    "slow_loris",
-    "garbage",
-    "ws_violation",
-    "half_closed",
-    "connect_flood",
-    "never_reading",
-)
+__all__ = ["BEHAVIORS", "storm"]
 
 #: Typed-refusal statuses the edge is allowed (expected) to answer with.
 _TYPED_STATUSES = frozenset({400, 404, 405, 408, 429, 503})
@@ -69,10 +58,6 @@ _TYPED_COUNTERS = (
     "serve.conns_rejected",
     "serve.ws_protocol_errors",
 )
-
-
-class _EdgeChaosFailure(AssertionError):
-    """The edge did not survive the storm in a healthy state."""
 
 
 # -- low-level client plumbing ------------------------------------------------
@@ -163,19 +148,15 @@ def _do_ws_violation(port: int, rng: random.Random, limits: EdgeLimits) -> dict:
         if not head.startswith(b"HTTP/1.1 101"):
             # Admission refused the upgrade — a typed response, also fine.
             return {"behavior": "ws_violation", "status": _status_of(head)}
-        kind = rng.choice(("rsv", "opcode", "oversized", "fragmented"))
-        if kind == "rsv":
-            frame = bytes([0xC2, 0x81, 1, 2, 3, 4]) + b"x"  # RSV bits set
-        elif kind == "opcode":
-            frame = bytes([0x83, 0x80, 0, 0, 0, 0])  # reserved opcode 0x3
-        elif kind == "fragmented":
-            frame = bytes([0x02, 0x81, 0, 0, 0, 0]) + b"x"  # FIN=0
-        else:  # declared length far past the payload cap
-            frame = bytes([0x82, 0xFF]) + struct.pack(
-                ">Q", limits.max_ws_payload + 1
-            ) + bytes(4)
+        oversized = struct.pack(">Q", limits.max_ws_payload + 1) + bytes(4)
+        violations = {
+            "rsv": bytes([0xC2, 0x81, 1, 2, 3, 4]) + b"x",  # RSV bits set
+            "opcode": bytes([0x83, 0x80, 0, 0, 0, 0]),  # reserved opcode 0x3
+            "oversized": bytes([0x82, 0xFF]) + oversized,  # length past the payload cap
+            "fragmented": bytes([0x02, 0x81, 0, 0, 0, 0]) + b"x",  # FIN=0
+        }
         try:
-            sock.sendall(frame)
+            sock.sendall(violations[rng.choice(tuple(violations))])
         except OSError:
             pass
         close = _recv_all(sock, limit=1 << 16)
@@ -255,20 +236,16 @@ def _do_well_behaved(port: int, rng: random.Random, limits: EdgeLimits) -> dict:
     includes honoring typed 429/503 + ``Retry-After`` refusals mid-flood —
     the client retries and must be served once the burst clears."""
     query = rng.choice(("", "?mip=1", "?w=24&h=16&parts=2"))
-    status, retries = None, 0
+    status, retries, served = None, 0, False
     for attempt in range(6):
         response = _http_get(port, f"/frame{query}", timeout=6.0)
         status = _status_of(response)
-        if status == 200 and b"\xff\xd8" in response:  # JPEG SOI marker
-            return {
-                "behavior": "well_behaved", "status": status, "ok": True,
-                "retries": retries,
-            }
-        if status not in (429, 503):
+        served = status == 200 and b"\xff\xd8" in response  # JPEG SOI marker
+        if served or status not in (429, 503):
             break
         retries += 1
         time.sleep(0.3)
-    return {"behavior": "well_behaved", "status": status, "ok": False,
+    return {"behavior": "well_behaved", "status": status, "ok": served,
             "retries": retries}
 
 
@@ -282,32 +259,40 @@ _CLIENTS: dict[str, Callable] = {
     "well_behaved": _do_well_behaved,
 }
 
+#: Misbehaving-client behaviors a seeded plan draws from.
+BEHAVIORS = tuple(name for name in _CLIENTS if name != "well_behaved")
+
 
 # -- one storm ----------------------------------------------------------------
 
 
-def _chaos_limits() -> EdgeLimits:
-    """Tight limits so every guard trips inside a ~2 s storm."""
-    return EdgeLimits(
-        max_header_lines=32,
-        max_header_bytes=4096,
-        request_deadline_s=0.5,
-        max_conns=12,
-        max_ws_payload=1 << 16,
-        retry_after_s=1.0,
-        write_stall_timeout_s=0.5,
-        write_buffer_bytes=8192,
-        drain_timeout_s=3.0,
-        sock_sndbuf=4096,
-    )
+#: Tight limits so every guard trips inside a ~2 s storm.
+CHAOS_LIMITS = EdgeLimits(
+    max_header_lines=32,
+    max_header_bytes=4096,
+    request_deadline_s=0.5,
+    max_conns=12,
+    max_ws_payload=1 << 16,
+    retry_after_s=1.0,
+    write_stall_timeout_s=0.5,
+    write_buffer_bytes=8192,
+    drain_timeout_s=3.0,
+    sock_sndbuf=4096,
+)
 
 
-def _storm(
-    index: int, plan_seed: int, clients: int, log=None
-) -> tuple[str, str, int, dict]:
-    """One boot-storm-verify cycle: (outcome, error, injected, stats)."""
+def storm(plan_seed: int, clients: int, stats: dict) -> str:
+    """One boot-storm-verify cycle; returns the outcome label.
+
+    ``plan_seed`` draws ``clients`` behaviours from :data:`BEHAVIORS` (plus
+    one cooperative viewer that must still be served).  ``stats["clients"]``
+    collects each client's result as it reports — readable even when the
+    storm raises — and the edge counters join it on success.  An edge that
+    did not survive in a healthy state raises
+    :class:`~repro.faults.chaos.ChaosVerificationError`.
+    """
     rng = random.Random(plan_seed)
-    limits = _chaos_limits()
+    limits = CHAOS_LIMITS
     controller = OverloadController(
         SloPolicy(breach_steps=2, clear_steps=3, stall_timeout_s=10.0)
     )
@@ -335,8 +320,7 @@ def _storm(
     producer = threading.Thread(target=produce, name="chaos-producer", daemon=True)
     producer.start()
 
-    outcome, error = OK, ""
-    results: list[dict] = []
+    results: list[dict] = stats["clients"]
     try:
         # Let the hub publish a few frames, then measure the task baseline.
         time.sleep(0.1)
@@ -368,12 +352,12 @@ def _storm(
         for thread in threads:
             thread.join(timeout=limits.write_stall_timeout_s + 10.0)
         if any(thread.is_alive() for thread in threads):
-            raise _EdgeChaosFailure("a chaos client hung past its deadline")
+            raise ChaosVerificationError("a chaos client hung past its deadline")
 
         # -- post-storm health -------------------------------------------
         health = _http_get(edge.port, "/healthz")
         if _status_of(health) != 200:
-            raise _EdgeChaosFailure(
+            raise ChaosVerificationError(
                 f"/healthz did not answer 200 after the storm: {health[:80]!r}"
             )
         stats_raw = _http_get(edge.port, "/stats")
@@ -381,36 +365,30 @@ def _storm(
         stats_json = json.loads(body)
 
         deadline = time.monotonic() + 5.0
-        while hub.viewer_count() > 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if hub.viewer_count() > 0:
-            raise _EdgeChaosFailure(
-                f"{hub.viewer_count()} viewers still registered after the "
-                f"storm — a handler is stuck"
-            )
-        while edge.task_count() > baseline_tasks and time.monotonic() < deadline:
-            time.sleep(0.05)
-        leaked = edge.task_count() - baseline_tasks
-        if leaked > 0:
-            raise _EdgeChaosFailure(
-                f"{leaked} event-loop tasks leaked past the storm"
-            )
+        for what, held in (
+            ("viewers still registered — a handler is stuck", hub.viewer_count),
+            ("event-loop tasks leaked", lambda: edge.task_count() - baseline_tasks),
+        ):
+            while held() > 0 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            if held() > 0:
+                raise ChaosVerificationError(f"{held()} {what} past the storm")
 
         # A cooperative viewer must have been served a real frame.
         for result in results:
             if result["behavior"] == "well_behaved" and not result.get("ok"):
-                raise _EdgeChaosFailure(
+                raise ChaosVerificationError(
                     f"well-behaved viewer was not served: {result}"
                 )
         for result in results:
             if "client_error" in result:
-                raise _EdgeChaosFailure(
+                raise ChaosVerificationError(
                     f"chaos client {result['behavior']} died untyped: "
                     f"{result['client_error']}"
                 )
             status = result.get("status")
             if status is not None and status not in _TYPED_STATUSES | {101, 200}:
-                raise _EdgeChaosFailure(
+                raise ChaosVerificationError(
                     f"{result['behavior']} got untyped status {status}"
                 )
 
@@ -421,75 +399,22 @@ def _storm(
         typed = any(counters.get(name, 0) for name in _TYPED_COUNTERS) or any(
             r.get("status") in _TYPED_STATUSES for r in results
         )
-        if degraded:
-            outcome = DEGRADED
-        elif typed:
-            outcome = TYPED_ERROR
-        stats = {
-            "ladder_level": controller.level,
-            "transitions": len(controller.transitions),
-            "shed_total": controller.shed_total,
-            "viewers_after": stats_json["viewers"],
-            "clients": results,
-            "counters": {
+        stats.update(
+            ladder_level=controller.level,
+            transitions=len(controller.transitions),
+            shed_total=controller.shed_total,
+            viewers_after=stats_json["viewers"],
+            counters={
                 name: counters.get(name, 0)
                 for name in _DEGRADE_COUNTERS + _TYPED_COUNTERS
                 if counters.get(name, 0)
             },
-        }
-    except _EdgeChaosFailure as exc:
-        outcome, error, stats = FAILED, str(exc), {"clients": results}
-    except Exception as exc:  # noqa: BLE001 - bare exceptions fail the run
-        outcome, error = FAILED, f"{type(exc).__name__}: {exc}"
-        stats = {"clients": results}
+        )
     finally:
         stop.set()
         producer.join(timeout=5.0)
         edge.shutdown()
         hub.close()
     if producer.is_alive():
-        outcome, error = FAILED, "producer thread failed to stop"
-    return outcome, error, len(results), stats
-
-
-def run_edge_chaos(
-    seed: int = 0, runs: int = 20, clients: int = 5, log=None
-) -> ChaosReport:
-    """Sweep ``runs`` seeded client storms against live serving edges.
-
-    Run ``i`` uses plan seed ``seed + i`` to draw ``clients`` misbehaving
-    clients from :data:`BEHAVIORS` (plus one cooperative viewer that must
-    still be served).  Outcomes reuse the transport-chaos vocabulary:
-    ``ok``, ``degraded`` (by policy), ``typed-error``, ``failed`` — only
-    ``failed`` gates CI.
-    """
-    report = ChaosReport()
-    for index in range(runs):
-        plan_seed = seed + index
-        started = time.perf_counter()
-        outcome, error, injected, stats = _storm(index, plan_seed, clients, log)
-        run = ChaosRun(
-            index=index,
-            seed=plan_seed,
-            workload="edge-storm",
-            backend="serve",
-            transport="tcp",
-            outcome=outcome,
-            executor="asyncio",
-            error=error,
-            injected=injected,
-            duration_s=time.perf_counter() - started,
-            stats=stats,
-        )
-        report.runs.append(run)
-        if log is not None:
-            mark = "PASS" if run.passed else "FAIL"
-            behaviors = ",".join(
-                sorted({c["behavior"] for c in stats.get("clients", [])})
-            )
-            log(
-                f"[{mark}] run {index:3d} seed {plan_seed} edge-storm "
-                f"{outcome:<11} clients={injected} {run.duration_s:.2f}s "
-                f"[{behaviors}]" + (f"  {error}" if error else "")
-            )
-    return report
+        raise ChaosVerificationError("producer thread failed to stop")
+    return DEGRADED if degraded else TYPED_ERROR if typed else OK

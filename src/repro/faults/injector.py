@@ -67,6 +67,22 @@ def _errors():
     return errors
 
 
+def _sleep(duration_s: float, span: str, /, **attrs: Any) -> None:
+    """Stall the calling rank, under a ``fault.*`` span when tracing."""
+    if TRACER.enabled:
+        with TRACER.span(span, **attrs):
+            time.sleep(duration_s)
+    else:
+        time.sleep(duration_s)
+
+
+def _mark(span: str, /, **attrs: Any) -> None:
+    """Record an instantaneous ``fault.*`` event when tracing."""
+    if TRACER.enabled:
+        with TRACER.span(span, **attrs):
+            pass
+
+
 class FaultStats:
     """Thread-safe counters for injected faults and recoveries."""
 
@@ -107,6 +123,9 @@ class FaultLayer:
         self.active = False
         self.plan: Optional[FaultPlan] = None
         self.policy = ReliabilityPolicy()
+        self._reset()
+
+    def _reset(self) -> None:
         self.stats = FaultStats()
         # Per-rank transport op counters and drop counts.  Each rank is one
         # thread and only touches its own key, so plain dicts are safe.
@@ -128,12 +147,7 @@ class FaultLayer:
         """Install ``plan`` (resetting op counters and stats) and activate."""
         self.plan = plan
         self.policy = policy if policy is not None else ReliabilityPolicy()
-        self.stats = FaultStats()
-        self._ops = {}
-        self._drops = {}
-        self._allocs = {}
-        self._crashed = set()
-        self.pending_retries = {}
+        self._reset()
         self.active = True
 
     def clear(self) -> None:
@@ -174,9 +188,7 @@ class FaultLayer:
         if self.plan.crashes(rank, op):
             self.stats.incr("crashes")
             self._crashed.add(rank)
-            if TRACER.enabled:
-                with TRACER.span("fault.crash", rank=rank, op=op):
-                    pass
+            _mark("fault.crash", rank=rank, op=op)
             raise _errors().RankCrashError(
                 f"rank {rank} crashed by fault plan at op {op} "
                 f"({self.plan.summary()})"
@@ -187,42 +199,41 @@ class FaultLayer:
         seconds = self.plan.delay_s(rank, op)
         if seconds > 0:
             self.stats.incr("delays")
-            if TRACER.enabled:
-                with TRACER.span("fault.delay", rank=rank, op=op, seconds=seconds):
-                    time.sleep(seconds)
-            else:
-                time.sleep(seconds)
+            _sleep(seconds, "fault.delay", rank=rank, op=op, seconds=seconds)
 
-    def _transient(self, point: str, rank: int, op: int) -> None:
-        """Simulate ``failures`` failed attempts healed by retry+backoff."""
-        assert self.plan is not None
-        failures = self.plan.transient_failures(point, rank, op)
-        if not failures:
-            return
-        self.stats.incr(f"transient_{point}", failures)
+    def _heal(
+        self, rank: int, failures: int, what: str, noun: str, error: str,
+        span: str, **attrs: Any,
+    ) -> None:
+        """``failures`` failed attempts healed in place by retry + exponential
+        backoff, or — past the retry budget — the typed ``error``."""
         allowed = 1 + self.policy.max_retries
         if failures >= allowed:
             self.stats.incr("retries", allowed - 1)
             self.stats.incr("retries_exhausted")
-            raise _errors().RetriesExhaustedError(
-                f"rank {rank} {point} op {op}: {failures} consecutive transient "
-                f"failures exceed the retry budget ({self.policy.max_retries})"
+            raise getattr(_errors(), error)(
+                f"rank {rank} {what}: {failures} consecutive {noun} failures "
+                f"exceed the retry budget ({self.policy.max_retries})"
             )
-        self.pending_retries[rank] = f"{point} op {op} ({failures} attempt(s))"
+        self.pending_retries[rank] = f"{what} ({failures} attempt(s))"
         try:
             for attempt in range(1, failures + 1):
                 self.stats.incr("retries")
                 backoff = self.policy.backoff_s(attempt)
-                if TRACER.enabled:
-                    with TRACER.span(
-                        "fault.retry", rank=rank, point=point, op=op,
-                        attempt=attempt, backoff_s=backoff,
-                    ):
-                        time.sleep(backoff)
-                else:
-                    time.sleep(backoff)
+                _sleep(backoff, span, rank=rank, attempt=attempt, backoff_s=backoff, **attrs)
         finally:
             self.pending_retries.pop(rank, None)
+
+    def _transient(self, point: str, rank: int, op: int) -> None:
+        """Simulate a transient send/recv failure healed by retry+backoff."""
+        assert self.plan is not None
+        failures = self.plan.transient_failures(point, rank, op)
+        if failures:
+            self.stats.incr(f"transient_{point}", failures)
+            self._heal(
+                rank, failures, f"{point} op {op}", "transient",
+                "RetriesExhaustedError", "fault.retry", point=point, op=op,
+            )
 
     def on_send(self, rank: int, message: Any) -> bool:
         """Consult the plan before posting; returns False when the caller
@@ -236,9 +247,7 @@ class FaultLayer:
         if self.plan.drop(rank, op, tag, self._drops.get(rank, 0)):
             self._drops[rank] = self._drops.get(rank, 0) + 1
             self.stats.incr("drops")
-            if TRACER.enabled:
-                with TRACER.span("fault.drop", rank=rank, op=op, tag=tag):
-                    pass
+            _mark("fault.drop", rank=rank, op=op, tag=tag)
             # The caller discards the message through the transport, which
             # releases a rendezvous sender / shm segment / budget charge.
             return False
@@ -273,11 +282,7 @@ class FaultLayer:
             message.payload = pristine
             message.pristine = None
             self.stats.incr("reretrieves")
-            if TRACER.enabled:
-                with TRACER.span(
-                    "fault.reretrieve", source=message.source, tag=message.tag
-                ):
-                    pass
+            _mark("fault.reretrieve", source=message.source, tag=message.tag)
             return
         raise _errors().CorruptionError(
             f"message from rank {message.source} tag {message.tag} failed its "
@@ -299,34 +304,15 @@ class FaultLayer:
         assert self.plan is not None
         op = self._allocs.get(rank, 0)
         self._allocs[rank] = op + 1
+        self.stats.incr("allocs")  # staged payloads: what a split lane multiplies
         failures = self.plan.alloc_failures(rank, op)
-        if not failures:
-            return
-        self.stats.incr("alloc_faults", failures)
-        allowed = 1 + self.policy.max_retries
-        if failures >= allowed:
-            self.stats.incr("retries", allowed - 1)
-            self.stats.incr("retries_exhausted")
-            raise _errors().MemoryBudgetError(
-                f"rank {rank} staging allocation {op} ({nbytes} bytes): "
-                f"{failures} consecutive allocation failures exceed the "
-                f"retry budget ({self.policy.max_retries})"
+        if failures:
+            self.stats.incr("alloc_faults", failures)
+            self._heal(
+                rank, failures, f"staging allocation {op} ({nbytes} bytes)",
+                "allocation", "MemoryBudgetError", "fault.alloc",
+                op=op, nbytes=nbytes,
             )
-        self.pending_retries[rank] = f"alloc op {op} ({failures} attempt(s))"
-        try:
-            for attempt in range(1, failures + 1):
-                self.stats.incr("retries")
-                backoff = self.policy.backoff_s(attempt)
-                if TRACER.enabled:
-                    with TRACER.span(
-                        "fault.alloc", rank=rank, op=op,
-                        nbytes=nbytes, attempt=attempt, backoff_s=backoff,
-                    ):
-                        time.sleep(backoff)
-                else:
-                    time.sleep(backoff)
-        finally:
-            self.pending_retries.pop(rank, None)
 
     def on_round_start(self, rank: int, round_index: int, attempt: int) -> None:
         """Engine hook: fail round entry ``attempt`` (0-based) if scheduled.
@@ -339,11 +325,7 @@ class FaultLayer:
         failures = self.plan.round_failures(rank, round_index)
         if attempt < failures:
             self.stats.incr("round_faults")
-            if TRACER.enabled:
-                with TRACER.span(
-                    "fault.round", rank=rank, round=round_index, attempt=attempt
-                ):
-                    pass
+            _mark("fault.round", rank=rank, round=round_index, attempt=attempt)
             raise _errors().TransientFaultError(
                 f"rank {rank} round {round_index}: injected entry failure "
                 f"(attempt {attempt})"
@@ -366,25 +348,16 @@ class FaultLayer:
             flat[index] ^= 0xFF
             message.pristine = payload
             message.payload = corrupted
-            if TRACER.enabled:
-                with TRACER.span("fault.corrupt", rank=rank, op=op, tag=tag):
-                    pass
+            _mark("fault.corrupt", rank=rank, op=op, tag=tag)
 
 
 #: Process-wide singleton every transport injection point consults.
 FAULTS = FaultLayer()
 
 
-def install_fault_plan(
-    plan: FaultPlan, policy: Optional[ReliabilityPolicy] = None
-) -> None:
-    """Install ``plan`` on the process-wide fault layer (see ``FAULTS``)."""
-    FAULTS.install(plan, policy)
-
-
-def clear_fault_plan() -> None:
-    """Remove the installed plan; the transport returns to zero-cost mode."""
-    FAULTS.clear()
+#: ``FAULTS.install`` / ``FAULTS.clear`` under their module-level names.
+install_fault_plan = FAULTS.install
+clear_fault_plan = FAULTS.clear
 
 
 @contextmanager

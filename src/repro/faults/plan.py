@@ -44,6 +44,10 @@ FAULT_KINDS = (
     KIND_ALLOC,
 )
 
+#: The per-operation probability knobs of a :class:`FaultPlan`.
+_PROBABILITIES = ("p_delay", "p_drop", "p_transient_send", "p_transient_recv",
+                  "p_corrupt", "p_round", "p_alloc")
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -110,8 +114,7 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if self.nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {self.nranks}")
-        for name in ("p_delay", "p_drop", "p_transient_send",
-                     "p_transient_recv", "p_corrupt", "p_round", "p_alloc"):
+        for name in _PROBABILITIES:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {value}")
@@ -132,60 +135,57 @@ class FaultPlan:
                 return spec
         return None
 
-    # -- queries (one per injection point) -----------------------------------
+    def _fires(self, kind: str, rank: int, op: int, prob: float) -> Optional[random.Random]:
+        """The seeded half of every query: the ``(kind, rank, op)`` RNG —
+        its first draw already spent on the hit — if a probabilistic fault
+        fires there, ``None`` on a miss or past the ``ops`` horizon."""
+        if prob and op < self.ops:
+            rng = self._rng(kind, rank, op)
+            if rng.random() < prob:
+                return rng
+        return None
+
+    def _failures(self, kind: str, rank: int, op: int, prob: float) -> int:
+        """Failing attempts before ``op`` succeeds: a scripted spec's
+        ``count``, else a seeded 1 (2 a quarter of the time), else 0."""
+        spec = self._scripted(kind, rank, op, None)
+        if spec is not None:
+            return spec.count
+        rng = self._fires(kind, rank, op, prob)
+        return 0 if rng is None else 1 + (1 if rng.random() < 0.25 else 0)
+
+    # -- queries (one per injection point; a scripted spec wins) -------------
 
     def delay_s(self, rank: int, op: int) -> float:
         """Seconds to stall this operation (0.0 = no delay)."""
         spec = self._scripted(KIND_DELAY, rank, op, None)
         if spec is not None:
             return spec.delay_s
-        if self.p_delay and op < self.ops:
-            rng = self._rng(KIND_DELAY, rank, op)
-            if rng.random() < self.p_delay:
-                return rng.uniform(0.0, self.delay_max_s)
-        return 0.0
+        rng = self._fires(KIND_DELAY, rank, op, self.p_delay)
+        return 0.0 if rng is None else rng.uniform(0.0, self.delay_max_s)
 
     def drop(self, rank: int, op: int, tag: Optional[int], seen_drops: int) -> bool:
         """Whether to silently discard this outgoing message."""
         spec = self._scripted(KIND_DROP, rank, op, tag)
         if spec is not None:
             return seen_drops < spec.count
-        if self.p_drop and op < self.ops:
-            return self._rng(KIND_DROP, rank, op).random() < self.p_drop
-        return False
+        return self._fires(KIND_DROP, rank, op, self.p_drop) is not None
 
     def transient_failures(self, point: str, rank: int, op: int) -> int:
         """Failing attempts before a send/recv succeeds (``point`` in
         ``send``/``recv``)."""
-        spec = self._scripted(point, rank, op, None)
-        if spec is not None:
-            return spec.count
         prob = self.p_transient_send if point == KIND_SEND else self.p_transient_recv
-        if prob and op < self.ops:
-            rng = self._rng(point, rank, op)
-            if rng.random() < prob:
-                return 1 + (1 if rng.random() < 0.25 else 0)
-        return 0
+        return self._failures(point, rank, op, prob)
 
     def corrupt(self, rank: int, op: int, tag: Optional[int]) -> bool:
         """Whether to flip bytes of this message's staged payload."""
-        spec = self._scripted(KIND_CORRUPT, rank, op, tag)
-        if spec is not None:
+        if self._scripted(KIND_CORRUPT, rank, op, tag) is not None:
             return True
-        if self.p_corrupt and op < self.ops:
-            return self._rng(KIND_CORRUPT, rank, op).random() < self.p_corrupt
-        return False
+        return self._fires(KIND_CORRUPT, rank, op, self.p_corrupt) is not None
 
     def round_failures(self, rank: int, round_index: int) -> int:
         """Failing attempts before round ``round_index`` starts on ``rank``."""
-        spec = self._scripted(KIND_ROUND, rank, round_index, None)
-        if spec is not None:
-            return spec.count
-        if self.p_round and round_index < self.ops:
-            rng = self._rng(KIND_ROUND, rank, round_index)
-            if rng.random() < self.p_round:
-                return 1 + (1 if rng.random() < 0.25 else 0)
-        return 0
+        return self._failures(KIND_ROUND, rank, round_index, self.p_round)
 
     def alloc_failures(self, rank: int, op: int) -> int:
         """Failing attempts before staging allocation ``op`` succeeds.
@@ -195,14 +195,7 @@ class FaultPlan:
         memory chaos never perturbs the op indices existing scripted plans
         target.
         """
-        spec = self._scripted(KIND_ALLOC, rank, op, None)
-        if spec is not None:
-            return spec.count
-        if self.p_alloc and op < self.ops:
-            rng = self._rng(KIND_ALLOC, rank, op)
-            if rng.random() < self.p_alloc:
-                return 1 + (1 if rng.random() < 0.25 else 0)
-        return 0
+        return self._failures(KIND_ALLOC, rank, op, self.p_alloc)
 
     def crashes(self, rank: int, op: int) -> bool:
         """Whether ``rank`` dies at operation ``op`` (inclusive threshold)."""
@@ -257,8 +250,7 @@ class FaultPlan:
     def summary(self) -> str:
         """One line naming the active fault families (for diagnostics)."""
         parts = [f"seed={self.seed}", f"ops={self.ops}"]
-        for name in ("p_delay", "p_drop", "p_transient_send",
-                     "p_transient_recv", "p_corrupt", "p_round", "p_alloc"):
+        for name in _PROBABILITIES:
             value = getattr(self, name)
             if value:
                 parts.append(f"{name}={value:.3f}")

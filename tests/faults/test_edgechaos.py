@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from repro.faults.chaos import DEGRADED, FAILED, OK, TYPED_ERROR
-from repro.faults.edgechaos import BEHAVIORS, run_edge_chaos
+from repro.faults.chaos import DEGRADED, FAILED, OK, TYPED_ERROR, run_chaos
+from repro.faults.edgechaos import BEHAVIORS
 
 
 class TestRunEdgeChaos:
     def test_short_sweep_survives_and_classifies_every_run(self):
-        report = run_edge_chaos(seed=0, runs=3, clients=4)
+        report = run_chaos("edge", seed=0, runs=3, clients=4)
         assert len(report.runs) == 3
         assert report.passed, report.summary()
         for run in report.runs:
@@ -19,7 +19,7 @@ class TestRunEdgeChaos:
             assert run.executor == "asyncio"
 
     def test_storms_draw_only_known_behaviors(self):
-        report = run_edge_chaos(seed=1, runs=2, clients=3)
+        report = run_chaos("edge", seed=1, runs=2, clients=3)
         allowed = set(BEHAVIORS) | {"well_behaved"}
         for run in report.runs:
             behaviors = {c["behavior"] for c in run.stats.get("clients", [])}
@@ -31,8 +31,8 @@ class TestRunEdgeChaos:
         # The *plan* (which behaviors, in which order) derives from the
         # seed alone; outcomes may differ under timing jitter, but the
         # injected client count and behavior mix must not.
-        a = run_edge_chaos(seed=9, runs=2, clients=3)
-        b = run_edge_chaos(seed=9, runs=2, clients=3)
+        a = run_chaos("edge", seed=9, runs=2, clients=3)
+        b = run_chaos("edge", seed=9, runs=2, clients=3)
         plans_a = [
             sorted(c["behavior"] for c in run.stats.get("clients", []))
             for run in a.runs
@@ -45,7 +45,7 @@ class TestRunEdgeChaos:
         assert [r.injected for r in a.runs] == [r.injected for r in b.runs]
 
     def test_well_behaved_viewer_is_always_served(self):
-        report = run_edge_chaos(seed=2, runs=2, clients=4)
+        report = run_chaos("edge", seed=2, runs=2, clients=4)
         assert report.passed, report.summary()
         for run in report.runs:
             served = [

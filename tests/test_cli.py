@@ -104,13 +104,17 @@ class TestServe:
 class TestEdgeChaos:
     def test_chaos_edge_flags_parse(self):
         args = build_parser().parse_args(["chaos", "--edge", "--clients", "3"])
-        assert args.edge is True
+        assert args.scenario == "edge"
         assert args.clients == 3
         assert args.runs == 50  # shared default with transport chaos
+        assert build_parser().parse_args(["chaos"]).scenario == "message"
 
     def test_chaos_edge_excludes_transport_modes(self, capsys):
-        assert main(["chaos", "--edge", "--crashes"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        # one argparse group: exit 2 with usage, before anything runs
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--edge", "--crashes"])
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_chaos_edge_single_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "edge.json"
