@@ -85,7 +85,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_engines(args: argparse.Namespace) -> int:
     from .core import Box, compute_global_plan
-    from .netmodel import COOLEY, engine_cost
+    from .netmodel import COOLEY, engine_cost, executed_plan
 
     nprocs = args.nprocs
     side = args.side
@@ -105,7 +105,14 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         need = Box((rank * rows, 0), (rows, side))
         return own, need
 
-    patterns = {"sparse_ring": ring, "dense_transpose": transpose}
+    def round_robin(rank):
+        # Single rows dealt round-robin: one planned round per row a rank owns.
+        own = [Box((0, row), (side, 1)) for row in range(rank, side, nprocs)]
+        return own, transpose(rank)[1]
+
+    patterns = {
+        "sparse_ring": ring, "dense_transpose": transpose, "round_robin_rows": round_robin,
+    }
     print(
         f"exchange-engine cost model ({nprocs} ranks, {side}x{side} float32, "
         f"cluster {COOLEY.name}):"
@@ -124,10 +131,15 @@ def _cmd_engines(args: argparse.Namespace) -> int:
             detail = ""
             if backend == "auto":
                 detail = f"  rounds -> {', '.join(cost.round_engines)}"
+            # What the engine runs: consecutive rounds of one protocol merged.
+            merged = executed_plan(plan, backend)
+            messages = [max(s.message_count for s in p.schedules) for p in (plan, merged)]
             print(
                 f"  {backend:>9}: {cost.total_s * 1e6:9.1f} us  "
                 f"(alpha {cost.alpha_s * 1e6:7.1f}, msgs {cost.message_s * 1e6:7.1f}, "
-                f"xfer {cost.transfer_s * 1e6:7.1f}){detail}"
+                f"xfer {cost.transfer_s * 1e6:7.1f})  planned {plan.nrounds} rounds / "
+                f"{messages[0]} msgs, executed {merged.nrounds} / {messages[1]}: "
+                f"{engine_cost(COOLEY, merged, backend).total_s * 1e6:.1f} us{detail}"
             )
     return 0
 

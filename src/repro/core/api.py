@@ -98,7 +98,8 @@ def DDR_ReorganizeData(
     data_need: Optional[np.ndarray],
     descriptor: DataDescriptor,
 ) -> None:
-    """Exchange the data (paper §III-C): one ``Alltoallw`` per round.
+    """Exchange the data (paper §III-C) under the process default backend
+    (``DDR_BACKEND``, else the paper's ``Alltoallw``).
 
     Safe to call repeatedly on *new data with the same layout* — the set-up
     step prebuilt every subarray datatype (the paper's "dynamic data"
@@ -113,7 +114,7 @@ def DDR_ReorganizeData(
         raise RuntimeError(
             "DDR_SetupDataMapping must be called before DDR_ReorganizeData"
         )
-    execute(comm, mapping, data_own, data_need)
+    execute(comm, mapping, data_own, data_need, default_backend())
 
 
 class Redistributor:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from ..mpisim.errors import (
     TransientFaultError,
 )
 from ..mpisim.request import Request, wait_all
-from ..mpisim.transport import TRANSPORT_PACKED
+from ..mpisim.transport import TRANSPORT_PACKED, copy_local
 from ..obs.tracer import NULL_SPAN, TRACER
 from ..utils.membudget import MEMORY_BUDGET
 from .box import Box
@@ -66,6 +66,7 @@ from .schedule import (
     Lane,
     RoundSchedule,
     chunk_bytes_for,
+    coalesce,
     collective_preferred,
 )
 
@@ -216,58 +217,77 @@ def execute(
         progress = ExchangeProgress()
     if progress.tag_epoch is None:
         progress.tag_epoch = mapping.next_tag_epoch()
-    rounds = mapping.rounds
+    planned = mapping.rounds
+    rounds = _executed_rounds(mapping, backend, zero_copy)
     # Tags are unique per (exchange epoch, round): a message lost from one
-    # exchange can never satisfy a receive of a later one.
-    tag_base = progress.tag_epoch * max(1, len(rounds))
+    # exchange can never satisfy a receive of a later one.  An executed
+    # round is tagged (and enters the fault layer) as its first member.
+    tag_base = progress.tag_epoch * max(1, len(planned))
     rank = comm.world_rank_of(comm.rank)
     traced = TRACER.enabled
     with (
         TRACER.span(
-            "ddr.exchange",
-            rank=rank,
-            backend=backend,
-            rounds=len(rounds),
-            transport=comm.resolve_transport(transport),
+            "ddr.exchange", rank=rank, backend=backend, rounds=len(planned),
+            executed=len(rounds), transport=comm.resolve_transport(transport),
             resumed=len(progress.completed),
         )
         if traced
         else NULL_SPAN
     ):
         for rnd in rounds:
-            if rnd.index in progress.completed:
-                continue
-            sendbuf = own[rnd.chunk_index] if rnd.chunk_index is not None else None
-            if not traced:
-                _run_round(
-                    comm, rnd, sendbuf, need, backend, transport, zero_copy,
-                    rank, policy, progress, tag_base + rnd.index, None,
-                )
+            if progress.completed.issuperset(rnd.members):
                 continue
             # The round span carries the wire protocol actually used (set by
-            # _run_round once decided), lane count, and byte volumes.
-            with TRACER.span(
-                "ddr.round",
-                rank=rank,
-                round=rnd.index,
-                backend=None,
-                lanes=len(rnd.sends) + len(rnd.recvs),
-                nbytes=rnd.bytes_out,
-                bytes_in=rnd.bytes_in,
-                max_partners=rnd.max_partners,
+            # _run_round once decided), the planned rounds it covers, lane
+            # count, and byte volumes.
+            with (
+                TRACER.span(
+                    "ddr.round", rank=rank, round=rnd.index, members=len(rnd.members),
+                    covers=list(rnd.members), backend=None,
+                    lanes=len(rnd.sends) + len(rnd.recvs), nbytes=rnd.bytes_out,
+                    bytes_in=rnd.bytes_in, max_partners=rnd.max_partners,
+                )
+                if traced
+                else NULL_SPAN
             ) as span:
                 _run_round(
-                    comm, rnd, sendbuf, need, backend, transport, zero_copy,
-                    rank, policy, progress, tag_base + rnd.index, span,
+                    comm, rnd, planned, *rnd.buffers(own, need), backend, transport,
+                    zero_copy, rank, policy, progress, tag_base + rnd.index, span,
                 )
     return progress
+
+
+def _executed_rounds(mapping: LocalMapping, backend: str, zero_copy: bool) -> list[RoundSchedule]:
+    """What :func:`execute` walks: the planned rounds coalesced under this
+    call's verdicts and budget, cached on the mapping under what it depends on."""
+    limit = MEMORY_BUDGET.limit_bytes
+    key = (backend, limit, zero_copy)
+    rounds = mapping.executed.get(key)
+    if rounds is None:
+        verdicts = [_mergeable(backend, rnd, zero_copy) for rnd in mapping.rounds]
+        # A direct transport stages nothing: no cap on what one round carries.
+        rounds = coalesce(mapping.schedule, verdicts, None if zero_copy else limit).rounds
+        mapping.executed[key] = rounds
+    return rounds
+
+
+def _mergeable(backend: str, rnd: RoundSchedule, zero_copy: bool) -> Optional[str]:
+    """``rnd``'s protocol as every rank sees it; ``None`` for a round that runs
+    on its own (``bounded``, or refused for its staged estimate).  A direct
+    transport's refusal is rank-local: :func:`_run_round` refuses the group."""
+    try:
+        protocol = round_protocol(backend, rnd, zero_copy)
+    except MemoryBudgetError:
+        return backend if zero_copy else None
+    return None if protocol == "bounded" else protocol
 
 
 def _run_round(
     comm: Communicator,
     rnd: RoundSchedule,
-    sendbuf: Optional[np.ndarray],
-    need: Optional[np.ndarray],
+    planned: list[RoundSchedule],
+    sendbuf: Any,
+    need: Any,
     backend: str,
     transport: Optional[str],
     zero_copy: bool,
@@ -291,9 +311,10 @@ def _run_round(
         try:
             if FAULTS.active:
                 FAULTS.on_round_start(rank, rnd.index, attempt)
-            protocol = round_protocol(backend, rnd, zero_copy)
-            if span is not None:
-                span.set(backend=protocol)
+            # Members share one verdict; a strict refusal of any is raised here.
+            for index in rnd.members:
+                protocol = round_protocol(backend, planned[index], zero_copy)
+            span.set(backend=protocol)
             if protocol == "alltoallw":
                 comm.Alltoallw(
                     sendbuf, rnd.sendtypes, need, rnd.recvtypes, transport=transport
@@ -317,7 +338,7 @@ def _run_round(
             ):
                 time.sleep(backoff)
         else:
-            progress.completed.add(rnd.index)
+            progress.completed.update(rnd.members)
             return
 
 
@@ -380,10 +401,8 @@ def _self_copy(
     send, recv = rnd.self_send, rnd.self_recv
     if send is None:
         return
-    if zero_copy and not np.may_share_memory(sendbuf, need):
-        send.datatype.copy_into(sendbuf, need, recv.datatype)
-    elif not chunk_bytes or send.nbytes <= chunk_bytes:
-        recv.datatype.unpack(need, send.datatype.pack(sendbuf))
+    if not chunk_bytes or send.nbytes <= chunk_bytes:
+        copy_local(sendbuf, send.datatype, need, recv.datatype, zero_copy)
     else:
         for send_type, recv_type in zip(
             _lane_pieces(rnd, send, chunk_bytes), _lane_pieces(rnd, recv, chunk_bytes)

@@ -63,6 +63,8 @@ class LocalMapping:
     components: int = 1
     buffer_cache: BufferCache = field(default_factory=BufferCache)
     pool: StagingPool = field(default_factory=StagingPool)
+    #: Executed (merged) round lists by what the merge depends on; engine-filled.
+    executed: dict = field(default_factory=dict, init=False, repr=False)
     _stale: bool = field(default=False, init=False, repr=False)
     #: Monotonic exchange counter; advances in lockstep on every rank
     #: (``execute`` is collective), giving each exchange a unique tag epoch
@@ -96,6 +98,7 @@ class LocalMapping:
         self._stale = True
         self.buffer_cache.clear()
         self.pool.clear()
+        self.executed.clear()
 
     def check_usable(self, comm: Communicator) -> None:
         """Executor preamble: reject stale handles and mismatched worlds."""

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..mpisim.datatypes import NamedType, SubarrayType
+from ..mpisim.datatypes import Datatype, NamedType, StructType
 from .box import Box, intersect_many
 from .packing import subarray_for
 
@@ -104,13 +104,23 @@ class Lane:
     nbytes: int
     container: Box
     region: Box
-    datatype: Optional[SubarrayType] = None
+    datatype: Optional[Datatype] = None
+    #: The planned lanes a :func:`coalesce`\ d lane carries, in round order
+    #: (``container`` / ``region`` are the first part's, ``datatype`` a struct).
+    parts: tuple["Lane", ...] = ()
 
 
 def _in_peer_order(lanes: list[Lane], self_lane: Optional[Lane]) -> list[Lane]:
     if self_lane is None:
         return lanes
     return sorted(lanes + [self_lane], key=lambda lane: lane.peer)
+
+
+def _dense_table(lanes: list[Lane], nprocs: int) -> list[Optional[Datatype]]:
+    dense: list[Optional[Datatype]] = [None] * nprocs
+    for lane in lanes:
+        dense[lane.peer] = lane.datatype
+    return dense
 
 
 @dataclass
@@ -142,16 +152,29 @@ class RoundSchedule:
     #: ``p`` = the lane to / from rank ``p``, self lane on the diagonal),
     #: built once by :meth:`ExchangeSchedule.bind` — the repeated-exchange
     #: hot path must not rebuild them per call.
-    sendtypes: Optional[list[Optional[SubarrayType]]] = field(
+    sendtypes: Optional[list[Optional[Datatype]]] = field(
         default=None, repr=False, compare=False
     )
-    recvtypes: Optional[list[Optional[SubarrayType]]] = field(
+    recvtypes: Optional[list[Optional[Datatype]]] = field(
         default=None, repr=False, compare=False
     )
     #: Piece datatypes bounded rounds slice lanes into, keyed by
     #: (container, region, chunk_bytes); cached for the same reason as the
     #: dense tables — repeated exchanges must not rebuild subarray types.
     piece_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: Planned rounds this *executed* round covers (:func:`coalesce`; ``index`` first).
+    members: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            self.members = (self.index,)
+
+    def buffers(self, own: Sequence[np.ndarray], need: Optional[np.ndarray]) -> tuple:
+        """``(send, recv)`` buffers of this round's datatypes (struct lanes of a
+        coalesced round: every owned chunk, and ``(need,)``)."""
+        if len(self.members) > 1:
+            return own, (need,)
+        return (own[self.chunk_index] if self.chunk_index is not None else None), need
 
     def all_sends(self) -> list[Lane]:
         """Send lanes including the self lane, ordered by peer."""
@@ -281,12 +304,6 @@ class ExchangeSchedule:
             datatype = subarray_for(lane.container, lane.region, mpi_type, components)
             return Lane(lane.peer, lane.nbytes, lane.container, lane.region, datatype)
 
-        def table(lanes: list[Lane]) -> list[Optional[SubarrayType]]:
-            dense: list[Optional[SubarrayType]] = [None] * self.nprocs
-            for lane in lanes:
-                dense[lane.peer] = lane.datatype
-            return dense
-
         rounds = []
         for rnd in self.rounds:
             bound = RoundSchedule(
@@ -302,10 +319,87 @@ class ExchangeSchedule:
                 components,
                 mpi_type,
             )
-            bound.sendtypes = table(bound.all_sends())
-            bound.recvtypes = table(bound.all_recvs())
+            bound.sendtypes = _dense_table(bound.all_sends(), self.nprocs)
+            bound.recvtypes = _dense_table(bound.all_recvs(), self.nprocs)
             rounds.append(bound)
         return replace(self, rounds=rounds)
+
+
+def coalesce(
+    schedule: ExchangeSchedule,
+    verdicts: Sequence[Optional[str]],
+    limit_bytes: Optional[int] = None,
+) -> ExchangeSchedule:
+    """The *executed* form of ``schedule``: consecutive planned rounds merged
+    into one whose lane to each peer is the members' lanes to that peer in
+    order — one message per peer, not one per chunk slot (arXiv 0706.2146:
+    minimise a redistribution's step count, not its byte count).
+
+    Rounds merge only under one ``verdicts[i]`` (the wire protocol of planned
+    round ``i``; ``None`` never merges) and while the sum of their
+    ``max_round_bytes`` fits ``limit_bytes`` (arXiv 2112.01075: collectives
+    against peak staging memory).  Every input is the same on every rank, so
+    all ranks draw the same group boundaries without communicating.
+
+    A group of one *is* the planned round; a schedule nothing merges in is
+    returned as is.  The result's ``nrounds`` counts executed rounds,
+    ``RoundSchedule.members`` says which planned ones each covers.
+    """
+    groups: list[list[RoundSchedule]] = []
+    staged, previous = 0, None
+    for rnd, verdict in zip(schedule.rounds, verdicts):
+        staged += rnd.max_round_bytes
+        fits = limit_bytes is None or staged <= limit_bytes
+        if verdict is not None and verdict == previous and fits:
+            groups[-1].append(rnd)
+        else:
+            groups.append([rnd])
+            staged = rnd.max_round_bytes
+        previous = verdict
+    if len(groups) == len(schedule.rounds):
+        return schedule
+    rounds = [
+        g[0] if len(g) == 1 else _merged(g, schedule.rank, len(schedule.own_chunks))
+        for g in groups
+    ]
+    return replace(schedule, nrounds=len(rounds), rounds=rounds)
+
+
+def _merged(group: list[RoundSchedule], rank: int, nchunks: int) -> RoundSchedule:
+    """One executed round carrying every lane of ``group``: send lanes select
+    from all ``nchunks`` owned buffers, receive lanes from the one need buffer."""
+
+    def by_peer(parts: list[tuple[int, Lane]], nbuffers: int) -> dict[int, Lane]:
+        lanes: dict[int, list[tuple[int, Lane]]] = {}
+        for buffer, part in parts:
+            lanes.setdefault(part.peer, []).append((buffer, part))
+        merged = {}
+        for peer in sorted(lanes):
+            members = tuple(part for _, part in lanes[peer])
+            datatype = None  # unbound plans (cost models) carry geometry only
+            if members[0].datatype is not None:
+                datatype = StructType([(b, part.datatype) for b, part in lanes[peer]], nbuffers)
+            merged[peer] = Lane(
+                peer, sum(part.nbytes for part in members), members[0].container,
+                members[0].region, datatype, members,
+            )
+        return merged
+
+    first = group[0]
+    sends = by_peer([(r.chunk_index, lane) for r in group for lane in r.all_sends()], nchunks)
+    recvs = by_peer([(0, lane) for r in group for lane in r.all_recvs()], 1)
+    merged = RoundSchedule(
+        first.index, None, first.nprocs,
+        [lane for peer, lane in sends.items() if peer != rank],
+        [lane for peer, lane in recvs.items() if peer != rank],
+        sends.get(rank), recvs.get(rank),
+        max(r.max_partners for r in group), sum(r.max_round_bytes for r in group),
+        first.components, first.mpi_type, members=tuple(r.index for r in group),
+    )
+    if first.sendtypes is not None:
+        merged.sendtypes = _dense_table(merged.all_sends(), first.nprocs)
+        merged.recvtypes = _dense_table(merged.all_recvs(), first.nprocs)
+    return merged
 
 
 @dataclass

@@ -436,7 +436,12 @@ def _classify(scheduled: int, results: list) -> str:
     """
     survivors = [r for r in results if not isinstance(r, RankCrashError)]
     if isinstance(survivors[0], PipelineResult):
-        root = next(r for r in survivors if r.role == "analysis_root")
+        root = next((r for r in survivors if r.role == "analysis_root"), None)
+        if root is None:
+            # The root died on its last ops, after every peer had finished:
+            # nobody was left to rebuild its ledger, so the run's only
+            # outcome is the (typed) crash itself.
+            raise next(r for r in results if isinstance(r, RankCrashError))
         degraded = root.frames_dropped or root.frames_stale
         recoveries = root.recoveries
     else:

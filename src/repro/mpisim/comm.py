@@ -46,7 +46,8 @@ from .datatypes import Datatype
 from .errors import CommunicatorError, DeadlineError, TruncationError
 from .fabric import Fabric, _Message
 from .request import CompletedRequest, DeferredRequest, Request, Status
-from .transport import copy_local, deliver, discard, materialize, resolve, stage
+from .transport import TRANSPORT_PACKED, copy_local, deliver, discard, materialize, resolve, stage
+from .transport import takes_turns, turn
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -324,9 +325,7 @@ class Communicator:
 
     @staticmethod
     def _nbytes_of(buf: np.ndarray, datatype: Optional[Datatype]) -> int:
-        arr = np.asarray(buf)
-        count = datatype.size_elements() if datatype is not None else int(arr.size)
-        return count * arr.dtype.itemsize
+        return datatype.size_bytes() if datatype is not None else np.asarray(buf).nbytes
 
     # -- point to point -------------------------------------------------------
 
@@ -893,7 +892,8 @@ class Communicator:
 
         ``sendtypes[d]`` selects, out of ``sendbuf``, the elements destined
         for rank ``d``; ``None`` (or a zero-size type) means nothing moves on
-        that lane.  Symmetrically for ``recvtypes``.
+        that lane.  Symmetrically for ``recvtypes``.  Under ``StructType``
+        lanes a buffer is the sequence of buffers those types select from.
 
         On the zero-copy transport each lane is one direct copy from the
         sender's buffer view into the receiver's; the sender stays in the
@@ -904,10 +904,7 @@ class Communicator:
         if TRACER.enabled:
             nbytes = 0
             if sendbuf is not None:
-                itemsize = np.asarray(sendbuf).dtype.itemsize
-                nbytes = itemsize * sum(
-                    t.size_elements() for t in sendtypes if t is not None
-                )
+                nbytes = sum(t.size_bytes() for t in sendtypes if t is not None)
             lanes = sum(
                 1 for t in sendtypes if t is not None and t.size_elements() > 0
             )
@@ -930,18 +927,15 @@ class Communicator:
     ) -> None:
         if len(sendtypes) != self.size or len(recvtypes) != self.size:
             raise CommunicatorError("Alltoallw requires one datatype slot per rank")
+        for buf, types, side in ((sendbuf, sendtypes, "send"), (recvbuf, recvtypes, "recv")):
+            if buf is None and any(t is not None and t.size_elements() > 0 for t in types):
+                raise CommunicatorError(f"Alltoallw: {side}types select data but {side}buf is None")
         mode = self.resolve_transport(transport)
         tag = self._next_seq()
 
-        # Self-exchange first: no mailbox round-trip.
-        stype = sendtypes[self._rank]
-        rtype = recvtypes[self._rank]
-        if stype is not None and stype.size_elements() > 0:
-            if rtype is None or rtype.size_elements() != stype.size_elements():
-                raise CommunicatorError("self send/recv types disagree in Alltoallw")
-            assert sendbuf is not None and recvbuf is not None
-            copy_local(sendbuf, stype, recvbuf, rtype, mode)
-        elif rtype is not None and rtype.size_elements() > 0:
+        stype, rtype = sendtypes[self._rank], recvtypes[self._rank]
+        own = stype.size_elements() if stype is not None else 0
+        if own != (rtype.size_elements() if rtype is not None else 0):
             raise CommunicatorError("self send/recv types disagree in Alltoallw")
 
         lanes = []
@@ -951,28 +945,38 @@ class Communicator:
             datatype = sendtypes[dest]
             if datatype is None or datatype.size_elements() == 0:
                 continue
-            assert sendbuf is not None
             lane = self._post_lane(
                 sendbuf, dest, tag, True, datatype, mode, "Alltoallw lane", True
             )
             if lane is not None:
                 lanes.append(lane)
 
-        for source in range(self.size):
-            if source == self._rank:
-                continue
-            datatype = recvtypes[source]
-            if datatype is None or datatype.size_elements() == 0:
-                continue
-            assert recvbuf is not None
-            message = self._consume(self._match(source, tag, internal=True), source)
-            try:
-                deliver(recvbuf, datatype, message)
-            except TruncationError as exc:
-                # The sender is already released; the error is ours.
-                raise TruncationError(
-                    f"Alltoallw lane {source}->{self._rank}: {exc}"
-                ) from None
+        # Lanes are copied as they arrive, except those that take turns: matched
+        # first, then copied back to back in one turn.  The own lane (no peer waits
+        # for it) leads the turn, so the copies that wake peers come last.
+        held = []
+        try:
+            for source in range(self.size):
+                datatype = recvtypes[source]
+                if source == self._rank or datatype is None or not datatype.size_elements():
+                    continue
+                message = self._consume(self._match(source, tag, internal=True), source)
+                if takes_turns(datatype):
+                    held.append((source, datatype, message))
+                else:
+                    deliver(recvbuf, datatype, message)
+            with turn(*recvtypes):
+                if own:
+                    copy_local(sendbuf, stype, recvbuf, rtype, mode != TRANSPORT_PACKED)
+                while held:
+                    source, datatype, message = held.pop(0)
+                    deliver(recvbuf, datatype, message)
+        except TruncationError as exc:
+            # The sender is already released; the error is ours.
+            raise TruncationError(f"Alltoallw lane {source}->{self._rank}: {exc}") from None
+        finally:
+            for _, _, message in held:
+                discard(message)  # matched, never copied: its sender must not wait
 
         if lanes:
             self._await_lanes(lanes)

@@ -6,7 +6,7 @@ module reproduces that machinery: a :class:`Datatype` knows how to *pack*
 elements out of a C-contiguous NumPy buffer and *unpack* them back in.
 
 Only the features DDR needs are implemented — named types, contiguous,
-vector, and subarray — but each follows the MPI definition closely enough
+vector, subarray and struct — but each follows the MPI definition closely enough
 that the tests can validate against hand-computed layouts.
 
 Beyond pack/unpack, every type supports a *zero-copy protocol*: ``view``
@@ -20,6 +20,7 @@ selections that cannot be viewed (e.g. overlapping vectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,30 +133,29 @@ class Datatype:
         return buffer.reshape(-1)
 
 
-def _packed(selected: np.ndarray, out: Optional[np.ndarray], dtype: np.dtype) -> np.ndarray:
-    """Materialise ``selected`` (a view in pack order) as a 1-D staging array.
-
-    Allocates unless ``out`` (1-D, matching dtype, large enough) is given,
-    in which case the leading slice of ``out`` is filled and returned.
-    """
-    count = selected.size
-    nbytes = count * dtype.itemsize
+def _staging(count: int, out: Optional[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    """A 1-D staging array of ``count`` elements: freshly allocated, or the
+    leading slice of ``out`` (1-D, matching dtype, large enough)."""
     if out is None:
-        result = np.empty(count, dtype=dtype)
         if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_alloc(nbytes)
-    else:
-        if out.ndim != 1 or out.dtype != dtype or not out.flags["C_CONTIGUOUS"]:
-            raise DatatypeError(
-                f"pack out array must be 1-D contiguous of dtype {dtype}, got "
-                f"{out.ndim}-D {out.dtype}"
-            )
-        if out.size < count:
-            raise DatatypeError(f"pack out array holds {out.size} elements, need {count}")
-        result = out[:count]
+            TRANSFER_COUNTERS.count_alloc(count * dtype.itemsize)
+        return np.empty(count, dtype=dtype)
+    if out.ndim != 1 or out.dtype != dtype or not out.flags["C_CONTIGUOUS"]:
+        raise DatatypeError(
+            f"pack out array must be 1-D contiguous of dtype {dtype}, got "
+            f"{out.ndim}-D {out.dtype}"
+        )
+    if out.size < count:
+        raise DatatypeError(f"pack out array holds {out.size} elements, need {count}")
+    return out[:count]
+
+
+def _packed(selected: np.ndarray, out: Optional[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    """``selected`` (a view in pack order) copied into a :func:`_staging` array."""
+    result = _staging(selected.size, out, dtype)
     np.copyto(result.reshape(selected.shape), selected)
     if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_copy("pack", nbytes)
+        TRANSFER_COUNTERS.count_copy("pack", selected.size * dtype.itemsize)
     return result
 
 
@@ -389,6 +389,13 @@ class SubarrayType(Datatype):
         return self._full_cache
 
     def _grid(self, buffer: np.ndarray) -> np.ndarray:
+        if (
+            type(buffer) is np.ndarray
+            and buffer.shape == self.sizes
+            and buffer.dtype == self.base_dtype
+            and buffer.flags.c_contiguous
+        ):
+            return buffer  # already the grid: nothing to flatten and reshape
         flat = self._require_buffer(buffer)
         if flat.size < self._full_cache:
             raise DatatypeError(
@@ -398,6 +405,19 @@ class SubarrayType(Datatype):
 
     def view(self, buffer: np.ndarray) -> np.ndarray:
         return self._grid(buffer)[self._slices_cache]
+
+    def copy_into(
+        self, src: np.ndarray, dst: np.ndarray, dst_type: Optional[Datatype] = None
+    ) -> int:
+        # Block to same-shaped block (every DDR lane): no view / shape dispatch.
+        target = dst_type if dst_type is not None else self
+        if type(target) is not SubarrayType or target.subsizes != self.subsizes:
+            return super().copy_into(src, dst, dst_type)
+        source = self._grid(src)[self._slices_cache]
+        np.copyto(target._grid(dst)[target._slices_cache], source, casting="unsafe")
+        if TRANSFER_COUNTERS.enabled:
+            TRANSFER_COUNTERS.count_copy("direct", source.nbytes)
+        return source.nbytes
 
     def pack(self, buffer: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         return _packed(self._grid(buffer)[self._slices_cache], out, self.base_dtype)
@@ -409,6 +429,80 @@ class SubarrayType(Datatype):
         )
         if TRANSFER_COUNTERS.enabled:
             TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
+
+
+class StructType(Datatype):
+    """Ordered ``(buffer index, member type)`` pairs over a *sequence* of
+    ``nbuffers`` buffers — ``MPI_Type_create_struct`` over absolute addresses:
+    how one message carries the lanes several exchange rounds address to one
+    peer (a merged round of :mod:`repro.core.schedule`).
+
+    Every operation runs member by member (the packed form is the members'
+    concatenated), so each member validates its own buffer; the selection is
+    never one ndarray, so :meth:`view` validates and returns ``None``.
+    """
+
+    def __init__(self, members: Sequence[tuple[int, Datatype]], nbuffers: int) -> None:
+        self.members = tuple((int(index), member) for index, member in members)
+        self.nbuffers = int(nbuffers)
+        if not self.members:
+            raise DatatypeError("struct type needs at least one member")
+        self.base_dtype = self.members[0][1].base_dtype
+        for index, member in self.members:
+            if not 0 <= index < self.nbuffers:
+                raise DatatypeError(f"struct member addresses buffer {index} of {self.nbuffers}")
+            if member.base_dtype != self.base_dtype:
+                raise DatatypeError(f"struct members mix base types: {member.base_dtype}")
+        self._sizes = tuple(member.size_elements() for _, member in self.members)
+        stops = list(accumulate(self._sizes))
+        self._size_cache = stops[-1]
+        #: (buffer index, member, its slice of the packed form)
+        self._slots = tuple(
+            (index, member, slice(stop - count, stop))
+            for (index, member), count, stop in zip(self.members, self._sizes, stops)
+        )
+
+    def size_elements(self) -> int:
+        return self._size_cache
+
+    def _buffers(self, buffers: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+        if not isinstance(buffers, (tuple, list)) or len(buffers) != self.nbuffers:
+            got = len(buffers) if isinstance(buffers, (tuple, list)) else type(buffers)
+            raise DatatypeError(f"struct type needs a sequence of {self.nbuffers} buffers: {got!r}")
+        return buffers
+
+    def view(self, buffers: Sequence[np.ndarray]) -> None:
+        buffers = self._buffers(buffers)
+        for index, member in self.members:
+            member.view(buffers[index])
+
+    def pack(self, buffers: Sequence[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
+        buffers = self._buffers(buffers)
+        result = _staging(self._size_cache, out, self.base_dtype)
+        for index, member, span in self._slots:
+            member.pack(buffers[index], out=result[span])
+        return result
+
+    def unpack(self, buffers: Sequence[np.ndarray], data: np.ndarray) -> None:
+        buffers = self._buffers(buffers)
+        if data.size != self._size_cache:
+            raise DatatypeError(f"struct type selects {self._size_cache} elements, got {data.size}")
+        for index, member, span in self._slots:
+            member.unpack(buffers[index], data[span])
+
+    def copy_into(
+        self, src: Sequence[np.ndarray], dst: Sequence[np.ndarray],
+        dst_type: Optional[Datatype] = None,
+    ) -> int:
+        """Member to member when both types have the same member sizes (the
+        two ends of a merged exchange lane do); otherwise through :meth:`pack`."""
+        target = dst_type if dst_type is not None else self
+        if not isinstance(target, StructType) or target._sizes != self._sizes:
+            return super().copy_into(src, dst, dst_type)
+        src, dst = self._buffers(src), target._buffers(dst)
+        for (s, send), (r, recv) in zip(self.members, target.members):
+            send.copy_into(src[s], dst[r], recv)
+        return self.size_bytes()
 
 
 # ---------------------------------------------------------------------------

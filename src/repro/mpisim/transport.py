@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from ..faults.injector import FAULTS
 from ..utils.membudget import MEMORY_BUDGET
 from ..utils.timing import TRANSFER_COUNTERS
-from .datatypes import Datatype, named_type_for
+from .datatypes import Datatype, StructType, named_type_for
 from .errors import CommunicatorError, TruncationError
 from .shm import ShmTicket
 from .shm import attach as _shm_attach
@@ -191,8 +191,12 @@ def stage(
     instead.  ``what`` labels a dense copy in budget errors; ``world`` is
     the sender, whose ledger is charged and whose alloc faults fire.
     """
-    arr = np.asarray(buf)
-    contiguous = arr.flags["C_CONTIGUOUS"]
+    if isinstance(datatype, StructType):
+        # ``buf`` is the type's buffer sequence; members check their own.
+        arr, contiguous, dtype = buf, True, datatype.base_dtype
+    else:
+        arr = np.asarray(buf)
+        contiguous, dtype = arr.flags["C_CONTIGUOUS"], arr.dtype
     if rendezvous and mode == TRANSPORT_ZEROCOPY and contiguous:
         if datatype is not None:
             # Sender-side geometry/dtype validation, exactly where pack
@@ -203,18 +207,18 @@ def stage(
     if not contiguous:
         arr = np.ascontiguousarray(arr)
     count = datatype.size_elements() if datatype is not None else int(arr.size)
-    nbytes = count * arr.dtype.itemsize
+    nbytes = count * dtype.itemsize
     if mode == TRANSPORT_SHM and nbytes >= SHM_MIN_BYTES:
         charged = _charge(world, nbytes, "shm staging")
         segment = fabric.shm_pool().acquire(nbytes)
-        view = segment.view(arr.dtype, count)
+        view = segment.view(dtype, count)
         if datatype is not None:
             datatype.pack(arr, out=view)
         else:
             view[:] = arr.reshape(-1)
         if TRANSFER_COUNTERS.enabled:
             TRANSFER_COUNTERS.count_copy("payload", nbytes)
-        return ShmTicket(segment.name, arr.dtype.str, count), charged, None
+        return ShmTicket(segment.name, dtype.str, count), charged, None
     charged = _charge(world, nbytes, what)
     if datatype is not None:
         return datatype.pack(arr), charged, None
@@ -224,23 +228,50 @@ def stage(
     return arr.reshape(-1).copy(), charged, None
 
 
+#: One rank thread at a time copies the members of a small-membered struct
+#: lane: ``np.copyto`` drops the interpreter lock once a member, and threads
+#: trading it across cores every few microseconds made one merged exchange
+#: cost 2.7 or 9 ms depending on where the scheduler had put them.  Reentrant:
+#: ``Alltoallw`` holds it over all of a rank's lanes, :func:`deliver` and
+#: :func:`copy_local` per lane for every other caller.
+_TURN = threading.RLock()
+_NO_TURN = nullcontext()
+#: "Small": what copies in about the time one thread takes to wake another.
+TURN_MEMBER_BYTES = 256 * 1024
+
+
+def takes_turns(datatype: Optional[Datatype]) -> bool:
+    if not isinstance(datatype, StructType):
+        return False
+    return datatype.size_bytes() < TURN_MEMBER_BYTES * len(datatype.members)
+
+
+def turn(*datatypes: Optional[Datatype]) -> Any:
+    """:data:`_TURN` when one of ``datatypes`` takes turns, else a no-op."""
+    return _TURN if any(map(takes_turns, datatypes)) else _NO_TURN
+
+
+def _may_alias(sendbuf: Any, recvbuf: Any) -> bool:
+    """Whether a send and a receive buffer (or buffer sequence) may share memory."""
+    sends = sendbuf if isinstance(sendbuf, (tuple, list)) else (sendbuf,)
+    recvs = recvbuf if isinstance(recvbuf, (tuple, list)) else (recvbuf,)
+    return any(np.may_share_memory(s, r) for s in sends for r in recvs)
+
+
 def copy_local(
-    sendbuf: np.ndarray,
-    send_type: Datatype,
-    recvbuf: np.ndarray,
-    recv_type: Datatype,
-    mode: str,
+    sendbuf: Any, send_type: Datatype, recvbuf: Any, recv_type: Datatype, direct: bool
 ) -> None:
     """A rank's lane to itself: no mailbox round-trip on any transport.
 
-    Copies directly unless the transport is ``packed`` (which keeps its
-    pack + unpack profile as the baseline) or the two buffers may alias,
-    where pack/unpack is the safe order for an overlapping self-transfer.
+    Copies directly unless the transport is ``packed`` (not ``direct``: it
+    keeps its pack + unpack profile as the baseline) or the two buffers may
+    alias, where pack/unpack is the safe order for an overlapping self-transfer.
     """
-    if mode != TRANSPORT_PACKED and not np.may_share_memory(sendbuf, recvbuf):
-        send_type.copy_into(sendbuf, recvbuf, recv_type)
-    else:
-        recv_type.unpack(recvbuf, send_type.pack(sendbuf))
+    with turn(recv_type):
+        if direct and not _may_alias(sendbuf, recvbuf):
+            send_type.copy_into(sendbuf, recvbuf, recv_type)
+        else:
+            recv_type.unpack(recvbuf, send_type.pack(sendbuf))
 
 
 def deliver(buf: np.ndarray, datatype: Optional[Datatype], message: Any) -> int:
@@ -254,11 +285,12 @@ def deliver(buf: np.ndarray, datatype: Optional[Datatype], message: Any) -> int:
     """
     payload = message.payload
     try:
-        if isinstance(payload, _ZeroCopyHandle):
-            return _copy_from_sender(buf, datatype, payload)
-        if isinstance(payload, ShmTicket):
-            payload = _segment_view(payload)
-        return _unpack_dense(buf, datatype, payload)
+        with turn(datatype):
+            if isinstance(payload, _ZeroCopyHandle):
+                return _copy_from_sender(buf, datatype, payload)
+            if isinstance(payload, ShmTicket):
+                payload = _segment_view(payload)
+            return _unpack_dense(buf, datatype, payload)
     finally:
         discard(message)
 
@@ -338,8 +370,8 @@ def _copy_from_sender(
             src_type = named_type_for(handle.buffer.dtype).Create_contiguous(count)
         return src_type.copy_into(handle.buffer, buf, datatype)
     flat = _flat_receive_buffer(buf, count)
-    nbytes = count * handle.buffer.dtype.itemsize
     if src_type is not None:
+        nbytes = src_type.size_bytes()
         src_view = src_type.view(handle.buffer)
         if src_view is None:
             flat[:count] = src_type.pack(handle.buffer)
@@ -347,6 +379,7 @@ def _copy_from_sender(
                 TRANSFER_COUNTERS.count_copy("payload", nbytes)
             return nbytes
     else:
+        nbytes = handle.buffer.nbytes
         src_view = handle.buffer.reshape(-1)
     np.copyto(flat[:count].reshape(src_view.shape), src_view, casting="unsafe")
     if TRANSFER_COUNTERS.enabled:

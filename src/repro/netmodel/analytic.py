@@ -22,15 +22,22 @@ executed choices agree by construction.
 ``bounded`` prices a third round shape: a handshake per lowered piece plus
 serialisation at piece-size bandwidth (the default piece size — the model
 carries no budget).
+
+Every function prices the plan it is handed, round by round.  Handed
+:func:`executed_plan` — the planned rounds merged the way the executor
+merges them (:func:`repro.core.schedule.coalesce`) — they price what
+actually runs; the paper's tables are reproduced from the planned rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..core.schedule import (
     DEFAULT_BOUNDED_CHUNK_BYTES,
     GlobalPlan,
+    coalesce,
     collective_preferred,
 )
 from .cluster import ClusterSpec
@@ -85,6 +92,27 @@ def round_payloads(plan: GlobalPlan) -> list[int]:
         max((s.rounds[r].bytes_out for s in plan.schedules), default=0)
         for r in range(plan.nrounds)
     ]
+
+
+def executed_plan(
+    plan: GlobalPlan, backend: str = "alltoallw", limit_bytes: Optional[int] = None
+) -> GlobalPlan:
+    """``plan`` as ``backend`` executes it: consecutive rounds of one
+    protocol merged into one message per peer while the merged staging
+    estimate fits ``limit_bytes`` per rank (``None``: no cap, so one round
+    per protocol run).  ``nrounds`` of the result counts executed rounds."""
+    if not plan.schedules:
+        return plan
+
+    def verdict(rnd) -> Optional[str]:
+        if backend == "auto":
+            dense = collective_preferred(rnd.max_partners, plan.nprocs)
+            return "alltoallw" if dense else "p2p"
+        return None if backend == "bounded" else backend  # lowered rounds never merge
+
+    verdicts = [verdict(rnd) for rnd in plan.schedules[0].rounds]
+    schedules = [coalesce(s, verdicts, limit_bytes) for s in plan.schedules]
+    return replace(plan, nrounds=schedules[0].nrounds, schedules=schedules)
 
 
 def engine_cost(

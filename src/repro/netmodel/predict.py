@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..core.schedule import GlobalPlan, compute_global_plan
 from ..io.assignment import (
@@ -111,18 +111,23 @@ def predict_ddr(
     stack: StackGeometry = PAPER_STACK,
     network: str = "analytic",
     backend: str = "alltoallw",
+    plan: Optional[GlobalPlan] = None,
 ) -> LoadPrediction:
     """DDR path: load-balanced reads, then the modeled redistribution.
 
     ``backend`` picks the exchange engine being modeled (``"alltoallw"``,
     ``"p2p"``, or ``"auto"``) — the same names the execution layer accepts,
-    and the same per-round auto-selection rule.
+    and the same per-round auto-selection rule.  ``plan`` prices a given
+    schedule of this geometry instead of the planned one — the executed
+    form (:func:`~repro.netmodel.analytic.executed_plan`) — and ``rounds``
+    then counts its rounds.
     """
     images_per_rank = max(
         len(assigned_images(stack, nprocs, rank, strategy)) for rank in range(nprocs)
     )
     read_s = stack_read_time(cluster, images_per_rank, stack.image_bytes, nprocs)
-    plan = ddr_plan(nprocs, strategy, stack)
+    if plan is None:
+        plan = ddr_plan(nprocs, strategy, stack)
     if network == "des":
         exchange_s = simulate_exchange(cluster, plan, engine=backend)
         payload = plan.mean_bytes_per_chunk_round()

@@ -15,7 +15,8 @@ from repro import (
 )
 from repro.core import execute
 from repro.mpisim import FLOAT
-from tests.conftest import spmd
+from repro.obs import tracing
+from tests.conftest import spmd, thread_only
 
 
 def run_e1(backend: str = "alltoallw"):
@@ -51,6 +52,30 @@ class TestPaperE1:
 
     def test_p2p_backend(self):
         assert run_e1("p2p") == [2, 2, 2, 2]
+
+    @thread_only
+    def test_reorganize_follows_the_process_default_backend(self, monkeypatch):
+        monkeypatch.setenv("DDR_BACKEND", "p2p")
+        with tracing() as tracer:
+            assert run_e1() == [2, 2, 2, 2]
+        records = tracer.records()
+        names = {r.name for r in records}
+        assert "mpi.Isend" in names and "mpi.Alltoallw" not in names
+        assert {r.attrs["backend"] for r in records if r.name == "ddr.exchange"} == {"p2p"}
+
+    def test_reorganize_rejects_an_invalid_default_backend(self, monkeypatch):
+        def fn(comm):
+            desc = DDR_NewDataDescriptor(1, DATA_TYPE_2D, FLOAT, 4)
+            DDR_SetupDataMapping(comm, 0, 1, 1, [4, 4], [0, 0], [4, 4], [0, 0], desc)
+            data = np.zeros((4, 4), dtype=np.float32)
+            monkeypatch.setenv("DDR_BACKEND", "smoke-signals")
+            with pytest.raises(ValueError, match="DDR_BACKEND='smoke-signals'") as api:
+                DDR_ReorganizeData(comm, 1, [data], data.copy(), desc)
+            with pytest.raises(ValueError) as wrapper:
+                Redistributor(comm, ndims=2, dtype=np.float32)
+            assert str(api.value) == str(wrapper.value)
+
+        spmd(1, fn)
 
     def test_rank_argument_checked(self):
         def fn(comm):

@@ -253,3 +253,47 @@ class TestMappingLifecycle:
             assert message is not None
             assert "new_mapping" in message and "setup()" in message
         return None
+
+
+@thread_only
+class TestExecutedRounds:
+    """Round-robin 128^3 float32 over 4 ranks (the benchmark's ``redist_rounds``
+    geometry): 32 planned rounds of 12 remote 16 KiB messages each are
+    executed as one round of 12 — one message per peer, not per chunk slot."""
+
+    def run(self, backend):
+        from repro.volren.decompose import grid_boxes
+
+        needs = grid_boxes((128, 128, 128), (2, 2, 1))
+
+        def fn(comm):
+            own = [Box((0, 0, k), (128, 128, 1)) for k in range(comm.rank, 128, 4)]
+            red = Redistributor(
+                comm, ndims=3, dtype=np.float32, backend=backend, transport="zerocopy"
+            )
+            red.setup(own=own, need=needs[comm.rank])
+            data = [np.full((1, 128, 128), float(b.offset[2]), np.float32) for b in own]
+            out = red.gather_need(data)
+            assert np.array_equal(out[:, 0, 0], np.arange(128, dtype=np.float32))
+            return red.nrounds, red.engine_choices()
+
+        with tracing() as tracer:
+            results = spmd(4, fn)
+        assert results == [(32, [backend] * 32)] * 4  # the plan still says 32
+        return tracer.records()
+
+    def test_direct_rounds_post_one_message_per_peer(self):
+        records = self.run("p2p")
+        assert sum(r.name == "mpi.Isend" for r in records) == 12  # 384 unmerged
+        assert {r.attrs["nbytes"] for r in records if r.name == "mpi.Isend"} == {512 * 1024}
+
+    def test_collective_rounds_run_one_alltoallw(self):
+        records = self.run("alltoallw")
+        collectives = [r.attrs for r in records if r.name == "mpi.Alltoallw"]
+        assert len(collectives) == 4  # one per rank; 128 unmerged
+        assert sum(a["lanes"] - 1 for a in collectives) == 12  # remote lanes
+        (span,) = {
+            (r.attrs["rounds"], r.attrs["executed"])
+            for r in records if r.name == "ddr.exchange"
+        }
+        assert span == (32, 1)

@@ -7,7 +7,12 @@
 
 Tilings are produced by recursive bisection so they are always mutually
 exclusive and complete (the paper's §III-B precondition); needs are
-arbitrary sub-boxes and may overlap across ranks.  The executor axis is
+arbitrary sub-boxes and may overlap across ranks.  Tiles are dealt to the
+ranks at random — several chunks on one rank, none on another — so most
+plans have several rounds, and the budget axis decides how many of them one
+executed round carries (``repro.core.schedule.coalesce``): all of them
+(``none``), some (``between`` one planned round and the whole exchange) or
+one, lowered or refused (``below`` a single round).  The executor axis is
 covered by re-running this file under ``DDR_EXECUTOR=process`` (CI leg).
 """
 
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Box, Redistributor, compute_global_plan
@@ -107,12 +112,26 @@ def cases(draw):
         transport="packed" if lowering else draw(
             st.sampled_from(["packed", "zerocopy", "shm"])
         ),
-        budgeted=lowering or (thread and draw(st.booleans())),
+        budget="below" if lowering else draw(
+            st.sampled_from(["none", "between", "below"] if thread else ["none"])
+        ),
     )
 
 
-def run_case(seed, ndim, nprocs, scale, dtype, components, backend, transport, budgeted):
-    domain, owns, needs = random_problem(seed, ndim, nprocs, scale)
+def uneven_problem(seed: int):
+    """Four, three, no and two chunks on four ranks (four planned rounds,
+    the last with one sender), 2-D, lanes past the bounded piece floor."""
+    rng = np.random.default_rng(seed)
+    domain = Box((0, 0), (384, 256))
+    tiles = iter(bisect_tiling(domain, 9, rng))
+    owns = [[next(tiles) for _ in range(count)] for count in (4, 3, 0, 2)]
+    return domain, owns, [random_subbox(domain, rng) for _ in range(4)]
+
+
+def run_case(
+    seed, ndim, nprocs, scale, dtype, components, backend, transport, budget, problem=None
+):
+    domain, owns, needs = problem or random_problem(seed, ndim, nprocs, scale)
     shape = domain.np_shape() + ((components,) if components > 1 else ())
     reference = (
         np.random.default_rng(seed).integers(0, 1 << 16, size=shape).astype(dtype)
@@ -129,16 +148,20 @@ def run_case(seed, ndim, nprocs, scale, dtype, components, backend, transport, b
         out = red.gather_need(buffers, fill=7)
         assert np.array_equal(out, crop(reference, domain, needs[rank])), (rank, owns, needs)
 
-    if not budgeted:
+    if budget == "none":
         spmd(nprocs, fn)
         return
-    # Half the plan's worst-round staging estimate: the only acceptable ends
-    # are bitwise-equal output or the typed refusal (the ledger is charged as
+    # Half the plan's worst-round staging estimate ("below"), or what the
+    # worst round plus half of the others would stage ("between": rounds
+    # merge, but not all of them).  The only acceptable ends are
+    # bitwise-equal output or the typed refusal (the ledger is charged as
     # messages happen to be in flight, so which one is timing-dependent) —
-    # except that a strict backend on the packed transport must refuse.
+    # except that a strict backend on the packed transport must refuse a
+    # round that does not fit.
     plan = compute_global_plan(owns, needs, np.dtype(dtype).itemsize * components)
-    peak = max((rnd.max_round_bytes for rnd in plan.schedules[0].rounds), default=0)
-    limit = max(1, peak // 2)
+    staged = [rnd.max_round_bytes for rnd in plan.schedules[0].rounds]
+    peak = max(staged, default=0)
+    limit = max(1, peak // 2 if budget == "below" else peak + (sum(staged) - peak) // 2)
     must_refuse = backend in ("alltoallw", "p2p") and transport == "packed" and peak > limit
     with budget_scope(limit_bytes=limit):
         try:
@@ -150,6 +173,14 @@ def run_case(seed, ndim, nprocs, scale, dtype, components, backend, transport, b
 
 
 @given(case=cases())
+# A strict backend's refusal on a direct transport rests on the refusing
+# rank's own self-copy: it must not move that rank's group boundaries.
+@example(
+    case=dict(
+        seed=0, ndim=2, nprocs=2, scale=1, dtype="u1", components=1,
+        backend="alltoallw", transport="zerocopy", budget="below",
+    )
+)
 @settings(
     max_examples=300,
     deadline=None,
@@ -162,4 +193,16 @@ def test_redistribution_matches_numpy_crop(case):
 @pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
 def test_single_rank_and_many_ranks(backend):
     for nprocs, seed in ((1, 7), (8, 11)):
-        run_case(seed, 2, nprocs, 1, "f4", 1, backend, None, False)
+        run_case(seed, 2, nprocs, 1, "f4", 1, backend, None, "none")
+
+
+@pytest.mark.parametrize("budget", ["none", "between", "below"])
+@pytest.mark.parametrize("transport", ["packed", "zerocopy", "shm"])
+@pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
+def test_uneven_multichunk_ownership(backend, transport, budget):
+    if budget != "none" and default_executor() == "process":
+        pytest.skip("the budget ledger is per process")
+    for seed in (3, 5):
+        run_case(
+            seed, 2, 4, 1, "f4", 1, backend, transport, budget, problem=uneven_problem(seed)
+        )

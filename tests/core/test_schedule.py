@@ -27,6 +27,8 @@ from repro.core import (
     round_protocol,
 )
 from repro.core.mapping import local_mapping_from_global
+from repro.core.schedule import coalesce
+from repro.mpisim.datatypes import StructType
 from repro.lbm.decompose import slab_box
 from repro.utils import MiB
 from repro.volren.decompose import grid_boxes, grid_shape
@@ -259,6 +261,92 @@ class TestRoundRule:
             first = [auto_choices(s) for s in build().schedules]
             assert first == [auto_choices(s) for s in build().schedules]
             assert len({tuple(c) for c in first}) == 1
+
+
+def transfers(schedule):
+    """Sorted (src, dst, region, container) of every lane, self lanes included."""
+    me = schedule.rank
+    moved = []
+    for rnd in schedule.rounds:
+        for lane in rnd.all_sends():
+            moved += [("send", me, lane.peer, t.region, t.container) for t in lane.parts or [lane]]
+        for lane in rnd.all_recvs():
+            moved += [("recv", lane.peer, me, t.region, t.container) for t in lane.parts or [lane]]
+    return sorted(moved, key=repr)
+
+
+class TestCoalesce:
+    """The executed schedule moves exactly the planned transfers, in groups
+    every rank draws identically and no budget is exceeded by."""
+
+    @given(
+        seed=st.integers(0, 5000),
+        nprocs=st.integers(1, 6),
+        budget=st.sampled_from(["none", "between", "below"]),
+        bound=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_preserves_transfers_and_boundaries_agree(self, seed, nprocs, budget, bound):
+        domain, owns, needs = random_problem(seed, nprocs=nprocs)
+        plan = compute_global_plan(owns, needs, 4)
+        staged = [rnd.max_round_bytes for rnd in plan.schedules[0].rounds]
+        peak = max(staged, default=0)
+        limit = {
+            "none": None,
+            "between": peak + (sum(staged) - peak) // 2,
+            "below": peak // 2,
+        }[budget]
+        boundaries = set()
+        for planned in plan.schedules:
+            if bound:
+                planned = planned.bind(DataDescriptor.create(nprocs, DataLayout(2), "f4").mpi_type)
+            verdicts = auto_choices(planned)
+            executed = coalesce(planned, verdicts, limit)
+            assert transfers(executed) == transfers(planned)
+            groups = [rnd.members for rnd in executed.rounds]
+            boundaries.add(tuple(groups))
+            assert [i for g in groups for i in g] == list(range(planned.nrounds))
+            assert executed.nrounds == len(groups)
+            for rnd, group in zip(executed.rounds, groups):
+                assert len({verdicts[i] for i in group}) == 1 and rnd.index == group[0]
+                if len(group) == 1:
+                    assert rnd is planned.rounds[group[0]]
+                    continue
+                assert limit is None or sum(staged[i] for i in group) <= limit
+                assert rnd.max_round_bytes == sum(staged[i] for i in group)
+                assert rnd.bytes_out == sum(planned.rounds[i].bytes_out for i in group)
+                assert [lane.peer for lane in rnd.sends] == sorted({l.peer for l in rnd.sends})
+                for lane in rnd.all_sends() + rnd.all_recvs():
+                    assert isinstance(lane.datatype, StructType) is bound
+                    assert lane.nbytes == sum(part.nbytes for part in lane.parts)
+            # Greedy: a group stopped growing only at a verdict change or the cap.
+            for left, right in zip(groups, groups[1:]):
+                assert verdicts[left[0]] != verdicts[right[0]] or (
+                    limit is not None and sum(staged[i] for i in left) + staged[right[0]] > limit
+                )
+        assert len(boundaries) == 1, "ranks disagree on group boundaries"
+
+    def test_nothing_to_merge_returns_the_schedule_itself(self):
+        for plan in (ring_plan(5), dense_plan(3)):  # one planned round
+            for s in plan.schedules:
+                assert coalesce(s, auto_choices(s)) is s
+                assert coalesce(s, auto_choices(s)).rounds[0] is s.rounds[0]
+        mixed = mixed_plan().schedules[0]  # two rounds, two protocols
+        assert coalesce(mixed, auto_choices(mixed)) is mixed
+        e1 = e1_plan().schedules[0]  # two rounds, one protocol, refused ones never merge
+        assert coalesce(e1, [None, None]) is e1
+        assert coalesce(e1, auto_choices(e1), limit_bytes=1) is e1
+
+    def test_e1_merges_into_one_message_per_peer(self):
+        plan = e1_plan()
+        for s in plan.schedules:
+            merged = coalesce(s, auto_choices(s))
+            assert merged.nrounds == 1 and s.nrounds == 2  # the plan is untouched
+            (rnd,) = merged.rounds
+            assert rnd.members == (0, 1) and rnd.chunk_index is None
+            assert rnd.message_count == len({l.peer for r in s.rounds for l in r.sends})
+            assert merged.total_bytes_out == s.total_bytes_out
+            assert merged.total_self_bytes == s.total_self_bytes
 
 
 class TestLanes:

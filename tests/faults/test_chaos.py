@@ -95,6 +95,19 @@ class TestCrashMode:
         assert [run.injected for run in report.runs] == [1] * 36
         assert report.count(OK) == 0 and report.count(FAILED) == 0
 
+    def test_root_lost_with_nobody_left_to_recover_is_the_typed_crash(self):
+        # The analysis root dies on its last op, after every peer finished:
+        # no survivor holds the ledger (this used to be a bare StopIteration).
+        from repro.faults.chaos import _classify
+        from repro.intransit import PipelineResult
+        from repro.mpisim import RankCrashError
+
+        crash = RankCrashError("rank 3 crashed by fault plan at op 9")
+        results = [PipelineResult("sim")] * 3 + [crash, PipelineResult("analysis")]
+        with pytest.raises(RankCrashError) as info:
+            _classify(0, results)
+        assert info.value is crash
+
     def test_runs_record_fault_stats(self):
         report = run_chaos("crash", seed=0, runs=3, ops=80)
         assert all(run.stats.get("crashes") == 1 for run in report.runs)

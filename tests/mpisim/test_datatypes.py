@@ -15,6 +15,7 @@ from repro.mpisim import (
     FLOAT,
     INT,
     NamedType,
+    StructType,
     SubarrayType,
     VectorType,
     named_type_for,
@@ -279,3 +280,85 @@ class TestViewProtocol:
             t.pack(buf, out=np.empty(2, dtype=np.float32))  # too small
         with pytest.raises(DatatypeError):
             t.pack(buf, out=np.empty(4, dtype=np.float64))  # wrong dtype
+
+
+class TestStruct:
+    """``(buffer index, member type)`` pairs over a sequence of buffers: the
+    packed form is the members' packed forms, concatenated."""
+
+    def make(self):
+        a = np.arange(16, dtype=np.float32).reshape(4, 4)
+        b = np.arange(100, 106, dtype=np.float32)
+        members = [
+            (0, SubarrayType(FLOAT, (4, 4), (2, 2), (1, 1))),
+            (1, ContiguousType(FLOAT, 3)),
+            (0, SubarrayType(FLOAT, (4, 4), (1, 4), (3, 0))),
+        ]
+        return StructType(members, 2), (a, b)
+
+    def test_pack_concatenates_member_packs(self):
+        struct, buffers = self.make()
+        expect = np.concatenate([m.pack(buffers[i]) for i, m in struct.members])
+        assert struct.size_elements() == 11 and struct.size_bytes() == 44
+        assert np.array_equal(struct.pack(buffers), expect)
+        assert struct.view(buffers) is None and not struct.is_contiguous()
+        out = np.zeros(16, dtype=np.float32)
+        packed = struct.pack(list(buffers), out=out)
+        assert np.shares_memory(packed, out) and np.array_equal(packed, expect)
+
+    def test_unpack_inverts_pack(self):
+        struct, buffers = self.make()
+        target = (np.full((4, 4), -1, np.float32), np.full(6, -1, np.float32))
+        struct.unpack(target, struct.pack(buffers))
+        assert np.array_equal(struct.pack(target), struct.pack(buffers))
+        assert target[0][0, 0] == -1 and target[1][3] == -1  # only the selection
+        with pytest.raises(DatatypeError, match="selects 11 elements"):
+            struct.unpack(target, np.zeros(10, np.float32))
+
+    def test_copy_into_member_for_member_and_through_pack(self):
+        struct, buffers = self.make()
+        same = (np.zeros((4, 4), np.float32), np.zeros(6, np.float32))
+        assert struct.copy_into(buffers, same) == 44
+        assert np.array_equal(struct.pack(same), struct.pack(buffers))
+        # Same sizes member for member, different buffers and geometry.
+        flat = StructType(
+            [(0, ContiguousType(FLOAT, 4)), (1, ContiguousType(FLOAT, 3)),
+             (2, ContiguousType(FLOAT, 4))], 3,
+        )
+        outs = [np.zeros(count, np.float32) for count in (4, 3, 4)]
+        struct.copy_into(buffers, outs, flat)
+        assert np.array_equal(np.concatenate(outs), struct.pack(buffers))
+        # A different member structure still moves the same packed stream...
+        one = np.zeros(11, np.float32)
+        struct.copy_into(buffers, one, ContiguousType(FLOAT, 11))
+        assert np.array_equal(one, struct.pack(buffers))
+        back = (np.zeros((4, 4), np.float32), np.zeros(6, np.float32))
+        ContiguousType(FLOAT, 11).copy_into(one, back, struct)
+        assert np.array_equal(struct.pack(back), one)
+        # ... and a different size is refused.
+        with pytest.raises(DatatypeError, match="copy_into"):
+            struct.copy_into(buffers, one, ContiguousType(FLOAT, 10))
+
+    def test_buffer_sequence_is_validated(self):
+        struct, (a, b) = self.make()
+        for bad in ((a,), (a, b, b), a, None):
+            with pytest.raises(DatatypeError, match="sequence of 2 buffers"):
+                struct.pack(bad)
+            with pytest.raises(DatatypeError, match="sequence of 2 buffers"):
+                struct.view(bad)
+        wrong_dtype = (a, b.astype(np.float64))
+        for call in (struct.pack, struct.view):
+            with pytest.raises(DatatypeError, match="dtype"):
+                call(wrong_dtype)
+        with pytest.raises(DatatypeError, match="dtype"):
+            struct.copy_into((a, b), wrong_dtype)
+        with pytest.raises(DatatypeError, match="elements"):
+            struct.view((a, b[:2]))  # members check their own extent
+
+    def test_construction_is_validated(self):
+        with pytest.raises(DatatypeError, match="at least one member"):
+            StructType([], 1)
+        with pytest.raises(DatatypeError, match="buffer 2 of 2"):
+            StructType([(2, ContiguousType(FLOAT, 1))], 2)
+        with pytest.raises(DatatypeError, match="mix base types"):
+            StructType([(0, ContiguousType(FLOAT, 1)), (0, ContiguousType(INT, 1))], 1)

@@ -12,7 +12,9 @@ from repro.mpisim import (
     FLOAT,
     INT,
     CommunicatorError,
+    DatatypeError,
     RevokedError,
+    StructType,
     SubarrayType,
     TRANSPORT_PACKED,
     TRANSPORT_SHM,
@@ -222,6 +224,25 @@ class TestAlltoallwErrorPaths:
 
         assert all(spmd(2, fn))
 
+    def test_missing_buffer_is_typed_and_posts_nothing(self, mode):
+        """Types that select data with no buffer to select it from: a typed
+        error on every rank, raised before the self copy and before any
+        lane is posted (it used to be a bare ``assert``)."""
+
+        def fn(comm):
+            lane = FLOAT.Create_contiguous(2)
+            types = [lane] * comm.size
+            out = np.full(2, -1, dtype=np.float32)
+            with pytest.raises(CommunicatorError, match="sendbuf is None"):
+                comm.Alltoallw(None, types, out, types, transport=mode)
+            with pytest.raises(CommunicatorError, match="recvbuf is None"):
+                comm.Alltoallw(out, types, None, types, transport=mode)
+            comm.Barrier()
+            assert (out == -1).all()
+            return comm.fabric.mailbox_depth(world_rank=comm.world_rank_of(comm.rank))
+
+        assert spmd(3, fn) == [0, 0, 0]
+
     def test_all_none_rows(self, mode):
         def fn(comm):
             none_row: list = [None] * comm.size
@@ -251,6 +272,122 @@ class TestAlltoallwErrorPaths:
             return True
 
         assert all(spmd(3, fn))
+
+
+# ---------------------------------------------------------------------------
+# Struct lanes: several buffers' selections in one message
+# ---------------------------------------------------------------------------
+
+
+def _struct_case(rank):
+    """Two source buffers -> one (2, 6) destination, as struct types."""
+    rows = [np.arange(6, dtype=np.float32) + 10 * rank, np.arange(6, dtype=np.float32) - rank]
+    send = StructType([(0, FLOAT.Create_contiguous(6)), (1, FLOAT.Create_contiguous(6))], 2)
+    recv = StructType(
+        [(0, SubarrayType(FLOAT, (2, 6), (1, 6), (row, 0))) for row in range(2)], 1
+    )
+    return rows, send, recv
+
+
+def test_small_membered_structs_take_turns():
+    from repro.mpisim.transport import _TURN, TURN_MEMBER_BYTES, takes_turns, turn
+
+    _, small, _ = _struct_case(0)
+    member = FLOAT.Create_contiguous(TURN_MEMBER_BYTES // 4)
+    big = StructType([(0, member), (1, member)], 2)
+    assert takes_turns(small) and not takes_turns(big)
+    assert not takes_turns(member) and not takes_turns(None)
+    assert turn(None, big, small) is _TURN and turn(None, big) is not _TURN
+    with turn(small), turn(small):  # reentrant: Alltoallw holds it around deliver
+        pass
+
+
+@pytest.mark.parametrize("mode", [TRANSPORT_ZEROCOPY, TRANSPORT_PACKED, TRANSPORT_SHM])
+class TestStructLanes:
+    def test_point_to_point_and_object_drain(self, mode):
+        def fn(comm):
+            comm.transport = mode
+            rows, send, recv = _struct_case(comm.rank)
+            peer = 1 - comm.rank
+            expect = np.stack(_struct_case(peer)[0])
+            # typed receive: member k of the sender into member k of ours
+            out = np.zeros((2, 6), dtype=np.float32)
+            request = comm.Irecv((out,), peer, tag=5, datatype=recv)
+            pending = comm.Isend(rows, peer, tag=5, datatype=send, rendezvous=True)
+            assert request.Wait().count_bytes == 48 and np.array_equal(out, expect)
+            pending.Wait()
+            # untyped and object receives see the packed stream
+            flat = np.zeros(12, dtype=np.float32)
+            pending = comm.Isend(rows, peer, tag=6, datatype=send, rendezvous=True)
+            comm.Recv(flat, peer, tag=6)
+            pending.Wait()
+            assert np.array_equal(flat, expect.reshape(-1))
+            comm.Send(rows, peer, tag=7, datatype=send)
+            assert np.array_equal(comm.recv(peer, tag=7), expect.reshape(-1))
+            # a receive type of another size is the receiver's typed error
+            short = StructType([(0, FLOAT.Create_contiguous(6))], 1)
+            comm.Send(rows, peer, tag=8, datatype=send)
+            with pytest.raises(TruncationError):
+                comm.Recv((np.zeros(6, np.float32),), peer, tag=8, datatype=short)
+            return True
+
+        assert all(spmd(2, fn))
+
+    def test_alltoallw_with_self_lane(self, mode):
+        def fn(comm):
+            rows, send, recv = _struct_case(comm.rank)
+            outs = [np.zeros((2, 6), dtype=np.float32) for _ in range(comm.size)]
+            # every peer's data lands in its own destination buffer
+            rtypes = [
+                StructType([(p, m) for _, m in recv.members], comm.size)
+                for p in range(comm.size)
+            ]
+            comm.Alltoallw(rows, [send] * comm.size, outs, rtypes, transport=mode)
+            for peer, out in enumerate(outs):
+                assert np.array_equal(out, np.stack(_struct_case(peer)[0]))
+            return True
+
+        assert all(spmd(3, fn))
+
+    def test_receiver_error_releases_every_matched_sender(self, mode):
+        # Lanes that take turns are all matched before any is copied: when
+        # the first copy fails, the others' senders must not be left waiting.
+        def fn(comm):
+            rows, send, recv = _struct_case(comm.rank)
+            outs = [np.zeros((2, 6), dtype=np.float32) for _ in range(comm.size)]
+            rtypes = [
+                StructType([(p, m) for _, m in recv.members], comm.size)
+                for p in range(comm.size)
+            ]
+            if comm.rank == 0:
+                rtypes[1] = StructType([(1, FLOAT.Create_contiguous(6))], comm.size)
+                with pytest.raises(TruncationError, match="lane 1->0"):
+                    comm.Alltoallw(rows, [send] * comm.size, outs, rtypes, transport=mode)
+                assert not outs[2].any()  # matched, discarded, never copied
+            else:
+                comm.Alltoallw(rows, [send] * comm.size, outs, rtypes, transport=mode)
+                assert np.array_equal(outs[0], np.stack(_struct_case(0)[0]))
+            comm.Barrier()
+            return comm.fabric.mailbox_depth(world_rank=comm.world_rank_of(comm.rank))
+
+        assert spmd(3, fn) == [0, 0, 0]
+
+    def test_sender_validates_every_member_before_posting(self, mode):
+        def fn(comm):
+            comm.transport = mode
+            rows, send, _ = _struct_case(comm.rank)
+            if comm.rank == 0:
+                with pytest.raises(DatatypeError, match="sequence of 2 buffers"):
+                    comm.Isend(rows[:1], 1, tag=9, datatype=send, rendezvous=True)
+                with pytest.raises(DatatypeError, match="dtype"):
+                    comm.Isend(
+                        [rows[0], rows[1].astype(np.float64)], 1, tag=9,
+                        datatype=send, rendezvous=True,
+                    )
+            comm.Barrier()
+            return comm.fabric.mailbox_depth(world_rank=comm.world_rank_of(comm.rank))
+
+        assert spmd(2, fn) == [0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.netmodel import (
     P2P_PER_MESSAGE_S,
     engine_cost,
     exchange_cost,
+    executed_plan,
     point_to_point_cost,
     round_payloads,
 )
@@ -153,3 +154,34 @@ class TestEngineCost:
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             engine_cost(COOLEY, simple_plan(), "smoke-signals")
+
+
+class TestExecutedPlan:
+    """Pricing what the engine runs: the planned rounds merged per protocol."""
+
+    def plan(self):
+        # 8 ranks, one 64-cell row each per round, 4 rounds, needed as columns.
+        owns = [[Box((0, r + 8 * k), (64, 1)) for k in range(4)] for r in range(8)]
+        needs = [Box((8 * r, 0), (8, 32)) for r in range(8)]
+        return compute_global_plan(owns, needs, element_size=4)
+
+    def test_merges_per_backend_and_conserves_bytes(self):
+        plan = self.plan()
+        assert plan.nrounds == 4
+        for backend, executed in (("alltoallw", 1), ("p2p", 1), ("auto", 1), ("bounded", 4)):
+            merged = executed_plan(plan, backend)
+            assert merged.nrounds == executed and plan.nrounds == 4
+            assert merged.total_bytes_moved() == plan.total_bytes_moved()
+            assert (merged.traffic_matrix() == plan.traffic_matrix()).all()
+            assert merged.mean_bytes_per_chunk_round() == plan.mean_bytes_per_chunk_round()
+
+    def test_cap_bounds_every_merged_round_and_prices_between(self):
+        plan = self.plan()
+        staged = [rnd.max_round_bytes for rnd in plan.schedules[0].rounds]
+        capped = executed_plan(plan, limit_bytes=2 * max(staged))
+        assert capped.nrounds == 2
+        assert all(r.max_round_bytes <= 2 * max(staged) for r in capped.schedules[0].rounds)
+        costs = [
+            engine_cost(COOLEY, p).alpha_s for p in (plan, capped, executed_plan(plan))
+        ]
+        assert costs[0] == 2 * costs[1] == 4 * costs[2]  # one alpha(P) per executed round

@@ -98,7 +98,9 @@ class TestReconfigurationLimits:
         """A late analysis death - after every sim retired - leaves no
         producers to replay from; that must surface as a typed error."""
         with pytest.raises(RankFailure) as info:
-            run_with_crash(make_config(), crash_rank=4, crash_at_op=18)
+            # Rank 4: 4 set-up ops, then stream recv / exchange / gather per
+            # frame; op 14 is the last frame's exchange.
+            run_with_crash(make_config(), crash_rank=4, crash_at_op=14)
         assert isinstance(info.value.original, ReconfigurationError)
 
     def test_fail_mode_is_untouched_default(self):
