@@ -13,6 +13,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .core.engine import BACKENDS
+
 
 def _cmd_e1(args: argparse.Namespace) -> int:
     from .bench import e1
@@ -126,12 +128,12 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         sched = plan.schedules[0]
         print(f"\n{name}: {sched.nrounds} round(s), "
               f"max partners/round {sched.max_partners}")
-        for backend in ("alltoallw", "p2p", "auto", "bounded"):
+        for backend in BACKENDS:
             cost = engine_cost(COOLEY, plan, backend)
             detail = ""
             if backend == "auto":
                 detail = f"  rounds -> {', '.join(cost.round_engines)}"
-            # What the engine runs: consecutive rounds of one protocol merged.
+            # What the engine runs: the planned rounds regrouped (no budget: merged).
             merged = executed_plan(plan, backend)
             messages = [max(s.message_count for s in p.schedules) for p in (plan, merged)]
             print(
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("demo", choices=("intransit", "redistribute"),
                     help="workload to trace")
     pt.add_argument("--out", default="trace.json", help="output JSON path")
-    pt.add_argument("--backend", choices=("alltoallw", "p2p", "auto", "bounded"),
+    pt.add_argument("--backend", choices=BACKENDS,
                     default="auto", help="exchange engine (default auto)")
     pt.add_argument("--m", type=int, default=4, help="simulation ranks (intransit)")
     pt.add_argument("--n", type=int, default=2,
@@ -554,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="LBM steps between frames (default 10)")
     ps.add_argument("--quality", type=int, default=80,
                     help="JPEG quality (default 80)")
-    ps.add_argument("--backend", choices=("alltoallw", "p2p", "auto", "bounded"),
+    ps.add_argument("--backend", choices=BACKENDS,
                     default=None, help="exchange engine (default auto)")
     ps.add_argument("--host", default="127.0.0.1")
     ps.add_argument("--port", type=int, default=8737,

@@ -16,7 +16,7 @@ from .descriptor import (
     DataDescriptor,
     DataLayout,
 )
-from .engine import ExchangeProgress, default_backend, execute, round_protocol
+from .engine import ExchangeProgress, default_backend, execute
 from .mapcache import MappingCache
 from .mapping import (
     LocalMapping,
@@ -26,16 +26,14 @@ from .mapping import (
 )
 from .packing import BufferCache, check_buffers, check_buffers_cached
 from .schedule import (
-    DEFAULT_BOUNDED_CHUNK_BYTES,
-    MIN_CHUNK_BYTES,
-    PIECE_INFLIGHT,
     ExchangeSchedule,
     GlobalPlan,
     Lane,
     RoundSchedule,
-    chunk_bytes_for,
     collective_preferred,
     compute_global_plan,
+    regroup,
+    round_protocol,
 )
 from .serialize import (
     attach_loaded_plan,
@@ -47,9 +45,6 @@ from .serialize import (
 from .validate import MappingValidationError, check_send_coverage, infer_domain
 
 __all__ = [
-    "DEFAULT_BOUNDED_CHUNK_BYTES",
-    "MIN_CHUNK_BYTES",
-    "PIECE_INFLIGHT",
     "Box",
     "BufferCache",
     "DATA_TYPE_1D",
@@ -77,7 +72,6 @@ __all__ = [
     "check_buffers",
     "check_buffers_cached",
     "check_send_coverage",
-    "chunk_bytes_for",
     "collective_preferred",
     "compute_global_plan",
     "default_backend",
@@ -89,6 +83,7 @@ __all__ = [
     "plan_from_declarations",
     "plan_from_dict",
     "plan_to_dict",
+    "regroup",
     "round_protocol",
     "save_plan",
     "setup_data_mapping",

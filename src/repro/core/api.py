@@ -31,13 +31,15 @@ from .engine import (
     Buffers,
     ExchangeProgress,
     check_backend,
+    check_round_budget,
     default_backend,
     direct_transport,
     execute,
+    executed_rounds,
     normalise_own,
-    round_protocol,
 )
 from .mapping import LocalMapping, setup_data_mapping
+from .schedule import round_protocol
 
 
 def DDR_NewDataDescriptor(
@@ -132,8 +134,9 @@ class Redistributor:
 
     ``backend`` picks how rounds hit the wire: ``"alltoallw"`` (dense
     collective), ``"p2p"`` (direct sends), ``"auto"`` (per-round selection
-    driven by the plan's sparsity and the memory budget), or ``"bounded"``
-    (every staged round lowered into budget-sized pieces).  ``None``
+    driven by the plan's sparsity), or ``"bounded"`` (direct sends); the
+    last two run a staged round over the memory budget in pieces, the
+    first two refuse it.  ``None``
     follows the process default — the ``DDR_BACKEND`` environment variable
     when set, otherwise ``"alltoallw"``.
 
@@ -258,14 +261,20 @@ class Redistributor:
         )
 
     def engine_choices(self, mapping: Optional[LocalMapping] = None) -> list[str]:
-        """Per-round wire protocol (``alltoallw`` / ``p2p`` / ``bounded``) an
-        exchange through this instance's backend and transport runs under
-        the installed memory budget; raises ``MemoryBudgetError`` exactly
+        """Per planned round, the wire protocol (``alltoallw`` or ``p2p``) an
+        exchange through this instance's backend and transport runs it with
+        under the installed memory budget — merged or in pieces, read off the
+        schedule the exchange executes; raises ``MemoryBudgetError`` exactly
         when the exchange would."""
+        mapping = self.mapping if mapping is None else mapping
         zero_copy = direct_transport(self.comm, self.transport)
+        for rnd in mapping.rounds:
+            check_round_budget(self.backend, rnd, zero_copy)
         return [
-            round_protocol(self.backend, rnd, zero_copy)
-            for rnd in (self.mapping if mapping is None else mapping).rounds
+            round_protocol(self.backend, rnd)
+            for rnd in executed_rounds(mapping, self.backend, zero_copy)
+            if rnd.piece == 0  # a lowered round answers once, not once a piece
+            for _ in rnd.members
         ]
 
     def gather_need(

@@ -63,7 +63,7 @@ class LocalMapping:
     components: int = 1
     buffer_cache: BufferCache = field(default_factory=BufferCache)
     pool: StagingPool = field(default_factory=StagingPool)
-    #: Executed (merged) round lists by what the merge depends on; engine-filled.
+    #: Executed (regrouped) round lists by what regrouping depends on; engine-filled.
     executed: dict = field(default_factory=dict, init=False, repr=False)
     _stale: bool = field(default=False, init=False, repr=False)
     #: Monotonic exchange counter; advances in lockstep on every rank

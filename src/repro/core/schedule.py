@@ -21,10 +21,11 @@ any runtime or datatype; :meth:`ExchangeSchedule.bind` attaches the
 subarray datatypes to the one rank that will execute.
 
 Every rank's copy of a round also carries the *plan-wide* worst-rank
-statistics of that round (``max_partners``, ``max_round_bytes``).  They come
-from the deterministic global plan, so every rank derives the same wire
-protocol for a round (dense -> collective, sparse -> direct, over budget ->
-lowered pieces) without communicating.
+statistics of that round (``max_partners``, ``max_round_bytes``,
+``max_lane_rows``).  They come from the deterministic global plan, so every
+rank derives the same *executed* schedule (:func:`regroup`: which rounds run
+as one, which run in pieces, each by which of the two wire protocols,
+:func:`round_protocol`) without communicating.
 """
 
 from __future__ import annotations
@@ -48,31 +49,9 @@ AUTO_DENSITY_THRESHOLD = 0.5
 #: payload; ``zerocopy`` stages nothing and peaks at the self-copy temp.
 STAGED_TRANSPORTS = ("packed", "shm")
 
-#: Pieces resident at once per lowered sub-step of a bounded round: the
-#: eagerly staged outgoing piece, the in-flight incoming piece, and the
-#: pack/unpack temporaries on either side of them.
-PIECE_INFLIGHT = 4
-
-#: Lower bound on a bounded round's piece size.  Below this, per-message
-#: latency dominates any memory saved, and the piece count per lane stays
-#: sane even under absurd budgets.
-MIN_CHUNK_BYTES = 64 * 1024
-
-#: Piece size bounded rounds lower with when no budget is installed
-#: (running ``backend="bounded"`` is then a pure lane-chunking ablation).
-DEFAULT_BOUNDED_CHUNK_BYTES = 4 * 1024 * 1024
-
-
-def chunk_bytes_for(limit_bytes: int) -> int:
-    """Piece size a bounded round lowers with under ``limit_bytes``.
-
-    Targets a lowered peak near half the limit (``PIECE_INFLIGHT`` resident
-    pieces, times two for slack against estimate error), floored at
-    :data:`MIN_CHUNK_BYTES`.  A pure function of the *static* limit — both
-    ends of every lane derive the same piece decomposition from it with no
-    communication.
-    """
-    return max(MIN_CHUNK_BYTES, int(limit_bytes) // (2 * PIECE_INFLIGHT))
+#: The ``backend=`` policies that run an over-budget round in pieces; the
+#: other two are strict (the executor refuses the round, typed).
+LOWERING_BACKENDS = ("auto", "bounded")
 
 
 def collective_preferred(
@@ -94,8 +73,8 @@ class Lane:
     coordinates) moves between this rank and ``peer``.
 
     ``container`` is the box of the buffer the cells live in on *this* side
-    (send lanes: the owned chunk; recv lanes: the need), which is all a
-    bounded round needs to re-slice the lane into budget-sized pieces.
+    (send lanes: the owned chunk; recv lanes: the need), which is all
+    :func:`regroup` needs to cut the lane into the pieces of a lowered round.
     ``datatype`` selects ``region`` out of that buffer; it is ``None`` until
     :meth:`ExchangeSchedule.bind` — cost models never materialise it.
     """
@@ -105,7 +84,7 @@ class Lane:
     container: Box
     region: Box
     datatype: Optional[Datatype] = None
-    #: The planned lanes a :func:`coalesce`\ d lane carries, in round order
+    #: The planned lanes a merged (:func:`regroup`) lane carries, in round order
     #: (``container`` / ``region`` are the first part's, ``datatype`` a struct).
     parts: tuple["Lane", ...] = ()
 
@@ -143,7 +122,7 @@ class RoundSchedule:
     max_partners: int = 0
     #: Busiest rank's estimated staged-transport peak this round, across the
     #: *whole* plan.  Like ``max_partners`` this is identical on every rank,
-    #: so budget-driven lowering decisions need no communication.
+    #: so budget-driven regrouping needs no communication.
     max_round_bytes: int = 0
     #: Element type the lanes were bound with (``None`` on unbound rounds).
     components: int = 1
@@ -158,12 +137,15 @@ class RoundSchedule:
     recvtypes: Optional[list[Optional[Datatype]]] = field(
         default=None, repr=False, compare=False
     )
-    #: Piece datatypes bounded rounds slice lanes into, keyed by
-    #: (container, region, chunk_bytes); cached for the same reason as the
-    #: dense tables — repeated exchanges must not rebuild subarray types.
-    piece_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: Planned rounds this *executed* round covers (:func:`coalesce`; ``index`` first).
+    #: Planned rounds this *executed* round covers (:func:`regroup`; ``index`` first).
     members: tuple[int, ...] = ()
+    #: Tallest lane of the round (rows of the slowest axis), across the
+    #: *whole* plan: the most pieces :func:`regroup` can cut the round into.
+    max_lane_rows: int = 1
+    #: An executed round that is piece ``piece`` of ``pieces`` of a lowered
+    #: planned round; ``(0, 1)`` for every other round.
+    piece: int = 0
+    pieces: int = 1
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -171,7 +153,7 @@ class RoundSchedule:
 
     def buffers(self, own: Sequence[np.ndarray], need: Optional[np.ndarray]) -> tuple:
         """``(send, recv)`` buffers of this round's datatypes (struct lanes of a
-        coalesced round: every owned chunk, and ``(need,)``)."""
+        merged round: every owned chunk, and ``(need,)``)."""
         if len(self.members) > 1:
             return own, (need,)
         return (own[self.chunk_index] if self.chunk_index is not None else None), need
@@ -217,12 +199,6 @@ class RoundSchedule:
 
     # -- peak-memory accounting ----------------------------------------------
 
-    @property
-    def largest_lane_bytes(self) -> int:
-        """Largest single transfer this round (self-copy included)."""
-        lanes = self.sends + self.recvs
-        return max(max((lane.nbytes for lane in lanes), default=0), self.self_bytes)
-
     def peak_bytes(self, transport: str = "packed") -> int:
         """Estimated per-rank staging high-water mark for this round.
 
@@ -237,22 +213,6 @@ class RoundSchedule:
         if transport not in STAGED_TRANSPORTS:
             return self.self_bytes
         return self.bytes_out + self.bytes_in + self.self_bytes
-
-    def lowered_peak_bytes(self, chunk_bytes: int, transport: str = "packed") -> int:
-        """Estimated staging peak when this round runs bounded, in pieces
-        of at most ``chunk_bytes``.
-
-        At any lowered sub-step only :data:`PIECE_INFLIGHT` pieces are
-        resident, so the peak is capped near ``PIECE_INFLIGHT * piece``
-        where ``piece`` cannot exceed the largest lane.  Monotone
-        non-decreasing in ``chunk_bytes`` and never above the unlowered
-        :meth:`peak_bytes` — shrinking the budget's derived chunk can only
-        shrink the footprint.
-        """
-        full = self.peak_bytes(transport)
-        if chunk_bytes <= 0:
-            return full
-        return min(full, PIECE_INFLIGHT * min(int(chunk_bytes), self.largest_lane_bytes))
 
 
 @dataclass
@@ -283,12 +243,6 @@ class ExchangeSchedule:
     def message_count(self) -> int:
         return sum(r.message_count for r in self.rounds)
 
-    def peak_bytes(self, transport: str = "packed") -> int:
-        """Estimated per-rank staging peak across the exchange: rounds are
-        sequential (each is drained before the next begins), so the
-        schedule peak is the worst round, not the sum."""
-        return max((r.peak_bytes(transport) for r in self.rounds), default=0)
-
     def bind(self, mpi_type: NamedType, components: int = 1) -> "ExchangeSchedule":
         """A copy whose lanes carry prebuilt subarray datatypes.
 
@@ -318,6 +272,7 @@ class ExchangeSchedule:
                 rnd.max_round_bytes,
                 components,
                 mpi_type,
+                max_lane_rows=rnd.max_lane_rows,
             )
             bound.sendtypes = _dense_table(bound.all_sends(), self.nprocs)
             bound.recvtypes = _dense_table(bound.all_recvs(), self.nprocs)
@@ -325,43 +280,76 @@ class ExchangeSchedule:
         return replace(self, rounds=rounds)
 
 
-def coalesce(
-    schedule: ExchangeSchedule,
-    verdicts: Sequence[Optional[str]],
-    limit_bytes: Optional[int] = None,
+def round_protocol(backend: str, rnd: RoundSchedule) -> str:
+    """``"alltoallw"`` or ``"p2p"``: the wire protocol the policy ``backend``
+    runs the planned or executed round ``rnd`` with.
+
+    ``alltoallw`` and ``p2p`` always run their own, ``bounded`` runs direct,
+    ``auto`` applies the density rule; a piece of a lowered round runs direct.
+    Every input is plan-wide, so all ranks answer alike — and this is the
+    rule's one call site: :func:`regroup`, the executor, the cost models and
+    ``Redistributor.engine_choices()`` all ask here.
+    """
+    if backend == "alltoallw":
+        return backend
+    if backend == "auto" and rnd.pieces == 1 and collective_preferred(
+        rnd.max_partners, rnd.nprocs
+    ):
+        return "alltoallw"
+    return "p2p"
+
+
+def regroup(
+    schedule: ExchangeSchedule, backend: str, limit_bytes: Optional[int] = None
 ) -> ExchangeSchedule:
-    """The *executed* form of ``schedule``: consecutive planned rounds merged
-    into one whose lane to each peer is the members' lanes to that peer in
-    order — one message per peer, not one per chunk slot (arXiv 0706.2146:
-    minimise a redistribution's step count, not its byte count).
+    """The *executed* form of ``schedule`` under the policy ``backend`` and
+    ``limit_bytes`` of staging per rank (``None``: nothing is staged, or no
+    budget) — the planned rounds regrouped in whichever direction the limit
+    asks for (arXiv 2112.01075: collectives against peak staging memory):
 
-    Rounds merge only under one ``verdicts[i]`` (the wire protocol of planned
-    round ``i``; ``None`` never merges) and while the sum of their
-    ``max_round_bytes`` fits ``limit_bytes`` (arXiv 2112.01075: collectives
-    against peak staging memory).  Every input is the same on every rank, so
-    all ranks draw the same group boundaries without communicating.
+    - consecutive rounds of one :func:`round_protocol` *merge* while the sum
+      of their ``max_round_bytes`` fits, into one round whose lane to each
+      peer is the members' lanes to that peer in order — one message per
+      peer, not one per chunk slot (arXiv 0706.2146: minimise a
+      redistribution's step count, not its byte count);
+    - a round whose own ``max_round_bytes`` exceeds the limit is, under
+      :data:`LOWERING_BACKENDS`, *split* into ``k`` piece-rounds of about
+      half the limit (two may be staged at once: eager sends complete at
+      post time), piece ``j`` carrying rows ``[j R / k, (j + 1) R / k)`` of
+      every lane's slowest axis.  Geometry is the floor: ``k`` never exceeds
+      the round's tallest lane (``max_lane_rows``), and a lane with fewer
+      rows sits some pieces out.  Under a strict backend the round stays
+      whole, for the executor to refuse.
 
-    A group of one *is* the planned round; a schedule nothing merges in is
-    returned as is.  The result's ``nrounds`` counts executed rounds,
-    ``RoundSchedule.members`` says which planned ones each covers.
+    Every input is the same on every rank, and both ends of a lane hold the
+    same region, so all ranks draw the same groups and pieces without
+    communicating.  A group of one *is* the planned round; a schedule nothing
+    merges or splits in is returned as is.  The result's ``nrounds`` counts
+    executed rounds; ``members`` and ``piece`` / ``pieces`` say what of the
+    plan each covers.
     """
     groups: list[list[RoundSchedule]] = []
     staged, previous = 0, None
-    for rnd, verdict in zip(schedule.rounds, verdicts):
+    for rnd in schedule.rounds:
+        protocol = round_protocol(backend, rnd)
         staged += rnd.max_round_bytes
-        fits = limit_bytes is None or staged <= limit_bytes
-        if verdict is not None and verdict == previous and fits:
+        if protocol == previous and (limit_bytes is None or staged <= limit_bytes):
             groups[-1].append(rnd)
         else:
             groups.append([rnd])
             staged = rnd.max_round_bytes
-        previous = verdict
-    if len(groups) == len(schedule.rounds):
+        previous = protocol
+    lowering = limit_bytes is not None and backend in LOWERING_BACKENDS
+    rounds: list[RoundSchedule] = []
+    for group in groups:
+        if len(group) > 1:
+            rounds.append(_merged(group, schedule.rank, len(schedule.own_chunks)))
+        elif lowering and group[0].max_round_bytes > limit_bytes:
+            rounds.extend(_split(group[0], limit_bytes))
+        else:
+            rounds.append(group[0])
+    if len(rounds) == len(schedule.rounds) == len(groups):
         return schedule
-    rounds = [
-        g[0] if len(g) == 1 else _merged(g, schedule.rank, len(schedule.own_chunks))
-        for g in groups
-    ]
     return replace(schedule, nrounds=len(rounds), rounds=rounds)
 
 
@@ -400,6 +388,42 @@ def _merged(group: list[RoundSchedule], rank: int, nchunks: int) -> RoundSchedul
         merged.sendtypes = _dense_table(merged.all_sends(), first.nprocs)
         merged.recvtypes = _dense_table(merged.all_recvs(), first.nprocs)
     return merged
+
+
+def _split(rnd: RoundSchedule, limit_bytes: int) -> list[RoundSchedule]:
+    """``rnd`` as piece-rounds of about half ``limit_bytes``, each a slab of
+    every lane's slowest axis; ``rnd`` itself when no lane has a second row."""
+    pieces = min(-(-rnd.max_round_bytes // max(1, limit_bytes // 2)), rnd.max_lane_rows)
+    if pieces == 1:
+        return [rnd]
+
+    def slab(lane: Optional[Lane], piece: int) -> Optional[Lane]:
+        if lane is None:
+            return None
+        rows = lane.region.dims[-1]
+        lo, hi = piece * rows // pieces, (piece + 1) * rows // pieces
+        if lo == hi:
+            return None
+        offset, dims = lane.region.offset, lane.region.dims
+        region = Box(offset[:-1] + (offset[-1] + lo,), dims[:-1] + (hi - lo,))
+        datatype = None  # unbound plans (cost models) carry geometry only
+        if lane.datatype is not None:
+            datatype = subarray_for(lane.container, region, rnd.mpi_type, rnd.components)
+        return Lane(lane.peer, lane.nbytes // rows * (hi - lo), lane.container, region, datatype)
+
+    def slabs(lanes: list[Lane], piece: int) -> list[Lane]:
+        return [cut for lane in lanes if (cut := slab(lane, piece)) is not None]
+
+    return [
+        RoundSchedule(
+            rnd.index, rnd.chunk_index, rnd.nprocs,
+            slabs(rnd.sends, piece), slabs(rnd.recvs, piece),
+            slab(rnd.self_send, piece), slab(rnd.self_recv, piece),
+            rnd.max_partners, -(-rnd.max_round_bytes // pieces),
+            rnd.components, rnd.mpi_type, piece=piece, pieces=pieces,
+        )
+        for piece in range(pieces)
+    ]
 
 
 @dataclass
@@ -501,8 +525,10 @@ def assemble_plan(
         ]
         peers: list[set[int]] = [set() for _ in range(nprocs)]
         staged = [0] * nprocs  # sends staged + remote recvs in flight
+        max_lane_rows = 1
         for owner, dest, overlap in round_overlaps(index):
             nbytes = overlap.volume() * element_size
+            max_lane_rows = max(max_lane_rows, overlap.dims[-1])
             send = Lane(dest, nbytes, owns[owner][index], overlap)
             recv = Lane(owner, nbytes, needs[dest], overlap)
             staged[owner] += nbytes
@@ -520,6 +546,7 @@ def assemble_plan(
         for schedule, rnd in zip(schedules, rounds):
             rnd.max_partners = max_partners
             rnd.max_round_bytes = max_round_bytes
+            rnd.max_lane_rows = max_lane_rows
             schedule.rounds.append(rnd)
     return GlobalPlan(nprocs, ndims, element_size, nrounds, schedules)
 

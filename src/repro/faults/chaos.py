@@ -37,6 +37,7 @@ import numpy as np
 
 from ..core.api import Redistributor
 from ..core.box import Box
+from ..core.engine import BACKENDS as ALL_BACKENDS
 from ..core.schedule import compute_global_plan
 from ..intransit.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from ..lbm.decompose import slab_box
@@ -76,17 +77,16 @@ RESIZE_COMBOS = COMBOS[:2]
 #: budgeted staging memory (zero-copy rounds stage nothing).
 MEMORY_COMBOS = COMBOS[:1]
 
-#: Memory-chaos backends: the strict engines (which must surface a typed
-#: ``MemoryBudgetError`` when a round cannot fit) plus the two that keep
-#: going under pressure (``bounded`` lowers every round, ``auto`` the
-#: rounds whose staged estimate exceeds the budget).
-MEMORY_BACKENDS = ("alltoallw", "p2p", "auto", "bounded")
+#: Memory-chaos backends — all four: the strict engines (which must surface
+#: a typed ``MemoryBudgetError`` when a round cannot fit) plus the two that
+#: keep going under pressure (``bounded`` and ``auto`` run a round whose
+#: staged estimate exceeds the budget in pieces).
+MEMORY_BACKENDS = ALL_BACKENDS
 
 #: Field the plain exchange redistributes (slab → tile), and the memory
-#: sweep's larger one: at 4 ranks its lanes are 256 KiB, four times the
-#: bounded engine's 64 KiB minimum piece size (``MIN_CHUNK_BYTES``), so
-#: tight budgets actually force sub-round lowering rather than only ledger
-#: checks.
+#: sweep's larger one: at 4 ranks its lanes are 256 KiB in 128 rows, so even
+#: the tightest budget (15 % of the peak: 14 piece-rounds) cuts every lane —
+#: sub-round lowering is forced, not only ledger checks.
 FIELD = (16, 8)
 MEMORY_FIELD = (1024, 512)
 
@@ -624,7 +624,7 @@ def _memory(runs: int, ops: int, nprocs: int):
     :data:`MEMORY_MIN_FRACTION` of it across the sweep; the plans draw
     self-healing families plus seeded ``alloc`` faults, and the backend
     cycle adds ``bounded``.  Acceptable endings are bitwise-correct output
-    (the bounded/auto engines lowered their rounds under the budget),
+    (``bounded`` / ``auto`` ran their over-budget rounds in pieces),
     degraded-by-policy frames, or a typed ``MemoryBudgetError`` from a
     strict engine — never an OOM kill or a hang."""
 

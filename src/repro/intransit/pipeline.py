@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.api import Redistributor
+from ..core.engine import check_backend
 from ..faults.policy import ReliabilityPolicy
 from ..io.raw import raw_frame_bytes, write_raw
 from ..jpeg.encoder import encode_rgb
@@ -219,11 +220,8 @@ class PipelineConfig:
             raise ValueError(
                 "reliability must be a ReliabilityPolicy or None"
             )
-        if self.backend not in (None, "alltoallw", "p2p", "auto", "bounded"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose 'alltoallw', 'p2p', "
-                "'auto', 'bounded', or None for the process default"
-            )
+        if self.backend is not None:  # None: the process default
+            check_backend(self.backend)
         if self.steps % self.output_every != 0:
             raise ValueError(
                 f"steps ({self.steps}) must be a multiple of output_every "

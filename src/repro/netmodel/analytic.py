@@ -14,18 +14,16 @@ Per-engine costs (:func:`engine_cost`) share one per-round vocabulary:
   collective overhead, plus the same serialisation — the busiest rank again
   sets the round time.
 
-``alltoallw`` prices every round as collective, ``p2p`` every round as
-direct, and ``auto`` applies the same per-round selection rule the executor
-runs (:func:`repro.core.schedule.collective_preferred`), so predicted and
-executed choices agree by construction.
-
-``bounded`` prices a third round shape: a handshake per lowered piece plus
-serialisation at piece-size bandwidth (the default piece size — the model
-carries no budget).
+Which of the two a round is comes from the function the executor asks
+(:func:`repro.core.schedule.round_protocol`): ``alltoallw`` prices every
+round as collective, ``p2p`` and ``bounded`` every round as direct, ``auto``
+by the density rule — so predicted and executed choices agree by
+construction.
 
 Every function prices the plan it is handed, round by round.  Handed
-:func:`executed_plan` — the planned rounds merged the way the executor
-merges them (:func:`repro.core.schedule.coalesce`) — they price what
+:func:`executed_plan` — the planned rounds regrouped the way the executor
+regroups them (:func:`repro.core.schedule.regroup`: merged while a staging
+limit allows, cut into piece-rounds where it does not) — they price what
 actually runs; the paper's tables are reproduced from the planned rounds.
 """
 
@@ -34,20 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..core.schedule import (
-    DEFAULT_BOUNDED_CHUNK_BYTES,
-    GlobalPlan,
-    coalesce,
-    collective_preferred,
-)
+from ..core.engine import check_backend
+from ..core.schedule import GlobalPlan, regroup, round_protocol
 from .cluster import ClusterSpec
 
 #: Modeled cost of one rendezvous handshake on the direct-send path.
 P2P_PER_MESSAGE_S = 5e-6
-
-#: Modeled per-piece overhead on the bounded path: the receive post plus
-#: the eagerly staged send of each lowered piece.
-BOUNDED_PER_PIECE_S = 2 * P2P_PER_MESSAGE_S
 
 
 @dataclass(frozen=True)
@@ -97,21 +87,14 @@ def round_payloads(plan: GlobalPlan) -> list[int]:
 def executed_plan(
     plan: GlobalPlan, backend: str = "alltoallw", limit_bytes: Optional[int] = None
 ) -> GlobalPlan:
-    """``plan`` as ``backend`` executes it: consecutive rounds of one
-    protocol merged into one message per peer while the merged staging
-    estimate fits ``limit_bytes`` per rank (``None``: no cap, so one round
-    per protocol run).  ``nrounds`` of the result counts executed rounds."""
+    """``plan`` as ``backend`` executes it under ``limit_bytes`` of staging
+    per rank (:func:`~repro.core.schedule.regroup` of every rank's schedule;
+    ``None``: no cap, so one round per protocol run).  ``nrounds`` of the
+    result counts executed rounds."""
+    check_backend(backend)
     if not plan.schedules:
         return plan
-
-    def verdict(rnd) -> Optional[str]:
-        if backend == "auto":
-            dense = collective_preferred(rnd.max_partners, plan.nprocs)
-            return "alltoallw" if dense else "p2p"
-        return None if backend == "bounded" else backend  # lowered rounds never merge
-
-    verdicts = [verdict(rnd) for rnd in plan.schedules[0].rounds]
-    schedules = [coalesce(s, verdicts, limit_bytes) for s in plan.schedules]
+    schedules = [regroup(s, backend, limit_bytes) for s in plan.schedules]
     return replace(plan, nrounds=schedules[0].nrounds, schedules=schedules)
 
 
@@ -125,11 +108,7 @@ def engine_cost(
     ``backend`` is ``"alltoallw"``, ``"p2p"``, ``"auto"``, or ``"bounded"``
     — the same names ``Redistributor(backend=...)`` accepts.
     """
-    if backend not in ("alltoallw", "p2p", "auto", "bounded"):
-        raise ValueError(
-            f"unknown backend {backend!r}; choose 'alltoallw', 'p2p', "
-            "'auto', or 'bounded'"
-        )
+    check_backend(backend)
     schedules = plan.schedules
 
     alpha_s = 0.0
@@ -138,38 +117,13 @@ def engine_cost(
     round_engines: list[str] = []
     for round_index in range(plan.nrounds):
         rounds = [s.rounds[round_index] for s in schedules]
-        if backend in ("alltoallw", "p2p", "bounded"):
-            mode = backend
-        else:
-            max_partners = max((r.max_partners for r in rounds), default=0)
-            mode = "alltoallw" if collective_preferred(max_partners, plan.nprocs) else "p2p"
+        mode = round_protocol(backend, rounds[0])  # plan-wide: any rank's copy
         round_engines.append(mode)
 
         if mode == "alltoallw":
             alpha_s += cluster.alpha(plan.nprocs)
             payload = max((r.bytes_out for r in rounds), default=0)
             transfer_s += payload / cluster.effective_bw(payload)
-        elif mode == "bounded":
-            # The busiest rank again sets the round time, paying a
-            # handshake per lowered piece and serialising at the (smaller)
-            # piece size's effective bandwidth.
-            worst_t = 0.0
-            worst_msg = 0.0
-            worst_xfer = 0.0
-            for r in rounds:
-                pieces = sum(
-                    -(-lane.nbytes // DEFAULT_BOUNDED_CHUNK_BYTES) for lane in r.sends
-                )
-                msg = pieces * BOUNDED_PER_PIECE_S
-                xfer = r.bytes_out / cluster.effective_bw(
-                    min(r.bytes_out, DEFAULT_BOUNDED_CHUNK_BYTES) or 1
-                )
-                if msg + xfer > worst_t:
-                    worst_t = msg + xfer
-                    worst_msg = msg
-                    worst_xfer = xfer
-            message_s += worst_msg
-            transfer_s += worst_xfer
         else:
             # The busiest rank sets the round time; attribute its handshake
             # and serialisation shares separately so the sum stays exact.

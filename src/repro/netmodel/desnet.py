@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from ..core.schedule import GlobalPlan, collective_preferred
+from ..core.engine import BACKENDS
+from ..core.schedule import GlobalPlan, round_protocol
 from .analytic import P2P_PER_MESSAGE_S
 from .cluster import ClusterSpec
 
@@ -149,26 +150,18 @@ def simulate_exchange(
     the same nodes); the engines differ in the per-round software term —
     ``alpha(P)`` for a collective round, one rendezvous handshake per
     message (serialised on the busiest rank) for a direct round.  ``engine``
-    is ``"alltoallw"``, ``"p2p"``, or ``"auto"`` (the executed
-    per-round selection rule).
+    is a ``Redistributor(backend=...)`` name; which of the two a round is
+    comes from :func:`repro.core.schedule.round_protocol`, as in the
+    executor and the analytic model.
     """
-    if engine not in ("alltoallw", "p2p", "auto"):
-        raise ValueError(
-            f"unknown engine {engine!r}; choose 'alltoallw', 'p2p', or 'auto'"
-        )
+    if engine not in BACKENDS:
+        raise ValueError(f"unknown engine {engine!r}; choose one of {sorted(BACKENDS)}")
     if rank_to_node is None:
         rank_to_node = default_rank_to_node(plan.nprocs, cluster.procs_per_node)
     total = 0.0
     for round_index in range(plan.nrounds):
         rounds = [s.rounds[round_index] for s in plan.schedules]
-        if engine == "alltoallw":
-            collective = True
-        elif engine == "p2p":
-            collective = False
-        else:
-            max_partners = max((r.max_partners for r in rounds), default=0)
-            collective = collective_preferred(max_partners, plan.nprocs)
-        if collective:
+        if round_protocol(engine, rounds[0]) == "alltoallw":  # plan-wide: any rank's copy
             total += cluster.alpha(plan.nprocs)
         else:
             worst_messages = max((r.message_count for r in rounds), default=0)

@@ -115,9 +115,9 @@ def predict_ddr(
 ) -> LoadPrediction:
     """DDR path: load-balanced reads, then the modeled redistribution.
 
-    ``backend`` picks the exchange engine being modeled (``"alltoallw"``,
-    ``"p2p"``, or ``"auto"``) — the same names the execution layer accepts,
-    and the same per-round auto-selection rule.  ``plan`` prices a given
+    ``backend`` picks the exchange engine being modeled — the same four
+    names the execution layer accepts, under either network model, and the
+    same per-round protocol rule.  ``plan`` prices a given
     schedule of this geometry instead of the planned one — the executed
     form (:func:`~repro.netmodel.analytic.executed_plan`) — and ``rounds``
     then counts its rounds.

@@ -1,10 +1,10 @@
-"""Memory-budget enforcement end to end: strict refusal, bounded lowering.
+"""Memory-budget enforcement end to end: strict refusal, lowering into pieces.
 
 The acceptance story of the budget machinery: a slab-to-tile redistribution
 whose staged peak exceeds ``DDR_MEM_BUDGET_MB`` must *refuse* (typed, before
 allocating) under the strict backends, and *complete bitwise-equal* under the
-``bounded`` backend at roughly half the unbounded peak — with the ledger
-drained back to zero afterwards (no staging leaks).
+``bounded`` and ``auto`` backends with the ledger's measured high-water mark
+inside the budget — and drained back to zero afterwards (no staging leaks).
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    MIN_CHUNK_BYTES,
-    PIECE_INFLIGHT,
-    Redistributor,
-    compute_global_plan,
-    round_protocol,
-)
+from repro.core import Box, Redistributor, compute_global_plan, regroup, round_protocol
 from repro.lbm.decompose import slab_box
 from repro.mpisim import RankFailure
 from repro.mpisim.errors import MemoryBudgetError
@@ -28,9 +22,7 @@ from tests.conftest import slab_exchange, spmd, thread_only
 
 NPROCS = 4
 NX, NY = 256, 128
-#: Geometry big enough that ``PIECE_INFLIGHT * MIN_CHUNK_BYTES`` fits under
-#: half the unbounded peak, so lowering actually lands under the budget
-#: (smaller rounds hit the piece floor and are best effort).
+#: A larger geometry (768 KiB staged per rank) for the ``auto`` cases.
 BIG_NX, BIG_NY = 1024, 512
 
 
@@ -89,11 +81,12 @@ class TestBudgetEnforcement:
         # The refusal message routes the user to the way out.
         assert "bounded" in str(info.value.original)
 
-    @pytest.mark.parametrize("fraction", [1.0, 0.75, 0.5])
+    @pytest.mark.parametrize("fraction", [1.0, 0.75, 0.5, 0.25])
     def test_bounded_bitwise_within_budget(self, fraction):
         # The acceptance criterion: the same redistribution that the strict
         # engine refuses at half the unbounded peak completes byte-for-byte
-        # identically via bounded lowering.
+        # identically via bounded lowering — also at a quarter, where a 16 KiB
+        # lane has to be cut (no byte floor under the pieces: geometry is).
         expected = spmd(NPROCS, _exchange, "alltoallw")
         budget = int(unbounded_peak_bytes() * fraction)
         with budget_scope(limit_bytes=budget):
@@ -105,7 +98,6 @@ class TestBudgetEnforcement:
     def test_auto_routes_through_bounded_under_budget(self):
         expected = spmd(NPROCS, _exchange, "auto", BIG_NX, BIG_NY)
         budget = unbounded_peak_bytes(NPROCS, BIG_NX, BIG_NY) // 2
-        assert budget >= PIECE_INFLIGHT * MIN_CHUNK_BYTES  # bounded can fit
         with budget_scope(limit_bytes=budget):
             got = spmd(NPROCS, _exchange, "auto", BIG_NX, BIG_NY)
             assert MEMORY_BUDGET.peak_bytes() <= budget
@@ -123,33 +115,57 @@ class TestBudgetEnforcement:
         assert len(got) == NPROCS
 
 
+def _lowered(schedule, backend: str, limit) -> bool:
+    """Whether ``regroup`` cuts ``schedule``'s one round into direct piece-rounds."""
+    rounds = regroup(schedule, backend, limit).rounds
+    if len(rounds) == 1:
+        assert rounds[0] is schedule.rounds[0]
+        return False
+    assert [(r.piece, r.pieces, r.members) for r in rounds] == [
+        (j, len(rounds), (0,)) for j in range(len(rounds))
+    ]
+    assert {round_protocol(backend, r) for r in rounds} == {"p2p"}
+    return True
+
+
 class TestAutoPick:
-    def _dense_round(self, nx: int, ny: int):
+    """``regroup`` lowers a round iff the budget binds on its staged estimate
+    (the limit the engine hands it is ``None`` on a direct transport), and
+    only under ``auto`` / ``bounded``; everything else keeps the static rule."""
+
+    def _schedule(self, nx: int, ny: int):
         schedule = _global_plan(NPROCS, nx, ny).schedules[0]
-        return max(schedule.rounds, key=lambda r: r.max_round_bytes)
+        assert len(schedule.rounds) == 1
+        return schedule
 
     def test_tight_budget_picks_bounded(self):
-        rnd = self._dense_round(BIG_NX, BIG_NY)
-        with budget_scope(limit_bytes=rnd.max_round_bytes // 2):
-            assert round_protocol("auto", rnd, False) == "bounded"
+        schedule = self._schedule(BIG_NX, BIG_NY)
+        limit = schedule.rounds[0].max_round_bytes // 2
+        assert _lowered(schedule, "auto", limit) and _lowered(schedule, "bounded", limit)
+        # ceil(staged / (limit // 2)) pieces: two may be resident at once.
+        assert len(regroup(schedule, "auto", limit).rounds) == 4
+        for strict in ("alltoallw", "p2p"):  # left whole, for the engine to refuse
+            assert regroup(schedule, strict, limit) is schedule
 
     def test_small_round_falls_back_best_effort(self):
-        # Lanes below the MIN_CHUNK floor cannot be lowered further: whatever
-        # auto picks is best effort (the ledger still enforces the hard line
-        # at run time).
-        rnd = self._dense_round(NX, NY)
-        assert rnd.max_round_bytes // 2 < PIECE_INFLIGHT * MIN_CHUNK_BYTES
-        with budget_scope(limit_bytes=rnd.max_round_bytes // 2):
-            assert round_protocol("auto", rnd, False) in (
-                "alltoallw", "p2p", "bounded",
-            )
+        # There is no byte floor under a piece — a 48 KiB round is cut like a
+        # large one — but geometry is one: lanes a single row tall cannot be
+        # lowered further, and whatever auto picks is best effort (the ledger
+        # still enforces the hard line at run time).
+        assert _lowered(self._schedule(NX, NY), "auto", unbounded_peak_bytes() // 2)
+        owns = [[Box((0, r), (64, 1))] for r in range(NPROCS)]
+        needs = [Box((16 * r, 0), (16, NPROCS)) for r in range(NPROCS)]
+        schedule = compute_global_plan(owns, needs, element_size=4).schedules[0]
+        assert schedule.rounds[0].max_lane_rows == 1
+        assert not _lowered(schedule, "auto", 1) and not _lowered(schedule, "bounded", 1)
 
     def test_generous_budget_keeps_static_rule(self):
-        rnd = self._dense_round(NX, NY)
-        unbudgeted = round_protocol("auto", rnd, False)
+        schedule = self._schedule(NX, NY)
+        (rnd,) = schedule.rounds
+        unbudgeted = round_protocol("auto", rnd)
         assert unbudgeted in ("alltoallw", "p2p")
-        with budget_scope(limit_bytes=64 * rnd.max_round_bytes):
-            assert round_protocol("auto", rnd, False) == unbudgeted
+        executed = regroup(schedule, "auto", 64 * rnd.max_round_bytes)
+        assert executed is schedule and round_protocol("auto", executed.rounds[0]) == unbudgeted
 
     @pytest.mark.parametrize(
         "nprocs, side, dense",
@@ -157,13 +173,11 @@ class TestAutoPick:
     )
     def test_only_a_binding_budget_changes_auto(self, nprocs, side, dense):
         owns, needs = slab_exchange(nprocs, side, dense)
-        (rnd,) = compute_global_plan(owns, needs, element_size=4).schedules[0].rounds
-        unbudgeted = round_protocol("auto", rnd, False)
-        assert unbudgeted == ("alltoallw" if dense else "p2p")
+        schedule = compute_global_plan(owns, needs, element_size=4).schedules[0]
+        (rnd,) = schedule.rounds
+        assert round_protocol("auto", rnd) == ("alltoallw" if dense else "p2p")
         for k in (1, 4, 64):
-            with budget_scope(limit_bytes=k * rnd.max_round_bytes):
-                assert round_protocol("auto", rnd, False) == unbudgeted
-        with budget_scope(limit_bytes=rnd.max_round_bytes - 1):
-            assert round_protocol("auto", rnd, False) == "bounded"
-            # Nothing is staged on a direct transport: the limit is moot.
-            assert round_protocol("auto", rnd, True) == unbudgeted
+            assert not _lowered(schedule, "auto", k * rnd.max_round_bytes)
+        assert _lowered(schedule, "auto", rnd.max_round_bytes - 1)
+        # Nothing is staged on a direct transport: the engine passes no limit.
+        assert not _lowered(schedule, "auto", None)

@@ -148,8 +148,9 @@ class TestProtocolAgreement:
 
         with budget_scope(limit_bytes=self.LIMIT), tracing() as tracer:
             choices = spmd(4, fn)
-        names = [r.name for r in tracer.records()]
-        rounds = [r.attrs["backend"] for r in tracer.records() if r.name == "ddr.round"]
+        self.records = tracer.records()
+        names = [r.name for r in self.records]
+        rounds = [r.attrs["backend"] for r in self.records if r.name == "ddr.round"]
         return choices, rounds, names
 
     def test_auto_on_zerocopy_reports_the_collective_it_runs(self):
@@ -164,8 +165,18 @@ class TestProtocolAgreement:
 
     def test_bounded_on_packed_lowers_and_says_so(self):
         choices, rounds, names = self.run("bounded", "packed")
-        assert choices == [["bounded"]] * 4 and rounds == ["bounded"] * 4
-        assert names.count("ddr.lowering") == 4
+        # The 112 KiB round runs as ceil(112 / 32) = 4 direct piece-rounds.
+        assert choices == [["p2p"]] * 4 and rounds == ["p2p"] * 16
+        assert "mpi.Alltoallw" not in names
+        records = [r for r in self.records if r.name == "ddr.round"]
+        assert sorted((r.rank, r.attrs["piece"], r.attrs["pieces"]) for r in records) == [
+            (rank, piece, 4) for rank in range(4) for piece in range(4)
+        ]
+        spans = [r.attrs for r in records]
+        assert {(a["round"], tuple(a["covers"])) for a in spans} == {(0, (0,))}
+        exchanges = [r.attrs for r in self.records if r.name == "ddr.exchange"]
+        assert {(a["rounds"], a["executed"]) for a in exchanges} == {(1, 4)}
+        assert sum(a["nbytes"] for a in spans) == 4 * 48 * 1024  # every lane, once
 
     @pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
     def test_engine_choices_refuses_exactly_when_the_exchange_would(self, backend):

@@ -9,11 +9,12 @@ Tilings are produced by recursive bisection so they are always mutually
 exclusive and complete (the paper's §III-B precondition); needs are
 arbitrary sub-boxes and may overlap across ranks.  Tiles are dealt to the
 ranks at random — several chunks on one rank, none on another — so most
-plans have several rounds, and the budget axis decides how many of them one
-executed round carries (``repro.core.schedule.coalesce``): all of them
+plans have several rounds, and the budget axis decides how the executed
+rounds regroup them (``repro.core.schedule.regroup``): all in one
 (``none``), some (``between`` one planned round and the whole exchange) or
-one, lowered or refused (``below`` a single round).  The executor axis is
-covered by re-running this file under ``DDR_EXECUTOR=process`` (CI leg).
+one at a time, the over-budget ones cut into piece-rounds or refused
+(``below`` a single round).  The executor axis is covered by re-running
+this file under ``DDR_EXECUTOR=process`` (CI leg).
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Box, Redistributor, compute_global_plan
+from repro.core import Box, Redistributor, compute_global_plan, regroup
 from repro.mpisim import RankFailure, default_executor
 from repro.mpisim.errors import MemoryBudgetError
 from repro.utils.membudget import budget_scope
 from tests.conftest import spmd
 
 #: Per-axis multiplier of a "large" domain, by dimensionality: about 2^17
-#: cells, so lanes pass the 64 KiB piece floor and bounded rounds really split.
+#: cells, so lanes are many rows tall and staged through shm segments.
 LARGE_AXIS_SCALE = {1: 1 << 14, 2: 1 << 6, 3: 1 << 3}
 
 
@@ -92,25 +93,24 @@ def crop(global_array: np.ndarray, domain: Box, region: Box) -> np.ndarray:
 def cases(draw):
     ndim = draw(st.integers(1, 3))
     thread = default_executor() != "process"  # the budget ledger is per process
-    # A third of the cases pin the axes under which bounded rounds really
-    # split (staged transport, a budget, lanes past the piece floor).
+    # A third of the cases pin the axes under which rounds really run in
+    # pieces (a lowering backend, a staged transport, a budget below one
+    # planned round) — at every size: geometry is the only floor.
     lowering = thread and draw(st.sampled_from([False, False, True]))
     return dict(
         seed=draw(st.integers(0, 10_000)),
         ndim=ndim,
         nprocs=draw(st.integers(1, 8)),
-        scale=LARGE_AXIS_SCALE[ndim] if lowering else draw(
-            st.sampled_from([1, 1, LARGE_AXIS_SCALE[ndim]])
-        ),
+        scale=draw(st.sampled_from([1, 1, LARGE_AXIS_SCALE[ndim]])),
         dtype=draw(st.sampled_from(["u1", "f4", "f8"])),
-        components=draw(st.sampled_from([1, 3])),
+        components=draw(st.sampled_from([1, 3, 9])),
         backend=draw(
             st.sampled_from(
                 ["auto", "bounded"] if lowering else ["alltoallw", "p2p", "auto", "bounded"]
             )
         ),
-        transport="packed" if lowering else draw(
-            st.sampled_from(["packed", "zerocopy", "shm"])
+        transport=draw(
+            st.sampled_from(["packed", "shm"] if lowering else ["packed", "zerocopy", "shm"])
         ),
         budget="below" if lowering else draw(
             st.sampled_from(["none", "between", "below"] if thread else ["none"])
@@ -120,7 +120,7 @@ def cases(draw):
 
 def uneven_problem(seed: int):
     """Four, three, no and two chunks on four ranks (four planned rounds,
-    the last with one sender), 2-D, lanes past the bounded piece floor."""
+    the last with one sender), 2-D, lanes hundreds of rows tall."""
     rng = np.random.default_rng(seed)
     domain = Box((0, 0), (384, 256))
     tiles = iter(bisect_tiling(domain, 9, rng))
@@ -146,7 +146,10 @@ def run_case(
         red.setup(own=owns[rank], need=needs[rank])
         buffers = [np.ascontiguousarray(crop(reference, domain, c)) for c in owns[rank]]
         out = red.gather_need(buffers, fill=7)
-        assert np.array_equal(out, crop(reference, domain, needs[rank])), (rank, owns, needs)
+        if needs[rank] is None:
+            assert out is None
+        else:
+            assert np.array_equal(out, crop(reference, domain, needs[rank])), (rank, owns, needs)
 
     if budget == "none":
         spmd(nprocs, fn)
@@ -206,3 +209,33 @@ def test_uneven_multichunk_ownership(backend, transport, budget):
         run_case(
             seed, 2, 4, 1, "f4", 1, backend, transport, budget, problem=uneven_problem(seed)
         )
+
+
+def state_mover_problem():
+    """What the pipeline's state mover hands the engine, in small: three,
+    one and two chunks on three of four ranks — one chunk a single row tall,
+    so its lanes sit pieces out — and a rank that needs nothing."""
+    domain = Box((0, 0), (6, 12))
+    rows = [(0, 5), (5, 1), (6, 2), (8, 1), (9, 2), (11, 1)]
+    tiles = [Box((0, y), (6, h)) for y, h in rows]
+    owns = [[tiles[0], tiles[3], tiles[5]], [tiles[1]], [], [tiles[2], tiles[4]]]
+    needs = [Box((0, 0), (3, 12)), Box((3, 0), (3, 7)), None, Box((2, 4), (4, 8))]
+    return domain, owns, needs
+
+
+@pytest.mark.parametrize("transport", ["packed", "shm"])
+@pytest.mark.parametrize("backend", ["auto", "bounded"])
+def test_lowered_rounds_move_interleaved_state(backend, transport):
+    if default_executor() == "process":
+        pytest.skip("the budget ledger is per process")
+    problem = state_mover_problem()
+    plan = compute_global_plan(problem[1], problem[2], 8 * 9)
+    # Half the worst round: round 0 runs in four pieces, and rank 1's chunk —
+    # one row tall — is in only one of them.
+    limit = max(rnd.max_round_bytes for rnd in plan.schedules[1].rounds) // 2
+    executed = regroup(plan.schedules[1], backend, limit).rounds
+    assert [(r.members, r.piece, r.pieces) for r in executed] == [
+        ((0,), 0, 4), ((0,), 1, 4), ((0,), 2, 4), ((0,), 3, 4), ((1,), 0, 1), ((2,), 0, 1)
+    ]
+    assert [bool(r.sends or r.self_send) for r in executed[:4]] == [False, False, False, True]
+    run_case(0, 2, 4, 1, "f8", 9, backend, transport, "below", problem=problem)

@@ -4,8 +4,8 @@ One plan description serves the executor, the plan files, the cost models
 and Table III, so this file checks it from each side: the geometry the
 planner writes down (paper Figure 1 / Table III, random decompositions), the
 plan-wide round statistics every rank must agree on, the accounting the
-memory budget trusts (bytes conserved, lowering monotone), and the per-round
-protocol choice being a pure function of the plan.
+memory budget trusts (bytes conserved), and the per-round protocol choice and
+the regrouping into executed rounds being pure functions of the plan.
 """
 
 from __future__ import annotations
@@ -16,19 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    MIN_CHUNK_BYTES,
-    PIECE_INFLIGHT,
     Box,
     DataDescriptor,
     DataLayout,
-    chunk_bytes_for,
     collective_preferred,
     compute_global_plan,
+    regroup,
     round_protocol,
 )
 from repro.core.mapping import local_mapping_from_global
-from repro.core.schedule import coalesce
-from repro.mpisim.datatypes import StructType
+from repro.mpisim.datatypes import StructType, SubarrayType
 from repro.lbm.decompose import slab_box
 from repro.utils import MiB
 from repro.volren.decompose import grid_boxes, grid_shape
@@ -81,7 +78,7 @@ def recvs(schedule):
 
 
 def auto_choices(schedule):
-    return [round_protocol("auto", rnd, False) for rnd in schedule.rounds]
+    return [round_protocol("auto", rnd) for rnd in schedule.rounds]
 
 
 class TestE1:
@@ -264,51 +261,75 @@ class TestRoundRule:
 
 
 def transfers(schedule):
-    """Sorted (src, dst, region, container) of every lane, self lanes included."""
+    """Sorted (direction, src, dst, cell, container) of every cell of every
+    lane, self lanes included: a multiset, so a cell moved twice or by an
+    overlapping piece shows."""
     me = schedule.rank
     moved = []
     for rnd in schedule.rounds:
         for lane in rnd.all_sends():
-            moved += [("send", me, lane.peer, t.region, t.container) for t in lane.parts or [lane]]
+            moved += [
+                ("send", me, lane.peer, cell, t.container)
+                for t in lane.parts or [lane] for cell in t.region.cells()
+            ]
         for lane in rnd.all_recvs():
-            moved += [("recv", lane.peer, me, t.region, t.container) for t in lane.parts or [lane]]
+            moved += [
+                ("recv", lane.peer, me, cell, t.container)
+                for t in lane.parts or [lane] for cell in t.region.cells()
+            ]
     return sorted(moved, key=repr)
 
 
+def budgets(plan):
+    staged = [rnd.max_round_bytes for rnd in plan.schedules[0].rounds]
+    peak = max(staged, default=0)
+    return staged, {
+        "none": None,
+        "between": peak + (sum(staged) - peak) // 2,
+        "below": peak // 2,
+    }
+
+
+def bound(schedule, nprocs):
+    return schedule.bind(DataDescriptor.create(nprocs, DataLayout(2), "f4").mpi_type)
+
+
 class TestCoalesce:
-    """The executed schedule moves exactly the planned transfers, in groups
-    every rank draws identically and no budget is exceeded by."""
+    """The merging direction of ``regroup``: the executed schedule moves
+    exactly the planned transfers, in groups every rank draws identically
+    and no budget is exceeded by."""
 
     @given(
         seed=st.integers(0, 5000),
         nprocs=st.integers(1, 6),
         budget=st.sampled_from(["none", "between", "below"]),
-        bound=st.booleans(),
+        backend=st.sampled_from(["alltoallw", "p2p", "auto", "bounded"]),
+        bind=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_preserves_transfers_and_boundaries_agree(self, seed, nprocs, budget, bound):
+    def test_preserves_transfers_and_boundaries_agree(self, seed, nprocs, budget, backend, bind):
         domain, owns, needs = random_problem(seed, nprocs=nprocs)
         plan = compute_global_plan(owns, needs, 4)
-        staged = [rnd.max_round_bytes for rnd in plan.schedules[0].rounds]
-        peak = max(staged, default=0)
-        limit = {
-            "none": None,
-            "between": peak + (sum(staged) - peak) // 2,
-            "below": peak // 2,
-        }[budget]
+        staged, limits = budgets(plan)
+        limit = limits[budget]
         boundaries = set()
         for planned in plan.schedules:
-            if bound:
-                planned = planned.bind(DataDescriptor.create(nprocs, DataLayout(2), "f4").mpi_type)
-            verdicts = auto_choices(planned)
-            executed = coalesce(planned, verdicts, limit)
+            if bind:
+                planned = bound(planned, nprocs)
+            verdicts = [round_protocol(backend, rnd) for rnd in planned.rounds]
+            executed = regroup(planned, backend, limit)
             assert transfers(executed) == transfers(planned)
-            groups = [rnd.members for rnd in executed.rounds]
+            assert executed.nrounds == len(executed.rounds)
+            # The pieces of a lowered round count as one group (TestSplit has them).
+            groups = [rnd.members for rnd in executed.rounds if rnd.piece == 0]
             boundaries.add(tuple(groups))
             assert [i for g in groups for i in g] == list(range(planned.nrounds))
-            assert executed.nrounds == len(groups)
-            for rnd, group in zip(executed.rounds, groups):
+            for rnd in executed.rounds:
+                group = rnd.members
                 assert len({verdicts[i] for i in group}) == 1 and rnd.index == group[0]
+                if rnd.pieces > 1:
+                    continue
+                assert round_protocol(backend, rnd) == verdicts[group[0]]
                 if len(group) == 1:
                     assert rnd is planned.rounds[group[0]]
                     continue
@@ -317,7 +338,7 @@ class TestCoalesce:
                 assert rnd.bytes_out == sum(planned.rounds[i].bytes_out for i in group)
                 assert [lane.peer for lane in rnd.sends] == sorted({l.peer for l in rnd.sends})
                 for lane in rnd.all_sends() + rnd.all_recvs():
-                    assert isinstance(lane.datatype, StructType) is bound
+                    assert isinstance(lane.datatype, StructType) is bind
                     assert lane.nbytes == sum(part.nbytes for part in lane.parts)
             # Greedy: a group stopped growing only at a verdict change or the cap.
             for left, right in zip(groups, groups[1:]):
@@ -329,24 +350,98 @@ class TestCoalesce:
     def test_nothing_to_merge_returns_the_schedule_itself(self):
         for plan in (ring_plan(5), dense_plan(3)):  # one planned round
             for s in plan.schedules:
-                assert coalesce(s, auto_choices(s)) is s
-                assert coalesce(s, auto_choices(s)).rounds[0] is s.rounds[0]
+                for backend in ("alltoallw", "p2p", "auto", "bounded"):
+                    assert regroup(s, backend) is s
+                    assert regroup(s, backend).rounds[0] is s.rounds[0]
         mixed = mixed_plan().schedules[0]  # two rounds, two protocols
-        assert coalesce(mixed, auto_choices(mixed)) is mixed
-        e1 = e1_plan().schedules[0]  # two rounds, one protocol, refused ones never merge
-        assert coalesce(e1, [None, None]) is e1
-        assert coalesce(e1, auto_choices(e1), limit_bytes=1) is e1
+        assert regroup(mixed, "auto") is mixed
+        e1 = e1_plan().schedules[0]  # two rounds, one protocol: no room, or refused
+        assert regroup(e1, "auto", e1.rounds[0].max_round_bytes) is e1
+        assert regroup(e1, "alltoallw", limit_bytes=1) is e1
 
     def test_e1_merges_into_one_message_per_peer(self):
         plan = e1_plan()
         for s in plan.schedules:
-            merged = coalesce(s, auto_choices(s))
+            merged = regroup(s, "auto")
             assert merged.nrounds == 1 and s.nrounds == 2  # the plan is untouched
             (rnd,) = merged.rounds
             assert rnd.members == (0, 1) and rnd.chunk_index is None
             assert rnd.message_count == len({l.peer for r in s.rounds for l in r.sends})
             assert merged.total_bytes_out == s.total_bytes_out
             assert merged.total_self_bytes == s.total_self_bytes
+
+
+class TestSplit:
+    """The splitting direction of ``regroup``: a round over the limit runs as
+    k piece-rounds that tile every lane, k and the cuts alike on every rank."""
+
+    @given(
+        seed=st.integers(0, 5000),
+        nprocs=st.integers(1, 6),
+        backend=st.sampled_from(["auto", "bounded"]),
+        divisor=st.sampled_from([2, 3, 5, 16, 10**6]),
+        bind=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_pieces_tile_every_lane_and_agree_on_every_rank(
+        self, seed, nprocs, backend, divisor, bind
+    ):
+        domain, owns, needs = random_problem(seed, nprocs=nprocs)
+        plan = compute_global_plan(owns, needs, 4)
+        staged, _ = budgets(plan)
+        limit = max(staged, default=0) // divisor
+        shapes = set()
+        for planned in plan.schedules:
+            if bind:
+                planned = bound(planned, nprocs)
+            executed = regroup(planned, backend, limit)
+            assert transfers(executed) == transfers(planned)  # tiled exactly, disjoint
+            shapes.add(tuple((r.members, r.piece, r.pieces) for r in executed.rounds))
+            for rnd in executed.rounds:
+                (index,) = rnd.members if rnd.pieces > 1 else (rnd.index,)
+                whole = planned.rounds[index]
+                if rnd.pieces == 1:
+                    # Whole rounds fit, or no lane of theirs has a second row.
+                    assert rnd.max_round_bytes <= limit or whole.max_lane_rows == 1
+                    continue
+                k = rnd.pieces
+                assert staged[index] > limit and round_protocol(backend, rnd) == "p2p"
+                assert k == min(-(-staged[index] // max(1, limit // 2)), whole.max_lane_rows)
+                assert (rnd.index, rnd.chunk_index) == (whole.index, whole.chunk_index)
+                lanes = rnd.all_sends() + rnd.all_recvs()
+                # No piece-round is staged above its share plus a row per lane.
+                row_bytes = sum(lane.nbytes // lane.region.dims[-1] for lane in lanes)
+                assert rnd.max_round_bytes == -(-staged[index] // k)
+                assert rnd.peak_bytes() <= rnd.max_round_bytes + row_bytes
+                for lane in lanes:
+                    assert isinstance(lane.datatype, SubarrayType) is bind
+                    assert lane.nbytes == lane.region.volume() * 4 and not lane.parts
+        assert len(shapes) == 1, "ranks disagree on pieces"
+
+    def test_strict_backends_and_fitting_rounds_stay_whole(self):
+        for s in slab_to_tile_plan(4).schedules:
+            (rnd,) = s.rounds
+            for backend in ("alltoallw", "p2p"):
+                assert regroup(s, backend, rnd.max_round_bytes // 4) is s
+            for backend in ("auto", "bounded"):
+                assert regroup(s, backend, rnd.max_round_bytes) is s
+                assert regroup(s, backend, None) is s
+                # Half the limit per piece: twice the pieces the ratio suggests.
+                assert regroup(s, backend, rnd.max_round_bytes // 4).nrounds == 8
+
+    def test_a_lane_shorter_than_k_sits_pieces_out(self):
+        # Rank 0's chunk is 8 rows for rank 0 itself and 2 rows for rank 1.
+        owns = [[Box((0, 0), (4, 10))], []]
+        needs = [Box((0, 0), (4, 8)), Box((0, 8), (4, 2))]
+        plan = compute_global_plan(owns, needs, element_size=4)
+        (rnd,) = plan.schedules[0].rounds
+        assert (rnd.max_round_bytes, rnd.max_lane_rows) == (160, 8)
+        pieces = [regroup(s, "bounded", 40).rounds for s in plan.schedules]
+        assert [len(p) for p in pieces] == [8, 8]
+        for sender, receiver in zip(*pieces):
+            assert [l.region for l in sender.sends] == [l.region for l in receiver.recvs]
+            assert sender.self_send.region == sender.self_recv.region  # one row each
+        assert [len(p.sends) for p in pieces[0]] == [0, 0, 0, 1, 0, 0, 0, 1]
 
 
 class TestLanes:
@@ -405,24 +500,3 @@ class TestAccounting:
                 assert schedule.rank not in {l.peer for l in rnd.sends + rnd.recvs}
                 assert rnd.self_send is None or rnd.self_send.peer == schedule.rank
                 assert rnd.peak_bytes("zerocopy") == rnd.self_bytes
-
-    def test_lowered_peak_monotone_and_capped(self):
-        # Shrinking the budget-derived chunk can only shrink the footprint.
-        for schedule in slab_to_tile_plan(4).schedules + e1_plan().schedules:
-            assert schedule.peak_bytes() == max(r.peak_bytes() for r in schedule.rounds)
-            for rnd in schedule.rounds:
-                peaks = [
-                    rnd.lowered_peak_bytes(chunk)
-                    for chunk in (1, 64, 4096, 65536, 1 << 20, 1 << 30)
-                ]
-                assert peaks == sorted(peaks)
-                assert all(p <= rnd.peak_bytes() for p in peaks)
-                assert rnd.lowered_peak_bytes(4096) <= PIECE_INFLIGHT * 4096
-
-    def test_chunk_bytes_for(self):
-        assert chunk_bytes_for(0) == chunk_bytes_for(MIN_CHUNK_BYTES) == MIN_CHUNK_BYTES
-        limits = [1 << 20, 8 << 20, 64 << 20, 1 << 30]
-        chunks = [chunk_bytes_for(limit) for limit in limits]
-        assert chunks == sorted(chunks)
-        # PIECE_INFLIGHT resident pieces (x2 slack) stay within budget.
-        assert all(PIECE_INFLIGHT * c <= limit for limit, c in zip(limits, chunks))

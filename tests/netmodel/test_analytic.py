@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Box, Redistributor, compute_global_plan
+from repro.io import Assignment, StackGeometry
 from repro.netmodel import (
     COOLEY,
     P2P_PER_MESSAGE_S,
@@ -13,6 +14,7 @@ from repro.netmodel import (
     exchange_cost,
     executed_plan,
     point_to_point_cost,
+    predict_ddr,
     round_payloads,
 )
 from tests.conftest import slab_exchange, spmd
@@ -157,18 +159,19 @@ class TestEngineCost:
 
 
 class TestExecutedPlan:
-    """Pricing what the engine runs: the planned rounds merged per protocol."""
+    """Pricing what the engine runs: the planned rounds regrouped — merged per
+    protocol, cut into piece-rounds under a limit below one round."""
 
-    def plan(self):
-        # 8 ranks, one 64-cell row each per round, 4 rounds, needed as columns.
-        owns = [[Box((0, r + 8 * k), (64, 1)) for k in range(4)] for r in range(8)]
-        needs = [Box((8 * r, 0), (8, 32)) for r in range(8)]
+    def plan(self, rows=1):
+        # 8 ranks, ``rows`` 64-cell rows each per round, 4 rounds, needed as columns.
+        owns = [[Box((0, rows * (r + 8 * k)), (64, rows)) for k in range(4)] for r in range(8)]
+        needs = [Box((8 * r, 0), (8, 32 * rows)) for r in range(8)]
         return compute_global_plan(owns, needs, element_size=4)
 
     def test_merges_per_backend_and_conserves_bytes(self):
         plan = self.plan()
         assert plan.nrounds == 4
-        for backend, executed in (("alltoallw", 1), ("p2p", 1), ("auto", 1), ("bounded", 4)):
+        for backend, executed in (("alltoallw", 1), ("p2p", 1), ("auto", 1), ("bounded", 1)):
             merged = executed_plan(plan, backend)
             assert merged.nrounds == executed and plan.nrounds == 4
             assert merged.total_bytes_moved() == plan.total_bytes_moved()
@@ -185,3 +188,39 @@ class TestExecutedPlan:
             engine_cost(COOLEY, p).alpha_s for p in (plan, capped, executed_plan(plan))
         ]
         assert costs[0] == 2 * costs[1] == 4 * costs[2]  # one alpha(P) per executed round
+
+    @pytest.mark.parametrize("backend", ["auto", "bounded"])
+    def test_limit_below_one_round_prices_at_most_k_times_the_messages(self, backend):
+        plan = self.plan(rows=4)
+        staged = plan.schedules[0].rounds[0].max_round_bytes
+        lowered = executed_plan(plan, backend, limit_bytes=staged // 2)
+        k = 4  # ceil(staged / (limit // 2)), and lanes are four rows tall
+        assert lowered.nrounds == k * plan.nrounds
+        assert (lowered.traffic_matrix() == plan.traffic_matrix()).all()
+        cost = engine_cost(COOLEY, lowered, backend)
+        assert set(cost.round_engines) == {"p2p"} and cost.alpha_s == 0
+        planned = engine_cost(COOLEY, plan, "p2p")
+        assert planned.message_s < cost.message_s <= k * planned.message_s
+        for s, whole in zip(lowered.schedules, plan.schedules):
+            assert whole.message_count < s.message_count <= k * whole.message_count
+        # Whole: under a strict backend (the engine refuses the round), and
+        # where no lane has a second row to cut at.
+        assert executed_plan(plan, "p2p", limit_bytes=staged // 2).nrounds == plan.nrounds
+        assert executed_plan(self.plan(), backend, limit_bytes=1).nrounds == plan.nrounds
+
+    @pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
+    @pytest.mark.parametrize("network", ["analytic", "des"])
+    def test_every_backend_prices_under_both_networks(self, network, backend):
+        stack = StackGeometry(width=256, height=128, n_images=64, bytes_per_pixel=4)
+
+        def seconds(name):
+            return predict_ddr(
+                COOLEY, 8, Assignment.ROUND_ROBIN, stack, network, name
+            ).exchange_s
+
+        both = sorted(seconds(name) for name in ("alltoallw", "p2p"))
+        assert both[0] < both[1] and both[0] <= seconds(backend) <= both[1]
+        if backend == "bounded":  # no limit given: exactly the direct sends it runs
+            assert seconds("bounded") == seconds("p2p")
+        with pytest.raises(ValueError, match="unknown"):
+            seconds("carrier-pigeon")
