@@ -21,14 +21,31 @@ _INVERSE = np.array(
 )
 
 
-def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
-    """``(h, w, 3)`` uint8 RGB -> float YCbCr with chroma centred on 128."""
+#: Pixels per gemm: OpenBLAS stays single-threaded while M * N * K <= 4 * 65536; one
+#: gemm per frame would wake its thread pool, which spins against the caller's threads.
+_BAND = 8192
+
+
+def ycbcr_planes(rgb: np.ndarray) -> np.ndarray:
+    """``(h, w, 3)`` uint8 RGB -> ``(3, h, w)`` float Y, Cb, Cr: bit for bit
+    ``rgb @ _FORWARD.T`` (per-plane ufuncs are not: dgemm fuses multiply-adds)."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3), got {rgb.shape}")
-    out = rgb.astype(np.float64) @ _FORWARD.T
-    out[..., 1:] += 128.0
-    return out
+    if rgb.shape[1] == 1:  # numpy multiplies one-pixel rows by gemv, which rounds otherwise
+        return np.moveaxis(rgb.astype(np.float64) @ _FORWARD.T + [0.0, 128.0, 128.0], -1, 0)
+    pixels = rgb.reshape(-1, 3)
+    out = np.empty((3, pixels.shape[0]))
+    for start in range(0, pixels.shape[0], _BAND):
+        band = pixels[start : start + _BAND].astype(np.float64)
+        np.matmul(_FORWARD, band.T, out=out[:, start : start + _BAND])
+    out[1:] += 128.0
+    return out.reshape(3, *rgb.shape[:2])
+
+
+def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
+    """``(h, w, 3)`` uint8 RGB -> float YCbCr with chroma centred on 128."""
+    return np.moveaxis(ycbcr_planes(rgb), 0, -1)
 
 
 def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
@@ -43,10 +60,15 @@ def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
 
 
 def subsample_420(channel: np.ndarray) -> np.ndarray:
-    """2x2 box-average chroma subsampling (pads odd dimensions by edge)."""
+    """2x2 box average, added in ``mean``'s order (pads odd dimensions by edge)."""
+    channel = np.asarray(channel, dtype=np.float64)
     h, w = channel.shape
-    padded = np.pad(channel, ((0, h % 2), (0, w % 2)), mode="edge")
-    return padded.reshape(padded.shape[0] // 2, 2, padded.shape[1] // 2, 2).mean(axis=(1, 3))
+    if h % 2 or w % 2:
+        channel = np.pad(channel, ((0, h % 2), (0, w % 2)), mode="edge")
+    a, b, c, d = (channel[i::2, j::2] for i in (0, 1) for j in (0, 1))
+    # mean adds a lone column's four samples in one run, wider planes in pairs
+    out = a + b + c + d if w <= 2 else (a + b) + (c + d)
+    return np.multiply(out, 0.25, out=out)
 
 
 def upsample_420(channel: np.ndarray, h: int, w: int) -> np.ndarray:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import rgb_to_ycbcr, subsample_420
-from .dct import BLOCK, blockify, forward_dct, to_zigzag
+from .color import subsample_420, ycbcr_planes
+from .dct import BLOCK, ZIGZAG_FLAT, forward_dct, to_zigzag
 from .huffman import (
     HuffmanTable,
     STD_AC_CHROMINANCE,
@@ -22,7 +22,7 @@ from .huffman import (
     STD_DC_CHROMINANCE,
     STD_DC_LUMINANCE,
 )
-from .quant import BASE_CHROMINANCE, BASE_LUMINANCE, quantize, scale_table
+from .quant import BASE_CHROMINANCE, BASE_LUMINANCE, scale_table
 
 # Marker bytes.
 SOI = b"\xff\xd8"
@@ -89,18 +89,17 @@ def _prepare_component(
     v: int,
     quant_table: np.ndarray,
 ) -> np.ndarray:
-    """Pad to full MCU coverage, DCT, quantize; returns (n_mcus, h*v, 64)."""
-    target_h = mcus_y * v * BLOCK
-    target_w = mcus_x * h * BLOCK
+    """Level-shift, edge-pad to whole MCUs, DCT, quantize: (n_mcus, h*v, 64) zig-zag."""
     rows, cols = channel.shape
-    padded = np.pad(channel, ((0, target_h - rows), (0, target_w - cols)), mode="edge")
-    blocks, bh, bw = blockify(padded)
-    coeffs = forward_dct(blocks - 128.0)
-    quantized = quantize(coeffs, quant_table)
-    zz = to_zigzag(quantized)  # (bh*bw, 64)
-    # Regroup raster blocks into MCU order: each MCU takes a v x h tile.
-    tiles = zz.reshape(mcus_y, v, mcus_x, h, 64).transpose(0, 2, 1, 3, 4)
-    return tiles.reshape(-1, h * v, 64)
+    shifted = np.empty((mcus_y * v * BLOCK, mcus_x * h * BLOCK))
+    np.subtract(channel, 128.0, out=shifted[:rows, :cols])
+    shifted[:rows, cols:] = shifted[:rows, cols - 1 : cols]
+    shifted[rows:] = shifted[rows - 1]
+    # Blocks in MCU order: each MCU is a v x h tile of blocks.
+    tiles = shifted.reshape(mcus_y, v, BLOCK, mcus_x, h, BLOCK).transpose(0, 3, 1, 4, 2, 5)
+    coeffs = forward_dct(tiles).reshape(-1, h * v, BLOCK * BLOCK)[..., ZIGZAG_FLAT]
+    coeffs /= to_zigzag(quant_table)
+    return np.rint(coeffs, out=coeffs).astype(np.int32)
 
 
 def _dri(interval: int) -> bytes:
@@ -305,7 +304,7 @@ def encode_gray(
     qt = scale_table(BASE_LUMINANCE, quality)
     mcus_x = (width + BLOCK - 1) // BLOCK
     mcus_y = (height + BLOCK - 1) // BLOCK
-    blocks = _prepare_component(image.astype(np.float64), mcus_x, mcus_y, 1, 1, qt)
+    blocks = _prepare_component(image, mcus_x, mcus_y, 1, 1, qt)
     comp = _Component(1, 1, 1, 0, STD_DC_LUMINANCE, STD_AC_LUMINANCE, blocks)
 
     out = bytearray()
@@ -339,10 +338,7 @@ def encode_rgb(
         raise ValueError(f"subsampling must be '444' or '420', got {subsampling!r}")
     height, width = image.shape[:2]
     _check_frame(height, width, restart_interval)
-    ycbcr = rgb_to_ycbcr(image)
-    y = ycbcr[..., 0]
-    cb = ycbcr[..., 1]
-    cr = ycbcr[..., 2]
+    y, cb, cr = ycbcr_planes(image)
 
     q_lum = scale_table(BASE_LUMINANCE, quality)
     q_chr = scale_table(BASE_CHROMINANCE, quality)

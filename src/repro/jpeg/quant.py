@@ -47,10 +47,5 @@ def scale_table(base: np.ndarray, quality: int) -> np.ndarray:
     return np.clip(table, 1, 255).astype(np.int32)
 
 
-def quantize(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Round DCT coefficients to quantized integers."""
-    return np.round(coeffs / table).astype(np.int32)
-
-
 def dequantize(quantized: np.ndarray, table: np.ndarray) -> np.ndarray:
     return quantized.astype(np.float64) * table

@@ -455,7 +455,7 @@ class FrameHub:
                 encode_started = time.perf_counter()
                 with TRACER.span("serve.encode", frame=frame_index):
                     rgb = render_scalar_field(field, BLUE_WHITE_RED, symmetric=True)
-                    blob = encode_rgb(np.ascontiguousarray(rgb), quality=quality)
+                    blob = encode_rgb(rgb, quality=quality)
                 encode_s += time.perf_counter() - encode_started
             frame = ServedFrame(
                 frame_index, key, blob, field.shape,

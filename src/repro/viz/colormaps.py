@@ -26,20 +26,41 @@ class Colormap:
             raise ValueError("a colormap needs at least two control points")
         if values != sorted(values) or values[0] != 0.0 or values[-1] != 1.0:
             raise ValueError("control points must ascend from 0.0 to 1.0")
+        # Row j >= 1: segment from point j - 1 (of duplicates, the last), np.interp's
+        # slope (0 past the last point, so 1.0 answers its colour).  Row 0: NaN, black.
+        x = np.array([0.0] + values)
+        fp = np.hstack([np.zeros((3, 1)), np.transpose([c for _, c in self.points])])
+        dx, dfp = np.diff(x, append=1.0), np.diff(fp, append=fp[:, -1:])
+        slope = np.divide(dfp, dx, out=np.zeros_like(fp), where=dx > 0)
+        for name, table in (("_x", x), ("_fp", fp), ("_slope", slope)):
+            object.__setattr__(self, name, table)  # frozen: derived state
 
     def __call__(self, scalars: np.ndarray) -> np.ndarray:
         """Map scalars in [0, 1] to float RGB in [0, 1]; shape ``(*s, 3)``."""
         s = np.clip(np.asarray(scalars, dtype=np.float64), 0.0, 1.0)
-        xs = np.array([v for v, _ in self.points])
-        channels = np.array([c for _, c in self.points])  # (n, 3)
         out = np.empty(s.shape + (3,))
         for ch in range(3):
-            out[..., ch] = np.interp(s, xs, channels[:, ch])
+            out[..., ch] = np.interp(s, self._x[1:], self._fp[ch, 1:])
         return out
 
     def to_uint8(self, scalars: np.ndarray) -> np.ndarray:
-        """Map scalars in [0, 1] to uint8 RGB."""
-        return np.round(self(scalars) * 255.0).astype(np.uint8)
+        """Map scalars in [0, 1] to uint8 RGB, NaN to black; elsewhere bit for bit
+        ``np.round(self(scalars) * 255)``, np.interp's formula segment by segment."""
+        s = np.clip(np.asarray(scalars, dtype=np.float64), 0.0, 1.0).reshape(-1)
+        row = np.zeros(s.shape, dtype=np.min_scalar_type(self._x.size))
+        for x in self._x[1:]:
+            row += (s >= x).view(np.uint8)  # NaN is at or above nothing: row 0
+        row = row.astype(np.intp)
+        np.fmax(s, 0.0, out=s)  # NaN -> 0, so that row 0 gives exactly black
+        s -= self._x[row]
+        out = np.empty(s.shape + (3,), dtype=np.uint8)
+        for ch in range(3):
+            value = self._slope[ch][row]
+            value *= s
+            value += self._fp[ch][row]
+            value *= 255.0
+            out[:, ch] = np.rint(value, out=value)
+        return out.reshape(np.shape(scalars) + (3,))
 
 
 #: The paper's LBM vorticity map: blue (negative) - white (zero) - red (positive).
@@ -79,16 +100,22 @@ def normalize(
 
     ``symmetric=True`` centres zero at 0.5 (vorticity with BLUE_WHITE_RED:
     still fluid renders white, opposite rotations blue/red).
+
+    A range left to the data spans its finite cells (``(0, 0)`` if none); ``±inf``
+    go to 0 or 1, NaN stays NaN (`Colormap.to_uint8`: black); zero width: 0.5 if symmetric, else 0.
     """
-    data = np.asarray(field, dtype=np.float64)
+    data = np.asarray(field)  # widened to float64 by the subtraction below
+    if vmin is None or vmax is None:
+        lo, hi = data.min(), data.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            finite = data[np.isfinite(data)]
+            lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+        vmin, vmax = lo if vmin is None else vmin, hi if vmax is None else vmax
+    lo, hi = float(vmin), float(vmax)
     if symmetric:
-        bound = max(abs(float(data.min() if vmin is None else vmin)),
-                    abs(float(data.max() if vmax is None else vmax)))
-        if bound == 0.0:
-            return np.full(data.shape, 0.5)
-        return np.clip((data + bound) / (2.0 * bound), 0.0, 1.0)
-    lo = float(data.min()) if vmin is None else float(vmin)
-    hi = float(data.max()) if vmax is None else float(vmax)
+        hi = max(abs(lo), abs(hi))
+        lo = -hi
     if hi <= lo:
-        return np.zeros(data.shape)
-    return np.clip((data - lo) / (hi - lo), 0.0, 1.0)
+        return np.where(np.isnan(data), np.nan, 0.5 if symmetric else 0.0)
+    out = np.subtract(data, lo, dtype=np.float64)
+    return np.clip(np.divide(out, hi - lo, out=out), 0.0, 1.0, out=out)

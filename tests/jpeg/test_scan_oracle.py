@@ -256,9 +256,11 @@ def test_files_match_the_recorded_digests():
 
 
 def test_one_encode_stays_under_the_memory_ceiling():
-    # 9.41 MiB with the per-block coder (the float64 front end); a scan coder
-    # with int64 temporaries throughout took 19.5 MiB and pushed the serving
-    # benchmark's peak RSS past its bound.  numpy reports its buffers to
+    # 7.19 MiB: the (3, h, w) YCbCr planes plus one component's shifted,
+    # DCT and zig-zag buffers (9.41 with interleaved float64 copies and
+    # np.pad / blockify / quantize / to_zigzag each copying a plane; 19.5 with
+    # a scan coder that kept int64 temporaries, which pushed the serving
+    # benchmark's peak RSS past its bound).  numpy reports its buffers to
     # tracemalloc, so the number repeats exactly.
     ys, xs = np.mgrid[0:240, 0:600]
     field = np.sin(0.3 * xs + 1.19) * np.cos(0.2 * ys - 0.35)
@@ -272,7 +274,7 @@ def test_one_encode_stays_under_the_memory_ceiling():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert peak <= 8 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 if __name__ == "__main__":  # record the digests of the tree on sys.path, one per line
