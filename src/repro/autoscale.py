@@ -279,9 +279,9 @@ def _demo_epochs(rr, own, data, spec: _DemoSpec) -> dict:
         target = rr.comm.size
         if scaler is not None:
             registry.observe(EXCHANGE_SPAN, elapsed, rank=0)
-            registry.counters[QUEUE_GAUGE] = spec.queue_curve[
-                min(epoch_index, len(spec.queue_curve) - 1)
-            ]
+            registry.gauge(
+                QUEUE_GAUGE, spec.queue_curve[min(epoch_index, len(spec.queue_curve) - 1)]
+            )
             scaler.observe_registry(registry)
             target = scaler.recommend(rr.comm.size)
             decision = scaler.decisions[-1]

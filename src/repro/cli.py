@@ -339,7 +339,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             healthy = (
                 response.status == 200 and response.read().strip() == b"ok"
             )
-        shed = int(hub.metrics.counters.get("serve.viewers_shed", 0))
+        shed = int(hub.metrics.get("serve.viewers_shed"))
         stats = hub.stats()
         cache = stats["mapping_cache"]
         print(

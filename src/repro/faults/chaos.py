@@ -49,7 +49,7 @@ from ..mpisim.transport import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCO
 from ..resilience import ResilientRedistributor
 from ..utils.membudget import MEMORY_BUDGET, budget_scope
 from ..volren.decompose import grid_boxes, grid_shape
-from .injector import FAULTS, fault_plan
+from .injector import FAULTS, INJECTED, fault_plan
 from .plan import FaultPlan
 from .policy import ReliabilityPolicy
 
@@ -336,10 +336,6 @@ def _resilient_epochs(
             if not resized.member:
                 return rr.recoveries, degraded, applied
             settle(resized)
-    # Clean exit, as the shrink-mode pipeline's: leave the liveness table so
-    # a late recovery elsewhere does not wait on us (a victim dying in its
-    # last ops outlives our part); our checkpoints stay readable.
-    rr.comm.fabric.mark_retired(rr.comm.world_rank_of(rr.comm.rank))
     return rr.recoveries, degraded, applied
 
 
@@ -463,6 +459,12 @@ def _classify(scheduled: int, results: list) -> str:
 # -- scenarios ----------------------------------------------------------------
 
 
+def _fault_counts() -> tuple[int, dict]:
+    """The fault layer's ``(injected, stats)``."""
+    stats = FAULTS.stats.snapshot()
+    return sum(stats.get(kind, 0) for kind in INJECTED), stats
+
+
 @dataclass
 class Case:
     """What a scenario hands the runner for one run."""
@@ -478,9 +480,7 @@ class Case:
     budget_bytes: int = 0
     #: ``(injected, stats)`` of the run, read after ``launch`` returned or
     #: raised; the transport scenarios read the fault layer.
-    observe: Callable[[], tuple[int, dict]] = lambda: (
-        FAULTS.stats.total_injected(), FAULTS.stats.snapshot()
-    )
+    observe: Callable[[], tuple[int, dict]] = _fault_counts
 
 
 def _spmd(world_size: int, worker, *args, scheduled: int = 0, **spmd) -> Callable[[], str]:

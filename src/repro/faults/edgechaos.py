@@ -392,11 +392,11 @@ def storm(plan_seed: int, clients: int, stats: dict) -> str:
                     f"{result['behavior']} got untyped status {status}"
                 )
 
-        counters = hub.metrics.counters
+        metrics = hub.metrics
         degraded = controller.level > 0 or any(
-            counters.get(name, 0) for name in _DEGRADE_COUNTERS
+            metrics.get(name) for name in _DEGRADE_COUNTERS
         ) or controller.shed_total > 0
-        typed = any(counters.get(name, 0) for name in _TYPED_COUNTERS) or any(
+        typed = any(metrics.get(name) for name in _TYPED_COUNTERS) or any(
             r.get("status") in _TYPED_STATUSES for r in results
         )
         stats.update(
@@ -405,9 +405,9 @@ def storm(plan_seed: int, clients: int, stats: dict) -> str:
             shed_total=controller.shed_total,
             viewers_after=stats_json["viewers"],
             counters={
-                name: counters.get(name, 0)
+                name: metrics.get(name)
                 for name in _DEGRADE_COUNTERS + _TYPED_COUNTERS
-                if counters.get(name, 0)
+                if metrics.get(name)
             },
         )
     finally:

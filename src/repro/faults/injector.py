@@ -25,9 +25,10 @@ When a :class:`~repro.faults.plan.FaultPlan` is installed the layer:
   retransmission) or raised as
   :class:`~repro.mpisim.errors.CorruptionError`, per policy.
 
-Every injected fault and recovery is counted in :class:`FaultStats` and —
-when tracing is enabled — recorded as a ``fault.*`` span, so chaos runs
-are fully visible in Perfetto traces and metrics summaries.
+Every injected fault and recovery is counted in ``FAULTS.stats``, a
+:class:`~repro.obs.metrics.MetricsRegistry`, and — when tracing is
+enabled — recorded as a ``fault.*`` span, so chaos runs are fully
+visible in Perfetto traces and metrics summaries.
 
 Import discipline: this module is imported by the ``repro.mpisim`` modules at
 module level, so it must not import ``repro.mpisim`` at *its* module level
@@ -36,7 +37,6 @@ module level, so it must not import ``repro.mpisim`` at *its* module level
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
 from contextlib import contextmanager
@@ -44,6 +44,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
 from .plan import FaultPlan
 from .policy import CORRUPTION_RERETRIEVE, ReliabilityPolicy
@@ -51,7 +52,7 @@ from .policy import CORRUPTION_RERETRIEVE, ReliabilityPolicy
 __all__ = [
     "FAULTS",
     "FaultLayer",
-    "FaultStats",
+    "INJECTED",
     "clear_fault_plan",
     "fault_plan",
     "install_fault_plan",
@@ -83,36 +84,12 @@ def _mark(span: str, /, **attrs: Any) -> None:
             pass
 
 
-class FaultStats:
-    """Thread-safe counters for injected faults and recoveries."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
-
-    def incr(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + value
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counts.get(name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def total_injected(self) -> int:
-        snap = self.snapshot()
-        return sum(
-            n for name, n in snap.items()
-            if name in ("delays", "drops", "transient_send", "transient_recv",
-                        "corruptions", "round_faults", "crashes", "alloc_faults")
-        )
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{k}={v}" for k, v in sorted(self.snapshot().items()))
-        return f"FaultStats({items})"
+#: The counters that count an injected fault (the rest count recoveries
+#: and staged payloads); a run's ``injected`` total sums these.
+INJECTED = (
+    "delays", "drops", "transient_send", "transient_recv",
+    "corruptions", "round_faults", "crashes", "alloc_faults",
+)
 
 
 class FaultLayer:
@@ -126,7 +103,7 @@ class FaultLayer:
         self._reset()
 
     def _reset(self) -> None:
-        self.stats = FaultStats()
+        self.stats = MetricsRegistry()
         # Per-rank transport op counters and drop counts.  Each rank is one
         # thread and only touches its own key, so plain dicts are safe.
         self._ops: dict[int, int] = {}
@@ -173,7 +150,7 @@ class FaultLayer:
         ) or "none"
         return (
             f"{self.plan.summary()}; ops=[{ops}]; pending retries: {pending}; "
-            f"stats: {self.stats!r}"
+            f"stats: {dict(sorted(self.stats.snapshot().items()))}"
         )
 
     # -- injection points ----------------------------------------------------

@@ -17,7 +17,7 @@ from ..core.box import Box
 from ..imaging.bricks import BrickedVolume
 from ..imaging.stack import TiffStack
 from ..mpisim.comm import Communicator
-from ..utils.timing import StopwatchRegistry
+from ..utils.timing import Timer
 from ..volren.decompose import split_extent
 from .assignment import Assignment, owned_chunks
 from .stackload import stack_geometry
@@ -40,19 +40,20 @@ def convert_stack_to_bricks(
     out_path,
     brick: int = 32,
     strategy: Assignment = Assignment.CONSECUTIVE,
-) -> StopwatchRegistry:
-    """Collective conversion; returns this rank's phase timings.
+) -> dict[str, float]:
+    """Collective conversion; returns this rank's seconds per phase
+    (``read``, ``exchange``, ``write``, and ``allocate`` on rank 0).
 
     Each rank's *need* is a slab of whole brick z-layers, so after one DDR
     exchange it can cut bricks locally and write them at their fixed file
     offsets.
     """
     geometry = stack_geometry(stack)
-    timers = StopwatchRegistry()
+    timers: dict[str, Timer] = {}
 
     # Rank 0 allocates the output file; everyone else waits.
     if comm.rank == 0:
-        with timers.time("allocate"):
+        with timers.setdefault("allocate", Timer()):
             probe = stack.read_slice(stack.indices()[0])
             BrickedVolume.create(
                 out_path, geometry.volume_dims, probe.dtype, brick=brick
@@ -64,7 +65,7 @@ def convert_stack_to_bricks(
     # Balanced slice reads (the DDR producer side).
     chunks = owned_chunks(geometry, comm.size, comm.rank, strategy)
     buffers: list[np.ndarray] = []
-    with timers.time("read"):
+    with timers.setdefault("read", Timer()):
         for chunk in chunks:
             z0, depth = chunk.offset[2], chunk.dims[2]
             buffers.append(np.stack([stack.read_slice(z) for z in range(z0, z0 + depth)]))
@@ -79,12 +80,12 @@ def convert_stack_to_bricks(
     else:
         need = None
 
-    with timers.time("exchange"):
+    with timers.setdefault("exchange", Timer()):
         red = Redistributor(comm, ndims=3, dtype=header.dtype)
         red.setup(own=chunks, need=need)
         slab = red.gather_need(buffers)
 
-    with timers.time("write"):
+    with timers.setdefault("write", Timer()):
         if slab is not None:
             for k in range(layer_lo, layer_hi):
                 for j in range(gy):
@@ -97,4 +98,4 @@ def convert_stack_to_bricks(
                         ]
                         volume.write_brick(i, j, k, np.ascontiguousarray(data))
     comm.Barrier()  # conversion is complete for everyone
-    return timers
+    return {phase: timer.elapsed for phase, timer in timers.items()}

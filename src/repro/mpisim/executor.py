@@ -159,6 +159,8 @@ def run_spmd(
     hanging), its slot in the result list holds the crash exception, and
     the surviving ranks keep running — the contract ULFM-style recovery
     (``repro.resilience``) builds on.  Any other exception still aborts.
+    A rank that returns retires in the liveness table, so survivors'
+    agreements and recoveries stop waiting for it.
 
     ``join_timeout`` bounds how long the driver waits for worker threads
     *without observing progress* (a worker finishing renews the window); it
@@ -228,6 +230,9 @@ def run_spmd(
             with failures_lock:
                 failures[rank] = exc
             fabric.abort(exc)
+        else:
+            if resilient:
+                fabric.mark_retired(rank)
 
     threads = [
         threading.Thread(target=worker, args=(rank,), name=f"spmd-rank-{rank}", daemon=True)

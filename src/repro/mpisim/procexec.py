@@ -377,6 +377,9 @@ def _child_main(
         else:
             fabric.abort(exc)
             kind, value = "error", exc
+    else:
+        if cfg.resilient:
+            fabric.mark_retired(rank)
 
     envelope = _pickle_safe(
         _ResultEnvelope(

@@ -5,9 +5,8 @@ The layer every performance-facing subsystem reports through:
 * :data:`TRACER` / :func:`tracing` / ``Tracer.span`` — structured,
   thread-safe, nestable spans with a single-attribute-check disabled path
   (``repro.obs.tracer``);
-* :class:`MetricsRegistry` — histograms/counters folded from spans and
-  from the legacy ``StopwatchRegistry``/``TransferCounters`` paths
-  (``repro.obs.metrics``);
+* :class:`MetricsRegistry` — the one counter type, plus histograms
+  folded from spans (``repro.obs.metrics``);
 * :func:`write_chrome_trace` — trace-event JSON, one pid per rank,
   loadable in Perfetto / chrome://tracing (``repro.obs.export``).
 

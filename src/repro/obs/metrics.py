@@ -1,24 +1,13 @@
-"""Metrics: histograms + counters, folded from trace spans and the legacy
-timing/transfer accounting paths.
+"""Metrics: the one counter type, plus histograms folded from trace spans.
 
-:class:`MetricsRegistry` is the single reporting sink the observability
-layer funnels into.  Three producers feed it:
-
-* :meth:`MetricsRegistry.ingest` — span records from the
-  :class:`~repro.obs.tracer.Tracer`, folded into per-name duration
-  histograms, kept both per rank and aggregated across ranks;
-* :meth:`MetricsRegistry.absorb_stopwatches` — a
-  :class:`~repro.utils.timing.StopwatchRegistry` (the use-case drivers'
-  read/exchange/render totals);
-* :meth:`MetricsRegistry.absorb_transfers` — a
-  :class:`~repro.utils.timing.TransferCounters` snapshot (copy/allocation
-  counts from the transport layer);
-* :meth:`MetricsRegistry.absorb_faults` — a
-  :class:`~repro.faults.FaultStats` snapshot (injected faults and
-  recoveries from the fault layer).
-
-so the pre-existing reporting paths and the new tracing layer print through
-one :meth:`summary`.
+:class:`MetricsRegistry` holds thread-safe counters (:meth:`~MetricsRegistry.incr`),
+gauges (:meth:`~MetricsRegistry.gauge`) and per-name duration histograms,
+kept both per rank and aggregated across ranks.  Subsystems write to an
+instance directly: the fault layer's ``FAULTS.stats``, the resilience
+layer's ``RESILIENCE_STATS`` and each serving hub's ``metrics`` are
+registries.  :meth:`~MetricsRegistry.ingest` folds closed
+:class:`~repro.obs.tracer.Tracer` spans in, and :meth:`~MetricsRegistry.summary`
+prints everything as one table.
 """
 
 from __future__ import annotations
@@ -26,9 +15,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from ..utils.timing import StopwatchRegistry, TransferCounters
 from .tracer import SpanRecord
 
 __all__ = ["Histogram", "MetricsRegistry"]
@@ -62,33 +50,9 @@ class Histogram:
                 return
         self.buckets[-1] += 1
 
-    def observe_aggregate(self, count: int, total: float) -> None:
-        """Fold in a pre-accumulated (count, total) pair with no per-sample
-        detail (the ``StopwatchRegistry`` shape); buckets see the mean."""
-        if count <= 0:
-            return
-        mean = total / count
-        self.count += count
-        self.total += total
-        self.min = min(self.min, mean)
-        self.max = max(self.max, mean)
-        for index, bound in enumerate(BUCKET_BOUNDS_S):
-            if mean <= bound:
-                self.buckets[index] += count
-                return
-        self.buckets[-1] += count
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for index, n in enumerate(other.buckets):
-            self.buckets[index] += n
 
 
 class MetricsRegistry:
@@ -114,6 +78,16 @@ class MetricsRegistry:
         with self._lock:
             self.counters[name] = float(value)
 
+    def get(self, name: str) -> float:
+        """A counter's current value; 0 if it was never touched."""
+        with self._lock:
+            return self.counters.get(name, 0)
+
+    def snapshot(self) -> dict[str, float]:
+        """A plain-dict copy of every counter and gauge."""
+        with self._lock:
+            return dict(self.counters)
+
     def observe(self, name: str, seconds: float, rank: Optional[int] = None) -> None:
         with self._lock:
             self._histogram(self.histograms, name).observe(seconds)
@@ -135,58 +109,6 @@ class MetricsRegistry:
             nbytes = record.attrs.get("nbytes")
             if nbytes is not None:
                 self.incr(f"{record.name}.bytes", int(nbytes))
-
-    def absorb_stopwatches(
-        self,
-        stopwatches: StopwatchRegistry,
-        rank: Optional[int] = None,
-        prefix: str = "phase.",
-    ) -> None:
-        """Fold a driver's named stopwatch totals in as histograms."""
-        with self._lock:
-            for name, total in stopwatches.totals.items():
-                count = stopwatches.counts.get(name, 1)
-                full = f"{prefix}{name}"
-                self._histogram(self.histograms, full).observe_aggregate(count, total)
-                self._histogram(self.by_rank.setdefault(rank, {}), full).observe_aggregate(
-                    count, total
-                )
-
-    def absorb_transfers(
-        self, counters: Union[TransferCounters, dict], prefix: str = "transfer."
-    ) -> None:
-        """Fold a transfer-counter snapshot into plain counters."""
-        snapshot = counters.snapshot() if isinstance(counters, TransferCounters) else counters
-        for kind, n in snapshot["copies"].items():
-            if n:
-                self.incr(f"{prefix}copies.{kind}", n)
-        for kind, n in snapshot["bytes_copied"].items():
-            if n:
-                self.incr(f"{prefix}bytes_copied.{kind}", n)
-        if snapshot["allocations"]:
-            self.incr(f"{prefix}allocations", snapshot["allocations"])
-            self.incr(f"{prefix}bytes_allocated", snapshot["bytes_allocated"])
-        # Older snapshots (pre pool-eviction accounting) lack these keys.
-        if snapshot.get("evictions"):
-            self.incr(f"{prefix}pool_evictions", snapshot["evictions"])
-            self.incr(f"{prefix}bytes_evicted", snapshot.get("bytes_evicted", 0))
-
-    def absorb_faults(self, stats, prefix: str = "fault.") -> None:
-        """Fold a fault-layer stats snapshot into plain counters.
-
-        ``stats`` is a :class:`~repro.faults.FaultStats` (anything with a
-        ``snapshot()``) or a plain ``{name: count}`` dict.
-        """
-        snapshot = stats.snapshot() if hasattr(stats, "snapshot") else dict(stats)
-        for name, n in snapshot.items():
-            if n:
-                self.incr(f"{prefix}{name}", n)
-
-    def absorb_resilience(self, stats, prefix: str = "resilience.") -> None:
-        """Fold a resilience stats snapshot (recoveries, deposits, replays,
-        adoptions, ...) into plain counters; same contract as
-        :meth:`absorb_faults`."""
-        self.absorb_faults(stats, prefix=prefix)
 
     # -- reporting -----------------------------------------------------------
 

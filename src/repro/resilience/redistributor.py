@@ -49,7 +49,6 @@ import numpy as np
 
 from ..core.api import Redistributor, ResizeResult
 from ..core.box import Box
-from ..faults.injector import FaultStats
 from ..mpisim.comm import Communicator
 from ..mpisim.errors import (
     DeadlineError,
@@ -58,13 +57,13 @@ from ..mpisim.errors import (
     RankCrashError,
     RevokedError,
 )
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
 from .checkpoint import BuddyStore, CheckpointPolicy, shared_store
 from .errors import DataLossError
 
-#: Process-wide recovery counters; absorb into a MetricsRegistry via
-#: ``registry.absorb_resilience(RESILIENCE_STATS)``.
-RESILIENCE_STATS = FaultStats()
+#: Process-wide recovery counters.
+RESILIENCE_STATS = MetricsRegistry()
 
 
 class ResilientRedistributor:

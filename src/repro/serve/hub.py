@@ -504,13 +504,13 @@ class FrameHub:
             "frames_ratelimited": self.frames_ratelimited,
             "coalesced_in_flight": sum(q.coalesced for q in viewers),
             "mapping_cache": self.mapping_cache.stats(),
-            "counters": dict(self.metrics.counters),
+            "counters": self.metrics.snapshot(),
             "ready": ready,
             "ready_reason": reason,
             "admission": {
                 "max_viewers": self.max_viewers,
                 "max_viewers_per_layout": self.max_viewers_per_layout,
-                "rejected": self.metrics.counters.get("serve.admission_rejected", 0),
+                "rejected": self.metrics.get("serve.admission_rejected"),
             },
             "overload": (
                 self.overload.stats() if self.overload is not None else None

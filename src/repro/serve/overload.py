@@ -185,7 +185,7 @@ class OverloadController:
         if coalesced + delivered > 0:
             drop_rate = coalesced / (coalesced + delivered)
         if pool_bytes is None:
-            pool_bytes = int(registry.counters.get("serve.pool_bytes", 0))
+            pool_bytes = int(registry.get("serve.pool_bytes"))
         return self.observe(
             publish_s=publish_s,
             encode_s=encode_s,
@@ -205,7 +205,7 @@ class OverloadController:
         return delta
 
     def _counter_delta(self, registry: Any, name: str) -> float:
-        value = float(registry.counters.get(name, 0))
+        value = float(registry.get(name))
         delta = value - self._seen_counters.get(name, 0.0)
         self._seen_counters[name] = value
         return max(0.0, delta)

@@ -11,7 +11,6 @@ from .units import (
     mb,
 )
 from .timing import (
-    StopwatchRegistry,
     Timer,
     TransferCounters,
     counting_transfers,
@@ -35,7 +34,6 @@ __all__ = [
     "MemoryBudget",
     "MiB",
     "StagingPool",
-    "StopwatchRegistry",
     "Timer",
     "TransferCounters",
     "counting_transfers",

@@ -1,12 +1,11 @@
-"""Lightweight wall-clock timing helpers used by benches and examples,
-plus the transfer-accounting hook the transport layer reports into."""
+"""A wall-clock stopwatch (the TIFF loaders' read / exchange phases), plus
+the transfer-accounting hook the transport layer reports into."""
 
 from __future__ import annotations
 
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator
 
 
@@ -29,50 +28,6 @@ class Timer:
 
     def __exit__(self, *exc: object) -> None:
         self.elapsed = time.perf_counter() - self._start
-
-
-@dataclass
-class StopwatchRegistry:
-    """Accumulates named timings across repeated phases.
-
-    Used by the use-case drivers to separate "read", "redistribute" and
-    "render" time the way the paper's evaluation discusses them.
-    """
-
-    totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def add(self, name: str, seconds: float) -> None:
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def time(self, name: str):
-        """Return a context manager that accumulates into ``name``."""
-        registry = self
-
-        class _Scope:
-            def __enter__(self) -> "_Scope":
-                self._start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc: object) -> None:
-                registry.add(name, time.perf_counter() - self._start)
-
-        return _Scope()
-
-    def total(self, name: str) -> float:
-        return self.totals.get(name, 0.0)
-
-    def mean(self, name: str) -> float:
-        n = self.counts.get(name, 0)
-        return self.totals.get(name, 0.0) / n if n else 0.0
-
-    def summary(self) -> str:
-        lines = [
-            f"{name:<16s} total={self.totals[name]:9.4f}s  n={self.counts[name]:4d}"
-            for name in sorted(self.totals)
-        ]
-        return "\n".join(lines)
 
 
 class TransferCounters:

@@ -77,7 +77,6 @@ class TestStagingPool:
         assert pool.current_bytes == 800
 
     def test_eviction_counted_in_transfer_counters_and_metrics(self):
-        from repro.obs import MetricsRegistry
         from repro.utils.timing import counting_transfers
 
         pool = StagingPool(max_bytes=64)
@@ -88,14 +87,6 @@ class TestStagingPool:
         snap = counters.snapshot()
         assert snap["evictions"] == 1
         assert snap["bytes_evicted"] == 64
-        registry = MetricsRegistry()
-        registry.absorb_transfers(snap)
-        assert registry.counters["transfer.pool_evictions"] == 1
-        assert registry.counters["transfer.bytes_evicted"] == 64
-        # Pre-eviction snapshots (no such keys) still absorb cleanly.
-        registry.absorb_transfers(
-            {"copies": {}, "bytes_copied": {}, "allocations": 0, "bytes_allocated": 0}
-        )
 
     def test_clear_resets_accounting(self):
         pool = StagingPool(max_bytes=1024)

@@ -2,7 +2,7 @@
 
 Every test runs a tiny SPMD workload under a scripted ``FaultPlan`` via the
 ``fault_plan`` contextmanager, then asserts on the typed outcome and the
-``FaultStats`` counters.  Scripted specs use ``op=None`` plus tag filters
+``FAULTS.stats`` counters.  Scripted specs use ``op=None`` plus tag filters
 where possible so the assertions do not depend on exact op numbering.
 """
 
@@ -21,7 +21,6 @@ from repro.mpisim import (
     RetriesExhaustedError,
     TimeoutError_,
 )
-from repro.obs import MetricsRegistry
 from tests.conftest import spmd
 
 PING_TAG = 7
@@ -170,19 +169,3 @@ class TestCrash:
             assert excinfo.value.rank == 0
             assert isinstance(excinfo.value.original, RankCrashError)
             assert FAULTS.stats.get("crashes") >= 1
-
-
-class TestMetricsBridge:
-    def test_absorb_faults_into_registry(self):
-        plan = FaultPlan(
-            seed=0, nranks=2,
-            events=(FaultSpec(kind="send", rank=0, count=2),),
-        )
-        with fault_plan(plan):
-            assert _ping_ok()
-            registry = MetricsRegistry()
-            registry.absorb_faults(FAULTS.stats)
-            assert registry.counters["fault.transient_send"] == 2
-            assert registry.counters["fault.retries"] == 2
-            # Zero counters are not exported.
-            assert "fault.crashes" not in registry.counters

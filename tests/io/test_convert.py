@@ -44,7 +44,7 @@ class TestConversion:
             timers = convert_stack_to_bricks(
                 comm, tiff_stack, out, brick=5, strategy=strategy
             )
-            return timers.total("read") >= 0
+            return timers["read"] >= 0
 
         assert all(spmd(nprocs, fn))
 

@@ -6,15 +6,19 @@ which wire protocol ran it, under three backends and both transports.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import Box, Redistributor
+from repro.core.engine import executed_rounds
 from repro.intransit import PipelineConfig, run_pipeline
 from repro.lbm import LbmConfig
 from repro.mpisim import TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, transport
 from repro.obs import tracing
-from tests.conftest import spmd
+from repro.volren.decompose import grid_boxes
+from tests.conftest import spmd, thread_only
 
 NPROCS = 4
 
@@ -86,6 +90,52 @@ class TestEngineSpans:
             collectives = spans_named(mpi, "mpi.Alltoallw")
             assert len(collectives) == NPROCS
             assert all(r.attrs["transport"] == mode for r in collectives)
+
+
+class TestSpansPerExchange:
+    """The span budget of a many-round exchange, pinned: the ``redist_rounds``
+    pattern shrunk to ``(16, 16, 128)`` — single z-slices dealt round-robin
+    to 4 ranks, each needing a quarter tile — so 32 planned rounds."""
+
+    DIMS = (16, 16, 128)
+    EXCHANGES = 3
+
+    @thread_only
+    @pytest.mark.parametrize("mode", [TRANSPORT_ZEROCOPY, TRANSPORT_PACKED])
+    @pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+    def test_spans_are_a_formula_of_executed_rounds(self, backend, mode):
+        x, y, z = self.DIMS
+
+        def fn(comm):
+            own = [Box((0, 0, k), (x, y, 1)) for k in range(comm.rank, z, comm.size)]
+            need = grid_boxes(self.DIMS, (2, 2, 1))[comm.rank]
+            red = Redistributor(comm, ndims=3, dtype=np.float32, backend=backend)
+            red.setup(own=own, need=need)
+            bufs = [np.zeros(box.np_shape(), np.float32) for box in own]
+            out = np.empty(need.np_shape(), np.float32)
+            for _ in range(self.EXCHANGES):
+                red.exchange(bufs, out)
+            executed = executed_rounds(red.mapping, backend, mode == TRANSPORT_ZEROCOPY)
+            return red.nrounds, [len(rnd.sends) for rnd in executed]
+
+        with tracing() as tracer, transport(mode):
+            results = spmd(NPROCS, fn)
+        spans = Counter(r.rank for r in tracer.records())
+        # A zero-copy send (and the collective's own lanes) waits for its
+        # peer's copy in one ``mpi.wait``; staged transports do not wait.
+        waits = 1 if mode == TRANSPORT_ZEROCOPY else 0
+        for rank, (planned, sends) in enumerate(results):
+            assert planned == 32
+            # ddr.exchange, then per executed round: ddr.round plus one
+            # message span (mpi.Alltoallw, or mpi.Isend per send lane) and
+            # its waits.
+            messages = [1 if backend == "alltoallw" else n for n in sends]
+            per_exchange = 1 + sum(1 + m * (1 + waits) for m in messages)
+            assert spans[rank] == self.EXCHANGES * per_exchange
+        # Unbudgeted, all 32 planned rounds run as one.
+        assert all(len(sends) == 1 for _, sends in results)
+        if backend == "alltoallw" and mode == TRANSPORT_ZEROCOPY:
+            assert spans[0] == self.EXCHANGES * 4
 
 
 class TestDisabledPath:

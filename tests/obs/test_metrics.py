@@ -1,4 +1,4 @@
-"""MetricsRegistry: histograms, ingestion, legacy-path absorption, summary."""
+"""MetricsRegistry: histograms, counters, span ingestion, summary."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import math
 
 from repro.obs import Histogram, MetricsRegistry, SpanRecord
 from repro.obs.metrics import BUCKET_BOUNDS_S
-from repro.utils.timing import StopwatchRegistry, TransferCounters
 
 
 def record(name, rank=0, dur_us=1000.0, **attrs):
@@ -34,25 +33,6 @@ class TestHistogram:
         assert hist.buckets[BUCKET_BOUNDS_S.index(1e-3)] == 1
         assert hist.buckets[-1] == 1
 
-    def test_observe_aggregate_folds_mean(self):
-        hist = Histogram()
-        hist.observe_aggregate(count=10, total=0.5)  # mean 50 ms
-        assert hist.count == 10
-        assert hist.total == 0.5
-        assert hist.min == hist.max == 0.05
-        assert hist.buckets[BUCKET_BOUNDS_S.index(1e-1)] == 10
-        hist.observe_aggregate(count=0, total=0.0)  # no-op
-        assert hist.count == 10
-
-    def test_merge(self):
-        a, b = Histogram(), Histogram()
-        a.observe(1e-4)
-        b.observe(1.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.min == 1e-4 and a.max == 1.0
-        assert sum(a.buckets) == 2
-
 
 class TestRegistry:
     def test_observe_keeps_aggregate_and_per_rank(self):
@@ -77,39 +57,6 @@ class TestRegistry:
         assert math.isclose(send.total, 1.2e-3)
         assert registry.counters["mpi.Send.bytes"] == 3072
         assert "ddr.round.bytes" not in registry.counters
-
-    def test_absorb_stopwatches(self):
-        watches = StopwatchRegistry()
-        watches.add("read", 0.2)
-        watches.add("read", 0.4)
-        watches.add("render", 0.1)
-        registry = MetricsRegistry()
-        registry.absorb_stopwatches(watches, rank=3)
-        assert registry.histograms["phase.read"].count == 2
-        assert math.isclose(registry.histograms["phase.read"].total, 0.6)
-        assert registry.by_rank[3]["phase.render"].count == 1
-
-    def test_absorb_transfers(self):
-        counters = TransferCounters()
-        counters.enabled = True
-        counters.count_copy("pack", 100)
-        counters.count_copy("pack", 50)
-        counters.count_alloc(4096)
-        registry = MetricsRegistry()
-        registry.absorb_transfers(counters)
-        assert registry.counters["transfer.copies.pack"] == 2
-        assert registry.counters["transfer.bytes_copied.pack"] == 150
-        assert registry.counters["transfer.allocations"] == 1
-        assert registry.counters["transfer.bytes_allocated"] == 4096
-        # zero-count kinds are not emitted
-        assert "transfer.copies.unpack" not in registry.counters
-
-    def test_absorb_resilience(self):
-        registry = MetricsRegistry()
-        registry.absorb_resilience({"recoveries": 2, "deposits": 7, "replays": 0})
-        assert registry.counters["resilience.recoveries"] == 2
-        assert registry.counters["resilience.deposits"] == 7
-        assert "resilience.replays" not in registry.counters
 
     def test_summary_lists_spans_and_counters(self):
         registry = MetricsRegistry()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -83,6 +84,27 @@ class TestAgree:
         results = run_spmd(4, fn, resilient=True, deadlock_timeout=20.0)
         assert isinstance(results[3], RankCrashError)
         assert results[:3] == [{0, 1, 2}] * 3
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_returned_member_retires(self, executor):
+        """A resilient rank that returns retires, so an agreement among the
+        rest completes at once instead of waiting out the watchdog."""
+        if executor == "process" and not hasattr(os, "fork"):
+            pytest.skip("process executor needs fork")
+
+        def fn(comm):
+            if comm.rank == 2:
+                return None
+            started = time.monotonic()
+            return comm.agree(True), time.monotonic() - started
+
+        results = run_spmd(
+            3, fn, resilient=True, deadlock_timeout=3.0, executor=executor
+        )
+        assert results[2] is None
+        for agreed, seconds in results[:2]:
+            assert agreed is True
+            assert seconds < 1.0
 
 
 class TestShrink:

@@ -10,7 +10,6 @@ import pytest
 from repro.utils import (
     GiB,
     MiB,
-    StopwatchRegistry,
     Timer,
     as_contiguous,
     counting_transfers,
@@ -58,23 +57,6 @@ class TestTimer:
         with Timer() as t:
             time.sleep(0.01)
         assert 0.005 < t.elapsed < 1.0
-
-    def test_registry_accumulates(self):
-        reg = StopwatchRegistry()
-        reg.add("read", 1.0)
-        reg.add("read", 2.0)
-        reg.add("comm", 0.5)
-        assert reg.total("read") == pytest.approx(3.0)
-        assert reg.mean("read") == pytest.approx(1.5)
-        assert reg.total("missing") == 0.0
-        assert reg.mean("missing") == 0.0
-
-    def test_registry_scope(self):
-        reg = StopwatchRegistry()
-        with reg.time("phase"):
-            time.sleep(0.005)
-        assert reg.total("phase") > 0.0
-        assert "phase" in reg.summary()
 
 
 class TestArrays:
