@@ -2,17 +2,24 @@
 
 Validates rounds and MB/process/round against the paper's printed values at
 the full 128 GiB workload, and times the planner itself (the cost of
-``DDR_SetupDataMapping``'s geometry at production scale).
+``DDR_SetupDataMapping``'s geometry at production scale): the whole plan,
+and the one rank's share of it a set-up builds.
 """
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.bench import table3
 from repro.bench.paperdata import TABLE3_SCHEDULE
 from repro.io.assignment import Assignment, PAPER_STACK, all_owned_chunks
-from repro.core import compute_global_plan
+from repro.core import DataDescriptor, DataLayout, check_send_coverage, compute_global_plan
+from repro.core.mapping import local_mapping
+from repro.core.schedule import Declarations, assemble_plan, declare
+from repro.core.validate import check_declarations, check_receives_within_domain
 from repro.netmodel.predict import needed_boxes
 
 
@@ -53,3 +60,39 @@ def test_planner_speed_full_scale_round_robin(benchmark):
 
     result = benchmark.pedantic(plan, rounds=1, iterations=1)
     assert result.nrounds == 19
+
+
+def test_rank_local_set_up_beats_planning_every_rank():
+    """One rank's set-up work at 216 ranks round-robin — validate every
+    declaration, plan its own lanes, bind them — against validating, planning
+    every rank's lanes and binding one rank's, on the same declarations."""
+    nprocs, rank = 216, 7
+    owns = all_owned_chunks(PAPER_STACK, nprocs, Assignment.ROUND_ROBIN)
+    needs = needed_boxes(nprocs, PAPER_STACK)
+    descriptor = DataDescriptor.create(nprocs, DataLayout(3), np.float32)
+    declared = [declare(chunks, need, 3) for chunks, need in zip(owns, needs)]
+
+    def rank_local():
+        decl = Declarations(declared, 3)
+        check_declarations(decl)
+        (schedule,) = assemble_plan(decl, 4, ranks=[rank])
+        return local_mapping(schedule, None, descriptor).schedule
+
+    def every_rank():
+        check_receives_within_domain(needs, check_send_coverage(owns))
+        plan = compute_global_plan(owns, needs, 4)
+        return plan.schedules[rank].bind(descriptor.mpi_type), plan.schedules[rank]
+
+    local_s = []
+    for _ in range(2):
+        started = time.perf_counter()
+        local = rank_local()
+        local_s.append(time.perf_counter() - started)
+    started = time.perf_counter()
+    bound, planned = every_rank()
+    global_s = time.perf_counter() - started
+    print(f"\nrank {rank} of {nprocs}: rank-local {min(local_s) * 1e3:.1f} ms, "
+          f"every rank {global_s * 1e3:.1f} ms ({global_s / min(local_s):.1f}x)")
+    assert [r.max_round_bytes for r in local.rounds] == [r.max_round_bytes for r in bound.rounds]
+    assert len(local.rounds) == planned.nrounds == 19
+    assert global_s >= 5 * min(local_s)

@@ -21,7 +21,6 @@ from .mapcache import MappingCache
 from .mapping import (
     LocalMapping,
     StaleMappingError,
-    plan_from_declarations,
     setup_data_mapping,
 )
 from .packing import BufferCache, check_buffers, check_buffers_cached
@@ -80,7 +79,6 @@ __all__ = [
     "inflate_box",
     "intersect_many",
     "load_plan",
-    "plan_from_declarations",
     "plan_from_dict",
     "plan_to_dict",
     "regroup",

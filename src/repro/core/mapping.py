@@ -2,10 +2,11 @@
 
 Each rank declares only its *local* picture — the chunks it owns and the
 single chunk it needs (paper §III-B, Table I).  The mapping step is a
-collective: ranks allgather their declarations, every rank runs the same
-deterministic planner (:func:`repro.core.schedule.compute_global_plan`), and
-each keeps its own :class:`LocalMapping` — a first-class, ready-to-execute
-handle (schedule IR + buffer cache + staging pool).
+collective: ranks allgather their declarations as int64 arrays, every rank
+validates all of them (so every rank reaches the same verdict), and then
+each plans only its own lanes (:func:`repro.core.schedule.assemble_plan`
+with ``ranks=[rank]``) into its :class:`LocalMapping` — a first-class,
+ready-to-execute handle (schedule IR + buffer cache + staging pool).
 
 Mapping lifecycle: a :class:`~repro.core.api.Redistributor` may hold
 several live mappings at once (different layouts over the same
@@ -28,12 +29,8 @@ from ..utils.arrays import StagingPool
 from .box import Box
 from .descriptor import DataDescriptor
 from .packing import BufferCache
-from .schedule import ExchangeSchedule, GlobalPlan, RoundSchedule, compute_global_plan
-from .validate import (
-    check_receives_within_domain,
-    check_send_coverage,
-    infer_domain,
-)
+from .schedule import Declarations, ExchangeSchedule, RoundSchedule, assemble_plan, declare
+from .validate import check_declarations, domain_of
 
 
 class StaleMappingError(RuntimeError):
@@ -115,43 +112,19 @@ class LocalMapping:
             )
 
 
-def plan_from_declarations(
-    owns: Sequence[Sequence[Box]],
-    needs: Sequence[Optional[Box]],
-    descriptor: DataDescriptor,
-    validate: bool = True,
-) -> tuple[GlobalPlan, Optional[Box]]:
-    """Validate global declarations and compute the full plan (pure)."""
-    domain: Optional[Box]
-    if validate:
-        domain = check_send_coverage(owns)
-        check_receives_within_domain(needs, domain)
-    else:
-        domain = infer_domain(owns)
-    plan = compute_global_plan(
-        owns, needs, descriptor.element_size, ndims=descriptor.ndims
-    )
-    return plan, domain
-
-
-def local_mapping_from_global(
-    global_plan: GlobalPlan,
-    domain: Optional[Box],
-    rank: int,
-    descriptor: DataDescriptor,
+def local_mapping(
+    schedule: ExchangeSchedule, domain: Optional[Box], descriptor: DataDescriptor
 ) -> LocalMapping:
-    """Bind ``rank``'s slice of the plan to the descriptor's element type."""
+    """Bind ``schedule`` (one rank's) to the descriptor's element type."""
     return LocalMapping(
-        rank=rank,
-        nprocs=global_plan.nprocs,
-        nrounds=global_plan.nrounds,
-        schedule=global_plan.schedules[rank].bind(
-            descriptor.mpi_type, descriptor.components
-        ),
+        rank=schedule.rank,
+        nprocs=schedule.nprocs,
+        nrounds=schedule.nrounds,
+        schedule=schedule.bind(descriptor.mpi_type, descriptor.components),
         domain=domain,
         dtype=descriptor.dtype,
         components=descriptor.components,
-        pool=StagingPool(rank=rank),
+        pool=StagingPool(rank=schedule.rank),
     )
 
 
@@ -176,7 +149,8 @@ def setup_data_mapping(
     validate: bool = True,
     attach: bool = True,
 ) -> LocalMapping:
-    """Collective: exchange declarations, plan, and build the mapping.
+    """Collective: allgather declarations, validate them, plan this rank's
+    lanes and build its mapping.
 
     Must be called by every rank of ``comm`` with its own declarations.
     With ``attach=True`` (the default, mirroring the paper's
@@ -200,20 +174,11 @@ def setup_data_mapping(
             f"need {need} has {need.ndim} dims, descriptor declares {descriptor.ndims}"
         )
 
-    declaration = (
-        [(box.offset, box.dims) for box in own_chunks],
-        (need.offset, need.dims) if need is not None else None,
-    )
-    gathered = comm.allgather(declaration)
-
-    owns: list[list[Box]] = []
-    needs: list[Optional[Box]] = []
-    for own_decl, need_decl in gathered:
-        owns.append([Box(offset, dims) for offset, dims in own_decl])
-        needs.append(Box(*need_decl) if need_decl is not None else None)
-
-    global_plan, domain = plan_from_declarations(owns, needs, descriptor, validate)
-    local = local_mapping_from_global(global_plan, domain, comm.rank, descriptor)
+    gathered = comm.allgather(declare(own_chunks, need, descriptor.ndims))
+    decl = Declarations(gathered, descriptor.ndims)
+    domain = check_declarations(decl) if validate else domain_of(decl)
+    (schedule,) = assemble_plan(decl, descriptor.element_size, ranks=[comm.rank])
+    local = local_mapping(schedule, domain, descriptor)
     if attach:
         attach_mapping(descriptor, local)
     return local

@@ -34,7 +34,8 @@ def subarray_for(
     """
     sizes = container.np_shape()
     subsizes = region.np_shape()
-    starts = region.np_starts_within(container)
+    # (SubarrayType rejects a region that leaves the container)
+    starts = tuple(r - c for r, c in zip(reversed(region.offset), reversed(container.offset)))
     if components > 1:
         sizes = sizes + (components,)
         subsizes = subsizes + (components,)

@@ -1,13 +1,16 @@
 """The exchange IR: what ``DDR_SetupDataMapping`` decides, written down once.
 
-Given every rank's owned chunks and needed chunk, the planner
-(:func:`compute_global_plan`, paper §III-B/C) intersects each owned chunk
-with each need and lays the transfers out in *rounds*: round ``c`` moves
-data out of every rank's chunk slot ``c``, so the number of exchange rounds
-equals the maximum number of chunks owned by any rank — the scheduling rule
-the paper states and quantifies in Table III.  Each overlap becomes a pair
-of :class:`Lane`\\ s — a send lane on the owner, a receive lane on the
-needer — appended straight into the per-rank, per-round lists:
+Every rank's owned chunks and needed chunk arrive as stacked int64 arrays
+(:class:`Declarations`, what the set-up allgathers).  The planner
+(:func:`assemble_plan`, paper §III-B/C) intersects the chunks with the needs
+in broadcast passes and lays the transfers out in *rounds*: round ``c``
+moves data out of every rank's chunk slot ``c``, so the number of exchange
+rounds equals the maximum number of chunks owned by any rank — the
+scheduling rule the paper states and quantifies in Table III.  Each overlap
+becomes a pair of :class:`Lane`\\ s — a send lane on the owner, a receive
+lane on the needer — but only for the ranks asked for: a rank's set-up
+plans its own lanes (the paper's rank-local mapping step), while
+:func:`compute_global_plan` asks for every rank:
 
 :class:`GlobalPlan` -> one :class:`ExchangeSchedule` per rank -> one
 :class:`RoundSchedule` per round -> :class:`Lane`\\ s ordered by peer
@@ -22,21 +25,22 @@ subarray datatypes to the one rank that will execute.
 
 Every rank's copy of a round also carries the *plan-wide* worst-rank
 statistics of that round (``max_partners``, ``max_round_bytes``,
-``max_lane_rows``).  They come from the deterministic global plan, so every
-rank derives the same *executed* schedule (:func:`regroup`: which rounds run
-as one, which run in pieces, each by which of the two wire protocols,
+``max_lane_rows``).  They come from the overlap arrays of every rank, not
+from lanes, so a rank that builds only its own lanes derives the same
+*executed* schedule as every other (:func:`regroup`: which rounds run as
+one, which run in pieces, each by which of the two wire protocols,
 :func:`round_protocol`) without communicating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..mpisim.datatypes import Datatype, NamedType, StructType
-from .box import Box, intersect_many
+from .box import Box
 from .packing import subarray_for
 
 #: A round whose busiest rank talks to at least this fraction of the other
@@ -249,14 +253,25 @@ class ExchangeSchedule:
         The execution form — the paper's "setup once, reorganize
         repeatedly" property hinges on this happening exactly once per
         mapping.  The unbound schedule is left untouched (plans are shared
-        between ranks and cached across calls).
+        between ranks and cached across calls).  Datatypes are immutable,
+        so lanes cutting the same region out of same-shaped buffers share
+        one: a round-robin stack's receive lanes differ only in depth.
         """
+        types: dict[tuple, Datatype] = {}
 
         def typed(lane: Optional[Lane]) -> Optional[Lane]:
             if lane is None:
                 return None
-            datatype = subarray_for(lane.container, lane.region, mpi_type, components)
-            return Lane(lane.peer, lane.nbytes, lane.container, lane.region, datatype)
+            container, region = lane.container, lane.region
+            key = (
+                container.dims,
+                tuple(r - c for r, c in zip(region.offset, container.offset)),
+                region.dims,
+            )
+            datatype = types.get(key)
+            if datatype is None:
+                datatype = types[key] = subarray_for(container, region, mpi_type, components)
+            return Lane(lane.peer, lane.nbytes, container, region, datatype)
 
         rounds = []
         for rnd in self.rounds:
@@ -496,59 +511,217 @@ class GlobalPlan:
         ]
 
 
+
+
+def declare(
+    own_chunks: Sequence[Box], need: Optional[Box], ndims: int
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One rank's declarations as the int64 arrays the set-up allgathers:
+    ``(k, 2, ndims)`` ``(offset, dims)`` rows for its ``k`` chunks and
+    ``(2, ndims)`` for its need (``None`` when it declares none)."""
+    own = np.array([(box.offset, box.dims) for box in own_chunks], dtype=np.int64)
+    own = own.reshape(len(own_chunks), 2, ndims)
+    return own, None if need is None else np.array((need.offset, need.dims), dtype=np.int64)
+
+
+class Declarations:
+    """Every rank's declarations, stacked: what validation and planning read.
+
+    ``chunks`` is ``(N, 2, ndims)``, every owned chunk's ``(offset, dims)``
+    rank by rank in slot order; ``owner`` / ``slot`` say whose chunk and
+    which slot.  ``needs`` is ``(P, 2, ndims)``, zero where ``has_need`` is
+    false (the rank declared ``None``).  :class:`Box` objects are made only
+    for the ranks a caller asks about (:meth:`own_boxes`, :meth:`need_box`).
+    """
+
+    def __init__(self, declared: Sequence[tuple[np.ndarray, Optional[np.ndarray]]], ndims: int):
+        counts = np.array([len(own) for own, _ in declared], dtype=np.int64)
+        self.ndims = ndims
+        self.nprocs = len(declared)
+        self.nrounds = int(counts.max(initial=0))
+        self.starts = np.concatenate(([0], np.cumsum(counts)))
+        self.chunks = np.concatenate([np.empty((0, 2, ndims), np.int64), *(o for o, _ in declared)])
+        self.owner = np.repeat(np.arange(self.nprocs), counts)
+        self.slot = np.arange(len(self.chunks)) - np.repeat(self.starts[:-1], counts)
+        self.has_need = np.array([need is not None for _, need in declared], dtype=bool)
+        blank = np.zeros((2, ndims), dtype=np.int64)
+        needs = [blank if need is None else need for _, need in declared]
+        self.needs = np.array(needs, dtype=np.int64).reshape(self.nprocs, 2, ndims)
+
+    @classmethod
+    def from_boxes(
+        cls,
+        owns: Sequence[Sequence[Box]],
+        needs: Sequence[Optional[Box]],
+        ndims: Optional[int] = None,
+    ) -> "Declarations":
+        """Every rank's declarations from :class:`Box` lists (``ndims``
+        inferred from the boxes when not given)."""
+        if len(needs) != len(owns):
+            raise ValueError(f"owns has {len(owns)} ranks but needs has {len(needs)}")
+        for chunks in owns:
+            for box in chunks:
+                ndims = ndims or box.ndim
+                if box.ndim != ndims:
+                    raise ValueError("all chunks must share one dimensionality")
+        for need in needs:
+            if need is not None:
+                ndims = ndims or need.ndim
+                if need.ndim != ndims:
+                    raise ValueError("needs must match the chunks' dimensionality")
+        if ndims is None:
+            raise ValueError("cannot infer dimensionality from an empty problem")
+        return cls([declare(chunks, need, ndims) for chunks, need in zip(owns, needs)], ndims)
+
+    def own_boxes(self, rank: int) -> list[Box]:
+        rows = self.chunks[self.starts[rank] : self.starts[rank + 1]].tolist()
+        return [Box(tuple(offset), tuple(dims)) for offset, dims in rows]
+
+    def need_box(self, rank: int) -> Optional[Box]:
+        if not self.has_need[rank]:
+            return None
+        offset, dims = self.needs[rank].tolist()
+        return Box(tuple(offset), tuple(dims))
+
+
+class Overlaps(NamedTuple):
+    """Every overlap of a plan as arrays, rows in ``(round, owner, dest)``
+    order: ``lo`` / ``extent`` are ``(M, ndims)``, the rest ``(M,)``."""
+
+    round: np.ndarray
+    owner: np.ndarray
+    dest: np.ndarray
+    lo: np.ndarray
+    extent: np.ndarray
+
+
+#: Chunk x need pairs one broadcast intersection covers at most: bounds its
+#: temporaries to a few MiB however many rank threads plan at once.
+PAIRS_PER_PASS = 1 << 16
+
+
+def intersect(decl: Declarations) -> Overlaps:
+    """Every declared chunk against every non-empty need: the chunks in
+    round order, as many rounds' worth per broadcast pass as
+    :data:`PAIRS_PER_PASS` allows (the whole plan, on a small world), one
+    axis at a time; only the pairs that meet get their overlap computed."""
+    order = np.argsort(decl.slot, kind="stable")  # round by round, owners ascending
+    chunk_lo = decl.chunks[order, 0]
+    chunk_hi = chunk_lo + decl.chunks[order, 1]
+    active = np.flatnonzero(decl.has_need & (decl.needs[:, 1] > 0).all(axis=1))
+    need_lo = decl.needs[active, 0]
+    need_hi = need_lo + decl.needs[active, 1]
+    step = max(1, PAIRS_PER_PASS // max(1, len(active)))
+    parts = []
+    for start in range(0, max(1, len(order)), step):
+        lo, hi = chunk_lo[start : start + step, None], chunk_hi[start : start + step, None]
+        meets = np.maximum(lo[..., 0], need_lo[:, 0]) < np.minimum(hi[..., 0], need_hi[:, 0])
+        for axis in range(1, decl.ndims):
+            meets &= np.maximum(lo[..., axis], need_lo[:, axis]) < np.minimum(
+                hi[..., axis], need_hi[:, axis]
+            )
+        chunk, need = np.nonzero(meets)
+        parts.append((start + chunk, need))
+    chunk, need = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    lo = np.maximum(chunk_lo[chunk], need_lo[need])
+    extent = np.minimum(chunk_hi[chunk], need_hi[need]) - lo
+    chunk = order[chunk]
+    return Overlaps(decl.slot[chunk], decl.owner[chunk], active[need], lo, extent)
+
+
+def _round_statistics(
+    nprocs: int, nrounds: int, overlaps: Overlaps, nbytes: np.ndarray
+) -> tuple[list[int], list[int], list[int]]:
+    """Per round, across the whole plan: the busiest rank's partner count,
+    the busiest rank's staged bytes (its sends plus its remote receives), and
+    the tallest lane's rows."""
+    rnd, owner, dest, _, extent = overlaps
+    remote = owner != dest
+    cell = rnd * nprocs  # (round, rank) cells, row-major
+    size = nrounds * nprocs
+    # float weights: exact while a rank stages under 2**53 bytes a round
+    staged = np.bincount(cell + owner, nbytes, size) + np.bincount(
+        (cell + dest)[remote], nbytes[remote], size
+    )
+    # Partners: remote lanes out plus in, less each peer met both ways.  Rows
+    # are sorted, so the (round, owner, dest) keys are, and the reverse of a
+    # lane is found by binary search.
+    sender, receiver = (cell + owner)[remote], (cell + dest)[remote]
+    keys = sender * nprocs + dest[remote]
+    reverse = receiver * nprocs + owner[remote]
+    found = np.searchsorted(keys, reverse).clip(max=len(keys) - 1)
+    mutual = sender[keys[found] == reverse]
+    partners = (
+        np.bincount(sender, minlength=size) + np.bincount(receiver, minlength=size)
+        - np.bincount(mutual, minlength=size)
+    )
+    rows = np.ones(nrounds, dtype=np.int64)
+    np.maximum.at(rows, rnd, extent[:, -1])
+    return (
+        partners.reshape(nrounds, nprocs).max(axis=1, initial=0).tolist(),
+        staged.reshape(nrounds, nprocs).max(axis=1, initial=0).astype(np.int64).tolist(),
+        rows.tolist(),
+    )
+
+
 def assemble_plan(
-    owns: Sequence[Sequence[Box]],
-    needs: Sequence[Optional[Box]],
+    decl: Declarations,
     element_size: int,
-    ndims: int,
-    round_overlaps: Callable[[int], Iterable[tuple[int, int, Box]]],
-) -> GlobalPlan:
+    overlaps: Optional[Overlaps] = None,
+    ranks: Optional[Sequence[int]] = None,
+) -> list[ExchangeSchedule]:
     """Lay overlaps out as lanes — the one place the IR is written.
 
-    ``round_overlaps(c)`` yields round ``c``'s ``(owner, dest, overlap)``
-    triples in ``(owner, dest)`` order (the planner computes them, the plan
-    loader reads them back), so both lane lists come out ordered by peer
-    with no sort.  The plan-wide round statistics accumulate alongside and
-    are stamped on every rank's copy of the round as it closes: set-up is
-    one pass over the overlaps.
+    ``overlaps`` defaults to :func:`intersect` of the declarations (the plan
+    loader passes the ones a file lists).  The plan-wide round statistics
+    come from the overlap arrays of every rank; lanes are built only where
+    the owner or the destination is in ``ranks`` (default: every rank), and
+    the result is those ranks' schedules, in that order.  Rows arrive in
+    ``(round, owner, dest)`` order, so every lane list comes out ordered by
+    peer with no sort.
     """
-    nprocs = len(owns)
-    nrounds = max((len(chunks) for chunks in owns), default=0)
-    schedules = [
-        ExchangeSchedule(r, nprocs, nrounds, element_size, [], list(owns[r]), needs[r])
-        for r in range(nprocs)
-    ]
-    for index in range(nrounds):
-        rounds = [
-            RoundSchedule(index, index if index < len(owns[r]) else None, nprocs)
-            for r in range(nprocs)
+    nprocs, nrounds = decl.nprocs, decl.nrounds
+    ranks = range(nprocs) if ranks is None else ranks
+    if overlaps is None:
+        overlaps = intersect(decl)
+    nbytes = overlaps.extent.prod(axis=1) * element_size
+    partners, staged, rows = _round_statistics(nprocs, nrounds, overlaps, nbytes)
+    chunks = {r: decl.own_boxes(r) for r in ranks}
+    needs = {r: decl.need_box(r) for r in ranks}
+    rounds = {
+        r: [
+            RoundSchedule(
+                c, c if c < len(chunks[r]) else None, nprocs, max_partners=partners[c],
+                max_round_bytes=staged[c], max_lane_rows=rows[c],
+            )
+            for c in range(nrounds)
         ]
-        peers: list[set[int]] = [set() for _ in range(nprocs)]
-        staged = [0] * nprocs  # sends staged + remote recvs in flight
-        max_lane_rows = 1
-        for owner, dest, overlap in round_overlaps(index):
-            nbytes = overlap.volume() * element_size
-            max_lane_rows = max(max_lane_rows, overlap.dims[-1])
-            send = Lane(dest, nbytes, owns[owner][index], overlap)
-            recv = Lane(owner, nbytes, needs[dest], overlap)
-            staged[owner] += nbytes
+        for r in ranks
+    }
+    columns = (*overlaps, nbytes)
+    if len(rounds) < nprocs:
+        wanted = np.zeros(nprocs, dtype=bool)
+        wanted[list(rounds)] = True
+        keep = wanted[overlaps.owner] | wanted[overlaps.dest]
+        columns = tuple(column[keep] for column in columns)
+    for c, owner, dest, lo, extent, size in zip(*(column.tolist() for column in columns)):
+        region = Box(tuple(lo), tuple(extent))
+        if owner in rounds:
+            send = Lane(dest, size, chunks[owner][c], region)
             if owner == dest:
-                rounds[owner].self_send = send
-                rounds[owner].self_recv = recv
+                rounds[owner][c].self_send = send
             else:
-                rounds[owner].sends.append(send)
-                rounds[dest].recvs.append(recv)
-                peers[owner].add(dest)
-                peers[dest].add(owner)
-                staged[dest] += nbytes
-        max_partners = max(len(p) for p in peers)
-        max_round_bytes = max(staged)
-        for schedule, rnd in zip(schedules, rounds):
-            rnd.max_partners = max_partners
-            rnd.max_round_bytes = max_round_bytes
-            rnd.max_lane_rows = max_lane_rows
-            schedule.rounds.append(rnd)
-    return GlobalPlan(nprocs, ndims, element_size, nrounds, schedules)
+                rounds[owner][c].sends.append(send)
+        if dest in rounds:
+            recv = Lane(owner, size, needs[dest], region)
+            if owner == dest:
+                rounds[dest][c].self_recv = recv
+            else:
+                rounds[dest][c].recvs.append(recv)
+    return [
+        ExchangeSchedule(r, nprocs, nrounds, element_size, rounds[r], chunks[r], needs[r])
+        for r in ranks
+    ]
 
 
 def compute_global_plan(
@@ -570,40 +743,7 @@ def compute_global_plan(
     element_size:
         Bytes per element, for the byte statistics.
     """
-    nprocs = len(owns)
-    if len(needs) != nprocs:
-        raise ValueError(f"owns has {nprocs} ranks but needs has {len(needs)}")
-
-    ref_ndims = ndims
-    for chunks in owns:
-        for box in chunks:
-            ref_ndims = ref_ndims or box.ndim
-            if box.ndim != ref_ndims:
-                raise ValueError("all chunks must share one dimensionality")
-    for need in needs:
-        if need is not None:
-            ref_ndims = ref_ndims or need.ndim
-            if need.ndim != ref_ndims:
-                raise ValueError("needs must match the chunks' dimensionality")
-    if ref_ndims is None:
-        raise ValueError("cannot infer dimensionality from an empty problem")
-
-    # Vectorised geometry: all needs as (N, ndim) arrays, one pass per chunk.
-    active = [r for r in range(nprocs) if needs[r] is not None and not needs[r].is_empty()]
-    need_offsets = np.array([needs[r].offset for r in active], dtype=np.int64)
-    need_dims = np.array([needs[r].dims for r in active], dtype=np.int64)
-
-    def round_overlaps(index: int):
-        if not active:
-            return
-        for owner in range(nprocs):
-            if index >= len(owns[owner]) or owns[owner][index].is_empty():
-                continue
-            mask, lo, extent = intersect_many(owns[owner][index], need_offsets, need_dims)
-            hits = np.nonzero(mask)[0]
-            for hit, offset, dims in zip(
-                hits.tolist(), lo[hits].tolist(), extent[hits].tolist()
-            ):
-                yield owner, active[hit], Box(tuple(offset), tuple(dims))
-
-    return assemble_plan(owns, needs, element_size, ref_ndims, round_overlaps)
+    decl = Declarations.from_boxes(owns, needs, ndims)
+    return GlobalPlan(
+        decl.nprocs, decl.ndims, element_size, decl.nrounds, assemble_plan(decl, element_size)
+    )

@@ -18,10 +18,12 @@ import json
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .box import Box
 from .descriptor import DataDescriptor
-from .mapping import LocalMapping, attach_mapping, local_mapping_from_global
-from .schedule import ExchangeSchedule, GlobalPlan, assemble_plan
+from .mapping import LocalMapping, attach_mapping, local_mapping
+from .schedule import Declarations, ExchangeSchedule, GlobalPlan, Overlaps, assemble_plan
 
 FORMAT_VERSION = 1
 
@@ -108,7 +110,7 @@ def _plan_from_rows(data: dict) -> GlobalPlan:
     if nrounds != max((len(chunks) for chunks in owns), default=0):
         raise _CorruptPlan(f"nrounds {nrounds} is not the largest chunk count")
 
-    overlaps: list[list[tuple[int, int, Box]]] = [[] for _ in range(nrounds)]
+    rows: list[tuple[int, ...]] = []  # (round, owner, dest, *lo, *extent)
     for owner, entry in enumerate(ranks):
         for rnd, dest, chunk_index, chunk, region in entry["sends"]:
             if rnd != chunk_index:
@@ -133,14 +135,17 @@ def _plan_from_rows(data: dict) -> GlobalPlan:
                     f"{overlap} (rank {owner} -> {dest}, round {rnd}) is not "
                     "a non-empty part of both the chunk and the need"
                 )
-            overlaps[rnd].append((owner, dest, overlap))
-    for triples in overlaps:
-        triples.sort(key=lambda triple: triple[:2])
-        if len({triple[:2] for triple in triples}) != len(triples):
-            raise _CorruptPlan("two sends between the same pair of ranks in one round")
+            rows.append((rnd, owner, dest, *overlap.offset, *overlap.dims))
+    rows.sort(key=lambda row: row[:3])
+    if len({row[:3] for row in rows}) != len(rows):
+        raise _CorruptPlan("two sends between the same pair of ranks in one round")
 
-    plan = assemble_plan(
-        owns, needs, int(data["element_size"]), ndims, overlaps.__getitem__
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * ndims)
+    overlaps = Overlaps(*table[:, :3].T, table[:, 3 : 3 + ndims], table[:, 3 + ndims :])
+    element_size = int(data["element_size"])
+    decl = Declarations.from_boxes(owns, needs, ndims)
+    plan = GlobalPlan(
+        nprocs, ndims, element_size, nrounds, assemble_plan(decl, element_size, overlaps)
     )
     for schedule, entry in zip(plan.schedules, ranks):
         if entry["recvs"] != _recv_rows(schedule):
@@ -177,6 +182,6 @@ def attach_loaded_plan(
             f"plan element size {plan.element_size} != descriptor "
             f"{descriptor.element_size}"
         )
-    local = local_mapping_from_global(plan, None, rank, descriptor)
+    local = local_mapping(plan.schedules[rank], None, descriptor)
     attach_mapping(descriptor, local)
     return local

@@ -10,6 +10,8 @@ the regrouping into executed rounds being pure functions of the plan.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,15 @@ from repro.core import (
     regroup,
     round_protocol,
 )
-from repro.core.mapping import local_mapping_from_global
+from repro.core.mapping import local_mapping, setup_data_mapping
+from repro.core.packing import subarray_for
+from repro.core import schedule as schedule_module
+from repro.core.schedule import Declarations, assemble_plan
 from repro.mpisim.datatypes import StructType, SubarrayType
 from repro.lbm.decompose import slab_box
 from repro.utils import MiB
 from repro.volren.decompose import grid_boxes, grid_shape
+from tests.conftest import spmd
 from tests.core.test_reorganize_property import random_problem
 
 
@@ -223,6 +229,114 @@ def test_lane_invariants_on_random_decompositions(seed):
         r.bytes_out for s in plan.schedules for r in s.rounds
     )
     assert all(0 <= p < plan.nprocs for p in plan.partners_per_rank())
+
+
+@st.composite
+def declarations(draw):
+    """Random 1-3-D declarations, valid or not: chunk counts differ between
+    ranks (some own none), chunks may be empty or overlap, and a need may be
+    ``None``, empty, or reach past every chunk."""
+    ndim = draw(st.integers(1, 3))
+    nprocs = draw(st.integers(1, 8))
+
+    def box(min_size):
+        offset = draw(st.tuples(*[st.integers(0, 7)] * ndim))
+        dims = draw(st.tuples(*[st.integers(min_size, 5)] * ndim))
+        return Box(offset, dims)
+
+    owns = [[box(0) for _ in range(draw(st.integers(0, 4)))] for _ in range(nprocs)]
+    if not any(owns):
+        owns[0].append(box(1))
+    needs = [draw(st.sampled_from([None, "empty", "box"])) for _ in range(nprocs)]
+    needs = [Box((0,) * ndim, (0,) * ndim) if n == "empty" else n and box(1) for n in needs]
+    return owns, needs, draw(st.sampled_from([1, 4, 12]))
+
+
+def datatype_geometry(datatype):
+    if datatype is None:
+        return None
+    return (datatype.base_dtype, datatype.sizes, datatype.subsizes, datatype.starts)
+
+
+def bound_geometry(schedule):
+    """A bound schedule with every datatype replaced by its geometry, which
+    is what two independently bound copies can be compared by."""
+
+    def lane(lane):
+        if lane is None:
+            return None
+        return replace(lane, datatype=None), datatype_geometry(lane.datatype)
+
+    return [
+        (
+            replace(rnd, sends=[], recvs=[], self_send=None, self_recv=None),
+            [lane(l) for l in rnd.sends], [lane(l) for l in rnd.recvs],
+            lane(rnd.self_send), lane(rnd.self_recv),
+            [datatype_geometry(t) for t in rnd.sendtypes],
+            [datatype_geometry(t) for t in rnd.recvtypes],
+        )
+        for rnd in schedule.rounds
+    ]
+
+
+@given(problem=declarations())
+@settings(max_examples=200, deadline=None)
+def test_rank_local_plan_equals_the_global_plan(problem):
+    """The set-up plans one rank's lanes; the global plan plans everyone's.
+    Every rank's own schedule is field-for-field the global plan's, before
+    binding and after."""
+    owns, needs, esize = problem
+    plan = compute_global_plan(owns, needs, esize)
+    decl = Declarations.from_boxes(owns, needs)
+    mpi_type = DataDescriptor.create(len(owns), DataLayout(decl.ndims), "f4").mpi_type
+    for rank, expected in enumerate(plan.schedules):
+        (local,) = assemble_plan(decl, esize, ranks=[rank])
+        assert local == expected
+        bound = local.bind(mpi_type)
+        assert bound_geometry(bound) == bound_geometry(expected.bind(mpi_type))
+        for rnd in bound.rounds:  # a shared datatype still selects each lane's region
+            for lane in rnd.all_sends() + rnd.all_recvs():
+                fresh = subarray_for(lane.container, lane.region, mpi_type)
+                assert datatype_geometry(lane.datatype) == datatype_geometry(fresh)
+    for k in range(plan.nrounds):  # the array-derived statistics, against the lanes
+        rounds = [s.rounds[k] for s in plan.schedules]
+        rows = [lane.region.dims[-1] for r in rounds for lane in r.all_sends()]
+        assert {r.max_partners for r in rounds} == {max(r.partners for r in rounds)}
+        assert {r.max_round_bytes for r in rounds} == {max(r.peak_bytes() for r in rounds)}
+        assert {r.max_lane_rows for r in rounds} == {max(rows, default=1)}
+
+
+def test_intersection_passes_do_not_change_the_plan(monkeypatch):
+    """One chunk per broadcast pass plans exactly what one pass for all does."""
+    for seed in range(20):
+        _, owns, needs = random_problem(seed, ndim=3, nprocs=5)
+        whole = compute_global_plan(owns, needs, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(schedule_module, "PAIRS_PER_PASS", 1)
+            assert compute_global_plan(owns, needs, 4).schedules == whole.schedules
+
+
+@given(problem=declarations())
+@settings(max_examples=25, deadline=None)
+def test_set_up_builds_the_global_plans_schedule(problem):
+    """Through the collective set-up itself (declarations allgathered as
+    arrays, validation off: these need not tile)."""
+    owns, needs, _ = problem
+    ndim = next(box.ndim for chunks in owns for box in chunks)
+    plan = compute_global_plan(owns, needs, 4)
+
+    def fn(comm):
+        descriptor = DataDescriptor.create(comm.size, DataLayout(ndim), np.float32)
+        mapping = setup_data_mapping(
+            comm, descriptor, owns[comm.rank], needs[comm.rank], validate=False
+        )
+        expected = plan.schedules[comm.rank].bind(descriptor.mpi_type)
+        assert bound_geometry(mapping.schedule) == bound_geometry(expected)
+        assert (mapping.nrounds, mapping.own_chunks, mapping.need) == (
+            plan.nrounds, owns[comm.rank], needs[comm.rank],
+        )
+
+    spmd(len(owns), fn)
 
 
 class TestRoundRule:
@@ -470,7 +584,7 @@ class TestLanes:
     def test_bind_attaches_datatypes_to_a_copy(self):
         plan = dense_plan(3)
         descriptor = DataDescriptor.create(3, DataLayout.DATA_TYPE_1D, np.float32)
-        mapping = local_mapping_from_global(plan, None, 0, descriptor)
+        mapping = local_mapping(plan.schedules[0], None, descriptor)
         rnd = mapping.rounds[0]
         assert all(lane.datatype is not None for lane in rnd.all_sends() + rnd.all_recvs())
         # Dense per-peer tables, prebuilt, with the self lane on the diagonal.
