@@ -19,6 +19,7 @@ selections that cannot be viewed (e.g. overlapping vectors).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -431,15 +432,119 @@ class SubarrayType(Datatype):
             TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
 
 
+@dataclass(slots=True)
+class _Run:
+    """Members ``first:stop`` of a :class:`StructType`, selected from buffer
+    ``index`` as one view: ``slices`` of grid ``grid``, whose ``axis`` holds
+    the members one after another.  Any member but a subarray is a run of
+    one with no grid, which moves through the member's own methods."""
+
+    first: int
+    stop: int
+    index: int
+    member: Datatype
+    #: the run's elements in the packed form
+    span: slice
+    grid: Optional[int] = None
+    slices: tuple[slice, ...] = ()
+    axis: int = 0
+    #: the shape of :meth:`packed_order`, which ``span`` of the packed form
+    #: takes to line up with it element for element
+    shape: tuple[int, ...] = ()
+    #: for ``axis > 0``, the view with ``axis`` cut into (members, extent)
+    #: and then the members' axis moved first (a view along axis 0 already
+    #: reads in packed order)
+    split: Optional[tuple[int, ...]] = None
+    perm: Optional[tuple[int, ...]] = None
+
+    @classmethod
+    def stacking(
+        cls, first: int, stop: int, index: int, member: SubarrayType, span: slice,
+        grid: int, axis: int, step: int,
+    ) -> "_Run":
+        """The run of ``member`` and the ``stop - first - 1`` members after
+        it, ``step`` apart along ``axis``."""
+        count, sub, lo = stop - first, member.subsizes, member.starts[axis]
+        if count == 1:
+            return cls(first, stop, index, member, span, grid, member._slices_cache, 0, sub)
+        along = (
+            slice(lo, lo + count * sub[axis]) if step == sub[axis]
+            else slice(lo, lo + (count - 1) * step + 1, step)
+        )
+        slices = member._slices_cache[:axis] + (along,) + member._slices_cache[axis + 1:]
+        return cls(
+            first, stop, index, member, span, grid, slices, axis,
+            (count * sub[0], *sub[1:]) if axis == 0 else (count, *sub),
+            None if axis == 0 else (*sub[:axis], count, sub[axis], *sub[axis + 1:]),
+            None if axis == 0 else (axis, *range(axis), *range(axis + 1, len(sub) + 1)),
+        )
+
+    def packed_order(self, grids: Sequence[np.ndarray]) -> np.ndarray:
+        """The run's view of ``grids``, shaped :attr:`shape`."""
+        view = grids[self.grid][self.slices]
+        return view if self.split is None else view.reshape(self.split).transpose(self.perm)
+
+
+def _step(before: SubarrayType, after: SubarrayType) -> Optional[tuple[int, int]]:
+    """``(axis, step)`` when ``after`` can follow ``before`` in a run: one
+    geometry, ``starts`` moved along exactly one axis, by the extent there or
+    by any positive step where the extent is 1."""
+    if after.sizes != before.sizes or after.subsizes != before.subsizes:
+        return None
+    moved = list(map(operator.sub, after.starts, before.starts))
+    if moved.count(0) != len(moved) - 1:
+        return None
+    step = sum(moved)
+    axis = moved.index(step)
+    extent = before.subsizes[axis]
+    return (axis, step) if step == extent or (extent == 1 and step > 0) else None
+
+
+def _plan_runs(
+    members: tuple[tuple[int, Datatype], ...], sizes: tuple[int, ...],
+    selections: tuple[Optional[tuple[int, tuple[slice, ...]]], ...],
+) -> tuple[_Run, ...]:
+    """``members`` cut into maximal runs, first to last."""
+    stops = list(accumulate(sizes))
+    runs, first = [], 0
+    while first < len(members):
+        index, member = members[first]
+        stop, axis, step = first + 1, 0, 0
+        while (
+            selections[first] is not None and stop < len(members)
+            and members[stop][0] == index and selections[stop] is not None
+        ):
+            moved = _step(members[stop - 1][1], members[stop][1])
+            if moved is None or (step and moved != (axis, step)):
+                break
+            axis, step = moved
+            stop += 1
+        span = slice(stops[first] - sizes[first], stops[stop - 1])
+        if selections[first] is None:
+            runs.append(_Run(first, stop, index, member, span))
+        else:
+            runs.append(
+                _Run.stacking(first, stop, index, member, span, selections[first][0], axis, step)
+            )
+        first = stop
+    return tuple(runs)
+
+
 class StructType(Datatype):
     """Ordered ``(buffer index, member type)`` pairs over a *sequence* of
     ``nbuffers`` buffers — ``MPI_Type_create_struct`` over absolute addresses:
     how one message carries the lanes several exchange rounds address to one
     peer (a merged round of :mod:`repro.core.schedule`).
 
-    Every operation runs member by member (the packed form is the members'
-    concatenated), so each member validates its own buffer; the selection is
-    never one ndarray, so :meth:`view` validates and returns ``None``.
+    The packed form is the members' packed forms concatenated.  Construction
+    plans the members into :attr:`runs`: maximal sequences of consecutive
+    :class:`SubarrayType` members of one buffer and one geometry whose
+    ``starts`` advance by one constant step along one axis — the extent there
+    (one block), or any step over extent 1 (a stepped slice).  A run is one
+    view of its buffer and every operation moves it with one NumPy call; any
+    other member is a run of one that uses its own methods.  Each ``(buffer,
+    sizes)`` grid is validated once per call.  The selection is never one
+    ndarray, so :meth:`view` validates and returns ``None``.
     """
 
     def __init__(self, members: Sequence[tuple[int, Datatype]], nbuffers: int) -> None:
@@ -448,18 +553,37 @@ class StructType(Datatype):
         if not self.members:
             raise DatatypeError("struct type needs at least one member")
         self.base_dtype = self.members[0][1].base_dtype
+        # One grid per distinct (buffer, sizes), in order of first use, each
+        # validated through the first subarray member that addresses it.
+        grids: dict[tuple, tuple[int, SubarrayType]] = {}
+        sizes, selections, shapes = [], [], []
         for index, member in self.members:
             if not 0 <= index < self.nbuffers:
                 raise DatatypeError(f"struct member addresses buffer {index} of {self.nbuffers}")
             if member.base_dtype != self.base_dtype:
                 raise DatatypeError(f"struct members mix base types: {member.base_dtype}")
-        self._sizes = tuple(member.size_elements() for _, member in self.members)
-        stops = list(accumulate(self._sizes))
-        self._size_cache = stops[-1]
-        #: (buffer index, member, its slice of the packed form)
-        self._slots = tuple(
-            (index, member, slice(stop - count, stop))
-            for (index, member), count, stop in zip(self.members, self._sizes, stops)
+            sizes.append(member.size_elements())
+            if type(member) is SubarrayType:
+                grid = grids.setdefault((index, member.sizes), (len(grids), member))[0]
+                selections.append((grid, member._slices_cache))
+                shapes.append(member.subsizes)
+            else:
+                selections.append(None)
+                shapes.append(None)
+        self._sizes = tuple(sizes)
+        self._size_cache = sum(sizes)
+        self._grids = tuple((index, member) for (index, _), (_, member) in grids.items())
+        #: per member: (grid, slices) of a subarray, else ``None``
+        self._selections = tuple(selections)
+        #: per member: the subsizes of a subarray, else ``None``
+        self._shapes = tuple(shapes)
+        self.runs = _plan_runs(self.members, self._sizes, self._selections)
+        # What the runs with a grid move, counted once a call: one copy per
+        # member, as if each had moved alone.  Other members count their own.
+        stacked = [run for run in self.runs if run.grid is not None]
+        self._stacked = sum(run.stop - run.first for run in stacked)
+        self._stacked_bytes = self.base_dtype.itemsize * sum(
+            run.span.stop - run.span.start for run in stacked
         )
 
     def size_elements(self) -> int:
@@ -471,38 +595,90 @@ class StructType(Datatype):
             raise DatatypeError(f"struct type needs a sequence of {self.nbuffers} buffers: {got!r}")
         return buffers
 
+    def _grid_arrays(self, buffers: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Each distinct ``(buffer, sizes)`` grid, validated once."""
+        return [member._grid(buffers[index]) for index, member in self._grids]
+
+    def _count(self, kind: str) -> None:
+        if TRANSFER_COUNTERS.enabled and self._stacked:
+            TRANSFER_COUNTERS.count_copy(kind, self._stacked_bytes, self._stacked)
+
     def view(self, buffers: Sequence[np.ndarray]) -> None:
         buffers = self._buffers(buffers)
-        for index, member in self.members:
-            member.view(buffers[index])
+        self._grid_arrays(buffers)
+        for run in self.runs:
+            if run.grid is None:
+                run.member.view(buffers[run.index])
 
     def pack(self, buffers: Sequence[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
         buffers = self._buffers(buffers)
+        grids = self._grid_arrays(buffers)
         result = _staging(self._size_cache, out, self.base_dtype)
-        for index, member, span in self._slots:
-            member.pack(buffers[index], out=result[span])
+        for run in self.runs:
+            if run.grid is None:
+                run.member.pack(buffers[run.index], out=result[run.span])
+            else:
+                np.copyto(result[run.span].reshape(run.shape), run.packed_order(grids))
+        self._count("pack")
         return result
 
     def unpack(self, buffers: Sequence[np.ndarray], data: np.ndarray) -> None:
         buffers = self._buffers(buffers)
         if data.size != self._size_cache:
             raise DatatypeError(f"struct type selects {self._size_cache} elements, got {data.size}")
-        for index, member, span in self._slots:
-            member.unpack(buffers[index], data[span])
+        grids = self._grid_arrays(buffers)
+        for run in self.runs:
+            if run.grid is None:
+                run.member.unpack(buffers[run.index], data[run.span])
+            else:
+                run.packed_order(grids)[...] = data[run.span].reshape(run.shape)
+        self._count("unpack")
 
     def copy_into(
         self, src: Sequence[np.ndarray], dst: Sequence[np.ndarray],
         dst_type: Optional[Datatype] = None,
     ) -> int:
-        """Member to member when both types have the same member sizes (the
-        two ends of a merged exchange lane do); otherwise through :meth:`pack`."""
+        """Run by run of the destination when both types have the same member
+        sizes (the two ends of a merged exchange lane do): one
+        ``np.concatenate`` of the source members into each run's view.
+        Otherwise through :meth:`pack`."""
         target = dst_type if dst_type is not None else self
         if not isinstance(target, StructType) or target._sizes != self._sizes:
             return super().copy_into(src, dst, dst_type)
         src, dst = self._buffers(src), target._buffers(dst)
-        for (s, send), (r, recv) in zip(self.members, target.members):
-            send.copy_into(src[s], dst[r], recv)
+        pieces = self._pieces(src, target._shapes)
+        grids = target._grid_arrays(dst)
+        for run in target.runs:
+            if run.grid is None:
+                index, member = self.members[run.first]
+                member.copy_into(src[index], dst[run.index], run.member)
+            else:
+                np.concatenate(
+                    pieces[run.first:run.stop], axis=run.axis,
+                    out=grids[run.grid][run.slices], casting="unsafe",
+                )
+        target._count("direct")
         return self.size_bytes()
+
+    def _pieces(self, buffers: Sequence[np.ndarray], shapes: tuple) -> list:
+        """Each member's selection of ``buffers`` as an array of ``shapes[i]``
+        (``None`` where that is ``None``: the destination member copies it)."""
+        grids = self._grid_arrays(buffers)
+        if shapes == self._shapes and None not in shapes:  # views, as they are
+            return [grids[grid][slices] for grid, slices in self._selections]
+        pieces = []
+        for (index, member), selection, shape in zip(self.members, self._selections, shapes):
+            if shape is None:
+                pieces.append(None)
+                continue
+            if selection is not None:
+                piece = grids[selection[0]][selection[1]]
+            else:
+                piece = member.view(buffers[index])
+                if piece is None:
+                    piece = member.pack(buffers[index])
+            pieces.append(piece.reshape(shape))
+        return pieces
 
 
 # ---------------------------------------------------------------------------

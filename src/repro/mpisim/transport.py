@@ -228,10 +228,11 @@ def stage(
     return arr.reshape(-1).copy(), charged, None
 
 
-#: One rank thread at a time copies the members of a small-membered struct
-#: lane: ``np.copyto`` drops the interpreter lock once a member, and threads
-#: trading it across cores every few microseconds made one merged exchange
-#: cost 2.7 or 9 ms depending on where the scheduler had put them.  Reentrant:
+#: One rank thread at a time copies a small-membered struct lane.  A run of
+#: members moves in one ``np.concatenate``, which still drops the interpreter
+#: lock once per member it copies; threads trading the lock across cores
+#: every few microseconds made one merged exchange cost 2.7 or 9 ms depending
+#: on where the scheduler had put them.  Reentrant:
 #: ``Alltoallw`` holds it over all of a rank's lanes, :func:`deliver` and
 #: :func:`copy_local` per lane for every other caller.
 _TURN = threading.RLock()

@@ -61,13 +61,15 @@ class TransferCounters:
         self.evictions = 0
         self.bytes_evicted = 0
 
-    def count_copy(self, kind: str, nbytes: int) -> None:
+    def count_copy(self, kind: str, nbytes: int, copies: int = 1) -> None:
+        """``copies`` copies of ``kind`` moving ``nbytes`` between them (a
+        struct type counts the members its runs moved in one call)."""
         if kind not in self.copies:
             raise ValueError(
                 f"unknown copy kind {kind!r}; expected one of {self.KINDS}"
             )
         with self._lock:
-            self.copies[kind] += 1
+            self.copies[kind] += copies
             self.bytes_copied[kind] += int(nbytes)
 
     def count_alloc(self, nbytes: int) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Box, compute_global_plan, regroup
 from repro.mpisim import (
     BYTE,
     ContiguousType,
@@ -20,6 +21,8 @@ from repro.mpisim import (
     VectorType,
     named_type_for,
 )
+from repro.utils import counting_transfers
+from repro.volren.decompose import grid_boxes
 
 
 class TestNamedTypes:
@@ -362,3 +365,202 @@ class TestStruct:
             StructType([(2, ContiguousType(FLOAT, 1))], 2)
         with pytest.raises(DatatypeError, match="mix base types"):
             StructType([(0, ContiguousType(FLOAT, 1)), (0, ContiguousType(INT, 1))], 1)
+
+
+def runs_of(struct):
+    return [(run.first, run.stop) for run in struct.runs]
+
+
+class TestStructRuns:
+    """How construction cuts a struct's members into runs, each moved with
+    one NumPy call."""
+
+    def sub(self, sizes, subsizes, starts):
+        return SubarrayType(FLOAT, sizes, subsizes, starts)
+
+    def test_blocks_and_stepped_slices_run(self):
+        # Four (2, 3) blocks side by side along axis 1: one contiguous run.
+        blocks = [(0, self.sub((4, 12), (2, 3), (1, 3 * k))) for k in range(4)]
+        assert runs_of(StructType(blocks, 1)) == [(0, 4)]
+        # Planes of extent 1, any constant step: one stepped run.
+        planes = [(0, self.sub((9, 4, 4), (1, 2, 4), (k, 1, 0))) for k in range(1, 9, 3)]
+        assert runs_of(StructType(planes, 1)) == [(0, 3)]
+        assert StructType(planes, 1).runs[0].slices[0] == slice(1, 8, 3)
+
+    def test_what_breaks_a_run(self):
+        a = self.sub((8, 8), (2, 2), (0, 0))
+        cases = {
+            "another buffer": [(0, a), (1, self.sub((8, 8), (2, 2), (2, 0)))],
+            "another shape": [(0, a), (0, self.sub((8, 8), (2, 1), (2, 0)))],
+            "another grid": [(0, a), (0, self.sub((4, 16), (2, 2), (2, 0)))],
+            "a gap": [(0, a), (0, self.sub((8, 8), (2, 2), (3, 0)))],
+            "an overlap": [(0, a), (0, self.sub((8, 8), (2, 2), (1, 0)))],
+            "a diagonal": [(0, a), (0, self.sub((8, 8), (2, 2), (2, 2)))],
+            "going back": [(0, self.sub((8, 8), (2, 2), (2, 0))), (0, a)],
+            "not a subarray": [(0, a), (0, ContiguousType(FLOAT, 4))],
+        }
+        for name, members in cases.items():
+            assert runs_of(StructType(members, 2)) == [(0, 1), (1, 2)], name
+        # A step that changes ends the run; the next one starts there.
+        rows = [(0, self.sub((16, 2), (1, 2), (k, 0))) for k in (0, 2, 4, 5, 6)]
+        assert runs_of(StructType(rows, 1)) == [(0, 3), (3, 5)]
+
+    def test_one_validation_per_grid(self):
+        sub = [(0, self.sub((4, 4), (1, 4), (k, 0))) for k in range(4)]
+        flat = [(0, self.sub((16,), (4,), (4 * k,))) for k in range(4)]
+        struct = StructType(sub + flat + [(1, ContiguousType(FLOAT, 3))], 2)
+        assert runs_of(struct) == [(0, 4), (4, 8), (8, 9)]
+        assert len(struct._grids) == 2  # (buffer 0, (4, 4)) and (buffer 0, (16,))
+        buffers = (np.arange(16, dtype=np.float32), np.arange(3, dtype=np.float32))
+        expect = np.concatenate([m.pack(buffers[i]) for i, m in struct.members])
+        assert np.array_equal(struct.pack(buffers), expect)
+
+    def test_redist_rounds_receive_lanes_are_one_run_each(self):
+        """128^3 float32 on four ranks, single z-slices dealt round-robin,
+        each rank needing one quarter column (the ``redist_rounds``
+        benchmark): every merged receive lane, self lane included, is the
+        32 planes a peer sends at step 4, and plans as one run."""
+        dims, nprocs = (128, 128, 128), 4
+        owns = [[Box((0, 0, k), (128, 128, 1)) for k in range(r, 128, nprocs)]
+                for r in range(nprocs)]
+        needs = grid_boxes(dims, (2, 2, 1))
+        for schedule in compute_global_plan(owns, needs, 4).schedules:
+            for backend in ("alltoallw", "p2p", "auto"):
+                (rnd,) = regroup(schedule.bind(FLOAT), backend).rounds
+                lanes = rnd.all_recvs()
+                assert len(lanes) == nprocs
+                for lane in lanes:
+                    assert len(lane.datatype.members) == 32
+                    assert runs_of(lane.datatype) == [(0, 32)]
+                    assert lane.datatype.runs[0].slices[0] == slice(lane.peer, 125 + lane.peer, 4)
+
+
+# -- differential oracle: runs against the member-by-member reference --------
+
+
+def reference_pack(struct, buffers, out):
+    stop = 0
+    for index, member in struct.members:
+        start, stop = stop, stop + member.size_elements()
+        member.pack(buffers[index], out=out[start:stop])
+    return out
+
+
+def reference_unpack(struct, buffers, data):
+    stop = 0
+    for index, member in struct.members:
+        start, stop = stop, stop + member.size_elements()
+        member.unpack(buffers[index], data[start:stop])
+
+
+def reference_copy(send, src, recv, dst):
+    for (s, a), (r, b) in zip(send.members, recv.members):
+        a.copy_into(src[s], dst[r], b)
+
+
+@st.composite
+def segments(draw):
+    """``ndims``, ``components`` and ``(count, subsizes)`` per segment: what
+    both ends of a lane agree on."""
+    ndims = draw(st.integers(1, 3))
+    components = draw(st.sampled_from([1, 1, 2, 3]))
+    shapes = st.tuples(*[st.sampled_from([1, 1, 2, 3])] * ndims)
+    return ndims, components, draw(st.lists(st.tuples(st.integers(1, 4), shapes), min_size=1,
+                                            max_size=4))
+
+
+def place(draw, ndims, components, parts):
+    """One end of a lane: each segment's members laid out in one buffer —
+    blocks side by side, stepped planes, broken steps or overlapping ones —
+    or one buffer per member.  Returns the struct and its buffer shapes."""
+    spread = draw(st.booleans())
+    nbuffers = sum(count for count, _ in parts) if spread else draw(st.integers(1, 3))
+    laid = []
+    for count, sub in parts:
+        buffer = draw(st.integers(0, nbuffers - 1))
+        axis = draw(st.integers(0, ndims - 1))
+        mode = draw(st.sampled_from(["block", "stepped", "broken", "short"]))
+        if mode == "stepped" and sub[axis] != 1:
+            mode = "block"
+        step = {
+            "block": sub[axis],
+            "stepped": draw(st.integers(1, 4)),
+            "short": max(1, sub[axis] - 1),
+            "broken": None,
+        }[mode]
+        starts = [draw(st.integers(0, 2)) for _ in range(ndims)]
+        for k in range(count):
+            laid.append([buffer, tuple(starts), sub])
+            starts[axis] += step if step is not None else draw(st.integers(1, sub[axis] + 2))
+    if spread:
+        for k, member in enumerate(laid):
+            member[0] = k
+    shapes = [[1] * ndims for _ in range(nbuffers)]
+    for buffer, starts, sub in laid:
+        shapes[buffer] = [max(n, lo + s) for n, lo, s in zip(shapes[buffer], starts, sub)]
+    shapes = [tuple(n + draw(st.integers(0, 1)) for n in shape) + (components,)
+              for shape in shapes]
+    members = [
+        (buffer, SubarrayType(FLOAT, shapes[buffer], sub + (components,), starts + (0,)))
+        for buffer, starts, sub in laid
+    ]
+    return StructType(members, nbuffers), shapes
+
+
+def counted(call, *args):
+    with counting_transfers() as counters:
+        result = call(*args)
+        return result, counters.snapshot()
+
+
+class TestStructRunsOracle:
+    """Every struct operation through runs equals the member-by-member
+    reference kept here, bitwise, with the same transfer counts."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_runs_equal_the_member_by_member_reference(self, data):
+        ndims, components, parts = data.draw(segments())
+        send, send_shapes = place(data.draw, ndims, components, parts)
+        recv, recv_shapes = place(data.draw, ndims, components, parts)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        src = [rng.random(shape, dtype=np.float32) for shape in send_shapes]
+
+        def blank():
+            return [np.full(shape, -1, np.float32) for shape in recv_shapes]
+
+        size = send.size_elements()
+        packed, got = counted(send.pack, src, np.empty(size + 3, np.float32))
+        expect, want = counted(reference_pack, send, src, np.empty(size, np.float32))
+        assert packed.tobytes() == expect.tobytes() and got == want
+        assert send.pack(src).tobytes() == expect.tobytes()
+
+        ours, theirs = blank(), blank()
+        assert counted(recv.unpack, ours, expect)[1] == counted(
+            reference_unpack, recv, theirs, expect)[1]
+        assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
+
+        ours, theirs = blank(), blank()
+        moved, got = counted(send.copy_into, src, ours, recv)
+        assert moved == send.size_bytes()
+        assert got == counted(reference_copy, send, src, recv, theirs)[1]
+        assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
+
+        again = [np.full(shape, -1, np.float32) for shape in send_shapes]
+        send.copy_into(src, again)
+        theirs = [np.full(shape, -1, np.float32) for shape in send_shapes]
+        reference_copy(send, src, send, theirs)
+        assert [a.tobytes() for a in again] == [b.tobytes() for b in theirs]
+
+    def test_members_of_another_shape_still_copy(self):
+        """A (2, 2) block into a (1, 4) row and back: the pieces reshape."""
+        square = SubarrayType(FLOAT, (4, 4), (2, 2), (1, 1))
+        rows = [(0, SubarrayType(FLOAT, (3, 4), (1, 4), (k, 0))) for k in (0, 1)]
+        send, recv = StructType([(0, square), (1, square)], 2), StructType(rows, 1)
+        src = (np.arange(16, dtype=np.float32), np.arange(16, 32, dtype=np.float32))
+        dst = [np.zeros((3, 4), np.float32)]
+        send.copy_into(src, dst, recv)
+        assert np.array_equal(dst[0][:2].reshape(-1), send.pack(src))
+        back = [np.zeros(16, np.float32), np.zeros(16, np.float32)]
+        recv.copy_into(dst, back, send)
+        assert np.array_equal(send.pack(back), send.pack(src))
