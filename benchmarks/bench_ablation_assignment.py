@@ -27,8 +27,8 @@ def plan_for(strategy: Assignment, block: int = 8):
 @pytest.mark.parametrize(
     "strategy", [Assignment.ROUND_ROBIN, Assignment.CONSECUTIVE, Assignment.BLOCK_CYCLIC]
 )
-def test_schedule_per_strategy(benchmark, strategy):
-    plan = benchmark.pedantic(plan_for, args=(strategy,), rounds=1, iterations=1)
+def test_schedule_per_strategy(strategy):
+    plan = plan_for(strategy)
     cost = exchange_cost(COOLEY, plan)
     print(
         f"\n{strategy.value}: rounds={plan.nrounds} "
@@ -38,7 +38,7 @@ def test_schedule_per_strategy(benchmark, strategy):
     assert plan.nrounds >= 1
 
 
-def test_block_cyclic_sits_between(benchmark):
+def test_block_cyclic_sits_between():
     def all_three():
         return {
             strategy: plan_for(strategy)
@@ -49,7 +49,7 @@ def test_block_cyclic_sits_between(benchmark):
             )
         }
 
-    plans = benchmark.pedantic(all_three, rounds=1, iterations=1)
+    plans = all_three()
     rr = plans[Assignment.ROUND_ROBIN]
     consec = plans[Assignment.CONSECUTIVE]
     cyclic = plans[Assignment.BLOCK_CYCLIC]
@@ -69,7 +69,7 @@ def test_block_cyclic_sits_between(benchmark):
         assert total == domain_bytes
 
 
-def test_block_size_sweep(benchmark):
+def test_block_size_sweep():
     """Larger block-cyclic blocks -> fewer rounds, bigger messages."""
 
     def sweep():
@@ -78,6 +78,6 @@ def test_block_size_sweep(benchmark):
             for block in (2, 8, 32)
         }
 
-    plans = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    plans = sweep()
     rounds = [plans[b].nrounds for b in (2, 8, 32)]
     assert rounds == sorted(rounds, reverse=True)

@@ -37,15 +37,15 @@ def _run_backend(backend: str) -> None:
     run_spmd(NPROCS, fn)
 
 
-def test_alltoallw_backend_native(benchmark):
-    benchmark.pedantic(_run_backend, args=("alltoallw",), rounds=3, iterations=1)
+def test_alltoallw_backend_native():
+    _run_backend("alltoallw")
 
 
-def test_p2p_backend_native(benchmark):
-    benchmark.pedantic(_run_backend, args=("p2p",), rounds=3, iterations=1)
+def test_p2p_backend_native():
+    _run_backend("p2p")
 
 
-def test_backends_produce_identical_blocks(benchmark):
+def test_backends_produce_identical_blocks():
     def both():
         def fn(comm, backend):
             rank, size = comm.rank, comm.size
@@ -62,12 +62,12 @@ def test_backends_produce_identical_blocks(benchmark):
         b = run_spmd(NPROCS, fn, "p2p")
         return a, b
 
-    a, b = benchmark.pedantic(both, rounds=1, iterations=1)
+    a, b = both()
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
-def test_modeled_p2p_savings_at_full_scale(benchmark):
+def test_modeled_p2p_savings_at_full_scale():
     """At 216 procs, each rank talks to ~tens of partners, not 216: the
     direct backend avoids the O(P) collective posting overhead."""
     stack = StackGeometry(width=1024, height=512, n_images=512, bytes_per_pixel=4)
@@ -80,9 +80,7 @@ def test_modeled_p2p_savings_at_full_scale(benchmark):
             max(plan.partners_per_rank()),
         )
 
-    alltoallw_s, p2p_s, max_partners = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
+    alltoallw_s, p2p_s, max_partners = compare()
     print(
         f"\nmodeled exchange @64 procs: alltoallw {alltoallw_s:.4f}s, "
         f"p2p {p2p_s:.4f}s, max partners/rank {max_partners}"
@@ -91,7 +89,7 @@ def test_modeled_p2p_savings_at_full_scale(benchmark):
     assert p2p_s < alltoallw_s  # ... so direct sends win in the model
 
 
-def test_p2p_message_count_is_sparse(benchmark):
+def test_p2p_message_count_is_sparse():
     """Count actual messages the p2p backend would send per rank."""
 
     def fn(comm):
@@ -106,8 +104,6 @@ def test_p2p_message_count_is_sparse(benchmark):
         )
         return red.mapping.schedule.message_count
 
-    counts = benchmark.pedantic(
-        lambda: run_spmd(NPROCS, fn), rounds=1, iterations=1
-    )
+    counts = run_spmd(NPROCS, fn)
     assert all(count <= NPROCS - 1 for count in counts)
     assert any(count < NPROCS - 1 for count in counts)  # genuinely sparse

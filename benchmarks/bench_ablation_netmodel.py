@@ -13,21 +13,19 @@ from repro.netmodel import COOLEY, ddr_plan, exchange_cost, simulate_exchange
 STACK = StackGeometry(width=2048, height=1024, n_images=512, bytes_per_pixel=4)
 
 
-def test_analytic_exchange_27(benchmark):
+def test_analytic_exchange_27():
     plan = ddr_plan(27, Assignment.CONSECUTIVE, STACK)
-    result = benchmark(lambda: exchange_cost(COOLEY, plan).total_s)
+    result = exchange_cost(COOLEY, plan).total_s
     assert result > 0
 
 
-def test_des_exchange_27(benchmark):
+def test_des_exchange_27():
     plan = ddr_plan(27, Assignment.CONSECUTIVE, STACK)
-    result = benchmark.pedantic(
-        lambda: simulate_exchange(COOLEY, plan), rounds=1, iterations=1
-    )
+    result = simulate_exchange(COOLEY, plan)
     assert result > 0
 
 
-def test_models_agree_on_strategy_ordering(benchmark):
+def test_models_agree_on_strategy_ordering():
     """Both models must agree which strategy wins at each scale."""
 
     def orderings():
@@ -46,7 +44,7 @@ def test_models_agree_on_strategy_ordering(benchmark):
             out[nprocs] = (analytic, des)
         return out
 
-    results = benchmark.pedantic(orderings, rounds=1, iterations=1)
+    results = orderings()
     for nprocs, (analytic, des) in results.items():
         print(
             f"\nP={nprocs}: analytic RR/consec = {analytic[0]:.3f}/{analytic[1]:.3f}s, "
@@ -57,11 +55,11 @@ def test_models_agree_on_strategy_ordering(benchmark):
         assert analytic_winner == des_winner, f"models disagree at P={nprocs}"
 
 
-def test_des_times_within_order_of_magnitude(benchmark):
+def test_des_times_within_order_of_magnitude():
     def compare():
         plan = ddr_plan(27, Assignment.CONSECUTIVE, STACK)
         return exchange_cost(COOLEY, plan).total_s, simulate_exchange(COOLEY, plan)
 
-    analytic, des = benchmark.pedantic(compare, rounds=1, iterations=1)
+    analytic, des = compare()
     ratio = analytic / des
     assert 0.1 < ratio < 10.0

@@ -14,10 +14,8 @@ from repro.netmodel import COOLEY, headline_speedup, sweep_parameter, tornado
 STACK = StackGeometry(width=1024, height=512, n_images=512, bytes_per_pixel=4)
 
 
-def test_tornado_ranking(benchmark):
-    bars = benchmark.pedantic(
-        lambda: tornado(cluster=COOLEY, stack=STACK), rounds=1, iterations=1
-    )
+def test_tornado_ranking():
+    bars = tornado(cluster=COOLEY, stack=STACK)
     print("\nheadline-speedup tornado (+-30% per fitted constant):")
     for bar in bars:
         print(
@@ -27,14 +25,8 @@ def test_tornado_ranking(benchmark):
     assert all(bar.low_speedup > 2.0 and bar.high_speedup > 2.0 for bar in bars)
 
 
-def test_congestion_sweep(benchmark):
-    points = benchmark.pedantic(
-        sweep_parameter,
-        args=("congestion_bytes", (0.1, 0.5, 1.0, 2.0, 10.0)),
-        kwargs={"stack": STACK},
-        rounds=1,
-        iterations=1,
-    )
+def test_congestion_sweep():
+    points = sweep_parameter("congestion_bytes", (0.1, 0.5, 1.0, 2.0, 10.0), stack=STACK)
     print("\ncongestion_bytes sweep:")
     for point in points:
         print(
@@ -45,9 +37,6 @@ def test_congestion_sweep(benchmark):
     assert all(point.speedup_216 > 2.0 for point in points)
 
 
-def test_headline_at_calibration(benchmark):
-    speedup = benchmark.pedantic(
-        headline_speedup, kwargs={"cluster": COOLEY, "stack": STACK},
-        rounds=1, iterations=1,
-    )
+def test_headline_at_calibration():
+    speedup = headline_speedup(cluster=COOLEY, stack=STACK)
     assert speedup > 2.0

@@ -31,7 +31,7 @@ def assets(tmp_path_factory):
     return stack, BrickedVolume(out)
 
 
-def test_parallel_conversion(benchmark, tmp_path):
+def test_parallel_conversion(tmp_path):
     spec = VolumeSpec(*DIMS, np.uint16)
     stack = write_stack(tmp_path / "s", DIMS[2], lambda z: tooth_slice(spec, z))
 
@@ -43,20 +43,20 @@ def test_parallel_conversion(benchmark, tmp_path):
             ),
         )
 
-    timers = benchmark.pedantic(convert, rounds=1, iterations=1)
+    timers = convert()
     assert len(timers) == 4
 
 
-def test_block_read_from_bricks(benchmark, assets):
+def test_block_read_from_bricks(assets):
     _, volume = assets
     region = Box((8, 8, 8), (16, 16, 16))
-    data = benchmark(volume.read_region, region)
+    data = volume.read_region(region)
     assert data.shape == (16, 16, 16)
     # One interior 16^3 region = at most 8 bricks of the 4x3x2 grid.
     assert volume.bricks_touched(region) <= 8
 
 
-def test_block_read_from_slices(benchmark, assets):
+def test_block_read_from_slices(assets):
     """The slice-format baseline: decode 16 whole slices, crop."""
     stack, _ = assets
 
@@ -64,11 +64,11 @@ def test_block_read_from_slices(benchmark, assets):
         planes = [stack.read_slice(z)[8:24, 8:24] for z in range(8, 24)]
         return np.stack(planes)
 
-    data = benchmark(read)
+    data = read()
     assert data.shape == (16, 16, 16)
 
 
-def test_formats_agree(benchmark, assets):
+def test_formats_agree(assets):
     stack, volume = assets
 
     def both():
@@ -77,5 +77,5 @@ def test_formats_agree(benchmark, assets):
         planes = [stack.read_slice(z)[4:24, 4:24] for z in range(4, 24)]
         return bricked, np.stack(planes)
 
-    bricked, sliced = benchmark.pedantic(both, rounds=1, iterations=1)
+    bricked, sliced = both()
     assert np.array_equal(bricked, sliced)

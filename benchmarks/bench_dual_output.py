@@ -21,13 +21,13 @@ def _run(config: PipelineConfig):
     return next(r for r in results if r.role == "analysis_root")
 
 
-def test_dual_frequency_storage(benchmark):
+def test_dual_frequency_storage():
     """20 analysis frames, raw kept every 10th: 10x temporal resolution."""
     config = PipelineConfig(
         lbm=LbmConfig(nx=324, ny=130), m=8, n=4,
         steps=1000, output_every=50, raw_every_frames=10,
     )
-    root = benchmark.pedantic(_run, args=(config,), rounds=1, iterations=1)
+    root = _run(config)
     raw_only = root.dual_raw_bytes  # what the raw-only coarse cadence costs
     dual = root.dual_total_bytes
     print(
@@ -43,13 +43,13 @@ def test_dual_frequency_storage(benchmark):
     assert root.dual_overhead < 1.5
 
 
-def test_multivariable_compression(benchmark):
+def test_multivariable_compression():
     config = PipelineConfig(
         lbm=LbmConfig(nx=324, ny=130), m=8, n=4,
         steps=600, output_every=100,
         variables=("vorticity", "density", "speed"),
     )
-    root = benchmark.pedantic(_run, args=(config,), rounds=1, iterations=1)
+    root = _run(config)
     per_var_raw = 324 * 130 * 4 * root.frames
     print("\nper-variable compression:")
     for name, nbytes in sorted(root.jpeg_bytes_by_variable.items()):

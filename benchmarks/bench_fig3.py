@@ -5,10 +5,8 @@ from __future__ import annotations
 from repro.bench import fig3
 
 
-def test_strong_scaling_series(benchmark):
-    series = benchmark.pedantic(
-        lambda: fig3.figure3_series(), rounds=1, iterations=1
-    )
+def test_strong_scaling_series():
+    series = fig3.figure3_series()
     print("\n" + fig3.report())
 
     # Both DDR curves decrease monotonically over 27 -> 216 (strong scaling).
@@ -26,14 +24,14 @@ def test_strong_scaling_series(benchmark):
     assert consec[0] / consec[-1] > 5.0
 
 
-def test_crossover_location(benchmark):
-    crossover = benchmark.pedantic(fig3.crossover_processes, rounds=1, iterations=1)
+def test_crossover_location():
+    crossover = fig3.crossover_processes()
     # Paper: RR wins at 27, tie at 64, consecutive wins by 125.
     assert crossover in (64, 125)
 
 
-def test_scaling_summaries(benchmark):
-    summaries = benchmark.pedantic(fig3.scaling_summaries, rounds=1, iterations=1)
+def test_scaling_summaries():
+    summaries = fig3.scaling_summaries()
     by_mode = {s.mode: s for s in summaries}
     assert by_mode["ddr_consecutive"].parallel_efficiency > 0.6
     assert by_mode["no_ddr"].parallel_efficiency < 0.25

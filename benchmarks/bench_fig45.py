@@ -7,16 +7,14 @@ from repro.bench import fig45
 from repro.core import check_send_coverage
 
 
-def test_figure4_mapping(benchmark):
-    mapping = benchmark(fig45.figure4_mapping)
+def test_figure4_mapping():
+    mapping = fig45.figure4_mapping()
     assert [len(g) for g in mapping] == [3, 3, 2, 2]
     assert fig45.figure4_matches_paper()
 
 
-def test_figure5_layouts(benchmark):
-    layouts = benchmark.pedantic(
-        fig45.figure5_layouts, args=(10, 4, 80, 40), rounds=1, iterations=1
-    )
+def test_figure5_layouts():
+    layouts = fig45.figure5_layouts(10, 4, 80, 40)
     # Incoming slices are full width; outgoing rectangles are near-square.
     for layout in layouts:
         for slab in layout.incoming_slices:
@@ -27,16 +25,14 @@ def test_figure5_layouts(benchmark):
     check_send_coverage([[layout.rectangle] for layout in layouts])
 
 
-def test_native_m_to_n_run(benchmark):
-    root = benchmark.pedantic(fig45.run_native, rounds=1, iterations=1)
+def test_native_m_to_n_run():
+    root = fig45.run_native()
     print("\n" + fig45.report())
     assert root.frames == 2
     assert root.data_reduction > 0.5
 
 
-def test_paper_production_topology(benchmark):
+def test_paper_production_topology():
     """128 sim -> 32 analysis (the run §IV-B actually used): mapping only."""
-    mapping = benchmark.pedantic(
-        fig45.figure4_mapping, args=(128, 32), rounds=1, iterations=1
-    )
+    mapping = fig45.figure4_mapping(128, 32)
     assert all(len(g) == 4 for g in mapping)

@@ -15,8 +15,8 @@ from repro.bench import table2
 from repro.bench.paperdata import TABLE2_SECONDS
 
 
-def test_model_rows_match_paper_shape(benchmark):
-    rows = benchmark.pedantic(table2.table2_model_rows, rounds=1, iterations=1)
+def test_model_rows_match_paper_shape():
+    rows = table2.table2_model_rows()
     print("\n" + table2.report_model())
     by_procs = {r.nprocs: r for r in rows}
 
@@ -35,21 +35,17 @@ def test_model_rows_match_paper_shape(benchmark):
     assert speedup > 15  # paper: 24.9x
 
 
-def test_model_rows_des_network(benchmark):
+def test_model_rows_des_network():
     """Same table under the discrete-event network (ablation cross-check)."""
-    rows = benchmark.pedantic(
-        table2.table2_model_rows, args=("des",), rounds=1, iterations=1
-    )
+    rows = table2.table2_model_rows("des")
     by_procs = {r.nprocs: r for r in rows}
     for row in rows:
         assert row.no_ddr_s > row.rr_s and row.no_ddr_s > row.consec_s
     assert by_procs[216].consec_s < by_procs[216].rr_s
 
 
-def test_native_execution(benchmark, native_stack):
-    row = benchmark.pedantic(
-        table2.table2_native, args=(native_stack,), rounds=1, iterations=1
-    )
+def test_native_execution(native_stack):
+    row = table2.table2_native(native_stack)
     print("\n" + table2.report_native(native_stack))
     assert row.verified_equal
     # The structural fact behind Table II: DDR decodes each of the 32

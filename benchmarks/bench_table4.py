@@ -14,20 +14,16 @@ from repro.bench import table4
 from repro.bench.paperdata import TABLE4_OUTPUT
 
 
-def test_measured_pipeline_compression(benchmark, measured_compression):
-    result = benchmark.pedantic(
-        lambda: measured_compression, rounds=1, iterations=1
-    )
+def test_measured_pipeline_compression(measured_compression):
+    result = measured_compression
     # Real pipeline output at native scale: large reduction, sane bpp.
     assert result.frames == 10
     assert result.data_reduction > 0.95
     assert 0.05 < result.bits_per_pixel < 2.0
 
 
-def test_table4_rows(benchmark, measured_compression):
-    rows = benchmark.pedantic(
-        table4.table4_rows, args=(measured_compression,), rounds=1, iterations=1
-    )
+def test_table4_rows(measured_compression):
+    rows = table4.table4_rows(measured_compression)
     print("\n" + table4.report(measured_compression))
     for row in rows:
         paper_raw, _, paper_reduction = TABLE4_OUTPUT[(row.nx, row.ny)]
@@ -44,7 +40,7 @@ def test_table4_rows(benchmark, measured_compression):
     assert max(reductions) - min(reductions) < 0.01
 
 
-def test_two_scale_bracket_contains_paper(benchmark, measured_compression):
+def test_two_scale_bracket_contains_paper(measured_compression):
     """The measured [edge-fit, constant-bpp] bracket must contain the
     paper's processed sizes at every grid."""
 
@@ -57,7 +53,7 @@ def test_two_scale_bracket_contains_paper(benchmark, measured_compression):
         high = table4.table4_rows(measured_compression, None)
         return low, high
 
-    low_rows, high_rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    low_rows, high_rows = build()
     for low, high in zip(low_rows, high_rows):
         _, paper_processed, _ = TABLE4_OUTPUT[(low.nx, low.ny)]
         assert low.processed_bytes <= paper_processed <= high.processed_bytes, (

@@ -1,7 +1,7 @@
 """Benchmark harnesses: one module per paper table/figure.
 
 Each module exposes a data API (``*_rows`` / ``measure_*``) used by the
-pytest-benchmark files and tests, plus a ``report()`` that prints the
+``benchmarks/bench_*.py`` checks and tests, plus a ``report()`` that prints the
 reproduced table side-by-side with the paper's numbers.
 """
 

@@ -268,8 +268,8 @@ class Redistributor:
         when the exchange would."""
         mapping = self.mapping if mapping is None else mapping
         zero_copy = direct_transport(self.comm, self.transport)
-        for rnd in mapping.rounds:
-            check_round_budget(self.backend, rnd, zero_copy)
+        for index in range(mapping.nrounds):
+            check_round_budget(self.backend, mapping.plan, index, zero_copy)
         return [
             round_protocol(self.backend, rnd)
             for rnd in executed_rounds(mapping, self.backend, zero_copy)

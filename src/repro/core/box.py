@@ -37,6 +37,14 @@ class Box:
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def unchecked(cls, offset: tuple[int, ...], dims: tuple[int, ...]) -> "Box":
+        """A box from int tuples already known to be valid (planner rows)."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "offset", offset)
+        object.__setattr__(box, "dims", dims)
+        return box
+
     # -- basic geometry -----------------------------------------------------
 
     @property

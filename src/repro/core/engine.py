@@ -1,11 +1,10 @@
 """The executor behind ``DDR_ReorganizeData``: replay one rank's schedule.
 
-:func:`execute` walks the *executed* rounds of a bound
-:class:`~repro.core.schedule.ExchangeSchedule` —
-:func:`~repro.core.schedule.regroup` of the planned ones: merged while the
-staging budget allows, split into piece-rounds where it does not — and puts
-each round's lanes on the wire by one of two protocols, bit-identical in
-what they deliver (property-tested), different only in messages and staging:
+:func:`execute` walks the *executed* rounds of a mapping
+(:meth:`~repro.core.schedule.RankPlan.executed`: merged while the staging
+budget allows, split into piece-rounds where it does not) and puts each
+round's lanes on the wire by one of two protocols, bit-identical in what
+they deliver (property-tested), different only in messages and staging:
 
 ``alltoallw``
     One ``MPI_Alltoallw`` (paper §III-C) — the O(P) dense collective, with
@@ -59,7 +58,7 @@ from ..obs.tracer import NULL_SPAN, TRACER
 from ..utils.membudget import MEMORY_BUDGET
 from .mapping import LocalMapping
 from .packing import check_buffers_cached
-from .schedule import LOWERING_BACKENDS, RoundSchedule, regroup, round_protocol
+from .schedule import LOWERING_BACKENDS, RankPlan, RoundSchedule, round_protocol
 
 #: The accepted ``backend=`` values.
 BACKENDS = ("alltoallw", "p2p", "auto", "bounded")
@@ -134,22 +133,22 @@ def direct_transport(comm: Communicator, transport: Optional[str]) -> bool:
     return comm.resolve_transport(transport) != TRANSPORT_PACKED
 
 
-def check_round_budget(backend: str, rnd: RoundSchedule, zero_copy: bool) -> None:
-    """The strict backends' refusal of planned round ``rnd``, raised before
+def check_round_budget(backend: str, plan: RankPlan, index: int, zero_copy: bool) -> None:
+    """The strict backends' refusal of planned round ``index``, raised before
     any message of it is posted.
 
     The staged estimate is plan-wide (every rank refuses alike, and
-    :func:`~repro.core.schedule.regroup` leaves such a round on its own); a
-    direct transport stages only the self-copy, so there the refusal is
-    rank-local and must not move a group boundary.
+    :func:`~repro.core.schedule.executed_groups` leaves such a round on its
+    own); a direct transport stages only the self-copy, so there the refusal
+    is rank-local and must not move a group boundary.
     """
     limit = MEMORY_BUDGET.limit_bytes
     if limit is None or backend in LOWERING_BACKENDS:
         return
-    estimate = rnd.self_bytes if zero_copy else rnd.max_round_bytes
+    estimate = plan.self_bytes[index] if zero_copy else plan.staged[index]
     if estimate > limit:
         raise MemoryBudgetError(
-            f"round {rnd.index}: estimated staging peak {estimate} bytes "
+            f"round {index}: estimated staging peak {estimate} bytes "
             f"exceeds the {limit}-byte DDR_MEM_BUDGET_MB budget; run the "
             "'bounded' (or 'auto') backend to lower the round into "
             "budget-sized pieces"
@@ -184,7 +183,7 @@ def execute(
     check_backend(backend)
     mapping.check_usable(comm)
     own, need = check_buffers_cached(
-        mapping.schedule,
+        mapping.plan,
         mapping.dtype,
         normalise_own(data_own),
         data_need,
@@ -197,19 +196,18 @@ def execute(
         progress = ExchangeProgress()
     if progress.tag_epoch is None:
         progress.tag_epoch = mapping.next_tag_epoch()
-    planned = mapping.rounds
     rounds = executed_rounds(mapping, backend, zero_copy)
     # Tags are unique per (exchange epoch, round): a message lost from one
     # exchange can never satisfy a receive of a later one.  An executed
     # round is tagged (and enters the fault layer) as its first member; the
     # pieces of a lowered round share its tag — the mailbox is FIFO per
     # (source, tag) and a piece is fully waited before the next is posted.
-    tag_base = progress.tag_epoch * max(1, len(planned))
+    tag_base = progress.tag_epoch * max(1, mapping.nrounds)
     rank = comm.world_rank_of(comm.rank)
     traced = TRACER.enabled
     with (
         TRACER.span(
-            "ddr.exchange", rank=rank, backend=backend, rounds=len(planned),
+            "ddr.exchange", rank=rank, backend=backend, rounds=mapping.nrounds,
             executed=len(rounds), transport=comm.resolve_transport(transport),
             resumed=len(progress.completed),
         )
@@ -234,29 +232,31 @@ def execute(
                 else NULL_SPAN
             ) as span:
                 _run_round(
-                    comm, rnd, planned, *rnd.buffers(own, need), backend, transport,
+                    comm, rnd, mapping.plan, *rnd.buffers(own, need), backend, transport,
                     zero_copy, rank, policy, progress, tag_base + rnd.index, span,
                 )
     return progress
 
 
 def executed_rounds(mapping: LocalMapping, backend: str, zero_copy: bool) -> list[RoundSchedule]:
-    """What :func:`execute` walks: the planned rounds regrouped under this
-    call's backend and budget, cached on the mapping under what it depends on."""
+    """What :func:`execute` walks under this call's backend and budget,
+    built from the mapping's rows and cached on it under what they depend on."""
     limit = MEMORY_BUDGET.limit_bytes
     key = (backend, limit, zero_copy)
     rounds = mapping.executed.get(key)
     if rounds is None:
         # A direct transport stages nothing: no cap on what one round carries.
-        rounds = regroup(mapping.schedule, backend, None if zero_copy else limit).rounds
-        mapping.executed[key] = rounds
+        rounds = mapping.executed[key] = mapping.plan.executed(
+            backend, None if zero_copy else limit, mapping.mpi_type, mapping.components,
+            mapping.types,
+        )
     return rounds
 
 
 def _run_round(
     comm: Communicator,
     rnd: RoundSchedule,
-    planned: list[RoundSchedule],
+    plan: RankPlan,
     sendbuf: Any,
     need: Any,
     backend: str,
@@ -286,7 +286,7 @@ def _run_round(
             if FAULTS.active and rnd.piece == 0:
                 FAULTS.on_round_start(rank, rnd.index, attempt)
             for index in rnd.members:
-                check_round_budget(backend, planned[index], zero_copy)
+                check_round_budget(backend, plan, index, zero_copy)
             protocol = round_protocol(backend, rnd)
             span.set(backend=protocol)
             if protocol == "alltoallw":

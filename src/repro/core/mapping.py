@@ -4,9 +4,9 @@ Each rank declares only its *local* picture — the chunks it owns and the
 single chunk it needs (paper §III-B, Table I).  The mapping step is a
 collective: ranks allgather their declarations as int64 arrays, every rank
 validates all of them (so every rank reaches the same verdict), and then
-each plans only its own lanes (:func:`repro.core.schedule.assemble_plan`
-with ``ranks=[rank]``) into its :class:`LocalMapping` — a first-class,
-ready-to-execute handle (schedule IR + buffer cache + staging pool).
+each keeps only its own overlap rows (:func:`repro.core.schedule.plan_ranks`
+with ``ranks=[rank]``) in its :class:`LocalMapping` — a first-class,
+ready-to-execute handle (rows + datatypes + buffer cache + staging pool).
 
 Mapping lifecycle: a :class:`~repro.core.api.Redistributor` may hold
 several live mappings at once (different layouts over the same
@@ -20,16 +20,18 @@ data with a superseded layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..mpisim.comm import Communicator
+from ..mpisim.datatypes import NamedType
 from ..utils.arrays import StagingPool
 from .box import Box
 from .descriptor import DataDescriptor
 from .packing import BufferCache
-from .schedule import Declarations, ExchangeSchedule, RoundSchedule, assemble_plan, declare
+from .schedule import Declarations, ExchangeSchedule, RankPlan, declare, plan_ranks
 from .validate import check_declarations, domain_of
 
 
@@ -39,12 +41,13 @@ class StaleMappingError(RuntimeError):
 
 @dataclass
 class LocalMapping:
-    """One rank's ready-to-execute schedule — a first-class handle.
+    """One rank's ready-to-execute plan — a first-class handle.
 
-    Holds everything the executor needs (this rank's schedule with
-    prebuilt datatypes, the descriptor's element dtype/components) plus the
-    per-mapping caches: :class:`~repro.core.packing.BufferCache` (skips
-    buffer revalidation on repeat calls with the same arrays) and
+    Holds everything the executor needs (this rank's rows,
+    :class:`~repro.core.schedule.RankPlan`, and the element type) plus the
+    per-mapping caches: executed rounds and their datatypes,
+    :class:`~repro.core.packing.BufferCache` (skips buffer revalidation on
+    repeat calls with the same arrays) and
     :class:`~repro.utils.arrays.StagingPool` (reused output arrays for
     ``gather_need(reuse_out=True)``).  Keying the caches per mapping is
     what lets several mappings coexist on one ``Redistributor`` without
@@ -54,14 +57,17 @@ class LocalMapping:
     rank: int
     nprocs: int
     nrounds: int
-    schedule: ExchangeSchedule
+    plan: RankPlan
     domain: Optional[Box]
-    dtype: np.dtype = np.dtype(np.float32)
+    mpi_type: NamedType
+    dtype: np.dtype
     components: int = 1
     buffer_cache: BufferCache = field(default_factory=BufferCache)
     pool: StagingPool = field(default_factory=StagingPool)
-    #: Executed (regrouped) round lists by what regrouping depends on; engine-filled.
+    #: Executed round lists by what regrouping depends on; engine-filled.
     executed: dict = field(default_factory=dict, init=False, repr=False)
+    #: Datatypes by geometry, shared by every executed variant; engine-filled.
+    types: dict = field(default_factory=dict, init=False, repr=False)
     _stale: bool = field(default=False, init=False, repr=False)
     #: Monotonic exchange counter; advances in lockstep on every rank
     #: (``execute`` is collective), giving each exchange a unique tag epoch
@@ -75,16 +81,17 @@ class LocalMapping:
         return epoch
 
     @property
+    def schedule(self) -> ExchangeSchedule:
+        """The planned rounds in the object form (geometry only), built on demand."""
+        return self.plan.schedule()
+
+    @cached_property
     def own_chunks(self) -> list[Box]:
-        return self.schedule.own_chunks
+        return self.plan.own_boxes()
 
-    @property
+    @cached_property
     def need(self) -> Optional[Box]:
-        return self.schedule.need
-
-    @property
-    def rounds(self) -> list[RoundSchedule]:
-        return self.schedule.rounds
+        return self.plan.need_box()
 
     @property
     def stale(self) -> bool:
@@ -96,6 +103,7 @@ class LocalMapping:
         self.buffer_cache.clear()
         self.pool.clear()
         self.executed.clear()
+        self.types.clear()
 
     def check_usable(self, comm: Communicator) -> None:
         """Executor preamble: reject stale handles and mismatched worlds."""
@@ -113,18 +121,12 @@ class LocalMapping:
 
 
 def local_mapping(
-    schedule: ExchangeSchedule, domain: Optional[Box], descriptor: DataDescriptor
+    plan: RankPlan, domain: Optional[Box], descriptor: DataDescriptor
 ) -> LocalMapping:
-    """Bind ``schedule`` (one rank's) to the descriptor's element type."""
+    """``plan`` (one rank's) with the descriptor's element type."""
     return LocalMapping(
-        rank=schedule.rank,
-        nprocs=schedule.nprocs,
-        nrounds=schedule.nrounds,
-        schedule=schedule.bind(descriptor.mpi_type, descriptor.components),
-        domain=domain,
-        dtype=descriptor.dtype,
-        components=descriptor.components,
-        pool=StagingPool(rank=schedule.rank),
+        plan.rank, plan.nprocs, plan.nrounds, plan, domain, descriptor.mpi_type,
+        descriptor.dtype, descriptor.components, pool=StagingPool(rank=plan.rank),
     )
 
 
@@ -149,8 +151,8 @@ def setup_data_mapping(
     validate: bool = True,
     attach: bool = True,
 ) -> LocalMapping:
-    """Collective: allgather declarations, validate them, plan this rank's
-    lanes and build its mapping.
+    """Collective: allgather declarations, validate them, keep this rank's
+    overlap rows and build its mapping.
 
     Must be called by every rank of ``comm`` with its own declarations.
     With ``attach=True`` (the default, mirroring the paper's
@@ -177,8 +179,8 @@ def setup_data_mapping(
     gathered = comm.allgather(declare(own_chunks, need, descriptor.ndims))
     decl = Declarations(gathered, descriptor.ndims)
     domain = check_declarations(decl) if validate else domain_of(decl)
-    (schedule,) = assemble_plan(decl, descriptor.element_size, ranks=[comm.rank])
-    local = local_mapping(schedule, domain, descriptor)
+    (plan,) = plan_ranks(decl, descriptor.element_size, ranks=[comm.rank])
+    local = local_mapping(plan, domain, descriptor)
     if attach:
         attach_mapping(descriptor, local)
     return local

@@ -1,46 +1,46 @@
-"""Datatype construction: lanes -> MPI subarray types (paper §III-C).
+"""Datatype construction: overlap geometry -> MPI subarray types (paper §III-C).
 
 The paper: "custom subarray types are needed to describe multidimensional
 subsets of data", hence ``MPI_Alltoallw`` rather than ``MPI_Alltoallv``.
-Each send :class:`~repro.core.schedule.Lane` becomes a subarray type
-*within the owned chunk's buffer*; each receive lane becomes a subarray
-type *within the need buffer* (see
-:meth:`repro.core.schedule.ExchangeSchedule.bind`).  This module also owns
-the buffer-validation layer in front of every exchange.
+Each send lane becomes a subarray type *within the owned chunk's buffer*;
+each receive lane becomes a subarray type *within the need buffer* — a
+stepped one when the lane carries evenly spaced parts of several rounds (see
+:meth:`repro.core.schedule.RankPlan.executed`).  This module also owns the
+buffer-validation layer in front of every exchange.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..mpisim.datatypes import NamedType, SubarrayType
-from .box import Box
 
 if TYPE_CHECKING:
-    from .schedule import ExchangeSchedule
+    from .schedule import RankPlan
 
 
-def subarray_for(
-    container: Box, region: Box, mpi_type: NamedType, components: int = 1
+def subarray_type(
+    mpi_type: NamedType,
+    dims: Sequence[int],
+    starts: Sequence[int],
+    extent: Sequence[int],
+    components: int = 1,
+    steps: Optional[tuple[int, int, int]] = None,
 ) -> SubarrayType:
-    """Subarray type selecting ``region`` out of a buffer shaped like ``container``.
-
-    Both boxes are in global paper-order coordinates; the result is expressed
-    in the C-order coordinates of the container's NumPy buffer.  With
-    ``components > 1`` each cell is an interleaved record of that many base
-    values, stored as a trailing (fastest) axis of the buffer.
-    """
-    sizes = container.np_shape()
-    subsizes = region.np_shape()
-    # (SubarrayType rejects a region that leaves the container)
-    starts = tuple(r - c for r, c in zip(reversed(region.offset), reversed(container.offset)))
+    """Subarray type selecting ``extent`` cells at ``starts`` of a buffer of
+    ``dims`` cells, given in paper order (``steps``: ``(count, axis, step)``)
+    and expressed in the C order of the NumPy buffer.  With ``components >
+    1`` each cell is that many base values, a trailing (fastest) axis."""
+    sizes, subsizes, starts = tuple(dims[::-1]), tuple(extent[::-1]), tuple(starts[::-1])
     if components > 1:
-        sizes = sizes + (components,)
-        subsizes = subsizes + (components,)
-        starts = starts + (0,)
-    return SubarrayType(mpi_type, sizes=sizes, subsizes=subsizes, starts=starts)
+        sizes, subsizes, starts = sizes + (components,), subsizes + (components,), starts + (0,)
+    if steps is not None:
+        count, axis, step = steps
+        steps = (count, len(dims) - 1 - axis, step)
+    # (SubarrayType rejects a region that leaves the container)
+    return SubarrayType(mpi_type, sizes, subsizes, starts, steps=steps)
 
 
 class BufferCache:
@@ -124,7 +124,7 @@ class BufferCache:
 
 
 def check_buffers_cached(
-    schedule: ExchangeSchedule,
+    plan: RankPlan,
     dtype: np.dtype,
     data_own: list[np.ndarray],
     data_need: Optional[np.ndarray],
@@ -136,62 +136,51 @@ def check_buffers_cached(
     cached = cache.lookup(signature)
     if cached is not None:
         return cached
-    own, need = check_buffers(schedule, dtype, data_own, data_need, components)
+    own, need = check_buffers(plan, dtype, data_own, data_need, components)
     cache.store(signature, own, need)
     return own, need
 
 
 def check_buffers(
-    schedule: ExchangeSchedule,
+    plan: RankPlan,
     dtype: np.dtype,
     data_own: list[np.ndarray],
     data_need: Optional[np.ndarray],
     components: int = 1,
 ) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
-    """Validate user buffers against the schedule's geometry; returns normalised views.
+    """Validate user buffers against the rank's declared geometry; returns normalised views.
 
     Owned buffers may be passed with the natural C-order shape of their chunk
     (with a trailing component axis when ``components > 1``) or flat; either
     way they must be C-contiguous and hold exactly ``volume * components``
     base values.
     """
-    if len(data_own) != len(schedule.own_chunks):
+    rank, volumes = plan.rank, plan.own[:, 1].prod(axis=1).tolist()
+    if len(data_own) != len(volumes):
         raise ValueError(
-            f"rank {schedule.rank}: {len(data_own)} owned buffers for "
-            f"{len(schedule.own_chunks)} declared chunks"
+            f"rank {rank}: {len(data_own)} owned buffers for {len(volumes)} declared chunks"
         )
-    own_norm: list[np.ndarray] = []
-    for index, (chunk, buf) in enumerate(zip(schedule.own_chunks, data_own)):
+
+    def checked(buf, what: str, volume: int, box) -> np.ndarray:
         arr = np.asarray(buf)
         if arr.dtype != dtype:
+            raise ValueError(f"rank {rank}{what} buffer dtype {arr.dtype} != descriptor {dtype}")
+        if arr.size != volume * components:
             raise ValueError(
-                f"rank {schedule.rank} chunk {index}: buffer dtype {arr.dtype} "
-                f"!= descriptor {dtype}"
-            )
-        if arr.size != chunk.volume() * components:
-            raise ValueError(
-                f"rank {schedule.rank} chunk {index}: buffer has {arr.size} values, "
-                f"chunk {chunk} needs {chunk.volume()} x {components}"
+                f"rank {rank}{what} buffer has {arr.size} values, "
+                f"{box()} needs {volume} x {components}"
             )
         if not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError(f"rank {schedule.rank} chunk {index}: buffer must be C-contiguous")
-        own_norm.append(arr)
+            raise ValueError(f"rank {rank}{what} buffer must be C-contiguous")
+        return arr
 
-    need_norm: Optional[np.ndarray] = None
-    if schedule.need is not None and not schedule.need.is_empty():
-        if data_need is None:
-            raise ValueError(f"rank {schedule.rank} declared a need but passed no need buffer")
-        arr = np.asarray(data_need)
-        if arr.dtype != dtype:
-            raise ValueError(
-                f"rank {schedule.rank}: need buffer dtype {arr.dtype} != descriptor {dtype}"
-            )
-        if arr.size != schedule.need.volume() * components:
-            raise ValueError(
-                f"rank {schedule.rank}: need buffer has {arr.size} values, "
-                f"need {schedule.need} needs {schedule.need.volume()} x {components}"
-            )
-        if not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError(f"rank {schedule.rank}: need buffer must be C-contiguous")
-        need_norm = arr
-    return own_norm, need_norm
+    own = [
+        checked(buf, f" chunk {index}:", volume, lambda: plan.own_boxes()[index])
+        for index, (volume, buf) in enumerate(zip(volumes, data_own))
+    ]
+    need = plan.need_box()
+    if need is None or need.is_empty():
+        return own, None
+    if data_need is None:
+        raise ValueError(f"rank {rank} declared a need but passed no need buffer")
+    return own, checked(data_need, ": need", need.volume(), lambda: need)

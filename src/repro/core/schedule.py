@@ -2,46 +2,43 @@
 
 Every rank's owned chunks and needed chunk arrive as stacked int64 arrays
 (:class:`Declarations`, what the set-up allgathers).  The planner
-(:func:`assemble_plan`, paper §III-B/C) intersects the chunks with the needs
+(:func:`plan_ranks`, paper §III-B/C) intersects the chunks with the needs
 in broadcast passes and lays the transfers out in *rounds*: round ``c``
 moves data out of every rank's chunk slot ``c``, so the number of exchange
 rounds equals the maximum number of chunks owned by any rank — the
 scheduling rule the paper states and quantifies in Table III.  Each overlap
-becomes a pair of :class:`Lane`\\ s — a send lane on the owner, a receive
-lane on the needer — but only for the ranks asked for: a rank's set-up
-plans its own lanes (the paper's rank-local mapping step), while
-:func:`compute_global_plan` asks for every rank:
+is a row, a send on its owner and a receive on its needer; a rank's set-up
+keeps only its own rows, as arrays (:class:`RankPlan`), and builds the
+rounds it executes straight from them.  The object form
 
 :class:`GlobalPlan` -> one :class:`ExchangeSchedule` per rank -> one
 :class:`RoundSchedule` per round -> :class:`Lane`\\ s ordered by peer
 
-and that one structure is what the executor (:mod:`repro.core.engine`)
-replays, what plan files store (:mod:`repro.core.serialize`), and what the
-network cost models and the Table-III statistics read.  Planning
-is pure (no communication) and lanes carry geometry only, so the full-scale
-experiments (4096 chunks x 216 ranks) are scheduled without instantiating
-any runtime or datatype; :meth:`ExchangeSchedule.bind` attaches the
-subarray datatypes to the one rank that will execute.
+is built on demand: plan files store it (:mod:`repro.core.serialize`), the
+network cost models and the Table-III statistics read it, and the
+full-scale experiments (4096 chunks x 216 ranks) are planned without any
+runtime or datatype.
 
 Every rank's copy of a round also carries the *plan-wide* worst-rank
 statistics of that round (``max_partners``, ``max_round_bytes``,
-``max_lane_rows``).  They come from the overlap arrays of every rank, not
-from lanes, so a rank that builds only its own lanes derives the same
-*executed* schedule as every other (:func:`regroup`: which rounds run as
-one, which run in pieces, each by which of the two wire protocols,
-:func:`round_protocol`) without communicating.
+``max_lane_rows``).  They come from the overlap arrays of every rank, so
+every rank draws the same *executed* rounds (:func:`executed_groups`: which
+rounds run as one, which in pieces, each by which of the two wire
+protocols, :func:`round_protocol`) without communicating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..mpisim.datatypes import Datatype, NamedType, StructType
 from .box import Box
-from .packing import subarray_for
+from .packing import subarray_type
 
 #: A round whose busiest rank talks to at least this fraction of the other
 #: ranks is considered dense: the O(P) collective amortises better than
@@ -79,17 +76,17 @@ class Lane:
     ``container`` is the box of the buffer the cells live in on *this* side
     (send lanes: the owned chunk; recv lanes: the need), which is all
     :func:`regroup` needs to cut the lane into the pieces of a lowered round.
-    ``datatype`` selects ``region`` out of that buffer; it is ``None`` until
-    :meth:`ExchangeSchedule.bind` — cost models never materialise it.
+    Planned lanes carry geometry only; executed lanes
+    (:meth:`RankPlan.executed`) only peer, bytes and ``datatype``.
     """
 
     peer: int
     nbytes: int
-    container: Box
-    region: Box
+    container: Optional[Box]
+    region: Optional[Box]
     datatype: Optional[Datatype] = None
     #: The planned lanes a merged (:func:`regroup`) lane carries, in round order
-    #: (``container`` / ``region`` are the first part's, ``datatype`` a struct).
+    #: (``container`` / ``region`` are the first part's).
     parts: tuple["Lane", ...] = ()
 
 
@@ -128,13 +125,10 @@ class RoundSchedule:
     #: *whole* plan.  Like ``max_partners`` this is identical on every rank,
     #: so budget-driven regrouping needs no communication.
     max_round_bytes: int = 0
-    #: Element type the lanes were bound with (``None`` on unbound rounds).
-    components: int = 1
-    mpi_type: Optional[NamedType] = field(default=None, repr=False)
     #: Dense per-peer datatype tables for the Alltoallw collective (slot
     #: ``p`` = the lane to / from rank ``p``, self lane on the diagonal),
-    #: built once by :meth:`ExchangeSchedule.bind` — the repeated-exchange
-    #: hot path must not rebuild them per call.
+    #: built with the executed round (:meth:`RankPlan.executed`) — the
+    #: repeated-exchange hot path must not rebuild them per call.
     sendtypes: Optional[list[Optional[Datatype]]] = field(
         default=None, repr=False, compare=False
     )
@@ -156,10 +150,10 @@ class RoundSchedule:
             self.members = (self.index,)
 
     def buffers(self, own: Sequence[np.ndarray], need: Optional[np.ndarray]) -> tuple:
-        """``(send, recv)`` buffers of this round's datatypes (struct lanes of a
-        merged round: every owned chunk, and ``(need,)``)."""
+        """``(send, recv)`` buffers of this round's datatypes (the send lanes of
+        a merged round are structs over every owned chunk)."""
         if len(self.members) > 1:
-            return own, (need,)
+            return own, need
         return (own[self.chunk_index] if self.chunk_index is not None else None), need
 
     def all_sends(self) -> list[Lane]:
@@ -175,13 +169,6 @@ class RoundSchedule:
     def partners(self) -> int:
         """Distinct remote ranks this rank exchanges data with this round."""
         return len({lane.peer for lane in self.sends} | {lane.peer for lane in self.recvs})
-
-    @property
-    def density(self) -> float:
-        """Partner count as a fraction of the possible ``P - 1`` peers."""
-        if self.nprocs <= 1:
-            return 0.0
-        return self.partners / (self.nprocs - 1)
 
     @property
     def bytes_out(self) -> int:
@@ -247,184 +234,132 @@ class ExchangeSchedule:
     def message_count(self) -> int:
         return sum(r.message_count for r in self.rounds)
 
-    def bind(self, mpi_type: NamedType, components: int = 1) -> "ExchangeSchedule":
-        """A copy whose lanes carry prebuilt subarray datatypes.
-
-        The execution form — the paper's "setup once, reorganize
-        repeatedly" property hinges on this happening exactly once per
-        mapping.  The unbound schedule is left untouched (plans are shared
-        between ranks and cached across calls).  Datatypes are immutable,
-        so lanes cutting the same region out of same-shaped buffers share
-        one: a round-robin stack's receive lanes differ only in depth.
-        """
-        types: dict[tuple, Datatype] = {}
-
-        def typed(lane: Optional[Lane]) -> Optional[Lane]:
-            if lane is None:
-                return None
-            container, region = lane.container, lane.region
-            key = (
-                container.dims,
-                tuple(r - c for r, c in zip(region.offset, container.offset)),
-                region.dims,
-            )
-            datatype = types.get(key)
-            if datatype is None:
-                datatype = types[key] = subarray_for(container, region, mpi_type, components)
-            return Lane(lane.peer, lane.nbytes, container, region, datatype)
-
-        rounds = []
-        for rnd in self.rounds:
-            bound = RoundSchedule(
-                rnd.index,
-                rnd.chunk_index,
-                rnd.nprocs,
-                [typed(lane) for lane in rnd.sends],
-                [typed(lane) for lane in rnd.recvs],
-                typed(rnd.self_send),
-                typed(rnd.self_recv),
-                rnd.max_partners,
-                rnd.max_round_bytes,
-                components,
-                mpi_type,
-                max_lane_rows=rnd.max_lane_rows,
-            )
-            bound.sendtypes = _dense_table(bound.all_sends(), self.nprocs)
-            bound.recvtypes = _dense_table(bound.all_recvs(), self.nprocs)
-            rounds.append(bound)
-        return replace(self, rounds=rounds)
-
 
 def round_protocol(backend: str, rnd: RoundSchedule) -> str:
     """``"alltoallw"`` or ``"p2p"``: the wire protocol the policy ``backend``
-    runs the planned or executed round ``rnd`` with.
+    runs the planned or executed round ``rnd`` with (:func:`_protocol`)."""
+    return _protocol(backend, rnd.max_partners, rnd.nprocs, rnd.pieces)
 
-    ``alltoallw`` and ``p2p`` always run their own, ``bounded`` runs direct,
-    ``auto`` applies the density rule; a piece of a lowered round runs direct.
-    Every input is plan-wide, so all ranks answer alike — and this is the
-    rule's one call site: :func:`regroup`, the executor, the cost models and
-    ``Redistributor.engine_choices()`` all ask here.
-    """
+
+def _protocol(backend: str, max_partners: int, nprocs: int, pieces: int = 1) -> str:
+    """``alltoallw`` and ``p2p`` always run their own, ``bounded`` runs
+    direct, ``auto`` applies the density rule; a piece of a lowered round runs
+    direct.  Every input is plan-wide, so all ranks answer alike."""
     if backend == "alltoallw":
         return backend
-    if backend == "auto" and rnd.pieces == 1 and collective_preferred(
-        rnd.max_partners, rnd.nprocs
-    ):
+    if backend == "auto" and pieces == 1 and collective_preferred(max_partners, nprocs):
         return "alltoallw"
     return "p2p"
+
+
+def executed_groups(
+    backend: str,
+    nprocs: int,
+    partners: Sequence[int],
+    staged: Sequence[int],
+    rows: Sequence[int],
+    limit_bytes: Optional[int] = None,
+) -> list[tuple[tuple[int, ...], int]]:
+    """The grouping rule, the one place it is written: ``(members, pieces)``
+    per executed round, from the plan-wide per-round ``max_partners`` /
+    ``max_round_bytes`` / ``max_lane_rows``, under the policy ``backend``
+    and ``limit_bytes`` of staging per rank (``None``: nothing is staged, or
+    no budget; arXiv 2112.01075: collectives against peak staging memory):
+
+    - consecutive rounds of one :func:`round_protocol` *merge* while the sum
+      of their staged bytes fits: one message per peer, not one per chunk
+      slot (arXiv 0706.2146: minimise a redistribution's step count);
+    - a round whose own staged bytes exceed the limit is, under
+      :data:`LOWERING_BACKENDS`, *split* into ``k`` piece-rounds of about
+      half the limit (eager sends complete at post time, so two may be
+      staged at once), piece ``j`` carrying rows ``[j R / k, (j + 1) R / k)``
+      of every lane's slowest axis.  ``k`` never exceeds the round's tallest
+      lane; a shorter lane sits some pieces out.  Under a strict backend the
+      round stays whole, for the executor to refuse.
+
+    Every input is the same on every rank, so all ranks draw the same
+    groups without communicating; :func:`regroup` (the object form) and
+    :meth:`RankPlan.executed` (what runs) both follow them.
+    """
+    groups: list[list[int]] = []
+    total, previous = 0, None
+    for index, (busiest, size) in enumerate(zip(partners, staged)):
+        protocol = _protocol(backend, busiest, nprocs)
+        total += size
+        if protocol == previous and (limit_bytes is None or total <= limit_bytes):
+            groups[-1].append(index)
+        else:
+            groups.append([index])
+            total = size
+        previous = protocol
+    lowering = limit_bytes is not None and backend in LOWERING_BACKENDS
+    return [
+        (
+            tuple(group),
+            min(-(-staged[group[0]] // max(1, limit_bytes // 2)), rows[group[0]])
+            if lowering and len(group) == 1 and staged[group[0]] > limit_bytes else 1,
+        )
+        for group in groups
+    ]
 
 
 def regroup(
     schedule: ExchangeSchedule, backend: str, limit_bytes: Optional[int] = None
 ) -> ExchangeSchedule:
-    """The *executed* form of ``schedule`` under the policy ``backend`` and
-    ``limit_bytes`` of staging per rank (``None``: nothing is staged, or no
-    budget) — the planned rounds regrouped in whichever direction the limit
-    asks for (arXiv 2112.01075: collectives against peak staging memory):
-
-    - consecutive rounds of one :func:`round_protocol` *merge* while the sum
-      of their ``max_round_bytes`` fits, into one round whose lane to each
-      peer is the members' lanes to that peer in order — one message per
-      peer, not one per chunk slot (arXiv 0706.2146: minimise a
-      redistribution's step count, not its byte count);
-    - a round whose own ``max_round_bytes`` exceeds the limit is, under
-      :data:`LOWERING_BACKENDS`, *split* into ``k`` piece-rounds of about
-      half the limit (two may be staged at once: eager sends complete at
-      post time), piece ``j`` carrying rows ``[j R / k, (j + 1) R / k)`` of
-      every lane's slowest axis.  Geometry is the floor: ``k`` never exceeds
-      the round's tallest lane (``max_lane_rows``), and a lane with fewer
-      rows sits some pieces out.  Under a strict backend the round stays
-      whole, for the executor to refuse.
-
-    Every input is the same on every rank, and both ends of a lane hold the
-    same region, so all ranks draw the same groups and pieces without
-    communicating.  A group of one *is* the planned round; a schedule nothing
-    merges or splits in is returned as is.  The result's ``nrounds`` counts
-    executed rounds; ``members`` and ``piece`` / ``pieces`` say what of the
-    plan each covers.
-    """
-    groups: list[list[RoundSchedule]] = []
-    staged, previous = 0, None
-    for rnd in schedule.rounds:
-        protocol = round_protocol(backend, rnd)
-        staged += rnd.max_round_bytes
-        if protocol == previous and (limit_bytes is None or staged <= limit_bytes):
-            groups[-1].append(rnd)
-        else:
-            groups.append([rnd])
-            staged = rnd.max_round_bytes
-        previous = protocol
-    lowering = limit_bytes is not None and backend in LOWERING_BACKENDS
-    rounds: list[RoundSchedule] = []
-    for group in groups:
-        if len(group) > 1:
-            rounds.append(_merged(group, schedule.rank, len(schedule.own_chunks)))
-        elif lowering and group[0].max_round_bytes > limit_bytes:
-            rounds.extend(_split(group[0], limit_bytes))
-        else:
-            rounds.append(group[0])
-    if len(rounds) == len(schedule.rounds) == len(groups):
+    """The *executed* form of ``schedule``, geometry only (the cost models'
+    view): the rounds :func:`executed_groups` draws, merged or split.  A
+    group of one *is* the planned round; a schedule nothing merges or splits
+    in is returned as is.  ``nrounds`` counts executed rounds."""
+    planned = schedule.rounds
+    groups = executed_groups(
+        backend, schedule.nprocs, [r.max_partners for r in planned],
+        [r.max_round_bytes for r in planned], [r.max_lane_rows for r in planned], limit_bytes,
+    )
+    if len(groups) == len(planned) and all(pieces == 1 for _, pieces in groups):
         return schedule
+    rounds: list[RoundSchedule] = []
+    for members, pieces in groups:
+        if len(members) > 1:
+            rounds.append(_merged([planned[i] for i in members], schedule.rank))
+        elif pieces > 1:
+            rounds.extend(_split(planned[members[0]], pieces))
+        else:
+            rounds.append(planned[members[0]])
     return replace(schedule, nrounds=len(rounds), rounds=rounds)
 
 
-def _merged(group: list[RoundSchedule], rank: int, nchunks: int) -> RoundSchedule:
-    """One executed round carrying every lane of ``group``: send lanes select
-    from all ``nchunks`` owned buffers, receive lanes from the one need buffer."""
+def _merged(group: list[RoundSchedule], rank: int) -> RoundSchedule:
+    """One executed round carrying every lane of ``group``, one per peer."""
 
-    def by_peer(parts: list[tuple[int, Lane]], nbuffers: int) -> dict[int, Lane]:
-        lanes: dict[int, list[tuple[int, Lane]]] = {}
-        for buffer, part in parts:
-            lanes.setdefault(part.peer, []).append((buffer, part))
-        merged = {}
-        for peer in sorted(lanes):
-            members = tuple(part for _, part in lanes[peer])
-            datatype = None  # unbound plans (cost models) carry geometry only
-            if members[0].datatype is not None:
-                datatype = StructType([(b, part.datatype) for b, part in lanes[peer]], nbuffers)
-            merged[peer] = Lane(
-                peer, sum(part.nbytes for part in members), members[0].container,
-                members[0].region, datatype, members,
-            )
-        return merged
+    def by_peer(parts: list[Lane]) -> dict[int, Lane]:
+        peers = groupby(sorted(parts, key=attrgetter("peer")), attrgetter("peer"))
+        return {
+            peer: Lane(peer, sum(p.nbytes for p in lanes), lanes[0].container, lanes[0].region,
+                       parts=lanes)
+            for peer, lanes in ((peer, tuple(lanes)) for peer, lanes in peers)
+        }
 
     first = group[0]
-    sends = by_peer([(r.chunk_index, lane) for r in group for lane in r.all_sends()], nchunks)
-    recvs = by_peer([(0, lane) for r in group for lane in r.all_recvs()], 1)
-    merged = RoundSchedule(
+    sends = by_peer([lane for r in group for lane in r.all_sends()])
+    recvs = by_peer([lane for r in group for lane in r.all_recvs()])
+    return RoundSchedule(
         first.index, None, first.nprocs,
         [lane for peer, lane in sends.items() if peer != rank],
         [lane for peer, lane in recvs.items() if peer != rank],
         sends.get(rank), recvs.get(rank),
         max(r.max_partners for r in group), sum(r.max_round_bytes for r in group),
-        first.components, first.mpi_type, members=tuple(r.index for r in group),
+        members=tuple(r.index for r in group),
     )
-    if first.sendtypes is not None:
-        merged.sendtypes = _dense_table(merged.all_sends(), first.nprocs)
-        merged.recvtypes = _dense_table(merged.all_recvs(), first.nprocs)
-    return merged
 
 
-def _split(rnd: RoundSchedule, limit_bytes: int) -> list[RoundSchedule]:
-    """``rnd`` as piece-rounds of about half ``limit_bytes``, each a slab of
-    every lane's slowest axis; ``rnd`` itself when no lane has a second row."""
-    pieces = min(-(-rnd.max_round_bytes // max(1, limit_bytes // 2)), rnd.max_lane_rows)
-    if pieces == 1:
-        return [rnd]
+def _split(rnd: RoundSchedule, pieces: int) -> list[RoundSchedule]:
+    """``rnd`` as ``pieces`` piece-rounds, each a slab of every lane's slowest axis."""
 
     def slab(lane: Optional[Lane], piece: int) -> Optional[Lane]:
         if lane is None:
             return None
-        rows = lane.region.dims[-1]
-        lo, hi = piece * rows // pieces, (piece + 1) * rows // pieces
-        if lo == hi:
-            return None
-        offset, dims = lane.region.offset, lane.region.dims
-        region = Box(offset[:-1] + (offset[-1] + lo,), dims[:-1] + (hi - lo,))
-        datatype = None  # unbound plans (cost models) carry geometry only
-        if lane.datatype is not None:
-            datatype = subarray_for(lane.container, region, rnd.mpi_type, rnd.components)
-        return Lane(lane.peer, lane.nbytes // rows * (hi - lo), lane.container, region, datatype)
+        cut = _slab((lane.region.offset, lane.region.dims, lane.nbytes), piece, pieces)
+        return None if cut is None else Lane(lane.peer, cut[2], lane.container, Box(*cut[:2]))
 
     def slabs(lanes: list[Lane], piece: int) -> list[Lane]:
         return [cut for lane in lanes if (cut := slab(lane, piece)) is not None]
@@ -434,11 +369,23 @@ def _split(rnd: RoundSchedule, limit_bytes: int) -> list[RoundSchedule]:
             rnd.index, rnd.chunk_index, rnd.nprocs,
             slabs(rnd.sends, piece), slabs(rnd.recvs, piece),
             slab(rnd.self_send, piece), slab(rnd.self_recv, piece),
-            rnd.max_partners, -(-rnd.max_round_bytes // pieces),
-            rnd.components, rnd.mpi_type, piece=piece, pieces=pieces,
+            rnd.max_partners, -(-rnd.max_round_bytes // pieces), piece=piece, pieces=pieces,
         )
         for piece in range(pieces)
     ]
+
+
+def _slab(part: tuple, piece: int, pieces: int) -> Optional[tuple]:
+    """Piece ``piece`` of ``pieces`` of the overlap ``(lo, extent, nbytes)``:
+    a slab of its slowest axis, or ``None`` when the part sits it out."""
+    lo, extent, nbytes = part
+    rows = extent[-1]
+    first, stop = piece * rows // pieces, (piece + 1) * rows // pieces
+    if first == stop:
+        return None
+    return (
+        (*lo[:-1], lo[-1] + first), (*extent[:-1], stop - first), nbytes // rows * (stop - first)
+    )
 
 
 @dataclass
@@ -450,6 +397,9 @@ class GlobalPlan:
     element_size: int
     nrounds: int
     schedules: list[ExchangeSchedule]
+    #: What it was planned from: any rank's :class:`RankPlan` is a slice of it.
+    declarations: Optional[Declarations] = field(default=None, repr=False, compare=False)
+    overlaps: Optional[Overlaps] = field(default=None, repr=False, compare=False)
 
     def total_bytes_moved(self, exclude_self: bool = True) -> int:
         total = sum(s.total_bytes_out for s in self.schedules)
@@ -511,8 +461,6 @@ class GlobalPlan:
         ]
 
 
-
-
 def declare(
     own_chunks: Sequence[Box], need: Optional[Box], ndims: int
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -530,8 +478,7 @@ class Declarations:
     ``chunks`` is ``(N, 2, ndims)``, every owned chunk's ``(offset, dims)``
     rank by rank in slot order; ``owner`` / ``slot`` say whose chunk and
     which slot.  ``needs`` is ``(P, 2, ndims)``, zero where ``has_need`` is
-    false (the rank declared ``None``).  :class:`Box` objects are made only
-    for the ranks a caller asks about (:meth:`own_boxes`, :meth:`need_box`).
+    false (the rank declared ``None``).
     """
 
     def __init__(self, declared: Sequence[tuple[np.ndarray, Optional[np.ndarray]]], ndims: int):
@@ -572,16 +519,6 @@ class Declarations:
         if ndims is None:
             raise ValueError("cannot infer dimensionality from an empty problem")
         return cls([declare(chunks, need, ndims) for chunks, need in zip(owns, needs)], ndims)
-
-    def own_boxes(self, rank: int) -> list[Box]:
-        rows = self.chunks[self.starts[rank] : self.starts[rank + 1]].tolist()
-        return [Box(tuple(offset), tuple(dims)) for offset, dims in rows]
-
-    def need_box(self, rank: int) -> Optional[Box]:
-        if not self.has_need[rank]:
-            return None
-        offset, dims = self.needs[rank].tolist()
-        return Box(tuple(offset), tuple(dims))
 
 
 class Overlaps(NamedTuple):
@@ -664,64 +601,233 @@ def _round_statistics(
     )
 
 
+def _step(before: tuple, after: tuple) -> Optional[tuple[int, int]]:
+    """``(axis, step)`` when overlap row ``after`` can follow ``before`` in one
+    stepped subarray: one extent, ``lo`` moved along exactly one axis, by the
+    extent there (the parts abut) or by any positive step over extent 1."""
+    lo, extent, then, shape = before[2], before[3], after[2], after[3]
+    moved = [b - a for a, b in zip(lo, then)]
+    if shape != extent or moved.count(0) != len(moved) - 1:
+        return None
+    step = sum(moved)
+    axis = moved.index(step)
+    return (axis, step) if step == extent[axis] or (extent[axis] == 1 and step > 0) else None
+
+
+def _runs(parts: list[tuple]) -> list[tuple[int, Optional[tuple[int, int, int]]]]:
+    """A merged lane's parts (overlap rows, in round order) cut into maximal
+    runs of :func:`_step`\\ s of one ``(axis, step)``: ``(first part,
+    (count, axis, step))`` each, ``None`` for a run of one part."""
+    runs, first = [], 0
+    while first < len(parts):
+        stop, move = first + 1, None
+        while stop < len(parts):
+            step = _step(parts[stop - 1], parts[stop])
+            if step is None or move not in (None, step):
+                break
+            move, stop = step, stop + 1
+        runs.append((first, None if move is None else (stop - first, *move)))
+        first = stop
+    return runs
+
+
+@dataclass
+class RankPlan:
+    """One rank's share of a plan, as arrays: what set-up keeps.
+
+    ``own`` / ``need`` are its declarations (``(offset, dims)`` rows; ``need``
+    ``None`` when it declared none), ``sends`` / ``recvs`` the overlap rows
+    it owns / needs in ``(round, peer)`` order, and ``partners`` / ``staged``
+    / ``rows`` the plan-wide per-round statistics every rank holds alike.
+    """
+
+    rank: int
+    nprocs: int
+    nrounds: int
+    element_size: int
+    own: np.ndarray
+    need: Optional[np.ndarray]
+    partners: list[int]
+    staged: list[int]
+    rows: list[int]
+    sends: Overlaps
+    recvs: Overlaps
+    #: per planned round, the bytes of the rank's lane to itself
+    self_bytes: list[int]
+
+    def own_boxes(self) -> list[Box]:
+        return [Box(tuple(offset), tuple(dims)) for offset, dims in self.own.tolist()]
+
+    def need_box(self) -> Optional[Box]:
+        return None if self.need is None else Box(*map(tuple, self.need.tolist()))
+
+    def _rows(self, side: str, within: bool = False) -> list[tuple]:
+        """``(round, peer, lo, extent, nbytes)`` per send or recv row, ``lo``
+        global or (``within``) from the origin of the owned chunk / need."""
+        rows = self.sends if side == "send" else self.recvs
+        lo = rows.lo
+        if within and len(lo):
+            lo = lo - (self.own[rows.round, 0] if side == "send" else self.need[0])
+        return list(zip(
+            rows.round.tolist(), (rows.dest if side == "send" else rows.owner).tolist(),
+            map(tuple, lo.tolist()), map(tuple, rows.extent.tolist()),
+            (rows.extent.prod(axis=1) * self.element_size).tolist(),
+        ))
+
+    def schedule(self) -> ExchangeSchedule:
+        """The object form, geometry only — the one place it is written.
+        Rows are in ``(round, peer)`` order, so every lane list comes out
+        ordered by peer with no sort."""
+        chunks, need = self.own_boxes(), self.need_box()
+        rounds = [
+            RoundSchedule(
+                c, c if c < len(chunks) else None, self.nprocs, max_partners=self.partners[c],
+                max_round_bytes=self.staged[c], max_lane_rows=self.rows[c],
+            )
+            for c in range(self.nrounds)
+        ]
+        for side in ("send", "recv"):
+            for c, peer, lo, extent, size in self._rows(side):
+                container = chunks[c] if side == "send" else need
+                lane = Lane(peer, size, container, Box.unchecked(lo, extent))
+                if peer == self.rank:
+                    setattr(rounds[c], "self_" + side, lane)
+                else:
+                    getattr(rounds[c], side + "s").append(lane)
+        return ExchangeSchedule(
+            self.rank, self.nprocs, self.nrounds, self.element_size, rounds, chunks, need
+        )
+
+    def executed(
+        self,
+        backend: str,
+        limit_bytes: Optional[int],
+        mpi_type: NamedType,
+        components: int,
+        types: dict,
+    ) -> list[RoundSchedule]:
+        """The rounds :func:`executed_groups` draws for ``backend`` and
+        ``limit_bytes``, with their datatypes, straight from the rows.
+
+        A lane of one part is one subarray type, a merged receive lane one
+        stepped subarray per run of its parts (:func:`_runs`; a struct of them
+        if irregular), a merged send lane a struct over every owned chunk.
+        ``types`` memoises datatypes by geometry across calls.
+        """
+        own = list(map(tuple, self.own[:, 1].tolist()))
+        need = None if self.need is None else tuple(self.need[1].tolist())
+
+        def memo(key: tuple, build, *args) -> Datatype:
+            if key not in types:
+                types[key] = build(*args)
+            return types[key]
+
+        def subarray(dims: tuple, starts: tuple, extent: tuple, steps=None) -> Datatype:
+            key = (dims, starts, extent, steps)
+            return memo(key, subarray_type, mpi_type, *key[:3], components, steps)
+
+        def lanes(rows: list[tuple], sending: bool, merged: bool) -> list[Lane]:
+            out = []
+            for peer, parts in groupby(sorted(rows, key=itemgetter(1)), itemgetter(1)):
+                parts = list(parts)
+                if sending and merged:
+                    members = tuple((c, subarray(own[c], lo, ext)) for c, _, lo, ext, _ in parts)
+                    datatype = memo((len(own), members), StructType, members, len(own))
+                elif sending:
+                    datatype = subarray(own[parts[0][0]], parts[0][2], parts[0][3])
+                else:
+                    runs = tuple(
+                        (0, subarray(need, parts[first][2], parts[first][3], steps))
+                        for first, steps in _runs(parts)
+                    )
+                    one = len(runs) == 1
+                    datatype = runs[0][1] if one else memo((1, runs), StructType, runs, 1)
+                out.append(Lane(peer, sum(part[4] for part in parts), None, None, datatype))
+            return out
+
+        def executed_round(send_rows, recv_rows, index, merged=False, **stats) -> RoundSchedule:
+            sends, recvs = lanes(send_rows, True, merged), lanes(recv_rows, False, merged)
+            rnd = RoundSchedule(
+                index, None if merged or index >= len(own) else index, self.nprocs,
+                [lane for lane in sends if lane.peer != self.rank],
+                [lane for lane in recvs if lane.peer != self.rank],
+                next((lane for lane in sends if lane.peer == self.rank), None),
+                next((lane for lane in recvs if lane.peer == self.rank), None), **stats,
+            )
+            rnd.sendtypes = _dense_table(sends, self.nprocs)
+            rnd.recvtypes = _dense_table(recvs, self.nprocs)
+            return rnd
+
+        def slabs(rows: list[tuple], piece: int, pieces: int) -> list[tuple]:
+            return [(*row[:2], *cut) for row in rows if (cut := _slab(row[2:], piece, pieces))]
+
+        sends, recvs = self._rows("send", True), self._rows("recv", True)
+        send_at, recv_at = (
+            np.searchsorted(rows.round, np.arange(self.nrounds + 1)).tolist()
+            for rows in (self.sends, self.recvs)
+        )
+        rounds = []
+        stats = self.partners, self.staged, self.rows
+        for members, pieces in executed_groups(backend, self.nprocs, *stats, limit_bytes):
+            first, stop = members[0], members[-1] + 1
+            out, into = sends[send_at[first]:send_at[stop]], recvs[recv_at[first]:recv_at[stop]]
+            if pieces == 1:
+                rounds.append(executed_round(
+                    out, into, first, len(members) > 1, members=members,
+                    max_partners=max(self.partners[first:stop]),
+                    max_round_bytes=sum(self.staged[first:stop]),
+                    max_lane_rows=max(self.rows[first:stop]),
+                ))
+            else:
+                rounds += [
+                    executed_round(
+                        slabs(out, piece, pieces), slabs(into, piece, pieces), first,
+                        max_partners=self.partners[first], piece=piece, pieces=pieces,
+                        max_round_bytes=-(-self.staged[first] // pieces),
+                    )
+                    for piece in range(pieces)
+                ]
+        return rounds
+
+
+def plan_ranks(
+    decl: Declarations,
+    element_size: int,
+    overlaps: Optional[Overlaps] = None,
+    ranks: Optional[Sequence[int]] = None,
+) -> list[RankPlan]:
+    """The :class:`RankPlan` of each of ``ranks`` (default: every rank), in
+    that order.  ``overlaps`` defaults to :func:`intersect` of the
+    declarations (the plan loader passes the ones a file lists); the
+    round statistics come from all of them."""
+    overlaps = intersect(decl) if overlaps is None else overlaps
+    nbytes = overlaps.extent.prod(axis=1) * element_size
+    stats = _round_statistics(decl.nprocs, decl.nrounds, overlaps, nbytes)
+    plans = []
+    for rank in range(decl.nprocs) if ranks is None else ranks:
+        mine = np.flatnonzero(overlaps.owner == rank), np.flatnonzero(overlaps.dest == rank)
+        sends, recvs = (Overlaps(*(column[rows] for column in overlaps)) for rows in mine)
+        kept = sends.dest == rank
+        self_bytes = np.bincount(
+            sends.round[kept], sends.extent[kept].prod(axis=1) * element_size, decl.nrounds
+        )
+        plans.append(RankPlan(
+            rank, decl.nprocs, decl.nrounds, element_size,
+            decl.chunks[decl.starts[rank] : decl.starts[rank + 1]],
+            decl.needs[rank] if decl.has_need[rank] else None,
+            *stats, sends, recvs, self_bytes.astype(np.int64).tolist(),
+        ))
+    return plans
+
+
 def assemble_plan(
     decl: Declarations,
     element_size: int,
     overlaps: Optional[Overlaps] = None,
     ranks: Optional[Sequence[int]] = None,
 ) -> list[ExchangeSchedule]:
-    """Lay overlaps out as lanes — the one place the IR is written.
-
-    ``overlaps`` defaults to :func:`intersect` of the declarations (the plan
-    loader passes the ones a file lists).  The plan-wide round statistics
-    come from the overlap arrays of every rank; lanes are built only where
-    the owner or the destination is in ``ranks`` (default: every rank), and
-    the result is those ranks' schedules, in that order.  Rows arrive in
-    ``(round, owner, dest)`` order, so every lane list comes out ordered by
-    peer with no sort.
-    """
-    nprocs, nrounds = decl.nprocs, decl.nrounds
-    ranks = range(nprocs) if ranks is None else ranks
-    if overlaps is None:
-        overlaps = intersect(decl)
-    nbytes = overlaps.extent.prod(axis=1) * element_size
-    partners, staged, rows = _round_statistics(nprocs, nrounds, overlaps, nbytes)
-    chunks = {r: decl.own_boxes(r) for r in ranks}
-    needs = {r: decl.need_box(r) for r in ranks}
-    rounds = {
-        r: [
-            RoundSchedule(
-                c, c if c < len(chunks[r]) else None, nprocs, max_partners=partners[c],
-                max_round_bytes=staged[c], max_lane_rows=rows[c],
-            )
-            for c in range(nrounds)
-        ]
-        for r in ranks
-    }
-    columns = (*overlaps, nbytes)
-    if len(rounds) < nprocs:
-        wanted = np.zeros(nprocs, dtype=bool)
-        wanted[list(rounds)] = True
-        keep = wanted[overlaps.owner] | wanted[overlaps.dest]
-        columns = tuple(column[keep] for column in columns)
-    for c, owner, dest, lo, extent, size in zip(*(column.tolist() for column in columns)):
-        region = Box(tuple(lo), tuple(extent))
-        if owner in rounds:
-            send = Lane(dest, size, chunks[owner][c], region)
-            if owner == dest:
-                rounds[owner][c].self_send = send
-            else:
-                rounds[owner][c].sends.append(send)
-        if dest in rounds:
-            recv = Lane(owner, size, needs[dest], region)
-            if owner == dest:
-                rounds[dest][c].self_recv = recv
-            else:
-                rounds[dest][c].recvs.append(recv)
-    return [
-        ExchangeSchedule(r, nprocs, nrounds, element_size, rounds[r], chunks[r], needs[r])
-        for r in ranks
-    ]
+    """:func:`plan_ranks`, each in the object form (:meth:`RankPlan.schedule`)."""
+    return [plan.schedule() for plan in plan_ranks(decl, element_size, overlaps, ranks)]
 
 
 def compute_global_plan(
@@ -744,6 +850,8 @@ def compute_global_plan(
         Bytes per element, for the byte statistics.
     """
     decl = Declarations.from_boxes(owns, needs, ndims)
+    overlaps = intersect(decl)
     return GlobalPlan(
-        decl.nprocs, decl.ndims, element_size, decl.nrounds, assemble_plan(decl, element_size)
+        decl.nprocs, decl.ndims, element_size, decl.nrounds,
+        assemble_plan(decl, element_size, overlaps), decl, overlaps,
     )

@@ -23,7 +23,8 @@ import numpy as np
 from .box import Box
 from .descriptor import DataDescriptor
 from .mapping import LocalMapping, attach_mapping, local_mapping
-from .schedule import Declarations, ExchangeSchedule, GlobalPlan, Overlaps, assemble_plan
+from .schedule import Declarations, ExchangeSchedule, GlobalPlan, Overlaps
+from .schedule import assemble_plan, plan_ranks
 
 FORMAT_VERSION = 1
 
@@ -145,7 +146,8 @@ def _plan_from_rows(data: dict) -> GlobalPlan:
     element_size = int(data["element_size"])
     decl = Declarations.from_boxes(owns, needs, ndims)
     plan = GlobalPlan(
-        nprocs, ndims, element_size, nrounds, assemble_plan(decl, element_size, overlaps)
+        nprocs, ndims, element_size, nrounds,
+        assemble_plan(decl, element_size, overlaps), decl, overlaps,
     )
     for schedule, entry in zip(plan.schedules, ranks):
         if entry["recvs"] != _recv_rows(schedule):
@@ -182,6 +184,7 @@ def attach_loaded_plan(
             f"plan element size {plan.element_size} != descriptor "
             f"{descriptor.element_size}"
         )
-    local = local_mapping(plan.schedules[rank], None, descriptor)
+    (rows,) = plan_ranks(plan.declarations, plan.element_size, plan.overlaps, [rank])
+    local = local_mapping(rows, None, descriptor)
     attach_mapping(descriptor, local)
     return local

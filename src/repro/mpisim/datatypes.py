@@ -6,8 +6,9 @@ module reproduces that machinery: a :class:`Datatype` knows how to *pack*
 elements out of a C-contiguous NumPy buffer and *unpack* them back in.
 
 Only the features DDR needs are implemented — named types, contiguous,
-vector, subarray and struct — but each follows the MPI definition closely enough
-that the tests can validate against hand-computed layouts.
+vector, subarray (optionally stepped: evenly spaced same-shaped blocks, one
+merged exchange lane) and struct — but each follows the MPI definition
+closely enough that the tests can validate against hand-computed layouts.
 
 Beyond pack/unpack, every type supports a *zero-copy protocol*: ``view``
 exposes the selected elements as an ndarray view (no data movement) when
@@ -19,9 +20,8 @@ selections that cannot be viewed (e.g. overlapping vectors).
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,6 +38,10 @@ class Datatype:
 
     #: NumPy scalar dtype of the leaves of this type tree.
     base_dtype: np.dtype
+    #: Separately placed blocks one move of the selection copies: one per
+    #: planned part of a merged exchange lane.  The transfer counters count
+    #: one copy per block.
+    blocks = 1
 
     def size_elements(self) -> int:
         """Number of base elements this datatype selects."""
@@ -151,12 +155,14 @@ def _staging(count: int, out: Optional[np.ndarray], dtype: np.dtype) -> np.ndarr
     return out[:count]
 
 
-def _packed(selected: np.ndarray, out: Optional[np.ndarray], dtype: np.dtype) -> np.ndarray:
+def _packed(
+    selected: np.ndarray, out: Optional[np.ndarray], dtype: np.dtype, copies: int = 1
+) -> np.ndarray:
     """``selected`` (a view in pack order) copied into a :func:`_staging` array."""
     result = _staging(selected.size, out, dtype)
     np.copyto(result.reshape(selected.shape), selected)
     if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_copy("pack", selected.size * dtype.itemsize)
+        TRANSFER_COUNTERS.count_copy("pack", selected.size * dtype.itemsize, copies)
     return result
 
 
@@ -272,9 +278,6 @@ class VectorType(Datatype):
     def is_contiguous(self) -> bool:
         return self.count <= 1 or self.blocklength == self.stride
 
-    def _extent(self) -> int:
-        return self._extent_cache
-
     def _indices(self) -> np.ndarray:
         return self._indices_cache
 
@@ -321,6 +324,11 @@ class SubarrayType(Datatype):
     ``sizes`` is the full array shape, ``subsizes`` the block shape and
     ``starts`` the block origin, exactly as in ``MPI_Type_create_subarray``.
     Only C (row-major) order is supported; DDR never uses Fortran order.
+
+    ``steps=(count, axis, step)`` makes it ``count`` such blocks, block ``k``
+    moved ``k * step`` along ``axis`` (MPI's hvector of subarrays: one merged
+    exchange lane).  The blocks abut there or are one cell thick, so the
+    selection is one basic-slicing view; the packed form is block after block.
     """
 
     def __init__(
@@ -330,6 +338,7 @@ class SubarrayType(Datatype):
         subsizes: Sequence[int],
         starts: Sequence[int],
         order: str = ORDER_C,
+        steps: Optional[tuple[int, int, int]] = None,
     ) -> None:
         if order != ORDER_C:
             raise DatatypeError("only C-order subarrays are supported")
@@ -340,7 +349,16 @@ class SubarrayType(Datatype):
             raise DatatypeError("sizes, subsizes and starts must have equal length")
         if len(sizes_t) == 0:
             raise DatatypeError("subarray must have at least one dimension")
-        for full, sub, start in zip(sizes_t, subsizes_t, starts_t):
+        count, axis, step = (1, 0, 0) if steps is None else (int(v) for v in steps)
+        if count < 1 or not 0 <= axis < len(sizes_t) or not (
+            count == 1 or step == subsizes_t[axis] or (subsizes_t[axis] == 1 and step > 0)
+        ):
+            raise DatatypeError(
+                f"steps {steps}: blocks must abut, or be one cell thick, along one axis"
+            )
+        reach = list(subsizes_t)
+        reach[axis] += (count - 1) * step
+        for full, sub, start in zip(sizes_t, reach, starts_t):
             if full < 0 or sub < 0 or start < 0:
                 raise DatatypeError("negative subarray geometry")
             if start + sub > full:
@@ -352,30 +370,35 @@ class SubarrayType(Datatype):
         self.subsizes = subsizes_t
         self.starts = starts_t
         self.base_dtype = base.dtype
-        # Geometry is immutable: precompute the selection slices, element
-        # counts, and whether the selection is a single contiguous run of
-        # the flat buffer (true when every axis except the slowest-varying
-        # non-trivial one is taken whole).
-        self._slices_cache = tuple(
-            slice(start, start + sub) for start, sub in zip(starts_t, subsizes_t)
+        self.steps = (count, axis, step) if count > 1 else None
+        self.blocks = count
+        # Geometry is immutable: precompute the selection slices and element
+        # counts.  With a partial axis before ``axis``, C order is not block
+        # order: the view cuts ``axis`` into (blocks, extent), blocks first.
+        slices = [slice(start, start + sub) for start, sub in zip(starts_t, subsizes_t)]
+        lo, extent = starts_t[axis], subsizes_t[axis]
+        if count > 1 and step != extent:
+            slices[axis] = slice(lo, lo + (count - 1) * step + 1, step)
+        else:
+            slices[axis] = slice(lo, lo + count * extent)
+        self._slices_cache = tuple(slices)
+        self._size_cache, self._full_cache = count * math.prod(subsizes_t), math.prod(sizes_t)
+        #: what a same-shaped type's view must match: (block, blocks, axis)
+        self._shape_key = (subsizes_t, count, axis if count > 1 else 0)
+        self._split = None
+        if count > 1 and any(sub != 1 for sub in subsizes_t[:axis]):
+            self._split = (
+                (*subsizes_t[:axis], count, extent, *subsizes_t[axis + 1:]),
+                (axis, *range(axis), *range(axis + 1, len(sizes_t) + 1)),
+            )
+        # One flat run of the buffer: the blocks read in C order and every
+        # axis before the fastest partial one selects a single index.
+        selected = [len(range(full)[cut]) for cut, full in zip(slices, sizes_t)]
+        partial = [a for a, (n, full) in enumerate(zip(selected, sizes_t)) if n != full]
+        self._contiguous_cache = self._size_cache <= 1 or (
+            self._split is None and (count == 1 or step == extent)
+            and all(n == 1 for n in selected[: partial[-1] if partial else 0])
         )
-        total = 1
-        for sub in subsizes_t:
-            total *= sub
-        self._size_cache = total
-        full = 1
-        for size in sizes_t:
-            full *= size
-        self._full_cache = full
-        contiguous = True
-        for axis in range(len(sizes_t) - 1, -1, -1):
-            if subsizes_t[axis] == sizes_t[axis]:
-                continue
-            # First (fastest-varying) partial axis found; every slower axis
-            # must then select a single index for the run to stay flat.
-            contiguous = all(s == 1 for s in subsizes_t[:axis])
-            break
-        self._contiguous_cache = contiguous or total <= 1
 
     def size_elements(self) -> int:
         return self._size_cache
@@ -385,9 +408,6 @@ class SubarrayType(Datatype):
 
     def _slices(self) -> tuple[slice, ...]:
         return self._slices_cache
-
-    def _full_elements(self) -> int:
-        return self._full_cache
 
     def _grid(self, buffer: np.ndarray) -> np.ndarray:
         if (
@@ -405,146 +425,52 @@ class SubarrayType(Datatype):
         return flat[: self._full_cache].reshape(self.sizes)
 
     def view(self, buffer: np.ndarray) -> np.ndarray:
-        return self._grid(buffer)[self._slices_cache]
+        selected = self._grid(buffer)[self._slices_cache]
+        if self._split is None:
+            return selected
+        return selected.reshape(self._split[0]).transpose(self._split[1])
+
+    def _fill(self, buffer: np.ndarray, pieces: list[np.ndarray]) -> None:
+        """``pieces`` (one per block) into the blocks of ``buffer``: one NumPy call."""
+        target = self._grid(buffer)[self._slices_cache]
+        if len(pieces) == 1:
+            np.copyto(target, pieces[0], casting="unsafe")
+        else:
+            np.concatenate(pieces, axis=self._shape_key[2], out=target, casting="unsafe")
 
     def copy_into(
         self, src: np.ndarray, dst: np.ndarray, dst_type: Optional[Datatype] = None
     ) -> int:
-        # Block to same-shaped block (every DDR lane): no view / shape dispatch.
+        # Blocks to same-shaped blocks (every DDR lane): no view / shape dispatch.
         target = dst_type if dst_type is not None else self
-        if type(target) is not SubarrayType or target.subsizes != self.subsizes:
+        if type(target) is not SubarrayType or target._shape_key != self._shape_key:
             return super().copy_into(src, dst, dst_type)
-        source = self._grid(src)[self._slices_cache]
-        np.copyto(target._grid(dst)[target._slices_cache], source, casting="unsafe")
+        source = self.view(src)
+        np.copyto(target.view(dst), source, casting="unsafe")
         if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("direct", source.nbytes)
+            TRANSFER_COUNTERS.count_copy("direct", source.nbytes, self.blocks)
         return source.nbytes
 
     def pack(self, buffer: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return _packed(self._grid(buffer)[self._slices_cache], out, self.base_dtype)
+        return _packed(self.view(buffer), out, self.base_dtype, self.blocks)
 
     def unpack(self, buffer: np.ndarray, data: np.ndarray) -> None:
-        grid = self._grid(buffer)
-        grid[self._slices_cache] = np.asarray(data, dtype=self.base_dtype).reshape(
-            self.subsizes
-        )
+        selected = self.view(buffer)
+        selected[...] = np.asarray(data, dtype=self.base_dtype).reshape(selected.shape)
         if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
-
-
-@dataclass(slots=True)
-class _Run:
-    """Members ``first:stop`` of a :class:`StructType`, selected from buffer
-    ``index`` as one view: ``slices`` of grid ``grid``, whose ``axis`` holds
-    the members one after another.  Any member but a subarray is a run of
-    one with no grid, which moves through the member's own methods."""
-
-    first: int
-    stop: int
-    index: int
-    member: Datatype
-    #: the run's elements in the packed form
-    span: slice
-    grid: Optional[int] = None
-    slices: tuple[slice, ...] = ()
-    axis: int = 0
-    #: the shape of :meth:`packed_order`, which ``span`` of the packed form
-    #: takes to line up with it element for element
-    shape: tuple[int, ...] = ()
-    #: for ``axis > 0``, the view with ``axis`` cut into (members, extent)
-    #: and then the members' axis moved first (a view along axis 0 already
-    #: reads in packed order)
-    split: Optional[tuple[int, ...]] = None
-    perm: Optional[tuple[int, ...]] = None
-
-    @classmethod
-    def stacking(
-        cls, first: int, stop: int, index: int, member: SubarrayType, span: slice,
-        grid: int, axis: int, step: int,
-    ) -> "_Run":
-        """The run of ``member`` and the ``stop - first - 1`` members after
-        it, ``step`` apart along ``axis``."""
-        count, sub, lo = stop - first, member.subsizes, member.starts[axis]
-        if count == 1:
-            return cls(first, stop, index, member, span, grid, member._slices_cache, 0, sub)
-        along = (
-            slice(lo, lo + count * sub[axis]) if step == sub[axis]
-            else slice(lo, lo + (count - 1) * step + 1, step)
-        )
-        slices = member._slices_cache[:axis] + (along,) + member._slices_cache[axis + 1:]
-        return cls(
-            first, stop, index, member, span, grid, slices, axis,
-            (count * sub[0], *sub[1:]) if axis == 0 else (count, *sub),
-            None if axis == 0 else (*sub[:axis], count, sub[axis], *sub[axis + 1:]),
-            None if axis == 0 else (axis, *range(axis), *range(axis + 1, len(sub) + 1)),
-        )
-
-    def packed_order(self, grids: Sequence[np.ndarray]) -> np.ndarray:
-        """The run's view of ``grids``, shaped :attr:`shape`."""
-        view = grids[self.grid][self.slices]
-        return view if self.split is None else view.reshape(self.split).transpose(self.perm)
-
-
-def _step(before: SubarrayType, after: SubarrayType) -> Optional[tuple[int, int]]:
-    """``(axis, step)`` when ``after`` can follow ``before`` in a run: one
-    geometry, ``starts`` moved along exactly one axis, by the extent there or
-    by any positive step where the extent is 1."""
-    if after.sizes != before.sizes or after.subsizes != before.subsizes:
-        return None
-    moved = list(map(operator.sub, after.starts, before.starts))
-    if moved.count(0) != len(moved) - 1:
-        return None
-    step = sum(moved)
-    axis = moved.index(step)
-    extent = before.subsizes[axis]
-    return (axis, step) if step == extent or (extent == 1 and step > 0) else None
-
-
-def _plan_runs(
-    members: tuple[tuple[int, Datatype], ...], sizes: tuple[int, ...],
-    selections: tuple[Optional[tuple[int, tuple[slice, ...]]], ...],
-) -> tuple[_Run, ...]:
-    """``members`` cut into maximal runs, first to last."""
-    stops = list(accumulate(sizes))
-    runs, first = [], 0
-    while first < len(members):
-        index, member = members[first]
-        stop, axis, step = first + 1, 0, 0
-        while (
-            selections[first] is not None and stop < len(members)
-            and members[stop][0] == index and selections[stop] is not None
-        ):
-            moved = _step(members[stop - 1][1], members[stop][1])
-            if moved is None or (step and moved != (axis, step)):
-                break
-            axis, step = moved
-            stop += 1
-        span = slice(stops[first] - sizes[first], stops[stop - 1])
-        if selections[first] is None:
-            runs.append(_Run(first, stop, index, member, span))
-        else:
-            runs.append(
-                _Run.stacking(first, stop, index, member, span, selections[first][0], axis, step)
-            )
-        first = stop
-    return tuple(runs)
+            TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes(), self.blocks)
 
 
 class StructType(Datatype):
     """Ordered ``(buffer index, member type)`` pairs over a *sequence* of
     ``nbuffers`` buffers — ``MPI_Type_create_struct`` over absolute addresses:
-    how one message carries the lanes several exchange rounds address to one
-    peer (a merged round of :mod:`repro.core.schedule`).
+    how one message carries the parts a merged exchange round sends one peer
+    out of several chunk buffers (:mod:`repro.core.schedule`), or the runs of
+    an irregular merged receive lane (one buffer, which may be passed bare).
 
-    The packed form is the members' packed forms concatenated.  Construction
-    plans the members into :attr:`runs`: maximal sequences of consecutive
-    :class:`SubarrayType` members of one buffer and one geometry whose
-    ``starts`` advance by one constant step along one axis — the extent there
-    (one block), or any step over extent 1 (a stepped slice).  A run is one
-    view of its buffer and every operation moves it with one NumPy call; any
-    other member is a run of one that uses its own methods.  Each ``(buffer,
-    sizes)`` grid is validated once per call.  The selection is never one
-    ndarray, so :meth:`view` validates and returns ``None``.
+    The packed form is the members' packed forms concatenated.  The
+    selection is never one ndarray, so :meth:`view` validates and returns
+    ``None``.
     """
 
     def __init__(self, members: Sequence[tuple[int, Datatype]], nbuffers: int) -> None:
@@ -553,132 +479,95 @@ class StructType(Datatype):
         if not self.members:
             raise DatatypeError("struct type needs at least one member")
         self.base_dtype = self.members[0][1].base_dtype
-        # One grid per distinct (buffer, sizes), in order of first use, each
-        # validated through the first subarray member that addresses it.
-        grids: dict[tuple, tuple[int, SubarrayType]] = {}
-        sizes, selections, shapes = [], [], []
+        spans, stop = [], 0
         for index, member in self.members:
             if not 0 <= index < self.nbuffers:
                 raise DatatypeError(f"struct member addresses buffer {index} of {self.nbuffers}")
             if member.base_dtype != self.base_dtype:
                 raise DatatypeError(f"struct members mix base types: {member.base_dtype}")
-            sizes.append(member.size_elements())
-            if type(member) is SubarrayType:
-                grid = grids.setdefault((index, member.sizes), (len(grids), member))[0]
-                selections.append((grid, member._slices_cache))
-                shapes.append(member.subsizes)
-            else:
-                selections.append(None)
-                shapes.append(None)
-        self._sizes = tuple(sizes)
-        self._size_cache = sum(sizes)
-        self._grids = tuple((index, member) for (index, _), (_, member) in grids.items())
-        #: per member: (grid, slices) of a subarray, else ``None``
-        self._selections = tuple(selections)
-        #: per member: the subsizes of a subarray, else ``None``
-        self._shapes = tuple(shapes)
-        self.runs = _plan_runs(self.members, self._sizes, self._selections)
-        # What the runs with a grid move, counted once a call: one copy per
-        # member, as if each had moved alone.  Other members count their own.
-        stacked = [run for run in self.runs if run.grid is not None]
-        self._stacked = sum(run.stop - run.first for run in stacked)
-        self._stacked_bytes = self.base_dtype.itemsize * sum(
-            run.span.stop - run.span.start for run in stacked
-        )
+            spans.append(slice(stop, stop + member.size_elements()))
+            stop = spans[-1].stop
+        self._spans = tuple(spans)
+        self._size_cache = stop
+        self.blocks = sum(member.blocks for _, member in self.members)
+        self._fits: dict = {}  # copy_into's verdict per destination type
 
     def size_elements(self) -> int:
         return self._size_cache
 
     def _buffers(self, buffers: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+        if self.nbuffers == 1 and isinstance(buffers, np.ndarray):
+            return (buffers,)
         if not isinstance(buffers, (tuple, list)) or len(buffers) != self.nbuffers:
             got = len(buffers) if isinstance(buffers, (tuple, list)) else type(buffers)
             raise DatatypeError(f"struct type needs a sequence of {self.nbuffers} buffers: {got!r}")
         return buffers
 
-    def _grid_arrays(self, buffers: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Each distinct ``(buffer, sizes)`` grid, validated once."""
-        return [member._grid(buffers[index]) for index, member in self._grids]
-
-    def _count(self, kind: str) -> None:
-        if TRANSFER_COUNTERS.enabled and self._stacked:
-            TRANSFER_COUNTERS.count_copy(kind, self._stacked_bytes, self._stacked)
-
     def view(self, buffers: Sequence[np.ndarray]) -> None:
         buffers = self._buffers(buffers)
-        self._grid_arrays(buffers)
-        for run in self.runs:
-            if run.grid is None:
-                run.member.view(buffers[run.index])
+        for index, member in self.members:  # a subarray's grid is all it checks
+            (member._grid if type(member) is SubarrayType else member.view)(buffers[index])
 
     def pack(self, buffers: Sequence[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
         buffers = self._buffers(buffers)
-        grids = self._grid_arrays(buffers)
         result = _staging(self._size_cache, out, self.base_dtype)
-        for run in self.runs:
-            if run.grid is None:
-                run.member.pack(buffers[run.index], out=result[run.span])
-            else:
-                np.copyto(result[run.span].reshape(run.shape), run.packed_order(grids))
-        self._count("pack")
+        for (index, member), span in zip(self.members, self._spans):
+            member.pack(buffers[index], out=result[span])
         return result
 
     def unpack(self, buffers: Sequence[np.ndarray], data: np.ndarray) -> None:
         buffers = self._buffers(buffers)
         if data.size != self._size_cache:
             raise DatatypeError(f"struct type selects {self._size_cache} elements, got {data.size}")
-        grids = self._grid_arrays(buffers)
-        for run in self.runs:
-            if run.grid is None:
-                run.member.unpack(buffers[run.index], data[run.span])
-            else:
-                run.packed_order(grids)[...] = data[run.span].reshape(run.shape)
-        self._count("unpack")
+        for (index, member), span in zip(self.members, self._spans):
+            member.unpack(buffers[index], data[span])
 
     def copy_into(
         self, src: Sequence[np.ndarray], dst: Sequence[np.ndarray],
         dst_type: Optional[Datatype] = None,
     ) -> int:
-        """Run by run of the destination when both types have the same member
-        sizes (the two ends of a merged exchange lane do): one
-        ``np.concatenate`` of the source members into each run's view.
-        Otherwise through :meth:`pack`."""
+        """Block for block between subarray types, or structs of them, whose
+        blocks have the same sizes (the two ends of a merged exchange lane
+        do): one ``np.concatenate`` of the source blocks into each destination
+        member.  Otherwise through :meth:`pack`."""
         target = dst_type if dst_type is not None else self
-        if not isinstance(target, StructType) or target._sizes != self._sizes:
+        if target not in self._fits:  # a property of the two types: decided once
+            self._fits[target] = self._fit(target)
+        fit = self._fits[target]
+        if fit is None:
             return super().copy_into(src, dst, dst_type)
-        src, dst = self._buffers(src), target._buffers(dst)
-        pieces = self._pieces(src, target._shapes)
-        grids = target._grid_arrays(dst)
-        for run in target.runs:
-            if run.grid is None:
-                index, member = self.members[run.first]
-                member.copy_into(src[index], dst[run.index], run.member)
+        pieces, buffers = [], self._buffers(src)
+        for index, member in self.members:
+            if member.blocks == 1:
+                pieces.append(member._grid(buffers[index])[member._slices_cache])
             else:
-                np.concatenate(
-                    pieces[run.first:run.stop], axis=run.axis,
-                    out=grids[run.grid][run.slices], casting="unsafe",
-                )
-        target._count("direct")
+                shape = (member.blocks, *member.subsizes)
+                pieces += list(member.view(buffers[index]).reshape(shape))
+        parts, same_shapes = fit
+        dst, first = (target._buffers(dst) if isinstance(target, StructType) else (dst,)), 0
+        for index, member in parts:
+            blocks, first = pieces[first:first + member.blocks], first + member.blocks
+            member._fill(dst[index], blocks if same_shapes else [
+                piece.reshape(member.subsizes) for piece in blocks
+            ])
+        if TRANSFER_COUNTERS.enabled:
+            TRANSFER_COUNTERS.count_copy("direct", self.size_bytes(), self.blocks)
         return self.size_bytes()
 
-    def _pieces(self, buffers: Sequence[np.ndarray], shapes: tuple) -> list:
-        """Each member's selection of ``buffers`` as an array of ``shapes[i]``
-        (``None`` where that is ``None``: the destination member copies it)."""
-        grids = self._grid_arrays(buffers)
-        if shapes == self._shapes and None not in shapes:  # views, as they are
-            return [grids[grid][slices] for grid, slices in self._selections]
-        pieces = []
-        for (index, member), selection, shape in zip(self.members, self._selections, shapes):
-            if shape is None:
-                pieces.append(None)
-                continue
-            if selection is not None:
-                piece = grids[selection[0]][selection[1]]
-            else:
-                piece = member.view(buffers[index])
-                if piece is None:
-                    piece = member.pack(buffers[index])
-            pieces.append(piece.reshape(shape))
-        return pieces
+    def _fit(self, target: Datatype) -> Optional[tuple]:
+        """``(target's members, whether each block already has its
+        destination's shape)`` when both are subarrays whose blocks pair off
+        by size, else ``None``."""
+        parts = target.members if isinstance(target, StructType) else ((0, target),)
+        if any(type(member) is not SubarrayType for _, member in self.members + parts):
+            return None
+        ours, theirs = (
+            [member.subsizes for _, member in side for _ in range(member.blocks)]
+            for side in (self.members, parts)
+        )
+        if list(map(math.prod, ours)) != list(map(math.prod, theirs)):
+            return None
+        return parts, ours == theirs
 
 
 # ---------------------------------------------------------------------------

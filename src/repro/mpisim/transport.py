@@ -228,13 +228,13 @@ def stage(
     return arr.reshape(-1).copy(), charged, None
 
 
-#: One rank thread at a time copies a small-membered struct lane.  A run of
-#: members moves in one ``np.concatenate``, which still drops the interpreter
-#: lock once per member it copies; threads trading the lock across cores
-#: every few microseconds made one merged exchange cost 2.7 or 9 ms depending
-#: on where the scheduler had put them.  Reentrant:
-#: ``Alltoallw`` holds it over all of a rank's lanes, :func:`deliver` and
-#: :func:`copy_local` per lane for every other caller.
+#: One rank thread at a time copies a merged lane of small blocks (a struct,
+#: or a stepped subarray).  A lane's blocks move in one ``np.concatenate``,
+#: which still drops the interpreter lock once per block it copies; threads
+#: trading the lock across cores every few microseconds made one merged
+#: exchange cost 2.7 or 9 ms depending on where the scheduler had put them.
+#: Reentrant: ``Alltoallw`` holds it over all of a rank's lanes,
+#: :func:`deliver` and :func:`copy_local` per lane for every other caller.
 _TURN = threading.RLock()
 _NO_TURN = nullcontext()
 #: "Small": what copies in about the time one thread takes to wake another.
@@ -242,9 +242,9 @@ TURN_MEMBER_BYTES = 256 * 1024
 
 
 def takes_turns(datatype: Optional[Datatype]) -> bool:
-    if not isinstance(datatype, StructType):
+    if datatype is None or (datatype.blocks == 1 and not isinstance(datatype, StructType)):
         return False
-    return datatype.size_bytes() < TURN_MEMBER_BYTES * len(datatype.members)
+    return datatype.size_bytes() < TURN_MEMBER_BYTES * datatype.blocks
 
 
 def turn(*datatypes: Optional[Datatype]) -> Any:

@@ -10,8 +10,6 @@ the regrouping into executed rounds being pure functions of the plan.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,11 +24,12 @@ from repro.core import (
     regroup,
     round_protocol,
 )
+from repro.core.engine import executed_rounds
 from repro.core.mapping import local_mapping, setup_data_mapping
-from repro.core.packing import subarray_for
+from repro.core.packing import subarray_type
 from repro.core import schedule as schedule_module
-from repro.core.schedule import Declarations, assemble_plan
-from repro.mpisim.datatypes import StructType, SubarrayType
+from repro.core.schedule import Declarations, assemble_plan, plan_ranks
+from repro.mpisim.datatypes import StructType
 from repro.lbm.decompose import slab_box
 from repro.utils import MiB
 from repro.volren.decompose import grid_boxes, grid_shape
@@ -252,52 +251,110 @@ def declarations(draw):
     return owns, needs, draw(st.sampled_from([1, 4, 12]))
 
 
-def datatype_geometry(datatype):
-    if datatype is None:
-        return None
-    return (datatype.base_dtype, datatype.sizes, datatype.subsizes, datatype.starts)
+def subarray_for(container, region, mpi_type, components=1):
+    """The subarray selecting ``region`` out of a buffer shaped like ``container``."""
+    starts = tuple(r - c for r, c in zip(region.offset, container.offset))
+    return subarray_type(mpi_type, container.dims, starts, region.dims, components)
 
 
-def bound_geometry(schedule):
-    """A bound schedule with every datatype replaced by its geometry, which
-    is what two independently bound copies can be compared by."""
+def bind(executed, planned, mpi_type, components=1):
+    """The reference: each executed round of ``executed`` (:func:`regroup` of
+    ``planned``) as ``(round, send lanes, receive lanes)`` with a datatype per
+    lane, built member by member — one subarray per part, a struct of them
+    per merged lane (sends over every owned chunk, receives over the need)."""
 
-    def lane(lane):
-        if lane is None:
-            return None
-        return replace(lane, datatype=None), datatype_geometry(lane.datatype)
+    def typed(lane, parts, nbuffers):
+        if nbuffers is None:
+            return lane.peer, lane.nbytes, subarray_for(lane.container, lane.region, mpi_type,
+                                                        components)
+        members = [(b, subarray_for(p.container, p.region, mpi_type, components))
+                   for b, p in parts]
+        return lane.peer, lane.nbytes, StructType(members, nbuffers)
 
-    return [
-        (
-            replace(rnd, sends=[], recvs=[], self_send=None, self_recv=None),
-            [lane(l) for l in rnd.sends], [lane(l) for l in rnd.recvs],
-            lane(rnd.self_send), lane(rnd.self_recv),
-            [datatype_geometry(t) for t in rnd.sendtypes],
-            [datatype_geometry(t) for t in rnd.recvtypes],
-        )
-        for rnd in schedule.rounds
-    ]
+    nchunks = len(planned.own_chunks)
+    bound = []
+    for rnd in executed.rounds:
+        merged = len(rnd.members) > 1
+        sends = [
+            typed(lane, [(m, p) for m in rnd.members for p in planned.rounds[m].all_sends()
+                         if p.peer == lane.peer], nchunks if merged else None)
+            for lane in rnd.all_sends()
+        ]
+        recvs = [typed(lane, [(0, p) for p in lane.parts], 1 if merged else None)
+                 for lane in rnd.all_recvs()]
+        bound.append((rnd, sends, recvs))
+    return bound
+
+
+def lane_buffers(schedule, components, rng):
+    shape = (components,) if components > 1 else ()
+    own = [rng.random(c.np_shape() + shape, dtype=np.float32) for c in schedule.own_chunks]
+    need = None if schedule.need is None else rng.random(
+        schedule.need.np_shape() + shape, dtype=np.float32)
+    return own, need
+
+
+@given(
+    problem=declarations(),
+    components=st.integers(1, 3),
+    backend=st.sampled_from(["alltoallw", "p2p", "auto", "bounded"]),
+    zero_copy=st.booleans(),
+    budget=st.sampled_from(["none", "between", "below", "rows"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_executed_rounds_equal_the_regrouped_reference(
+    problem, components, backend, zero_copy, budget, seed
+):
+    """What set-up executes, built straight from one rank's rows, is the
+    regrouped planned schedule bound member by member: the same rounds,
+    members, pieces, peers and byte counts, and lane datatypes that pack any
+    buffers bitwise alike."""
+    owns, needs, esize = problem
+    decl = Declarations.from_boxes(owns, needs)
+    mpi_type = DataDescriptor.create(len(owns), DataLayout(decl.ndims), "f4").mpi_type
+    rng = np.random.default_rng(seed)
+    schedules = compute_global_plan(owns, needs, esize).schedules
+    for plan, planned in zip(plan_ranks(decl, esize), schedules):
+        staged = plan.staged
+        limit = {"none": None, "between": max(staged, default=0) + sum(staged) // 3,
+                 "below": max(staged, default=0) // 2, "rows": 1}[budget]
+        limit = None if zero_copy else limit
+        rounds = plan.executed(backend, limit, mpi_type, components, {})
+        reference = bind(regroup(planned, backend, limit), planned, mpi_type, components)
+        assert len(rounds) == len(reference)
+        own, need = lane_buffers(planned, components, rng)
+        for rnd, (expect, sends, recvs) in zip(rounds, reference):
+            fields = ("index", "chunk_index", "members", "piece", "pieces", "max_partners",
+                      "max_round_bytes")
+            assert [getattr(rnd, f) for f in fields] == [getattr(expect, f) for f in fields]
+            send_buffer, recv_buffer = rnd.buffers(own, need)
+            for lanes, expected, buffer, table in (
+                (rnd.all_sends(), sends, send_buffer, rnd.sendtypes),
+                (rnd.all_recvs(), recvs, recv_buffer, rnd.recvtypes),
+            ):
+                assert [(l.peer, l.nbytes) for l in lanes] == [e[:2] for e in expected]
+                assert table == [
+                    next((l.datatype for l in lanes if l.peer == p), None)
+                    for p in range(plan.nprocs)
+                ]
+                for lane, (_, _, datatype) in zip(lanes, expected):
+                    assert lane.datatype.pack(buffer).tobytes() == datatype.pack(buffer).tobytes()
 
 
 @given(problem=declarations())
 @settings(max_examples=200, deadline=None)
 def test_rank_local_plan_equals_the_global_plan(problem):
-    """The set-up plans one rank's lanes; the global plan plans everyone's.
-    Every rank's own schedule is field-for-field the global plan's, before
-    binding and after."""
+    """The set-up keeps one rank's rows; the global plan plans everyone's.
+    Every rank's own schedule is field-for-field the global plan's."""
     owns, needs, esize = problem
     plan = compute_global_plan(owns, needs, esize)
     decl = Declarations.from_boxes(owns, needs)
-    mpi_type = DataDescriptor.create(len(owns), DataLayout(decl.ndims), "f4").mpi_type
     for rank, expected in enumerate(plan.schedules):
         (local,) = assemble_plan(decl, esize, ranks=[rank])
         assert local == expected
-        bound = local.bind(mpi_type)
-        assert bound_geometry(bound) == bound_geometry(expected.bind(mpi_type))
-        for rnd in bound.rounds:  # a shared datatype still selects each lane's region
-            for lane in rnd.all_sends() + rnd.all_recvs():
-                fresh = subarray_for(lane.container, lane.region, mpi_type)
-                assert datatype_geometry(lane.datatype) == datatype_geometry(fresh)
+        (rows,) = plan_ranks(decl, esize, ranks=[rank])
+        assert rows.self_bytes == [r.self_bytes for r in expected.rounds]
     for k in range(plan.nrounds):  # the array-derived statistics, against the lanes
         rounds = [s.rounds[k] for s in plan.schedules]
         rows = [lane.region.dims[-1] for r in rounds for lane in r.all_sends()]
@@ -330,8 +387,7 @@ def test_set_up_builds_the_global_plans_schedule(problem):
         mapping = setup_data_mapping(
             comm, descriptor, owns[comm.rank], needs[comm.rank], validate=False
         )
-        expected = plan.schedules[comm.rank].bind(descriptor.mpi_type)
-        assert bound_geometry(mapping.schedule) == bound_geometry(expected)
+        assert mapping.schedule == plan.schedules[comm.rank]
         assert (mapping.nrounds, mapping.own_chunks, mapping.need) == (
             plan.nrounds, owns[comm.rank], needs[comm.rank],
         )
@@ -404,10 +460,6 @@ def budgets(plan):
     }
 
 
-def bound(schedule, nprocs):
-    return schedule.bind(DataDescriptor.create(nprocs, DataLayout(2), "f4").mpi_type)
-
-
 class TestCoalesce:
     """The merging direction of ``regroup``: the executed schedule moves
     exactly the planned transfers, in groups every rank draws identically
@@ -418,18 +470,15 @@ class TestCoalesce:
         nprocs=st.integers(1, 6),
         budget=st.sampled_from(["none", "between", "below"]),
         backend=st.sampled_from(["alltoallw", "p2p", "auto", "bounded"]),
-        bind=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_preserves_transfers_and_boundaries_agree(self, seed, nprocs, budget, backend, bind):
+    def test_preserves_transfers_and_boundaries_agree(self, seed, nprocs, budget, backend):
         domain, owns, needs = random_problem(seed, nprocs=nprocs)
         plan = compute_global_plan(owns, needs, 4)
         staged, limits = budgets(plan)
         limit = limits[budget]
         boundaries = set()
         for planned in plan.schedules:
-            if bind:
-                planned = bound(planned, nprocs)
             verdicts = [round_protocol(backend, rnd) for rnd in planned.rounds]
             executed = regroup(planned, backend, limit)
             assert transfers(executed) == transfers(planned)
@@ -452,7 +501,6 @@ class TestCoalesce:
                 assert rnd.bytes_out == sum(planned.rounds[i].bytes_out for i in group)
                 assert [lane.peer for lane in rnd.sends] == sorted({l.peer for l in rnd.sends})
                 for lane in rnd.all_sends() + rnd.all_recvs():
-                    assert isinstance(lane.datatype, StructType) is bind
                     assert lane.nbytes == sum(part.nbytes for part in lane.parts)
             # Greedy: a group stopped growing only at a verdict change or the cap.
             for left, right in zip(groups, groups[1:]):
@@ -494,20 +542,15 @@ class TestSplit:
         nprocs=st.integers(1, 6),
         backend=st.sampled_from(["auto", "bounded"]),
         divisor=st.sampled_from([2, 3, 5, 16, 10**6]),
-        bind=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_pieces_tile_every_lane_and_agree_on_every_rank(
-        self, seed, nprocs, backend, divisor, bind
-    ):
+    def test_pieces_tile_every_lane_and_agree_on_every_rank(self, seed, nprocs, backend, divisor):
         domain, owns, needs = random_problem(seed, nprocs=nprocs)
         plan = compute_global_plan(owns, needs, 4)
         staged, _ = budgets(plan)
         limit = max(staged, default=0) // divisor
         shapes = set()
         for planned in plan.schedules:
-            if bind:
-                planned = bound(planned, nprocs)
             executed = regroup(planned, backend, limit)
             assert transfers(executed) == transfers(planned)  # tiled exactly, disjoint
             shapes.add(tuple((r.members, r.piece, r.pieces) for r in executed.rounds))
@@ -528,7 +571,6 @@ class TestSplit:
                 assert rnd.max_round_bytes == -(-staged[index] // k)
                 assert rnd.peak_bytes() <= rnd.max_round_bytes + row_bytes
                 for lane in lanes:
-                    assert isinstance(lane.datatype, SubarrayType) is bind
                     assert lane.nbytes == lane.region.volume() * 4 and not lane.parts
         assert len(shapes) == 1, "ranks disagree on pieces"
 
@@ -582,20 +624,24 @@ class TestLanes:
         assert rnd.self_bytes == schedule.total_self_bytes == 8
 
     def test_bind_attaches_datatypes_to_a_copy(self):
+        """Datatypes live on the executed rounds a mapping builds, not on the plan."""
         plan = dense_plan(3)
         descriptor = DataDescriptor.create(3, DataLayout.DATA_TYPE_1D, np.float32)
-        mapping = local_mapping(plan.schedules[0], None, descriptor)
-        rnd = mapping.rounds[0]
+        (rows,) = plan_ranks(Declarations.from_boxes(
+            [s.own_chunks for s in plan.schedules], [s.need for s in plan.schedules]), 4, ranks=[0])
+        mapping = local_mapping(rows, None, descriptor)
+        (rnd,) = executed_rounds(mapping, "alltoallw", True)
         assert all(lane.datatype is not None for lane in rnd.all_sends() + rnd.all_recvs())
         # Dense per-peer tables, prebuilt, with the self lane on the diagonal.
         assert rnd.sendtypes[0] is rnd.self_send.datatype
         assert rnd.recvtypes == [lane.datatype for lane in rnd.all_recvs()]
         assert len(rnd.sendtypes) == 3 and len(rnd.recvtypes) == 3
         # The plan itself stays the cost-model form: geometry only.
-        for schedule in plan.schedules:
+        for schedule in plan.schedules + [mapping.schedule]:
             for unbound in schedule.rounds:
                 assert all(l.datatype is None for l in unbound.all_sends() + unbound.all_recvs())
                 assert unbound.sendtypes is None
+        assert mapping.schedule == plan.schedules[0]
         assert (mapping.own_chunks, mapping.need) == (plan.schedules[0].own_chunks, Box((0,), (3,)))
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Box, compute_global_plan, regroup
+from repro.core import Box
+from repro.core.packing import subarray_type
+from repro.core.schedule import Declarations, _runs, plan_ranks
 from repro.mpisim import (
     BYTE,
     ContiguousType,
@@ -367,75 +369,84 @@ class TestStruct:
             StructType([(0, ContiguousType(FLOAT, 1)), (0, ContiguousType(INT, 1))], 1)
 
 
-def runs_of(struct):
-    return [(run.first, run.stop) for run in struct.runs]
+def runs_of(parts):
+    """``(first, stop)`` of each run the plan-time rule cuts ``parts`` into."""
+    runs = _runs([(k, 0, lo, extent, 0) for k, (lo, extent) in enumerate(parts)])
+    return [(first, first + (steps[0] if steps else 1)) for first, steps in runs]
+
+
+def merged_receive_types(owns, needs, backend="alltoallw"):
+    """Every rank's executed receive lanes' datatypes, unbudgeted."""
+    decl = Declarations.from_boxes(owns, needs)
+    lanes = []
+    for plan in plan_ranks(decl, 4):
+        (rnd,) = plan.executed(backend, None, FLOAT, 1, {})
+        lanes.append(rnd.all_recvs())
+    return lanes
 
 
 class TestStructRuns:
-    """How construction cuts a struct's members into runs, each moved with
-    one NumPy call."""
-
-    def sub(self, sizes, subsizes, starts):
-        return SubarrayType(FLOAT, sizes, subsizes, starts)
+    """How a merged lane's parts are cut into runs at plan time (paper-order
+    overlap rows), each run one stepped subarray moved with one NumPy call."""
 
     def test_blocks_and_stepped_slices_run(self):
-        # Four (2, 3) blocks side by side along axis 1: one contiguous run.
-        blocks = [(0, self.sub((4, 12), (2, 3), (1, 3 * k))) for k in range(4)]
-        assert runs_of(StructType(blocks, 1)) == [(0, 4)]
+        # Four (3, 2) blocks side by side along the fastest axis: one run.
+        blocks = [((3 * k, 1), (3, 2)) for k in range(4)]
+        assert runs_of(blocks) == [(0, 4)]
         # Planes of extent 1, any constant step: one stepped run.
-        planes = [(0, self.sub((9, 4, 4), (1, 2, 4), (k, 1, 0))) for k in range(1, 9, 3)]
-        assert runs_of(StructType(planes, 1)) == [(0, 3)]
-        assert StructType(planes, 1).runs[0].slices[0] == slice(1, 8, 3)
+        planes = [((0, 1, k), (4, 2, 1)) for k in range(1, 9, 3)]
+        assert runs_of(planes) == [(0, 3)]
+        stepped = subarray_type(FLOAT, (4, 4, 9), (0, 1, 1), (4, 2, 1), steps=(3, 2, 3))
+        assert stepped.steps == (3, 0, 3) and stepped._slices()[0] == slice(1, 8, 3)
 
     def test_what_breaks_a_run(self):
-        a = self.sub((8, 8), (2, 2), (0, 0))
+        a = ((0, 0), (2, 2))
         cases = {
-            "another buffer": [(0, a), (1, self.sub((8, 8), (2, 2), (2, 0)))],
-            "another shape": [(0, a), (0, self.sub((8, 8), (2, 1), (2, 0)))],
-            "another grid": [(0, a), (0, self.sub((4, 16), (2, 2), (2, 0)))],
-            "a gap": [(0, a), (0, self.sub((8, 8), (2, 2), (3, 0)))],
-            "an overlap": [(0, a), (0, self.sub((8, 8), (2, 2), (1, 0)))],
-            "a diagonal": [(0, a), (0, self.sub((8, 8), (2, 2), (2, 2)))],
-            "going back": [(0, self.sub((8, 8), (2, 2), (2, 0))), (0, a)],
-            "not a subarray": [(0, a), (0, ContiguousType(FLOAT, 4))],
+            "another shape": [a, ((0, 2), (1, 2))],
+            "a gap": [a, ((0, 3), (2, 2))],
+            "an overlap": [a, ((0, 1), (2, 2))],
+            "a diagonal": [a, ((2, 2), (2, 2))],
+            "going back": [((0, 2), (2, 2)), a],
         }
-        for name, members in cases.items():
-            assert runs_of(StructType(members, 2)) == [(0, 1), (1, 2)], name
+        for name, parts in cases.items():
+            assert runs_of(parts) == [(0, 1), (1, 2)], name
         # A step that changes ends the run; the next one starts there.
-        rows = [(0, self.sub((16, 2), (1, 2), (k, 0))) for k in (0, 2, 4, 5, 6)]
-        assert runs_of(StructType(rows, 1)) == [(0, 3), (3, 5)]
+        rows = [((0, k), (2, 1)) for k in (0, 2, 4, 5, 6)]
+        assert runs_of(rows) == [(0, 3), (3, 5)]
 
-    def test_one_validation_per_grid(self):
-        sub = [(0, self.sub((4, 4), (1, 4), (k, 0))) for k in range(4)]
-        flat = [(0, self.sub((16,), (4,), (4 * k,))) for k in range(4)]
-        struct = StructType(sub + flat + [(1, ContiguousType(FLOAT, 3))], 2)
-        assert runs_of(struct) == [(0, 4), (4, 8), (8, 9)]
-        assert len(struct._grids) == 2  # (buffer 0, (4, 4)) and (buffer 0, (16,))
-        buffers = (np.arange(16, dtype=np.float32), np.arange(3, dtype=np.float32))
-        expect = np.concatenate([m.pack(buffers[i]) for i, m in struct.members])
-        assert np.array_equal(struct.pack(buffers), expect)
+    def test_one_subarray_per_geometry(self):
+        """Members that share a geometry share one subarray: every merged
+        send lane of a round-robin stack is a struct of one subarray."""
+        owns = [[Box((0, 0, k), (8, 8, 1)) for k in range(r, 16, 4)] for r in range(4)]
+        decl = Declarations.from_boxes(owns, grid_boxes((8, 8, 16), (2, 2, 1)))
+        plan = plan_ranks(decl, 4, ranks=[1])[0]
+        types = {}
+        (rnd,) = plan.executed("p2p", None, FLOAT, 1, types)
+        for lane in rnd.all_sends():
+            assert len({id(member) for _, member in lane.datatype.members}) == 1
+        assert len(types) == 12  # 4 send subarrays, 4 structs, 4 stepped receives
+        again = plan.executed("alltoallw", None, FLOAT, 1, types)[0]  # another variant, same types
+        assert [l.datatype for l in again.all_sends()] == [l.datatype for l in rnd.all_sends()]
 
     def test_redist_rounds_receive_lanes_are_one_run_each(self):
         """128^3 float32 on four ranks, single z-slices dealt round-robin,
         each rank needing one quarter column (the ``redist_rounds``
         benchmark): every merged receive lane, self lane included, is the
-        32 planes a peer sends at step 4, and plans as one run."""
+        32 planes a peer sends at step 4, one stepped subarray."""
         dims, nprocs = (128, 128, 128), 4
         owns = [[Box((0, 0, k), (128, 128, 1)) for k in range(r, 128, nprocs)]
                 for r in range(nprocs)]
         needs = grid_boxes(dims, (2, 2, 1))
-        for schedule in compute_global_plan(owns, needs, 4).schedules:
-            for backend in ("alltoallw", "p2p", "auto"):
-                (rnd,) = regroup(schedule.bind(FLOAT), backend).rounds
-                lanes = rnd.all_recvs()
+        for backend in ("alltoallw", "p2p", "auto"):
+            for lanes in merged_receive_types(owns, needs, backend):
                 assert len(lanes) == nprocs
                 for lane in lanes:
-                    assert len(lane.datatype.members) == 32
-                    assert runs_of(lane.datatype) == [(0, 32)]
-                    assert lane.datatype.runs[0].slices[0] == slice(lane.peer, 125 + lane.peer, 4)
+                    assert type(lane.datatype) is SubarrayType
+                    assert lane.datatype.steps == (32, 0, 4)
+                    assert lane.datatype._slices()[0] == slice(lane.peer, 125 + lane.peer, 4)
 
 
-# -- differential oracle: runs against the member-by-member reference --------
+# -- differential oracle: structs against the member-by-member reference -----
 
 
 def reference_pack(struct, buffers, out):
@@ -514,8 +525,8 @@ def counted(call, *args):
 
 
 class TestStructRunsOracle:
-    """Every struct operation through runs equals the member-by-member
-    reference kept here, bitwise, with the same transfer counts."""
+    """Every struct operation equals the member-by-member reference kept
+    here, bitwise, with the same transfer counts."""
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -564,3 +575,119 @@ class TestStructRunsOracle:
         back = [np.zeros(16, np.float32), np.zeros(16, np.float32)]
         recv.copy_into(dst, back, send)
         assert np.array_equal(send.pack(back), send.pack(src))
+
+
+# -- stepped subarrays against their blocks, one plain subarray each ------------
+
+
+@st.composite
+def stepped_geometry(draw):
+    """A stepped subarray's arguments and the plain subarrays of its blocks:
+    1-3 axes, a trailing component axis, blocks that abut or are one cell
+    thick along the stepped axis, in a buffer with some slack."""
+    ndims = draw(st.integers(1, 3))
+    components = draw(st.integers(1, 3))
+    sub = [draw(st.integers(1, 3)) for _ in range(ndims)]
+    axis, count = draw(st.integers(0, ndims - 1)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        sub[axis], step = 1, draw(st.integers(1, 4))
+    else:
+        step = sub[axis]
+    starts = [draw(st.integers(0, 2)) for _ in range(ndims)]
+    reach = list(sub)
+    reach[axis] += (count - 1) * step
+    sizes = tuple(lo + n + draw(st.integers(0, 2)) for lo, n in zip(starts, reach))
+    sizes, sub = sizes + (components,), tuple(sub) + (components,)
+    starts = tuple(starts) + (0,)
+    blocks = []
+    for k in range(count):
+        moved = list(starts)
+        moved[axis] += k * step
+        blocks.append(SubarrayType(FLOAT, sizes, sub, moved))
+    return SubarrayType(FLOAT, sizes, sub, starts, steps=(count, axis, step)), blocks
+
+
+class TestSteppedSubarray:
+    """``SubarrayType(steps=...)``: every operation equals its blocks moved one
+    by one as plain subarrays, bitwise and by transfer counts."""
+
+    @given(geometry=stepped_geometry(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_its_blocks_one_by_one(self, geometry, seed):
+        stepped, blocks = geometry
+        rng = np.random.default_rng(seed)
+        src = rng.random(stepped.sizes, dtype=np.float32)
+        assert stepped.blocks == len(blocks)
+        assert stepped.size_elements() == sum(b.size_elements() for b in blocks)
+        expect = np.concatenate([b.pack(src) for b in blocks])
+        view = stepped.view(src)
+        assert np.shares_memory(view, src) and view.reshape(-1).tobytes() == expect.tobytes()
+
+        packed, got = counted(stepped.pack, src, np.empty(expect.size + 2, np.float32))
+        reference = StructType([(0, b) for b in blocks], 1)
+        _, want = counted(reference_pack, reference, (src,), np.empty(expect.size, np.float32))
+        assert packed.tobytes() == expect.tobytes() and got == want
+
+        def blank():
+            return np.full(stepped.sizes, -1, np.float32)
+
+        ours, theirs = blank(), blank()
+        assert counted(stepped.unpack, ours, expect)[1] == counted(
+            reference_unpack, reference, (theirs,), expect)[1]
+        assert ours.tobytes() == theirs.tobytes()
+
+        # Block to block: stepped to stepped, and a struct of the blocks into
+        # the stepped type (a merged lane received as one subarray).
+        for source in (stepped, reference):
+            ours, theirs = blank(), blank()
+            moved, got = counted(source.copy_into, src, ours, stepped)
+            _, want = counted(reference_copy, reference, (src,), reference, (theirs,))
+            assert moved == stepped.size_bytes() and got == want
+            assert ours.tobytes() == theirs.tobytes()
+        back = blank()
+        stepped.copy_into(src, back, reference)  # into a struct: through pack
+        assert reference.pack(back).tobytes() == expect.tobytes()
+
+    def test_out_of_range_steps_are_typed_errors(self):
+        def make(sizes, sub, starts, steps):
+            return SubarrayType(FLOAT, sizes, sub, starts, steps=steps)
+
+        make((8, 4), (2, 4), (0, 0), (4, 0, 2))  # four abutting blocks fill the axis
+        make((9, 4), (1, 4), (0, 0), (3, 0, 4))  # planes 0, 4, 8
+        bad = {
+            "past the end": ((8, 4), (2, 4), (1, 0), (4, 0, 2)),
+            "stepped past the end": ((8, 4), (1, 4), (0, 0), (3, 0, 4)),
+            "a gap between thick blocks": ((8, 4), (2, 4), (0, 0), (2, 0, 3)),
+            "overlapping blocks": ((8, 4), (2, 4), (0, 0), (2, 0, 1)),
+            "a backward step": ((8, 4), (1, 4), (4, 0), (2, 0, -2)),
+            "no blocks": ((8, 4), (1, 4), (0, 0), (0, 0, 1)),
+            "no such axis": ((8, 4), (1, 4), (0, 0), (2, 2, 1)),
+        }
+        for args in bad.values():
+            with pytest.raises(DatatypeError):
+                make(*args)
+
+    def test_pickles_and_crosses_the_process_executor(self):
+        import os
+        import pickle
+
+        from repro.mpisim import run_spmd
+
+        stepped = SubarrayType(FLOAT, (9, 3, 4), (1, 2, 4), (1, 1, 0), steps=(3, 0, 3))
+        buf = np.arange(9 * 3 * 4, dtype=np.float32).reshape(9, 3, 4)
+
+        def same(other):
+            packed = other.pack(buf).tobytes()
+            return other.steps == stepped.steps and packed == stepped.pack(buf).tobytes()
+
+        assert same(pickle.loads(pickle.dumps(stepped)))
+        if not hasattr(os, "fork"):
+            return
+
+        def fn(comm):
+            if comm.rank == 0:
+                comm.send(stepped, dest=1)
+                return True
+            return same(comm.recv(source=0))
+
+        assert all(run_spmd(2, fn, executor="process", deadlock_timeout=20.0))
