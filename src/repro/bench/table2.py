@@ -155,9 +155,9 @@ class _CountingStack:
     def __getattr__(self, name):
         return getattr(self._stack, name)
 
-    def read_slice(self, z: int) -> np.ndarray:
+    def read_slice(self, z: int, out: np.ndarray | None = None) -> np.ndarray:
         self.decoded.append(z)
-        return self._stack.read_slice(z)
+        return self._stack.read_slice(z, out)
 
 
 def table2_native(stack_dir: Path, nprocs: int = 8, grid=(2, 2, 2)) -> NativeTable2Row:

@@ -45,9 +45,9 @@ class TiffStack:
     def __len__(self) -> int:
         return len(self.indices())
 
-    def read_slice(self, z: int) -> np.ndarray:
-        """Read + decode one whole slice (the paper's full-decode cost)."""
-        return read_tiff(self.slice_path(z))
+    def read_slice(self, z: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Read + decode one whole slice (the paper's full-decode cost), into ``out``."""
+        return read_tiff(self.slice_path(z), out=out)
 
     def read_volume(self) -> np.ndarray:
         """Whole volume ``(depth, height, width)`` — small stacks only."""

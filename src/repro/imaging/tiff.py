@@ -8,11 +8,14 @@ IEEE-float samples.
 
 Crucially it shares the property the paper's argument rests on: *the whole
 image must be read and decoded even if only a few pixels are needed*
-(§IV-A) — the reader returns full 2-D arrays only.
+(§IV-A) — the reader fills full 2-D planes only, the caller's if given: one
+``os.preadv`` brings the header, the pixels (straight into the plane) and
+the IFD behind them, the layout the writer produces.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -40,7 +43,8 @@ PHOTOMETRIC_BLACK_IS_ZERO = 1
 SAMPLE_FORMAT_UINT = 1
 SAMPLE_FORMAT_FLOAT = 3
 
-_TYPE_SIZE = {TYPE_SHORT: 2, TYPE_LONG: 4}
+_TYPE_CODE = {TYPE_SHORT: "H", TYPE_LONG: "I"}
+_HEADER, _TAIL = 8, 4096  # the header; what one read takes past the pixels
 
 #: dtype -> (bits, sample_format)
 _SUPPORTED_DTYPES = {
@@ -49,17 +53,11 @@ _SUPPORTED_DTYPES = {
     np.dtype(np.uint32): (32, SAMPLE_FORMAT_UINT),
     np.dtype(np.float32): (32, SAMPLE_FORMAT_FLOAT),
 }
+_DTYPE_OF = {sample: dtype for dtype, sample in _SUPPORTED_DTYPES.items()}
 
 
 class TiffError(ValueError):
     """Malformed file or unsupported TIFF feature."""
-
-
-def _dtype_for(bits: int, sample_format: int) -> np.dtype:
-    for dtype, (b, fmt) in _SUPPORTED_DTYPES.items():
-        if (b, fmt) == (bits, sample_format):
-            return dtype
-    raise TiffError(f"unsupported sample: {bits}-bit, format {sample_format}")
 
 
 @dataclass(frozen=True)
@@ -108,66 +106,36 @@ def _write_tiff_stream(out: BinaryIO, image: np.ndarray, rows_per_strip: int) ->
     height, width = image.shape
     bits, sample_format = _SUPPORTED_DTYPES[image.dtype]
     row_bytes = width * image.dtype.itemsize
+    first_rows = range(0, height, rows_per_strip)
+    n_strips = len(first_rows)
+    offsets = [_HEADER + row * row_bytes for row in first_rows]
+    counts = [min(rows_per_strip, height - row) * row_bytes for row in first_rows]
 
-    n_strips = (height + rows_per_strip - 1) // rows_per_strip
-    strip_rows = [
-        min(rows_per_strip, height - s * rows_per_strip) for s in range(n_strips)
+    # Layout: header (8) | pixel strips | [offset arrays] | IFD.  One strip's
+    # offset and count fit in the IFD entries themselves.
+    arrays = _HEADER + height * row_bytes
+    if n_strips > 1:
+        extra = struct.pack(f"<{2 * n_strips}I", *offsets, *counts)
+        strips = (arrays, arrays + 4 * n_strips)
+    else:
+        extra, strips = b"", (offsets[0], counts[0])
+    entries = [
+        (TAG_IMAGE_WIDTH, TYPE_LONG, 1, width),
+        (TAG_IMAGE_LENGTH, TYPE_LONG, 1, height),
+        (TAG_BITS_PER_SAMPLE, TYPE_SHORT, 1, bits),
+        (TAG_COMPRESSION, TYPE_SHORT, 1, COMPRESSION_NONE),
+        (TAG_PHOTOMETRIC, TYPE_SHORT, 1, PHOTOMETRIC_BLACK_IS_ZERO),
+        (TAG_STRIP_OFFSETS, TYPE_LONG, n_strips, strips[0]),
+        (TAG_SAMPLES_PER_PIXEL, TYPE_SHORT, 1, 1),
+        (TAG_ROWS_PER_STRIP, TYPE_LONG, 1, rows_per_strip),
+        (TAG_STRIP_BYTE_COUNTS, TYPE_LONG, n_strips, strips[1]),
+        (TAG_SAMPLE_FORMAT, TYPE_SHORT, 1, sample_format),
     ]
-    strip_byte_counts = [rows * row_bytes for rows in strip_rows]
-
-    # Layout: header (8) | pixel strips | [offset arrays] | IFD
-    header_size = 8
-    data_start = header_size
-    strip_offsets = []
-    cursor = data_start
-    for count in strip_byte_counts:
-        strip_offsets.append(cursor)
-        cursor += count
-
-    # Out-of-line arrays for StripOffsets/StripByteCounts when > 1 strip.
-    extra_start = cursor
-    extra = b""
-    if n_strips > 1:
-        offsets_pos = extra_start
-        extra += struct.pack(f"<{n_strips}I", *strip_offsets)
-        counts_pos = extra_start + len(extra)
-        extra += struct.pack(f"<{n_strips}I", *strip_byte_counts)
-    ifd_offset = extra_start + len(extra)
-
-    entries = []
-
-    def entry(tag: int, field_type: int, count: int, value: int) -> None:
-        entries.append(struct.pack("<HHI4s", tag, field_type, count, struct.pack("<I", value)))
-
-    entry(TAG_IMAGE_WIDTH, TYPE_LONG, 1, width)
-    entry(TAG_IMAGE_LENGTH, TYPE_LONG, 1, height)
-    entry(TAG_BITS_PER_SAMPLE, TYPE_SHORT, 1, bits)
-    entry(TAG_COMPRESSION, TYPE_SHORT, 1, COMPRESSION_NONE)
-    entry(TAG_PHOTOMETRIC, TYPE_SHORT, 1, PHOTOMETRIC_BLACK_IS_ZERO)
-    if n_strips > 1:
-        entry(TAG_STRIP_OFFSETS, TYPE_LONG, n_strips, offsets_pos)
-    else:
-        entry(TAG_STRIP_OFFSETS, TYPE_LONG, 1, strip_offsets[0])
-    entry(TAG_SAMPLES_PER_PIXEL, TYPE_SHORT, 1, 1)
-    entry(TAG_ROWS_PER_STRIP, TYPE_LONG, 1, rows_per_strip)
-    if n_strips > 1:
-        entry(TAG_STRIP_BYTE_COUNTS, TYPE_LONG, n_strips, counts_pos)
-    else:
-        entry(TAG_STRIP_BYTE_COUNTS, TYPE_LONG, 1, strip_byte_counts[0])
-    entry(TAG_SAMPLE_FORMAT, TYPE_SHORT, 1, sample_format)
-
-    written = 0
-    written += out.write(struct.pack("<2sHI", b"II", 42, ifd_offset))
-    pixels = np.ascontiguousarray(image)
-    if pixels.dtype.byteorder == ">":  # normalise to little-endian payload
-        pixels = pixels.astype(pixels.dtype.newbyteorder("<"))
-    written += out.write(pixels.tobytes())
-    written += out.write(extra)
-    written += out.write(struct.pack("<H", len(entries)))
-    for packed in entries:
-        written += out.write(packed)
-    written += out.write(struct.pack("<I", 0))  # no next IFD
-    return written
+    ifd = b"".join(struct.pack("<HHII", *entry) for entry in entries)
+    ifd = struct.pack("<H", len(entries)) + ifd + struct.pack("<I", 0)  # no next IFD
+    header = struct.pack("<2sHI", b"II", 42, arrays + len(extra))
+    pixels = np.ascontiguousarray(image, dtype=image.dtype.newbyteorder("<"))
+    return sum(out.write(part) for part in (header, pixels.tobytes(), extra, ifd))
 
 
 # ---------------------------------------------------------------------------
@@ -175,43 +143,78 @@ def _write_tiff_stream(out: BinaryIO, image: np.ndarray, rows_per_strip: int) ->
 # ---------------------------------------------------------------------------
 
 
-def read_tiff_info(data: bytes) -> TiffInfo:
-    """Parse the header + first IFD of an in-memory TIFF."""
-    if len(data) < 8:
+class _Source:
+    """A TIFF's bytes by range: from pieces already read, as ``(file offset,
+    memoryview)`` pairs, else by ``os.pread`` from ``fd`` — never past the
+    end, so a corrupt count cannot ask for gigabytes."""
+
+    def __init__(self, fd: int | None = None, data=b"") -> None:
+        self.fd = fd
+        self.pieces = [(0, memoryview(data).cast("B"))]
+        self.size = len(data) if fd is None else None
+        self.placed = 0  # leading bytes of the plane already read from byte 8
+
+    def first_read(self, plane: memoryview) -> None:
+        """One ``preadv``: the header, the pixels into ``plane`` as if they
+        start at byte 8 (the writer's layout), and a tail."""
+        buffers = [bytearray(_HEADER), plane, bytearray(_TAIL)]
+        got = os.preadv(self.fd, buffers, 0)
+        if got < _HEADER + len(plane) + _TAIL:
+            self.size = got  # a short read tells the file's size
+        for start, buf in zip((0, _HEADER, _HEADER + len(plane)), buffers):
+            self.pieces.append((start, memoryview(buf)[: max(0, got - start)]))
+        self.placed = min(len(plane), max(0, got - _HEADER))
+
+    def fetch(self, offset: int, count: int):
+        """``count`` bytes at ``offset``, fewer only where the file ends."""
+        for start, piece in self.pieces:  # one that holds it, or ends the file
+            end = start + len(piece)
+            if start <= offset and (offset + count <= end or end == self.size):
+                return piece[offset - start : offset - start + count]
+        if self.size is None:
+            self.size = os.fstat(self.fd).st_size
+        return os.pread(self.fd, max(0, min(count, self.size - offset)), offset)
+
+    def readinto(self, view: memoryview, offset: int) -> int:
+        if self.fd is not None:
+            return os.preadv(self.fd, [view], offset)
+        chunk = self.fetch(offset, len(view))
+        view[: len(chunk)] = chunk
+        return len(chunk)
+
+
+def _parse(fetch) -> TiffInfo:
+    """The header + first IFD, from ``fetch(offset, count)``, which returns
+    fewer bytes than asked only where the file ends."""
+    head = fetch(0, _HEADER)
+    if len(head) < _HEADER:
         raise TiffError("file too small for a TIFF header")
-    order_mark = data[:2]
-    if order_mark == b"II":
-        bo = "<"
-    elif order_mark == b"MM":
-        bo = ">"
-    else:
-        raise TiffError(f"bad byte-order mark {order_mark!r}")
-    magic, ifd_offset = struct.unpack(bo + "HI", data[2:8])
+    bo = {b"II": "<", b"MM": ">"}.get(bytes(head[:2]))
+    if bo is None:
+        raise TiffError(f"bad byte-order mark {bytes(head[:2])!r}")
+    magic, ifd_offset = struct.unpack_from(bo + "HI", head, 2)
     if magic != 42:
         raise TiffError(f"bad TIFF magic {magic}")
 
-    if ifd_offset + 2 > len(data):
+    n_bytes = fetch(ifd_offset, 2)
+    if len(n_bytes) < 2:
         raise TiffError("IFD offset out of range")
-    (n_entries,) = struct.unpack_from(bo + "H", data, ifd_offset)
+    (n_entries,) = struct.unpack(bo + "H", n_bytes)
+    table = fetch(ifd_offset + 2, 12 * n_entries)
     fields: dict[int, tuple[int, ...]] = {}
-    pos = ifd_offset + 2
-    for _ in range(n_entries):
-        if pos + 12 > len(data):
-            raise TiffError("truncated IFD entry")
-        tag, ftype, count = struct.unpack_from(bo + "HHI", data, pos)
-        value_bytes = data[pos + 8 : pos + 12]
-        if ftype in _TYPE_SIZE:
-            total = _TYPE_SIZE[ftype] * count
-            if total <= 4:
-                raw = value_bytes[:total]
-            else:
-                (offset,) = struct.unpack(bo + "I", value_bytes)
-                if offset + total > len(data):
-                    raise TiffError(f"tag {tag}: out-of-line value beyond EOF")
-                raw = data[offset : offset + total]
-            code = "H" if ftype == TYPE_SHORT else "I"
-            fields[tag] = struct.unpack(bo + code * count, raw)
-        pos += 12
+    entries = table[: len(table) // 12 * 12]  # whole entries; a cut one fails below
+    for tag, ftype, count, value in struct.iter_unpack(bo + "HHI4s", entries):
+        if ftype not in _TYPE_CODE:
+            continue
+        layout = f"{bo}{count}{_TYPE_CODE[ftype]}"
+        total = struct.calcsize(layout)
+        if total > 4:
+            value = fetch(struct.unpack(bo + "I", value)[0], total)
+            if len(value) < total:
+                raise TiffError(f"tag {tag}: out-of-line value beyond EOF")
+        fields[tag] = struct.unpack_from(layout, value)
+    if len(table) < 12 * n_entries:
+        raise TiffError("truncated IFD entry")
 
     def one(tag: int, default: int | None = None) -> int:
         if tag in fields:
@@ -232,51 +235,74 @@ def read_tiff_info(data: bytes) -> TiffInfo:
         raise TiffError(f"only single-sample grayscale supported, got {samples}")
     if TAG_STRIP_OFFSETS not in fields:
         raise TiffError("strip offsets missing")
-    strip_offsets = tuple(int(v) for v in fields[TAG_STRIP_OFFSETS])
+    strip_offsets = fields[TAG_STRIP_OFFSETS]
     if TAG_STRIP_BYTE_COUNTS in fields:
-        strip_byte_counts = tuple(int(v) for v in fields[TAG_STRIP_BYTE_COUNTS])
+        strip_byte_counts = fields[TAG_STRIP_BYTE_COUNTS]
+    elif len(strip_offsets) != 1:
+        raise TiffError("StripByteCounts missing with multiple strips")
     else:
-        if len(strip_offsets) != 1:
-            raise TiffError("StripByteCounts missing with multiple strips")
         strip_byte_counts = (width * height * (bits // 8),)
     rows_per_strip = one(TAG_ROWS_PER_STRIP, height)
-    dtype = _dtype_for(bits, sample_format)
-    return TiffInfo(
-        width=width,
-        height=height,
-        dtype=dtype,
-        strip_offsets=strip_offsets,
-        strip_byte_counts=strip_byte_counts,
-        rows_per_strip=rows_per_strip,
-        byte_order=bo,
-    )
+    dtype = _DTYPE_OF.get((bits, sample_format))
+    if dtype is None:
+        raise TiffError(f"unsupported sample: {bits}-bit, format {sample_format}")
+    return TiffInfo(width, height, dtype, strip_offsets, strip_byte_counts, rows_per_strip, bo)
 
 
-def read_tiff(path_or_file) -> np.ndarray:
+def read_tiff_info(data) -> TiffInfo:
+    """Parse the header + first IFD of a TIFF: ``data`` is the file's bytes,
+    or its path (then only the header, the IFD and its arrays are read)."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return _parse(_Source(data=data).fetch)
+    source = _Source(os.open(data, os.O_RDONLY))
+    try:
+        return _parse(source.fetch)
+    finally:
+        os.close(source.fd)
+
+
+def read_tiff(path_or_file, out: np.ndarray | None = None) -> np.ndarray:
     """Read a grayscale TIFF fully into a ``(height, width)`` array.
 
     Whole-image decode only — exactly the constraint DDR exploits: partial
     reads are impossible, so the producer decodes everything and DDR moves
-    the needed pixels to where they belong.
+    the needed pixels to where they belong.  ``out``, a C-contiguous plane
+    of the image's shape and dtype, receives the pixels in place (its
+    contents are unspecified if this raises); on the writer's layout a path
+    then costs ``os.open``, one ``os.preadv`` and ``os.close``.
     """
+    if out is not None and not (isinstance(out, np.ndarray) and out.flags.carray):
+        raise TypeError("out must be a writable C-contiguous array")
     if hasattr(path_or_file, "read"):
-        data = path_or_file.read()
+        source = _Source(data=path_or_file.read())
     else:
-        with open(path_or_file, "rb") as handle:
-            data = handle.read()
-    info = read_tiff_info(data)
-
-    out = np.empty(info.height * info.width, dtype=info.dtype)
-    sample_dtype = info.dtype.newbyteorder(info.byte_order)
-    cursor = 0
-    for offset, count in zip(info.strip_offsets, info.strip_byte_counts):
-        if offset + count > len(data):
-            raise TiffError("strip extends beyond end of file")
-        strip = np.frombuffer(data[offset : offset + count], dtype=sample_dtype)
-        if cursor + strip.size > out.size:
-            raise TiffError("strips larger than declared image size")
-        out[cursor : cursor + strip.size] = strip
-        cursor += strip.size
-    if cursor != out.size:
-        raise TiffError(f"strips cover {cursor} samples, image needs {out.size}")
-    return out.reshape(info.height, info.width)
+        source = _Source(os.open(path_or_file, os.O_RDONLY))
+    try:
+        if out is not None and source.fd is not None:
+            source.first_read(memoryview(out).cast("B"))
+        info = _parse(source.fetch)
+        shape = (info.height, info.width)
+        if out is None:
+            out = np.empty(shape, dtype=info.dtype)
+        elif out.shape != shape or out.dtype != info.dtype:
+            raise TiffError(f"out is {out.dtype} {out.shape}, the image {info.dtype} {shape}")
+        plane = memoryview(out).cast("B")
+        cursor = 0
+        for offset, count in zip(info.strip_offsets, info.strip_byte_counts):
+            if offset == _HEADER + cursor and cursor + count <= source.placed:
+                pass  # the first read already put this strip in its place
+            elif cursor + count > len(plane):
+                if len(source.fetch(offset, count)) < count:
+                    raise TiffError("strip extends beyond end of file")
+                raise TiffError("strips larger than declared image size")
+            elif source.readinto(plane[cursor : cursor + count], offset) < count:
+                raise TiffError("strip extends beyond end of file")
+            cursor += count
+    finally:
+        if source.fd is not None:
+            os.close(source.fd)
+    if cursor != len(plane):
+        raise TiffError(f"strips cover {cursor // out.itemsize} samples, image needs {out.size}")
+    if not info.dtype.newbyteorder(info.byte_order).isnative:
+        out.byteswap(inplace=True)
+    return out

@@ -10,7 +10,7 @@ own bricks (disjoint fixed offsets, safe concurrently).
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import product
 
 from ..core.api import Redistributor
 from ..core.box import Box
@@ -20,7 +20,7 @@ from ..mpisim.comm import Communicator
 from ..utils.timing import Timer
 from ..volren.decompose import split_extent
 from .assignment import Assignment, owned_chunks
-from .stackload import stack_geometry
+from .stackload import probe_stack, read_chunk
 
 
 def brick_layer_ranges(n_layers: int, nprocs: int, rank: int) -> tuple[int, int]:
@@ -48,54 +48,38 @@ def convert_stack_to_bricks(
     exchange it can cut bricks locally and write them at their fixed file
     offsets.
     """
-    geometry = stack_geometry(stack)
+    geometry, dtype = probe_stack(stack)
     timers: dict[str, Timer] = {}
 
     # Rank 0 allocates the output file; everyone else waits.
     if comm.rank == 0:
         with timers.setdefault("allocate", Timer()):
-            probe = stack.read_slice(stack.indices()[0])
-            BrickedVolume.create(
-                out_path, geometry.volume_dims, probe.dtype, brick=brick
-            )
+            BrickedVolume.create(out_path, geometry.volume_dims, dtype, brick=brick)
     comm.Barrier()
     volume = BrickedVolume(out_path)
     header = volume.header
 
     # Balanced slice reads (the DDR producer side).
     chunks = owned_chunks(geometry, comm.size, comm.rank, strategy)
-    buffers: list[np.ndarray] = []
     with timers.setdefault("read", Timer()):
-        for chunk in chunks:
-            z0, depth = chunk.offset[2], chunk.dims[2]
-            buffers.append(np.stack([stack.read_slice(z) for z in range(z0, z0 + depth)]))
+        buffers = [read_chunk(stack, chunk, dtype) for chunk in chunks]
 
     # Needs: whole brick z-layers, contiguous per rank (consumer side).
     gx, gy, gz = header.grid
     layer_lo, layer_hi = brick_layer_ranges(gz, comm.size, comm.rank)
     z_lo = layer_lo * brick
     z_hi = min(layer_hi * brick, geometry.n_images)
-    if z_hi > z_lo:
-        need = Box((0, 0, z_lo), (geometry.width, geometry.height, z_hi - z_lo))
-    else:
-        need = None
+    need = Box((0, 0, z_lo), (*geometry.volume_dims[:2], z_hi - z_lo)) if z_hi > z_lo else None
 
     with timers.setdefault("exchange", Timer()):
         red = Redistributor(comm, ndims=3, dtype=header.dtype)
         red.setup(own=chunks, need=need)
         slab = red.gather_need(buffers)
 
-    with timers.setdefault("write", Timer()):
-        if slab is not None:
-            for k in range(layer_lo, layer_hi):
-                for j in range(gy):
-                    for i in range(gx):
-                        box = header.brick_box(i, j, k)
-                        x0, y0, z0 = box.offset
-                        w, h, d = box.dims
-                        data = slab[
-                            z0 - z_lo : z0 - z_lo + d, y0 : y0 + h, x0 : x0 + w
-                        ]
-                        volume.write_brick(i, j, k, np.ascontiguousarray(data))
+    with timers.setdefault("write", Timer()):  # no layers: no need, no slab
+        for k, j, i in product(range(layer_lo, layer_hi), range(gy), range(gx)):
+            box = header.brick_box(i, j, k)
+            (x0, y0, z0), (w, h, d) = box.offset, box.dims
+            volume.write_brick(i, j, k, slab[z0 - z_lo : z0 - z_lo + d, y0 : y0 + h, x0 : x0 + w])
     comm.Barrier()  # conversion is complete for everyone
     return {phase: timer.elapsed for phase, timer in timers.items()}

@@ -30,19 +30,27 @@ from ..volren.decompose import grid_boxes
 from .assignment import Assignment, StackGeometry, owned_chunks
 
 
-def stack_geometry(stack: TiffStack) -> StackGeometry:
-    """Derive the series geometry from the files on disk."""
+def probe_stack(stack: TiffStack) -> tuple[StackGeometry, np.dtype]:
+    """The series geometry and sample type, from the first slice's header."""
     indices = stack.indices()
     if not indices:
         raise FileNotFoundError(f"no slices found in {stack.directory}")
-    with open(stack.slice_path(indices[0]), "rb") as handle:
-        info = read_tiff_info(handle.read())
-    return StackGeometry(
-        width=info.width,
-        height=info.height,
-        n_images=len(indices),
-        bytes_per_pixel=info.dtype.itemsize,
-    )
+    info = read_tiff_info(stack.slice_path(indices[0]))
+    geometry = StackGeometry(info.width, info.height, len(indices), info.dtype.itemsize)
+    return geometry, info.dtype
+
+
+def stack_geometry(stack: TiffStack) -> StackGeometry:
+    """Derive the series geometry from the files on disk."""
+    return probe_stack(stack)[0]
+
+
+def read_chunk(stack: TiffStack, chunk: Box, dtype: np.dtype) -> np.ndarray:
+    """Read a chunk's slices straight into its ``(depth, h, w)`` block."""
+    block = np.empty(chunk.np_shape(), dtype=dtype)
+    for k, plane in enumerate(block):
+        stack.read_slice(chunk.offset[2] + k, out=plane)
+    return block
 
 
 @dataclass
@@ -56,28 +64,21 @@ class LoadedBlock:
     exchange_s: float = 0.0
 
 
-def _crop(image: np.ndarray, box: Box) -> np.ndarray:
-    """Extract a block's (x, y) footprint from one decoded slice."""
-    x0, y0 = box.offset[0], box.offset[1]
-    w, h = box.dims[0], box.dims[1]
-    return image[y0 : y0 + h, x0 : x0 + w]
-
-
 def load_stack_no_ddr(
     comm: Communicator,
     stack: TiffStack,
     grid: tuple[int, int, int],
 ) -> LoadedBlock:
     """Baseline loader: whole-slice decode per rank, per touched slice."""
-    geometry = stack_geometry(stack)
+    geometry, dtype = probe_stack(stack)
     need = grid_boxes(geometry.volume_dims, grid)[comm.rank]
-    z0, depth = need.offset[2], need.dims[2]
-    planes = []
+    (x0, y0, z0), (w, h, depth) = need.offset, need.dims
+    data = np.empty(need.np_shape(), dtype=dtype)
+    image = np.empty((geometry.height, geometry.width), dtype=dtype)
     with TRACER.span("phase.read", strategy="no_ddr", slices=depth), Timer() as read:
-        for z in range(z0, z0 + depth):
-            image = stack.read_slice(z)  # full decode, mostly discarded
-            planes.append(np.ascontiguousarray(_crop(image, need)))
-    data = np.stack(planes)
+        for k in range(depth):
+            stack.read_slice(z0 + k, out=image)  # full decode, mostly discarded
+            data[k] = image[y0 : y0 + h, x0 : x0 + w]
     return LoadedBlock(box=need, data=data, read_s=read.elapsed)
 
 
@@ -89,22 +90,11 @@ def load_stack_ddr(
     backend: str = "alltoallw",
 ) -> LoadedBlock:
     """DDR loader: balanced single-read of each slice, then redistribution."""
-    geometry = stack_geometry(stack)
+    geometry, dtype = probe_stack(stack)
     need = grid_boxes(geometry.volume_dims, grid)[comm.rank]
     chunks = owned_chunks(geometry, comm.size, comm.rank, strategy)
-
-    dtype = None
-    buffers: list[np.ndarray] = []
     with TRACER.span("phase.read", strategy=strategy.name.lower()), Timer() as read:
-        for chunk in chunks:
-            z0, depth = chunk.offset[2], chunk.dims[2]
-            planes = [stack.read_slice(z) for z in range(z0, z0 + depth)]
-            block = np.stack(planes)
-            dtype = block.dtype
-            buffers.append(block)
-    if dtype is None:  # rank owns no slices (more ranks than images)
-        probe = stack.read_slice(0)
-        dtype = probe.dtype
+        buffers = [read_chunk(stack, chunk, dtype) for chunk in chunks]
 
     with TRACER.span("phase.redistribute", backend=backend), Timer() as exchange:
         red = Redistributor(comm, ndims=3, dtype=dtype, backend=backend)

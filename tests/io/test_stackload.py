@@ -108,9 +108,9 @@ class TestLoaders:
 
         original = TiffStack.read_slice
 
-        def counting(self, z):
+        def counting(self, z, out=None):
             counts.append(z)
-            return original(self, z)
+            return original(self, z, out)
 
         monkeypatch.setattr(TiffStack, "read_slice", counting)
 
@@ -127,9 +127,9 @@ class TestLoaders:
         counts = []
         original = TiffStack.read_slice
 
-        def counting(self, z):
+        def counting(self, z, out=None):
             counts.append(z)
-            return original(self, z)
+            return original(self, z, out)
 
         monkeypatch.setattr(TiffStack, "read_slice", counting)
 
