@@ -488,10 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--memory", action="store_const", const="memory",
                           dest="scenario",
                           help="memory-pressure mode: run every schedule under "
-                          "a staging budget shrinking from the workload's "
-                          "measured peak, with seeded allocation faults; "
-                          "requires bitwise-correct output (bounded/auto "
-                          "lowering), degraded-by-policy frames, or a typed "
+                          "a staging budget from its plan (redistributions: "
+                          "shrinking from the worst round), with seeded "
+                          "allocation faults; requires bitwise-correct output "
+                          "(every backend runs an over-budget round in "
+                          "pieces), degraded-by-policy frames, or a typed "
                           "MemoryBudgetError — never an OOM kill or hang")
     scenario.add_argument("--edge", action="store_const", const="edge",
                           dest="scenario",

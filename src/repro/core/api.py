@@ -31,7 +31,6 @@ from .engine import (
     Buffers,
     ExchangeProgress,
     check_backend,
-    check_round_budget,
     default_backend,
     direct_transport,
     execute,
@@ -134,11 +133,10 @@ class Redistributor:
 
     ``backend`` picks how rounds hit the wire: ``"alltoallw"`` (dense
     collective), ``"p2p"`` (direct sends), ``"auto"`` (per-round selection
-    driven by the plan's sparsity), or ``"bounded"`` (direct sends); the
-    last two run a staged round over the memory budget in pieces, the
-    first two refuse it.  ``None``
-    follows the process default — the ``DDR_BACKEND`` environment variable
-    when set, otherwise ``"alltoallw"``.
+    driven by the plan's sparsity), or ``"bounded"`` (another name for
+    ``"p2p"``); under every one a staged round over the memory budget runs
+    in pieces.  ``None`` follows the process default — the ``DDR_BACKEND``
+    environment variable when set, otherwise ``"alltoallw"``.
 
     ``transport`` picks the mpisim wire strategy for every exchange this
     instance performs: ``"zerocopy"`` (receiver copies straight out of the
@@ -264,12 +262,10 @@ class Redistributor:
         """Per planned round, the wire protocol (``alltoallw`` or ``p2p``) an
         exchange through this instance's backend and transport runs it with
         under the installed memory budget — merged or in pieces, read off the
-        schedule the exchange executes; raises ``MemoryBudgetError`` exactly
-        when the exchange would."""
+        schedule the exchange executes.  It never raises for the budget: an
+        over-budget round is planned in pieces, not refused."""
         mapping = self.mapping if mapping is None else mapping
         zero_copy = direct_transport(self.comm, self.transport)
-        for index in range(mapping.nrounds):
-            check_round_budget(self.backend, mapping.plan, index, zero_copy)
         return [
             round_protocol(self.backend, rnd)
             for rnd in executed_rounds(mapping, self.backend, zero_copy)

@@ -16,10 +16,11 @@ they deliver (property-tested), different only in messages and staging:
 
 The four ``backend=`` values are policies over those protocols
 (:func:`~repro.core.schedule.round_protocol`): ``"alltoallw"`` and ``"p2p"``
-are strict (always that protocol; an over-budget round is refused with a
-typed ``MemoryBudgetError`` before any message is posted,
-:func:`check_round_budget`), ``"bounded"`` is direct and ``"auto"`` the
-density rule, and those two run an over-budget round in pieces.  Everything
+always run their own, ``"auto"`` applies the density rule and ``"bounded"``
+is another name for ``"p2p"``.  There is one budget rule for all four: on a
+staged transport a round over the memory budget runs as piece-rounds of its
+own protocol (:func:`~repro.core.schedule.executed_groups`); what no cut
+fits is left to the ledger's typed ``MemoryBudgetError``.  Everything
 is decided from the plan-wide statistics the schedule carries, so every rank
 decides alike without communicating; the trace attribute,
 ``Redistributor.engine_choices()`` and the wire all read the same executed
@@ -47,18 +48,14 @@ import numpy as np
 from ..faults.injector import FAULTS
 from ..faults.policy import ReliabilityPolicy
 from ..mpisim.comm import Communicator
-from ..mpisim.errors import (
-    MemoryBudgetError,
-    RetriesExhaustedError,
-    TransientFaultError,
-)
+from ..mpisim.errors import RetriesExhaustedError, TransientFaultError
 from ..mpisim.request import wait_all
 from ..mpisim.transport import TRANSPORT_PACKED, copy_local
 from ..obs.tracer import NULL_SPAN, TRACER
 from ..utils.membudget import MEMORY_BUDGET
 from .mapping import LocalMapping
 from .packing import check_buffers_cached
-from .schedule import LOWERING_BACKENDS, RankPlan, RoundSchedule, round_protocol
+from .schedule import RoundSchedule, round_protocol
 
 #: The accepted ``backend=`` values.
 BACKENDS = ("alltoallw", "p2p", "auto", "bounded")
@@ -131,28 +128,6 @@ def direct_transport(comm: Communicator, transport: Optional[str]) -> bool:
     request under shm simply degrades to an shm-staged eager send inside
     ``Isend``."""
     return comm.resolve_transport(transport) != TRANSPORT_PACKED
-
-
-def check_round_budget(backend: str, plan: RankPlan, index: int, zero_copy: bool) -> None:
-    """The strict backends' refusal of planned round ``index``, raised before
-    any message of it is posted.
-
-    The staged estimate is plan-wide (every rank refuses alike, and
-    :func:`~repro.core.schedule.executed_groups` leaves such a round on its
-    own); a direct transport stages only the self-copy, so there the refusal
-    is rank-local and must not move a group boundary.
-    """
-    limit = MEMORY_BUDGET.limit_bytes
-    if limit is None or backend in LOWERING_BACKENDS:
-        return
-    estimate = plan.self_bytes[index] if zero_copy else plan.staged[index]
-    if estimate > limit:
-        raise MemoryBudgetError(
-            f"round {index}: estimated staging peak {estimate} bytes "
-            f"exceeds the {limit}-byte DDR_MEM_BUDGET_MB budget; run the "
-            "'bounded' (or 'auto') backend to lower the round into "
-            "budget-sized pieces"
-        )
 
 
 def execute(
@@ -232,8 +207,8 @@ def execute(
                 else NULL_SPAN
             ) as span:
                 _run_round(
-                    comm, rnd, mapping.plan, *rnd.buffers(own, need), backend, transport,
-                    zero_copy, rank, policy, progress, tag_base + rnd.index, span,
+                    comm, rnd, *rnd.buffers(own, need), backend, transport, zero_copy,
+                    rank, policy, progress, tag_base + rnd.index, span,
                 )
     return progress
 
@@ -256,7 +231,6 @@ def executed_rounds(mapping: LocalMapping, backend: str, zero_copy: bool) -> lis
 def _run_round(
     comm: Communicator,
     rnd: RoundSchedule,
-    plan: RankPlan,
     sendbuf: Any,
     need: Any,
     backend: str,
@@ -285,8 +259,6 @@ def _run_round(
         try:
             if FAULTS.active and rnd.piece == 0:
                 FAULTS.on_round_start(rank, rnd.index, attempt)
-            for index in rnd.members:
-                check_round_budget(backend, plan, index, zero_copy)
             protocol = round_protocol(backend, rnd)
             span.set(backend=protocol)
             if protocol == "alltoallw":

@@ -50,14 +50,8 @@ AUTO_DENSITY_THRESHOLD = 0.5
 #: payload; ``zerocopy`` stages nothing and peaks at the self-copy temp.
 STAGED_TRANSPORTS = ("packed", "shm")
 
-#: The ``backend=`` policies that run an over-budget round in pieces; the
-#: other two are strict (the executor refuses the round, typed).
-LOWERING_BACKENDS = ("auto", "bounded")
 
-
-def collective_preferred(
-    max_partners: int, nprocs: int, threshold: float = AUTO_DENSITY_THRESHOLD
-) -> bool:
+def collective_preferred(max_partners: int, nprocs: int) -> bool:
     """The auto-selection rule: dense rounds -> collective, sparse -> direct.
 
     ``max_partners`` must be a *global* per-round statistic (identical on
@@ -65,7 +59,7 @@ def collective_preferred(
     """
     if nprocs <= 1:
         return False
-    return max_partners >= threshold * (nprocs - 1)
+    return max_partners >= AUTO_DENSITY_THRESHOLD * (nprocs - 1)
 
 
 @dataclass(frozen=True)
@@ -238,16 +232,16 @@ class ExchangeSchedule:
 def round_protocol(backend: str, rnd: RoundSchedule) -> str:
     """``"alltoallw"`` or ``"p2p"``: the wire protocol the policy ``backend``
     runs the planned or executed round ``rnd`` with (:func:`_protocol`)."""
-    return _protocol(backend, rnd.max_partners, rnd.nprocs, rnd.pieces)
+    return _protocol(backend, rnd.max_partners, rnd.nprocs)
 
 
-def _protocol(backend: str, max_partners: int, nprocs: int, pieces: int = 1) -> str:
-    """``alltoallw`` and ``p2p`` always run their own, ``bounded`` runs
-    direct, ``auto`` applies the density rule; a piece of a lowered round runs
-    direct.  Every input is plan-wide, so all ranks answer alike."""
+def _protocol(backend: str, max_partners: int, nprocs: int) -> str:
+    """``alltoallw`` and ``p2p`` run their own, ``auto`` the density rule;
+    ``bounded`` is another name for ``p2p``.  Every input is plan-wide, so
+    all ranks answer alike."""
     if backend == "alltoallw":
         return backend
-    if backend == "auto" and pieces == 1 and collective_preferred(max_partners, nprocs):
+    if backend == "auto" and collective_preferred(max_partners, nprocs):
         return "alltoallw"
     return "p2p"
 
@@ -269,13 +263,12 @@ def executed_groups(
     - consecutive rounds of one :func:`round_protocol` *merge* while the sum
       of their staged bytes fits: one message per peer, not one per chunk
       slot (arXiv 0706.2146: minimise a redistribution's step count);
-    - a round whose own staged bytes exceed the limit is, under
-      :data:`LOWERING_BACKENDS`, *split* into ``k`` piece-rounds of about
-      half the limit (eager sends complete at post time, so two may be
-      staged at once), piece ``j`` carrying rows ``[j R / k, (j + 1) R / k)``
-      of every lane's slowest axis.  ``k`` never exceeds the round's tallest
-      lane; a shorter lane sits some pieces out.  Under a strict backend the
-      round stays whole, for the executor to refuse.
+    - a round whose own staged bytes exceed the limit is, under every
+      policy, *split* into ``k`` piece-rounds of about half the limit (eager
+      sends complete at post time, so two may be staged at once), piece
+      ``j`` carrying rows ``[j R / k, (j + 1) R / k)`` of every lane's
+      slowest axis, by the round's own protocol.  ``k`` never exceeds the
+      round's tallest lane; a shorter lane sits some pieces out.
 
     Every input is the same on every rank, so all ranks draw the same
     groups without communicating; :func:`regroup` (the object form) and
@@ -292,12 +285,12 @@ def executed_groups(
             groups.append([index])
             total = size
         previous = protocol
-    lowering = limit_bytes is not None and backend in LOWERING_BACKENDS
     return [
         (
             tuple(group),
             min(-(-staged[group[0]] // max(1, limit_bytes // 2)), rows[group[0]])
-            if lowering and len(group) == 1 and staged[group[0]] > limit_bytes else 1,
+            if limit_bytes is not None and len(group) == 1 and staged[group[0]] > limit_bytes
+            else 1,
         )
         for group in groups
     ]
@@ -652,8 +645,6 @@ class RankPlan:
     rows: list[int]
     sends: Overlaps
     recvs: Overlaps
-    #: per planned round, the bytes of the rank's lane to itself
-    self_bytes: list[int]
 
     def own_boxes(self) -> list[Box]:
         return [Box(tuple(offset), tuple(dims)) for offset, dims in self.own.tolist()]
@@ -807,15 +798,11 @@ def plan_ranks(
     for rank in range(decl.nprocs) if ranks is None else ranks:
         mine = np.flatnonzero(overlaps.owner == rank), np.flatnonzero(overlaps.dest == rank)
         sends, recvs = (Overlaps(*(column[rows] for column in overlaps)) for rows in mine)
-        kept = sends.dest == rank
-        self_bytes = np.bincount(
-            sends.round[kept], sends.extent[kept].prod(axis=1) * element_size, decl.nrounds
-        )
         plans.append(RankPlan(
             rank, decl.nprocs, decl.nrounds, element_size,
             decl.chunks[decl.starts[rank] : decl.starts[rank + 1]],
             decl.needs[rank] if decl.has_need[rank] else None,
-            *stats, sends, recvs, self_bytes.astype(np.int64).tolist(),
+            *stats, sends, recvs,
         ))
     return plans
 

@@ -77,10 +77,9 @@ RESIZE_COMBOS = COMBOS[:2]
 #: budgeted staging memory (zero-copy rounds stage nothing).
 MEMORY_COMBOS = COMBOS[:1]
 
-#: Memory-chaos backends — all four: the strict engines (which must surface
-#: a typed ``MemoryBudgetError`` when a round cannot fit) plus the two that
-#: keep going under pressure (``bounded`` and ``auto`` run a round whose
-#: staged estimate exceeds the budget in pieces).
+#: Memory-chaos backends — all four: every one runs a round whose staged
+#: estimate exceeds the budget in pieces, and surfaces the ledger's typed
+#: ``MemoryBudgetError`` where no cut fits.
 MEMORY_BACKENDS = ALL_BACKENDS
 
 #: Field the plain exchange redistributes (slab → tile), and the memory
@@ -90,7 +89,7 @@ MEMORY_BACKENDS = ALL_BACKENDS
 FIELD = (16, 8)
 MEMORY_FIELD = (1024, 512)
 
-#: Budgets sweep from the full measured unbounded peak down to this
+#: Redistribution budgets sweep from the plan's worst round down to this
 #: fraction of it as the run index advances — the "shrinking budget" axis.
 MEMORY_MIN_FRACTION = 0.15
 
@@ -381,6 +380,14 @@ def _pipeline_config(
     )
 
 
+def _in_flight(config: PipelineConfig) -> tuple[int, int]:
+    """The frame messages a pipeline rank may hold at once — one per
+    (variable, simulation rank) for each of the last frame or two — and
+    their bytes, each charged as a full float64 field."""
+    frames = 2 * max(1, len(config.variables)) * config.m
+    return frames, frames * config.lbm.nx * config.lbm.ny * np.dtype(np.float64).itemsize
+
+
 def _pipeline_worker(comm: Communicator, config: PipelineConfig):
     result = run_pipeline(comm, config)
     # Degraded-mode leak check: abandoned-frame stragglers must be purged,
@@ -389,17 +396,14 @@ def _pipeline_worker(comm: Communicator, config: PipelineConfig):
     # (a message can land after the end-of-run sweep); unbounded growth
     # over a long skip/stale run trips this immediately.
     world = comm.world_rank_of(comm.rank)
-    bound = 2 * max(1, len(config.variables)) * config.m
+    bound, bound_bytes = _in_flight(config)
     held = [("queued messages", comm.fabric.mailbox_depth(world_rank=world), bound)]
     if MEMORY_BUDGET.active:
         # Staging-budget counterpart of the mailbox bound: every frame this
         # rank staged must have been released by delivery or by the
         # abandoned-frame purge, except charges still held by the straggler
         # allowance above (one full-field frame per allowed message).
-        frame_bytes = config.lbm.nx * config.lbm.ny * np.dtype(np.float64).itemsize
-        held.append(
-            ("budgeted bytes", MEMORY_BUDGET.used_bytes(world), bound * frame_bytes)
-        )
+        held.append(("budgeted bytes", MEMORY_BUDGET.used_bytes(world), bound_bytes))
     for what, amount, limit in held:
         if amount > limit:
             raise ChaosVerificationError(
@@ -542,15 +546,13 @@ def _transport_case(
     )
 
 
-def _probe(case: Case) -> tuple[list[int], int]:
-    """One fault-free run of ``case`` under an empty plan and an effectively
-    infinite 1 GiB budget (the ledger tracks without ever binding): the
-    transport ops each rank performs, and the staging high-water mark."""
+def _probe(case: Case) -> list[int]:
+    """One fault-free, unbudgeted run of ``case`` under an empty plan: the
+    transport ops each rank performs."""
     clean = FaultPlan(seed=0, nranks=case.world_size)
-    with fault_plan(clean, CHAOS_POLICY), budget_scope(limit_mb=1024):
+    with fault_plan(clean, CHAOS_POLICY), budget_scope(None):
         case.launch()
-        ops = [FAULTS.op_count(rank) for rank in range(case.world_size)]
-        return ops, MEMORY_BUDGET.peak_bytes()
+        return [FAULTS.op_count(rank) for rank in range(case.world_size)]
 
 
 def _message(runs: int, ops: int, nprocs: int):
@@ -591,7 +593,7 @@ def _crash(runs: int, ops: int, nprocs: int):
         )
 
     probes = [build(index, lambda _, world: None) for index in (0, PIPELINE_EVERY - 1)]
-    op_counts = {probe.workload: _probe(probe)[0] for probe in probes}
+    op_counts = {probe.workload: _probe(probe) for probe in probes}
     return lambda index, plan_seed: build(index, partial(crash_plan, plan_seed))
 
 
@@ -619,17 +621,27 @@ def _resize(runs: int, ops: int, nprocs: int):
 
 def _memory(runs: int, ops: int, nprocs: int):
     """Every run executes under a staging
-    :class:`~repro.utils.membudget.MemoryBudget` that shrinks from each
-    workload's unbounded peak (a fault-free probe run) down to
-    :data:`MEMORY_MIN_FRACTION` of it across the sweep; the plans draw
+    :class:`~repro.utils.membudget.MemoryBudget` read off its own plan, no
+    probe run: a redistribution's shrinks from the worst planned round
+    (``max_round_bytes``) down to :data:`MEMORY_MIN_FRACTION` of it across
+    the sweep, and a pipeline's is what its frames in flight may stage
+    (:func:`_in_flight`; halo rows and frame slabs cannot be cut into
+    pieces, so there only the seeded faults bite).  The plans draw
     self-healing families plus seeded ``alloc`` faults, and the backend
     cycle adds ``bounded``.  Acceptable endings are bitwise-correct output
-    (``bounded`` / ``auto`` ran their over-budget rounds in pieces),
-    degraded-by-policy frames, or a typed ``MemoryBudgetError`` from a
-    strict engine — never an OOM kill or a hang."""
+    (every backend runs an over-budget round in pieces), degraded-by-policy
+    frames, or a typed ``MemoryBudgetError`` where no cut fits — never an
+    OOM kill or a hang."""
+    slab_to_tile = compute_global_plan(
+        [[slab_box(*MEMORY_FIELD, nprocs, rank)] for rank in range(nprocs)],
+        grid_boxes(MEMORY_FIELD, grid_shape(nprocs, MEMORY_FIELD)),
+        element_size=4,
+    )
+    worst_round = max(rnd.max_round_bytes for rnd in slab_to_tile.schedules[0].rounds)
+    pipeline = _in_flight(_pipeline_config(ALL_BACKENDS[0], "skip"))[1]
 
-    def unbudgeted(index: int, plan_seed: int) -> Case:
-        return _transport_case(
+    def case(index: int, plan_seed: int) -> Case:
+        case = _transport_case(
             index, nprocs,
             lambda _, world: FaultPlan.random(
                 plan_seed, world, ops=ops,
@@ -639,30 +651,12 @@ def _memory(runs: int, ops: int, nprocs: int):
             combos=MEMORY_COMBOS,
             shape=MEMORY_FIELD,
         )
-
-    probes = unbudgeted(0, 0), unbudgeted(PIPELINE_EVERY - 1, 0)
-    peaks = {probe.workload: _probe(probe)[1] for probe in probes}
-    # Frame staging is concurrent and timing-dependent; double the probe's
-    # high-water mark so the full-fraction runs have headroom.
-    peaks["pipeline"] *= 2
-    # The strict backends guard on the schedule's *conservative* per-round
-    # estimate (sends staged + receives in flight at once), which the
-    # timing-dependent measured peak undercuts; budget against the larger
-    # of the two so the full-fraction runs admit every backend.
-    slab_to_tile = compute_global_plan(
-        [[slab_box(*MEMORY_FIELD, nprocs, rank)] for rank in range(nprocs)],
-        grid_boxes(MEMORY_FIELD, grid_shape(nprocs, MEMORY_FIELD)),
-        element_size=4,
-    )
-    estimated = max(rnd.max_round_bytes for rnd in slab_to_tile.schedules[0].rounds)
-    peaks["redistribute"] = max(peaks["redistribute"], estimated)
-
-    def case(index: int, plan_seed: int) -> Case:
-        case = unbudgeted(index, plan_seed)
-        # The shrinking axis: full unbounded peak on run 0 down to
+        # The shrinking axis: the worst round on run 0 down to
         # MEMORY_MIN_FRACTION of it on the last run.
         frac = 1.0 - (1.0 - MEMORY_MIN_FRACTION) * (index / max(1, runs - 1))
-        case.budget_bytes = max(4096, int(peaks[case.workload] * frac))
+        case.budget_bytes = (
+            pipeline if case.workload == "pipeline" else max(4096, int(worst_round * frac))
+        )
         return case
 
     return case

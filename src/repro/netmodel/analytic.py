@@ -16,15 +16,16 @@ Per-engine costs (:func:`engine_cost`) share one per-round vocabulary:
 
 Which of the two a round is comes from the function the executor asks
 (:func:`repro.core.schedule.round_protocol`): ``alltoallw`` prices every
-round as collective, ``p2p`` and ``bounded`` every round as direct, ``auto``
-by the density rule — so predicted and executed choices agree by
-construction.
+round as collective, ``p2p`` (and ``bounded``, its other name) every round
+as direct, ``auto`` by the density rule — so predicted and executed choices
+agree by construction.
 
 Every function prices the plan it is handed, round by round.  Handed
 :func:`executed_plan` — the planned rounds regrouped the way the executor
 regroups them (:func:`repro.core.schedule.regroup`: merged while a staging
-limit allows, cut into piece-rounds where it does not) — they price what
-actually runs; the paper's tables are reproduced from the planned rounds.
+limit allows, cut into piece-rounds of the round's own protocol where it
+does not, under every backend) — they price what actually runs; the
+paper's tables are reproduced from the planned rounds.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Memory-budget enforcement end to end: strict refusal, lowering into pieces.
+"""Memory-budget enforcement end to end: one budget rule for every backend.
 
 The acceptance story of the budget machinery: a slab-to-tile redistribution
-whose staged peak exceeds ``DDR_MEM_BUDGET_MB`` must *refuse* (typed, before
-allocating) under the strict backends, and *complete bitwise-equal* under the
-``bounded`` and ``auto`` backends with the ledger's measured high-water mark
-inside the budget — and drained back to zero afterwards (no staging leaks).
+whose staged peak exceeds ``DDR_MEM_BUDGET_MB`` must *complete bitwise-equal*
+under every backend — the over-budget round cut into piece-rounds of its own
+protocol — with the ledger's measured high-water mark inside the budget and
+drained back to zero afterwards (no staging leaks); a round that no cut fits
+ends in the ledger's typed error, before it allocates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import Box, Redistributor, compute_global_plan, regroup, round_protocol
+from repro.core.engine import BACKENDS
 from repro.lbm.decompose import slab_box
 from repro.mpisim import RankFailure
 from repro.mpisim.errors import MemoryBudgetError
@@ -60,7 +62,7 @@ def _global_plan(nprocs: int, nx: int, ny: int):
 
 
 def unbounded_peak_bytes(nprocs: int = NPROCS, nx: int = NX, ny: int = NY) -> int:
-    """The strict backends' conservative per-round staging estimate."""
+    """The plan's conservative worst-round staging estimate."""
     return max(r.max_round_bytes for r in _global_plan(nprocs, nx, ny).schedules[0].rounds)
 
 
@@ -72,28 +74,31 @@ def _assert_bitwise(expected, got):
 
 @thread_only
 class TestBudgetEnforcement:
-    def test_strict_engine_refuses_over_budget_typed(self):
-        budget = unbounded_peak_bytes() // 2
-        with budget_scope(limit_bytes=budget):
-            with pytest.raises(RankFailure) as info:
-                spmd(NPROCS, _exchange, "alltoallw")
-        assert isinstance(info.value.original, MemoryBudgetError)
-        # The refusal message routes the user to the way out.
-        assert "bounded" in str(info.value.original)
+    def test_a_round_no_cut_fits_fails_typed(self):
+        # A round is cut no finer than one row per lane: a budget under what
+        # one row-piece stages is refused by the ledger, typed, on every
+        # backend — never an allocation past the budget or a hang.
+        budget = unbounded_peak_bytes() // 128
+        for backend in BACKENDS:
+            with budget_scope(limit_bytes=budget):
+                with pytest.raises(RankFailure) as info:
+                    spmd(NPROCS, _exchange, backend)
+            assert isinstance(info.value.original, MemoryBudgetError), backend
 
     @pytest.mark.parametrize("fraction", [1.0, 0.75, 0.5, 0.25])
     def test_bounded_bitwise_within_budget(self, fraction):
-        # The acceptance criterion: the same redistribution that the strict
-        # engine refuses at half the unbounded peak completes byte-for-byte
-        # identically via bounded lowering — also at a quarter, where a 16 KiB
-        # lane has to be cut (no byte floor under the pieces: geometry is).
+        # The acceptance criterion: every backend completes the redistribution
+        # byte-for-byte identically under a budget below its one round — also
+        # at a quarter, where a 16 KiB lane has to be cut (no byte floor under
+        # the pieces: geometry is).
         expected = spmd(NPROCS, _exchange, "alltoallw")
         budget = int(unbounded_peak_bytes() * fraction)
-        with budget_scope(limit_bytes=budget):
-            got = spmd(NPROCS, _exchange, "bounded")
-            assert MEMORY_BUDGET.peak_bytes() <= budget
-            assert MEMORY_BUDGET.total_used_bytes() == 0  # ledger drained
-        _assert_bitwise(expected, got)
+        for backend in BACKENDS:
+            with budget_scope(limit_bytes=budget):
+                got = spmd(NPROCS, _exchange, backend)
+                assert MEMORY_BUDGET.peak_bytes() <= budget, backend
+                assert MEMORY_BUDGET.total_used_bytes() == 0  # ledger drained
+            _assert_bitwise(expected, got)
 
     def test_auto_routes_through_bounded_under_budget(self):
         expected = spmd(NPROCS, _exchange, "auto", BIG_NX, BIG_NY)
@@ -116,7 +121,8 @@ class TestBudgetEnforcement:
 
 
 def _lowered(schedule, backend: str, limit) -> bool:
-    """Whether ``regroup`` cuts ``schedule``'s one round into direct piece-rounds."""
+    """Whether ``regroup`` cuts ``schedule``'s one round into piece-rounds
+    (each run by the whole round's protocol)."""
     rounds = regroup(schedule, backend, limit).rounds
     if len(rounds) == 1:
         assert rounds[0] is schedule.rounds[0]
@@ -124,14 +130,16 @@ def _lowered(schedule, backend: str, limit) -> bool:
     assert [(r.piece, r.pieces, r.members) for r in rounds] == [
         (j, len(rounds), (0,)) for j in range(len(rounds))
     ]
-    assert {round_protocol(backend, r) for r in rounds} == {"p2p"}
+    assert {round_protocol(backend, r) for r in rounds} == {
+        round_protocol(backend, schedule.rounds[0])
+    }
     return True
 
 
 class TestAutoPick:
     """``regroup`` lowers a round iff the budget binds on its staged estimate
-    (the limit the engine hands it is ``None`` on a direct transport), and
-    only under ``auto`` / ``bounded``; everything else keeps the static rule."""
+    (the limit the engine hands it is ``None`` on a direct transport), under
+    every backend; the protocol stays the static rule's."""
 
     def _schedule(self, nx: int, ny: int):
         schedule = _global_plan(NPROCS, nx, ny).schedules[0]
@@ -141,11 +149,10 @@ class TestAutoPick:
     def test_tight_budget_picks_bounded(self):
         schedule = self._schedule(BIG_NX, BIG_NY)
         limit = schedule.rounds[0].max_round_bytes // 2
-        assert _lowered(schedule, "auto", limit) and _lowered(schedule, "bounded", limit)
-        # ceil(staged / (limit // 2)) pieces: two may be resident at once.
-        assert len(regroup(schedule, "auto", limit).rounds) == 4
-        for strict in ("alltoallw", "p2p"):  # left whole, for the engine to refuse
-            assert regroup(schedule, strict, limit) is schedule
+        for backend in BACKENDS:
+            assert _lowered(schedule, backend, limit)
+            # ceil(staged / (limit // 2)) pieces: two may be resident at once.
+            assert len(regroup(schedule, backend, limit).rounds) == 4
 
     def test_small_round_falls_back_best_effort(self):
         # There is no byte floor under a piece — a 48 KiB round is cut like a
@@ -157,7 +164,7 @@ class TestAutoPick:
         needs = [Box((16 * r, 0), (16, NPROCS)) for r in range(NPROCS)]
         schedule = compute_global_plan(owns, needs, element_size=4).schedules[0]
         assert schedule.rounds[0].max_lane_rows == 1
-        assert not _lowered(schedule, "auto", 1) and not _lowered(schedule, "bounded", 1)
+        assert not any(_lowered(schedule, backend, 1) for backend in BACKENDS)
 
     def test_generous_budget_keeps_static_rule(self):
         schedule = self._schedule(NX, NY)
@@ -175,9 +182,13 @@ class TestAutoPick:
         owns, needs = slab_exchange(nprocs, side, dense)
         schedule = compute_global_plan(owns, needs, element_size=4).schedules[0]
         (rnd,) = schedule.rounds
-        assert round_protocol("auto", rnd) == ("alltoallw" if dense else "p2p")
+        protocol = "alltoallw" if dense else "p2p"
+        assert round_protocol("auto", rnd) == protocol
         for k in (1, 4, 64):
             assert not _lowered(schedule, "auto", k * rnd.max_round_bytes)
+        # A binding budget cuts the round; a dense round's pieces stay collective.
         assert _lowered(schedule, "auto", rnd.max_round_bytes - 1)
+        pieces = regroup(schedule, "auto", rnd.max_round_bytes - 1).rounds
+        assert {round_protocol("auto", piece) for piece in pieces} == {protocol}
         # Nothing is staged on a direct transport: the engine passes no limit.
         assert not _lowered(schedule, "auto", None)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core import Box, Redistributor, StaleMappingError, default_backend
-from repro.mpisim.errors import MemoryBudgetError
 from repro.obs import tracing
 from repro.utils.membudget import budget_scope
 from tests.conftest import spmd, thread_only
@@ -113,13 +112,15 @@ class TestAutoBackend:
 @thread_only
 class TestProtocolAgreement:
     """Row slabs -> column slabs of a 256x256 float32 array on 4 ranks under
-    a 64 KiB budget: the round span, ``engine_choices()`` and the wire must
-    name the same protocol, for the instance's own backend and transport."""
+    a 64 KiB budget: the output is the numpy crop, and the round span,
+    ``engine_choices()`` and the wire name the same protocol, for the
+    instance's own backend and transport."""
 
     SIDE, LIMIT = 256, 64 * 1024
 
-    def run(self, backend, transport):
+    def run(self, backend, transport, limit=LIMIT):
         rows = self.SIDE // 4
+        field = np.arange(self.SIDE * self.SIDE, dtype=np.float32).reshape(self.SIDE, -1)
 
         def fn(comm):
             r = comm.rank
@@ -130,23 +131,11 @@ class TestProtocolAgreement:
                 own=[Box((0, r * rows), (self.SIDE, rows))],
                 need=Box((r * rows, 0), (rows, self.SIDE)),
             )
-
-            def refuses(call) -> bool:
-                # A strict refusal is raised by every rank at round entry,
-                # before any message is posted: safe to catch rank-locally.
-                try:
-                    call()
-                except MemoryBudgetError:
-                    return True
-                return False
-
-            data = np.zeros((rows, self.SIDE), np.float32)
-            if refuses(lambda: red.gather_need([data])):
-                assert refuses(red.engine_choices)
-                return "refused"
+            out = red.gather_need([field[r * rows : (r + 1) * rows]])
+            assert np.array_equal(out, field[:, r * rows : (r + 1) * rows])
             return red.engine_choices()
 
-        with budget_scope(limit_bytes=self.LIMIT), tracing() as tracer:
+        with budget_scope(limit_bytes=limit), tracing() as tracer:
             choices = spmd(4, fn)
         self.records = tracer.records()
         names = [r.name for r in self.records]
@@ -178,12 +167,25 @@ class TestProtocolAgreement:
         assert {(a["rounds"], a["executed"]) for a in exchanges} == {(1, 4)}
         assert sum(a["nbytes"] for a in spans) == 4 * 48 * 1024  # every lane, once
 
+    def test_alltoallw_on_packed_runs_every_piece_as_a_collective(self):
+        # The paper's engine under half its worst round (56 of 112 KiB): the
+        # round is cut, not refused, and every piece is one Alltoallw.
+        choices, rounds, names = self.run("alltoallw", "packed", 56 * 1024)
+        assert choices == [["alltoallw"]] * 4 and rounds == ["alltoallw"] * 16
+        assert names.count("mpi.Alltoallw") == 16 and "mpi.Isend" not in names
+        records = [r for r in self.records if r.name == "ddr.round"]
+        assert sorted((r.rank, r.attrs["piece"], r.attrs["pieces"]) for r in records) == [
+            (rank, piece, 4) for rank in range(4) for piece in range(4)
+        ]
+
     @pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
-    def test_engine_choices_refuses_exactly_when_the_exchange_would(self, backend):
-        # Staged, the round peaks at 112 KiB > 64 KiB: both refuse, typed.
+    def test_engine_choices_name_every_piece(self, backend):
+        # Staged, the round peaks at 112 KiB > 64 KiB: both run it in four
+        # pieces of their own protocol, and answer once for the round.
         choices, rounds, names = self.run(backend, "packed")
-        assert choices == ["refused"] * 4 and "mpi.Isend" not in names
-        # Nothing is staged on zerocopy: both answer, and agree.
+        assert choices == [[backend]] * 4 and rounds == [backend] * 16
+        assert ("mpi.Isend" in names) == (backend == "p2p")
+        # Nothing is staged on zerocopy: the round runs whole.
         choices, rounds, _ = self.run(backend, "zerocopy")
         assert choices == [[backend]] * 4 and rounds == [backend] * 4
 

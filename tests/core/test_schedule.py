@@ -353,8 +353,6 @@ def test_rank_local_plan_equals_the_global_plan(problem):
     for rank, expected in enumerate(plan.schedules):
         (local,) = assemble_plan(decl, esize, ranks=[rank])
         assert local == expected
-        (rows,) = plan_ranks(decl, esize, ranks=[rank])
-        assert rows.self_bytes == [r.self_bytes for r in expected.rounds]
     for k in range(plan.nrounds):  # the array-derived statistics, against the lanes
         rounds = [s.rounds[k] for s in plan.schedules]
         rows = [lane.region.dims[-1] for r in rounds for lane in r.all_sends()]
@@ -400,9 +398,6 @@ class TestRoundRule:
         assert not collective_preferred(0, 1) and not collective_preferred(5, 1)
         # 9 ranks: threshold 0.5 * 8 = 4 partners.
         assert collective_preferred(4, 9) and not collective_preferred(3, 9)
-        assert collective_preferred(1, 9, threshold=0.1)
-        assert not collective_preferred(7, 9, threshold=1.0)
-        assert collective_preferred(8, 9, threshold=1.0)
 
     @pytest.mark.parametrize(
         "plan, partners, choices",
@@ -517,8 +512,9 @@ class TestCoalesce:
                     assert regroup(s, backend).rounds[0] is s.rounds[0]
         mixed = mixed_plan().schedules[0]  # two rounds, two protocols
         assert regroup(mixed, "auto") is mixed
-        e1 = e1_plan().schedules[0]  # two rounds, one protocol: no room, or refused
+        e1 = e1_plan().schedules[0]  # two rounds, one protocol: no room
         assert regroup(e1, "auto", e1.rounds[0].max_round_bytes) is e1
+        # Over any limit, but lanes one row tall: nothing to cut either.
         assert regroup(e1, "alltoallw", limit_bytes=1) is e1
 
     def test_e1_merges_into_one_message_per_peer(self):
@@ -540,7 +536,7 @@ class TestSplit:
     @given(
         seed=st.integers(0, 5000),
         nprocs=st.integers(1, 6),
-        backend=st.sampled_from(["auto", "bounded"]),
+        backend=st.sampled_from(["alltoallw", "p2p", "auto", "bounded"]),
         divisor=st.sampled_from([2, 3, 5, 16, 10**6]),
     )
     @settings(max_examples=120, deadline=None)
@@ -562,7 +558,8 @@ class TestSplit:
                     assert rnd.max_round_bytes <= limit or whole.max_lane_rows == 1
                     continue
                 k = rnd.pieces
-                assert staged[index] > limit and round_protocol(backend, rnd) == "p2p"
+                assert staged[index] > limit
+                assert round_protocol(backend, rnd) == round_protocol(backend, whole)
                 assert k == min(-(-staged[index] // max(1, limit // 2)), whole.max_lane_rows)
                 assert (rnd.index, rnd.chunk_index) == (whole.index, whole.chunk_index)
                 lanes = rnd.all_sends() + rnd.all_recvs()
@@ -574,12 +571,10 @@ class TestSplit:
                     assert lane.nbytes == lane.region.volume() * 4 and not lane.parts
         assert len(shapes) == 1, "ranks disagree on pieces"
 
-    def test_strict_backends_and_fitting_rounds_stay_whole(self):
+    def test_only_rounds_over_the_limit_are_cut(self):
         for s in slab_to_tile_plan(4).schedules:
             (rnd,) = s.rounds
-            for backend in ("alltoallw", "p2p"):
-                assert regroup(s, backend, rnd.max_round_bytes // 4) is s
-            for backend in ("auto", "bounded"):
+            for backend in ("alltoallw", "p2p", "auto", "bounded"):
                 assert regroup(s, backend, rnd.max_round_bytes) is s
                 assert regroup(s, backend, None) is s
                 # Half the limit per piece: twice the pieces the ratio suggests.

@@ -198,14 +198,20 @@ class TestExecutedPlan:
         assert lowered.nrounds == k * plan.nrounds
         assert (lowered.traffic_matrix() == plan.traffic_matrix()).all()
         cost = engine_cost(COOLEY, lowered, backend)
-        assert set(cost.round_engines) == {"p2p"} and cost.alpha_s == 0
-        planned = engine_cost(COOLEY, plan, "p2p")
-        assert planned.message_s < cost.message_s <= k * planned.message_s
+        planned = engine_cost(COOLEY, plan, backend)
+        # A piece is priced by its round's protocol: auto's dense rounds stay
+        # collective, one alpha(P) a piece; bounded's pieces are direct.
+        assert set(cost.round_engines) == set(planned.round_engines)
+        if backend == "auto":
+            assert cost.message_s == 0 and cost.alpha_s == pytest.approx(k * planned.alpha_s)
+        else:
+            assert cost.alpha_s == 0
+            assert planned.message_s < cost.message_s <= k * planned.message_s
         for s, whole in zip(lowered.schedules, plan.schedules):
             assert whole.message_count < s.message_count <= k * whole.message_count
-        # Whole: under a strict backend (the engine refuses the round), and
-        # where no lane has a second row to cut at.
-        assert executed_plan(plan, "p2p", limit_bytes=staged // 2).nrounds == plan.nrounds
+        # Every backend cuts alike; whole only where no lane has a second row.
+        for other in ("alltoallw", "p2p"):
+            assert executed_plan(plan, other, limit_bytes=staged // 2).nrounds == lowered.nrounds
         assert executed_plan(self.plan(), backend, limit_bytes=1).nrounds == plan.nrounds
 
     @pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
