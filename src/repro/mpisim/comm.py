@@ -3,9 +3,11 @@
 Why this exists: the paper's DDR library drives ``MPI_Alltoallw`` with
 subarray datatypes across a real cluster.  This environment has no MPI, so
 we execute the *identical algorithm* on a thread-backed SPMD runtime with
-matched-queue point-to-point semantics and the collectives DDR and the two
-use cases need.  The usual MPI correctness discipline — no buffer reuse
-races, ordered matching per (source, tag) — is preserved and testable.
+matched-queue point-to-point semantics and only the collectives DDR and the
+two use cases call: ``Alltoallw`` over derived datatypes, ``Barrier``, the
+object ``bcast`` / ``gather`` / ``allgather``, and ``Split``.  The usual MPI
+correctness discipline — no buffer reuse races, ordered matching per
+(source, tag) — is preserved and testable.
 
 The runtime is three modules.  :mod:`~repro.mpisim.fabric` owns the shared
 mailboxes, liveness and world growth and moves opaque messages.
@@ -14,7 +16,7 @@ ranks (``packed`` / ``zerocopy`` / ``shm``) and who releases its resources:
 every typed send here stages through :meth:`Communicator._post_lane` and
 every typed receive drains through ``deliver``, so budget release, purge
 and fault-drop each live in one place.  This module is the endpoint:
-argument validation at the boundary, point-to-point, collectives over
+argument validation at the boundary, point-to-point, the collectives over
 dense internal lanes, ULFM-style ``revoke`` / ``agree`` / ``shrink``, and
 ``spawn``.
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import copy as _copy
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
@@ -51,29 +52,6 @@ from .transport import takes_turns, turn
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-
-# ---------------------------------------------------------------------------
-# Reduction operations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Op:
-    """A reduction operator (``MPI_Op``)."""
-
-    name: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-SUM = Op("MPI_SUM", lambda a, b: a + b)
-PROD = Op("MPI_PROD", lambda a, b: a * b)
-MAX = Op("MPI_MAX", np.maximum)
-MIN = Op("MPI_MIN", np.minimum)
-LAND = Op("MPI_LAND", np.logical_and)
-LOR = Op("MPI_LOR", np.logical_or)
-BAND = Op("MPI_BAND", np.bitwise_and)
-BOR = Op("MPI_BOR", np.bitwise_or)
 
 
 class Communicator:
@@ -98,7 +76,7 @@ class Communicator:
         self._rank = rank
         self._coll_seq = 0
         #: This communicator's id plus every ancestor it was derived from
-        #: (Split/Dup chain).  Revoking an ancestor revokes every descendant;
+        #: (Split / spawn chain).  Revoking an ancestor revokes every descendant;
         #: ``shrink`` starts a fresh lineage so survivors can rebuild on a
         #: clean communicator even though the parent is revoked.
         self._lineage: tuple[Hashable, ...] = (
@@ -134,12 +112,6 @@ class Communicator:
     @property
     def size(self) -> int:
         return len(self._world_ranks)
-
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self.size
 
     def world_rank_of(self, rank: int) -> int:
         return self._world_ranks[rank]
@@ -342,8 +314,8 @@ class Communicator:
     ) -> Any:
         """The one typed send: validate, stage through the transport, post.
 
-        Every uppercase send entry point (``Send``, ``Isend``, ``Sendrecv``,
-        each ``Alltoallw`` lane) lands here.  Returns the pending rendezvous
+        Every uppercase send entry point (``Send``, ``Isend``, each
+        ``Alltoallw`` lane) lands here.  Returns the pending rendezvous
         lane the caller must :meth:`_await_lanes` before its buffer is its
         own again, or ``None`` when the payload was staged eagerly.
         """
@@ -501,61 +473,6 @@ class Communicator:
 
         return DeferredRequest(test_fn, wait_fn)
 
-    def Sendrecv(
-        self,
-        sendbuf: np.ndarray,
-        dest: int,
-        recvbuf: np.ndarray,
-        source: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        send_datatype: Optional[Datatype] = None,
-        recv_datatype: Optional[Datatype] = None,
-    ) -> Status:
-        if TRACER.enabled:
-            with self._span(
-                "mpi.Sendrecv",
-                peer=dest,
-                source=source,
-                tag=sendtag,
-                nbytes=self._nbytes_of(sendbuf, send_datatype),
-            ):
-                return self._sendrecv(
-                    sendbuf, dest, recvbuf, source, sendtag, recvtag,
-                    send_datatype, recv_datatype,
-                )
-        return self._sendrecv(
-            sendbuf, dest, recvbuf, source, sendtag, recvtag,
-            send_datatype, recv_datatype,
-        )
-
-    def _sendrecv(
-        self,
-        sendbuf: np.ndarray,
-        dest: int,
-        recvbuf: np.ndarray,
-        source: int,
-        sendtag: int,
-        recvtag: int,
-        send_datatype: Optional[Datatype],
-        recv_datatype: Optional[Datatype],
-    ) -> Status:
-        # Post (by reference when the transport allows), satisfy our
-        # receive — which drains the partner's lane and releases them —
-        # then wait for the partner to drain ours.  Both endpoints make
-        # progress before blocking, so symmetric pairs cannot deadlock.
-        # Self-exchange stays eager: the user may legally pass overlapping
-        # buffers there.
-        self._check_source(source)  # before anything is posted
-        lane = self._post_lane(
-            sendbuf, dest, sendtag, False, send_datatype, self.resolve_transport(),
-            "packed payload", rendezvous=dest != self._rank,
-        )
-        result = self.Recv(recvbuf, source, recvtag, recv_datatype)
-        if lane is not None:
-            self._await_lanes((lane,))
-        return result
-
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         probe = {"hit": False}
         match = self._match(source, tag, internal=False)
@@ -623,16 +540,6 @@ class Communicator:
             self._coll_send(token, 0, seq)
             self._coll_recv(token, 0, seq)
 
-    def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
-        self._check_rank(root, "root")
-        seq = self._next_seq()
-        if self._rank == root:
-            for dest in range(self.size):
-                if dest != root:
-                    self._coll_send(np.asarray(buf), dest, seq)
-        else:
-            self._coll_recv(buf, root, seq)
-
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         self._check_rank(root, "root")
         seq = self._next_seq()
@@ -656,229 +563,9 @@ class Communicator:
         self._coll_post(_safe_copy(obj), root, seq)
         return None
 
-    def scatter(self, objs: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
-        self._check_rank(root, "root")
-        seq = self._next_seq()
-        if self._rank == root:
-            if objs is None or len(objs) != self.size:
-                raise CommunicatorError("scatter at root requires one object per rank")
-            for dest in range(self.size):
-                if dest != root:
-                    self._coll_post(_safe_copy(objs[dest]), dest, seq)
-            return _safe_copy(objs[root])
-        return self._coll_take(root, seq)
-
     def allgather(self, obj: Any) -> list[Any]:
         gathered = self.gather(obj, root=0)
         return self.bcast(gathered, root=0)
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        if len(objs) != self.size:
-            raise CommunicatorError("alltoall requires one object per rank")
-        seq = self._next_seq()
-        for dest in range(self.size):
-            if dest != self._rank:
-                self._coll_post(_safe_copy(objs[dest]), dest, seq)
-        out: list[Any] = [None] * self.size
-        out[self._rank] = _safe_copy(objs[self._rank])
-        for source in range(self.size):
-            if source != self._rank:
-                out[source] = self._coll_take(source, seq)
-        return out
-
-    def Gather(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], root: int = 0) -> None:
-        """Gather equal-size blocks; ``recvbuf`` is (size, *block) at root."""
-        self._check_rank(root, "root")
-        seq = self._next_seq()
-        send = np.ascontiguousarray(sendbuf)
-        if self._rank == root:
-            if recvbuf is None:
-                raise CommunicatorError("root must supply recvbuf")
-            out = recvbuf.reshape(self.size, -1)
-            out[root] = send.reshape(-1)
-            for source in range(self.size):
-                if source != root:
-                    self._coll_recv(out[source], source, seq)
-        else:
-            self._coll_send(send, root, seq)
-
-    def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
-        self.Gather(sendbuf, recvbuf if self._rank == 0 else None, root=0)
-        self.Bcast(recvbuf, root=0)
-
-    def Gatherv(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: Optional[np.ndarray],
-        recvcounts: Optional[Sequence[int]] = None,
-        displs: Optional[Sequence[int]] = None,
-        root: int = 0,
-    ) -> None:
-        """Gather variable-size blocks into a flat buffer at ``root``."""
-        self._check_rank(root, "root")
-        seq = self._next_seq()
-        send = np.ascontiguousarray(sendbuf).reshape(-1)
-        if self._rank == root:
-            if recvbuf is None or recvcounts is None:
-                raise CommunicatorError("root must supply recvbuf and recvcounts")
-            if len(recvcounts) != self.size:
-                raise CommunicatorError("recvcounts must have one entry per rank")
-            if displs is None:
-                displs = np.cumsum([0] + [int(c) for c in recvcounts[:-1]]).tolist()
-            flat = recvbuf.reshape(-1)
-            start = int(displs[root])
-            count = int(recvcounts[root])
-            if send.size != count:
-                raise CommunicatorError(
-                    f"root sends {send.size} elements but recvcounts[{root}] = {count}"
-                )
-            flat[start : start + count] = send
-            for source in range(self.size):
-                if source == root:
-                    continue
-                start = int(displs[source])
-                count = int(recvcounts[source])
-                self._coll_recv(flat[start : start + count], source, seq)
-        else:
-            self._coll_send(send, root, seq)
-
-    def Scatterv(
-        self,
-        sendbuf: Optional[np.ndarray],
-        sendcounts: Optional[Sequence[int]],
-        recvbuf: np.ndarray,
-        displs: Optional[Sequence[int]] = None,
-        root: int = 0,
-    ) -> None:
-        """Scatter variable-size blocks out of a flat buffer at ``root``."""
-        self._check_rank(root, "root")
-        seq = self._next_seq()
-        recv_flat = recvbuf.reshape(-1)
-        if self._rank == root:
-            if sendbuf is None or sendcounts is None:
-                raise CommunicatorError("root must supply sendbuf and sendcounts")
-            if len(sendcounts) != self.size:
-                raise CommunicatorError("sendcounts must have one entry per rank")
-            if displs is None:
-                displs = np.cumsum([0] + [int(c) for c in sendcounts[:-1]]).tolist()
-            flat = np.ascontiguousarray(sendbuf).reshape(-1)
-            for dest in range(self.size):
-                start = int(displs[dest])
-                count = int(sendcounts[dest])
-                chunk = flat[start : start + count]
-                if dest == root:
-                    if recv_flat.size < count:
-                        raise TruncationError(
-                            f"root recvbuf holds {recv_flat.size}, needs {count}"
-                        )
-                    recv_flat[:count] = chunk
-                else:
-                    self._coll_send(chunk, dest, seq)
-        else:
-            chunk = self._coll_take(root, seq)
-            if chunk.size > recv_flat.size:
-                raise TruncationError(
-                    f"scatterv lane {root}->{self._rank}: got {chunk.size}, "
-                    f"buffer holds {recv_flat.size}"
-                )
-            recv_flat[: chunk.size] = chunk.astype(recv_flat.dtype, copy=False)
-
-    def Alltoall(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
-        """Equal-block all-to-all: block ``d`` of sendbuf goes to rank ``d``."""
-        send = np.ascontiguousarray(sendbuf).reshape(-1)
-        recv = recvbuf.reshape(-1)
-        if send.size % self.size or recv.size % self.size:
-            raise CommunicatorError(
-                f"Alltoall buffers must hold size*k elements "
-                f"(got {send.size}/{recv.size} for {self.size} ranks)"
-            )
-        block = send.size // self.size
-        counts = [block] * self.size
-        displs = [d * block for d in range(self.size)]
-        self.Alltoallv(send, counts, displs, recv, counts, displs)
-
-    def Reduce(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: Optional[np.ndarray],
-        op: Op = SUM,
-        root: int = 0,
-    ) -> None:
-        self._check_rank(root, "root")
-        seq = self._next_seq()
-        send = np.ascontiguousarray(sendbuf)
-        if self._rank == root:
-            accum = send.astype(send.dtype, copy=True)
-            incoming = np.empty_like(accum)
-            for source in range(self.size):
-                if source != root:
-                    self._coll_recv(incoming, source, seq)
-                    accum = op.fn(accum, incoming)
-            if recvbuf is None:
-                raise CommunicatorError("root must supply recvbuf")
-            np.copyto(recvbuf, accum.reshape(recvbuf.shape))
-        else:
-            self._coll_send(send, root, seq)
-
-    def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = SUM) -> None:
-        self.Reduce(sendbuf, recvbuf, op=op, root=0)
-        self.Bcast(recvbuf, root=0)
-
-    def Reduce_scatter_block(
-        self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = SUM
-    ) -> None:
-        """Reduce equal blocks, scatter block ``r`` to rank ``r``.
-
-        ``sendbuf`` holds ``size`` blocks shaped like ``recvbuf``.
-        """
-        send = np.ascontiguousarray(sendbuf)
-        recv_flat = recvbuf.reshape(-1)
-        if send.size != recv_flat.size * self.size:
-            raise CommunicatorError(
-                f"Reduce_scatter_block: sendbuf has {send.size} elements, "
-                f"expected {recv_flat.size} x {self.size}"
-            )
-        total = np.empty(send.size, dtype=send.dtype)
-        self.Reduce(send, total if self._rank == 0 else None, op=op, root=0)
-        block = recv_flat.size
-        counts = [block] * self.size
-        self.Scatterv(total if self._rank == 0 else None,
-                      counts if self._rank == 0 else None, recvbuf, root=0)
-
-    def Scan(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = SUM) -> None:
-        """Inclusive prefix reduction: rank r receives op(x_0, ..., x_r)."""
-        seq = self._next_seq()
-        send = np.ascontiguousarray(sendbuf)
-        accum = send.astype(send.dtype, copy=True)
-        if self._rank > 0:
-            incoming = np.empty_like(accum)
-            self._coll_recv(incoming, self._rank - 1, seq)
-            accum = op.fn(incoming, accum)
-        if self._rank + 1 < self.size:
-            self._coll_send(accum, self._rank + 1, seq)
-        np.copyto(recvbuf, accum.reshape(recvbuf.shape))
-
-    def Exscan(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = SUM) -> None:
-        """Exclusive prefix reduction: rank r receives op(x_0, ..., x_{r-1});
-        rank 0's recvbuf is left untouched (as in MPI)."""
-        seq = self._next_seq()
-        send = np.ascontiguousarray(sendbuf)
-        if self._rank == 0:
-            if self.size > 1:
-                self._coll_send(send, 1, seq)
-            return
-        prefix = np.empty(send.reshape(-1).shape, dtype=send.dtype)
-        self._coll_recv(prefix, self._rank - 1, seq)
-        if self._rank + 1 < self.size:
-            self._coll_send(op.fn(prefix.reshape(send.shape), send), self._rank + 1, seq)
-        np.copyto(recvbuf, prefix.reshape(recvbuf.shape))
-
-    def allreduce(self, value: Any, op: Op = SUM) -> Any:
-        gathered = self.allgather(value)
-        result = gathered[0]
-        for item in gathered[1:]:
-            result = op.fn(result, item)
-        return result
 
     def Alltoallw(
         self,
@@ -981,69 +668,6 @@ class Communicator:
         if lanes:
             self._await_lanes(lanes)
 
-    def Alltoallv(
-        self,
-        sendbuf: np.ndarray,
-        sendcounts: Sequence[int],
-        sdispls: Sequence[int],
-        recvbuf: np.ndarray,
-        recvcounts: Sequence[int],
-        rdispls: Sequence[int],
-    ) -> None:
-        """Vector all-to-all over flat element counts/displacements."""
-        if TRACER.enabled:
-            itemsize = np.asarray(sendbuf).dtype.itemsize
-            with self._span(
-                "mpi.Alltoallv",
-                nbytes=itemsize * int(sum(int(c) for c in sendcounts)),
-            ):
-                return self._alltoallv(
-                    sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls
-                )
-        return self._alltoallv(sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-
-    def _alltoallv(
-        self,
-        sendbuf: np.ndarray,
-        sendcounts: Sequence[int],
-        sdispls: Sequence[int],
-        recvbuf: np.ndarray,
-        recvcounts: Sequence[int],
-        rdispls: Sequence[int],
-    ) -> None:
-        if not (
-            len(sendcounts) == len(sdispls) == len(recvcounts) == len(rdispls) == self.size
-        ):
-            raise CommunicatorError("Alltoallv requires size-length count/displ arrays")
-        seq = self._next_seq()
-        sflat = np.ascontiguousarray(sendbuf).reshape(-1)
-        rflat = recvbuf.reshape(-1)
-
-        count = int(sendcounts[self._rank])
-        if count:
-            start_s, start_r = int(sdispls[self._rank]), int(rdispls[self._rank])
-            if int(recvcounts[self._rank]) != count:
-                raise CommunicatorError("self counts disagree in Alltoallv")
-            rflat[start_r : start_r + count] = sflat[start_s : start_s + count]
-
-        for dest in range(self.size):
-            if dest == self._rank or not int(sendcounts[dest]):
-                continue
-            start = int(sdispls[dest])
-            self._coll_post(sflat[start : start + int(sendcounts[dest])].copy(), dest, seq)
-        for source in range(self.size):
-            if source == self._rank or not int(recvcounts[source]):
-                continue
-            chunk = self._coll_take(source, seq)
-            start = int(rdispls[source])
-            expect = int(recvcounts[source])
-            if chunk.size != expect:
-                raise TruncationError(
-                    f"Alltoallv lane {source}->{self._rank}: got {chunk.size}, "
-                    f"expected {expect}"
-                )
-            rflat[start : start + expect] = chunk
-
     # -- communicator management ---------------------------------------------
 
     def Split(self, color: int, key: int = 0) -> Optional["Communicator"]:
@@ -1063,13 +687,6 @@ class Communicator:
         new_id = ("split", self.comm_id, seq, int(color))
         return Communicator(
             self.fabric, new_id, world_ranks, my_index, lineage=self._lineage
-        )
-
-    def Dup(self) -> "Communicator":
-        seq = self._next_seq()
-        new_id = ("dup", self.comm_id, seq)
-        return Communicator(
-            self.fabric, new_id, self._world_ranks, self._rank, lineage=self._lineage
         )
 
     # -- internals ---------------------------------------------------------------

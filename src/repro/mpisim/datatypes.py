@@ -6,16 +6,16 @@ module reproduces that machinery: a :class:`Datatype` knows how to *pack*
 elements out of a C-contiguous NumPy buffer and *unpack* them back in.
 
 Only the features DDR needs are implemented — named types, contiguous,
-vector, subarray (optionally stepped: evenly spaced same-shaped blocks, one
-merged exchange lane) and struct — but each follows the MPI definition
-closely enough that the tests can validate against hand-computed layouts.
+subarray (optionally stepped: evenly spaced same-shaped blocks, one merged
+exchange lane) and struct — but each follows the MPI definition closely
+enough that the tests can validate against hand-computed layouts.
 
 Beyond pack/unpack, every type supports a *zero-copy protocol*: ``view``
 exposes the selected elements as an ndarray view (no data movement) when
 the selection is expressible with basic slicing, and ``copy_into`` moves a
 selection from one buffer straight into another's selection — one
 ``np.copyto`` instead of pack + unpack — falling back to staging only for
-selections that cannot be viewed (e.g. overlapping vectors).
+selections that cannot be viewed (e.g. a struct over several buffers).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from ..utils.timing import TRANSFER_COUNTERS
 from .errors import DatatypeError
 
 ORDER_C = "C"
-ORDER_FORTRAN = "F"
 
 
 class Datatype:
@@ -202,9 +201,6 @@ class NamedType(Datatype):
     def Create_contiguous(self, count: int) -> "ContiguousType":
         return ContiguousType(self, count)
 
-    def Create_vector(self, count: int, blocklength: int, stride: int) -> "VectorType":
-        return VectorType(self, count, blocklength, stride)
-
     def Create_subarray(
         self,
         sizes: Sequence[int],
@@ -248,72 +244,6 @@ class ContiguousType(Datatype):
         if flat.size < self.count:
             raise DatatypeError(f"buffer has {flat.size} elements, type needs {self.count}")
         flat[: self.count] = data
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
-
-
-class VectorType(Datatype):
-    """``count`` blocks of ``blocklength`` elements, ``stride`` elements apart."""
-
-    def __init__(self, base: NamedType, count: int, blocklength: int, stride: int) -> None:
-        if count < 0 or blocklength < 0:
-            raise DatatypeError("count and blocklength must be non-negative")
-        self.base = base
-        self.count = int(count)
-        self.blocklength = int(blocklength)
-        self.stride = int(stride)
-        self.base_dtype = base.dtype
-        # Geometry is immutable, so the gather indices (and extent) are
-        # computed once here rather than on every pack/unpack.
-        starts = np.arange(self.count) * self.stride
-        offsets = np.arange(self.blocklength)
-        self._indices_cache = (starts[:, None] + offsets[None, :]).reshape(-1)
-        self._extent_cache = (
-            0 if self.count == 0 else (self.count - 1) * self.stride + self.blocklength
-        )
-
-    def size_elements(self) -> int:
-        return self.count * self.blocklength
-
-    def is_contiguous(self) -> bool:
-        return self.count <= 1 or self.blocklength == self.stride
-
-    def _indices(self) -> np.ndarray:
-        return self._indices_cache
-
-    def view(self, buffer: np.ndarray) -> Optional[np.ndarray]:
-        flat = self._require_buffer(buffer)
-        if flat.size < self._extent_cache:
-            raise DatatypeError("buffer smaller than vector extent")
-        if self.count == 0 or self.blocklength == 0:
-            return flat[:0]
-        if self.is_contiguous():
-            return flat[: self.count * self.blocklength]
-        if self.blocklength < self.stride and flat.size >= self.count * self.stride:
-            rows = flat[: self.count * self.stride].reshape(self.count, self.stride)
-            return rows[:, : self.blocklength]
-        # Overlapping blocks (blocklength > stride), or a buffer that ends
-        # exactly at the extent: not expressible as a basic-slicing view.
-        return None
-
-    def pack(self, buffer: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        selected = self.view(buffer)
-        if selected is not None:
-            return _packed(selected, out, self.base_dtype)
-        flat = self._require_buffer(buffer)
-        gathered = flat[self._indices_cache]  # fancy indexing gathers into a new array
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_alloc(self.size_bytes())
-            TRANSFER_COUNTERS.count_copy("pack", self.size_bytes())
-        if out is None:
-            return gathered
-        return _packed(gathered, out, self.base_dtype)
-
-    def unpack(self, buffer: np.ndarray, data: np.ndarray) -> None:
-        flat = self._require_buffer(buffer)
-        if flat.size < self._extent_cache:
-            raise DatatypeError("buffer smaller than vector extent")
-        flat[self._indices_cache] = data
         if TRANSFER_COUNTERS.enabled:
             TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
 

@@ -5,10 +5,7 @@ from .units import (
     KiB,
     MiB,
     fmt_bytes,
-    fmt_mb,
-    fmt_seconds,
     gbit_per_s,
-    mb,
 )
 from .timing import (
     Timer,
@@ -16,14 +13,13 @@ from .timing import (
     counting_transfers,
     transfer_counters,
 )
-from .arrays import StagingPool, as_contiguous, dtype_size, flat_view
+from .arrays import StagingPool
 from .membudget import (
     MEMORY_BUDGET,
     MemoryAudit,
     MemoryBudget,
     auditing_memory,
     budget_scope,
-    memory_budget,
 )
 
 __all__ = [
@@ -38,15 +34,8 @@ __all__ = [
     "TransferCounters",
     "counting_transfers",
     "transfer_counters",
-    "as_contiguous",
     "auditing_memory",
     "budget_scope",
-    "dtype_size",
-    "flat_view",
     "fmt_bytes",
-    "fmt_mb",
-    "fmt_seconds",
     "gbit_per_s",
-    "mb",
-    "memory_budget",
 ]

@@ -102,31 +102,3 @@ class StagingPool:
             MEMORY_BUDGET.release(self.current_bytes, rank=self.rank)
         self._arrays.clear()
         self.current_bytes = 0
-
-
-def dtype_size(dtype: np.dtype | type | str) -> int:
-    """Byte size of one element of ``dtype``."""
-    return int(np.dtype(dtype).itemsize)
-
-
-def as_contiguous(array: np.ndarray) -> np.ndarray:
-    """Return ``array`` itself when already C-contiguous, else a C copy.
-
-    DDR (like MPI subarray types) assumes row-major contiguous buffers;
-    every public entry point normalises through this helper.
-    """
-    if array.flags["C_CONTIGUOUS"]:
-        return array
-    return np.ascontiguousarray(array)
-
-
-def flat_view(array: np.ndarray) -> np.ndarray:
-    """A 1-D view of a C-contiguous array (no copy).
-
-    Raises ``ValueError`` for non-contiguous inputs instead of silently
-    copying, because the communication layer relies on writes through the
-    view being visible in the caller's buffer.
-    """
-    if not array.flags["C_CONTIGUOUS"]:
-        raise ValueError("flat_view requires a C-contiguous array")
-    return array.reshape(-1)

@@ -43,7 +43,6 @@ __all__ = [
     "MemoryBudget",
     "auditing_memory",
     "budget_scope",
-    "memory_budget",
 ]
 
 
@@ -175,10 +174,6 @@ def _limit_from_env() -> Optional[int]:
 #: Process-wide singleton every staging path consults (all SPMD ranks are
 #: threads of this process).  Seeded from ``DDR_MEM_BUDGET_MB`` at import.
 MEMORY_BUDGET = MemoryBudget(_limit_from_env())
-
-
-def memory_budget() -> MemoryBudget:
-    return MEMORY_BUDGET
 
 
 @contextmanager

@@ -16,11 +16,6 @@ MB = 1000**2
 GB = 1000**3
 
 
-def mb(nbytes: int | float) -> float:
-    """Convert a byte count to binary mebibytes (the unit of paper Table III)."""
-    return nbytes / MiB
-
-
 def gbit_per_s(gbits: float) -> float:
     """Convert a link speed quoted in Gbit/s (e.g. FDR IB '56 Gbps') to bytes/s."""
     return gbits * 1e9 / 8.0
@@ -34,13 +29,3 @@ def fmt_bytes(nbytes: int | float) -> str:
             return f"{value:.2f} {suffix}"
         value /= 1024.0
     raise AssertionError("unreachable")
-
-
-def fmt_mb(nbytes: int | float) -> str:
-    """Format a byte count in mebibytes with two decimals (Table III style)."""
-    return f"{mb(nbytes):.2f}"
-
-
-def fmt_seconds(seconds: float) -> str:
-    """Format a duration the way the paper's tables do (one decimal, 'sec')."""
-    return f"{seconds:.1f} sec"

