@@ -16,13 +16,11 @@ import pytest
 from repro.bench import table3
 from repro.bench.paperdata import TABLE3_SCHEDULE
 from repro.io.assignment import Assignment, PAPER_STACK, all_owned_chunks
-from repro.core import (
-    DataDescriptor, DataLayout, check_send_coverage, compute_global_plan, regroup,
-)
+from repro.core import DataDescriptor, DataLayout, check_send_coverage, compute_global_plan
 from repro.core.schedule import Declarations, declare, plan_ranks
 from repro.core.validate import check_declarations, check_receives_within_domain
+from repro.netmodel import executed_plan
 from repro.netmodel.predict import needed_boxes
-from tests.core.test_schedule import bind
 
 
 def test_schedule_matches_paper():
@@ -67,8 +65,8 @@ def test_planner_speed_full_scale_round_robin():
 def test_rank_local_set_up_beats_planning_every_rank():
     """One rank's set-up work at 216 ranks round-robin — validate every
     declaration, keep its own overlap rows, build the ``alltoallw`` rounds it
-    executes — against validating, planning every rank's lanes and binding
-    one rank's regrouped schedule member by member, on the same declarations."""
+    executes — against validating, planning and building every rank's
+    executed rounds (what the cost model prices), on the same declarations."""
     nprocs, rank = 216, 7
     owns = all_owned_chunks(PAPER_STACK, nprocs, Assignment.ROUND_ROBIN)
     needs = needed_boxes(nprocs, PAPER_STACK)
@@ -83,8 +81,8 @@ def test_rank_local_set_up_beats_planning_every_rank():
 
     def every_rank():
         check_receives_within_domain(needs, check_send_coverage(owns))
-        planned = compute_global_plan(owns, needs, 4).schedules[rank]
-        return planned, bind(regroup(planned, "alltoallw"), planned, mpi_type)
+        planned = compute_global_plan(owns, needs, 4)
+        return planned, executed_plan(planned, "alltoallw")
 
     local_s = []
     for _ in range(2):
@@ -92,10 +90,10 @@ def test_rank_local_set_up_beats_planning_every_rank():
         plan, executed = rank_local()
         local_s.append(time.perf_counter() - started)
     started = time.perf_counter()
-    planned, reference = every_rank()
+    planned, table = every_rank()
     global_s = time.perf_counter() - started
     print(f"\nrank {rank} of {nprocs}: rank-local {min(local_s) * 1e3:.1f} ms, "
           f"every rank {global_s * 1e3:.1f} ms ({global_s / min(local_s):.1f}x)")
-    assert [r.max_round_bytes for r in executed] == [r.max_round_bytes for r, _, _ in reference]
-    assert plan.nrounds == planned.nrounds == 19
+    assert [r.bytes_out for r in executed] == table.bytes_out[:, rank].tolist()
+    assert plan.nrounds == planned.nrounds == 19 and len(executed) == table.nrounds == 1
     assert global_s >= 5 * min(local_s)

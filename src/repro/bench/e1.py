@@ -64,10 +64,10 @@ def rank0_mapping() -> dict:
     """Figure 1 panel B: rank 0's send and receive map."""
     owns = [[Box((0, r), (8, 1)), Box((0, r + 4), (8, 1))] for r in range(4)]
     needs = [Box((4 * (r % 2), 4 * (r // 2)), (4, 4)) for r in range(4)]
-    rounds = compute_global_plan(owns, needs, 4).schedules[0].rounds
+    (rank0,) = compute_global_plan(owns, needs, 4).rank_plans([0])
     return {
-        "sends": {(r.index, lane.peer): lane.region for r in rounds for lane in r.all_sends()},
-        "recvs": {(r.index, lane.peer): lane.region for r in rounds for lane in r.all_recvs()},
+        side + "s": {(c, peer): Box(lo, extent) for c, peer, lo, extent, _ in rank0.lanes(side)}
+        for side in ("send", "recv")
     }
 
 

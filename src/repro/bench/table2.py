@@ -101,8 +101,8 @@ def report_executed(cap_bytes: int = 2 << 30) -> str:
     for nprocs in PAPER_PROCESS_COUNTS:
         plan = ddr_plan(nprocs, Assignment.ROUND_ROBIN)
         cells = [
-            predict_ddr(COOLEY, nprocs, Assignment.ROUND_ROBIN, plan=priced)
-            for priced in (plan, executed_plan(plan), executed_plan(plan, limit_bytes=cap_bytes))
+            predict_ddr(COOLEY, nprocs, Assignment.ROUND_ROBIN, executed=executed)
+            for executed in (None, executed_plan(plan), executed_plan(plan, limit_bytes=cap_bytes))
         ]
         table.append([nprocs] + [v for c in cells for v in (c.rounds, c.exchange_s, c.total_s)])
     header = ["procs"] + [

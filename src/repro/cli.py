@@ -125,17 +125,16 @@ def _cmd_engines(args: argparse.Namespace) -> int:
             [layout(r)[1] for r in range(nprocs)],
             element_size=4,
         )
-        sched = plan.schedules[0]
-        print(f"\n{name}: {sched.nrounds} round(s), "
-              f"max partners/round {sched.max_partners}")
+        print(f"\n{name}: {plan.nrounds} round(s), "
+              f"max partners/round {max(plan.partners, default=0)}")
         for backend in BACKENDS:
             cost = engine_cost(COOLEY, plan, backend)
             detail = ""
             if backend == "auto":
                 detail = f"  rounds -> {', '.join(cost.round_engines)}"
-            # What the engine runs: the planned rounds regrouped (no budget: merged).
+            # What the engine runs: the executed rounds (no budget: merged).
             merged = executed_plan(plan, backend)
-            messages = [max(s.message_count for s in p.schedules) for p in (plan, merged)]
+            messages = [t.messages.sum(axis=0).max() for t in (plan.table, merged)]
             print(
                 f"  {backend:>9}: {cost.total_s * 1e6:9.1f} us  "
                 f"(alpha {cost.alpha_s * 1e6:7.1f}, msgs {cost.message_s * 1e6:7.1f}, "

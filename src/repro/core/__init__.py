@@ -25,13 +25,12 @@ from .mapping import (
 )
 from .packing import BufferCache, check_buffers, check_buffers_cached
 from .schedule import (
-    ExchangeSchedule,
     GlobalPlan,
     Lane,
     RoundSchedule,
+    RoundTable,
     collective_preferred,
     compute_global_plan,
-    regroup,
     round_protocol,
 )
 from .serialize import (
@@ -55,7 +54,6 @@ __all__ = [
     "DataDescriptor",
     "DataLayout",
     "ExchangeProgress",
-    "ExchangeSchedule",
     "GhostExchanger",
     "GlobalPlan",
     "Lane",
@@ -65,6 +63,7 @@ __all__ = [
     "Redistributor",
     "ResizeResult",
     "RoundSchedule",
+    "RoundTable",
     "StaleMappingError",
     "attach_loaded_plan",
     "boxes_from_flat",
@@ -81,7 +80,6 @@ __all__ = [
     "load_plan",
     "plan_from_dict",
     "plan_to_dict",
-    "regroup",
     "round_protocol",
     "save_plan",
     "setup_data_mapping",

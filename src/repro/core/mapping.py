@@ -31,7 +31,7 @@ from ..utils.arrays import StagingPool
 from .box import Box
 from .descriptor import DataDescriptor
 from .packing import BufferCache
-from .schedule import Declarations, ExchangeSchedule, RankPlan, declare, plan_ranks
+from .schedule import Declarations, RankPlan, declare, plan_ranks
 from .validate import check_declarations, domain_of
 
 
@@ -64,7 +64,7 @@ class LocalMapping:
     components: int = 1
     buffer_cache: BufferCache = field(default_factory=BufferCache)
     pool: StagingPool = field(default_factory=StagingPool)
-    #: Executed round lists by what regrouping depends on; engine-filled.
+    #: Executed round lists by what grouping depends on; engine-filled.
     executed: dict = field(default_factory=dict, init=False, repr=False)
     #: Datatypes by geometry, shared by every executed variant; engine-filled.
     types: dict = field(default_factory=dict, init=False, repr=False)
@@ -79,11 +79,6 @@ class LocalMapping:
         epoch = self._tag_epoch
         self._tag_epoch = epoch + 1
         return epoch
-
-    @property
-    def schedule(self) -> ExchangeSchedule:
-        """The planned rounds in the object form (geometry only), built on demand."""
-        return self.plan.schedule()
 
     @cached_property
     def own_chunks(self) -> list[Box]:

@@ -2,36 +2,34 @@
 
 Every rank's owned chunks and needed chunk arrive as stacked int64 arrays
 (:class:`Declarations`, what the set-up allgathers).  The planner
-(:func:`plan_ranks`, paper §III-B/C) intersects the chunks with the needs
-in broadcast passes and lays the transfers out in *rounds*: round ``c``
-moves data out of every rank's chunk slot ``c``, so the number of exchange
-rounds equals the maximum number of chunks owned by any rank — the
-scheduling rule the paper states and quantifies in Table III.  Each overlap
-is a row, a send on its owner and a receive on its needer; a rank's set-up
-keeps only its own rows, as arrays (:class:`RankPlan`), and builds the
-rounds it executes straight from them.  The object form
+(:func:`intersect`, paper §III-B/C) intersects the chunks with the needs in
+broadcast passes and lays the transfers out in *rounds*: round ``c`` moves
+data out of every rank's chunk slot ``c``, so the number of exchange rounds
+equals the maximum number of chunks owned by any rank — the scheduling rule
+the paper states and quantifies in Table III.  Each overlap is a row
+(:class:`Overlaps`), a send on its owner and a receive on its needer, and
+the rows are the only plan IR: a whole plan (:class:`GlobalPlan`) is the
+declarations plus every row, which plan files store
+(:mod:`repro.core.serialize`) and whose Table-III statistics and per-round
+:class:`RoundTable` (what the network cost models price) are array
+reductions over them; a rank's set-up keeps only its own rows
+(:class:`RankPlan`).
 
-:class:`GlobalPlan` -> one :class:`ExchangeSchedule` per rank -> one
-:class:`RoundSchedule` per round -> :class:`Lane`\\ s ordered by peer
-
-is built on demand: plan files store it (:mod:`repro.core.serialize`), the
-network cost models and the Table-III statistics read it, and the
-full-scale experiments (4096 chunks x 216 ranks) are planned without any
-runtime or datatype.
-
-Every rank's copy of a round also carries the *plan-wide* worst-rank
-statistics of that round (``max_partners``, ``max_round_bytes``,
-``max_lane_rows``).  They come from the overlap arrays of every rank, so
-every rank draws the same *executed* rounds (:func:`executed_groups`: which
-rounds run as one, which in pieces, each by which of the two wire
-protocols, :func:`round_protocol`) without communicating.
+The plan-wide per-round statistics (``max_partners``, ``max_round_bytes``,
+``max_lane_rows``) come from every rank's rows, so every rank draws the
+same *executed* rounds (:func:`executed_groups`: which rounds run as one,
+which in pieces, each by which of the two wire protocols,
+:func:`round_protocol`) without communicating.  :meth:`RankPlan.executed`
+alone builds them (:class:`RoundSchedule` -> :class:`Lane`\\ s ordered by
+peer, with datatypes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,11 +42,6 @@ from .packing import subarray_type
 #: ranks is considered dense: the O(P) collective amortises better than
 #: per-message handshakes.  Below it, direct sends win (paper §V).
 AUTO_DENSITY_THRESHOLD = 0.5
-
-#: Staging transports (packed payload copies / pooled shm segments) whose
-#: round peak is modeled as every send payload plus every in-flight recv
-#: payload; ``zerocopy`` stages nothing and peaks at the self-copy temp.
-STAGED_TRANSPORTS = ("packed", "shm")
 
 
 def collective_preferred(max_partners: int, nprocs: int) -> bool:
@@ -64,30 +57,12 @@ def collective_preferred(max_partners: int, nprocs: int) -> bool:
 
 @dataclass(frozen=True)
 class Lane:
-    """One point-to-point transfer of one round: ``region`` (global
-    coordinates) moves between this rank and ``peer``.
-
-    ``container`` is the box of the buffer the cells live in on *this* side
-    (send lanes: the owned chunk; recv lanes: the need), which is all
-    :func:`regroup` needs to cut the lane into the pieces of a lowered round.
-    Planned lanes carry geometry only; executed lanes
-    (:meth:`RankPlan.executed`) only peer, bytes and ``datatype``.
-    """
+    """One point-to-point transfer of one executed round: ``nbytes`` move
+    between this rank and ``peer``, selected by ``datatype``."""
 
     peer: int
     nbytes: int
-    container: Optional[Box]
-    region: Optional[Box]
     datatype: Optional[Datatype] = None
-    #: The planned lanes a merged (:func:`regroup`) lane carries, in round order
-    #: (``container`` / ``region`` are the first part's).
-    parts: tuple["Lane", ...] = ()
-
-
-def _in_peer_order(lanes: list[Lane], self_lane: Optional[Lane]) -> list[Lane]:
-    if self_lane is None:
-        return lanes
-    return sorted(lanes + [self_lane], key=lambda lane: lane.peer)
 
 
 def _dense_table(lanes: list[Lane], nprocs: int) -> list[Optional[Datatype]]:
@@ -99,7 +74,8 @@ def _dense_table(lanes: list[Lane], nprocs: int) -> list[Optional[Datatype]]:
 
 @dataclass
 class RoundSchedule:
-    """Everything one rank does in one exchange round.
+    """Everything one rank does in one *executed* round
+    (:meth:`RankPlan.executed` builds them).
 
     ``sends``/``recvs`` hold only *remote* lanes, ordered by peer; the
     self-transfer (data a rank keeps across the redistribution) is split
@@ -116,24 +92,20 @@ class RoundSchedule:
     #: Busiest rank's partner count this round, across the *whole* plan.
     max_partners: int = 0
     #: Busiest rank's estimated staged-transport peak this round, across the
-    #: *whole* plan.  Like ``max_partners`` this is identical on every rank,
-    #: so budget-driven regrouping needs no communication.
+    #: *whole* plan.  Like ``max_partners`` this is identical on every rank.
     max_round_bytes: int = 0
     #: Dense per-peer datatype tables for the Alltoallw collective (slot
     #: ``p`` = the lane to / from rank ``p``, self lane on the diagonal),
-    #: built with the executed round (:meth:`RankPlan.executed`) — the
-    #: repeated-exchange hot path must not rebuild them per call.
+    #: built with the round — the repeated-exchange hot path must not
+    #: rebuild them per call.
     sendtypes: Optional[list[Optional[Datatype]]] = field(
         default=None, repr=False, compare=False
     )
     recvtypes: Optional[list[Optional[Datatype]]] = field(
         default=None, repr=False, compare=False
     )
-    #: Planned rounds this *executed* round covers (:func:`regroup`; ``index`` first).
+    #: Planned rounds this executed round covers (``index`` first).
     members: tuple[int, ...] = ()
-    #: Tallest lane of the round (rows of the slowest axis), across the
-    #: *whole* plan: the most pieces :func:`regroup` can cut the round into.
-    max_lane_rows: int = 1
     #: An executed round that is piece ``piece`` of ``pieces`` of a lowered
     #: planned round; ``(0, 1)`` for every other round.
     piece: int = 0
@@ -150,20 +122,6 @@ class RoundSchedule:
             return own, need
         return (own[self.chunk_index] if self.chunk_index is not None else None), need
 
-    def all_sends(self) -> list[Lane]:
-        """Send lanes including the self lane, ordered by peer."""
-        return _in_peer_order(self.sends, self.self_send)
-
-    def all_recvs(self) -> list[Lane]:
-        return _in_peer_order(self.recvs, self.self_recv)
-
-    # -- sparsity statistics -------------------------------------------------
-
-    @property
-    def partners(self) -> int:
-        """Distinct remote ranks this rank exchanges data with this round."""
-        return len({lane.peer for lane in self.sends} | {lane.peer for lane in self.recvs})
-
     @property
     def bytes_out(self) -> int:
         """Bytes this rank puts on the network this round (self excluded)."""
@@ -177,61 +135,10 @@ class RoundSchedule:
     def self_bytes(self) -> int:
         return self.self_send.nbytes if self.self_send is not None else 0
 
-    @property
-    def message_count(self) -> int:
-        """Messages a direct round posts (one per send lane)."""
-        return len(self.sends)
-
-    # -- peak-memory accounting ----------------------------------------------
-
-    def peak_bytes(self, transport: str = "packed") -> int:
-        """Estimated per-rank staging high-water mark for this round.
-
-        Staged transports (``packed``, ``shm``) copy every outgoing lane
-        into a dense payload and hold every incoming payload until it is
-        unpacked, so the worst instant is all sends staged while all recvs
-        have arrived unconsumed — plus the self-transfer's packed payload,
-        which exists once.  ``zerocopy`` stages nothing; only the self-copy
-        may materialise a pack temporary.  User buffers are never counted:
-        the budget governs library staging, not the data itself.
-        """
-        if transport not in STAGED_TRANSPORTS:
-            return self.self_bytes
-        return self.bytes_out + self.bytes_in + self.self_bytes
-
-
-@dataclass
-class ExchangeSchedule:
-    """Everything one rank declared and must do across all rounds."""
-
-    rank: int
-    nprocs: int
-    nrounds: int
-    element_size: int
-    rounds: list[RoundSchedule]
-    own_chunks: list[Box] = field(default_factory=list)
-    need: Optional[Box] = None
-
-    @property
-    def max_partners(self) -> int:
-        return max((r.partners for r in self.rounds), default=0)
-
-    @property
-    def total_bytes_out(self) -> int:
-        return sum(r.bytes_out for r in self.rounds)
-
-    @property
-    def total_self_bytes(self) -> int:
-        return sum(r.self_bytes for r in self.rounds)
-
-    @property
-    def message_count(self) -> int:
-        return sum(r.message_count for r in self.rounds)
-
 
 def round_protocol(backend: str, rnd: RoundSchedule) -> str:
     """``"alltoallw"`` or ``"p2p"``: the wire protocol the policy ``backend``
-    runs the planned or executed round ``rnd`` with (:func:`_protocol`)."""
+    runs the executed round ``rnd`` with (:func:`_protocol`)."""
     return _protocol(backend, rnd.max_partners, rnd.nprocs)
 
 
@@ -271,8 +178,7 @@ def executed_groups(
       round's tallest lane; a shorter lane sits some pieces out.
 
     Every input is the same on every rank, so all ranks draw the same
-    groups without communicating; :func:`regroup` (the object form) and
-    :meth:`RankPlan.executed` (what runs) both follow them.
+    groups without communicating; :meth:`RankPlan.executed` builds them.
     """
     groups: list[list[int]] = []
     total, previous = 0, None
@@ -296,78 +202,6 @@ def executed_groups(
     ]
 
 
-def regroup(
-    schedule: ExchangeSchedule, backend: str, limit_bytes: Optional[int] = None
-) -> ExchangeSchedule:
-    """The *executed* form of ``schedule``, geometry only (the cost models'
-    view): the rounds :func:`executed_groups` draws, merged or split.  A
-    group of one *is* the planned round; a schedule nothing merges or splits
-    in is returned as is.  ``nrounds`` counts executed rounds."""
-    planned = schedule.rounds
-    groups = executed_groups(
-        backend, schedule.nprocs, [r.max_partners for r in planned],
-        [r.max_round_bytes for r in planned], [r.max_lane_rows for r in planned], limit_bytes,
-    )
-    if len(groups) == len(planned) and all(pieces == 1 for _, pieces in groups):
-        return schedule
-    rounds: list[RoundSchedule] = []
-    for members, pieces in groups:
-        if len(members) > 1:
-            rounds.append(_merged([planned[i] for i in members], schedule.rank))
-        elif pieces > 1:
-            rounds.extend(_split(planned[members[0]], pieces))
-        else:
-            rounds.append(planned[members[0]])
-    return replace(schedule, nrounds=len(rounds), rounds=rounds)
-
-
-def _merged(group: list[RoundSchedule], rank: int) -> RoundSchedule:
-    """One executed round carrying every lane of ``group``, one per peer."""
-
-    def by_peer(parts: list[Lane]) -> dict[int, Lane]:
-        peers = groupby(sorted(parts, key=attrgetter("peer")), attrgetter("peer"))
-        return {
-            peer: Lane(peer, sum(p.nbytes for p in lanes), lanes[0].container, lanes[0].region,
-                       parts=lanes)
-            for peer, lanes in ((peer, tuple(lanes)) for peer, lanes in peers)
-        }
-
-    first = group[0]
-    sends = by_peer([lane for r in group for lane in r.all_sends()])
-    recvs = by_peer([lane for r in group for lane in r.all_recvs()])
-    return RoundSchedule(
-        first.index, None, first.nprocs,
-        [lane for peer, lane in sends.items() if peer != rank],
-        [lane for peer, lane in recvs.items() if peer != rank],
-        sends.get(rank), recvs.get(rank),
-        max(r.max_partners for r in group), sum(r.max_round_bytes for r in group),
-        members=tuple(r.index for r in group),
-    )
-
-
-def _split(rnd: RoundSchedule, pieces: int) -> list[RoundSchedule]:
-    """``rnd`` as ``pieces`` piece-rounds, each a slab of every lane's slowest axis."""
-
-    def slab(lane: Optional[Lane], piece: int) -> Optional[Lane]:
-        if lane is None:
-            return None
-        cut = _slab((lane.region.offset, lane.region.dims, lane.nbytes), piece, pieces)
-        return None if cut is None else Lane(lane.peer, cut[2], lane.container, Box(*cut[:2]))
-
-    def slabs(lanes: list[Lane], piece: int) -> list[Lane]:
-        return [cut for lane in lanes if (cut := slab(lane, piece)) is not None]
-
-    return [
-        RoundSchedule(
-            rnd.index, rnd.chunk_index, rnd.nprocs,
-            slabs(rnd.sends, piece), slabs(rnd.recvs, piece),
-            slab(rnd.self_send, piece), slab(rnd.self_recv, piece),
-            rnd.max_partners, -(-rnd.max_round_bytes // pieces), piece=piece, pieces=pieces,
-        )
-        for piece in range(pieces)
-    ]
-
-
 def _slab(part: tuple, piece: int, pieces: int) -> Optional[tuple]:
     """Piece ``piece`` of ``pieces`` of the overlap ``(lo, extent, nbytes)``:
     a slab of its slowest axis, or ``None`` when the part sits it out."""
@@ -379,79 +213,6 @@ def _slab(part: tuple, piece: int, pieces: int) -> Optional[tuple]:
     return (
         (*lo[:-1], lo[-1] + first), (*extent[:-1], stop - first), nbytes // rows * (stop - first)
     )
-
-
-@dataclass
-class GlobalPlan:
-    """Every rank's schedule, plus the Table-III statistics over their lanes."""
-
-    nprocs: int
-    ndims: int
-    element_size: int
-    nrounds: int
-    schedules: list[ExchangeSchedule]
-    #: What it was planned from: any rank's :class:`RankPlan` is a slice of it.
-    declarations: Optional[Declarations] = field(default=None, repr=False, compare=False)
-    overlaps: Optional[Overlaps] = field(default=None, repr=False, compare=False)
-
-    def total_bytes_moved(self, exclude_self: bool = True) -> int:
-        total = sum(s.total_bytes_out for s in self.schedules)
-        if not exclude_self:
-            total += sum(s.total_self_bytes for s in self.schedules)
-        return total
-
-    def mean_bytes_per_rank_per_round(self, exclude_self: bool = True) -> float:
-        """Average payload each process puts on the network per round —
-        the "Data Size (MB)" column of the paper's Table III."""
-        if self.nrounds == 0:
-            return 0.0
-        return self.total_bytes_moved(exclude_self) / (self.nprocs * self.nrounds)
-
-    def mean_bytes_per_chunk_round(self, exclude_self: bool = True) -> float:
-        """Average payload per *occupied* chunk slot.
-
-        With uneven chunk counts (e.g. 4096 images round-robin over 125
-        ranks) some ranks sit out the last round;
-        :meth:`mean_bytes_per_rank_per_round` averages over all P x rounds
-        slots while this method averages only over slots that actually hold
-        a chunk — the convention behind the paper's Table III round-robin
-        column (total bytes / 4096 images).
-        """
-        occupied = sum(len(s.own_chunks) for s in self.schedules)
-        if occupied == 0:
-            return 0.0
-        return self.total_bytes_moved(exclude_self) / occupied
-
-    def max_bytes_per_rank_per_round(self, exclude_self: bool = True) -> int:
-        return max(
-            (
-                rnd.bytes_out + (0 if exclude_self else rnd.self_bytes)
-                for s in self.schedules
-                for rnd in s.rounds
-            ),
-            default=0,
-        )
-
-    def traffic_matrix(self, round_index: Optional[int] = None) -> np.ndarray:
-        """Bytes moved ``[src, dst]`` (one round, or summed over all rounds)."""
-        matrix = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
-        for schedule in self.schedules:
-            rounds = schedule.rounds if round_index is None else [schedule.rounds[round_index]]
-            for rnd in rounds:
-                for lane in rnd.all_sends():
-                    matrix[schedule.rank, lane.peer] += lane.nbytes
-        return matrix
-
-    def partners_per_rank(self) -> list[int]:
-        """Number of distinct remote ranks each rank exchanges data with.
-
-        Drives the paper's future-work observation that sparse patterns
-        would benefit from direct sends instead of ``Alltoallw``.
-        """
-        return [
-            len({lane.peer for rnd in s.rounds for lane in rnd.sends + rnd.recvs})
-            for s in self.schedules
-        ]
 
 
 def declare(
@@ -652,7 +413,7 @@ class RankPlan:
     def need_box(self) -> Optional[Box]:
         return None if self.need is None else Box(*map(tuple, self.need.tolist()))
 
-    def _rows(self, side: str, within: bool = False) -> list[tuple]:
+    def lanes(self, side: str, within: bool = False) -> list[tuple]:
         """``(round, peer, lo, extent, nbytes)`` per send or recv row, ``lo``
         global or (``within``) from the origin of the owned chunk / need."""
         rows = self.sends if side == "send" else self.recvs
@@ -664,30 +425,6 @@ class RankPlan:
             map(tuple, lo.tolist()), map(tuple, rows.extent.tolist()),
             (rows.extent.prod(axis=1) * self.element_size).tolist(),
         ))
-
-    def schedule(self) -> ExchangeSchedule:
-        """The object form, geometry only — the one place it is written.
-        Rows are in ``(round, peer)`` order, so every lane list comes out
-        ordered by peer with no sort."""
-        chunks, need = self.own_boxes(), self.need_box()
-        rounds = [
-            RoundSchedule(
-                c, c if c < len(chunks) else None, self.nprocs, max_partners=self.partners[c],
-                max_round_bytes=self.staged[c], max_lane_rows=self.rows[c],
-            )
-            for c in range(self.nrounds)
-        ]
-        for side in ("send", "recv"):
-            for c, peer, lo, extent, size in self._rows(side):
-                container = chunks[c] if side == "send" else need
-                lane = Lane(peer, size, container, Box.unchecked(lo, extent))
-                if peer == self.rank:
-                    setattr(rounds[c], "self_" + side, lane)
-                else:
-                    getattr(rounds[c], side + "s").append(lane)
-        return ExchangeSchedule(
-            self.rank, self.nprocs, self.nrounds, self.element_size, rounds, chunks, need
-        )
 
     def executed(
         self,
@@ -733,7 +470,7 @@ class RankPlan:
                     )
                     one = len(runs) == 1
                     datatype = runs[0][1] if one else memo((1, runs), StructType, runs, 1)
-                out.append(Lane(peer, sum(part[4] for part in parts), None, None, datatype))
+                out.append(Lane(peer, sum(part[4] for part in parts), datatype))
             return out
 
         def executed_round(send_rows, recv_rows, index, merged=False, **stats) -> RoundSchedule:
@@ -752,7 +489,7 @@ class RankPlan:
         def slabs(rows: list[tuple], piece: int, pieces: int) -> list[tuple]:
             return [(*row[:2], *cut) for row in rows if (cut := _slab(row[2:], piece, pieces))]
 
-        sends, recvs = self._rows("send", True), self._rows("recv", True)
+        sends, recvs = self.lanes("send", True), self.lanes("recv", True)
         send_at, recv_at = (
             np.searchsorted(rows.round, np.arange(self.nrounds + 1)).tolist()
             for rows in (self.sends, self.recvs)
@@ -767,7 +504,6 @@ class RankPlan:
                     out, into, first, len(members) > 1, members=members,
                     max_partners=max(self.partners[first:stop]),
                     max_round_bytes=sum(self.staged[first:stop]),
-                    max_lane_rows=max(self.rows[first:stop]),
                 ))
             else:
                 rounds += [
@@ -781,40 +517,154 @@ class RankPlan:
         return rounds
 
 
+@dataclass(eq=False)
+class RoundTable:
+    """What the cost models price, per round: ``bytes_out[round, rank]`` and
+    ``messages[round, rank]`` (remote lanes only), the plan-wide
+    ``max_partners[round]`` that picks each round's protocol, and
+    ``self_bytes[rank]``, what a rank keeps across all rounds.  A plan's
+    table (:attr:`GlobalPlan.table`) has its planned rounds;
+    ``repro.netmodel.executed_plan`` builds one of executed rounds."""
+
+    nprocs: int
+    bytes_out: np.ndarray
+    messages: np.ndarray
+    max_partners: list[int]
+    self_bytes: np.ndarray
+
+    @property
+    def nrounds(self) -> int:
+        return len(self.max_partners)
+
+    def protocols(self, backend: str) -> list[str]:
+        """Each round's wire protocol under the policy ``backend``."""
+        return [_protocol(backend, busiest, self.nprocs) for busiest in self.max_partners]
+
+
+@dataclass(eq=False)
+class GlobalPlan:
+    """A whole plan as rows: the declarations, every overlap
+    (:class:`Overlaps`, one row per lane) and the plan-wide per-round
+    statistics (:func:`_round_statistics`).  Any rank's :class:`RankPlan`
+    is a slice of it (:meth:`rank_plans`); the Table-III statistics are
+    array reductions over the rows."""
+
+    declarations: Declarations
+    element_size: int
+    overlaps: Overlaps = field(init=False)
+    #: Per round, across the whole plan: the busiest rank's partner count and
+    #: staged bytes, and the tallest lane's rows.
+    partners: list[int] = field(init=False)
+    staged: list[int] = field(init=False)
+    rows: list[int] = field(init=False)
+    #: Bytes of each overlap row.
+    nbytes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.overlaps = intersect(self.declarations)
+        self.nbytes = self.overlaps.extent.prod(axis=1) * self.element_size
+        self.partners, self.staged, self.rows = _round_statistics(
+            self.nprocs, self.nrounds, self.overlaps, self.nbytes
+        )
+
+    @property
+    def nprocs(self) -> int:
+        return self.declarations.nprocs
+
+    @property
+    def ndims(self) -> int:
+        return self.declarations.ndims
+
+    @property
+    def nrounds(self) -> int:
+        return self.declarations.nrounds
+
+    def rank_plans(self, ranks: Optional[Sequence[int]] = None) -> list[RankPlan]:
+        """The :class:`RankPlan` of each of ``ranks`` (default: every rank)."""
+        decl, overlaps = self.declarations, self.overlaps
+        plans = []
+        for rank in range(decl.nprocs) if ranks is None else ranks:
+            mine = np.flatnonzero(overlaps.owner == rank), np.flatnonzero(overlaps.dest == rank)
+            sends, recvs = (Overlaps(*(column[rows] for column in overlaps)) for rows in mine)
+            plans.append(RankPlan(
+                rank, decl.nprocs, decl.nrounds, self.element_size,
+                decl.chunks[decl.starts[rank] : decl.starts[rank + 1]],
+                decl.needs[rank] if decl.has_need[rank] else None,
+                self.partners, self.staged, self.rows, sends, recvs,
+            ))
+        return plans
+
+    @cached_property
+    def table(self) -> RoundTable:
+        """The planned rounds' :class:`RoundTable`, bincounts over the rows."""
+        rnd, owner, dest = self.overlaps[:3]
+        nprocs, size = self.nprocs, self.nrounds * self.nprocs
+        remote = owner != dest
+        cell = (rnd * nprocs + owner)[remote]
+        # float weights: exact while a rank moves under 2**53 bytes a round
+        bytes_out = np.bincount(cell, self.nbytes[remote], size).astype(np.int64)
+        kept = np.bincount(owner[~remote], self.nbytes[~remote], nprocs).astype(np.int64)
+        return RoundTable(
+            nprocs, bytes_out.reshape(self.nrounds, nprocs),
+            np.bincount(cell, minlength=size).reshape(self.nrounds, nprocs), self.partners, kept,
+        )
+
+    def total_bytes_moved(self, exclude_self: bool = True) -> int:
+        total = int(self.table.bytes_out.sum())
+        return total if exclude_self else total + int(self.table.self_bytes.sum())
+
+    def mean_bytes_per_rank_per_round(self, exclude_self: bool = True) -> float:
+        """Average payload each process puts on the network per round —
+        the "Data Size (MB)" column of the paper's Table III."""
+        if self.nrounds == 0:
+            return 0.0
+        return self.total_bytes_moved(exclude_self) / (self.nprocs * self.nrounds)
+
+    def mean_bytes_per_chunk_round(self, exclude_self: bool = True) -> float:
+        """Average payload per *occupied* chunk slot.
+
+        With uneven chunk counts (e.g. 4096 images round-robin over 125
+        ranks) some ranks sit out the last round;
+        :meth:`mean_bytes_per_rank_per_round` averages over all P x rounds
+        slots while this method averages only over slots that actually hold
+        a chunk — the convention behind the paper's Table III round-robin
+        column (total bytes / 4096 images).
+        """
+        occupied = len(self.declarations.chunks)
+        if occupied == 0:
+            return 0.0
+        return self.total_bytes_moved(exclude_self) / occupied
+
+    def max_bytes_per_rank_per_round(self) -> int:
+        return int(self.table.bytes_out.max(initial=0))
+
+    def traffic_matrix(self, round_index: Optional[int] = None) -> np.ndarray:
+        """Bytes moved ``[src, dst]`` (one round, or summed over all rounds)."""
+        rnd, owner, dest = self.overlaps[:3]
+        pick = slice(None) if round_index is None else rnd == round_index
+        pairs = (owner * self.nprocs + dest)[pick]
+        matrix = np.bincount(pairs, self.nbytes[pick], self.nprocs**2).astype(np.int64)
+        return matrix.reshape(self.nprocs, self.nprocs)
+
+    def partners_per_rank(self) -> list[int]:
+        """Number of distinct remote ranks each rank exchanges data with.
+
+        Drives the paper's future-work observation that sparse patterns
+        would benefit from direct sends instead of ``Alltoallw``.
+        """
+        owner, dest = self.overlaps.owner, self.overlaps.dest
+        remote = owner != dest
+        owner, dest = owner[remote], dest[remote]
+        met = np.unique(np.concatenate((owner * self.nprocs + dest, dest * self.nprocs + owner)))
+        return np.bincount(met // self.nprocs, minlength=self.nprocs).tolist()
+
+
 def plan_ranks(
-    decl: Declarations,
-    element_size: int,
-    overlaps: Optional[Overlaps] = None,
-    ranks: Optional[Sequence[int]] = None,
+    decl: Declarations, element_size: int, ranks: Optional[Sequence[int]] = None
 ) -> list[RankPlan]:
     """The :class:`RankPlan` of each of ``ranks`` (default: every rank), in
-    that order.  ``overlaps`` defaults to :func:`intersect` of the
-    declarations (the plan loader passes the ones a file lists); the
-    round statistics come from all of them."""
-    overlaps = intersect(decl) if overlaps is None else overlaps
-    nbytes = overlaps.extent.prod(axis=1) * element_size
-    stats = _round_statistics(decl.nprocs, decl.nrounds, overlaps, nbytes)
-    plans = []
-    for rank in range(decl.nprocs) if ranks is None else ranks:
-        mine = np.flatnonzero(overlaps.owner == rank), np.flatnonzero(overlaps.dest == rank)
-        sends, recvs = (Overlaps(*(column[rows] for column in overlaps)) for rows in mine)
-        plans.append(RankPlan(
-            rank, decl.nprocs, decl.nrounds, element_size,
-            decl.chunks[decl.starts[rank] : decl.starts[rank + 1]],
-            decl.needs[rank] if decl.has_need[rank] else None,
-            *stats, sends, recvs,
-        ))
-    return plans
-
-
-def assemble_plan(
-    decl: Declarations,
-    element_size: int,
-    overlaps: Optional[Overlaps] = None,
-    ranks: Optional[Sequence[int]] = None,
-) -> list[ExchangeSchedule]:
-    """:func:`plan_ranks`, each in the object form (:meth:`RankPlan.schedule`)."""
-    return [plan.schedule() for plan in plan_ranks(decl, element_size, overlaps, ranks)]
+    that order; the round statistics come from every rank's rows."""
+    return GlobalPlan(decl, element_size).rank_plans(ranks)
 
 
 def compute_global_plan(
@@ -836,9 +686,4 @@ def compute_global_plan(
     element_size:
         Bytes per element, for the byte statistics.
     """
-    decl = Declarations.from_boxes(owns, needs, ndims)
-    overlaps = intersect(decl)
-    return GlobalPlan(
-        decl.nprocs, decl.ndims, element_size, decl.nrounds,
-        assemble_plan(decl, element_size, overlaps), decl, overlaps,
-    )
+    return GlobalPlan(Declarations.from_boxes(owns, needs, ndims), element_size)

@@ -6,10 +6,13 @@ chunks with 216 needs).  Since the mapping depends only on the declared
 geometry, it can be computed once, saved as JSON, and reloaded by later
 runs — an engineering extension the paper's "setup once" design invites.
 
-A plan file is input from outside the program: :func:`plan_from_dict`
-rebuilds the lanes through the planner's own assembly step and rejects
-anything inconsistent with ``ValueError("corrupt plan: ...")`` rather than
-letting it surface later as an ``IndexError`` or as wrongly moved cells.
+A file lists each rank's declarations and its overlap rows (the plan IR,
+:class:`~repro.core.schedule.Overlaps`) as sends and receives.  It is
+input from outside the program: :func:`plan_from_dict` validates the
+declarations as set-up does and requires the listed rows to be exactly the
+ones the planner computes from them, rejecting anything else with
+``ValueError("corrupt plan: ...")`` rather than letting it surface later
+as an ``IndexError`` or as wrongly moved cells.
 """
 
 from __future__ import annotations
@@ -18,21 +21,13 @@ import json
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .box import Box
 from .descriptor import DataDescriptor
 from .mapping import LocalMapping, attach_mapping, local_mapping
-from .schedule import Declarations, ExchangeSchedule, GlobalPlan, Overlaps
-from .schedule import assemble_plan, plan_ranks
+from .schedule import Declarations, GlobalPlan, RankPlan
+from .validate import MappingValidationError, check_declarations
 
 FORMAT_VERSION = 1
-
-
-def _box_to_list(box: Optional[Box]) -> Optional[list[list[int]]]:
-    if box is None:
-        return None
-    return [list(box.offset), list(box.dims)]
 
 
 class _CorruptPlan(ValueError):
@@ -48,12 +43,20 @@ def _box_from_list(data: list, ndims: int) -> Box:
     return box
 
 
-def _recv_rows(schedule: ExchangeSchedule) -> list[list]:
-    return [
-        [rnd.index, lane.peer, _box_to_list(lane.region)]
-        for rnd in schedule.rounds
-        for lane in rnd.all_recvs()
-    ]
+def _rank_entry(plan: RankPlan) -> dict:
+    """One rank's declarations and rows, ``sends`` as ``[round, peer, round,
+    chunk, overlap]`` and ``recvs`` as ``[round, peer, overlap]``, in
+    ``(round, peer)`` order, boxes as ``[offset, dims]``."""
+    own = plan.own.tolist()
+    return {
+        "rank": plan.rank,
+        "own": own,
+        "need": None if plan.need is None else plan.need.tolist(),
+        "sends": [[c, peer, c, own[c], [list(lo), list(extent)]]
+                  for c, peer, lo, extent, _ in plan.lanes("send")],
+        "recvs": [[c, peer, [list(lo), list(extent)]]
+                  for c, peer, lo, extent, _ in plan.lanes("recv")],
+    }
 
 
 def plan_to_dict(plan: GlobalPlan) -> dict:
@@ -64,21 +67,7 @@ def plan_to_dict(plan: GlobalPlan) -> dict:
         "ndims": plan.ndims,
         "element_size": plan.element_size,
         "nrounds": plan.nrounds,
-        "ranks": [
-            {
-                "rank": s.rank,
-                "own": [_box_to_list(b) for b in s.own_chunks],
-                "need": _box_to_list(s.need),
-                "sends": [
-                    [rnd.index, lane.peer, rnd.index, _box_to_list(lane.container),
-                     _box_to_list(lane.region)]
-                    for rnd in s.rounds
-                    for lane in rnd.all_sends()
-                ],
-                "recvs": _recv_rows(s),
-            }
-            for s in plan.schedules
-        ],
+        "ranks": [_rank_entry(rank) for rank in plan.rank_plans()],
     }
 
 
@@ -110,48 +99,19 @@ def _plan_from_rows(data: dict) -> GlobalPlan:
         needs.append(None if need is None else _box_from_list(need, ndims))
     if nrounds != max((len(chunks) for chunks in owns), default=0):
         raise _CorruptPlan(f"nrounds {nrounds} is not the largest chunk count")
-
-    rows: list[tuple[int, ...]] = []  # (round, owner, dest, *lo, *extent)
-    for owner, entry in enumerate(ranks):
-        for rnd, dest, chunk_index, chunk, region in entry["sends"]:
-            if rnd != chunk_index:
-                raise _CorruptPlan(
-                    f"send round {rnd} != chunk index {chunk_index} "
-                    "(round c drains chunk slot c)"
-                )
-            if not 0 <= rnd < nrounds:
-                raise _CorruptPlan(f"rank {owner} sends in round {rnd} of {nrounds}")
-            if not 0 <= dest < nprocs:
-                raise _CorruptPlan(f"rank {owner} sends to rank {dest} of {nprocs}")
-            if rnd >= len(owns[owner]) or _box_from_list(chunk, ndims) != owns[owner][rnd]:
-                raise _CorruptPlan(f"rank {owner} round {rnd} sends from {chunk}, not its chunk")
-            overlap = _box_from_list(region, ndims)
-            need = needs[dest]
-            if need is None:
-                raise _CorruptPlan(f"rank {dest} receives in round {rnd} but declares no need")
-            if overlap.is_empty() or not (
-                owns[owner][rnd].contains_box(overlap) and need.contains_box(overlap)
-            ):
-                raise _CorruptPlan(
-                    f"{overlap} (rank {owner} -> {dest}, round {rnd}) is not "
-                    "a non-empty part of both the chunk and the need"
-                )
-            rows.append((rnd, owner, dest, *overlap.offset, *overlap.dims))
-    rows.sort(key=lambda row: row[:3])
-    if len({row[:3] for row in rows}) != len(rows):
-        raise _CorruptPlan("two sends between the same pair of ranks in one round")
-
-    table = np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * ndims)
-    overlaps = Overlaps(*table[:, :3].T, table[:, 3 : 3 + ndims], table[:, 3 + ndims :])
-    element_size = int(data["element_size"])
     decl = Declarations.from_boxes(owns, needs, ndims)
-    plan = GlobalPlan(
-        nprocs, ndims, element_size, nrounds,
-        assemble_plan(decl, element_size, overlaps), decl, overlaps,
-    )
-    for schedule, entry in zip(plan.schedules, ranks):
-        if entry["recvs"] != _recv_rows(schedule):
-            raise _CorruptPlan(f"rank {schedule.rank}'s receives do not mirror the sends")
+    try:
+        check_declarations(decl)
+    except MappingValidationError as exc:
+        raise _CorruptPlan(str(exc)) from exc
+    plan = GlobalPlan(decl, int(data["element_size"]))
+    for entry, rank in zip(ranks, plan.rank_plans()):
+        expected = _rank_entry(rank)
+        for side in ("sends", "recvs"):
+            if entry[side] != expected[side]:
+                raise _CorruptPlan(
+                    f"rank {rank.rank}'s {side} are not the overlaps of the declarations"
+                )
     return plan
 
 
@@ -184,7 +144,7 @@ def attach_loaded_plan(
             f"plan element size {plan.element_size} != descriptor "
             f"{descriptor.element_size}"
         )
-    (rows,) = plan_ranks(plan.declarations, plan.element_size, plan.overlaps, [rank])
+    (rows,) = plan.rank_plans([rank])
     local = local_mapping(rows, None, descriptor)
     attach_mapping(descriptor, local)
     return local

@@ -637,7 +637,7 @@ def _memory(runs: int, ops: int, nprocs: int):
         grid_boxes(MEMORY_FIELD, grid_shape(nprocs, MEMORY_FIELD)),
         element_size=4,
     )
-    worst_round = max(rnd.max_round_bytes for rnd in slab_to_tile.schedules[0].rounds)
+    worst_round = max(slab_to_tile.staged)
     pipeline = _in_flight(_pipeline_config(ALL_BACKENDS[0], "skip"))[1]
 
     def case(index: int, plan_seed: int) -> Case:

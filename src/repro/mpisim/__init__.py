@@ -40,7 +40,6 @@ from .errors import (
     RankCrashError,
     RetriesExhaustedError,
     RevokedError,
-    TimeoutError_,
     TransientFaultError,
     TruncationError,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "TRANSPORT_PACKED",
     "TRANSPORT_SHM",
     "TRANSPORT_ZEROCOPY",
-    "TimeoutError_",
     "TransientFaultError",
     "TruncationError",
     "UNSIGNED",

@@ -138,16 +138,6 @@ class Communicator:
     def revoked(self) -> bool:
         return self.fabric.hazard and self.fabric.is_revoked(self._lineage)
 
-    def peer_failed(self, rank: int) -> bool:
-        """True if the liveness table says this member crashed or retired."""
-        return self.fabric.hazard and self.fabric.is_gone(self._world_ranks[rank])
-
-    def failed_ranks(self) -> tuple[int, ...]:
-        """Members (communicator ranks) the liveness table knows are gone."""
-        if not self.fabric.hazard:
-            return ()
-        gone = self.fabric.gone_ranks()
-        return tuple(r for r, w in enumerate(self._world_ranks) if w in gone)
 
     def revoke(self) -> None:
         """Revoke this communicator and every one derived from it.

@@ -28,13 +28,8 @@ class DeadlineError(MpiSimError):
     (or a per-operation deadline from a :class:`~repro.faults.ReliabilityPolicy`).
 
     Subclasses ``RuntimeError`` (not the builtin :class:`TimeoutError`) so
-    generic handlers catch it.  Formerly exported as ``TimeoutError_``; that
-    name remains as a deprecated alias.
+    generic handlers catch it.
     """
-
-
-#: Deprecated alias kept for source compatibility; use :class:`DeadlineError`.
-TimeoutError_ = DeadlineError
 
 
 class RevokedError(MpiSimError):

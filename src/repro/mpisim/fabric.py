@@ -193,9 +193,6 @@ class Fabric:
     def dead_ranks(self) -> frozenset[int]:
         return frozenset(self._dead)
 
-    def gone_ranks(self) -> frozenset[int]:
-        return self._gone
-
     def revoke(self, comm_id: Hashable) -> None:
         """Revoke a communicator: every pending or future operation on it
         (or on a communicator derived from it — lineage is checked) raises

@@ -20,15 +20,6 @@ class Status:
     tag: int = -1
     count_bytes: int = 0
 
-    def Get_source(self) -> int:
-        return self.source
-
-    def Get_tag(self) -> int:
-        return self.tag
-
-    def Get_count_bytes(self) -> int:
-        return self.count_bytes
-
 
 class Request:
     """Base request; complete when :meth:`test` returns True."""

@@ -1,8 +1,8 @@
 """Analytic cost model for DDR's exchange engines.
 
-Reads the *actual* schedule produced by the planner — the same
-:class:`~repro.core.schedule.ExchangeSchedule` lanes the executor replays —
-and converts it into wall time under the LogGP-style model in
+Reads the plan's per-round table (:class:`~repro.core.schedule.RoundTable`:
+bytes and messages per rank, the plan-wide partner count, the bytes each
+rank keeps) and converts it into wall time under the LogGP-style model in
 :class:`~repro.netmodel.cluster.ClusterSpec`.  This is the model behind the
 Table II predictions and the Figure 3 scaling curves.
 
@@ -14,27 +14,30 @@ Per-engine costs (:func:`engine_cost`) share one per-round vocabulary:
   collective overhead, plus the same serialisation — the busiest rank again
   sets the round time.
 
-Which of the two a round is comes from the function the executor asks
+Which of the two a round is comes from the rule the executor follows
 (:func:`repro.core.schedule.round_protocol`): ``alltoallw`` prices every
 round as collective, ``p2p`` (and ``bounded``, its other name) every round
 as direct, ``auto`` by the density rule — so predicted and executed choices
 agree by construction.
 
-Every function prices the plan it is handed, round by round.  Handed
-:func:`executed_plan` — the planned rounds regrouped the way the executor
-regroups them (:func:`repro.core.schedule.regroup`: merged while a staging
-limit allows, cut into piece-rounds of the round's own protocol where it
-does not, under every backend) — they price what actually runs; the
-paper's tables are reproduced from the planned rounds.
+Every function prices the table it is handed, round by round: a plan's own
+(the planned rounds, which the paper's tables are reproduced from) or
+:func:`executed_plan`'s — the rounds the engine runs, built by the engine's
+own builder (:meth:`repro.core.schedule.RankPlan.executed`: merged while a
+staging limit allows, cut into piece-rounds of the round's own protocol
+where it does not, under every backend).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
+
+import numpy as np
 
 from ..core.engine import check_backend
-from ..core.schedule import GlobalPlan, regroup, round_protocol
+from ..core.schedule import GlobalPlan, RoundTable
+from ..mpisim.datatypes import BYTE
 from .cluster import ClusterSpec
 
 #: Modeled cost of one rendezvous handshake on the direct-send path.
@@ -73,57 +76,66 @@ class EngineCost:
         return self.alpha_s + self.message_s + self.transfer_s + self.self_copy_s
 
 
-def round_payloads(plan: GlobalPlan) -> list[int]:
+def _table(priced: Union[GlobalPlan, RoundTable]) -> RoundTable:
+    return priced.table if isinstance(priced, GlobalPlan) else priced
+
+
+def round_payloads(plan: Union[GlobalPlan, RoundTable]) -> list[int]:
     """Max bytes any rank sends (to others) in each round.
 
     The collective completes when the busiest rank drains, so the max —
     not the mean — drives round time.
     """
-    return [
-        max((s.rounds[r].bytes_out for s in plan.schedules), default=0)
-        for r in range(plan.nrounds)
-    ]
+    return _table(plan).bytes_out.max(axis=1, initial=0).tolist()
 
 
 def executed_plan(
     plan: GlobalPlan, backend: str = "alltoallw", limit_bytes: Optional[int] = None
-) -> GlobalPlan:
-    """``plan`` as ``backend`` executes it under ``limit_bytes`` of staging
-    per rank (:func:`~repro.core.schedule.regroup` of every rank's schedule;
-    ``None``: no cap, so one round per protocol run).  ``nrounds`` of the
-    result counts executed rounds."""
+) -> RoundTable:
+    """The :class:`~repro.core.schedule.RoundTable` of the rounds ``backend``
+    executes under ``limit_bytes`` of staging per rank (``None``: no cap, so
+    one round per protocol run): every rank's
+    :meth:`~repro.core.schedule.RankPlan.executed`, typed as
+    ``element_size`` bytes per cell."""
     check_backend(backend)
-    if not plan.schedules:
-        return plan
-    schedules = [regroup(s, backend, limit_bytes) for s in plan.schedules]
-    return replace(plan, nrounds=schedules[0].nrounds, schedules=schedules)
+    types: dict = {}
+    ranks = [
+        rank.executed(backend, limit_bytes, BYTE, plan.element_size, types)
+        for rank in plan.rank_plans()
+    ]
+
+    def per_rank(value) -> np.ndarray:
+        return np.array([[value(rnd) for rnd in rounds] for rounds in ranks], np.int64).T
+
+    return RoundTable(
+        plan.nprocs, per_rank(lambda rnd: rnd.bytes_out), per_rank(lambda rnd: len(rnd.sends)),
+        [rnd.max_partners for rnd in ranks[0]], per_rank(lambda rnd: rnd.self_bytes).sum(axis=0),
+    )
 
 
 def engine_cost(
     cluster: ClusterSpec,
-    plan: GlobalPlan,
+    plan: Union[GlobalPlan, RoundTable],
     backend: str = "alltoallw",
 ) -> EngineCost:
-    """Model one full redistribution under ``backend`` on ``cluster``.
+    """Model one full redistribution of ``plan`` (its planned rounds, or an
+    executed table) under ``backend`` on ``cluster``.
 
     ``backend`` is ``"alltoallw"``, ``"p2p"``, ``"auto"``, or ``"bounded"``
     — the same names ``Redistributor(backend=...)`` accepts.
     """
     check_backend(backend)
-    schedules = plan.schedules
+    table = _table(plan)
+    bytes_out, messages = table.bytes_out.tolist(), table.messages.tolist()
 
     alpha_s = 0.0
     message_s = 0.0
     transfer_s = 0.0
-    round_engines: list[str] = []
-    for round_index in range(plan.nrounds):
-        rounds = [s.rounds[round_index] for s in schedules]
-        mode = round_protocol(backend, rounds[0])  # plan-wide: any rank's copy
-        round_engines.append(mode)
-
+    round_engines = table.protocols(backend)
+    for round_index, mode in enumerate(round_engines):
         if mode == "alltoallw":
-            alpha_s += cluster.alpha(plan.nprocs)
-            payload = max((r.bytes_out for r in rounds), default=0)
+            alpha_s += cluster.alpha(table.nprocs)
+            payload = max(bytes_out[round_index], default=0)
             transfer_s += payload / cluster.effective_bw(payload)
         else:
             # The busiest rank sets the round time; attribute its handshake
@@ -131,9 +143,9 @@ def engine_cost(
             worst_t = 0.0
             worst_msg = 0.0
             worst_xfer = 0.0
-            for r in rounds:
-                msg = r.message_count * P2P_PER_MESSAGE_S
-                xfer = r.bytes_out / cluster.effective_bw(r.bytes_out)
+            for count, nbytes in zip(messages[round_index], bytes_out[round_index]):
+                msg = count * P2P_PER_MESSAGE_S
+                xfer = nbytes / cluster.effective_bw(nbytes)
                 if msg + xfer > worst_t:
                     worst_t = msg + xfer
                     worst_msg = msg
@@ -143,13 +155,12 @@ def engine_cost(
 
     return EngineCost(
         backend=backend,
-        rounds=plan.nrounds,
+        rounds=table.nrounds,
         alpha_s=alpha_s,
         message_s=message_s,
         transfer_s=transfer_s,
         # Worst rank's local memcpy of the data it keeps across all rounds.
-        self_copy_s=max((s.total_self_bytes for s in schedules), default=0)
-        / cluster.memcpy_bw,
+        self_copy_s=max(table.self_bytes.tolist(), default=0) / cluster.memcpy_bw,
         round_engines=tuple(round_engines),
     )
 

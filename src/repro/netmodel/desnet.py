@@ -9,6 +9,8 @@ flow completion to flow completion.
 
 Used by the netmodel ablation bench to check that the analytic model's
 round-robin/consecutive crossover is not an artifact of its functional form.
+It reads a plan's planned rounds: the flows from its overlap rows, the
+software term from its :class:`~repro.core.schedule.RoundTable`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.engine import BACKENDS
-from ..core.schedule import GlobalPlan, round_protocol
+from ..core.schedule import GlobalPlan
 from .analytic import P2P_PER_MESSAGE_S
 from .cluster import ClusterSpec
 
@@ -121,20 +123,21 @@ def flows_for_round(
     round_index: int,
     rank_to_node: list[int],
 ) -> list[Flow]:
-    """Build the flow set of one exchange round from the schedule IR.
+    """Build the flow set of one exchange round from the plan's rows, in
+    ``(owner, dest)`` order.
 
     Transfers between ranks on the same node never touch the NIC and are
     excluded (they are covered by the analytic model's memcpy term); so are
-    self-transfers, which the IR already splits out of the send lanes.
+    self-transfers.
     """
+    rnd, owner, dest = plan.overlaps[:3]
+    first, stop = np.searchsorted(rnd, (round_index, round_index + 1))
     flows: list[Flow] = []
-    for schedule in plan.schedules:
-        src_node = rank_to_node[schedule.rank]
-        for lane in schedule.rounds[round_index].sends:
-            dst_node = rank_to_node[lane.peer]
-            if src_node == dst_node:
-                continue
-            flows.append(Flow(src_node, dst_node, lane.nbytes))
+    for src, dst, nbytes in zip(
+        owner[first:stop].tolist(), dest[first:stop].tolist(), plan.nbytes[first:stop].tolist()
+    ):
+        if rank_to_node[src] != rank_to_node[dst]:
+            flows.append(Flow(rank_to_node[src], rank_to_node[dst], nbytes))
     return flows
 
 
@@ -151,20 +154,20 @@ def simulate_exchange(
     ``alpha(P)`` for a collective round, one rendezvous handshake per
     message (serialised on the busiest rank) for a direct round.  ``engine``
     is a ``Redistributor(backend=...)`` name; which of the two a round is
-    comes from :func:`repro.core.schedule.round_protocol`, as in the
-    executor and the analytic model.
+    comes from the rule :func:`repro.core.schedule.round_protocol` applies
+    in the executor, as in the analytic model.
     """
     if engine not in BACKENDS:
         raise ValueError(f"unknown engine {engine!r}; choose one of {sorted(BACKENDS)}")
     if rank_to_node is None:
         rank_to_node = default_rank_to_node(plan.nprocs, cluster.procs_per_node)
+    table = plan.table
     total = 0.0
-    for round_index in range(plan.nrounds):
-        rounds = [s.rounds[round_index] for s in plan.schedules]
-        if round_protocol(engine, rounds[0]) == "alltoallw":  # plan-wide: any rank's copy
+    for round_index, protocol in enumerate(table.protocols(engine)):
+        if protocol == "alltoallw":
             total += cluster.alpha(plan.nprocs)
         else:
-            worst_messages = max((r.message_count for r in rounds), default=0)
+            worst_messages = max(table.messages[round_index].tolist(), default=0)
             total += worst_messages * P2P_PER_MESSAGE_S
         flows = flows_for_round(plan, round_index, rank_to_node)
         if flows:

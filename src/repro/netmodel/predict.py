@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ..core.schedule import GlobalPlan, compute_global_plan
+from ..core.schedule import GlobalPlan, RoundTable, compute_global_plan
 from ..io.assignment import (
     Assignment,
     PAPER_STACK,
@@ -20,7 +20,7 @@ from ..io.assignment import (
     assigned_images,
 )
 from ..volren.decompose import grid_boxes, grid_shape
-from .analytic import EngineCost, engine_cost
+from .analytic import engine_cost
 from .cluster import COOLEY, ClusterSpec
 from .desnet import simulate_exchange
 from .disk import stack_read_time
@@ -111,39 +111,38 @@ def predict_ddr(
     stack: StackGeometry = PAPER_STACK,
     network: str = "analytic",
     backend: str = "alltoallw",
-    plan: Optional[GlobalPlan] = None,
+    executed: Optional[RoundTable] = None,
 ) -> LoadPrediction:
     """DDR path: load-balanced reads, then the modeled redistribution.
 
     ``backend`` picks the exchange engine being modeled — the same four
     names the execution layer accepts, under either network model, and the
-    same per-round protocol rule.  ``plan`` prices a given
-    schedule of this geometry instead of the planned one — the executed
-    form (:func:`~repro.netmodel.analytic.executed_plan`) — and ``rounds``
-    then counts its rounds.
+    same per-round protocol rule.  ``executed`` prices the rounds the
+    engine runs instead of the planned ones — a table of this geometry's
+    plan from :func:`~repro.netmodel.analytic.executed_plan`, analytic model
+    only — and ``rounds`` then counts them.
     """
     images_per_rank = max(
         len(assigned_images(stack, nprocs, rank, strategy)) for rank in range(nprocs)
     )
     read_s = stack_read_time(cluster, images_per_rank, stack.image_bytes, nprocs)
-    if plan is None:
-        plan = ddr_plan(nprocs, strategy, stack)
-    if network == "des":
-        exchange_s = simulate_exchange(cluster, plan, engine=backend)
-        payload = plan.mean_bytes_per_chunk_round()
-    elif network == "analytic":
-        cost: EngineCost = engine_cost(cluster, plan, backend)
-        exchange_s = cost.total_s
-        payload = plan.mean_bytes_per_chunk_round()
-    else:
+    plan = ddr_plan(nprocs, strategy, stack)
+    priced = plan.table if executed is None else executed
+    if network == "analytic":
+        exchange_s = engine_cost(cluster, priced, backend).total_s
+    elif network != "des":
         raise ValueError(f"unknown network model {network!r} (use 'analytic' or 'des')")
+    elif executed is not None:
+        raise ValueError("the 'des' network model prices the planned rounds only")
+    else:
+        exchange_s = simulate_exchange(cluster, plan, engine=backend)
     return LoadPrediction(
         nprocs=nprocs,
         mode=f"ddr_{strategy.value}",
         read_s=read_s,
         exchange_s=exchange_s,
-        rounds=plan.nrounds,
-        round_payload_bytes=payload,
+        rounds=priced.nrounds,
+        round_payload_bytes=plan.mean_bytes_per_chunk_round(),
     )
 
 

@@ -192,9 +192,6 @@ class Tracer:
         """Bind the calling thread to a world rank (``run_spmd`` workers)."""
         self._local.rank = rank
 
-    def thread_rank(self) -> Optional[int]:
-        return getattr(self._local, "rank", None)
-
     # -- inspection ----------------------------------------------------------
 
     def records(self) -> list[SpanRecord]:

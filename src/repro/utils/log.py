@@ -13,15 +13,6 @@ _ROOT_NAME = "repro"
 _console_handler: Optional[logging.Handler] = None
 
 
-def get_logger(name: str | None = None) -> logging.Logger:
-    """Return a logger under the ``repro`` namespace with a NullHandler."""
-    full = _ROOT_NAME if not name else f"{_ROOT_NAME}.{name}"
-    logger = logging.getLogger(full)
-    if not logging.getLogger(_ROOT_NAME).handlers:
-        logging.getLogger(_ROOT_NAME).addHandler(logging.NullHandler())
-    return logger
-
-
 def enable_console_logging(level: int = logging.INFO) -> None:
     """Attach a stderr handler — used by the example scripts, never implicitly.
 

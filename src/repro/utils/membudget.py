@@ -22,8 +22,7 @@ rank of the simulated job shares this host.
 
 :func:`auditing_memory` is the cross-check: it measures the real
 allocation peak of a block via :mod:`tracemalloc` so tests can hold the
-analytic :meth:`~repro.core.schedule.RoundSchedule.peak_bytes` estimates
-against measured reality.
+plan's staging estimates (``GlobalPlan.staged``) against measured reality.
 """
 
 from __future__ import annotations

@@ -86,10 +86,6 @@ class TransferCounters:
     def total_copies(self) -> int:
         return sum(self.copies.values())
 
-    @property
-    def total_bytes_copied(self) -> int:
-        return sum(self.bytes_copied.values())
-
     def snapshot(self) -> dict:
         """A plain-dict copy, convenient for JSON records and asserts."""
         with self._lock:

@@ -41,6 +41,13 @@ def slab_exchange(nprocs, side, dense):
     return owns, [Box((0, (r + 1) % nprocs * rows), (side, rows)) for r in range(nprocs)]
 
 
+def every_lane(rnd, side):
+    """An executed round's ``"send"`` or ``"recv"`` lanes, its self lane
+    included, ordered by peer (the order of the Alltoallw type tables)."""
+    lanes, own = getattr(rnd, side + "s"), getattr(rnd, "self_" + side)
+    return lanes if own is None else sorted(lanes + [own], key=lambda lane: lane.peer)
+
+
 def counted_region(comm, fn):
     """Collective: run ``fn()`` with transfer counting on, return a snapshot.
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Box, Redistributor, compute_global_plan, regroup, round_protocol
+from repro.core import Box, Redistributor, compute_global_plan, round_protocol
 from repro.core.engine import BACKENDS
 from repro.lbm.decompose import slab_box
-from repro.mpisim import RankFailure
+from repro.mpisim import BYTE, RankFailure
 from repro.mpisim.errors import MemoryBudgetError
 from repro.utils.membudget import MEMORY_BUDGET, budget_scope
 from repro.volren.decompose import grid_boxes, grid_shape
@@ -63,7 +63,7 @@ def _global_plan(nprocs: int, nx: int, ny: int):
 
 def unbounded_peak_bytes(nprocs: int = NPROCS, nx: int = NX, ny: int = NY) -> int:
     """The plan's conservative worst-round staging estimate."""
-    return max(r.max_round_bytes for r in _global_plan(nprocs, nx, ny).schedules[0].rounds)
+    return max(_global_plan(nprocs, nx, ny).staged)
 
 
 def _assert_bitwise(expected, got):
@@ -120,39 +120,42 @@ class TestBudgetEnforcement:
         assert len(got) == NPROCS
 
 
-def _lowered(schedule, backend: str, limit) -> bool:
-    """Whether ``regroup`` cuts ``schedule``'s one round into piece-rounds
-    (each run by the whole round's protocol)."""
-    rounds = regroup(schedule, backend, limit).rounds
+def _executed(plan, backend: str, limit) -> list:
+    """Rank 0's executed rounds, typed as ``element_size`` bytes a cell."""
+    return plan.rank_plans([0])[0].executed(backend, limit, BYTE, plan.element_size, {})
+
+
+def _lowered(plan, backend: str, limit) -> bool:
+    """Whether rank 0 runs ``plan``'s one round as piece-rounds (each by the
+    whole round's protocol)."""
+    rounds = _executed(plan, backend, limit)
     if len(rounds) == 1:
-        assert rounds[0] is schedule.rounds[0]
+        assert (rounds[0].members, rounds[0].pieces) == ((0,), 1)
         return False
     assert [(r.piece, r.pieces, r.members) for r in rounds] == [
         (j, len(rounds), (0,)) for j in range(len(rounds))
     ]
-    assert {round_protocol(backend, r) for r in rounds} == {
-        round_protocol(backend, schedule.rounds[0])
-    }
+    assert {round_protocol(backend, r) for r in rounds} == set(plan.table.protocols(backend))
     return True
 
 
 class TestAutoPick:
-    """``regroup`` lowers a round iff the budget binds on its staged estimate
+    """The engine lowers a round iff the budget binds on its staged estimate
     (the limit the engine hands it is ``None`` on a direct transport), under
     every backend; the protocol stays the static rule's."""
 
     def _schedule(self, nx: int, ny: int):
-        schedule = _global_plan(NPROCS, nx, ny).schedules[0]
-        assert len(schedule.rounds) == 1
-        return schedule
+        plan = _global_plan(NPROCS, nx, ny)
+        assert plan.nrounds == 1
+        return plan
 
     def test_tight_budget_picks_bounded(self):
-        schedule = self._schedule(BIG_NX, BIG_NY)
-        limit = schedule.rounds[0].max_round_bytes // 2
+        plan = self._schedule(BIG_NX, BIG_NY)
+        limit = plan.staged[0] // 2
         for backend in BACKENDS:
-            assert _lowered(schedule, backend, limit)
+            assert _lowered(plan, backend, limit)
             # ceil(staged / (limit // 2)) pieces: two may be resident at once.
-            assert len(regroup(schedule, backend, limit).rounds) == 4
+            assert len(_executed(plan, backend, limit)) == 4
 
     def test_small_round_falls_back_best_effort(self):
         # There is no byte floor under a piece — a 48 KiB round is cut like a
@@ -162,17 +165,17 @@ class TestAutoPick:
         assert _lowered(self._schedule(NX, NY), "auto", unbounded_peak_bytes() // 2)
         owns = [[Box((0, r), (64, 1))] for r in range(NPROCS)]
         needs = [Box((16 * r, 0), (16, NPROCS)) for r in range(NPROCS)]
-        schedule = compute_global_plan(owns, needs, element_size=4).schedules[0]
-        assert schedule.rounds[0].max_lane_rows == 1
-        assert not any(_lowered(schedule, backend, 1) for backend in BACKENDS)
+        plan = compute_global_plan(owns, needs, element_size=4)
+        assert plan.rows == [1]
+        assert not any(_lowered(plan, backend, 1) for backend in BACKENDS)
 
     def test_generous_budget_keeps_static_rule(self):
-        schedule = self._schedule(NX, NY)
-        (rnd,) = schedule.rounds
-        unbudgeted = round_protocol("auto", rnd)
+        plan = self._schedule(NX, NY)
+        (unbudgeted,) = plan.table.protocols("auto")
         assert unbudgeted in ("alltoallw", "p2p")
-        executed = regroup(schedule, "auto", 64 * rnd.max_round_bytes)
-        assert executed is schedule and round_protocol("auto", executed.rounds[0]) == unbudgeted
+        (rnd,) = _executed(plan, "auto", 64 * plan.staged[0])
+        assert (rnd.members, rnd.pieces) == ((0,), 1)
+        assert round_protocol("auto", rnd) == unbudgeted
 
     @pytest.mark.parametrize(
         "nprocs, side, dense",
@@ -180,15 +183,15 @@ class TestAutoPick:
     )
     def test_only_a_binding_budget_changes_auto(self, nprocs, side, dense):
         owns, needs = slab_exchange(nprocs, side, dense)
-        schedule = compute_global_plan(owns, needs, element_size=4).schedules[0]
-        (rnd,) = schedule.rounds
+        plan = compute_global_plan(owns, needs, element_size=4)
+        (staged,) = plan.staged
         protocol = "alltoallw" if dense else "p2p"
-        assert round_protocol("auto", rnd) == protocol
+        assert plan.table.protocols("auto") == [protocol]
         for k in (1, 4, 64):
-            assert not _lowered(schedule, "auto", k * rnd.max_round_bytes)
+            assert not _lowered(plan, "auto", k * staged)
         # A binding budget cuts the round; a dense round's pieces stay collective.
-        assert _lowered(schedule, "auto", rnd.max_round_bytes - 1)
-        pieces = regroup(schedule, "auto", rnd.max_round_bytes - 1).rounds
+        assert _lowered(plan, "auto", staged - 1)
+        pieces = _executed(plan, "auto", staged - 1)
         assert {round_protocol("auto", piece) for piece in pieces} == {protocol}
         # Nothing is staged on a direct transport: the engine passes no limit.
-        assert not _lowered(schedule, "auto", None)
+        assert not _lowered(plan, "auto", None)

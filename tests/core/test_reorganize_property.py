@@ -10,7 +10,7 @@ exclusive and complete (the paper's §III-B precondition); needs are
 arbitrary sub-boxes and may overlap across ranks.  Tiles are dealt to the
 ranks at random — several chunks on one rank, none on another — so most
 plans have several rounds, and the budget axis decides how the executed
-rounds regroup them (``repro.core.schedule.regroup``): all in one
+rounds group them (``repro.core.schedule.RankPlan.executed``): all in one
 (``none``), some (``between`` one planned round and the whole exchange) or
 one at a time, the over-budget ones cut into piece-rounds (``below`` a
 single round).  The executor axis is covered by re-running this file under
@@ -24,8 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Box, Redistributor, compute_global_plan, regroup
-from repro.mpisim import RankFailure, default_executor
+from repro.core import Box, Redistributor, compute_global_plan
+from repro.mpisim import BYTE, RankFailure, default_executor
 from repro.mpisim.errors import MemoryBudgetError
 from repro.utils.membudget import budget_scope
 from tests.conftest import spmd
@@ -157,7 +157,7 @@ def run_case(
     # tall cannot be cut, and the ledger is charged as messages happen to be
     # in flight, so which one is timing-dependent).
     plan = compute_global_plan(owns, needs, np.dtype(dtype).itemsize * components)
-    staged = [rnd.max_round_bytes for rnd in plan.schedules[0].rounds]
+    staged = plan.staged
     peak = max(staged, default=0)
     limit = max(1, peak // 2 if budget == "below" else peak + (sum(staged) - peak) // 2)
     with budget_scope(limit_bytes=limit):
@@ -224,8 +224,8 @@ def test_lowered_rounds_move_interleaved_state(backend, transport):
     plan = compute_global_plan(problem[1], problem[2], 8 * 9)
     # Half the worst round: round 0 runs in four pieces, and rank 1's chunk —
     # one row tall — is in only one of them.
-    limit = max(rnd.max_round_bytes for rnd in plan.schedules[1].rounds) // 2
-    executed = regroup(plan.schedules[1], backend, limit).rounds
+    limit = max(plan.staged) // 2
+    executed = plan.rank_plans([1])[0].executed(backend, limit, BYTE, plan.element_size, {})
     assert [(r.members, r.piece, r.pieces) for r in executed] == [
         ((0,), 0, 4), ((0,), 1, 4), ((0,), 2, 4), ((0,), 3, 4), ((1,), 0, 1), ((2,), 0, 1)
     ]

@@ -20,7 +20,7 @@ from repro.core.engine import executed_rounds
 from repro.mpisim.datatypes import StructType, SubarrayType
 from repro.mpisim.transport import _TURN, transport, turn
 from repro.volren.decompose import grid_boxes
-from tests.conftest import spmd, thread_only
+from tests.conftest import every_lane, spmd, thread_only
 
 NPROCS = 4
 
@@ -77,7 +77,7 @@ def test_merged_receive_lanes_are_one_stepped_subarray_that_takes_turns(dims, ba
     def fn(comm):
         red = load(comm, dims, backend)
         (rnd,) = executed_rounds(red.mapping, backend, True)
-        lanes = rnd.all_recvs()
+        lanes = every_lane(rnd, "recv")
         assert [lane.peer for lane in lanes] == list(range(NPROCS))
         for lane in lanes:
             assert type(lane.datatype) is SubarrayType

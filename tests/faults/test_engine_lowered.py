@@ -1,7 +1,7 @@
 """Round retries, resume and message order when an executed round is a piece.
 
 Under a budget below one planned round, ``bounded`` / ``auto`` run the round
-as k piece-rounds (``repro.core.schedule.regroup``).  The planned round stays
+as k piece-rounds (``repro.core.schedule.RankPlan.executed``).  The planned round stays
 the unit of everything ``test_engine_retry.py`` and ``test_engine_merged.py``
 pin: the fault layer's round-entry hook fires on the first piece only,
 ``ExchangeProgress.completed`` records the round after its last piece, and

@@ -1,7 +1,7 @@
 """Round retries and resume when executed rounds are merged groups.
 
 The engine runs consecutive planned rounds of one protocol as one executed
-round (``repro.core.schedule.coalesce``).  The fault layer's round-entry hook
+round (``repro.core.schedule.RankPlan.executed``).  The fault layer's round-entry hook
 then fires once per executed round, under the *first* member's index, while
 ``ExchangeProgress.completed`` keeps recording planned indices — so retry
 counts and resume mean what ``test_engine_retry.py`` pins for single rounds.

@@ -16,10 +16,10 @@ from repro.faults.injector import FAULTS, clear_fault_plan, install_fault_plan
 from repro.faults.policy import CORRUPTION_RAISE
 from repro.mpisim import (
     CorruptionError,
+    DeadlineError,
     RankCrashError,
     RankFailure,
     RetriesExhaustedError,
-    TimeoutError_,
 )
 from tests.conftest import spmd
 
@@ -94,7 +94,7 @@ class TestDrop:
             with pytest.raises(RankFailure) as excinfo:
                 spmd(2, _ping)
             assert excinfo.value.rank == 1
-            assert isinstance(excinfo.value.original, TimeoutError_)
+            assert isinstance(excinfo.value.original, DeadlineError)
             assert FAULTS.stats.get("drops") == 1
 
 

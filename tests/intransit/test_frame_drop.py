@@ -26,7 +26,7 @@ from repro.intransit import (
     run_pipeline,
 )
 from repro.lbm import LbmConfig
-from repro.mpisim import RankFailure, TimeoutError_
+from repro.mpisim import DeadlineError, RankFailure
 from repro.obs import tracing
 from tests.conftest import spmd
 
@@ -138,7 +138,7 @@ class TestFailPolicy:
         with fault_plan(_drop_frame_plan(1), ReliabilityPolicy(op_deadline_s=0.3)):
             with pytest.raises(RankFailure) as excinfo:
                 _run(config)
-        assert isinstance(excinfo.value.original, TimeoutError_)
+        assert isinstance(excinfo.value.original, DeadlineError)
 
 
 class TestStragglerAcrossResplit:

@@ -6,7 +6,7 @@ symbol — kept here on top of the scalar T.81 §F.1.2 primitives, and compared
 with ``_encode_scan`` on synthetic coefficient stacks.  ``golden_sha256.json``
 holds the digests of whole files as that coder wrote them (recorded at commit
 2916697 by running this file as a script), which also pins the front end:
-padding, block order, MCU regroup.
+padding, block order, MCU interleaving.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.mpisim import (
 )
 from repro.utils import counting_transfers
 from repro.volren.decompose import grid_boxes
+from tests.conftest import every_lane
 
 
 class TestNamedTypes:
@@ -368,7 +369,7 @@ def merged_receive_types(owns, needs, backend="alltoallw"):
     lanes = []
     for plan in plan_ranks(decl, 4):
         (rnd,) = plan.executed(backend, None, FLOAT, 1, {})
-        lanes.append(rnd.all_recvs())
+        lanes.append(every_lane(rnd, "recv"))
     return lanes
 
 
@@ -409,11 +410,13 @@ class TestStructRuns:
         plan = plan_ranks(decl, 4, ranks=[1])[0]
         types = {}
         (rnd,) = plan.executed("p2p", None, FLOAT, 1, types)
-        for lane in rnd.all_sends():
+        for lane in every_lane(rnd, "send"):
             assert len({id(member) for _, member in lane.datatype.members}) == 1
         assert len(types) == 12  # 4 send subarrays, 4 structs, 4 stepped receives
         again = plan.executed("alltoallw", None, FLOAT, 1, types)[0]  # another variant, same types
-        assert [l.datatype for l in again.all_sends()] == [l.datatype for l in rnd.all_sends()]
+        assert [l.datatype for l in every_lane(again, "send")] == [
+            l.datatype for l in every_lane(rnd, "send")
+        ]
 
     def test_redist_rounds_receive_lanes_are_one_run_each(self):
         """128^3 float32 on four ranks, single z-slices dealt round-robin,

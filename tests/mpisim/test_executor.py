@@ -11,10 +11,10 @@ import pytest
 from repro.mpisim import (
     AbortError,
     CommunicatorError,
+    DeadlineError,
     Fabric,
     RankFailure,
     SpmdHangError,
-    TimeoutError_,
     run_spmd,
     world_communicators,
 )
@@ -70,7 +70,7 @@ class TestRunSpmd:
 
         with pytest.raises(RankFailure) as excinfo:
             run_spmd(2, fn, deadlock_timeout=0.5)
-        assert isinstance(excinfo.value.original, TimeoutError_)
+        assert isinstance(excinfo.value.original, DeadlineError)
 
     def test_ranks_run_concurrently(self):
         """A rendezvous that requires both ranks in flight simultaneously."""

@@ -42,12 +42,12 @@ class TestGeometry:
             [Box((r * rows, 0), (rows, side)) for r in range(nprocs)],
             element_size=4,
         )
-        for sched in plan.schedules:
-            back = roundtrip(sched)
-            assert back.rank == sched.rank
-            assert back.nrounds == sched.nrounds
-            assert back.total_bytes_out == sched.total_bytes_out
-            assert back == sched
+        for rows in plan.rank_plans():
+            back = roundtrip(rows)
+            assert (back.rank, back.nrounds) == (rows.rank, rows.nrounds)
+            assert back.lanes("send") == rows.lanes("send")
+            assert back.lanes("recv") == rows.lanes("recv")
+            assert (back.partners, back.staged) == (rows.partners, rows.staged)
 
     def test_subarray_type_packs_identically(self):
         datatype = SubarrayType(FLOAT, (16, 16), (4, 8), (2, 3))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Box, Redistributor, compute_global_plan
+from repro.core import Box, Redistributor, compute_global_plan, round_protocol
+from repro.core.engine import executed_rounds
 from repro.io import Assignment, StackGeometry
 from repro.netmodel import (
     COOLEY,
@@ -17,7 +18,10 @@ from repro.netmodel import (
     predict_ddr,
     round_payloads,
 )
+from repro.mpisim import BYTE
+from repro.utils.membudget import budget_scope
 from tests.conftest import slab_exchange, spmd
+from tests.core.test_reorganize_property import state_mover_problem
 
 
 def simple_plan(nprocs=4, n=16, esize=4):
@@ -158,8 +162,15 @@ class TestEngineCost:
             engine_cost(COOLEY, simple_plan(), "smoke-signals")
 
 
+def conserved(executed, plan):
+    """Every rank sends and keeps, over all executed rounds, what it planned to."""
+    return np.array_equal(executed.bytes_out.sum(axis=0), plan.table.bytes_out.sum(axis=0)) and (
+        np.array_equal(executed.self_bytes, plan.table.self_bytes)
+    )
+
+
 class TestExecutedPlan:
-    """Pricing what the engine runs: the planned rounds regrouped — merged per
+    """Pricing what the engine runs: the executed rounds' table — merged per
     protocol, cut into piece-rounds under a limit below one round."""
 
     def plan(self, rows=1):
@@ -174,16 +185,12 @@ class TestExecutedPlan:
         for backend, executed in (("alltoallw", 1), ("p2p", 1), ("auto", 1), ("bounded", 1)):
             merged = executed_plan(plan, backend)
             assert merged.nrounds == executed and plan.nrounds == 4
-            assert merged.total_bytes_moved() == plan.total_bytes_moved()
-            assert (merged.traffic_matrix() == plan.traffic_matrix()).all()
-            assert merged.mean_bytes_per_chunk_round() == plan.mean_bytes_per_chunk_round()
+            assert conserved(merged, plan)
 
     def test_cap_bounds_every_merged_round_and_prices_between(self):
         plan = self.plan()
-        staged = [rnd.max_round_bytes for rnd in plan.schedules[0].rounds]
-        capped = executed_plan(plan, limit_bytes=2 * max(staged))
-        assert capped.nrounds == 2
-        assert all(r.max_round_bytes <= 2 * max(staged) for r in capped.schedules[0].rounds)
+        capped = executed_plan(plan, limit_bytes=2 * max(plan.staged))
+        assert capped.nrounds == 2 and conserved(capped, plan)
         costs = [
             engine_cost(COOLEY, p).alpha_s for p in (plan, capped, executed_plan(plan))
         ]
@@ -192,11 +199,10 @@ class TestExecutedPlan:
     @pytest.mark.parametrize("backend", ["auto", "bounded"])
     def test_limit_below_one_round_prices_at_most_k_times_the_messages(self, backend):
         plan = self.plan(rows=4)
-        staged = plan.schedules[0].rounds[0].max_round_bytes
+        staged = plan.staged[0]
         lowered = executed_plan(plan, backend, limit_bytes=staged // 2)
         k = 4  # ceil(staged / (limit // 2)), and lanes are four rows tall
-        assert lowered.nrounds == k * plan.nrounds
-        assert (lowered.traffic_matrix() == plan.traffic_matrix()).all()
+        assert lowered.nrounds == k * plan.nrounds and conserved(lowered, plan)
         cost = engine_cost(COOLEY, lowered, backend)
         planned = engine_cost(COOLEY, plan, backend)
         # A piece is priced by its round's protocol: auto's dense rounds stay
@@ -207,12 +213,46 @@ class TestExecutedPlan:
         else:
             assert cost.alpha_s == 0
             assert planned.message_s < cost.message_s <= k * planned.message_s
-        for s, whole in zip(lowered.schedules, plan.schedules):
-            assert whole.message_count < s.message_count <= k * whole.message_count
+        messages, whole = lowered.messages.sum(axis=0), plan.table.messages.sum(axis=0)
+        assert (whole < messages).all() and (messages <= k * whole).all()
         # Every backend cuts alike; whole only where no lane has a second row.
         for other in ("alltoallw", "p2p"):
             assert executed_plan(plan, other, limit_bytes=staged // 2).nrounds == lowered.nrounds
         assert executed_plan(self.plan(), backend, limit_bytes=1).nrounds == plan.nrounds
+
+    @pytest.mark.parametrize("budget", ["none", "between", "below"])
+    @pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
+    @pytest.mark.parametrize("problem", ["columns", "state mover"])
+    def test_prices_the_rounds_a_live_redistributor_runs(self, problem, backend, budget):
+        """The executed table against what set-up builds for ``execute`` on
+        every rank under the same budget: round count, groups and pieces,
+        protocol and bytes out, round by round."""
+        if problem == "columns":
+            plan = self.plan(rows=4)
+        else:
+            _, owns, needs = state_mover_problem()
+            plan = compute_global_plan(owns, needs, element_size=4)
+        limit = {"none": None, "between": 2 * max(plan.staged), "below": max(plan.staged) // 2}
+        table = executed_plan(plan, backend, limit[budget])
+        ranks = plan.rank_plans()
+
+        def fn(comm):
+            rows = ranks[comm.rank]
+            red = Redistributor(comm, ndims=plan.ndims, dtype=np.float32, backend=backend)
+            red.setup(own=rows.own_boxes(), need=rows.need_box())
+            return [
+                (r.members, r.piece, r.pieces, round_protocol(backend, r), r.bytes_out)
+                for r in executed_rounds(red.mapping, backend, zero_copy=False)
+            ]
+
+        with budget_scope(limit_bytes=limit[budget]):
+            live = spmd(plan.nprocs, fn)
+        assert table.nrounds > (budget == "below")  # pieces, when the budget binds
+        for rank, rounds in enumerate(live):
+            expected = ranks[rank].executed(backend, limit[budget], BYTE, 4, {})
+            assert [r[:3] for r in rounds] == [(r.members, r.piece, r.pieces) for r in expected]
+            assert [r[3] for r in rounds] == table.protocols(backend)
+            assert [r[4] for r in rounds] == table.bytes_out[:, rank].tolist()
 
     @pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
     @pytest.mark.parametrize("network", ["analytic", "des"])

@@ -13,6 +13,7 @@ from repro.netmodel import (
     COOLEY,
     ddr_plan,
     exchange_cost,
+    executed_plan,
     figure3_series,
     paper_grid,
     predict_ddr,
@@ -88,6 +89,10 @@ class TestPredictionsSmall:
     def test_unknown_network_rejected(self):
         with pytest.raises(ValueError):
             predict_ddr(COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="carrier-pigeon")
+        # The flow model reads the planned rows; executed rounds have only a table.
+        executed = executed_plan(ddr_plan(8, Assignment.CONSECUTIVE, SMALL))
+        with pytest.raises(ValueError, match="planned rounds only"):
+            predict_ddr(COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="des", executed=executed)
 
     def test_backend_parameter_all_engines(self):
         # Consecutive assignment at 8 ranks is sparse, so the direct path

@@ -66,4 +66,5 @@ def test_dict_roundtrip_matches_over_survivor_plan():
     plan = e1_plan()
     restored = plan_from_dict(plan_to_dict(plan))
     assert restored.nprocs == plan.nprocs
-    assert restored.schedules == plan.schedules
+    assert plan_to_dict(restored) == plan_to_dict(plan)
+    assert restored.staged == plan.staged
