@@ -1,7 +1,7 @@
 """Metrics-driven autoscaling for elastic redistribution.
 
 The malleability stack gives three mechanisms — ``Communicator.spawn``,
-``Redistributor.resize`` and the pipeline's ``on_load="resize"`` — but no
+``Redistributor.resize`` and the pipeline's ``resize_schedule`` — but no
 *policy*.  This module supplies it: an :class:`Autoscaler` consumes
 :class:`~repro.obs.MetricsRegistry` signals (exchange seconds per epoch,
 queue depth), smooths them with exponentially-weighted moving averages,

@@ -303,6 +303,24 @@ class Redistributor:
         self.exchange(own_buffers, out, mapping=active)
         return out
 
+    def migrate(
+        self,
+        own: Sequence[Box],
+        need: Optional[Box],
+        own_buffers: Buffers,
+        validate: bool = True,
+    ) -> Optional[np.ndarray]:
+        """Collective one-generation data move: ``own_buffers`` laid out as
+        ``own`` go where every rank's ``need`` says, through a mapping built
+        for this call and invalidated after it; the active mapping is left
+        as it was.  Returns this rank's ``need`` region (``None`` without
+        one).  The data move of every reconfiguration — :meth:`resize`, its
+        joiners, the in-transit pipeline's re-split and crash restore."""
+        migration = self.new_mapping(own=own, need=need, validate=validate)
+        data = self.gather_need(own_buffers, mapping=migration)
+        migration.invalidate()
+        return data
+
     # -- elastic malleability (resize / retarget) ----------------------------
 
     def _clone_for(self, comm: Communicator) -> "Redistributor":
@@ -408,11 +426,8 @@ class Redistributor:
                 "worker_args": tuple(worker_args),
             }
             union = self.comm.spawn(new_n - m, _resize_join, spec)
-            mover = self._clone_for(union)
             new_box = layout(union.rank, new_n)
-            migration = mover.new_mapping(own=own_boxes, need=new_box, validate=validate)
-            data = mover.gather_need(bufs if bufs else None, mapping=migration)
-            migration.invalidate()
+            data = self._clone_for(union).migrate(own_boxes, new_box, bufs, validate)
             self.retarget(union)
             return ResizeResult(True, union, self, new_box, data)
 
@@ -420,9 +435,7 @@ class Redistributor:
         # (leaving ranks declare need=None), then split the leavers off.
         stay = rank < new_n
         new_box = layout(rank, new_n) if stay else None
-        migration = self.new_mapping(own=own_boxes, need=new_box, validate=validate)
-        data = self.gather_need(bufs if bufs else None, mapping=migration)
-        migration.invalidate()
+        data = self.migrate(own_boxes, new_box, bufs, validate)
         if new_n == m:
             self.retarget(self.comm)
             return ResizeResult(True, self.comm, self, new_box, data)
@@ -478,8 +491,6 @@ def _resize_join(comm: Communicator, spec: dict) -> Any:
         reliability=spec["reliability"],
     )
     new_box = spec["layout"](comm.rank, comm.size)
-    migration = red.new_mapping(own=[], need=new_box, validate=spec["validate"])
-    data = red.gather_need(None, mapping=migration)
-    migration.invalidate()
+    data = red.migrate([], new_box, None, spec["validate"])
     result = ResizeResult(True, comm, red, new_box, data)
     return spec["worker"](result, *spec["worker_args"])

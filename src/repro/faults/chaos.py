@@ -370,8 +370,8 @@ def _pipeline_config(
 ) -> PipelineConfig:
     """The chaos pipeline run: m + 2 ranks, ``steps / 5`` frames of a 32×16
     lattice.  Crash runs override ``m=3`` (one simulation-rank death still
-    leaves m' >= n) and ``on_rank_loss="shrink"``; elastic runs
-    ``on_load="resize"`` with a seeded ``resize_schedule`` over twice the steps.
+    leaves m' >= n) and ``on_rank_loss="shrink"``; elastic runs a seeded
+    ``resize_schedule`` over twice the steps.
     """
     return PipelineConfig(
         lbm=LbmConfig(nx=32, ny=16), m=m, n=2, steps=steps, output_every=5,
@@ -528,7 +528,7 @@ def _transport_case(
     if is_pipeline:
         drop = "skip" if (index // PIPELINE_EVERY) % 2 == 0 else "stale"
         config = _pipeline_config(backend, drop, **(pipeline or {}))
-        workload = "pipeline-resize" if config.on_load == "resize" else "pipeline"
+        workload = "pipeline-resize" if config.resize_schedule else "pipeline"
         world_size = config.m + config.n
         launch = _spmd(
             world_size, _pipeline_worker, config, resilient=resilient, executor=executor
@@ -601,8 +601,8 @@ def _resize(runs: int, ops: int, nprocs: int):
     """Self-healing fault families only (no crashes, no drops) against the
     voluntary resize path: a seeded mid-epoch schedule of grows that spawn
     ranks and shrinks that retire them through
-    :meth:`ResilientRedistributor.resize`, plus elastic
-    (``on_load="resize"``) pipeline runs.  Every generation — and every
+    :meth:`ResilientRedistributor.resize`, plus elastic pipeline runs
+    (a ``resize_schedule``).  Every generation — and every
     migrated slab — must be bitwise-correct or surface a typed error."""
 
     return lambda index, plan_seed: _transport_case(
@@ -613,8 +613,7 @@ def _resize(runs: int, ops: int, nprocs: int):
         combos=RESIZE_COMBOS,
         schedule=_resize_schedule(plan_seed, nprocs),
         pipeline=dict(
-            m=3, steps=20, on_load="resize",
-            resize_schedule=_pipeline_resize_schedule(plan_seed),
+            m=3, steps=20, resize_schedule=_pipeline_resize_schedule(plan_seed)
         ),
     )
 

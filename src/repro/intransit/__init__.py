@@ -5,9 +5,6 @@ from .pipeline import (
     FRAME_DROP_MODES,
     FRAME_DROP_SKIP,
     FRAME_DROP_STALE,
-    ON_LOAD_IGNORE,
-    ON_LOAD_MODES,
-    ON_LOAD_RESIZE,
     ON_RANK_LOSS_FAIL,
     ON_RANK_LOSS_MODES,
     ON_RANK_LOSS_SHRINK,
@@ -29,9 +26,6 @@ __all__ = [
     "FRAME_DROP_MODES",
     "FRAME_DROP_SKIP",
     "FRAME_DROP_STALE",
-    "ON_LOAD_IGNORE",
-    "ON_LOAD_MODES",
-    "ON_LOAD_RESIZE",
     "ON_RANK_LOSS_FAIL",
     "ON_RANK_LOSS_MODES",
     "ON_RANK_LOSS_SHRINK",

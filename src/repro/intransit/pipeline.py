@@ -8,10 +8,10 @@ compressed JPEG instead of raw floats — the storage trade Table IV
 quantifies.
 
 There is one per-rank driver and one frame loop.  The sim/analysis split
-can change while the run is live — at a scheduled frame
-(``on_load="resize"``) or after a rank crash (``on_rank_loss="shrink"``) —
-and both go through the same ``_reconfigure``; DESIGN.md "Pipeline
-reconfiguration" describes the protocol.
+can change while the run is live — at the frames of a ``resize_schedule``
+or after a rank crash (``on_rank_loss="shrink"``) — and both go through the
+same ``_reconfigure``; DESIGN.md "Pipeline reconfiguration" describes the
+protocol.
 """
 
 from __future__ import annotations
@@ -32,17 +32,11 @@ from ..lbm.decompose import slab_box
 from ..lbm.distributed import DistributedLbm
 from ..lbm.simulation import LbmConfig
 from ..mpisim.comm import Communicator
-from ..mpisim.errors import (
-    DeadlineError,
-    MpiSimError,
-    ProcessFailedError,
-    RankCrashError,
-    RevokedError,
-)
+from ..mpisim.errors import MpiSimError
 from ..obs.tracer import TRACER
-from ..resilience.checkpoint import CheckpointPolicy, shared_store
-from ..resilience.errors import DataLossError, ReconfigurationError
-from ..resilience.redistributor import RESILIENCE_STATS
+from ..resilience.checkpoint import CheckpointPolicy, restore, shared_store
+from ..resilience.errors import ReconfigurationError
+from ..resilience.redistributor import RESILIENCE_STATS, agree_failures, recoverable
 from ..viz.colormaps import BLUE_WHITE_RED, GRAYSCALE
 from ..viz.image import assemble_tiles, render_scalar_field
 from ..volren.decompose import grid_boxes, grid_shape
@@ -67,14 +61,6 @@ ON_RANK_LOSS_FAIL = "fail"  # typed error / abort (pre-resilience behaviour)
 ON_RANK_LOSS_SHRINK = "shrink"  # reconfigure over the survivors and continue
 
 ON_RANK_LOSS_MODES = (ON_RANK_LOSS_FAIL, ON_RANK_LOSS_SHRINK)
-
-#: Load policies (``PipelineConfig.on_load``): what the pipeline does about
-#: *voluntary* reconfiguration — resizing the sim/analysis split while the
-#: run is live (as opposed to reacting to a crash).
-ON_LOAD_IGNORE = "ignore"  # fixed M-to-N split for the whole run
-ON_LOAD_RESIZE = "resize"  # re-split the rank pool at scheduled frames
-
-ON_LOAD_MODES = (ON_LOAD_IGNORE, ON_LOAD_RESIZE)
 
 #: What a pool rank is currently doing (``PipelineResult.role`` reports the
 #: analysis rank holding the ledger as ``"analysis_root"``).
@@ -115,23 +101,21 @@ class PipelineConfig:
     abort), ``"shrink"`` reconfigures the pipeline over the survivors —
     consumer loss re-partitions the analysis layout, producer loss
     restores the lost simulation slab from buddy checkpoints — and
-    replays from the agreed rollback frame.  ``checkpoint`` tunes the buddy
-    replication; ``None`` uses a :class:`~repro.resilience.CheckpointPolicy`
-    that retains every frame.
+    replays from the agreed rollback frame.  Buddy checkpoints retain every
+    frame, so any rollback point is restorable.
 
-    ``on_load="resize"`` enables *voluntary* elastic reconfiguration:
-    ``resize_schedule`` is a tuple of ``(frame, m, n)`` triples, and at
-    each scheduled frame the whole rank pool re-splits into ``m``
+    A ``resize_schedule`` enables *voluntary* elastic reconfiguration: it
+    is a tuple of ``(frame, m, n)`` triples, every frame inside the run,
+    and at each scheduled frame the whole rank pool re-splits into ``m``
     simulation + ``n`` analysis ranks (either side may grow or shrink
     independently; ranks left over are parked until a later entry drafts
     them back).  Simulation state migrates onto the new slab
     decomposition through a components=9 DDR exchange on one persistent
     world-wide redistributor — each resize is a fresh ``LocalMapping``
-    generation, the same lifecycle crash recovery uses.
-    Such schedules are typically produced by an
-    :class:`~repro.autoscale.Autoscaler` watching exchange-time and
-    queue-depth metrics.  ``on_load="resize"`` composes with the frame-drop
-    policies but not (yet) with ``on_rank_loss="shrink"``.
+    generation, the same lifecycle crash recovery uses.  Such schedules
+    are typically produced by an :class:`~repro.autoscale.Autoscaler`
+    watching exchange-time and queue-depth metrics.  A schedule composes
+    with the frame-drop policies but not (yet) with ``on_rank_loss="shrink"``.
     """
 
     lbm: LbmConfig
@@ -151,8 +135,6 @@ class PipelineConfig:
     frame_deadline_s: Optional[float] = None  # None = reliability policy default
     reliability: Optional[ReliabilityPolicy] = None
     on_rank_loss: str = ON_RANK_LOSS_FAIL
-    checkpoint: Optional[CheckpointPolicy] = None
-    on_load: str = ON_LOAD_IGNORE
     resize_schedule: Optional[tuple] = None  # ((frame, m, n), ...)
 
     def __post_init__(self) -> None:
@@ -168,50 +150,6 @@ class PipelineConfig:
                 f"unknown on_rank_loss {self.on_rank_loss!r}; choose one of "
                 f"{ON_RANK_LOSS_MODES}"
             )
-        if self.checkpoint is not None and not isinstance(
-            self.checkpoint, CheckpointPolicy
-        ):
-            raise ValueError("checkpoint must be a CheckpointPolicy or None")
-        if self.on_load not in ON_LOAD_MODES:
-            raise ValueError(
-                f"unknown on_load {self.on_load!r}; choose one of {ON_LOAD_MODES}"
-            )
-        if self.on_load == ON_LOAD_RESIZE:
-            if self.on_rank_loss == ON_RANK_LOSS_SHRINK:
-                raise ValueError(
-                    'on_load="resize" does not compose with '
-                    'on_rank_loss="shrink" yet; pick one reconfiguration mode'
-                )
-            if not self.resize_schedule:
-                raise ValueError(
-                    'on_load="resize" needs a resize_schedule of '
-                    "(frame, m, n) triples"
-                )
-            pool = self.m + self.n
-            last_frame = 0
-            for entry in self.resize_schedule:
-                if len(entry) != 3:
-                    raise ValueError(
-                        f"resize_schedule entries are (frame, m, n); got {entry!r}"
-                    )
-                frame, m, n = entry
-                if frame <= last_frame:
-                    raise ValueError(
-                        "resize_schedule frames must be strictly increasing "
-                        f"and >= 1; got frame {frame} after {last_frame}"
-                    )
-                last_frame = frame
-                if n < 1 or m < n:
-                    raise ValueError(
-                        f"resize to m={m}, n={n} violates m >= n >= 1"
-                    )
-                if m + n > pool:
-                    raise ValueError(
-                        f"resize to m={m}, n={n} exceeds the fixed rank pool "
-                        f"of {pool}"
-                    )
-        elif self.resize_schedule is not None:
-            raise ValueError('resize_schedule requires on_load="resize"')
         if self.frame_deadline_s is not None and self.frame_deadline_s <= 0:
             raise ValueError("frame_deadline_s must be positive or None")
         if self.reliability is not None and not isinstance(
@@ -232,6 +170,37 @@ class PipelineConfig:
         for name in self.variables:
             if name not in VARIABLES:
                 raise ValueError(f"unknown variable {name!r}; options: {VARIABLES}")
+        if self.resize_schedule is None:
+            return
+        if self.on_rank_loss == ON_RANK_LOSS_SHRINK:
+            raise ValueError(
+                'a resize_schedule does not compose with on_rank_loss="shrink" '
+                "yet; pick one reconfiguration mode"
+            )
+        if not self.resize_schedule:
+            raise ValueError("resize_schedule needs at least one (frame, m, n) triple")
+        last_frame = 0
+        for entry in self.resize_schedule:
+            if len(entry) != 3:
+                raise ValueError(f"resize_schedule entries are (frame, m, n); got {entry!r}")
+            frame, m, n = entry
+            if frame <= last_frame:
+                raise ValueError(
+                    "resize_schedule frames must be strictly increasing "
+                    f"and >= 1; got frame {frame} after {last_frame}"
+                )
+            if frame >= self.n_frames:
+                raise ValueError(
+                    f"resize_schedule frame {frame} is never reached: the run "
+                    f"has {self.n_frames} frames"
+                )
+            last_frame = frame
+            if n < 1 or m < n:
+                raise ValueError(f"resize to m={m}, n={n} violates m >= n >= 1")
+            if m + n > self.m + self.n:
+                raise ValueError(
+                    f"resize to m={m}, n={n} exceeds the fixed rank pool of {self.m + self.n}"
+                )
 
     @property
     def n_frames(self) -> int:
@@ -262,7 +231,7 @@ class PipelineResult:
     slabs_purged: int = 0  # abandoned-frame stragglers drained from the mailbox
     recoveries: int = 0  # shrink-mode reconfigurations this rank survived
     ranks_lost: int = 0  # members removed across those reconfigurations
-    resizes: int = 0  # voluntary on_load="resize" reconfigurations applied
+    resizes: int = 0  # voluntary resize_schedule reconfigurations applied
 
     @property
     def data_reduction(self) -> float:
@@ -317,8 +286,8 @@ class _Pipeline:
         self.shrink = config.on_rank_loss == ON_RANK_LOSS_SHRINK
         if self.shrink:
             # Simulation state is checkpointed per frame; every frame must
-            # stay restorable, so the default policy retains all of them.
-            self.policy = config.checkpoint or CheckpointPolicy(retain=None)
+            # stay restorable, so the policy retains all of them.
+            self.policy = CheckpointPolicy(retain=None)
             self.store = shared_store(world.fabric, key=STATE_STORE_KEY)
         self.recoveries = 0
         self.ranks_lost = 0
@@ -425,7 +394,8 @@ class _Pipeline:
                 # Parked ranks idle until the next boundary's collectives.
                 frame += 1
             except MpiSimError as exc:
-                if not self._recoverable(exc):
+                retry = self.shrink and self.recoveries < MAX_RECOVERIES
+                if not (retry and recoverable(exc, self.world)):
                     raise
                 frame = self._recover(frame)
         if self.shrink:
@@ -576,10 +546,8 @@ class _Pipeline:
         that hold none).  Three steps, the same for every trigger:
 
         1. state migration — a components=9 DDR exchange from those pieces
-           onto the new slab decomposition, as one mapping generation
-           (``new_mapping`` + use + ``invalidate``) of the world-sized
-           mover, the ``LocalMapping`` lifecycle ``Redistributor.resize``
-           uses;
+           onto the new slab decomposition, as one ``migrate`` of the
+           world-sized mover (the data move ``Redistributor.resize`` uses);
         2. ledger hand-off — the old analysis root, if it is still a
            member, broadcasts its ledger so the root role can land
            anywhere (keyed per frame, so a hand-off never double-counts);
@@ -601,11 +569,9 @@ class _Pipeline:
                 )
             elif self.mover.comm is not world:
                 self.mover.retarget(world)
-            migration = self.mover.new_mapping(
-                own=state_boxes, need=need, validate=False
+            migrated = self.mover.migrate(
+                state_boxes, need, state_buffers, validate=False
             )
-            migrated = self.mover.gather_need(state_buffers or None, mapping=migration)
-            migration.invalidate()  # one generation per reconfiguration
         old_root = self.analysis_members[0]
         ledger: dict = {}
         if old_root in world.world_ranks:
@@ -643,38 +609,17 @@ class _Pipeline:
                 frame, boxes, buffers,
             )
 
-    def _recoverable(self, exc: MpiSimError) -> bool:
-        if not self.shrink or self.recoveries >= MAX_RECOVERIES:
-            return False
-        if isinstance(exc, RankCrashError):
-            return False  # this rank is the victim
-        if isinstance(exc, (DataLossError, ReconfigurationError)):
-            return False  # terminal by definition
-        if isinstance(exc, (RevokedError, ProcessFailedError)):
-            return True
-        if isinstance(exc, DeadlineError):
-            fabric = self.world.fabric
-            return any(fabric.is_dead(w) for w in self.world.world_ranks)
-        return False
-
     def _recover(self, frame: int) -> int:
         """Crash trigger: revoke, agree, shrink, reconfigure over the
         survivors; returns the agreed rollback frame."""
         self.recoveries += 1
         RESILIENCE_STATS.incr("pipeline_recoveries")
-        fabric = self.world.fabric
         with TRACER.span("resilience.pipeline_recover", rank=self.my_world):
-            self.world.revoke()
-            observed = frozenset(
-                w for w in self.world.world_ranks if fabric.is_gone(w)
-            )
-            dead = frozenset(
-                self.world.agree(observed, combine=lambda a, b: a | b)
-            )
+            dead, restart = agree_failures(self.world, frame)
             # The ledger lives on the analysis root; if it died, nothing
             # before the crash is accounted for, so everything replays.
-            contribution = 0 if self.analysis_members[0] in dead else frame
-            restart = int(self.world.agree(contribution, combine=min))
+            if self.analysis_members[0] in dead:
+                restart = 0
             sim_members = [w for w in self.sim_members if w not in dead]
             analysis_members = [w for w in self.analysis_members if w not in dead]
             self.ranks_lost += len(dead)
@@ -696,31 +641,18 @@ class _Pipeline:
 
     def _checkpointed_state(self, restart: int, dead: frozenset) -> tuple[list, list]:
         """This survivor's share of the global LBM state at frame
-        ``restart``: its own slab from its self-checkpoint, plus each dead
-        (or retired) rank's slab it adopts — the first live checkpoint
-        holder does, else the first surviving simulation rank."""
+        ``restart``: each slab of the pre-crash decomposition whose
+        ``CheckpointPolicy.adopter`` it is — its own, plus any dead (or
+        retired) rank's it takes over — restored from the checkpoints."""
         config = self.config
         members = self.sim_members  # still the pre-crash decomposition
-        crashed = frozenset(self.world.fabric.dead_ranks())
-        survivors = [w for w in members if w not in dead]
+        crashed = self.world.fabric.dead_ranks()
         boxes, buffers = [], []
-        for index, owner in enumerate(members):
-            adopter = owner
-            if owner in dead:
-                holders = self.policy.holder_world_ranks(index, members)
-                live = [w for w in holders if w not in dead]
-                adopter = live[0] if live else survivors[0]
-            if adopter != self.my_world:
+        for index in range(len(members)):
+            if self.policy.adopter(index, members, dead) != self.my_world:
                 continue
             box = slab_box(config.lbm.nx, config.lbm.ny, len(members), index)
-            got = self.store.fetch(box, restart, crashed)
-            if got is None:
-                raise DataLossError(
-                    f"no live checkpoint holder for simulation slab {box} "
-                    f"at frame {restart}",
-                    lost_boxes=(box,),
-                )
-            state, exact = got
+            state, exact = restore(self.store, box, restart, crashed)
             if not exact:
                 RESILIENCE_STATS.incr("stale_restores")
             boxes.append(box)

@@ -12,12 +12,14 @@ Layers (see DESIGN.md "Resilience"):
   the same ``Redistributor.retarget`` path, voluntary elastic resizing
   (``ResilientRedistributor.resize``);
 * ``repro.intransit`` builds pipeline reconfiguration on top
-  (``PipelineConfig.on_rank_loss`` / ``on_load``).
+  (``PipelineConfig.on_rank_loss`` / ``resize_schedule``), recovering with
+  the same protocol: :func:`recoverable`, :func:`agree_failures`,
+  ``CheckpointPolicy.adopter`` and :func:`restore`.
 """
 
-from .checkpoint import BuddyStore, CheckpointPolicy, shared_store
+from .checkpoint import BuddyStore, CheckpointPolicy, restore, shared_store
 from .errors import DataLossError, ReconfigurationError
-from .redistributor import RESILIENCE_STATS, ResilientRedistributor
+from .redistributor import RESILIENCE_STATS, ResilientRedistributor, agree_failures, recoverable
 from .shmstore import ShmBuddyStore
 
 __all__ = [
@@ -28,5 +30,8 @@ __all__ = [
     "ReconfigurationError",
     "ResilientRedistributor",
     "ShmBuddyStore",
+    "agree_failures",
+    "recoverable",
+    "restore",
     "shared_store",
 ]

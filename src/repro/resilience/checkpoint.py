@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core.box import Box
 from ..mpisim.fabric import Fabric
+from .errors import DataLossError
 
 _STORE_KEY = "buddy_store"
 
@@ -68,6 +69,16 @@ class CheckpointPolicy:
             if buddy not in holders:
                 holders.append(buddy)
         return tuple(holders)
+
+    def adopter(self, index: int, members: Sequence[int], dead: frozenset) -> int:
+        """World rank that takes over ``members[index]``'s chunks once
+        ``dead`` are gone: the first live holder of its deposits (the owner
+        itself while it lives), else the first survivor.  Every survivor
+        computes the same answer from the agreed dead set."""
+        for holder in self.holder_world_ranks(index, members):
+            if holder not in dead:
+                return holder
+        return next(w for w in members if w not in dead)
 
 
 class BuddyStore:
@@ -160,6 +171,20 @@ class BuddyStore:
     def clear(self) -> None:
         with self._lock:
             self._deposits.clear()
+
+
+def restore(store, box: Box, epoch: int, dead: frozenset) -> Tuple[np.ndarray, bool]:
+    """``store.fetch`` for a box recovery cannot do without: the newest copy
+    of ``box`` at or before ``epoch`` through a holder outside ``dead``, as
+    ``(array, exact_epoch)``; :class:`DataLossError` if no such copy exists.
+    ``store`` is a :class:`BuddyStore` or an :class:`ShmBuddyStore`."""
+    got = store.fetch(box, epoch, dead)
+    if got is None:
+        raise DataLossError(
+            f"no live checkpoint holder for {box} at epoch {epoch}",
+            lost_boxes=(box,),
+        )
+    return got
 
 
 def shared_store(fabric: Fabric, key: str = _STORE_KEY):

@@ -32,9 +32,11 @@ live world.  :meth:`ResilientRedistributor.resize` exposes the voluntary
 form — grow onto spawned ranks or shrink onto a prefix, migrating data via
 the same components-aware DDR exchange (``Redistributor.resize``) — and
 crash recovery is the involuntary form (the new world is the survivor set,
-the migration source is the checkpoint store).  Both funnel through
-``_resize_world`` + ``Redistributor.retarget``, so there is exactly one
-mapping-rebuild lifecycle however the world changes shape.
+the migration source is the checkpoint store).  Both install the new
+communicator and rebuild through ``Redistributor.retarget``, so there is
+exactly one mapping-rebuild lifecycle however the world changes shape.
+The in-transit pipeline's shrink mode recovers with the same
+:func:`recoverable` and :func:`agree_failures`.
 
 Epoch discipline: every successful exchange ends with a barrier on the
 current communicator, which bounds cross-rank epoch skew to one and lets
@@ -50,27 +52,52 @@ import numpy as np
 from ..core.api import Redistributor, ResizeResult
 from ..core.box import Box
 from ..mpisim.comm import Communicator
-from ..mpisim.errors import (
-    DeadlineError,
-    MpiSimError,
-    ProcessFailedError,
-    RankCrashError,
-    RevokedError,
-)
+from ..mpisim.errors import DeadlineError, MpiSimError, ProcessFailedError, RevokedError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
-from .checkpoint import BuddyStore, CheckpointPolicy, shared_store
+from .checkpoint import BuddyStore, CheckpointPolicy, restore, shared_store
 from .errors import DataLossError
 
 #: Process-wide recovery counters.
 RESILIENCE_STATS = MetricsRegistry()
+
+#: Recoveries one ``gather_need`` call attempts before re-raising.
+MAX_RECOVERIES = 2
+
+
+def recoverable(exc: MpiSimError, comm: Communicator) -> bool:
+    """Is ``exc`` a peer's crash that survivors of ``comm`` recover from?
+    Revocation and a failed peer are; a deadline only with a member of
+    ``comm`` dead.  The victim's own ``RankCrashError``, ``DataLossError``,
+    ``ReconfigurationError`` and everything else are not."""
+    if isinstance(exc, (RevokedError, ProcessFailedError)):
+        return True
+    if isinstance(exc, DeadlineError):
+        dead = comm.fabric.dead_ranks()
+        return any(w in dead for w in comm.world_ranks)
+    return False
+
+
+def agree_failures(comm: Communicator, restart: int) -> Tuple[frozenset, int]:
+    """Revoke ``comm``, then agree on ``(dead, restart)``: the union of the
+    members any survivor sees gone (crashed or retired) and the least
+    ``restart`` any survivor proposes.  Uses only the fabric's crash-proof
+    agreement plane (no transport operations), so a second crash cannot
+    strand it."""
+    comm.revoke()
+    fabric = comm.fabric
+    observed = frozenset(w for w in comm.world_ranks if fabric.is_gone(w))
+    dead, restart = comm.agree(
+        (observed, restart), combine=lambda a, b: (a[0] | b[0], min(a[1], b[1]))
+    )
+    return frozenset(dead), int(restart)
 
 
 class ResilientRedistributor:
     """Redistributor façade that survives rank crashes mid-exchange.
 
     Construction arguments mirror :class:`Redistributor`, plus a
-    :class:`CheckpointPolicy` and a recovery budget.  The ``comm`` handle
+    :class:`CheckpointPolicy` and the checkpoint store.  The ``comm`` handle
     is *replaced* on every recovery (``self.comm`` is always the current,
     possibly shrunken, communicator) and ``own_boxes`` grows when this
     rank adopts a dead peer's chunks — callers that want bitwise-correct
@@ -93,16 +120,12 @@ class ResilientRedistributor:
         reliability: Optional[Any] = None,
         policy: Optional[CheckpointPolicy] = None,
         store: Optional[BuddyStore] = None,
-        max_recoveries: int = 2,
     ) -> None:
-        if max_recoveries < 0:
-            raise ValueError(f"max_recoveries must be >= 0, got {max_recoveries}")
         self.comm = comm
         self.ndims = ndims
         self.dtype = np.dtype(dtype)
         self.policy = policy or CheckpointPolicy()
         self.store = store if store is not None else shared_store(comm.fabric)
-        self.max_recoveries = max_recoveries
         self._backend = backend
         self._components = components
         self._transport = transport
@@ -206,9 +229,9 @@ class ResilientRedistributor:
                 steps.pop(0)
             except MpiSimError as exc:
                 attempt += 1
-                if attempt > self.max_recoveries or not self._recoverable(exc):
+                if attempt > MAX_RECOVERIES or not recoverable(exc, self.comm):
                     raise
-                restart = self._recover_membership(pending)
+                restart = self._recover(pending)
                 steps = [("setup", 0)] + [
                     ("exchange", e) for e in range(restart, pending + 1)
                 ]
@@ -226,18 +249,6 @@ class ResilientRedistributor:
             )
         return bufs
 
-    def _recoverable(self, exc: MpiSimError) -> bool:
-        if isinstance(exc, RankCrashError):
-            return False  # this rank is the victim; it must die
-        if isinstance(exc, (RevokedError, ProcessFailedError)):
-            return True
-        if isinstance(exc, DeadlineError):
-            # A deadline with an actual corpse behind it is a crash
-            # symptom; without one it is an ordinary reliability failure.
-            dead = self.comm.fabric.dead_ranks()
-            return any(w in dead for w in self.comm.world_ranks)
-        return False
-
     # -- voluntary resize ----------------------------------------------------
 
     @classmethod
@@ -247,7 +258,6 @@ class ResilientRedistributor:
         *,
         policy: Optional[CheckpointPolicy] = None,
         store: Optional[Any] = None,
-        max_recoveries: int = 2,
     ) -> "ResilientRedistributor":
         """Wrap a :class:`ResizeResult`'s redistributor in a resilient façade.
 
@@ -270,7 +280,6 @@ class ResilientRedistributor:
             reliability=red.reliability,
             policy=policy,
             store=store,
-            max_recoveries=max_recoveries,
         )
         rr._red = red
         return rr
@@ -290,9 +299,9 @@ class ResilientRedistributor:
         The symmetric twin of crash recovery: delegates the membership
         change and data migration to :meth:`Redistributor.resize` (spawn +
         DDR exchange for a grow, split + exchange for a shrink), then
-        installs the new communicator through the same ``_resize_world``
-        path recovery uses.  ``own_buffers`` may cover a prefix of
-        ``own_boxes``; adopted boxes the caller does not supply are filled
+        installs the new communicator for the next :meth:`setup` to
+        retarget onto, as recovery does.  ``own_buffers`` may cover a
+        prefix of ``own_boxes``; adopted boxes the caller does not supply are filled
         from the newest checkpoints, exactly as in :meth:`gather_need`.
 
         For a grow, ``worker`` runs on each spawned rank as
@@ -317,13 +326,10 @@ class ResilientRedistributor:
 
         epoch = self._epoch
         policy = self.policy
-        max_recoveries = self.max_recoveries
         user_worker = worker
 
         def _joiner(result: ResizeResult, *wargs: Any) -> Any:
-            rr = ResilientRedistributor.from_resize(
-                result, policy=policy, max_recoveries=max_recoveries
-            )
+            rr = ResilientRedistributor.from_resize(result, policy=policy)
             rr._epoch = epoch  # align replay agreement with the members
             return user_worker(rr, result, *wargs)
 
@@ -342,7 +348,7 @@ class ResilientRedistributor:
         self.stale_boxes = []
         self.need_box = None
         if result.member:
-            self._resize_world(result.comm)
+            self.comm = result.comm
             self.own_boxes = [result.own] if result.own is not None else []
         else:
             # Dropped by the shrink: release the inner redistributor so any
@@ -387,13 +393,7 @@ class ResilientRedistributor:
             if epoch == pending and i < len(bufs):
                 out.append(bufs[i])
                 continue
-            got = self.store.fetch(box, epoch, dead)
-            if got is None:
-                raise DataLossError(
-                    f"no live checkpoint holder for {box} at epoch {epoch}",
-                    lost_boxes=(box,),
-                )
-            arr, exact = got
+            arr, exact = restore(self.store, box, epoch, dead)
             if not exact:
                 stale.append(box)
             out.append(arr)
@@ -407,66 +407,31 @@ class ResilientRedistributor:
 
     # -- recovery ------------------------------------------------------------
 
-    def _recover_membership(self, pending: int) -> int:
+    def _recover(self, pending: int) -> int:
         """Revoke/agree/shrink/adopt; returns the agreed restart epoch.
 
-        Uses only the fabric's crash-proof agreement plane (no transport
-        operations), so a second crash cannot strand recovery itself —
-        at worst the rebuilt setup or a replayed exchange fails and the
-        outer loop runs recovery again on the shrunken communicator.
+        A second crash cannot strand the agreement; at worst the rebuilt
+        setup or a replayed exchange fails and the outer loop runs
+        recovery again on the shrunken communicator.
         """
         self.recoveries += 1
         RESILIENCE_STATS.incr("recoveries")
-        fabric = self.comm.fabric
         with TRACER.span("resilience.recover", rank=self._my_world()):
-            self.comm.revoke()
-            observed = frozenset(
-                w for w in self.comm.world_ranks if fabric.is_gone(w)
-            )
-            agreed = self.comm.agree(
-                {"dead": observed, "restart": pending},
-                combine=lambda a, b: {
-                    "dead": a["dead"] | b["dead"],
-                    "restart": min(a["restart"], b["restart"]),
-                },
-            )
-            dead = frozenset(agreed["dead"])
+            dead, restart = agree_failures(self.comm, pending)
             old_members = self.comm.world_ranks
-            self._resize_world(
-                self.comm.shrink(dead=dead), dead=dead, old_members=old_members
-            )
-        return int(agreed["restart"])
-
-    def _resize_world(
-        self,
-        new_comm: Communicator,
-        dead: frozenset = frozenset(),
-        old_members: Tuple[int, ...] = (),
-    ) -> None:
-        """Install a reshaped communicator — the shared half of every resize.
-
-        Crash recovery arrives with the shrunken survivor communicator and
-        the agreed dead set (dead ranks' chunks are adopted from the
-        checkpoint store); voluntary :meth:`resize` arrives with a grown or
-        split communicator and no dead ranks.  Either way the inner
-        redistributor is retargeted at the next collective setup, so both
-        paths share one mapping-rebuild lifecycle.
-        """
-        self.comm = new_comm
-        if dead:
-            self._adopt(dead, tuple(old_members))
+            self.comm = self.comm.shrink(dead=dead)
+            self._adopt(dead, old_members)
+        return restart
 
     def _adopt(self, dead: frozenset, old_members: Tuple[int, ...]) -> None:
         """Reassign dead ranks' boxes to survivors, all ranks in lockstep.
 
         Every survivor runs the same deterministic computation over the
         agreed dead set, so the post-recovery declarations are consistent
-        without further communication.  The adopter of a chunk is its
-        owner's first live buddy (falling back to the first survivor);
+        without further communication (``CheckpointPolicy.adopter``);
         chunks with no readable checkpoint are dropped if nobody needs
         them and raise :class:`DataLossError` otherwise.
         """
-        survivors = [w for w in old_members if w not in dead]
         all_dead = frozenset(self.comm.fabric.dead_ranks()) | dead
         my_world = self._my_world()
         unrecoverable: List[Box] = []
@@ -475,11 +440,7 @@ class ResilientRedistributor:
             self._needs_by_world.pop(owner, None)
             if not boxes:
                 continue
-            holders = self.policy.holder_world_ranks(
-                old_members.index(owner), old_members
-            )
-            live_buddies = [w for w in holders if w not in dead]
-            adopter = live_buddies[0] if live_buddies else survivors[0]
+            adopter = self.policy.adopter(old_members.index(owner), old_members, dead)
             adopted: List[Box] = []
             for box in boxes:
                 if not self.store.has_box(box, all_dead):

@@ -160,3 +160,33 @@ def _stale_after_resize(comm, backend: str):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_old_mapping_is_stale_after_resize(backend):
     assert all(spmd(3, _stale_after_resize, backend))
+
+
+def _columns(rank: int, n: int) -> Box:
+    cols = SIDE // n
+    return Box((rank * cols, 0), (cols, SIDE))
+
+
+def _migrate_rows_to_columns(comm, backend: str, single: bool):
+    """Set up rows -> rows, then ``migrate`` rows -> columns beside it."""
+    red = Redistributor(comm, ndims=2, dtype=np.float32, backend=backend)
+    own = _slab(comm.rank, comm.size)
+    active = red.setup([own], own)
+    data = _rows(own).copy()
+    need = _columns(comm.rank, comm.size)
+    out = red.migrate([own], need, data if single else [data])
+    c0, cols = need.offset[0], need.dims[0]
+    assert out.tobytes() == np.ascontiguousarray(_field()[:, c0 : c0 + cols]).tobytes()
+    # The active mapping is neither replaced nor invalidated, and exchanges.
+    assert red.mapping is active and not active.stale
+    assert np.array_equal(red.gather_need([data]), _rows(own))
+    return True
+
+
+class TestMigrate:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_output_is_the_numpy_crop_and_the_active_mapping_stays(self, backend):
+        assert all(spmd(4, _migrate_rows_to_columns, backend, False))
+
+    def test_a_single_array_is_one_own_buffer(self):
+        assert all(spmd(4, _migrate_rows_to_columns, "alltoallw", True))

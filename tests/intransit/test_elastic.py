@@ -1,4 +1,4 @@
-"""Elastic pipeline (``on_load="resize"``): live role re-splits.
+"""Elastic pipeline (a ``resize_schedule``): live role re-splits.
 
 The malleability acceptance for the pipeline layer: a run that resizes
 its M-to-N split mid-flight — growing or shrinking either side, parking
@@ -41,7 +41,7 @@ class TestElasticPipeline:
         every rendered frame bitwise-equal to the never-resized run."""
         config = PipelineConfig(
             lbm=LBM, m=3, n=1, steps=12, output_every=2, keep_frames=True,
-            on_load="resize", resize_schedule=((2, 2, 2), (4, 3, 1)),
+            resize_schedule=((2, 2, 2), (4, 3, 1)),
         )
         root = _root(_run(config))
         assert root.resizes == 2
@@ -56,7 +56,7 @@ class TestElasticPipeline:
         draft the parked rank back at frame 4 — still bitwise."""
         config = PipelineConfig(
             lbm=LBM, m=3, n=1, steps=12, output_every=2, keep_frames=True,
-            on_load="resize", resize_schedule=((2, 2, 1), (4, 2, 2)),
+            resize_schedule=((2, 2, 1), (4, 2, 2)),
         )
         results = _run(config)
         root = _root(results)
@@ -72,7 +72,7 @@ class TestElasticPipeline:
         """Only the analysis side changes (3+1 -> 3+... stays m=3)."""
         config = PipelineConfig(
             lbm=LBM, m=4, n=1, steps=12, output_every=2, keep_frames=True,
-            on_load="resize", resize_schedule=((3, 3, 2),),
+            resize_schedule=((3, 3, 2),),
         )
         root = _root(_run(config))
         assert root.resizes == 1
@@ -80,45 +80,53 @@ class TestElasticPipeline:
 
 
 class TestConfigValidation:
-    def test_on_load_must_be_known(self):
-        with pytest.raises(ValueError, match="on_load"):
+    def test_empty_schedule_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
             PipelineConfig(lbm=LBM, m=2, n=1, steps=4, output_every=2,
-                           on_load="explode")
-
-    def test_schedule_requires_resize_mode(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(lbm=LBM, m=2, n=1, steps=4, output_every=2,
-                           resize_schedule=((1, 2, 1),))
-
-    def test_resize_mode_requires_schedule(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(lbm=LBM, m=2, n=1, steps=4, output_every=2,
-                           on_load="resize")
+                           resize_schedule=())
 
     def test_frames_strictly_increasing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             PipelineConfig(
-                lbm=LBM, m=3, n=1, steps=4, output_every=2, on_load="resize",
+                lbm=LBM, m=3, n=1, steps=8, output_every=2,
                 resize_schedule=((2, 2, 1), (2, 3, 1)),
             )
+
+    @pytest.mark.parametrize("frame", [2, 5])
+    def test_frame_past_the_run_is_rejected(self, frame):
+        """A 2-frame run has frames 0 and 1: a resize at frame 2 or later
+        would never happen, and ``resizes`` would quietly stay 0."""
+        with pytest.raises(ValueError, match="never reached"):
+            PipelineConfig(
+                lbm=LBM, m=3, n=1, steps=4, output_every=2,
+                resize_schedule=((frame, 2, 1),),
+            )
+
+    def test_last_frame_is_in_the_run(self):
+        """Frame ``n_frames - 1`` is the last one a schedule may name."""
+        config = PipelineConfig(
+            lbm=LBM, m=3, n=1, steps=4, output_every=2,
+            resize_schedule=((1, 2, 1),),
+        )
+        assert config.n_frames == 2
 
     def test_split_must_fit_pool(self):
         with pytest.raises(ValueError):
             PipelineConfig(
-                lbm=LBM, m=2, n=1, steps=4, output_every=2, on_load="resize",
+                lbm=LBM, m=2, n=1, steps=4, output_every=2,
                 resize_schedule=((1, 3, 2),),
             )
 
     def test_m_at_least_n(self):
         with pytest.raises(ValueError):
             PipelineConfig(
-                lbm=LBM, m=2, n=2, steps=4, output_every=2, on_load="resize",
+                lbm=LBM, m=2, n=2, steps=4, output_every=2,
                 resize_schedule=((1, 1, 3),),
             )
 
     def test_shrink_mode_does_not_compose(self):
         with pytest.raises(ValueError):
             PipelineConfig(
-                lbm=LBM, m=3, n=1, steps=4, output_every=2, on_load="resize",
+                lbm=LBM, m=3, n=1, steps=4, output_every=2,
                 on_rank_loss="shrink", resize_schedule=((1, 2, 1),),
             )

@@ -7,7 +7,7 @@ deliver its contract: ``skip`` abandons that frame and keeps rendering,
 ``fail`` surfaces a typed timeout instead of hanging.
 
 The skip/stale cases run in every driver mode — plain, ``on_rank_loss=
-"shrink"`` with no crash, ``on_load="resize"`` with a one-entry schedule —
+"shrink"`` with no crash, a one-entry ``resize_schedule`` —
 and must degrade identically: the armed-but-idle reconfiguration triggers
 are the same frame loop.
 """
@@ -28,7 +28,7 @@ from repro.intransit import (
 from repro.lbm import LbmConfig
 from repro.mpisim import DeadlineError, RankFailure
 from repro.obs import tracing
-from tests.conftest import spmd
+from tests.conftest import spmd, thread_only
 
 LBM = LbmConfig(nx=32, ny=16)
 
@@ -44,7 +44,7 @@ POLICY = ReliabilityPolicy(
 MODES = {
     "plain": {},
     "shrink": dict(on_rank_loss="shrink"),
-    "resize": dict(on_load="resize", resize_schedule=((2, 1, 1),)),
+    "resize": dict(resize_schedule=((2, 1, 1),)),
 }
 
 
@@ -142,6 +142,8 @@ class TestFailPolicy:
 
 
 class TestStragglerAcrossResplit:
+    # The driver reads FaultLayer.op_count of rank threads in its own address space.
+    @thread_only
     def test_straggler_of_a_pre_resize_drop_is_purged(self):
         """A slab that misses its deadline just before a scheduled re-split
         lands after the old receiver is gone; the re-split must drain it
@@ -159,7 +161,7 @@ class TestStragglerAcrossResplit:
                       delay_s=2 * POLICY.frame_deadline_s),
         ))
         config = PipelineConfig(
-            **base, on_load="resize", resize_schedule=((2, 2, 2),))
+            **base, resize_schedule=((2, 2, 2),))
 
         def fn(comm):
             result = run_pipeline(comm, config)

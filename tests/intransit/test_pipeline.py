@@ -146,7 +146,7 @@ class TestModeParity:
         modes = {
             "plain": {},
             "shrink": dict(on_rank_loss="shrink"),
-            "resize": dict(on_load="resize", resize_schedule=((1, 2, 2),)),
+            "resize": dict(resize_schedule=((1, 2, 2),)),
         }
         roots = {}
         for mode, extra in modes.items():

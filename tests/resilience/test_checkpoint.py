@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import Box
-from repro.resilience import BuddyStore, CheckpointPolicy, shared_store
-from tests.conftest import spmd
+from repro.resilience import (
+    BuddyStore,
+    CheckpointPolicy,
+    DataLossError,
+    restore,
+    shared_store,
+)
+from tests.conftest import spmd, thread_only
 
 BOX = Box((0, 0), (4, 2))
 OTHER = Box((4, 0), (4, 2))
@@ -27,6 +33,21 @@ class TestPolicy:
     def test_stride_spreads_replicas(self):
         policy = CheckpointPolicy(stride=2, replicas=1)
         assert policy.holder_world_ranks(1, [10, 11, 12, 13]) == (11, 13)
+
+    @pytest.mark.parametrize(
+        "stride, replicas, index, dead, adopter",
+        [
+            (1, 1, 0, frozenset(), 10),  # a live owner keeps its chunk
+            (1, 2, 0, frozenset({10}), 11),  # the first live buddy
+            (1, 2, 0, frozenset({10, 11}), 12),  # ... skipping a dead one
+            (2, 1, 1, frozenset({11}), 13),  # stride 2: the buddy two over
+            (1, 1, 2, frozenset({12, 13}), 10),  # every holder dead: first survivor
+            (1, 1, 0, frozenset({10, 11}), 12),  # ... which need not be index 0
+        ],
+    )
+    def test_adopter(self, stride, replicas, index, dead, adopter):
+        policy = CheckpointPolicy(stride=stride, replicas=replicas)
+        assert policy.adopter(index, [10, 11, 12, 13], dead) == adopter
 
     def test_wraparound_deduplicates(self):
         policy = CheckpointPolicy(stride=1, replicas=5)
@@ -88,6 +109,15 @@ class TestBuddyStore:
         assert not store.has_box(BOX, frozenset({0, 1}))
         assert not store.has_box(OTHER, NOBODY)
 
+    def test_restore_raises_data_loss_naming_the_box(self):
+        store = BuddyStore()
+        store.deposit(0, 0, (0, 1), [(BOX, data(3.0))])
+        fetched, exact = restore(store, BOX, 0, frozenset({0}))
+        assert exact and np.array_equal(fetched, data(3.0))
+        with pytest.raises(DataLossError, match="no live checkpoint holder") as info:
+            restore(store, BOX, 0, frozenset({0, 1}))
+        assert info.value.lost_boxes == (BOX,)
+
     def test_fetch_is_c_contiguous_even_from_views(self):
         store = BuddyStore()
         view = np.arange(8, dtype=np.float64).reshape(4, 2).T  # permuted strides
@@ -105,6 +135,8 @@ class TestBuddyStore:
 
 
 class TestSharedStore:
+    # Compares id(store) across ranks: equal only when they share one address space.
+    @thread_only
     def test_one_store_per_fabric(self):
         def fn(comm):
             store = shared_store(comm.fabric)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import Box
 from repro.faults import FaultPlan, ReliabilityPolicy, fault_plan
 from repro.mpisim import RankCrashError, run_spmd
-from repro.resilience import CheckpointPolicy, DataLossError, ResilientRedistributor
+from repro.mpisim.errors import DeadlineError, MpiSimError, ProcessFailedError, RevokedError
+from repro.resilience import (
+    CheckpointPolicy,
+    DataLossError,
+    ReconfigurationError,
+    ResilientRedistributor,
+    recoverable,
+)
 
 NX, NY = 16, 8
 NPROCS = 4
@@ -50,6 +59,32 @@ def exchange_worker(comm, backend, generations=3):
         if not red.stale_boxes:
             assert np.array_equal(out, extract(ref, need_column(comm.rank)) * generation)
     return red.recoveries, red.degraded, list(red.adopted_boxes)
+
+
+def _comm(members, dead):
+    """Just what ``recoverable`` reads of a communicator."""
+    return SimpleNamespace(
+        world_ranks=tuple(members),
+        fabric=SimpleNamespace(dead_ranks=lambda: frozenset(dead)),
+    )
+
+
+@pytest.mark.parametrize(
+    "exc, dead, expected",
+    [
+        (RankCrashError("killed"), {1}, False),  # this rank is the victim
+        (DataLossError("lost"), {1}, False),
+        (ReconfigurationError("too few"), {1}, False),
+        (RevokedError("revoked"), (), True),
+        (ProcessFailedError("peer gone"), {1}, True),
+        (DeadlineError("slow"), {1}, True),  # a corpse behind the deadline
+        (DeadlineError("slow"), (), False),  # an ordinary reliability failure
+        (DeadlineError("slow"), {7}, False),  # the dead rank is not a member
+        (MpiSimError("other"), {1}, False),
+    ],
+)
+def test_recoverable(exc, dead, expected):
+    assert recoverable(exc, _comm([0, 1, 2], dead)) is expected
 
 
 class TestCrashMidExchange:

@@ -1,7 +1,7 @@
 """``ResilientRedistributor.resize``: voluntary reconfiguration.
 
-Crash recovery and voluntary resize share one code path
-(``_resize_world`` + ``Redistributor.retarget``); these tests pin the
+Crash recovery and voluntary resize share one code path (install the
+new communicator, then ``Redistributor.retarget``); these tests pin the
 voluntary half: grow/shrink round-trips on both executors, bitwise
 migration, epoch alignment for spawned joiners (required for the replay
 agreement), and the crash-recovery loop still working *after* a
