@@ -16,6 +16,17 @@ from typing import Optional, Sequence
 from .core.engine import BACKENDS
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every size option: a count or an edge length >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _cmd_e1(args: argparse.Namespace) -> int:
     from .bench import e1
 
@@ -288,9 +299,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else SloPolicy(publish_slo_s=args.slo_ms / 1000.0)
         )
         controller = OverloadController(policy)
-    hub = FrameHub(args.nx, args.ny, m=args.m, quality=args.quality,
-                   backend=args.backend, max_viewers=args.max_viewers,
-                   overload=controller)
+    try:
+        hub = FrameHub(args.nx, args.ny, m=args.m, quality=args.quality,
+                       backend=args.backend, max_viewers=args.max_viewers,
+                       overload=controller)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     limits = (
         EdgeLimits() if args.max_conns is None
         else EdgeLimits(max_conns=args.max_conns)
@@ -421,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser(
         "engines", help="per-engine exchange cost + auto-selection choices"
     )
-    pe.add_argument("--nprocs", type=int, default=8)
-    pe.add_argument("--side", type=int, default=256,
+    pe.add_argument("--nprocs", type=_positive_int, default=8)
+    pe.add_argument("--side", type=_positive_int, default=256,
                     help="square field edge length (default 256)")
     pe.set_defaults(fn=_cmd_engines)
 
@@ -437,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--out", default="trace.json", help="output JSON path")
     pt.add_argument("--backend", choices=BACKENDS,
                     default="auto", help="exchange engine (default auto)")
-    pt.add_argument("--m", type=int, default=4, help="simulation ranks (intransit)")
-    pt.add_argument("--n", type=int, default=2,
+    pt.add_argument("--m", type=_positive_int, default=4, help="simulation ranks (intransit)")
+    pt.add_argument("--n", type=_positive_int, default=2,
                     help="analysis ranks (intransit) / ranks (redistribute)")
-    pt.add_argument("--nx", type=int, default=64, help="field width")
+    pt.add_argument("--nx", type=_positive_int, default=64, help="field width")
     pt.add_argument("--ny", type=int, default=32, help="field height (intransit)")
     pt.add_argument("--steps", type=int, default=20, help="simulation steps")
     pt.add_argument("--output-every", type=int, default=10,
@@ -517,13 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
         "spawns ranks one step at a time, then drains back down, with "
         "every epoch's redistribution checked bitwise.",
     )
-    pa.add_argument("--side", type=int, default=96,
+    pa.add_argument("--side", type=_positive_int, default=96,
                     help="square field edge length (default 96)")
     pa.add_argument("--epochs", type=int, default=14,
                     help="exchange epochs to run (default 14)")
-    pa.add_argument("--start-ranks", type=int, default=2,
+    pa.add_argument("--start-ranks", type=_positive_int, default=2,
                     help="initial world size (default 2)")
-    pa.add_argument("--max-ranks", type=int, default=5,
+    pa.add_argument("--max-ranks", type=_positive_int, default=5,
                     help="autoscaler ceiling; spawn slots are reserved up "
                     "to this size (default 5)")
     pa.add_argument("--executor", choices=("thread", "process"), default=None,

@@ -7,8 +7,7 @@ from .api import (
     Redistributor,
     ResizeResult,
 )
-from .box import Box, boxes_from_flat, intersect_many
-from .halo import GhostExchanger, inflate_box
+from .box import Box, boxes_from_flat
 from .descriptor import (
     DATA_TYPE_1D,
     DATA_TYPE_2D,
@@ -33,14 +32,7 @@ from .schedule import (
     compute_global_plan,
     round_protocol,
 )
-from .serialize import (
-    attach_loaded_plan,
-    load_plan,
-    plan_from_dict,
-    plan_to_dict,
-    save_plan,
-)
-from .validate import MappingValidationError, check_send_coverage, infer_domain
+from .validate import MappingValidationError, check_send_coverage
 
 __all__ = [
     "Box",
@@ -54,7 +46,6 @@ __all__ = [
     "DataDescriptor",
     "DataLayout",
     "ExchangeProgress",
-    "GhostExchanger",
     "GlobalPlan",
     "Lane",
     "LocalMapping",
@@ -65,7 +56,6 @@ __all__ = [
     "RoundSchedule",
     "RoundTable",
     "StaleMappingError",
-    "attach_loaded_plan",
     "boxes_from_flat",
     "check_buffers",
     "check_buffers_cached",
@@ -74,13 +64,6 @@ __all__ = [
     "compute_global_plan",
     "default_backend",
     "execute",
-    "infer_domain",
-    "inflate_box",
-    "intersect_many",
-    "load_plan",
-    "plan_from_dict",
-    "plan_to_dict",
     "round_protocol",
-    "save_plan",
     "setup_data_mapping",
 ]

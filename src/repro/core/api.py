@@ -32,13 +32,10 @@ from .engine import (
     ExchangeProgress,
     check_backend,
     default_backend,
-    direct_transport,
     execute,
-    executed_rounds,
     normalise_own,
 )
 from .mapping import LocalMapping, setup_data_mapping
-from .schedule import round_protocol
 
 
 def DDR_NewDataDescriptor(
@@ -257,21 +254,6 @@ class Redistributor:
             self.reliability,
             progress,
         )
-
-    def engine_choices(self, mapping: Optional[LocalMapping] = None) -> list[str]:
-        """Per planned round, the wire protocol (``alltoallw`` or ``p2p``) an
-        exchange through this instance's backend and transport runs it with
-        under the installed memory budget — merged or in pieces, read off the
-        schedule the exchange executes.  It never raises for the budget: an
-        over-budget round is planned in pieces, not refused."""
-        mapping = self.mapping if mapping is None else mapping
-        zero_copy = direct_transport(self.comm, self.transport)
-        return [
-            round_protocol(self.backend, rnd)
-            for rnd in executed_rounds(mapping, self.backend, zero_copy)
-            if rnd.piece == 0  # a lowered round answers once, not once a piece
-            for _ in rnd.members
-        ]
 
     def gather_need(
         self,

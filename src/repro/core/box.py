@@ -57,11 +57,6 @@ class Box:
     def is_empty(self) -> bool:
         return any(d == 0 for d in self.dims)
 
-    def contains_point(self, point: Sequence[int]) -> bool:
-        if len(point) != self.ndim:
-            raise ValueError("point rank mismatch")
-        return all(o <= p < e for o, p, e in zip(self.offset, point, self.end))
-
     def contains_box(self, other: "Box") -> bool:
         self._check_rank(other)
         if other.is_empty():
@@ -92,13 +87,6 @@ class Box:
         """This box expressed in coordinates local to ``origin``'s corner."""
         self._check_rank(origin)
         return self.translate(tuple(-o for o in origin.offset))
-
-    def union_bounds(self, other: "Box") -> "Box":
-        """Smallest box containing both (bounding box, not set union)."""
-        self._check_rank(other)
-        lo = tuple(min(a, b) for a, b in zip(self.offset, other.offset))
-        hi = tuple(max(a, b) for a, b in zip(self.end, other.end))
-        return Box(lo, tuple(h - l for l, h in zip(lo, hi)))
 
     # -- NumPy boundary ------------------------------------------------------
 
@@ -131,28 +119,6 @@ class Box:
 
     def __str__(self) -> str:
         return f"Box(offset={list(self.offset)}, dims={list(self.dims)})"
-
-
-def intersect_many(
-    box: Box, offsets: np.ndarray, dims: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised ``box.intersect`` against ``N`` boxes.
-
-    ``offsets``/``dims`` are ``(N, ndim)`` integer arrays.  Returns
-    ``(mask, lo, extent)`` where ``mask[n]`` says whether box ``n`` overlaps
-    and ``lo``/``extent`` give the overlap geometry (only valid where
-    ``mask``).  Used on the hot path of full-scale mapping computation
-    (e.g. 4096 chunks x 216 needs for the paper's Table III).
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    dims = np.asarray(dims, dtype=np.int64)
-    if offsets.ndim != 2 or offsets.shape != dims.shape or offsets.shape[1] != box.ndim:
-        raise ValueError("offsets/dims must be (N, ndim) arrays matching the box rank")
-    lo = np.maximum(offsets, np.asarray(box.offset, dtype=np.int64))
-    hi = np.minimum(offsets + dims, np.asarray(box.end, dtype=np.int64))
-    extent = hi - lo
-    mask = (extent > 0).all(axis=1)
-    return mask, lo, extent
 
 
 def boxes_from_flat(

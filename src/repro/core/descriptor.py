@@ -112,6 +112,3 @@ class DataDescriptor:
         """Interleaved base values per element (1 for scalar elements)."""
         return self.element_size // self.mpi_type.dtype.itemsize
 
-    @property
-    def is_mapped(self) -> bool:
-        return self.plan is not None

@@ -22,9 +22,8 @@ staged transport a round over the memory budget runs as piece-rounds of its
 own protocol (:func:`~repro.core.schedule.executed_groups`); what no cut
 fits is left to the ledger's typed ``MemoryBudgetError``.  Everything
 is decided from the plan-wide statistics the schedule carries, so every rank
-decides alike without communicating; the trace attribute,
-``Redistributor.engine_choices()`` and the wire all read the same executed
-schedule, so they agree by construction.
+decides alike without communicating; the trace attribute and the wire
+read the same executed schedule, so they agree by construction.
 
 Around the protocols sits everything a run relies on: staleness and
 communicator validation, cached buffer validation, transport resolution,
@@ -103,10 +102,6 @@ class ExchangeProgress:
     #: Assigned on the first ``execute`` call and *reused* on resume, so
     #: messages already in flight from the failed attempt still match.
     tag_epoch: Optional[int] = None
-
-    @property
-    def total_retries(self) -> int:
-        return sum(self.retries.values())
 
     def record_retry(self, round_index: int) -> None:
         self.retries[round_index] = self.retries.get(round_index, 0) + 1

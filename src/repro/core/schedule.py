@@ -9,8 +9,7 @@ equals the maximum number of chunks owned by any rank — the scheduling rule
 the paper states and quantifies in Table III.  Each overlap is a row
 (:class:`Overlaps`), a send on its owner and a receive on its needer, and
 the rows are the only plan IR: a whole plan (:class:`GlobalPlan`) is the
-declarations plus every row, which plan files store
-(:mod:`repro.core.serialize`) and whose Table-III statistics and per-round
+declarations plus every row, whose Table-III statistics and per-round
 :class:`RoundTable` (what the network cost models price) are array
 reductions over them; a rank's set-up keeps only its own rows
 (:class:`RankPlan`).
@@ -613,38 +612,18 @@ class GlobalPlan:
         total = int(self.table.bytes_out.sum())
         return total if exclude_self else total + int(self.table.self_bytes.sum())
 
-    def mean_bytes_per_rank_per_round(self, exclude_self: bool = True) -> float:
-        """Average payload each process puts on the network per round —
-        the "Data Size (MB)" column of the paper's Table III."""
-        if self.nrounds == 0:
-            return 0.0
-        return self.total_bytes_moved(exclude_self) / (self.nprocs * self.nrounds)
-
     def mean_bytes_per_chunk_round(self, exclude_self: bool = True) -> float:
         """Average payload per *occupied* chunk slot.
 
         With uneven chunk counts (e.g. 4096 images round-robin over 125
-        ranks) some ranks sit out the last round;
-        :meth:`mean_bytes_per_rank_per_round` averages over all P x rounds
-        slots while this method averages only over slots that actually hold
-        a chunk — the convention behind the paper's Table III round-robin
-        column (total bytes / 4096 images).
+        ranks) some ranks sit out the last round; this averages only over
+        slots that actually hold a chunk — the convention behind the
+        paper's Table III round-robin column (total bytes / 4096 images).
         """
         occupied = len(self.declarations.chunks)
         if occupied == 0:
             return 0.0
         return self.total_bytes_moved(exclude_self) / occupied
-
-    def max_bytes_per_rank_per_round(self) -> int:
-        return int(self.table.bytes_out.max(initial=0))
-
-    def traffic_matrix(self, round_index: Optional[int] = None) -> np.ndarray:
-        """Bytes moved ``[src, dst]`` (one round, or summed over all rounds)."""
-        rnd, owner, dest = self.overlaps[:3]
-        pick = slice(None) if round_index is None else rnd == round_index
-        pairs = (owner * self.nprocs + dest)[pick]
-        matrix = np.bincount(pairs, self.nbytes[pick], self.nprocs**2).astype(np.int64)
-        return matrix.reshape(self.nprocs, self.nprocs)
 
     def partners_per_rank(self) -> list[int]:
         """Number of distinct remote ranks each rank exchanges data with.

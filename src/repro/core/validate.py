@@ -53,11 +53,6 @@ def _bounds(chunks: np.ndarray) -> Box:
     return _box(lo, (chunks[:, 0] + chunks[:, 1]).max(axis=0) - lo)
 
 
-def infer_domain(owns: Sequence[Sequence[Box]]) -> Optional[Box]:
-    """Bounding box of all owned chunks (the overall data domain)."""
-    return domain_of(_declared(owns))
-
-
 def check_send_coverage(
     owns: Sequence[Sequence[Box]], domain: Optional[Box] = None
 ) -> Box:

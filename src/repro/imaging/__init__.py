@@ -1,35 +1,21 @@
 """TIFF substrate: codec, on-disk stacks, synthetic CT phantoms."""
 
 from .bricks import BrickedHeader, BrickedVolume, BrickFormatError
-from .stack import TiffStack, stack_nbytes, write_stack
-from .synthetic import (
-    PHANTOMS,
-    VolumeSpec,
-    brain_slice,
-    phantom_slice,
-    phantom_volume,
-    tooth_slice,
-    value_noise_slice,
-)
+from .stack import TiffStack, write_stack
+from .synthetic import VolumeSpec, tooth_slice
 from .tiff import TiffError, TiffInfo, read_tiff, read_tiff_info, write_tiff
 
 __all__ = [
     "BrickFormatError",
     "BrickedHeader",
     "BrickedVolume",
-    "PHANTOMS",
     "TiffError",
     "TiffInfo",
     "TiffStack",
     "VolumeSpec",
-    "brain_slice",
-    "phantom_slice",
-    "phantom_volume",
     "read_tiff",
     "read_tiff_info",
-    "stack_nbytes",
     "tooth_slice",
-    "value_noise_slice",
     "write_stack",
     "write_tiff",
 ]

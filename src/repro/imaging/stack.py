@@ -49,14 +49,6 @@ class TiffStack:
         """Read + decode one whole slice (the paper's full-decode cost), into ``out``."""
         return read_tiff(self.slice_path(z), out=out)
 
-    def read_volume(self) -> np.ndarray:
-        """Whole volume ``(depth, height, width)`` — small stacks only."""
-        indices = self.indices()
-        if not indices:
-            raise FileNotFoundError(f"no slices in {self.directory}")
-        if indices != list(range(len(indices))):
-            raise ValueError(f"stack {self.directory} has gaps: {indices[:10]}...")
-        return np.stack([self.read_slice(z) for z in indices])
 
 
 def write_stack(
@@ -77,7 +69,3 @@ def write_stack(
         write_tiff(stack.slice_path(z), image, rows_per_strip=rows_per_strip)
     return stack
 
-
-def stack_nbytes(stack: TiffStack) -> int:
-    """Total on-disk size of the stack's slice files."""
-    return sum(stack.slice_path(z).stat().st_size for z in stack.indices())

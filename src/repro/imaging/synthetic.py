@@ -1,8 +1,8 @@
 """Synthetic CT-like volumes standing in for the paper's APS scan data.
 
 The paper's authentic data sets — a primate tooth (2048^3, 32-bit) and a
-mouse brain (4096x2048x4096, 8-bit) — are proprietary.  These phantoms
-match what the experiments actually depend on: slice geometry, bit depth,
+mouse brain (4096x2048x4096, 8-bit) — are proprietary.  The tooth phantom
+matches what the experiments actually depend on: slice geometry, bit depth,
 and visually structured content for the DVR figure.  Every slice is a pure
 function of ``(volume params, z)``, so arbitrarily large stacks can be
 generated one slice at a time without holding the volume in memory.
@@ -80,82 +80,3 @@ def tooth_slice(spec: VolumeSpec, z: int) -> np.ndarray:
     field = np.where(field > 0, field + texture, field)
     return _quantise(field, spec.dtype)
 
-
-def _hash3(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic lattice hash -> floats in [0, 1) (vectorised)."""
-    h = (
-        ix.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        ^ iy.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-        ^ iz.astype(np.uint64) * np.uint64(0x165667B19E3779F9)
-        ^ np.uint64(seed)
-    )
-    h ^= h >> np.uint64(33)
-    h *= np.uint64(0xFF51AFD7ED558CCD)
-    h ^= h >> np.uint64(33)
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
-
-def value_noise_slice(
-    spec: VolumeSpec, z: int, scale: float = 16.0, seed: int = 7
-) -> np.ndarray:
-    """Trilinear value noise in [0, 1] for one z-slice (float64)."""
-    xs = np.arange(spec.width) / scale
-    ys = np.arange(spec.height) / scale
-    zf = z / scale
-
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    z0 = int(np.floor(zf))
-    fx = (xs - x0)[None, :]
-    fy = (ys - y0)[:, None]
-    fz = zf - z0
-
-    gx0, gy0 = np.meshgrid(x0, y0)
-    out = np.zeros((spec.height, spec.width))
-    for dz, wz in ((0, 1 - fz), (1, fz)):
-        c00 = _hash3(gx0, gy0, np.full_like(gx0, z0 + dz), seed)
-        c10 = _hash3(gx0 + 1, gy0, np.full_like(gx0, z0 + dz), seed)
-        c01 = _hash3(gx0, gy0 + 1, np.full_like(gx0, z0 + dz), seed)
-        c11 = _hash3(gx0 + 1, gy0 + 1, np.full_like(gx0, z0 + dz), seed)
-        top = c00 * (1 - fx) + c10 * fx
-        bottom = c01 * (1 - fx) + c11 * fx
-        out += wz * (top * (1 - fy) + bottom * fy)
-    return out
-
-
-def brain_slice(spec: VolumeSpec, z: int, seed: int = 7) -> np.ndarray:
-    """One slice of the "mouse brain" phantom: a smooth envelope modulated
-    by multi-octave value noise (gyri/sulci-like texture)."""
-    if not (0 <= z < spec.depth):
-        raise ValueError(f"slice {z} out of range [0, {spec.depth})")
-    xs, ys, zc = _grid(spec, z)
-    envelope = 1.0 - ((xs / 0.85) ** 2 + (ys / 0.7) ** 2 + (zc / 0.9) ** 2)
-    envelope = np.clip(envelope, 0.0, 1.0)
-
-    noise = (
-        0.55 * value_noise_slice(spec, z, scale=max(spec.width / 8, 2), seed=seed)
-        + 0.30 * value_noise_slice(spec, z, scale=max(spec.width / 24, 2), seed=seed + 1)
-        + 0.15 * value_noise_slice(spec, z, scale=max(spec.width / 64, 2), seed=seed + 2)
-    )
-    field = envelope * (0.35 + 0.65 * noise)
-    return _quantise(field, spec.dtype)
-
-
-PHANTOMS = {
-    "tooth": tooth_slice,
-    "brain": brain_slice,
-}
-
-
-def phantom_slice(name: str, spec: VolumeSpec, z: int) -> np.ndarray:
-    """Dispatch by phantom name ('tooth' or 'brain')."""
-    try:
-        fn = PHANTOMS[name]
-    except KeyError:
-        raise ValueError(f"unknown phantom {name!r}; options: {sorted(PHANTOMS)}") from None
-    return fn(spec, z)
-
-
-def phantom_volume(name: str, spec: VolumeSpec) -> np.ndarray:
-    """Whole volume as ``(depth, height, width)`` — test/example sizes only."""
-    return np.stack([phantom_slice(name, spec, z) for z in range(spec.depth)])

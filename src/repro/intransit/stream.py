@@ -76,11 +76,6 @@ class StreamTopology:
     def is_sim(self, world_rank: int) -> bool:
         return world_rank < self.m
 
-    def analysis_index(self, world_rank: int) -> int:
-        if world_rank < self.m:
-            raise ValueError(f"rank {world_rank} is a simulation rank")
-        return world_rank - self.m
-
     def sim_slab(self, sim_rank: int) -> Box:
         """The 2-D region sim rank owns, in paper order (x, y)."""
         return slab_box(self.nx, self.ny, self.m, sim_rank)

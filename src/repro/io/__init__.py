@@ -7,7 +7,6 @@ from .assignment import (
     all_owned_chunks,
     assigned_images,
     owned_chunks,
-    reads_per_process_no_ddr,
 )
 from .convert import brick_layer_ranges, convert_stack_to_bricks
 from .stackload import LoadedBlock, load_stack_ddr, load_stack_no_ddr, stack_geometry
@@ -24,6 +23,5 @@ __all__ = [
     "load_stack_ddr",
     "load_stack_no_ddr",
     "owned_chunks",
-    "reads_per_process_no_ddr",
     "stack_geometry",
 ]

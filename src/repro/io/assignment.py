@@ -51,10 +51,6 @@ class StackGeometry:
     def volume_dims(self) -> tuple[int, int, int]:
         return (self.width, self.height, self.n_images)
 
-    def image_box(self, z: int) -> Box:
-        if not (0 <= z < self.n_images):
-            raise ValueError(f"image index {z} out of range [0, {self.n_images})")
-        return Box((0, 0, z), (self.width, self.height, 1))
 
 
 #: The paper's artificial benchmark data set: 4096 images, 4096x2048,
@@ -116,10 +112,3 @@ def all_owned_chunks(
     """Owned chunks for every rank (planner input)."""
     return [owned_chunks(geometry, nprocs, r, strategy, block) for r in range(nprocs)]
 
-
-def reads_per_process_no_ddr(geometry: StackGeometry, need: Box) -> int:
-    """Without DDR, a rank must read and decode *every* image its needed
-    block touches (paper: whole-image decode even for a few pixels)."""
-    z0 = need.offset[2]
-    z1 = need.offset[2] + need.dims[2]
-    return z1 - z0

@@ -18,15 +18,6 @@ def write_raw(path, field: np.ndarray) -> int:
     return len(payload)
 
 
-def read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a flat float32 dump back into ``shape``."""
-    data = np.fromfile(path, dtype=np.float32)
-    expected = int(np.prod(shape))
-    if data.size != expected:
-        raise ValueError(f"{path} holds {data.size} floats, expected {expected}")
-    return data.reshape(shape)
-
-
 def raw_frame_bytes(nx: int, ny: int, bytes_per_value: int = 4) -> int:
     """Size of one uncompressed frame (one variable of interest)."""
     return nx * ny * bytes_per_value

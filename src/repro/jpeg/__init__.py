@@ -1,7 +1,6 @@
-"""From-scratch baseline JPEG codec (Table IV's processed-output format)."""
+"""From-scratch baseline JPEG encoder (Table IV's processed-output format)."""
 
-from .color import rgb_to_ycbcr, subsample_420, upsample_420, ycbcr_to_rgb
-from .decoder import JpegError, decode
+from .color import subsample_420
 from .encoder import encode_gray, encode_rgb
 from .huffman import (
     HuffmanTable,
@@ -16,17 +15,12 @@ __all__ = [
     "BASE_CHROMINANCE",
     "BASE_LUMINANCE",
     "HuffmanTable",
-    "JpegError",
     "STD_AC_CHROMINANCE",
     "STD_AC_LUMINANCE",
     "STD_DC_CHROMINANCE",
     "STD_DC_LUMINANCE",
-    "decode",
     "encode_gray",
     "encode_rgb",
-    "rgb_to_ycbcr",
     "scale_table",
     "subsample_420",
-    "upsample_420",
-    "ycbcr_to_rgb",
 ]

@@ -1,4 +1,4 @@
-"""JFIF color conversion: RGB <-> YCbCr (BT.601 full range)."""
+"""JFIF color conversion: RGB -> YCbCr (BT.601 full range) and 4:2:0 subsampling."""
 
 from __future__ import annotations
 
@@ -11,15 +11,6 @@ _FORWARD = np.array(
         [0.5, -0.418688, -0.081312],
     ]
 )
-
-_INVERSE = np.array(
-    [
-        [1.0, 0.0, 1.402],
-        [1.0, -0.344136, -0.714136],
-        [1.0, 1.772, 0.0],
-    ]
-)
-
 
 #: Pixels per gemm: OpenBLAS stays single-threaded while M * N * K <= 4 * 65536; one
 #: gemm per frame would wake its thread pool, which spins against the caller's threads.
@@ -43,22 +34,6 @@ def ycbcr_planes(rgb: np.ndarray) -> np.ndarray:
     return out.reshape(3, *rgb.shape[:2])
 
 
-def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
-    """``(h, w, 3)`` uint8 RGB -> float YCbCr with chroma centred on 128."""
-    return np.moveaxis(ycbcr_planes(rgb), 0, -1)
-
-
-def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
-    """Float YCbCr -> uint8 RGB (clipped)."""
-    ycbcr = np.asarray(ycbcr, dtype=np.float64)
-    if ycbcr.ndim != 3 or ycbcr.shape[2] != 3:
-        raise ValueError(f"expected (h, w, 3), got {ycbcr.shape}")
-    shifted = ycbcr.copy()
-    shifted[..., 1:] -= 128.0
-    rgb = shifted @ _INVERSE.T
-    return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
-
-
 def subsample_420(channel: np.ndarray) -> np.ndarray:
     """2x2 box average, added in ``mean``'s order (pads odd dimensions by edge)."""
     channel = np.asarray(channel, dtype=np.float64)
@@ -70,8 +45,3 @@ def subsample_420(channel: np.ndarray) -> np.ndarray:
     out = a + b + c + d if w <= 2 else (a + b) + (c + d)
     return np.multiply(out, 0.25, out=out)
 
-
-def upsample_420(channel: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Nearest-neighbor chroma upsampling back to ``(h, w)``."""
-    up = np.repeat(np.repeat(channel, 2, axis=0), 2, axis=1)
-    return up[:h, :w]

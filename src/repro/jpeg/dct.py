@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn
 
 BLOCK = 8
 
@@ -19,8 +19,6 @@ def _build_zigzag() -> np.ndarray:
 ZIGZAG = _build_zigzag()
 #: Flat index (row*8+col) of each zig-zag position.
 ZIGZAG_FLAT = ZIGZAG[:, 0] * BLOCK + ZIGZAG[:, 1]
-#: Inverse permutation: natural flat index -> zig-zag position.
-INV_ZIGZAG_FLAT = np.argsort(ZIGZAG_FLAT)
 
 
 def forward_dct(blocks: np.ndarray) -> np.ndarray:
@@ -28,45 +26,8 @@ def forward_dct(blocks: np.ndarray) -> np.ndarray:
     return dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
 
 
-def inverse_dct(coeffs: np.ndarray) -> np.ndarray:
-    return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
-
-
 def to_zigzag(block: np.ndarray) -> np.ndarray:
     """Flatten one or more 8x8 blocks in zig-zag order (last axis = 64)."""
     flat = np.asarray(block).reshape(*block.shape[:-2], 64)
     return flat[..., ZIGZAG_FLAT]
 
-
-def from_zigzag(scan: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_zigzag`; returns ``(..., 8, 8)``."""
-    scan = np.asarray(scan)
-    flat = scan[..., INV_ZIGZAG_FLAT]
-    return flat.reshape(*scan.shape[:-1], BLOCK, BLOCK)
-
-
-def blockify(channel: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Split an ``(h, w)`` channel into ``(n, 8, 8)`` blocks, edge-padded.
-
-    Returns ``(blocks, blocks_high, blocks_wide)``; blocks appear in
-    raster order.  Padding replicates the last row/column (JPEG's usual
-    choice, keeps edge ringing down).
-    """
-    h, w = channel.shape
-    bh = (h + BLOCK - 1) // BLOCK
-    bw = (w + BLOCK - 1) // BLOCK
-    padded = np.pad(
-        channel,
-        ((0, bh * BLOCK - h), (0, bw * BLOCK - w)),
-        mode="edge",
-    )
-    blocks = (
-        padded.reshape(bh, BLOCK, bw, BLOCK).transpose(0, 2, 1, 3).reshape(-1, BLOCK, BLOCK)
-    )
-    return blocks, bh, bw
-
-
-def unblockify(blocks: np.ndarray, bh: int, bw: int, h: int, w: int) -> np.ndarray:
-    """Reassemble raster-order ``(n, 8, 8)`` blocks, cropping the padding."""
-    grid = blocks.reshape(bh, bw, BLOCK, BLOCK).transpose(0, 2, 1, 3)
-    return grid.reshape(bh * BLOCK, bw * BLOCK)[:h, :w]

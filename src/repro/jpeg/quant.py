@@ -46,6 +46,3 @@ def scale_table(base: np.ndarray, quality: int) -> np.ndarray:
     table = (base * scale + 50) // 100
     return np.clip(table, 1, 255).astype(np.int32)
 
-
-def dequantize(quantized: np.ndarray, table: np.ndarray) -> np.ndarray:
-    return quantized.astype(np.float64) * table

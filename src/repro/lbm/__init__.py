@@ -15,7 +15,7 @@ from .d2q9 import (
 )
 from .decompose import neighbors, slab_box, slab_rows
 from .distributed import DistributedLbm
-from .fields import kinetic_energy, total_mass, vorticity
+from .fields import vorticity
 from .halo import exchange_ghost_rows
 from .simulation import LbmConfig, SerialLbm
 
@@ -32,13 +32,11 @@ __all__ = [
     "collide",
     "equilibrium",
     "exchange_ghost_rows",
-    "kinetic_energy",
     "macroscopics",
     "neighbors",
     "omega_from_viscosity",
     "slab_box",
     "slab_rows",
     "stream",
-    "total_mass",
     "vorticity",
 ]

@@ -18,11 +18,3 @@ def vorticity(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
     dux_dy = np.gradient(ux, axis=0)
     return duy_dx - dux_dy
 
-
-def total_mass(f: np.ndarray) -> float:
-    """Total density over the lattice (conserved by collide+stream)."""
-    return float(f.sum())
-
-
-def kinetic_energy(rho: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> float:
-    return float(0.5 * (rho * (ux * ux + uy * uy)).sum())

@@ -72,11 +72,6 @@ class Datatype:
         """
         return None
 
-    def is_contiguous(self) -> bool:
-        """True when the selection is one flat run of the buffer, so a
-        direct copy degrades to a single memcpy-style block move."""
-        return False
-
     def copy_into(
         self,
         src: np.ndarray,
@@ -182,9 +177,6 @@ class NamedType(Datatype):
     def size_elements(self) -> int:
         return 1
 
-    def is_contiguous(self) -> bool:
-        return True
-
     def view(self, buffer: np.ndarray) -> np.ndarray:
         return self._require_buffer(buffer)[:1]
 
@@ -226,9 +218,6 @@ class ContiguousType(Datatype):
 
     def size_elements(self) -> int:
         return self.count
-
-    def is_contiguous(self) -> bool:
-        return True
 
     def view(self, buffer: np.ndarray) -> np.ndarray:
         flat = self._require_buffer(buffer)
@@ -321,20 +310,9 @@ class SubarrayType(Datatype):
                 (*subsizes_t[:axis], count, extent, *subsizes_t[axis + 1:]),
                 (axis, *range(axis), *range(axis + 1, len(sizes_t) + 1)),
             )
-        # One flat run of the buffer: the blocks read in C order and every
-        # axis before the fastest partial one selects a single index.
-        selected = [len(range(full)[cut]) for cut, full in zip(slices, sizes_t)]
-        partial = [a for a, (n, full) in enumerate(zip(selected, sizes_t)) if n != full]
-        self._contiguous_cache = self._size_cache <= 1 or (
-            self._split is None and (count == 1 or step == extent)
-            and all(n == 1 for n in selected[: partial[-1] if partial else 0])
-        )
 
     def size_elements(self) -> int:
         return self._size_cache
-
-    def is_contiguous(self) -> bool:
-        return self._contiguous_cache
 
     def _slices(self) -> tuple[slice, ...]:
         return self._slices_cache

@@ -30,13 +30,6 @@ class Request:
     def wait(self) -> Status:
         raise NotImplementedError
 
-    # mpi4py-style aliases
-    def Test(self) -> bool:
-        return self.test()
-
-    def Wait(self) -> Status:
-        return self.wait()
-
 
 class CompletedRequest(Request):
     """A request that was satisfied at post time (eager sends)."""

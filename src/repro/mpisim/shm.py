@@ -329,16 +329,6 @@ class ShmStagingPool:
             self._classes[size].append(segment)
         return segment
 
-    def outstanding(self) -> int:
-        """Segments currently in flight (diagnostics/tests)."""
-        with self._lock:
-            return sum(
-                1
-                for segments in self._classes.values()
-                for segment in segments
-                if not segment.drained
-            )
-
     def close(self) -> None:
         with self._lock:
             self._classes.clear()

@@ -8,7 +8,6 @@ from .analytic import (
     exchange_cost,
     executed_plan,
     point_to_point_cost,
-    round_payloads,
 )
 from .cluster import COOLEY, ClusterSpec
 from .desnet import (
@@ -71,7 +70,6 @@ __all__ = [
     "predict_ddr",
     "predict_no_ddr",
     "predict_table2",
-    "round_payloads",
     "simulate_exchange",
     "simulate_flows",
     "stack_read_time",

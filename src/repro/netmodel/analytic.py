@@ -80,15 +80,6 @@ def _table(priced: Union[GlobalPlan, RoundTable]) -> RoundTable:
     return priced.table if isinstance(priced, GlobalPlan) else priced
 
 
-def round_payloads(plan: Union[GlobalPlan, RoundTable]) -> list[int]:
-    """Max bytes any rank sends (to others) in each round.
-
-    The collective completes when the busiest rank drains, so the max —
-    not the mean — drives round time.
-    """
-    return _table(plan).bytes_out.max(axis=1, initial=0).tolist()
-
-
 def executed_plan(
     plan: GlobalPlan, backend: str = "alltoallw", limit_bytes: Optional[int] = None
 ) -> RoundTable:

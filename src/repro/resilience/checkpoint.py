@@ -164,10 +164,6 @@ class BuddyStore:
                     return True
         return False
 
-    def epochs_for(self, owner_world: int) -> Tuple[int, ...]:
-        with self._lock:
-            return tuple(sorted(e for (o, e) in self._deposits if o == owner_world))
-
     def clear(self) -> None:
         with self._lock:
             self._deposits.clear()

@@ -64,7 +64,7 @@ class ShmBuddyStore:
     """Drop-in :class:`BuddyStore` twin backed by named shm segments.
 
     Same public surface — ``deposit`` / ``fetch`` / ``has_box`` /
-    ``epochs_for`` / ``clear`` — and the same availability model: a deposit
+    ``clear`` — and the same availability model: a deposit
     is readable while at least one of its holders is not in the caller's
     dead set.  State lives in ``/dev/shm``, so it survives the depositing
     process.
@@ -222,11 +222,6 @@ class ShmBuddyStore:
             if any(b == box for b, _ in payload["pairs"]):
                 return True
         return False
-
-    def epochs_for(self, owner_world: int) -> Tuple[int, ...]:
-        return tuple(sorted(
-            {e for o, e, _, _, _ in self._scan() if o == owner_world}
-        ))
 
     def clear(self) -> None:
         for _, _, _, _, name in self._scan():

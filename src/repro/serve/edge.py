@@ -284,9 +284,6 @@ class StreamEdge:
 
     # -- introspection (tests, chaos harness) --------------------------------
 
-    def connection_count(self) -> int:
-        return self._conns
-
     def task_count(self) -> int:
         """Live (not-done) tasks on the edge loop — leak detection."""
         if self._loop is None or not self._loop.is_running():

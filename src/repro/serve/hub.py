@@ -185,6 +185,8 @@ class FrameHub:
         overload: Optional[OverloadController] = None,
         retry_after_s: float = 1.0,
     ) -> None:
+        if not 1 <= quality <= 100:
+            raise ValueError(f"quality must be in [1, 100], got {quality}")
         self.nx, self.ny = int(nx), int(ny)
         if producer_boxes is None:
             producer_boxes = [slab_box(nx, ny, m, rank) for rank in range(m)]

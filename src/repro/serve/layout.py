@@ -130,12 +130,6 @@ class ConsumerLayout:
     def step(self) -> int:
         return 1 << self.mip
 
-    def frame_shape(self) -> tuple[int, int]:
-        """(h, w) of the served frame after mip subsampling."""
-        h, w = self.roi.np_shape()
-        step = self.step
-        return (-(-h // step), -(-w // step))
-
     def describe(self) -> str:
         x0, y0 = self.roi.offset
         w, h = self.roi.dims

@@ -1,4 +1,4 @@
-"""Shared helpers: units, timing, array utilities, logging."""
+"""Shared helpers: units, timing, array utilities, memory budgets."""
 
 from .units import (
     GiB,
@@ -11,7 +11,6 @@ from .timing import (
     Timer,
     TransferCounters,
     counting_transfers,
-    transfer_counters,
 )
 from .arrays import StagingPool
 from .membudget import (
@@ -33,7 +32,6 @@ __all__ = [
     "Timer",
     "TransferCounters",
     "counting_transfers",
-    "transfer_counters",
     "auditing_memory",
     "budget_scope",
     "fmt_bytes",

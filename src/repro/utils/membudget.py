@@ -135,10 +135,6 @@ class MemoryBudget:
         with self._lock:
             return self._used.get(rank, 0)
 
-    def total_used_bytes(self) -> int:
-        with self._lock:
-            return sum(self._used.values())
-
     def peak_bytes(self, rank: Optional[int] = None) -> int:
         """High-water mark — for ``rank``, or the worst rank when omitted
         (comparable to the per-rank limit)."""
@@ -146,13 +142,6 @@ class MemoryBudget:
             if rank is not None:
                 return self._peak.get(rank, 0)
             return max(self._peak.values(), default=0)
-
-    def headroom_bytes(self, rank: Optional[int] = None) -> Optional[int]:
-        """Bytes left under the limit for ``rank`` (``None`` when unlimited)."""
-        with self._lock:
-            if self.limit_bytes is None:
-                return None
-            return max(0, self.limit_bytes - self._used.get(rank, 0))
 
 
 def _limit_from_env() -> Optional[int]:

@@ -82,10 +82,6 @@ class TransferCounters:
             self.evictions += 1
             self.bytes_evicted += int(nbytes)
 
-    @property
-    def total_copies(self) -> int:
-        return sum(self.copies.values())
-
     def snapshot(self) -> dict:
         """A plain-dict copy, convenient for JSON records and asserts."""
         with self._lock:
@@ -104,10 +100,6 @@ class TransferCounters:
 TRANSFER_COUNTERS = TransferCounters()
 
 
-def transfer_counters() -> TransferCounters:
-    return TRANSFER_COUNTERS
-
-
 @contextmanager
 def counting_transfers() -> Iterator[TransferCounters]:
     """Enable transfer accounting within a block.
@@ -120,7 +112,7 @@ def counting_transfers() -> Iterator[TransferCounters]:
 
     >>> with counting_transfers() as counters:
     ...     pass
-    >>> counters.total_copies
+    >>> sum(counters.copies.values())
     0
     """
     counters = TRANSFER_COUNTERS

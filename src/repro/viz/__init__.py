@@ -9,7 +9,7 @@ from .colormaps import (
     normalize,
 )
 from .image import assemble_tiles, render_scalar_field
-from .ppm import read_ppm, write_ppm
+from .ppm import write_ppm
 
 __all__ = [
     "BLUE_WHITE_RED",
@@ -19,7 +19,6 @@ __all__ = [
     "TOOTH",
     "assemble_tiles",
     "normalize",
-    "read_ppm",
     "render_scalar_field",
     "write_ppm",
 ]

@@ -1,8 +1,5 @@
-"""Binary PPM (P6) image I/O — the lossless sibling of the JPEG output path.
-
-Used by examples to dump exact frames and by tests as a reference format
-when asserting on the JPEG codec.
-"""
+"""Binary PPM (P6) image output — the lossless sibling of the JPEG output path,
+used by the examples to dump exact frames."""
 
 from __future__ import annotations
 
@@ -21,40 +18,3 @@ def write_ppm(path_or_file, image: np.ndarray) -> int:
     with open(path_or_file, "wb") as handle:
         return handle.write(payload)
 
-
-def read_ppm(path_or_file) -> np.ndarray:
-    """Read a binary PPM (P6) into an ``(h, w, 3)`` uint8 array."""
-    if hasattr(path_or_file, "read"):
-        data = path_or_file.read()
-    else:
-        with open(path_or_file, "rb") as handle:
-            data = handle.read()
-
-    # Header: magic, width, height, maxval — whitespace/comment separated.
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise ValueError("truncated PPM header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-    if tokens[0] != b"P6":
-        raise ValueError(f"not a binary PPM: magic {tokens[0]!r}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    expected = width * height * 3
-    pixels = np.frombuffer(data[pos : pos + expected], dtype=np.uint8)
-    if pixels.size != expected:
-        raise ValueError(f"payload has {pixels.size} bytes, expected {expected}")
-    return pixels.reshape(height, width, 3).copy()

@@ -39,40 +39,6 @@ def _screen_geometry(box: Box, axis: str) -> tuple[tuple[int, int], tuple[int, i
     raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
 
 
-def composite_distributed_mip(
-    comm: Communicator,
-    box: Box,
-    partial: np.ndarray,
-    volume_dims: tuple[int, int, int],
-    axis: str = "z",
-    root: int = 0,
-    fill: float = -np.inf,
-) -> np.ndarray | None:
-    """Gather per-rank MIP tiles and max-combine them on ``root``.
-
-    Unlike the 'over' operator, max needs no depth ordering, so tiles
-    combine in any order.  Returns the full scalar projection on ``root``.
-    """
-    (row0, col0), (rows, cols), _ = _screen_geometry(box, axis)
-    if partial.shape != (rows, cols):
-        raise ValueError(
-            f"partial projection {partial.shape} does not match footprint {(rows, cols)}"
-        )
-    gathered = comm.gather(((row0, col0), partial), root=root)
-    if comm.rank != root:
-        return None
-
-    vx, vy, vz = volume_dims
-    screen = {"z": (vy, vx), "y": (vz, vx), "x": (vz, vy)}[axis]
-    frame = np.full(screen, fill, dtype=np.float64)
-    assert gathered is not None
-    for (r0, c0), tile in gathered:
-        th, tw = tile.shape
-        region = frame[r0 : r0 + th, c0 : c0 + tw]
-        np.maximum(region, tile, out=region)
-    return frame
-
-
 def composite_distributed(
     comm: Communicator,
     box: Box,

@@ -112,8 +112,3 @@ def grid_boxes(dims: Sequence[int], grid: Sequence[int]) -> list[Box]:
         emit()
     return boxes
 
-
-def block_for_rank(dims: Sequence[int], grid: Sequence[int], rank: int) -> Box:
-    """The needed box of one rank (same convention as :func:`grid_boxes`)."""
-    boxes = grid_boxes(dims, grid)
-    return boxes[rank]

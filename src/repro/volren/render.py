@@ -77,27 +77,6 @@ def _render_block(
     return accum
 
 
-def mip_project(data: np.ndarray, axis: str = "z") -> np.ndarray:
-    """Maximum-intensity projection of a ``(z, y, x)`` block.
-
-    The standard radiology rendering for CT stacks (the paper's Figure 2
-    data): each output pixel is the maximum sample along the ray.  Because
-    ``max`` is associative, block-wise MIP + max-compositing is *exactly*
-    equal to whole-volume MIP (property-tested), unlike emission-absorption
-    DVR which matches only up to early-termination tolerance.
-    """
-    data = np.asarray(data)
-    if data.ndim != 3:
-        raise ValueError(f"expected (z, y, x) block, got shape {data.shape}")
-    if axis == "z":
-        return data.max(axis=0)  # (y, x)
-    if axis == "y":
-        return data.max(axis=1)  # (z, x)
-    if axis == "x":
-        return data.max(axis=2)  # (z, y)
-    raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-
-
 def rgba_to_rgb(
     accum: np.ndarray, background: tuple[float, float, float] = (0, 0, 0)
 ) -> np.ndarray:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.core import Box
+from repro.core import Box, round_protocol
+from repro.core.engine import direct_transport, executed_rounds
 from repro.mpisim import default_executor, run_spmd
-from repro.utils import transfer_counters
+from repro.utils.timing import TRANSFER_COUNTERS
 
 #: CI runs ``pytest --hypothesis-profile=ci``: the same examples on every
 #: run, so a red build is a regression rather than a new draw.
@@ -56,7 +57,7 @@ def counted_region(comm, fn):
     by barriers — otherwise a late rank's reset wipes counts already made
     by an early one.  The snapshot covers *all* ranks' traffic.
     """
-    counters = transfer_counters()
+    counters = TRANSFER_COUNTERS
     comm.Barrier()
     if comm.rank == 0:
         counters.reset()
@@ -74,3 +75,18 @@ def counted_region(comm, fn):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20170529)  # IPPS 2017 venue date
+
+
+def engine_choices(red):
+    """Per planned round of ``red``'s mapping, the wire protocol (``alltoallw``
+    or ``p2p``) an exchange through its backend and transport runs it with
+    under the installed memory budget, read off the executed rounds: a round
+    run in pieces answers once.  The planned-protocol oracle the trace and
+    the wire are compared with."""
+    zero_copy = direct_transport(red.comm, red.transport)
+    return [
+        round_protocol(red.backend, rnd)
+        for rnd in executed_rounds(red.mapping, red.backend, zero_copy)
+        if rnd.piece == 0
+        for _ in rnd.members
+    ]

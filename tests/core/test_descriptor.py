@@ -25,7 +25,7 @@ class TestCreate:
         assert desc.ndims == 2
         assert desc.dtype == np.float32
         assert desc.element_size == 4
-        assert not desc.is_mapped
+        assert desc.plan is None
 
     def test_numpy_dtype_accepted(self):
         desc = DDR_NewDataDescriptor(8, DATA_TYPE_3D, np.uint8)

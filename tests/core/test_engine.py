@@ -16,7 +16,7 @@ import pytest
 from repro.core import Box, Redistributor, StaleMappingError, default_backend
 from repro.obs import tracing
 from repro.utils.membudget import budget_scope
-from tests.conftest import spmd, thread_only
+from tests.conftest import engine_choices, spmd, thread_only
 
 
 class TestDefaultBackend:
@@ -65,7 +65,7 @@ class TestAutoBackend:
             data = np.full(1, float(comm.rank), dtype=np.float32)
             out = red.gather_need([data])
             assert out[0] == (comm.rank + 1) % comm.size
-            return red.engine_choices()
+            return engine_choices(red)
 
         for choices in spmd(6, fn):
             assert choices == ["p2p"]
@@ -78,7 +78,7 @@ class TestAutoBackend:
             data = np.full(1, float(comm.rank), dtype=np.float32)
             out = red.gather_need([data])
             assert np.array_equal(out, np.arange(comm.size, dtype=np.float32))
-            return red.engine_choices()
+            return engine_choices(red)
 
         for choices in spmd(6, fn):
             assert choices == ["alltoallw"]
@@ -94,7 +94,7 @@ class TestAutoBackend:
             own = [Box((0,), (6,)), Box((6,), (2,))] if comm.rank == 0 else []
             need = Box((comm.rank * 2,), (2,))
             red.setup(own=own, need=need)
-            assert red.engine_choices() == ["alltoallw", "p2p"]
+            assert engine_choices(red) == ["alltoallw", "p2p"]
             buffers = (
                 [np.arange(6, dtype=np.float32), np.arange(6, 8, dtype=np.float32)]
                 if comm.rank == 0
@@ -133,7 +133,7 @@ class TestProtocolAgreement:
             )
             out = red.gather_need([field[r * rows : (r + 1) * rows]])
             assert np.array_equal(out, field[:, r * rows : (r + 1) * rows])
-            return red.engine_choices()
+            return engine_choices(red)
 
         with budget_scope(limit_bytes=limit), tracing() as tracer:
             choices = spmd(4, fn)
@@ -288,7 +288,7 @@ class TestExecutedRounds:
             data = [np.full((1, 128, 128), float(b.offset[2]), np.float32) for b in own]
             out = red.gather_need(data)
             assert np.array_equal(out[:, 0, 0], np.arange(128, dtype=np.float32))
-            return red.nrounds, red.engine_choices()
+            return red.nrounds, engine_choices(red)
 
         with tracing() as tracer:
             results = spmd(4, fn)

@@ -125,7 +125,8 @@ def uneven_problem(seed: int):
 
 
 def run_case(
-    seed, ndim, nprocs, scale, dtype, components, backend, transport, budget, problem=None
+    seed, ndim, nprocs, scale, dtype, components, backend, transport, budget, problem=None,
+    refusable=True,
 ):
     domain, owns, needs = problem or random_problem(seed, ndim, nprocs, scale)
     shape = domain.np_shape() + ((components,) if components > 1 else ())
@@ -164,7 +165,7 @@ def run_case(
         try:
             spmd(nprocs, fn)
         except RankFailure as failure:
-            assert isinstance(failure.original, MemoryBudgetError), failure
+            assert refusable and isinstance(failure.original, MemoryBudgetError), failure
 
 
 @given(case=cases())
@@ -231,3 +232,37 @@ def test_lowered_rounds_move_interleaved_state(backend, transport):
     ]
     assert [bool(r.sends or r.self_send) for r in executed[:4]] == [False, False, False, True]
     run_case(0, 2, 4, 1, "f8", 9, backend, transport, "below", problem=problem)
+
+
+def halo_problem():
+    """Ghost zones as DDR needs (paper §III-B: "multiple processes can receive
+    overlapping data"): four row slabs of a 16x24 domain, each rank needing
+    its own slab widened by one cell on every side and clipped to the domain,
+    so neighbouring needs overlap by two rows."""
+    domain = Box((0, 0), (16, 24))
+    slabs = [Box((0, 6 * rank), (16, 6)) for rank in range(4)]
+
+    def widened(box):
+        lo = [max(o - 1, d) for o, d in zip(box.offset, domain.offset)]
+        hi = [min(e + 1, d) for e, d in zip(box.end, domain.end)]
+        return Box(tuple(lo), tuple(h - l for l, h in zip(lo, hi)))
+
+    return domain, [[slab] for slab in slabs], [widened(slab) for slab in slabs]
+
+
+@pytest.mark.parametrize("budget", ["none", "below"])
+@pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+def test_overlapping_needs_get_every_ghost_cell(backend, budget):
+    if budget == "below" and default_executor() == "process":
+        pytest.skip("the budget ledger is per process")
+    problem = halo_problem()
+    needs = problem[2]
+    assert [needs[r].intersect(needs[r + 1]).dims for r in range(3)] == [(16, 2)] * 3
+    if budget == "below":
+        # Half the one planned round: it runs in pieces of its own protocol.
+        plan = compute_global_plan(problem[1], needs, 8)
+        limit = max(plan.staged) // 2
+        executed = plan.rank_plans([1])[0].executed(backend, limit, BYTE, 8, {})
+        assert executed[0].pieces > 1
+    transport = "packed" if budget == "below" else "zerocopy"
+    run_case(0, 2, 4, 1, "f8", 1, backend, transport, budget, problem=problem, refusable=False)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Box, BufferCache, GhostExchanger, Redistributor
+from repro.core import Box, BufferCache, Redistributor
 from repro.mpisim import TRANSPORT_ZEROCOPY, transport
 from repro.utils import StagingPool
 from tests.conftest import counted_region, spmd, thread_only
@@ -163,45 +163,6 @@ class TestSteadyStateAllocations:
             return True
 
         assert all(spmd(4, fn))
-
-
-class TestGhostExchangerReuse:
-    @thread_only
-    def test_reuse_buffer_returns_same_array(self):
-        domain = Box((0,), (16,))
-
-        def fn(comm):
-            own = Box((4 * comm.rank,), (4,))
-            ghosts = GhostExchanger(comm, ndims=1, dtype=np.float64, reuse_buffer=True)
-            ghosts.setup(own=own, halo=1, domain=domain)
-            interior = np.arange(4, dtype=np.float64) + 10 * comm.rank
-            a = ghosts.exchange(interior)
-            (_, b), snap = counted_region(
-                comm, lambda: (None, ghosts.exchange(interior))
-            )
-            assert b is a
-            # Interior cells plus up-to-date neighbours.
-            assert np.array_equal(ghosts.interior_view(b), interior)
-            return snap
-
-        with transport(TRANSPORT_ZEROCOPY):
-            snap = spmd(4, fn)[0]
-        assert snap["allocations"] == 0
-
-    def test_default_returns_fresh_arrays(self):
-        domain = Box((0,), (8,))
-
-        def fn(comm):
-            own = Box((4 * comm.rank,), (4,))
-            ghosts = GhostExchanger(comm, ndims=1, dtype=np.float64)
-            ghosts.setup(own=own, halo=1, domain=domain)
-            interior = np.arange(4, dtype=np.float64)
-            a = ghosts.exchange(interior)
-            b = ghosts.exchange(interior)
-            assert a is not b and np.array_equal(a, b)
-            return True
-
-        assert all(spmd(2, fn))
 
 
 class TestTransportParameter:

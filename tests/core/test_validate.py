@@ -14,19 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    Box,
-    MappingValidationError,
-    Redistributor,
-    check_send_coverage,
-    infer_domain,
-    intersect_many,
-)
+from repro.core import Box, MappingValidationError, Redistributor, check_send_coverage
 from repro.core import validate
 from repro.core.schedule import Declarations
-from repro.core.validate import check_declarations, check_receives_within_domain
+from repro.core.validate import check_declarations, check_receives_within_domain, domain_of
 from tests.conftest import spmd
 from tests.core.test_reorganize_property import random_problem
+
+
+def infer_domain(owns):
+    return domain_of(validate._declared(owns))
 
 
 class TestInferDomain:
@@ -113,6 +110,33 @@ class TestReceivesWithinDomain:
         check_receives_within_domain([Box((100, 100), (0, 0))], Box((0, 0), (2, 2)))
 
 
+def union_bounds(a: Box, b: Box) -> Box:
+    """Smallest box containing both (bounding box, not set union)."""
+    if a.ndim != b.ndim:
+        raise ValueError(f"rank mismatch: {a.ndim} vs {b.ndim}")
+    lo = tuple(min(x, y) for x, y in zip(a.offset, b.offset))
+    hi = tuple(max(x, y) for x, y in zip(a.end, b.end))
+    return Box(lo, tuple(h - l for l, h in zip(lo, hi)))
+
+
+def intersect_many(
+    box: Box, offsets: np.ndarray, dims: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised ``box.intersect`` against ``N`` boxes given as ``(N, ndim)``
+    ``offsets`` / ``dims``: ``(mask, lo, extent)``, where ``mask[n]`` says
+    whether box ``n`` overlaps and ``lo`` / ``extent`` hold the overlap
+    (only valid where ``mask``)."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    dims = np.asarray(dims, dtype=np.int64)
+    if offsets.ndim != 2 or offsets.shape != dims.shape or offsets.shape[1] != box.ndim:
+        raise ValueError("offsets/dims must be (N, ndim) arrays matching the box rank")
+    lo = np.maximum(offsets, np.asarray(box.offset, dtype=np.int64))
+    hi = np.minimum(offsets + dims, np.asarray(box.end, dtype=np.int64))
+    extent = hi - lo
+    mask = (extent > 0).all(axis=1)
+    return mask, lo, extent
+
+
 def reference_check(owns, needs=None, domain=None) -> Box:
     """The Box-by-box set-up checks the array checks replaced, verbatim in
     effect: bounding box by ``union_bounds``, volumes, containment, and each
@@ -124,7 +148,7 @@ def reference_check(owns, needs=None, domain=None) -> Box:
     if domain is None:
         domain = boxes[0][2]
         for _, _, box in boxes[1:]:
-            domain = domain.union_bounds(box)
+            domain = union_bounds(domain, box)
 
     def find_overlap():
         offsets = np.array([box.offset for _, _, box in boxes], dtype=np.int64)

@@ -16,7 +16,7 @@ from repro.core import Box, ExchangeProgress, Redistributor
 from repro.faults import FAULTS, FaultPlan, FaultSpec, ReliabilityPolicy, fault_plan
 from repro.mpisim import RetriesExhaustedError
 from repro.obs import tracing
-from tests.conftest import spmd
+from tests.conftest import engine_choices, spmd
 
 
 def prepared(comm):
@@ -29,7 +29,7 @@ def prepared(comm):
     red = Redistributor(comm, ndims=1, dtype=np.float32, backend="auto")
     red.setup(own=own, need=need)
     assert red.nrounds == 4
-    assert red.engine_choices() == ["alltoallw", "alltoallw", "p2p", "p2p"]
+    assert engine_choices(red) == ["alltoallw", "alltoallw", "p2p", "p2p"]
     reference = np.arange(20, dtype=np.float32)
     data = [reference[b.offset[0] : b.offset[0] + b.dims[0]].copy() for b in own]
     out = np.full(need.dims[0], -1, dtype=np.float32)

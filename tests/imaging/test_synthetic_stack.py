@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.imaging import (
-    TiffStack,
-    VolumeSpec,
+from repro.imaging import TiffStack, VolumeSpec, tooth_slice, write_stack
+from tests.oracles import (
     brain_slice,
     phantom_slice,
     phantom_volume,
-    stack_nbytes,
-    tooth_slice,
+    read_volume,
     value_noise_slice,
-    write_stack,
 )
 
 
@@ -118,7 +115,7 @@ class TestStack:
         stack = write_stack(tmp_path / "s", 6, lambda z: tooth_slice(spec, z))
         assert len(stack) == 6
         assert stack.indices() == list(range(6))
-        vol = stack.read_volume()
+        vol = read_volume(stack)
         assert vol.shape == (6, 16, 24)
         assert np.array_equal(vol[3], tooth_slice(spec, 3))
 
@@ -130,19 +127,19 @@ class TestStack:
     def test_missing_stack(self, tmp_path):
         stack = TiffStack(tmp_path)
         with pytest.raises(FileNotFoundError):
-            stack.read_volume()
+            read_volume(stack)
 
     def test_gap_detected(self, tmp_path):
         spec = VolumeSpec(8, 8, 3, np.uint8)
         stack = write_stack(tmp_path / "s", 3, lambda z: brain_slice(spec, z))
         stack.slice_path(1).unlink()
         with pytest.raises(ValueError, match="gaps"):
-            stack.read_volume()
+            read_volume(stack)
 
     def test_stack_nbytes(self, tmp_path):
         spec = VolumeSpec(8, 8, 2, np.uint8)
         stack = write_stack(tmp_path / "s", 2, lambda z: tooth_slice(spec, z))
-        nbytes = stack_nbytes(stack)
+        nbytes = sum(stack.slice_path(z).stat().st_size for z in stack.indices())
         assert nbytes > 2 * 64  # at least the pixel data
         assert nbytes == sum(p.stat().st_size for p in (tmp_path / "s").iterdir())
 

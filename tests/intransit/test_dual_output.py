@@ -66,7 +66,7 @@ class TestDualOutput:
         assert root.dual_raw_bytes == 2 * 64 * 32 * 4
 
     def test_raw_dump_content_correct(self, tmp_path):
-        from repro.io.raw import read_raw
+        from tests.oracles import read_raw
         from repro.lbm import SerialLbm
 
         config = PipelineConfig(

@@ -67,7 +67,7 @@ class TestMultiVariablePipeline:
             variables=("vorticity", "speed"), save_dir=tmp_path / "mv",
         )
         run(config)
-        from repro.jpeg import decode
+        from tests.jpeg.t81 import decode
 
         vort = decode((tmp_path / "mv" / "frame_00000_vorticity.jpg").read_bytes())
         speed = decode((tmp_path / "mv" / "frame_00000_speed.jpg").read_bytes())

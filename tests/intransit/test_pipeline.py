@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.intransit import PipelineConfig, run_pipeline
-from repro.jpeg import decode
 from repro.lbm import LbmConfig, SerialLbm
 from repro.viz import render_scalar_field
 from tests.conftest import spmd
+from tests.jpeg.t81 import decode
 
 LBM = LbmConfig(nx=32, ny=16)
 
@@ -118,7 +118,7 @@ class TestPipeline:
         serial = SerialLbm(LBM)
         serial.step(10)
         expected = serial.vorticity().astype(np.float32)
-        from repro.io.raw import read_raw
+        from tests.oracles import read_raw
 
         raw = read_raw(tmp_path / "o" / "frame_00000.raw", (16, 32))
         assert np.array_equal(raw, expected)

@@ -55,9 +55,6 @@ class TestTopology:
         assert self.TOPO.world_size() == 7
         assert self.TOPO.is_sim(4)
         assert not self.TOPO.is_sim(5)
-        assert self.TOPO.analysis_index(6) == 1
-        with pytest.raises(ValueError):
-            self.TOPO.analysis_index(2)
 
     def test_sim_slabs_tile_domain(self):
         slabs = [self.TOPO.sim_slab(s) for s in range(5)]
@@ -89,7 +86,7 @@ class TestEndpoints:
                     )
                     sender.send_frame(frame, field)
                 return None
-            receiver = StreamReceiver(comm, topo, topo.analysis_index(comm.rank))
+            receiver = StreamReceiver(comm, topo, comm.rank - topo.m)
             seen = []
             for frame in range(3):
                 slabs = receiver.recv_frame(frame)

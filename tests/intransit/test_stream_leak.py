@@ -139,7 +139,7 @@ class TestStragglerPurge:
 
         with budget_scope(limit_mb=16):
             assert spmd(2, fn)[1] is True
-        assert MEMORY_BUDGET.total_used_bytes() == 0
+        assert sum(MEMORY_BUDGET._used.values()) == 0
 
 
 class TestBufferReuse:

@@ -9,6 +9,7 @@ from repro.core import Box
 from repro.imaging import BrickedVolume, VolumeSpec, tooth_slice, write_stack
 from repro.io import Assignment, brick_layer_ranges, convert_stack_to_bricks
 from tests.conftest import spmd
+from tests.oracles import read_volume
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ class TestConversion:
 
         assert all(spmd(nprocs, fn))
 
-        reference = tiff_stack.read_volume()  # (z, y, x)
+        reference = read_volume(tiff_stack)  # (z, y, x)
         volume = BrickedVolume(out)
         assert volume.header.dims == (24, 16, 12)
         whole = volume.read_region(Box((0, 0, 0), (24, 16, 12)))
@@ -62,7 +63,7 @@ class TestConversion:
             convert_stack_to_bricks(comm, tiff_stack, out, brick=4)
 
         spmd(4, fn)
-        reference = tiff_stack.read_volume()
+        reference = read_volume(tiff_stack)
         volume = BrickedVolume(out)
         region = Box((5, 3, 2), (10, 8, 7))
         got = volume.read_region(region)
@@ -81,7 +82,7 @@ class TestConversion:
 
         spmd(5, fn)
         volume = BrickedVolume(out)
-        reference = tiff_stack.read_volume()
+        reference = read_volume(tiff_stack)
         assert np.array_equal(
             volume.read_region(Box((0, 0, 0), (24, 16, 12))), reference
         )

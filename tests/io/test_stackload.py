@@ -8,6 +8,7 @@ import pytest
 from repro.imaging import VolumeSpec, tooth_slice, write_stack
 from repro.io import Assignment, load_stack_ddr, load_stack_no_ddr, stack_geometry
 from tests.conftest import spmd
+from tests.oracles import read_volume
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestLoaders:
 
     def reference_volume(self, stack):
         tiff_stack, spec = stack
-        return tiff_stack.read_volume()  # (z, y, x)
+        return read_volume(tiff_stack)  # (z, y, x)
 
     def expected_block(self, volume, box):
         x0, y0, z0 = box.offset

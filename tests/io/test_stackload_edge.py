@@ -8,6 +8,7 @@ import pytest
 from repro.imaging import VolumeSpec, tooth_slice, write_stack
 from repro.io import Assignment, load_stack_ddr
 from tests.conftest import spmd
+from tests.oracles import read_volume
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ class TestMoreRanksThanImages:
         """8 ranks, 6 images: two ranks own no slices but still need blocks
         (the `dtype is None` fallback path)."""
         stack, _ = tiny_stack
-        reference = stack.read_volume()
+        reference = read_volume(stack)
 
         def fn(comm):
             block = load_stack_ddr(comm, stack, (2, 2, 2), Assignment.ROUND_ROBIN)
@@ -47,7 +48,7 @@ class TestMoreRanksThanImages:
 class TestDegenerateGrids:
     def test_single_rank_whole_volume(self, tiny_stack):
         stack, _ = tiny_stack
-        reference = stack.read_volume()
+        reference = read_volume(stack)
 
         def fn(comm):
             block = load_stack_ddr(comm, stack, (1, 1, 1), Assignment.CONSECUTIVE)

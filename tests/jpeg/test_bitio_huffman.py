@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg.bitio import BitReader, BitWriter
 from repro.jpeg.huffman import (
     HuffmanTable,
     STD_AC_CHROMINANCE,
     STD_AC_LUMINANCE,
     STD_DC_CHROMINANCE,
     STD_DC_LUMINANCE,
+)
+from tests.jpeg.t81 import (
+    BitReader,
+    BitWriter,
     decode_magnitude,
+    decode_symbol,
     encode_magnitude,
+    encode_symbol,
     magnitude_category,
 )
 
@@ -116,7 +121,7 @@ class TestHuffmanTables:
     def test_known_codes(self):
         """Spot-check Annex K: DC lum symbol 0 -> code 00 (2 bits)."""
         w = BitWriter()
-        STD_DC_LUMINANCE.encode_symbol(w, 0)
+        encode_symbol(STD_DC_LUMINANCE, w, 0)
         w.write(1, 1)
         r = BitReader(w.flush())
         assert r.read(2) == 0b00
@@ -125,16 +130,17 @@ class TestHuffmanTables:
     def test_all_symbols_roundtrip(self, table):
         w = BitWriter()
         for symbol in table.values:
-            table.encode_symbol(w, symbol)
+            encode_symbol(table, w, symbol)
         r = BitReader(w.flush())
         for symbol in table.values:
-            assert table.decode_symbol(r) == symbol
+            assert decode_symbol(table, r) == symbol
 
     def test_prefix_free(self):
         """No code may be a prefix of another (canonical construction)."""
         for table in self.ALL:
             codes = sorted(
-                table._encode.values(), key=lambda cl: cl[1]  # type: ignore[attr-defined]
+                ((int(table.codes[s]), int(table.lengths[s])) for s in table.values),
+                key=lambda cl: cl[1],
             )
             for i, (code_a, len_a) in enumerate(codes):
                 for code_b, len_b in codes[i + 1 :]:
@@ -145,7 +151,7 @@ class TestHuffmanTables:
     def test_unknown_symbol_rejected(self):
         w = BitWriter()
         with pytest.raises(ValueError):
-            STD_DC_LUMINANCE.encode_symbol(w, 0x99)
+            encode_symbol(STD_DC_LUMINANCE, w, 0x99)
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):

@@ -10,25 +10,23 @@ from hypothesis import strategies as st
 from repro.jpeg import (
     BASE_CHROMINANCE,
     BASE_LUMINANCE,
-    decode,
     encode_gray,
     encode_rgb,
-    rgb_to_ycbcr,
     scale_table,
     subsample_420,
+)
+from repro.jpeg.dct import ZIGZAG_FLAT, forward_dct, to_zigzag
+from tests.jpeg.t81 import (
+    JpegError,
+    blockify,
+    decode,
+    from_zigzag,
+    inverse_dct,
+    rgb_to_ycbcr,
+    unblockify,
     upsample_420,
     ycbcr_to_rgb,
 )
-from repro.jpeg.dct import (
-    blockify,
-    forward_dct,
-    from_zigzag,
-    inverse_dct,
-    to_zigzag,
-    unblockify,
-    ZIGZAG_FLAT,
-)
-from repro.jpeg.decoder import JpegError
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,8 +10,8 @@ requested shape, and round-trip error must stay bounded at every quality.
 import numpy as np
 import pytest
 
-from repro.jpeg import decode
 from repro.jpeg.encoder import encode_gray, encode_rgb
+from tests.jpeg.t81 import decode
 
 # Shapes straddling block (8) and MCU (16) boundaries, down to a single pixel.
 EDGE_SHAPES = [

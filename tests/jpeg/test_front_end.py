@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.jpeg import rgb_to_ycbcr, subsample_420
+from repro.jpeg import subsample_420
 from repro.jpeg.color import _FORWARD, ycbcr_planes
+from tests.jpeg.t81 import rgb_to_ycbcr
 
 #: Widths 1 and 2 are where numpy changes its arithmetic (a one-pixel row is a
 #: gemv; ``mean`` adds a lone chroma column's four samples in one run);

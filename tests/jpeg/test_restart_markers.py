@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg import decode, encode_gray, encode_rgb
-from repro.jpeg.decoder import JpegError, _split_restart_segments
+from repro.jpeg import encode_gray, encode_rgb
+from tests.jpeg.t81 import JpegError, _split_restart_segments, decode
 
 
 def psnr(a, b):

@@ -23,16 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jpeg import encode_gray, encode_rgb
-from repro.jpeg.bitio import BitWriter
 from repro.jpeg.encoder import _Component, _encode_scan
 from repro.jpeg.huffman import (
     STD_AC_CHROMINANCE,
     STD_AC_LUMINANCE,
     STD_DC_CHROMINANCE,
     STD_DC_LUMINANCE,
-    encode_magnitude,
-    magnitude_category,
 )
+from tests.jpeg.t81 import BitWriter, encode_magnitude, encode_symbol, magnitude_category
 
 GOLDEN_PATH = Path(__file__).parent / "golden_sha256.json"
 
@@ -45,7 +43,7 @@ def _reference_block(writer, zz, predictor, dc_table, ac_table):
     dc = int(zz[0])
     diff = dc - predictor
     size = magnitude_category(diff)
-    dc_table.encode_symbol(writer, size)
+    encode_symbol(dc_table, writer, size)
     encode_magnitude(writer, diff, size)
 
     run = 0
@@ -59,14 +57,14 @@ def _reference_block(writer, zz, predictor, dc_table, ac_table):
             run += 1
             continue
         while run > 15:
-            ac_table.encode_symbol(writer, 0xF0)  # ZRL: 16 zeros
+            encode_symbol(ac_table, writer, 0xF0)  # ZRL: 16 zeros
             run -= 16
         size = magnitude_category(value)
-        ac_table.encode_symbol(writer, (run << 4) | size)
+        encode_symbol(ac_table, writer, (run << 4) | size)
         encode_magnitude(writer, value, size)
         run = 0
     if last_nonzero < 63:
-        ac_table.encode_symbol(writer, 0x00)  # EOB
+        encode_symbol(ac_table, writer, 0x00)  # EOB
     return dc
 
 

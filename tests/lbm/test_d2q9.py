@@ -18,8 +18,8 @@ from repro.lbm import (
     macroscopics,
     omega_from_viscosity,
     stream,
-    total_mass,
 )
+from tests.oracles import total_mass
 
 
 class TestLatticeConstants:

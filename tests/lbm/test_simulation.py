@@ -9,13 +9,12 @@ from repro.lbm import (
     DistributedLbm,
     LbmConfig,
     SerialLbm,
-    kinetic_energy,
     slab_box,
     slab_rows,
-    total_mass,
     vorticity,
 )
 from tests.conftest import spmd
+from tests.oracles import kinetic_energy, total_mass
 
 CFG = LbmConfig(nx=48, ny=24)
 

@@ -176,16 +176,23 @@ class TestSubarray:
         assert np.array_equal(grid_d, untouched)
 
 
+def flat_run(datatype, size, dtype=np.float32):
+    """Is the selection one flat run of a ``size``-element buffer, so that a
+    direct copy is a single block move?  Its no-copy view is C-contiguous."""
+    view = datatype.view(np.zeros(size, dtype))
+    return view is not None and view.flags.c_contiguous
+
+
 class TestViewProtocol:
     """``view``/``copy_into``: the zero-copy transport's datatype contract."""
 
     def test_named_and_contiguous_views_share_memory(self):
         buf = np.arange(6, dtype=np.float32)
-        assert FLOAT.is_contiguous()
+        assert flat_run(FLOAT, 6)
         v = FLOAT.view(buf)
         assert v.size == 1 and np.shares_memory(v, buf)
         t = FLOAT.Create_contiguous(4)
-        assert t.is_contiguous()
+        assert flat_run(t, 6)
         v = t.view(buf)
         assert v.size == 4 and np.shares_memory(v, buf)
         v[0] = 99.0
@@ -194,14 +201,14 @@ class TestViewProtocol:
     def test_vector_strided_view(self):
         t = INT.Create_subarray((3, 4), (3, 2), (0, 0))
         buf = np.arange(12, dtype=np.int32)
-        assert not t.is_contiguous()
+        assert not flat_run(t, 12, np.int32)
         v = t.view(buf)
         assert v is not None and np.shares_memory(v, buf)
         assert v.reshape(-1).tolist() == t.pack(buf).tolist()
 
     def test_vector_unit_count_is_contiguous(self):
-        assert INT.Create_subarray((1, 9), (1, 5), (0, 0)).is_contiguous()
-        assert INT.Create_subarray((4, 3), (4, 3), (0, 0)).is_contiguous()
+        assert flat_run(INT.Create_subarray((1, 9), (1, 5), (0, 0)), 9, np.int32)
+        assert flat_run(INT.Create_subarray((4, 3), (4, 3), (0, 0)), 12, np.int32)
 
     def test_subarray_view_matches_pack(self):
         t = FLOAT.Create_subarray((4, 5), (2, 3), (1, 1))
@@ -211,13 +218,13 @@ class TestViewProtocol:
         assert v.reshape(-1).tolist() == t.pack(buf).tolist()
 
     def test_subarray_contiguity_detection(self):
-        assert FLOAT.Create_subarray((4, 4), (4, 4), (0, 0)).is_contiguous()
-        assert FLOAT.Create_subarray((4, 4), (1, 4), (2, 0)).is_contiguous()
-        assert FLOAT.Create_subarray((4, 4), (2, 4), (1, 0)).is_contiguous()
-        assert not FLOAT.Create_subarray((4, 4), (2, 2), (0, 0)).is_contiguous()
-        assert not FLOAT.Create_subarray((2, 3, 4), (2, 2, 4), (0, 0, 0)).is_contiguous()
+        assert flat_run(FLOAT.Create_subarray((4, 4), (4, 4), (0, 0)), 16)
+        assert flat_run(FLOAT.Create_subarray((4, 4), (1, 4), (2, 0)), 16)
+        assert flat_run(FLOAT.Create_subarray((4, 4), (2, 4), (1, 0)), 16)
+        assert not flat_run(FLOAT.Create_subarray((4, 4), (2, 2), (0, 0)), 16)
+        assert not flat_run(FLOAT.Create_subarray((2, 3, 4), (2, 2, 4), (0, 0, 0)), 24)
         # Single-element selections are trivially contiguous.
-        assert FLOAT.Create_subarray((4, 4), (1, 1), (3, 3)).is_contiguous()
+        assert flat_run(FLOAT.Create_subarray((4, 4), (1, 1), (3, 3)), 16)
 
     def test_cached_geometry_is_precomputed(self):
         sub = FLOAT.Create_subarray((4, 4), (2, 2), (1, 1))
@@ -294,7 +301,7 @@ class TestStruct:
         expect = np.concatenate([m.pack(buffers[i]) for i, m in struct.members])
         assert struct.size_elements() == 11 and struct.size_bytes() == 44
         assert np.array_equal(struct.pack(buffers), expect)
-        assert struct.view(buffers) is None and not struct.is_contiguous()
+        assert struct.view(buffers) is None
         out = np.zeros(16, dtype=np.float32)
         packed = struct.pack(list(buffers), out=out)
         assert np.shares_memory(packed, out) and np.array_equal(packed, expect)

@@ -31,7 +31,7 @@ SENDS = {
 }
 RECEIVES = {
     "Recv": lambda comm, source: comm.Recv(np.zeros(2), source),
-    "Irecv": lambda comm, source: comm.Irecv(np.zeros(2), source).Wait(),
+    "Irecv": lambda comm, source: comm.Irecv(np.zeros(2), source).wait(),
     "recv": lambda comm, source: comm.recv(source),
     "Iprobe": lambda comm, source: comm.Iprobe(source),
     "purge": lambda comm, source: comm.purge(source),

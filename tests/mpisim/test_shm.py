@@ -92,16 +92,21 @@ class TestAttach:
             attach("ddrtestnope_does_not_exist")
 
 
+def in_flight(pool: ShmStagingPool) -> int:
+    """Segments of ``pool`` currently in flight (acquired, not drained)."""
+    return sum(not seg.drained for segs in pool._classes.values() for seg in segs)
+
+
 class TestStagingPool:
     def test_drained_segment_reused(self):
         pool = ShmStagingPool("ddrtestpool")
         try:
             first = pool.acquire(1000)
-            assert pool.outstanding() == 1
+            assert in_flight(pool) == 1
             first.mark_drained()
             second = pool.acquire(1000)
             assert second is first  # steady state: no new shm_open
-            assert pool.outstanding() == 1
+            assert in_flight(pool) == 1
         finally:
             pool.close()
         assert not shm_names("ddrtestpool")
@@ -112,7 +117,7 @@ class TestStagingPool:
             first = pool.acquire(1000)
             second = pool.acquire(1000)  # first still in flight
             assert second is not first
-            assert pool.outstanding() == 2
+            assert in_flight(pool) == 2
         finally:
             pool.close()
 

@@ -26,6 +26,7 @@ from repro.mpisim import (
 )
 from repro.utils.membudget import MEMORY_BUDGET, budget_scope
 from tests.conftest import counted_region, spmd, thread_only
+from tests.mpisim.test_shm import in_flight
 
 TRANSPORTS = [TRANSPORT_ZEROCOPY, TRANSPORT_PACKED]
 
@@ -137,7 +138,7 @@ class TestRendezvousP2P:
             recv = np.zeros(8, dtype=np.int32)
             req = comm.Isend(send, (rank + 1) % size, tag=7, rendezvous=True)
             comm.Recv(recv, (rank - 1) % size, tag=7)
-            req.Wait()
+            req.wait()
             assert recv.tolist() == [(rank - 1) % size] * 8
             return True
 
@@ -149,9 +150,9 @@ class TestRendezvousP2P:
             if comm.rank == 0:
                 send = np.arange(16, dtype=np.float64)
                 req = comm.Isend(send, 1, tag=5, rendezvous=True)
-                assert not req.Test()  # receiver has not copied yet
+                assert not req.test()  # receiver has not copied yet
                 comm.Barrier()
-                req.Wait()
+                req.wait()
             else:
                 comm.Barrier()  # hold the send un-drained across the barrier
                 recv = np.zeros(16)
@@ -185,7 +186,7 @@ class TestRendezvousP2P:
             if comm.rank == 0:
                 strided = np.arange(8, dtype=np.int32)[::2]
                 req = comm.Isend(strided, 1, tag=2, rendezvous=True)
-                req.Wait()
+                req.wait()
             else:
                 recv = np.zeros(4, dtype=np.int32)
                 comm.Recv(recv, 0, tag=2)
@@ -304,13 +305,13 @@ class TestStructLanes:
             out = np.zeros((2, 6), dtype=np.float32)
             request = comm.Irecv((out,), peer, tag=5, datatype=recv)
             pending = comm.Isend(rows, peer, tag=5, datatype=send, rendezvous=True)
-            assert request.Wait().count_bytes == 48 and np.array_equal(out, expect)
-            pending.Wait()
+            assert request.wait().count_bytes == 48 and np.array_equal(out, expect)
+            pending.wait()
             # untyped and object receives see the packed stream
             flat = np.zeros(12, dtype=np.float32)
             pending = comm.Isend(rows, peer, tag=6, datatype=send, rendezvous=True)
             comm.Recv(flat, peer, tag=6)
-            pending.Wait()
+            pending.wait()
             assert np.array_equal(flat, expect.reshape(-1))
             comm.Send(rows, peer, tag=7, datatype=send)
             assert np.array_equal(comm.recv(peer, tag=7), expect.reshape(-1))
@@ -462,14 +463,14 @@ def test_drain_contract(mode, outcome):
         elif comm.rank == 0:
             # Rendezvous where the transport allows it: Wait() returning is
             # the "sender not blocked" half of the contract.
-            comm.Isend(data, 1, DRAIN_TAG, rendezvous=True).Wait()
+            comm.Isend(data, 1, DRAIN_TAG, rendezvous=True).wait()
             if outcome == "fault-drop":
                 comm.Barrier()
         else:
             DRAINS[outcome](comm, data)
         comm.Barrier()
         return (
-            comm.fabric.shm_pool().outstanding(),
+            in_flight(comm.fabric.shm_pool()),
             MEMORY_BUDGET.used_bytes(comm.rank),
             MEMORY_BUDGET.peak_bytes(comm.rank),
         ), comm.fabric

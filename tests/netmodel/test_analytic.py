@@ -16,11 +16,10 @@ from repro.netmodel import (
     executed_plan,
     point_to_point_cost,
     predict_ddr,
-    round_payloads,
 )
 from repro.mpisim import BYTE
 from repro.utils.membudget import budget_scope
-from tests.conftest import slab_exchange, spmd
+from tests.conftest import engine_choices, slab_exchange, spmd
 from tests.core.test_reorganize_property import state_mover_problem
 
 
@@ -30,6 +29,11 @@ def simple_plan(nprocs=4, n=16, esize=4):
     owns = [[Box((r * per,), (per,))] for r in range(nprocs)]
     needs = [Box(((nprocs - 1 - r) * per,), (per,)) for r in range(nprocs)]
     return compute_global_plan(owns, needs, esize)
+
+
+def round_payloads(plan):
+    """Max bytes any rank sends to others in each planned round."""
+    return plan.table.bytes_out.max(axis=1, initial=0).tolist()
 
 
 class TestRoundPayloads:
@@ -151,7 +155,7 @@ class TestEngineCost:
         def fn(comm):
             red = Redistributor(comm, ndims=2, dtype=np.float32, backend="auto")
             red.setup(own=owns[comm.rank], need=needs[comm.rank])
-            return red.engine_choices()
+            return engine_choices(red)
 
         predicted = engine_cost(COOLEY, compute_global_plan(owns, needs, 4), "auto")
         assert predicted.round_engines == (("alltoallw",) if dense else ("p2p",))

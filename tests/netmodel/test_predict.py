@@ -19,8 +19,8 @@ from repro.netmodel import (
     predict_ddr,
     predict_no_ddr,
     predict_table2,
-    round_payloads,
 )
+from tests.netmodel.test_analytic import round_payloads
 
 SMALL = StackGeometry(width=256, height=128, n_images=64, bytes_per_pixel=4)
 

@@ -18,7 +18,7 @@ from repro.lbm import LbmConfig
 from repro.mpisim import TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, transport
 from repro.obs import tracing
 from repro.volren.decompose import grid_boxes
-from tests.conftest import spmd, thread_only
+from tests.conftest import engine_choices, spmd, thread_only
 
 NPROCS = 4
 
@@ -38,7 +38,7 @@ def run_exchange(backend):
         data = np.full(1, float(comm.rank), dtype=np.float32)
         out = red.gather_need([data])
         np.testing.assert_array_equal(out, np.arange(comm.size, dtype=np.float32))
-        return red.engine_choices()
+        return engine_choices(red)
 
     return spmd(NPROCS, fn)
 

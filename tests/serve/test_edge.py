@@ -8,13 +8,13 @@ import urllib.request
 
 import pytest
 
-from repro.jpeg import decode
 from repro.serve import (
     FrameHub,
     StreamEdge,
     SyntheticSource,
     run_viewers,
 )
+from tests.jpeg.t81 import decode
 
 NX, NY, M = 32, 16, 2
 

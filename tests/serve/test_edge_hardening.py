@@ -136,7 +136,7 @@ class TestConnectionCap:
                 s.close()
         # With the holders gone, the edge serves again.
         deadline = time.monotonic() + 5.0
-        while edge.connection_count() > 0 and time.monotonic() < deadline:
+        while edge._conns > 0 and time.monotonic() < deadline:
             time.sleep(0.01)
         with urllib.request.urlopen(
             f"http://127.0.0.1:{edge.port}/healthz", timeout=10

@@ -59,6 +59,16 @@ class TestViewerQueue:
 
 
 class TestHub:
+    @pytest.mark.parametrize("quality", [0, 101, -5])
+    def test_quality_outside_1_to_100_rejected(self, quality):
+        # At construction, with scale_table's message: not at the first encode.
+        with pytest.raises(ValueError, match=r"quality must be in \[1, 100\]"):
+            FrameHub(NX, NY, m=M, quality=quality)
+
+    @pytest.mark.parametrize("quality", [1, 100])
+    def test_quality_bounds_accepted(self, quality):
+        FrameHub(NX, NY, m=M, quality=quality).close()
+
     def test_publish_fans_out_to_every_layout(self):
         source = SyntheticSource(NX, NY, m=M)
         hub = FrameHub(NX, NY, m=M)
@@ -70,7 +80,9 @@ class TestHub:
             frame = queue.try_pop()
             assert frame.index == 0
             assert frame.jpeg[:2] == b"\xff\xd8"
-            assert frame.shape == queue.layout.frame_shape()
+            h, w = queue.layout.roi.np_shape()
+            step = queue.layout.step
+            assert frame.shape == (-(-h // step), -(-w // step))  # mip subsampling rounds up
         hub.close()
 
     def test_mapping_cache_shared_across_viewers_and_frames(self):

@@ -28,8 +28,6 @@ class TestMake:
     def test_mip_clamps_to_keep_a_pixel(self):
         layout = ConsumerLayout.make(64, 32, w=8, h=4, mip=10)
         assert (1 << layout.mip) <= 4
-        assert layout.frame_shape()[0] >= 1
-        assert layout.frame_shape()[1] >= 1
 
     def test_parts_clamps_to_roi_height(self):
         layout = ConsumerLayout.make(64, 32, h=3, parts=99)
@@ -40,7 +38,6 @@ class TestMake:
         assert layout.roi == Box((17, 9), (1, 1))
         assert layout.mip == 0
         assert layout.parts == 1
-        assert layout.frame_shape() == (1, 1)
 
 
 class TestValidation:
@@ -88,10 +85,6 @@ class TestGeometry:
             assert part.offset == (4, y)
             assert part.dims[0] == 24
             y += part.dims[1]
-
-    def test_frame_shape_ceil_divides(self):
-        layout = ConsumerLayout.make(64, 32, w=10, h=7, mip=1)
-        assert layout.frame_shape() == (4, 5)
 
     def test_describe_mentions_everything(self):
         text = ConsumerLayout.make(64, 32, x=4, y=2, w=24, h=12, mip=1,

@@ -182,3 +182,40 @@ class TestTrace:
             for e in events
         )
         assert "captured" in capsys.readouterr().out
+
+
+class TestSizeArguments:
+    """Size options take one positive-int type: 0 or below exits 2 with
+    argparse's ``error:`` line before any rank starts, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["engines", "--nprocs", "0"],
+        ["engines", "--nprocs", "-2"],
+        ["engines", "--side", "0"],
+        ["trace", "redistribute", "--n", "0"],
+        ["trace", "redistribute", "--nx", "0"],
+        ["trace", "intransit", "--m", "0"],
+        ["autoscale", "--side", "0"],
+        ["autoscale", "--start-ranks", "0"],
+        ["autoscale", "--max-ranks", "0"],
+    ], ids=" ".join)
+    def test_non_positive_size_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + (["--out", str(tmp_path / "t.json")] if argv[0] == "trace" else []))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be a positive integer" in err
+        assert "Traceback" not in err
+
+
+class TestServeQuality:
+    @pytest.mark.parametrize("quality", ["0", "101"])
+    def test_out_of_range_quality_exits_2(self, quality, capsys):
+        code = main(
+            ["serve", "--nx", "32", "--ny", "16", "--m", "2", "--frames", "2",
+             "--fps", "0", "--source", "synthetic", "--port", "0",
+             "--smoke-viewers", "2", "--quality", quality]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "quality must be in [1, 100]" in err

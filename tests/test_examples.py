@@ -30,15 +30,6 @@ class TestExamples:
         assert out.count("OK") == 8  # 4 ranks x 2 API layers
         assert "MISMATCH" not in out
 
-    def test_ghost_exchange(self, capsys, monkeypatch):
-        run_main(
-            load_example("ghost_exchange"),
-            ["--size", "16", "12", "--iters", "5"],
-            monkeypatch,
-        )
-        out = capsys.readouterr().out
-        assert "OK" in out and "MISMATCH" not in out
-
     def test_tiff_volume_rendering(self, capsys, monkeypatch, tmp_path):
         run_main(
             load_example("tiff_volume_rendering"),

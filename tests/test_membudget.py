@@ -21,14 +21,13 @@ class TestLedger:
         assert not budget.active
         budget.reserve(1 << 40)  # would blow any limit
         assert budget.used_bytes() == 0
-        assert budget.headroom_bytes() is None
+        assert budget.limit_bytes is None
 
     def test_reserve_release_roundtrip(self):
         budget = MemoryBudget(limit_bytes=1024)
         budget.reserve(600, rank=0)
         budget.reserve(200, rank=0)
         assert budget.used_bytes(0) == 800
-        assert budget.headroom_bytes(0) == 224
         budget.release(800, rank=0)
         assert budget.used_bytes(0) == 0
         assert budget.peak_bytes(0) == 800  # high-water mark survives drain
@@ -51,7 +50,7 @@ class TestLedger:
         budget = MemoryBudget(limit_bytes=100)
         for rank in range(4):
             budget.reserve(90, rank=rank)
-        assert budget.total_used_bytes() == 360
+        assert sum(budget._used.values()) == 360
         with pytest.raises(MemoryBudgetError):
             budget.reserve(20, rank=2)
 

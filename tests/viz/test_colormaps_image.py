@@ -20,10 +20,10 @@ from repro.viz import (
     TOOTH,
     assemble_tiles,
     normalize,
-    read_ppm,
     render_scalar_field,
     write_ppm,
 )
+from tests.oracles import read_ppm
 
 
 class TestColormap:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Box, check_send_coverage
-from repro.volren import block_for_rank, grid_boxes, grid_shape, split_extent
+from repro.volren import grid_boxes, grid_shape, split_extent
 
 
 class TestSplitExtent:
@@ -97,7 +97,8 @@ class TestGridBoxes:
         check_send_coverage([[b] for b in boxes])  # raises if not a tiling
 
     def test_block_for_rank(self):
-        assert block_for_rank((8, 8), (2, 2), 3) == Box((4, 4), (4, 4))
+        # x-fastest rank order: rank 3 of a 2x2 grid is the far corner.
+        assert grid_boxes((8, 8), (2, 2))[3] == Box((4, 4), (4, 4))
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):

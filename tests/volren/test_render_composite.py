@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Box
-from repro.imaging import VolumeSpec, phantom_volume
+from repro.imaging import VolumeSpec
 from repro.viz import GRAYSCALE
 from repro.volren import (
     TOOTH_TF,
@@ -18,6 +18,7 @@ from repro.volren import (
     rgba_to_rgb,
 )
 from tests.conftest import spmd
+from tests.oracles import phantom_volume
 
 LINEAR_TF = TransferFunction(GRAYSCALE, ((0.0, 0.0), (1.0, 0.5)))
 
