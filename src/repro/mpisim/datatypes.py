@@ -14,14 +14,16 @@ Beyond pack/unpack, every type supports a *zero-copy protocol*: ``view``
 exposes the selected elements as an ndarray view (no data movement) when
 the selection is expressible with basic slicing, and ``copy_into`` moves a
 selection from one buffer straight into another's selection — one
-``np.copyto`` instead of pack + unpack — falling back to staging only for
-selections that cannot be viewed (e.g. a struct over several buffers).
+``np.copyto`` instead of pack + unpack, or for a struct one
+``np.concatenate`` of its blocks per destination member — falling back to
+staging only for selections that neither view nor pair off block for block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import is_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -158,6 +160,13 @@ def _packed(
     if TRANSFER_COUNTERS.enabled:
         TRANSFER_COUNTERS.count_copy("pack", selected.size * dtype.itemsize, copies)
     return result
+
+
+def _may_alias(sendbuf, recvbuf) -> bool:
+    """Whether a send and a receive buffer (or buffer sequence) may share memory."""
+    sends = sendbuf if isinstance(sendbuf, (tuple, list)) else (sendbuf,)
+    recvs = recvbuf if isinstance(recvbuf, (tuple, list)) else (recvbuf,)
+    return any(np.may_share_memory(s, r) for s in sends for r in recvs)
 
 
 @dataclass(frozen=True)
@@ -338,9 +347,10 @@ class SubarrayType(Datatype):
             return selected
         return selected.reshape(self._split[0]).transpose(self._split[1])
 
-    def _fill(self, buffer: np.ndarray, pieces: list[np.ndarray]) -> None:
-        """``pieces`` (one per block) into the blocks of ``buffer``: one NumPy call."""
-        target = self._grid(buffer)[self._slices_cache]
+    def _fill(self, target: np.ndarray, pieces: Sequence[np.ndarray]) -> None:
+        """``pieces`` (one per block) into ``target``, this type's selection
+        of a buffer before any split (``_grid(buffer)[_slices()]``): one
+        NumPy call."""
         if len(pieces) == 1:
             np.copyto(target, pieces[0], casting="unsafe")
         else:
@@ -399,6 +409,7 @@ class StructType(Datatype):
         self._size_cache = stop
         self.blocks = sum(member.blocks for _, member in self.members)
         self._fits: dict = {}  # copy_into's verdict per destination type
+        self._programs: dict = {}  # copy_into's copy program per destination type
 
     def size_elements(self) -> int:
         return self._size_cache
@@ -437,30 +448,81 @@ class StructType(Datatype):
         """Block for block between subarray types, or structs of them, whose
         blocks have the same sizes (the two ends of a merged exchange lane
         do): one ``np.concatenate`` of the source blocks into each destination
-        member.  Otherwise through :meth:`pack`."""
+        member.  Otherwise through :meth:`pack`.
+
+        The views this takes — every source block, and per destination member
+        the selection it fills — are a *copy program*, kept per destination
+        type and replayed while every source and destination buffer is the
+        very object it was built for (``is``: the program holds the buffers,
+        so no address is recycled under it).  A replay checks each destination
+        buffer again; this method checks the sources first, :meth:`_copy`
+        trusts a caller that just did."""
+        self.view(src)
+        return self._copy(src, dst, dst_type)
+
+    def _copy(
+        self, src: Sequence[np.ndarray], dst: Sequence[np.ndarray],
+        dst_type: Optional[Datatype] = None, local: bool = False,
+    ) -> Optional[int]:
+        """:meth:`copy_into` with the sources already checked.  ``local`` (a
+        rank's lane to itself) copies nothing and returns ``None`` when the
+        sources and destinations may share memory: the caller stages."""
         target = dst_type if dst_type is not None else self
         if target not in self._fits:  # a property of the two types: decided once
             self._fits[target] = self._fit(target)
         fit = self._fits[target]
         if fit is None:
+            if local and _may_alias(src, dst):
+                return None
             return super().copy_into(src, dst, dst_type)
-        pieces, buffers = [], self._buffers(src)
-        for index, member in self.members:
-            if member.blocks == 1:
-                pieces.append(member._grid(buffers[index])[member._slices_cache])
-            else:
-                shape = (member.blocks, *member.subsizes)
-                pieces += list(member.view(buffers[index]).reshape(shape))
-        parts, same_shapes = fit
-        dst, first = (target._buffers(dst) if isinstance(target, StructType) else (dst,)), 0
-        for index, member in parts:
-            blocks, first = pieces[first:first + member.blocks], first + member.blocks
-            member._fill(dst[index], blocks if same_shapes else [
-                piece.reshape(member.subsizes) for piece in blocks
-            ])
+        sources = self._buffers(src)
+        dests = target._buffers(dst) if isinstance(target, StructType) else (dst,)
+        program = self._programs.get(target)  # one read: another thread may replace it
+        if (
+            program is not None
+            and all(map(is_, sources, program[0]))
+            and all(map(is_, dests, program[1]))
+        ):
+            for index, member, _, _ in program[2]:
+                member._grid(dests[index])
+        else:
+            program = self._build(target, fit, sources, dests)
+        if local and program[3]:
+            return None
+        for _, member, selection, blocks in program[2]:
+            member._fill(selection, blocks)
         if TRANSFER_COUNTERS.enabled:
             TRANSFER_COUNTERS.count_copy("direct", self.size_bytes(), self.blocks)
         return self.size_bytes()
+
+    def _build(
+        self, target: Datatype, fit: tuple, sources: Sequence[np.ndarray],
+        dests: Sequence[np.ndarray],
+    ) -> tuple:
+        """The copy program ``(sources, dests, fills, overlap)`` into
+        ``target``: ``(buffer index, member, selection, blocks)`` per
+        destination member, and whether the two sides may share memory.
+        Kept for replay unless a block had to be reshaped (that may copy it)
+        or a buffer is not an exact ndarray."""
+        pieces = []
+        for index, member in self.members:
+            if member.blocks == 1:
+                pieces.append(member._grid(sources[index])[member._slices_cache])
+            else:
+                shape = (member.blocks, *member.subsizes)
+                pieces += list(member.view(sources[index]).reshape(shape))
+        parts, same_shapes = fit
+        fills, first = [], 0
+        for index, member in parts:
+            blocks, first = pieces[first:first + member.blocks], first + member.blocks
+            fills.append((
+                index, member, member._grid(dests[index])[member._slices_cache],
+                blocks if same_shapes else [piece.reshape(member.subsizes) for piece in blocks],
+            ))
+        program = (tuple(sources), tuple(dests), tuple(fills), _may_alias(sources, dests))
+        if same_shapes and all(type(buffer) is np.ndarray for buffer in program[0] + program[1]):
+            self._programs[target] = program
+        return program
 
     def _fit(self, target: Datatype) -> Optional[tuple]:
         """``(target's members, whether each block already has its

@@ -36,7 +36,7 @@ import numpy as np
 from ..faults.injector import FAULTS
 from ..utils.membudget import MEMORY_BUDGET
 from ..utils.timing import TRANSFER_COUNTERS
-from .datatypes import Datatype, StructType, named_type_for
+from .datatypes import Datatype, StructType, _may_alias, named_type_for
 from .errors import CommunicatorError, TruncationError
 from .shm import ShmTicket
 from .shm import attach as _shm_attach
@@ -252,13 +252,6 @@ def turn(*datatypes: Optional[Datatype]) -> Any:
     return _TURN if any(map(takes_turns, datatypes)) else _NO_TURN
 
 
-def _may_alias(sendbuf: Any, recvbuf: Any) -> bool:
-    """Whether a send and a receive buffer (or buffer sequence) may share memory."""
-    sends = sendbuf if isinstance(sendbuf, (tuple, list)) else (sendbuf,)
-    recvs = recvbuf if isinstance(recvbuf, (tuple, list)) else (recvbuf,)
-    return any(np.may_share_memory(s, r) for s in sends for r in recvs)
-
-
 def copy_local(
     sendbuf: Any, send_type: Datatype, recvbuf: Any, recv_type: Datatype, direct: bool
 ) -> None:
@@ -267,12 +260,18 @@ def copy_local(
     Copies directly unless the transport is ``packed`` (not ``direct``: it
     keeps its pack + unpack profile as the baseline) or the two buffers may
     alias, where pack/unpack is the safe order for an overlapping self-transfer.
+    A struct checks its sources here and replays its copy program, whose
+    aliasing verdict rides with it.
     """
     with turn(recv_type):
-        if direct and not _may_alias(sendbuf, recvbuf):
+        if direct and isinstance(send_type, StructType):
+            send_type.view(sendbuf)
+            if send_type._copy(sendbuf, recvbuf, recv_type, local=True) is not None:
+                return
+        elif direct and not _may_alias(sendbuf, recvbuf):
             send_type.copy_into(sendbuf, recvbuf, recv_type)
-        else:
-            recv_type.unpack(recvbuf, send_type.pack(sendbuf))
+            return
+        recv_type.unpack(recvbuf, send_type.pack(sendbuf))
 
 
 def deliver(buf: np.ndarray, datatype: Optional[Datatype], message: Any) -> int:
@@ -367,6 +366,9 @@ def _copy_from_sender(
                 f"message of {count} elements does not match receive type "
                 f"selecting {datatype.size_elements()}"
             )
+        if isinstance(src_type, StructType):
+            # stage() checked the sender's buffers when it posted them
+            return src_type._copy(handle.buffer, buf, datatype)
         if src_type is None:
             src_type = named_type_for(handle.buffer.dtype).Create_contiguous(count)
         return src_type.copy_into(handle.buffer, buf, datatype)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,29 @@ class TestStagingPool:
         assert pool.current_bytes == 0
 
 
+#: A 16^3 float32 array in single z-planes dealt round-robin to four ranks,
+#: each needing a quarter column: 4 planned rounds, one merged round of 64
+#: blocks (16 planes x 4 quadrants) and 16 KiB an exchange.
+ROUND_ROBIN_BLOCKS, ROUND_ROBIN_BYTES = 64, 16 ** 3 * 4
+
+
+def _round_robin(comm, **kwargs):
+    """A round-robin Redistributor, its chunk buffers and need buffer, warm."""
+    r = comm.rank
+    own = [Box((0, 0, z), (16, 16, 1)) for z in range(r, 16, 4)]
+    need = Box((8 * (r % 2), 8 * (r // 2), 0), (8, 8, 16))
+    red = Redistributor(comm, ndims=3, dtype=np.float32, **kwargs)
+    red.setup(own=own, need=need)
+    chunks = [np.full(box.np_shape(), box.offset[2], np.float32) for box in own]
+    out = np.full(need.np_shape(), -1, np.float32)
+    red.exchange(chunks, out)
+    return red, chunks, out
+
+
+def _round_robin_ok(out) -> bool:
+    return bool((out == np.arange(16, dtype=np.float32)[:, None, None]).all())
+
+
 def _setup_redistributor(comm, **kwargs):
     r = comm.rank
     red = Redistributor(comm, ndims=2, dtype=np.float64, **kwargs)
@@ -130,6 +156,26 @@ class TestSteadyStateAllocations:
         assert snap["copies"]["direct"] > 0
 
     @thread_only
+    def test_merged_round_copies_every_block_once(self, backend):
+        """Many chunks a rank, one merged round: each warm exchange is
+        exactly one direct copy per block, of exactly the array's bytes."""
+
+        def fn(comm):
+            red, chunks, out = _round_robin(comm, backend=backend)
+            _, snap = counted_region(
+                comm, lambda: [red.exchange(chunks, out) for _ in range(5)]
+            )
+            assert _round_robin_ok(out)
+            return snap
+
+        with transport(TRANSPORT_ZEROCOPY):
+            snap = spmd(4, fn)[0]
+        assert snap["allocations"] == 0
+        direct = 5 * ROUND_ROBIN_BLOCKS
+        assert snap["copies"] == {"pack": 0, "unpack": 0, "payload": 0, "direct": direct}
+        assert snap["bytes_copied"]["direct"] == 5 * ROUND_ROBIN_BYTES
+
+    @thread_only
     def test_gather_need_reuse_out(self, backend):
         def fn(comm):
             red, own = _setup_redistributor(comm, backend=backend)
@@ -163,6 +209,51 @@ class TestSteadyStateAllocations:
             return True
 
         assert all(spmd(4, fn))
+
+    def test_swapping_one_of_several_chunks_mid_loop(self, backend):
+        """A new object for one chunk between warm exchanges: its new values
+        arrive, and the old object is no longer read."""
+
+        def fn(comm):
+            red, chunks, out = _round_robin(comm, backend=backend)
+            for step in range(4):
+                if step == 2:
+                    old = chunks[1]
+                    chunks[1] = old + 100
+                    old.fill(-7)
+                out.fill(-1)
+                red.exchange(chunks, out)
+            expect = np.arange(16, dtype=np.float32)
+            expect[4:8] += 100  # every rank's chunks[1]: planes 4..7
+            return bool((out == expect[:, None, None]).all())
+
+        assert all(spmd(4, fn))
+
+
+@pytest.mark.parametrize("drop", ["del", "invalidate"])
+def test_no_buffer_outlives_its_mapping(drop):
+    """Warm exchanges leave copy programs on the mappings' datatypes; once
+    the Redistributors are gone (or their mappings invalidated) no chunk or
+    need buffer of any rank is still referenced."""
+
+    def fn(comm):
+        red, chunks, out = _round_robin(comm)
+        for _ in range(3):
+            red.exchange(chunks, out)
+        assert _round_robin_ok(out)
+        refs = [weakref.ref(buffer) for buffer in chunks + [out]]
+        del chunks, out
+        if drop == "invalidate":
+            red.mapping.invalidate()
+        else:
+            del red
+        comm.Barrier()  # every rank has let go
+        if drop == "del":
+            gc.collect()
+        comm.Barrier()
+        return [ref() is None for ref in refs]
+
+    assert spmd(4, fn) == [[True] * 5] * 4
 
 
 class TestTransportParameter:

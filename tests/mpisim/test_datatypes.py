@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -548,17 +551,91 @@ class TestStructRunsOracle:
             reference_unpack, recv, theirs, expect)[1]
         assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
 
-        ours, theirs = blank(), blank()
-        moved, got = counted(send.copy_into, src, ours, recv)
-        assert moved == send.size_bytes()
-        assert got == counted(reference_copy, send, src, recv, theirs)[1]
-        assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
+        # A first copy, then the copy program's replays: the same buffers
+        # again, one source swapped for a new object of the same geometry
+        # and new values, and a fresh destination (the old one untouched).
+        ours = blank()
+        swapped = list(src)
+        k = data.draw(st.integers(0, len(src) - 1))
+        swapped[k] = rng.random(send_shapes[k], dtype=np.float32)
+        for source, dest in ((src, ours), (src, ours), (swapped, ours), (swapped, blank())):
+            kept = [a.copy() for a in ours]
+            for a in dest:
+                a.fill(-1)
+            theirs = blank()
+            moved, got = counted(send.copy_into, source, dest, recv)
+            assert moved == send.size_bytes()
+            assert got == counted(reference_copy, send, source, recv, theirs)[1]
+            assert [a.tobytes() for a in dest] == [b.tobytes() for b in theirs]
+        assert [a.tobytes() for a in ours] == [b.tobytes() for b in kept]
 
         again = [np.full(shape, -1, np.float32) for shape in send_shapes]
         send.copy_into(src, again)
         theirs = [np.full(shape, -1, np.float32) for shape in send_shapes]
         reference_copy(send, src, send, theirs)
         assert [a.tobytes() for a in again] == [b.tobytes() for b in theirs]
+
+    def test_a_copy_program_is_built_once_per_buffer_set(self, monkeypatch):
+        """Replays while every buffer is the same object; a new source or
+        destination object, or blocks reshaped on the way, rebuild."""
+        builds, build = [], StructType._build
+
+        def counting(self, *args):
+            builds.append(args[0])
+            return build(self, *args)
+
+        monkeypatch.setattr(StructType, "_build", counting)
+        member = SubarrayType(FLOAT, (1, 4, 4), (1, 2, 4), (0, 1, 0))
+        send = StructType([(0, member), (1, member)], 2)
+        recv = SubarrayType(FLOAT, (4, 2, 4), (1, 2, 4), (1, 0, 0), steps=(2, 0, 2))
+        src = [np.arange(16, dtype=np.float32).reshape(1, 4, 4) + 100 * k for k in range(2)]
+        dst = np.zeros((4, 2, 4), np.float32)
+        for _ in range(3):
+            send.copy_into(src, dst, recv)
+        assert len(builds) == 1
+        src[1] = src[1].copy()
+        send.copy_into(src, dst, recv)
+        send.copy_into(src, dst.copy(), recv)
+        send.copy_into(src, dst, recv)
+        assert len(builds) == 4
+        assert np.array_equal(dst[1::2], np.concatenate([s[:, 1:3] for s in src]))
+        # blocks reshaped into another shape may be copies: never replayed
+        rows = SubarrayType(FLOAT, (2, 8), (1, 8), (0, 0), steps=(2, 0, 1))
+        flat = np.zeros((2, 8), np.float32)
+        for _ in range(2):
+            send.copy_into(src, flat, rows)
+        assert len(builds) == 6 and np.array_equal(flat, send.pack(src).reshape(2, 8))
+
+    def test_threads_sharing_a_type_never_replay_another_threads_program(self):
+        """Threads copying through one pair of types, each between its own
+        buffers, replace each other's program all the time (one per
+        destination type); every copy still lands its own sources."""
+        member = SubarrayType(FLOAT, (1, 4, 4), (1, 2, 4), (0, 1, 0))
+        send = StructType([(0, member), (1, member)], 2)
+        recv = SubarrayType(FLOAT, (4, 2, 4), (1, 2, 4), (1, 0, 0), steps=(2, 0, 2))
+        wrong = []
+
+        def work(seed):
+            src = [np.full((1, 4, 4), seed + k, np.float32) for k in range(2)]
+            dst = np.zeros((4, 2, 4), np.float32)
+            for step in range(300):
+                if step % 7 == 0:
+                    dst = np.zeros((4, 2, 4), np.float32)  # a fresh destination now and then
+                send.copy_into(src, dst, recv)
+                if dst[1, 0, 0] != seed or dst[3, 0, 0] != seed + 1:
+                    wrong.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(10 * t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not wrong
 
     def test_members_of_another_shape_still_copy(self):
         """A (2, 2) block into a (1, 4) row and back: the pieces reshape."""

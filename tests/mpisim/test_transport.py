@@ -382,6 +382,105 @@ class TestStructLanes:
 
 
 # ---------------------------------------------------------------------------
+# Copy programs: a warm struct copy checks its buffers as a cold one does
+# ---------------------------------------------------------------------------
+
+
+def _chunk_case(rank, lanes=1):
+    """Two (1, 6) chunks, sent as a struct of subarrays, land as a stepped
+    subarray in rows ``2 p``, ``2 p + 1`` of a ``(2 * lanes, 6)`` destination
+    (one ``recvs[p]`` per sending rank ``p``): the two ends of a merged lane."""
+    chunks = [np.arange(6, dtype=np.float32).reshape(1, 6) + 10 * rank + k for k in range(2)]
+    member = SubarrayType(FLOAT, (1, 6), (1, 6), (0, 0))
+    recvs = [
+        SubarrayType(FLOAT, (2 * lanes, 6), (1, 6), (2 * p, 0), steps=(2, 0, 1))
+        for p in range(lanes)
+    ]
+    return chunks, StructType([(0, member), (1, member)], 2), recvs
+
+
+def _message(call, *args, **kwargs) -> str:
+    with pytest.raises(DatatypeError) as caught:
+        call(*args, **kwargs)
+    return str(caught.value)
+
+
+def test_self_lane_checks_survive_a_warm_program():
+    """``copy_local`` replays a struct's program only after checking its
+    sources, and every replay checks the destination: a dtype reassigned in
+    place fails as it would on a cold copy, and the program serves again once
+    it is put back."""
+    from repro.mpisim.transport import copy_local
+
+    chunks, send, (recv,) = _chunk_case(0)
+    out = np.zeros((2, 6), np.float32)
+    for _ in range(2):
+        copy_local(chunks, send, out, recv, True)
+    for buffer in (chunks[1], out):
+        buffer.dtype = np.int32
+        _, cold_send, (cold_recv,) = _chunk_case(0)
+        warm = _message(copy_local, chunks, send, out, recv, True)
+        assert warm == _message(copy_local, chunks, cold_send, out, cold_recv, True)
+        assert "dtype int32" in warm
+        buffer.dtype = np.float32
+    out[:] = -1
+    copy_local(chunks, send, out, recv, True)
+    assert np.array_equal(out, np.concatenate(chunks))
+
+
+@thread_only
+def test_rendezvous_checks_survive_a_warm_program():
+    """After warm rendezvous copies, a dtype reassigned in place is the same
+    ``DatatypeError`` as on a cold run: from the sender's ``Isend`` and
+    ``Alltoallw`` (checked as posted; the receiver's replay trusts them) and
+    from the receiver's destination (checked on every replay)."""
+
+    def fn(comm):
+        comm.transport = TRANSPORT_ZEROCOPY
+        peer = 1 - comm.rank
+        chunks, send, recvs = _chunk_case(comm.rank, comm.size)
+        out = np.zeros((4, 6), np.float32)
+
+        def alltoallw(send, recvs):
+            comm.Alltoallw(chunks, [send] * 2, out, recvs, transport=TRANSPORT_ZEROCOPY)
+
+        def isend(send, recvs):
+            if comm.rank == 0:
+                comm.Isend(chunks, 1, tag=3, datatype=send, rendezvous=True).wait()
+            else:
+                comm.Recv(out, 0, tag=3, datatype=recvs[0])
+
+        for _ in range(2):
+            alltoallw(send, recvs)
+            isend(send, recvs)
+        assert np.array_equal(out[2 * peer:2 * peer + 2], np.concatenate(_chunk_case(peer)[0]))
+        _, cold_send, cold_recvs = _chunk_case(comm.rank, comm.size)
+        messages = []
+        chunks[1].dtype = np.int32  # both senders fail before posting a lane
+        for call in [alltoallw, isend] if comm.rank == 0 else [alltoallw]:
+            messages.append([
+                _message(call, *types) for types in ((send, recvs), (cold_send, cold_recvs))
+            ])
+        chunks[1].dtype = np.float32
+        comm.Barrier()
+        if comm.rank == 1:
+            out.dtype = np.int32  # a receiver's destination
+            messages.append([
+                _message(comm.Recv, out, 0, tag=3, datatype=types[0])
+                for types in (recvs, cold_recvs)
+            ])
+        else:
+            for types in (send, cold_send):
+                comm.Isend(chunks, 1, tag=3, datatype=types, rendezvous=True).wait()
+        for warm, cold in messages:
+            assert warm == cold and "dtype int32" in warm
+        comm.Barrier()
+        return len(messages), comm.fabric.mailbox_depth(world_rank=comm.world_rank_of(comm.rank))
+
+    assert spmd(2, fn) == [(2, 0), (2, 0)]
+
+
+# ---------------------------------------------------------------------------
 # The drain contract: stage -> (deliver | materialize | discard)
 # ---------------------------------------------------------------------------
 
