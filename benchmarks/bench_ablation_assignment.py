@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import compute_global_plan
 from repro.io.assignment import Assignment, StackGeometry, all_owned_chunks
-from repro.netmodel import COOLEY, exchange_cost, needed_boxes
+from repro.netmodel import COOLEY, engine_cost, needed_boxes
 from repro.utils.units import MiB
 
 STACK = StackGeometry(width=1024, height=512, n_images=1024, bytes_per_pixel=4)
@@ -29,7 +29,7 @@ def plan_for(strategy: Assignment, block: int = 8):
 )
 def test_schedule_per_strategy(strategy):
     plan = plan_for(strategy)
-    cost = exchange_cost(COOLEY, plan)
+    cost = engine_cost(COOLEY, plan, "alltoallw")
     print(
         f"\n{strategy.value}: rounds={plan.nrounds} "
         f"MB/round={plan.mean_bytes_per_chunk_round() / MiB:.2f} "

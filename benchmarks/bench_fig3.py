@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.bench import fig3
+from repro.netmodel import crossover
 
 
 def test_strong_scaling_series():
@@ -25,9 +26,8 @@ def test_strong_scaling_series():
 
 
 def test_crossover_location():
-    crossover = fig3.crossover_processes()
     # Paper: RR wins at 27, tie at 64, consecutive wins by 125.
-    assert crossover in (64, 125)
+    assert crossover(fig3.figure3_series()) in (64, 125)
 
 
 def test_scaling_summaries():

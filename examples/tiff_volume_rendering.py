@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.imaging import VolumeSpec, tooth_slice, write_stack
-from repro.imaging.stack import TiffStack
 from repro.io import Assignment, load_stack_ddr, load_stack_no_ddr
 from repro.jpeg import encode_rgb
 from repro.mpisim import run_spmd

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..netmodel.predict import figure3_series
+from ..netmodel.predict import crossover, figure3_series
 from .paperdata import TABLE2_SECONDS
 from .report import format_table
 
@@ -43,18 +43,6 @@ def scaling_summaries(series: dict[str, list[float]] | None = None) -> list[Scal
             )
         )
     return out
-
-
-def crossover_processes(series: dict[str, list[float]] | None = None) -> int | None:
-    """First process count where consecutive beats round-robin (paper: 125)."""
-    if series is None:
-        series = figure3_series()
-    for nprocs, rr, consec in zip(
-        series["nprocs"], series["ddr_round_robin"], series["ddr_consecutive"]
-    ):
-        if consec < rr:
-            return nprocs
-    return None
 
 
 def ascii_plot(series: dict[str, list[float]] | None = None, width: int = 60) -> str:
@@ -103,7 +91,7 @@ def report() -> str:
             table,
             title="Figure 3 (reproduced): strong scaling, seconds",
         ),
-        f"RR->consecutive crossover at P = {crossover_processes(series)} (paper: 125)",
+        f"RR->consecutive crossover at P = {crossover(series)} (paper: 125)",
         "",
         ascii_plot(series),
     ]

@@ -39,10 +39,10 @@ class Table2Row:
     paper: tuple[float, float, float]
 
 
-def table2_model_rows(network: str = "analytic") -> list[Table2Row]:
+def table2_model_rows() -> list[Table2Row]:
     """Full-scale modeled Table II."""
     rows = []
-    for row in predict_table2(network=network):
+    for row in predict_table2():
         nprocs = row["nprocs"]
         rows.append(
             Table2Row(
@@ -56,8 +56,8 @@ def table2_model_rows(network: str = "analytic") -> list[Table2Row]:
     return rows
 
 
-def report_model(network: str = "analytic") -> str:
-    rows = table2_model_rows(network)
+def report_model() -> str:
+    rows = table2_model_rows()
     table = []
     for r in rows:
         table.append(
@@ -87,7 +87,7 @@ def report_model(network: str = "analytic") -> str:
         f"(paper: 24.9x at 216 procs)"
     )
     return (
-        format_table(header, table, title=f"Table II (reproduced, {network} model), seconds")
+        format_table(header, table, title="Table II (reproduced, analytic model), seconds")
         + footer
     )
 

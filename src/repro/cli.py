@@ -37,7 +37,7 @@ def _cmd_e1(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     from .bench import table2
 
-    print(table2.report_model(network=args.network))
+    print(table2.report_model())
     if args.native:
         stack_dir = table2.prepare_native_stack(
             Path(tempfile.mkdtemp(prefix="ddr_cli_t2_"))
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p2 = sub.add_parser("table2", help="Table II: TIFF load time")
-    p2.add_argument("--network", choices=("analytic", "des"), default="analytic")
     p2.add_argument("--native", action="store_true",
                     help="also execute the native-scale loaders")
     p2.set_defaults(fn=_cmd_table2)

@@ -10,7 +10,7 @@ the paper states and quantifies in Table III.  Each overlap is a row
 (:class:`Overlaps`), a send on its owner and a receive on its needer, and
 the rows are the only plan IR: a whole plan (:class:`GlobalPlan`) is the
 declarations plus every row, whose Table-III statistics and per-round
-:class:`RoundTable` (what the network cost models price) are array
+:class:`RoundTable` (what the cost model prices) are array
 reductions over them; a rank's set-up keeps only its own rows
 (:class:`RankPlan`).
 
@@ -518,7 +518,7 @@ class RankPlan:
 
 @dataclass(eq=False)
 class RoundTable:
-    """What the cost models price, per round: ``bytes_out[round, rank]`` and
+    """What the cost model prices, per round: ``bytes_out[round, rank]`` and
     ``messages[round, rank]`` (remote lanes only), the plan-wide
     ``max_partners[round]`` that picks each round's protocol, and
     ``self_bytes[rank]``, what a rank keeps across all rounds.  A plan's

@@ -6,7 +6,8 @@ rank keeps) and converts it into wall time under the LogGP-style model in
 :class:`~repro.netmodel.cluster.ClusterSpec`.  This is the model behind the
 Table II predictions and the Figure 3 scaling curves.
 
-Per-engine costs (:func:`engine_cost`) share one per-round vocabulary:
+Every price goes through :func:`engine_cost`, which shares one per-round
+vocabulary between the engines:
 
 - a *collective* round pays the O(P) posting overhead ``alpha(P)`` plus the
   busiest rank's payload serialised through its link share;
@@ -42,21 +43,6 @@ from .cluster import ClusterSpec
 
 #: Modeled cost of one rendezvous handshake on the direct-send path.
 P2P_PER_MESSAGE_S = 5e-6
-
-
-@dataclass(frozen=True)
-class ExchangeCost:
-    """Per-phase breakdown of a full redistribution."""
-
-    rounds: int
-    alpha_s: float  # collective software overhead, all rounds
-    transfer_s: float  # serialization through the per-process link share
-    self_copy_s: float  # local memcpy of data a rank keeps
-    mean_round_payload: float  # bytes/rank/round (Table III statistic)
-
-    @property
-    def total_s(self) -> float:
-        return self.alpha_s + self.transfer_s + self.self_copy_s
 
 
 @dataclass(frozen=True)
@@ -154,26 +140,3 @@ def engine_cost(
         self_copy_s=max(table.self_bytes.tolist(), default=0) / cluster.memcpy_bw,
         round_engines=tuple(round_engines),
     )
-
-
-def exchange_cost(cluster: ClusterSpec, plan: GlobalPlan) -> ExchangeCost:
-    """Model one full redistribution (all rounds, ``Alltoallw``) on ``cluster``."""
-    cost = engine_cost(cluster, plan, "alltoallw")
-    return ExchangeCost(
-        rounds=cost.rounds,
-        alpha_s=cost.alpha_s,
-        transfer_s=cost.transfer_s,
-        self_copy_s=cost.self_copy_s,
-        mean_round_payload=plan.mean_bytes_per_chunk_round(),
-    )
-
-
-def point_to_point_cost(cluster: ClusterSpec, plan: GlobalPlan) -> float:
-    """Model the direct-send backend's wire time for the ablation.
-
-    Each rank pays a fixed per-message latency per partner instead of the
-    collective's O(P) posting overhead, plus the same serialization time.
-    (Wire time only: the self-copy term cancels in backend comparisons.)
-    """
-    cost = engine_cost(cluster, plan, "p2p")
-    return cost.message_s + cost.transfer_s

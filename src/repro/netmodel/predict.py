@@ -2,7 +2,8 @@
 
 Combines the *actual* DDR schedule (from the planner, at the paper's full
 128 GB geometry) with the calibrated Cooley model: disk model for the read
-phase, network model (analytic or discrete-event) for the exchange phase.
+phase, the analytic model (:func:`~repro.netmodel.analytic.engine_cost`) for
+the exchange phase.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from ..io.assignment import (
 from ..volren.decompose import grid_boxes, grid_shape
 from .analytic import engine_cost
 from .cluster import COOLEY, ClusterSpec
-from .desnet import simulate_exchange
 from .disk import stack_read_time
 
 #: Table II / Figure 3 process counts: 3^3, 4^3, 5^3, 6^3.
@@ -38,7 +38,6 @@ class LoadPrediction:
     read_s: float
     exchange_s: float
     rounds: int
-    round_payload_bytes: float  # mean per-rank payload per round (Table III)
 
     @property
     def total_s(self) -> float:
@@ -100,7 +99,6 @@ def predict_no_ddr(
         read_s=read_s,
         exchange_s=0.0,
         rounds=0,
-        round_payload_bytes=0.0,
     )
 
 
@@ -109,40 +107,29 @@ def predict_ddr(
     nprocs: int,
     strategy: Assignment,
     stack: StackGeometry = PAPER_STACK,
-    network: str = "analytic",
     backend: str = "alltoallw",
     executed: Optional[RoundTable] = None,
 ) -> LoadPrediction:
     """DDR path: load-balanced reads, then the modeled redistribution.
 
     ``backend`` picks the exchange engine being modeled — the same four
-    names the execution layer accepts, under either network model, and the
-    same per-round protocol rule.  ``executed`` prices the rounds the
-    engine runs instead of the planned ones — a table of this geometry's
-    plan from :func:`~repro.netmodel.analytic.executed_plan`, analytic model
-    only — and ``rounds`` then counts them.
+    names the execution layer accepts, and the same per-round protocol
+    rule.  ``executed`` prices the rounds the engine runs instead of the
+    planned ones — a table of this geometry's plan from
+    :func:`~repro.netmodel.analytic.executed_plan` — and ``rounds`` then
+    counts them.
     """
     images_per_rank = max(
         len(assigned_images(stack, nprocs, rank, strategy)) for rank in range(nprocs)
     )
     read_s = stack_read_time(cluster, images_per_rank, stack.image_bytes, nprocs)
-    plan = ddr_plan(nprocs, strategy, stack)
-    priced = plan.table if executed is None else executed
-    if network == "analytic":
-        exchange_s = engine_cost(cluster, priced, backend).total_s
-    elif network != "des":
-        raise ValueError(f"unknown network model {network!r} (use 'analytic' or 'des')")
-    elif executed is not None:
-        raise ValueError("the 'des' network model prices the planned rounds only")
-    else:
-        exchange_s = simulate_exchange(cluster, plan, engine=backend)
+    priced = ddr_plan(nprocs, strategy, stack).table if executed is None else executed
     return LoadPrediction(
         nprocs=nprocs,
         mode=f"ddr_{strategy.value}",
         read_s=read_s,
-        exchange_s=exchange_s,
+        exchange_s=engine_cost(cluster, priced, backend).total_s,
         rounds=priced.nrounds,
-        round_payload_bytes=plan.mean_bytes_per_chunk_round(),
     )
 
 
@@ -150,14 +137,13 @@ def predict_table2(
     cluster: ClusterSpec = COOLEY,
     stack: StackGeometry = PAPER_STACK,
     process_counts: Sequence[int] = PAPER_PROCESS_COUNTS,
-    network: str = "analytic",
 ) -> list[dict]:
     """One dict per Table II row: process count and the three load times."""
     rows = []
     for nprocs in process_counts:
         no_ddr = predict_no_ddr(cluster, nprocs, stack)
-        rr = predict_ddr(cluster, nprocs, Assignment.ROUND_ROBIN, stack, network)
-        consec = predict_ddr(cluster, nprocs, Assignment.CONSECUTIVE, stack, network)
+        rr = predict_ddr(cluster, nprocs, Assignment.ROUND_ROBIN, stack)
+        consec = predict_ddr(cluster, nprocs, Assignment.CONSECUTIVE, stack)
         rows.append(
             {
                 "nprocs": nprocs,
@@ -185,3 +171,15 @@ def figure3_series(
         "ddr_round_robin": [row["ddr_round_robin_s"] for row in rows],
         "ddr_consecutive": [row["ddr_consecutive_s"] for row in rows],
     }
+
+
+def crossover(series: dict[str, list[float]]) -> Optional[int]:
+    """First process count of a :func:`figure3_series`-shaped ``series`` where
+    consecutive strictly beats round-robin (a tie is no crossover; paper:
+    125), or ``None`` if it never does."""
+    for nprocs, rr, consec in zip(
+        series["nprocs"], series["ddr_round_robin"], series["ddr_consecutive"]
+    ):
+        if consec < rr:
+            return nprocs
+    return None

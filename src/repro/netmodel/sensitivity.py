@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..io.assignment import PAPER_STACK, StackGeometry
+from ..io.assignment import PAPER_STACK, Assignment, StackGeometry
 from .cluster import COOLEY, ClusterSpec
-from .predict import PAPER_PROCESS_COUNTS, predict_ddr, predict_no_ddr
-from ..io.assignment import Assignment
+from .predict import crossover, figure3_series, predict_ddr, predict_no_ddr
 
 #: The fitted (non-physical) constants eligible for perturbation.
 FITTED_PARAMETERS = (
@@ -40,20 +39,6 @@ def headline_speedup(
     rr = predict_ddr(cluster, nprocs, Assignment.ROUND_ROBIN, stack).total_s
     consec = predict_ddr(cluster, nprocs, Assignment.CONSECUTIVE, stack).total_s
     return no_ddr / min(rr, consec)
-
-
-def crossover(
-    cluster: ClusterSpec,
-    stack: StackGeometry = PAPER_STACK,
-    process_counts: Sequence[int] = PAPER_PROCESS_COUNTS,
-) -> int | None:
-    """First process count where consecutive beats round-robin."""
-    for nprocs in process_counts:
-        rr = predict_ddr(cluster, nprocs, Assignment.ROUND_ROBIN, stack).total_s
-        consec = predict_ddr(cluster, nprocs, Assignment.CONSECUTIVE, stack).total_s
-        if consec < rr:
-            return nprocs
-    return None
 
 
 @dataclass(frozen=True)
@@ -84,7 +69,7 @@ def sweep_parameter(
                 parameter=parameter,
                 value=base * factor,
                 speedup_216=headline_speedup(perturbed, stack=stack),
-                crossover=crossover(perturbed, stack=stack),
+                crossover=crossover(figure3_series(perturbed, stack)),
             )
         )
     return out

@@ -3,11 +3,11 @@ full-scale shape checks live in benchmarks/)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.bench import e1, fig3, fig45, table2, table3, table4
 from repro.io.assignment import StackGeometry
+from repro.netmodel import crossover
 
 SMALL = StackGeometry(width=256, height=128, n_images=512, bytes_per_pixel=4)
 
@@ -73,7 +73,7 @@ class TestFig3Harness:
             (25 / 3) / 8
         )
         # Strict win required: the 64-rank tie does not count as a crossover.
-        assert fig3.crossover_processes(series) == 125
+        assert crossover(series) == 125
 
     def test_crossover_none_when_rr_always_wins(self):
         series = {
@@ -81,7 +81,7 @@ class TestFig3Harness:
             "ddr_round_robin": [1.0, 1.0],
             "ddr_consecutive": [2.0, 2.0],
         }
-        assert fig3.crossover_processes(series) is None
+        assert crossover(series) is None
 
     def test_ascii_plot_renders(self):
         series = {

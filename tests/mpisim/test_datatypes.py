@@ -20,7 +20,6 @@ from repro.mpisim import (
     DatatypeError,
     FLOAT,
     INT,
-    NamedType,
     StructType,
     SubarrayType,
     named_type_for,

@@ -12,9 +12,7 @@ from repro.netmodel import (
     COOLEY,
     P2P_PER_MESSAGE_S,
     engine_cost,
-    exchange_cost,
     executed_plan,
-    point_to_point_cost,
     predict_ddr,
 )
 from repro.mpisim import BYTE
@@ -64,32 +62,38 @@ class TestRoundPayloads:
         assert all(p > 0 for p in payloads)
 
 
+def wire_s(cost):
+    """The direct path's wire time: handshakes plus serialisation."""
+    return cost.message_s + cost.transfer_s
+
+
 class TestExchangeCost:
     def test_identity_plan_costs_only_alpha_and_memcpy(self):
         owns = [[Box((r * 4,), (4,))] for r in range(4)]
         needs = [Box((r * 4,), (4,)) for r in range(4)]
         plan = compute_global_plan(owns, needs, 4)
-        cost = exchange_cost(COOLEY, plan)
-        assert cost.transfer_s == 0.0
+        cost = engine_cost(COOLEY, plan)
+        assert cost.transfer_s == 0.0 and cost.message_s == 0.0
         assert cost.alpha_s == pytest.approx(COOLEY.alpha(4))
         assert cost.self_copy_s > 0
+        assert cost.round_engines == ("alltoallw",)
 
     def test_more_data_costs_more(self):
-        small = exchange_cost(COOLEY, simple_plan(n=64))
-        large = exchange_cost(COOLEY, simple_plan(n=64_000))
+        small = engine_cost(COOLEY, simple_plan(n=64))
+        large = engine_cost(COOLEY, simple_plan(n=64_000))
         assert large.transfer_s > small.transfer_s
 
     def test_more_ranks_cost_more_alpha(self):
-        few = exchange_cost(COOLEY, simple_plan(nprocs=2, n=64))
-        many = exchange_cost(COOLEY, simple_plan(nprocs=8, n=64))
+        few = engine_cost(COOLEY, simple_plan(nprocs=2, n=64))
+        many = engine_cost(COOLEY, simple_plan(nprocs=8, n=64))
         assert many.alpha_s > few.alpha_s
 
     def test_congestion_penalises_huge_messages(self):
         """Effective seconds/byte must grow with message size."""
         mid = simple_plan(nprocs=2, n=2**20)
         big = simple_plan(nprocs=2, n=2**28)
-        t_mid = exchange_cost(COOLEY, mid).transfer_s
-        t_big = exchange_cost(COOLEY, big).transfer_s
+        t_mid = engine_cost(COOLEY, mid).transfer_s
+        t_big = engine_cost(COOLEY, big).transfer_s
         bytes_mid = round_payloads(mid)[0]
         bytes_big = round_payloads(big)[0]
         assert t_big / bytes_big > t_mid / bytes_mid
@@ -100,37 +104,20 @@ class TestPointToPointCost:
         """Reversal: each rank has exactly one partner, so the direct
         backend avoids the O(P) alpha."""
         plan = simple_plan(nprocs=8, n=1024)
-        assert point_to_point_cost(COOLEY, plan) < exchange_cost(COOLEY, plan).total_s
+        cost = engine_cost(COOLEY, plan, "p2p")
+        assert wire_s(cost) < engine_cost(COOLEY, plan).total_s
+        assert cost.alpha_s == 0.0
+        assert cost.message_s == pytest.approx(P2P_PER_MESSAGE_S)  # one partner
+        assert cost.round_engines == ("p2p",)
 
     def test_identity_is_nearly_free(self):
         owns = [[Box((r * 4,), (4,))] for r in range(4)]
         needs = [Box((r * 4,), (4,)) for r in range(4)]
         plan = compute_global_plan(owns, needs, 4)
-        assert point_to_point_cost(COOLEY, plan) == pytest.approx(0.0)
+        assert wire_s(engine_cost(COOLEY, plan, "p2p")) == pytest.approx(0.0)
 
 
 class TestEngineCost:
-    def test_alltoallw_matches_exchange_cost(self):
-        plan = simple_plan(nprocs=8, n=4096)
-        legacy = exchange_cost(COOLEY, plan)
-        cost = engine_cost(COOLEY, plan, "alltoallw")
-        assert cost.total_s == legacy.total_s
-        assert cost.alpha_s == legacy.alpha_s
-        assert cost.transfer_s == legacy.transfer_s
-        assert cost.self_copy_s == legacy.self_copy_s
-        assert cost.message_s == 0.0
-        assert cost.round_engines == ("alltoallw",)
-
-    def test_p2p_matches_point_to_point_cost(self):
-        plan = simple_plan(nprocs=8, n=4096)
-        cost = engine_cost(COOLEY, plan, "p2p")
-        assert cost.message_s + cost.transfer_s == pytest.approx(
-            point_to_point_cost(COOLEY, plan)
-        )
-        assert cost.alpha_s == 0.0
-        assert cost.message_s == pytest.approx(P2P_PER_MESSAGE_S)  # one partner
-        assert cost.round_engines == ("p2p",)
-
     def test_auto_picks_cheapest_protocol_per_round(self):
         # Reversal is maximally sparse (one partner per rank): auto must
         # price it as the direct path, below the collective's.
@@ -259,14 +246,11 @@ class TestExecutedPlan:
             assert [r[4] for r in rounds] == table.bytes_out[:, rank].tolist()
 
     @pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
-    @pytest.mark.parametrize("network", ["analytic", "des"])
-    def test_every_backend_prices_under_both_networks(self, network, backend):
+    def test_every_backend_prices(self, backend):
         stack = StackGeometry(width=256, height=128, n_images=64, bytes_per_pixel=4)
 
         def seconds(name):
-            return predict_ddr(
-                COOLEY, 8, Assignment.ROUND_ROBIN, stack, network, name
-            ).exchange_s
+            return predict_ddr(COOLEY, 8, Assignment.ROUND_ROBIN, stack, name).exchange_s
 
         both = sorted(seconds(name) for name in ("alltoallw", "p2p"))
         assert both[0] < both[1] and both[0] <= seconds(backend) <= both[1]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.netmodel import (
     COOLEY,
-    ClusterSpec,
     fs_saturation_factor,
     image_read_time,
     stack_read_time,

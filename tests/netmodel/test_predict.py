@@ -12,8 +12,7 @@ from repro.io import Assignment, StackGeometry
 from repro.netmodel import (
     COOLEY,
     ddr_plan,
-    exchange_cost,
-    executed_plan,
+    engine_cost,
     figure3_series,
     paper_grid,
     predict_ddr,
@@ -61,12 +60,13 @@ class TestExchangeCostModel:
         assert all(p >= 0 for p in payloads)
 
     def test_alpha_dominates_many_small_rounds(self):
-        rr = exchange_cost(COOLEY, ddr_plan(8, Assignment.ROUND_ROBIN, SMALL))
-        consec = exchange_cost(COOLEY, ddr_plan(8, Assignment.CONSECUTIVE, SMALL))
+        rr = engine_cost(COOLEY, ddr_plan(8, Assignment.ROUND_ROBIN, SMALL), "alltoallw")
+        consec = engine_cost(COOLEY, ddr_plan(8, Assignment.CONSECUTIVE, SMALL), "alltoallw")
         assert rr.alpha_s == pytest.approx(8 * consec.alpha_s)
 
     def test_total_is_sum_of_parts(self):
-        cost = exchange_cost(COOLEY, ddr_plan(8, Assignment.CONSECUTIVE, SMALL))
+        cost = engine_cost(COOLEY, ddr_plan(8, Assignment.CONSECUTIVE, SMALL), "alltoallw")
+        assert cost.message_s == 0.0
         assert cost.total_s == pytest.approx(cost.alpha_s + cost.transfer_s + cost.self_copy_s)
 
 
@@ -79,20 +79,6 @@ class TestPredictionsSmall:
     def test_modes_labelled(self):
         assert predict_no_ddr(COOLEY, 8, SMALL).mode == "no_ddr"
         assert predict_ddr(COOLEY, 8, Assignment.ROUND_ROBIN, SMALL).mode == "ddr_round_robin"
-
-    def test_des_and_analytic_agree_roughly(self):
-        analytic = predict_ddr(COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="analytic")
-        des = predict_ddr(COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="des")
-        assert des.exchange_s == pytest.approx(analytic.exchange_s, rel=5.0)
-        assert des.rounds == analytic.rounds
-
-    def test_unknown_network_rejected(self):
-        with pytest.raises(ValueError):
-            predict_ddr(COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="carrier-pigeon")
-        # The flow model reads the planned rows; executed rounds have only a table.
-        executed = executed_plan(ddr_plan(8, Assignment.CONSECUTIVE, SMALL))
-        with pytest.raises(ValueError, match="planned rounds only"):
-            predict_ddr(COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="des", executed=executed)
 
     def test_backend_parameter_all_engines(self):
         # Consecutive assignment at 8 ranks is sparse, so the direct path
@@ -108,15 +94,6 @@ class TestPredictionsSmall:
         # The read phase does not depend on the exchange engine.
         reads = {p.read_s for p in by_backend.values()}
         assert len(reads) == 1
-
-    def test_backend_parameter_des_network(self):
-        a2a = predict_ddr(
-            COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="des", backend="alltoallw"
-        )
-        p2p = predict_ddr(
-            COOLEY, 8, Assignment.CONSECUTIVE, SMALL, network="des", backend="p2p"
-        )
-        assert p2p.exchange_s < a2a.exchange_s
 
     def test_default_backend_is_alltoallw(self):
         default = predict_ddr(COOLEY, 8, Assignment.ROUND_ROBIN, SMALL)

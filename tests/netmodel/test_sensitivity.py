@@ -9,6 +9,7 @@ from repro.netmodel import (
     COOLEY,
     FITTED_PARAMETERS,
     crossover,
+    figure3_series,
     headline_speedup,
     sweep_parameter,
     tornado,
@@ -25,7 +26,7 @@ class TestHeadlines:
         assert speedup > 2.0
 
     def test_crossover_returns_scale_or_none(self):
-        result = crossover(COOLEY, stack=STACK, process_counts=SCALES)
+        result = crossover(figure3_series(COOLEY, STACK, SCALES))
         assert result in (*SCALES, None)
 
 

@@ -26,9 +26,13 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_table2_flags(self):
-        args = build_parser().parse_args(["table2", "--network", "des"])
-        assert args.network == "des"
-        assert not args.native
+        args = build_parser().parse_args(["table2", "--native"])
+        assert args.native
+        assert not build_parser().parse_args(["table2"]).native
+        # One cost model: the network-model switch is gone.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table2", "--network", "des"])
+        assert exc.value.code == 2
 
 
 class TestExecution:
