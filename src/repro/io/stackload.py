@@ -31,10 +31,19 @@ from .assignment import Assignment, StackGeometry, owned_chunks
 
 
 def probe_stack(stack: TiffStack) -> tuple[StackGeometry, np.dtype]:
-    """The series geometry and sample type, from the first slice's header."""
+    """The series geometry and sample type, from the first slice's header.
+
+    The loaders read slices ``0 .. n-1``, so a gap in the numbering fails
+    here, on every rank alike (each lists the same directory), before any
+    collective: a rank reading a missing slice would strand its peers."""
     indices = stack.indices()
     if not indices:
         raise FileNotFoundError(f"no slices found in {stack.directory}")
+    if indices[-1] != len(indices) - 1:
+        missing = next(z for z, index in enumerate(indices) if z != index)
+        raise FileNotFoundError(
+            f"slice {missing} missing from {stack.directory}: {len(indices)} slices "
+            f"found, numbered up to {indices[-1]}")
     info = read_tiff_info(stack.slice_path(indices[0]))
     geometry = StackGeometry(info.width, info.height, len(indices), info.dtype.itemsize)
     return geometry, info.dtype

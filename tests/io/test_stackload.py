@@ -7,7 +7,7 @@ import pytest
 
 from repro.imaging import VolumeSpec, tooth_slice, write_stack
 from repro.io import Assignment, load_stack_ddr, load_stack_no_ddr, stack_geometry
-from tests.conftest import spmd
+from tests.conftest import spmd, thread_only
 from tests.oracles import read_volume
 
 
@@ -100,6 +100,7 @@ class TestLoaders:
 
         assert all(spmd(6, fn))
 
+    @thread_only  # counts in a list that forked ranks cannot share
     def test_ddr_reads_each_slice_once(self, stack, monkeypatch):
         """Count actual decode calls: DDR must do exactly n_images total."""
         tiff_stack, _ = stack
@@ -121,6 +122,7 @@ class TestLoaders:
         spmd(8, fn)
         assert sorted(counts) == list(range(12))
 
+    @thread_only  # counts in a list that forked ranks cannot share
     def test_no_ddr_reads_slices_redundantly(self, stack, monkeypatch):
         tiff_stack, _ = stack
         from repro.imaging.stack import TiffStack

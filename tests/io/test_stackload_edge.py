@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.imaging import VolumeSpec, tooth_slice, write_stack
-from repro.io import Assignment, load_stack_ddr
+from repro.io import Assignment, convert_stack_to_bricks, load_stack_ddr, load_stack_no_ddr
 from tests.conftest import spmd
 from tests.oracles import read_volume
 
@@ -68,3 +68,36 @@ class TestDegenerateGrids:
 
         dims = spmd(3, fn)
         assert all(d == (12, 8, 2) for d in dims)
+
+
+class TestGapInNumbering:
+    LOADS = {
+        "consecutive": lambda comm, stack, tmp: load_stack_ddr(
+            comm, stack, (1, 1, 2), Assignment.CONSECUTIVE),
+        "roundrobin": lambda comm, stack, tmp: load_stack_ddr(
+            comm, stack, (1, 1, 2), Assignment.ROUND_ROBIN),
+        "noddr": lambda comm, stack, tmp: load_stack_no_ddr(comm, stack, (1, 1, 2)),
+        "convert": lambda comm, stack, tmp: convert_stack_to_bricks(
+            comm, stack, tmp / "bricks.bin", brick=4),
+    }
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_every_rank_names_the_missing_slice(self, tmp_path, load):
+        """Slices 0-3 and 5-8: every rank raises the same typed error before
+        any collective (a rank reading slice 4 used to leave its peer in the
+        set-up allgather until the deadlock timeout)."""
+        spec = VolumeSpec(12, 8, 9, np.uint8)
+        stack = write_stack(tmp_path / "s", 9, lambda z: tooth_slice(spec, z))
+        stack.slice_path(4).unlink()
+
+        def fn(comm):
+            try:
+                self.LOADS[load](comm, stack, tmp_path)
+            except Exception as exc:  # each rank reports what it saw
+                return type(exc).__name__, str(exc)
+            return None
+
+        outcomes = spmd(2, fn, deadlock_timeout=2.0)
+        assert outcomes[0] == outcomes[1]
+        kind, text = outcomes[0]
+        assert kind == "FileNotFoundError" and "slice 4 missing" in text
