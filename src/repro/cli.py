@@ -256,21 +256,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_autoscale(args: argparse.Namespace) -> int:
-    from .autoscale import autoscale_demo
-
-    print(
-        autoscale_demo(
-            side=args.side,
-            epochs=args.epochs,
-            start_ranks=args.start_ranks,
-            max_ranks=args.max_ranks,
-            executor=args.executor,
-        )
-    )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
     import time
@@ -521,29 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--quiet", action="store_true",
                     help="suppress the per-run log lines")
     pc.set_defaults(fn=_cmd_chaos)
-
-    pa = sub.add_parser(
-        "autoscale",
-        help="metrics-driven elastic resize demo (grow + shrink, live data)",
-        description="Drive ResilientRedistributor.resize from an "
-        "Autoscaler watching MetricsRegistry signals: a synthetic demand "
-        "curve pushes queue depth over the grow watermark, the world "
-        "spawns ranks one step at a time, then drains back down, with "
-        "every epoch's redistribution checked bitwise.",
-    )
-    pa.add_argument("--side", type=_positive_int, default=96,
-                    help="square field edge length (default 96)")
-    pa.add_argument("--epochs", type=int, default=14,
-                    help="exchange epochs to run (default 14)")
-    pa.add_argument("--start-ranks", type=_positive_int, default=2,
-                    help="initial world size (default 2)")
-    pa.add_argument("--max-ranks", type=_positive_int, default=5,
-                    help="autoscaler ceiling; spawn slots are reserved up "
-                    "to this size (default 5)")
-    pa.add_argument("--executor", choices=("thread", "process"), default=None,
-                    help="rank executor (default: DDR_EXECUTOR env, else "
-                    "thread)")
-    pa.set_defaults(fn=_cmd_autoscale)
 
     ps = sub.add_parser(
         "serve",

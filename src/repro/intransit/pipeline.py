@@ -112,10 +112,10 @@ class PipelineConfig:
     them back).  Simulation state migrates onto the new slab
     decomposition through a components=9 DDR exchange on one persistent
     world-wide redistributor — each resize is a fresh ``LocalMapping``
-    generation, the same lifecycle crash recovery uses.  Such schedules
-    are typically produced by an :class:`~repro.autoscale.Autoscaler`
-    watching exchange-time and queue-depth metrics.  A schedule composes
-    with the frame-drop policies but not (yet) with ``on_rank_loss="shrink"``.
+    generation, the same lifecycle crash recovery uses.  When to resize
+    is the caller's decision; the schedule only carries it.  A schedule
+    composes with the frame-drop policies but not (yet) with
+    ``on_rank_loss="shrink"``.
     """
 
     lbm: LbmConfig

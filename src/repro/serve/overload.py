@@ -24,9 +24,8 @@ overload a policy-governed regime:
 
 The controller never touches sockets or queues itself — the hub observes
 into it once per publish and applies the knobs it exposes (``quality()``,
-``min_mip``, ``frame_stride``, ``take_shed_request()``).  Separation of
-concerns mirrors :mod:`repro.autoscale`: the decision is data, the
-enforcement lives where the resources live.
+``min_mip``, ``frame_stride``, ``take_shed_request()``): the decision is
+data, the enforcement lives where the resources live.
 """
 
 from __future__ import annotations

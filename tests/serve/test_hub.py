@@ -98,7 +98,7 @@ class TestHub:
         assert stats["misses"] == len(LAYOUTS)  # built exactly once each
         assert stats["hits"] == 5 * len(LAYOUTS) - len(LAYOUTS)
         # Publishing exports the staging high-water marks as gauges, so the
-        # autoscaler/overload controller can see memory pressure.
+        # overload controller and /stats can see memory pressure.
         gauges = hub.metrics.counters
         assert gauges["serve.pool_peak_bytes"] >= gauges["serve.pool_bytes"]
         assert gauges["serve.cache_peak_bytes"] >= gauges["serve.cache_bytes"] > 0

@@ -34,6 +34,14 @@ class TestParser:
             build_parser().parse_args(["table2", "--network", "des"])
         assert exc.value.code == 2
 
+    def test_autoscale_is_an_unknown_command(self, capsys):
+        # The library ships the resize mechanism and the caller decides
+        # when to resize: the policy sub-command is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["autoscale"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'autoscale'" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_e1(self, capsys):
@@ -199,9 +207,6 @@ class TestSizeArguments:
         ["trace", "redistribute", "--n", "0"],
         ["trace", "redistribute", "--nx", "0"],
         ["trace", "intransit", "--m", "0"],
-        ["autoscale", "--side", "0"],
-        ["autoscale", "--start-ranks", "0"],
-        ["autoscale", "--max-ranks", "0"],
     ], ids=" ".join)
     def test_non_positive_size_exits_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
