@@ -532,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="LBM steps between frames (default 10)")
     ps.add_argument("--quality", type=int, default=80,
                     help="JPEG quality (default 80)")
-    ps.add_argument("--backend", choices=BACKENDS,
-                    default=None, help="exchange engine (default auto)")
+    ps.add_argument("--backend", choices=BACKENDS, default=None,
+                    help="exchange engine (default $DDR_BACKEND, else alltoallw)")
     ps.add_argument("--host", default="127.0.0.1")
     ps.add_argument("--port", type=int, default=8737,
                     help="TCP port; 0 picks a free one (default 8737)")

@@ -21,7 +21,6 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..faults.policy import ReliabilityPolicy
 from ..mpisim.comm import Communicator
 from ..mpisim.datatypes import NamedType
 from ..mpisim.transport import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY
@@ -135,15 +134,14 @@ class Redistributor:
     in pieces.  ``None`` follows the process default — the ``DDR_BACKEND``
     environment variable when set, otherwise ``"alltoallw"``.
 
-    ``transport`` picks the mpisim wire strategy for every exchange this
-    instance performs: ``"zerocopy"`` (receiver copies straight out of the
-    sender's live buffer), ``"packed"`` (classic pack -> payload -> unpack),
-    or ``None`` to follow the communicator/process default.
-
-    ``reliability`` configures the self-healing machinery (round retry
-    budget, backoff, corruption handling, per-op deadlines) for every
-    exchange this instance performs; ``None`` follows the installed fault
-    layer's policy (default :class:`~repro.faults.ReliabilityPolicy`).
+    ``transport`` picks the mpisim wire for every lane of every exchange
+    this instance performs, under every backend: ``"zerocopy"`` (receiver
+    copies straight out of the sender's live buffer), ``"packed"`` (classic
+    pack -> payload -> unpack), ``"shm"`` (staged through shared-memory
+    segments), or ``None`` to follow the process default — the
+    ``DDR_TRANSPORT`` environment variable when set, otherwise
+    ``"zerocopy"``.  Retries, deadlines and corruption handling follow the
+    :class:`~repro.faults.ReliabilityPolicy` installed with the fault plan.
 
     A ``Redistributor`` may hold several live mappings at once: ``setup()``
     replaces (and invalidates) the *active* mapping, while
@@ -160,34 +158,18 @@ class Redistributor:
         backend: Optional[str] = None,
         components: int = 1,
         transport: Optional[str] = None,
-        reliability: Optional[ReliabilityPolicy] = None,
     ) -> None:
-        self.comm = comm
-        self.descriptor = DataDescriptor.create(
-            comm.size, DataLayout(ndims), dtype, components=components
-        )
-        self.set_backend(default_backend() if backend is None else backend)
-        self.set_transport(transport)
-        self.set_reliability(reliability)
-
-    def set_backend(self, backend: str) -> None:
-        self.backend = check_backend(backend)
-
-    def set_transport(self, transport: Optional[str]) -> None:
         if transport not in (None, TRANSPORT_ZEROCOPY, TRANSPORT_PACKED, TRANSPORT_SHM):
             raise ValueError(
                 f"unknown transport {transport!r} "
                 f"(use 'zerocopy', 'packed', 'shm', or None)"
             )
+        self.comm = comm
+        self.descriptor = DataDescriptor.create(
+            comm.size, DataLayout(ndims), dtype, components=components
+        )
+        self.backend = check_backend(default_backend() if backend is None else backend)
         self.transport = transport
-
-    def set_reliability(self, reliability: Optional[ReliabilityPolicy]) -> None:
-        if reliability is not None and not isinstance(reliability, ReliabilityPolicy):
-            raise TypeError(
-                f"reliability must be a ReliabilityPolicy or None, got "
-                f"{type(reliability).__name__}"
-            )
-        self.reliability = reliability
 
     def setup(
         self,
@@ -251,7 +233,6 @@ class Redistributor:
             need_buffer,
             self.backend,
             self.transport,
-            self.reliability,
             progress,
         )
 
@@ -314,7 +295,6 @@ class Redistributor:
             backend=self.backend,
             components=self.descriptor.components,
             transport=self.transport,
-            reliability=self.reliability,
         )
 
     def retarget(self, comm: Communicator) -> None:
@@ -401,7 +381,6 @@ class Redistributor:
                 "components": self.descriptor.components,
                 "backend": self.backend,
                 "transport": self.transport,
-                "reliability": self.reliability,
                 "layout": layout,
                 "validate": validate,
                 "worker": worker,
@@ -470,7 +449,6 @@ def _resize_join(comm: Communicator, spec: dict) -> Any:
         backend=spec["backend"],
         components=spec["components"],
         transport=spec["transport"],
-        reliability=spec["reliability"],
     )
     new_box = spec["layout"](comm.rank, comm.size)
     data = red.migrate([], new_box, None, spec["validate"])

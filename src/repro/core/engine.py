@@ -26,13 +26,14 @@ decides alike without communicating; the trace attribute and the wire
 read the same executed schedule, so they agree by construction.
 
 Around the protocols sits everything a run relies on: staleness and
-communicator validation, cached buffer validation, transport resolution,
-and the reliability loop — every planned round consults the installed fault
-layer at round *entry* (before any message is posted, so a local retry never
-desynchronises collective matching), backs off per the
-:class:`~repro.faults.ReliabilityPolicy`, and records completed rounds in an
-:class:`ExchangeProgress` so a failed exchange can be resumed without
-re-running finished rounds.
+communicator validation, cached buffer validation, transport resolution
+(once per exchange; every ``Alltoallw``, ``Isend`` and self-copy of it
+runs that wire), and the reliability loop — every planned round consults
+the installed fault layer at round *entry* (before any message is posted,
+so a local retry never desynchronises collective matching), backs off per
+the :class:`~repro.faults.ReliabilityPolicy` installed with the plan, and
+records completed rounds in an :class:`ExchangeProgress` so a failed
+exchange can be resumed without re-running finished rounds.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from ..faults.injector import FAULTS
-from ..faults.policy import ReliabilityPolicy
 from ..mpisim.comm import Communicator
 from ..mpisim.errors import RetriesExhaustedError, TransientFaultError
 from ..mpisim.request import wait_all
@@ -116,15 +116,6 @@ def normalise_own(data_own: Buffers) -> list[np.ndarray]:
     return list(data_own)
 
 
-def direct_transport(comm: Communicator, transport: Optional[str]) -> bool:
-    """Whether the self-lane may copy straight between the user's buffers
-    and direct sends request rendezvous.  True for both zerocopy and shm
-    (the self lane never leaves the process either way); a rendezvous
-    request under shm simply degrades to an shm-staged eager send inside
-    ``Isend``."""
-    return comm.resolve_transport(transport) != TRANSPORT_PACKED
-
-
 def execute(
     comm: Communicator,
     mapping: LocalMapping,
@@ -132,20 +123,19 @@ def execute(
     data_need: Optional[np.ndarray],
     backend: str = "alltoallw",
     transport: Optional[str] = None,
-    reliability: Optional[ReliabilityPolicy] = None,
     progress: Optional[ExchangeProgress] = None,
 ) -> ExchangeProgress:
     """Redistribute: fill ``data_need`` from everyone's ``data_own``.
 
     Collective over ``comm`` — every rank must call with the same backend
-    and transport.  ``data_own`` is one buffer per owned chunk (a single
-    array is accepted for the common one-chunk case), flat or chunk-shaped
-    but C-contiguous and exactly sized.  Repeat calls with the same arrays
+    and transport (``None``: the process default, ``DDR_TRANSPORT``).
+    ``data_own`` is one buffer per owned chunk (a single array is accepted
+    for the common one-chunk case), flat or chunk-shaped but C-contiguous
+    and exactly sized.  Repeat calls with the same arrays
     skip buffer revalidation (the mapping caches the accepted set) and, on
     the zero-copy transport, allocate no staging arrays at all.
 
-    ``reliability`` configures the round retry harness (defaults to the
-    installed fault layer's policy, else ``ReliabilityPolicy()``).
+    Round-entry retries follow the policy installed with the fault plan.
     ``progress`` resumes a previously failed exchange: rounds already
     in ``progress.completed`` are skipped.  The (possibly fresh)
     progress record is returned, fully populated on success.
@@ -160,13 +150,12 @@ def execute(
         mapping.components,
         mapping.buffer_cache,
     )
-    zero_copy = direct_transport(comm, transport)
-    policy = reliability if reliability is not None else FAULTS.policy
+    mode = comm.resolve_transport(transport)
     if progress is None:
         progress = ExchangeProgress()
     if progress.tag_epoch is None:
         progress.tag_epoch = mapping.next_tag_epoch()
-    rounds = executed_rounds(mapping, backend, zero_copy)
+    rounds = executed_rounds(mapping, backend, mode != TRANSPORT_PACKED)
     # Tags are unique per (exchange epoch, round): a message lost from one
     # exchange can never satisfy a receive of a later one.  An executed
     # round is tagged (and enters the fault layer) as its first member; the
@@ -178,7 +167,7 @@ def execute(
     with (
         TRACER.span(
             "ddr.exchange", rank=rank, backend=backend, rounds=mapping.nrounds,
-            executed=len(rounds), transport=comm.resolve_transport(transport),
+            executed=len(rounds), transport=mode,
             resumed=len(progress.completed),
         )
         if traced
@@ -202,8 +191,8 @@ def execute(
                 else NULL_SPAN
             ) as span:
                 _run_round(
-                    comm, rnd, *rnd.buffers(own, need), backend, transport, zero_copy,
-                    rank, policy, progress, tag_base + rnd.index, span,
+                    comm, rnd, *rnd.buffers(own, need), backend, mode, rank, progress,
+                    tag_base + rnd.index, span,
                 )
     return progress
 
@@ -229,10 +218,8 @@ def _run_round(
     sendbuf: Any,
     need: Any,
     backend: str,
-    transport: Optional[str],
-    zero_copy: bool,
+    mode: str,
     rank: int,
-    policy: ReliabilityPolicy,
     progress: ExchangeProgress,
     tag: int,
     span,
@@ -257,12 +244,11 @@ def _run_round(
             protocol = round_protocol(backend, rnd)
             span.set(backend=protocol)
             if protocol == "alltoallw":
-                comm.Alltoallw(
-                    sendbuf, rnd.sendtypes, need, rnd.recvtypes, transport=transport
-                )
+                comm.Alltoallw(sendbuf, rnd.sendtypes, need, rnd.recvtypes, transport=mode)
             else:
-                _direct_round(comm, rnd, sendbuf, need, zero_copy, tag)
+                _direct_round(comm, rnd, sendbuf, need, mode, tag)
         except TransientFaultError as exc:
+            policy = FAULTS.policy
             attempt += 1
             if attempt > policy.max_retries:
                 raise RetriesExhaustedError(
@@ -287,14 +273,12 @@ def _direct_round(
     rnd: RoundSchedule,
     sendbuf: Optional[np.ndarray],
     need: Optional[np.ndarray],
-    zero_copy: bool,
+    mode: str,
     tag: int,
 ) -> None:
     if rnd.self_send is not None:
         # The data a rank keeps: a local copy, never a message.
-        copy_local(
-            sendbuf, rnd.self_send.datatype, need, rnd.self_recv.datatype, zero_copy
-        )
+        copy_local(sendbuf, rnd.self_send.datatype, need, rnd.self_recv.datatype, mode)
     # Every receive is posted before any send: a (source, executed round)
     # pair carries at most one message and the tag is unique per (exchange
     # epoch, planned round) — the pieces of a lowered round reuse it, in
@@ -304,9 +288,13 @@ def _direct_round(
         comm.Irecv(need, lane.peer, tag=tag, datatype=lane.datatype)
         for lane in rnd.recvs
     ]
+    # Rendezvous on zerocopy and shm alike (under shm an Isend stages the
+    # lane eagerly instead); packed keeps its eager profile as the baseline.
+    rendezvous = mode != TRANSPORT_PACKED
     send_requests = [
         comm.Isend(
-            sendbuf, lane.peer, tag=tag, datatype=lane.datatype, rendezvous=zero_copy
+            sendbuf, lane.peer, tag=tag, datatype=lane.datatype, rendezvous=rendezvous,
+            transport=mode,
         )
         for lane in rnd.sends
     ]

@@ -4,11 +4,11 @@ Deterministic chaos for the in-process fabric: a seeded
 :class:`~repro.faults.plan.FaultPlan` describes what goes wrong (message
 delay, drop, transient send/recv failure, payload corruption, rank crash,
 round-entry failure), the :data:`~repro.faults.injector.FAULTS` layer
-injects it at the transport's choke points, and a
-:class:`~repro.faults.policy.ReliabilityPolicy` configures the recovery
-machinery — transport retries with exponential backoff, checksum
-verify-and-reretrieve, per-operation deadlines, engine round retries, and
-the in-transit pipeline's frame-drop policy.
+injects it at the transport's choke points, and the
+:class:`~repro.faults.policy.ReliabilityPolicy` installed with the plan
+configures the recovery machinery — transport retries with exponential
+backoff, checksum verify-and-reretrieve, per-operation deadlines and
+engine round retries.
 
 The chaos harness lives in :mod:`repro.faults.chaos` (imported lazily by
 the ``python -m repro chaos`` CLI; it pulls in the whole runtime, so it is

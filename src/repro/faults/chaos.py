@@ -116,15 +116,14 @@ PIPELINE_EVERY = 5
 #: long enough that injected delays and backoff never trip it spuriously.
 DEADLOCK_TIMEOUT_S = 8.0
 
-#: Default recovery policy for chaos runs: a tight per-op deadline so a
-#: dropped message surfaces in under a second, and short backoffs so a
-#: 50-run sweep stays fast.
+#: Recovery policy installed with every chaos run's fault plan: a tight
+#: per-op deadline so a dropped message surfaces in under a second, and
+#: short backoffs so a 50-run sweep stays fast.
 CHAOS_POLICY = ReliabilityPolicy(
     max_retries=3,
     backoff_base_s=0.0005,
     backoff_cap_s=0.005,
     op_deadline_s=1.0,
-    frame_deadline_s=0.5,
 )
 
 
@@ -375,8 +374,7 @@ def _pipeline_config(
     """
     return PipelineConfig(
         lbm=LbmConfig(nx=32, ny=16), m=m, n=2, steps=steps, output_every=5,
-        backend=backend, frame_drop=frame_drop, frame_deadline_s=0.5,
-        reliability=CHAOS_POLICY, **overrides,
+        backend=backend, frame_drop=frame_drop, frame_deadline_s=0.5, **overrides,
     )
 
 

@@ -1,6 +1,9 @@
 """Recovery configuration: how hard the runtime fights a faulty fabric.
 
-A :class:`ReliabilityPolicy` is consumed at three layers:
+A :class:`ReliabilityPolicy` is installed with its fault plan
+(:func:`repro.faults.fault_plan`, ``FAULTS.install``) and read from there
+alone, because faults fire only while a plan is installed.  Two layers
+consume it:
 
 * **transport** (``repro.mpisim``) — retry budget and exponential
   backoff for injected transient send/recv failures, the corruption
@@ -9,15 +12,12 @@ A :class:`ReliabilityPolicy` is consumed at three layers:
   :class:`~repro.mpisim.errors.DeadlineError` instead of a ride on the
   global deadlock watchdog;
 * **engine** (``repro.core.engine``) — retry budget and backoff for
-  exchange rounds that fail at entry (see
-  ``repro.core.engine.execute(reliability=...)``);
-* **pipeline** (``repro.intransit``) — the frame receive deadline behind
-  the consumer's frame-drop policy.
+  exchange rounds that fail at entry.
 
-The policy is deliberately a plain frozen dataclass with no behaviour
-beyond :meth:`backoff_s`, so it can thread through ``Redistributor`` and
-``PipelineConfig`` and be embedded in a :func:`repro.faults.fault_plan`
-installation without import-order constraints.
+The in-transit consumer's frame deadline is not a fault setting; it is
+``PipelineConfig.frame_deadline_s``.  The policy is a plain frozen
+dataclass with no behaviour beyond :meth:`backoff_s`, so it pickles into
+forked ranks without import-order constraints.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class ReliabilityPolicy:
     ``op_deadline_s``
         Per-operation receive deadline while a fault plan is installed;
         ``None`` falls back to the fabric's global deadlock timeout.
-    ``frame_deadline_s``
-        How long an in-transit consumer waits for one frame's slabs before
-        applying its frame-drop policy.
     """
 
     max_retries: int = 3
@@ -60,7 +57,6 @@ class ReliabilityPolicy:
     backoff_cap_s: float = 0.05
     corruption: str = CORRUPTION_RERETRIEVE
     op_deadline_s: Optional[float] = None
-    frame_deadline_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -72,8 +68,6 @@ class ReliabilityPolicy:
             )
         if self.op_deadline_s is not None and self.op_deadline_s <= 0:
             raise ValueError("op_deadline_s must be positive or None")
-        if self.frame_deadline_s <= 0:
-            raise ValueError("frame_deadline_s must be positive")
 
     def backoff_s(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based)."""

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core.api import Redistributor
 from ..core.engine import check_backend
-from ..faults.policy import ReliabilityPolicy
 from ..io.raw import raw_frame_bytes, write_raw
 from ..jpeg.encoder import encode_rgb
 from ..lbm.decompose import slab_box
@@ -88,13 +87,11 @@ class PipelineConfig:
     written) as a raw float dump.
 
     ``frame_drop`` is the consumer's degraded mode when a frame's slabs
-    miss their receive deadline (``frame_deadline_s``, defaulting to the
-    reliability policy's): ``"fail"`` blocks until the fabric watchdog
-    fires (the pre-fault-fabric behaviour), ``"skip"`` abandons the frame
-    and keeps rendering later ones, ``"stale"`` substitutes the last good
-    data for the missing region so every frame still encodes.
-    ``reliability`` threads a :class:`~repro.faults.ReliabilityPolicy`
-    into the analysis-side :class:`~repro.core.api.Redistributor`.
+    miss their receive deadline (``frame_deadline_s``): ``"fail"`` blocks
+    until the fabric watchdog fires (the pre-fault-fabric behaviour),
+    ``"skip"`` abandons the frame and keeps rendering later ones,
+    ``"stale"`` substitutes the last good data for the missing region so
+    every frame still encodes.
 
     ``on_rank_loss`` selects the crash policy: ``"fail"`` keeps the
     pre-resilience behaviour (a dead rank surfaces as a typed error or an
@@ -132,8 +129,7 @@ class PipelineConfig:
     variables: tuple[str, ...] = ("vorticity",)
     backend: Optional[str] = None  # exchange engine; None = DDR_BACKEND/default
     frame_drop: str = FRAME_DROP_FAIL
-    frame_deadline_s: Optional[float] = None  # None = reliability policy default
-    reliability: Optional[ReliabilityPolicy] = None
+    frame_deadline_s: float = 5.0
     on_rank_loss: str = ON_RANK_LOSS_FAIL
     resize_schedule: Optional[tuple] = None  # ((frame, m, n), ...)
 
@@ -150,14 +146,8 @@ class PipelineConfig:
                 f"unknown on_rank_loss {self.on_rank_loss!r}; choose one of "
                 f"{ON_RANK_LOSS_MODES}"
             )
-        if self.frame_deadline_s is not None and self.frame_deadline_s <= 0:
-            raise ValueError("frame_deadline_s must be positive or None")
-        if self.reliability is not None and not isinstance(
-            self.reliability, ReliabilityPolicy
-        ):
-            raise ValueError(
-                "reliability must be a ReliabilityPolicy or None"
-            )
+        if self.frame_deadline_s <= 0:
+            raise ValueError("frame_deadline_s must be positive")
         if self.backend is not None:  # None: the process default
             check_backend(self.backend)
         if self.steps % self.output_every != 0:
@@ -205,14 +195,6 @@ class PipelineConfig:
     @property
     def n_frames(self) -> int:
         return self.steps // self.output_every
-
-    @property
-    def effective_frame_deadline_s(self) -> float:
-        """The receive deadline the frame-drop policy applies."""
-        if self.frame_deadline_s is not None:
-            return self.frame_deadline_s
-        policy = self.reliability if self.reliability is not None else ReliabilityPolicy()
-        return policy.frame_deadline_s
 
 
 @dataclass
@@ -281,7 +263,7 @@ class _Pipeline:
         self.config = config
         self.world = world
         self.my_world = world.world_rank_of(world.rank)
-        self.deadline_s = config.effective_frame_deadline_s
+        self.deadline_s = config.frame_deadline_s
         self.schedule = {f: (m, n) for f, m, n in (config.resize_schedule or ())}
         self.shrink = config.on_rank_loss == ON_RANK_LOSS_SHRINK
         if self.shrink:
@@ -335,8 +317,7 @@ class _Pipeline:
             self.need = grid_boxes((nx, ny), grid)[self.sub.rank]
             if self.red is None:
                 self.red = Redistributor(
-                    self.sub, ndims=2, dtype=np.float32, backend=config.backend,
-                    reliability=config.reliability,
+                    self.sub, ndims=2, dtype=np.float32, backend=config.backend
                 )
             else:
                 self.red.retarget(self.sub)

@@ -55,14 +55,7 @@ from .executor import (
 from .fabric import Fabric
 from .request import Request, Status, wait_all
 from .shm import ShmArena, ShmStagingPool, ShmTicket
-from .transport import (
-    TRANSPORT_PACKED,
-    TRANSPORT_SHM,
-    TRANSPORT_ZEROCOPY,
-    get_transport,
-    set_transport,
-    transport,
-)
+from .transport import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY
 
 __all__ = [
     "ANY_SOURCE",
@@ -113,11 +106,8 @@ __all__ = [
     "UNSIGNED_SHORT",
     "datatypes",
     "default_executor",
-    "get_transport",
     "named_type_for",
     "run_spmd",
-    "set_transport",
-    "transport",
     "wait_all",
     "world_communicators",
 ]

@@ -47,7 +47,7 @@ from .datatypes import Datatype
 from .errors import CommunicatorError, DeadlineError, TruncationError
 from .fabric import Fabric, _Message
 from .request import CompletedRequest, DeferredRequest, Request, Status
-from .transport import TRANSPORT_PACKED, copy_local, deliver, discard, materialize, resolve, stage
+from .transport import copy_local, deliver, discard, materialize, resolve, stage
 from .transport import takes_turns, turn
 
 ANY_SOURCE = -1
@@ -87,21 +87,17 @@ class Communicator:
         # protocols call agree/shrink in lockstep.
         self._agree_seq = 0
         self._shrink_seq = 0
-        #: Per-endpoint transport override; ``None`` follows the process-wide
-        #: default.  Endpoints are per-rank objects, so this is thread-safe.
-        self.transport: Optional[str] = None
 
-    def resolve_transport(self, override: Optional[str] = None) -> str:
-        """Effective transport: ``override`` > ``self.transport`` > process default.
+    def resolve_transport(self, transport: Optional[str] = None) -> str:
+        """The wire a call runs: ``transport``, else the process default
+        (``DDR_TRANSPORT``, else ``zerocopy``).
 
         On a fabric that cannot share live buffer references (the process
         executor), ``zerocopy`` degrades to ``shm`` — the schedule IR and
         every call site stay transport-agnostic; only the lane mechanics
         change underneath them.
         """
-        return resolve(
-            self.fabric.supports_zerocopy, override, self.transport
-        )
+        return resolve(self.fabric.supports_zerocopy, transport)
 
     # -- introspection ------------------------------------------------------
 
@@ -224,11 +220,7 @@ class Communicator:
             )
         self._shrink_seq += 1
         new_id = ("shrink", self.comm_id, self._shrink_seq)
-        new_comm = Communicator(
-            self.fabric, new_id, survivors, survivors.index(my_world)
-        )
-        new_comm.transport = self.transport
-        return new_comm
+        return Communicator(self.fabric, new_id, survivors, survivors.index(my_world))
 
     def spawn(
         self, count: int, fn: Callable[..., Any], *args: Any, **kwargs: Any
@@ -270,11 +262,7 @@ class Communicator:
                 self.fabric.launch_rank(
                     world, new_id, merged, base + offset, self._lineage, fn, args, kwargs
                 )
-        new_comm = Communicator(
-            self.fabric, new_id, merged, self._rank, lineage=self._lineage
-        )
-        new_comm.transport = self.transport
-        return new_comm
+        return Communicator(self.fabric, new_id, merged, self._rank, lineage=self._lineage)
 
     # -- tracing hooks -------------------------------------------------------
     #
@@ -334,6 +322,7 @@ class Communicator:
         dest: int,
         tag: int = 0,
         datatype: Optional[Datatype] = None,
+        transport: Optional[str] = None,
     ) -> None:
         """Blocking send with eager buffered semantics on every transport:
         the payload is copied out before the call returns."""
@@ -341,14 +330,19 @@ class Communicator:
             with self._span(
                 "mpi.Send", peer=dest, tag=tag, nbytes=self._nbytes_of(buf, datatype)
             ):
-                return self._send(buf, dest, tag, datatype)
-        return self._send(buf, dest, tag, datatype)
+                return self._send(buf, dest, tag, datatype, transport)
+        return self._send(buf, dest, tag, datatype, transport)
 
     def _send(
-        self, buf: np.ndarray, dest: int, tag: int, datatype: Optional[Datatype]
+        self,
+        buf: np.ndarray,
+        dest: int,
+        tag: int,
+        datatype: Optional[Datatype],
+        transport: Optional[str],
     ) -> None:
         self._post_lane(
-            buf, dest, tag, False, datatype, self.resolve_transport(),
+            buf, dest, tag, False, datatype, self.resolve_transport(transport),
             "packed payload", rendezvous=False,
         )
 
@@ -359,15 +353,17 @@ class Communicator:
         tag: int = 0,
         datatype: Optional[Datatype] = None,
         rendezvous: bool = False,
+        transport: Optional[str] = None,
     ) -> Request:
         """Nonblocking send.
 
         Default is eager buffered semantics: the payload is copied out
         immediately, so the send completes at post time and the buffer may
-        be reused right away.  With ``rendezvous=True`` (and the zero-copy
-        transport active) the receiver copies directly from ``buf``; the
+        be reused right away.  With ``rendezvous=True`` on the zero-copy
+        transport the receiver copies directly from ``buf``; the
         buffer must stay untouched until the returned request completes —
         standard MPI nonblocking discipline, now actually load-bearing.
+        ``transport`` picks the wire as ``Alltoallw``'s does.
         """
         if TRACER.enabled:
             with self._span(
@@ -377,8 +373,8 @@ class Communicator:
                 rendezvous=rendezvous,
                 nbytes=self._nbytes_of(buf, datatype),
             ):
-                return self._isend(buf, dest, tag, datatype, rendezvous)
-        return self._isend(buf, dest, tag, datatype, rendezvous)
+                return self._isend(buf, dest, tag, datatype, rendezvous, transport)
+        return self._isend(buf, dest, tag, datatype, rendezvous, transport)
 
     def _isend(
         self,
@@ -387,9 +383,10 @@ class Communicator:
         tag: int,
         datatype: Optional[Datatype],
         rendezvous: bool,
+        transport: Optional[str],
     ) -> Request:
         lane = self._post_lane(
-            buf, dest, tag, False, datatype, self.resolve_transport(),
+            buf, dest, tag, False, datatype, self.resolve_transport(transport),
             "packed payload", rendezvous,
         )
         status = Status(source=self._rank, tag=tag)
@@ -644,7 +641,7 @@ class Communicator:
                     deliver(recvbuf, datatype, message)
             with turn(*recvtypes):
                 if own:
-                    copy_local(sendbuf, stype, recvbuf, rtype, mode != TRANSPORT_PACKED)
+                    copy_local(sendbuf, stype, recvbuf, rtype, mode)
                 while held:
                     source, datatype, message = held.pop(0)
                     deliver(recvbuf, datatype, message)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager, nullcontext
-from typing import Any, Iterator, Optional
+from contextlib import nullcontext
+from typing import Any, Optional
 
 import numpy as np
 
@@ -62,6 +62,8 @@ SHM_MIN_BYTES = 512
 
 
 def _validated_transport(mode: str) -> str:
+    if mode in _VALID_TRANSPORTS:
+        return mode
     mode = mode.strip().lower()
     if mode not in _VALID_TRANSPORTS:
         raise CommunicatorError(
@@ -70,44 +72,16 @@ def _validated_transport(mode: str) -> str:
     return mode
 
 
+#: The process default, read once: ``DDR_TRANSPORT``, else ``zerocopy``.
+#: A call picks another wire with its own ``transport=`` argument.
 _default_transport = _validated_transport(
     os.environ.get("DDR_TRANSPORT", TRANSPORT_ZEROCOPY)
 )
 
 
-def set_transport(mode: str) -> None:
-    """Set the process-wide default transport (``zerocopy``, ``packed`` or
-    ``shm``; initially ``DDR_TRANSPORT``, else ``zerocopy``)."""
-    global _default_transport
-    _default_transport = _validated_transport(mode)
-
-
-def get_transport() -> str:
-    return _default_transport
-
-
-@contextmanager
-def transport(mode: str) -> Iterator[None]:
-    """Run a block under the given default transport (e.g. to force the
-    packed baseline for debugging or benchmarking)."""
-    previous = get_transport()
-    set_transport(mode)
-    try:
-        yield
-    finally:
-        set_transport(previous)
-
-
-def resolve(
-    supports_zerocopy: bool, override: Optional[str], endpoint: Optional[str]
-) -> str:
+def resolve(supports_zerocopy: bool, mode: Optional[str]) -> str:
     """See :meth:`Communicator.resolve_transport`."""
-    if override is not None:
-        mode = _validated_transport(override)
-    elif endpoint is not None:
-        mode = _validated_transport(endpoint)
-    else:
-        mode = _default_transport
+    mode = _default_transport if mode is None else _validated_transport(mode)
     if mode == TRANSPORT_ZEROCOPY and not supports_zerocopy:
         return TRANSPORT_SHM
     return mode
@@ -253,16 +227,17 @@ def turn(*datatypes: Optional[Datatype]) -> Any:
 
 
 def copy_local(
-    sendbuf: Any, send_type: Datatype, recvbuf: Any, recv_type: Datatype, direct: bool
+    sendbuf: Any, send_type: Datatype, recvbuf: Any, recv_type: Datatype, mode: str
 ) -> None:
     """A rank's lane to itself: no mailbox round-trip on any transport.
 
-    Copies directly unless the transport is ``packed`` (not ``direct``: it
-    keeps its pack + unpack profile as the baseline) or the two buffers may
+    Copies directly unless ``mode`` (a resolved transport) is ``packed``,
+    which keeps its pack + unpack profile as the baseline, or the two buffers may
     alias, where pack/unpack is the safe order for an overlapping self-transfer.
     A struct checks its sources here and replays its copy program, whose
     aliasing verdict rides with it.
     """
+    direct = mode != TRANSPORT_PACKED
     with turn(recv_type):
         if direct and isinstance(send_type, StructType):
             send_type.view(sendbuf)

@@ -117,7 +117,6 @@ class ResilientRedistributor:
         backend: Optional[str] = None,
         components: int = 1,
         transport: Optional[str] = None,
-        reliability: Optional[Any] = None,
         policy: Optional[CheckpointPolicy] = None,
         store: Optional[BuddyStore] = None,
     ) -> None:
@@ -129,7 +128,6 @@ class ResilientRedistributor:
         self._backend = backend
         self._components = components
         self._transport = transport
-        self._reliability = reliability
         self._red: Optional[Redistributor] = None
         self.own_boxes: List[Box] = []
         self.need_box: Optional[Box] = None
@@ -175,7 +173,6 @@ class ResilientRedistributor:
                 backend=self._backend,
                 components=self._components,
                 transport=self._transport,
-                reliability=self._reliability,
             )
         else:
             # The shared reconfiguration primitive: crash recovery and
@@ -277,7 +274,6 @@ class ResilientRedistributor:
             backend=red.backend,
             components=red.descriptor.components,
             transport=red.transport,
-            reliability=red.reliability,
             policy=policy,
             store=store,
         )

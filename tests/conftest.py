@@ -7,8 +7,8 @@ import pytest
 from hypothesis import settings
 
 from repro.core import Box, round_protocol
-from repro.core.engine import direct_transport, executed_rounds
-from repro.mpisim import default_executor, run_spmd
+from repro.core.engine import executed_rounds
+from repro.mpisim import TRANSPORT_PACKED, default_executor, run_spmd
 from repro.utils.timing import TRANSFER_COUNTERS
 
 #: CI runs ``pytest --hypothesis-profile=ci``: the same examples on every
@@ -83,7 +83,7 @@ def engine_choices(red):
     under the installed memory budget, read off the executed rounds: a round
     run in pieces answers once.  The planned-protocol oracle the trace and
     the wire are compared with."""
-    zero_copy = direct_transport(red.comm, red.transport)
+    zero_copy = red.comm.resolve_transport(red.transport) != TRANSPORT_PACKED
     return [
         round_protocol(red.backend, rnd)
         for rnd in executed_rounds(red.mapping, red.backend, zero_copy)

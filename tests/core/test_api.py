@@ -141,11 +141,13 @@ class TestRedistributor:
         assert all(spmd(4, fn))
 
     def test_backend_switch(self):
+        # The backend is chosen where the Redistributor is built.
         def fn(comm):
-            red = Redistributor(comm, ndims=1, dtype=np.float32, backend="p2p")
-            red.set_backend("alltoallw")
+            for backend in ("p2p", "alltoallw"):
+                red = Redistributor(comm, ndims=1, dtype=np.float32, backend=backend)
+                assert red.backend == backend
             with pytest.raises(ValueError):
-                red.set_backend("smoke-signals")
+                Redistributor(comm, ndims=1, dtype=np.float32, backend="smoke-signals")
 
         spmd(2, fn)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import Box, BufferCache, Redistributor
-from repro.mpisim import TRANSPORT_ZEROCOPY, transport
+from repro.mpisim import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY
 from repro.utils import StagingPool
 from tests.conftest import counted_region, spmd, thread_only
 
@@ -134,10 +134,11 @@ class TestSteadyStateAllocations:
     @thread_only
     def test_repeated_exchange_allocates_nothing(self, backend):
         """The headline guarantee: a warmed-up redistribution loop performs
-        no staging allocations and only direct copies (zero-copy default)."""
+        no staging allocations and only direct copies on the zero-copy wire
+        (staged transports allocate by design), whatever the process default."""
 
         def fn(comm):
-            red, own = _setup_redistributor(comm, backend=backend)
+            red, own = _setup_redistributor(comm, backend=backend, transport=TRANSPORT_ZEROCOPY)
             out = np.zeros((16, 4))
             red.exchange([own], out)
             expect = out.copy()
@@ -147,8 +148,7 @@ class TestSteadyStateAllocations:
             assert np.array_equal(out, expect)
             return snap
 
-        with transport(TRANSPORT_ZEROCOPY):  # staged transports allocate by design
-            snap = spmd(4, fn)[0]
+        snap = spmd(4, fn)[0]
         assert snap["allocations"] == 0
         assert snap["copies"]["pack"] == 0
         assert snap["copies"]["unpack"] == 0
@@ -161,15 +161,14 @@ class TestSteadyStateAllocations:
         exactly one direct copy per block, of exactly the array's bytes."""
 
         def fn(comm):
-            red, chunks, out = _round_robin(comm, backend=backend)
+            red, chunks, out = _round_robin(comm, backend=backend, transport=TRANSPORT_ZEROCOPY)
             _, snap = counted_region(
                 comm, lambda: [red.exchange(chunks, out) for _ in range(5)]
             )
             assert _round_robin_ok(out)
             return snap
 
-        with transport(TRANSPORT_ZEROCOPY):
-            snap = spmd(4, fn)[0]
+        snap = spmd(4, fn)[0]
         assert snap["allocations"] == 0
         direct = 5 * ROUND_ROBIN_BLOCKS
         assert snap["copies"] == {"pack": 0, "unpack": 0, "payload": 0, "direct": direct}
@@ -178,7 +177,7 @@ class TestSteadyStateAllocations:
     @thread_only
     def test_gather_need_reuse_out(self, backend):
         def fn(comm):
-            red, own = _setup_redistributor(comm, backend=backend)
+            red, own = _setup_redistributor(comm, backend=backend, transport=TRANSPORT_ZEROCOPY)
             first = red.gather_need([own], reuse_out=True)
             (_, second), snap = counted_region(
                 comm, lambda: (None, red.gather_need([own], reuse_out=True))
@@ -188,8 +187,7 @@ class TestSteadyStateAllocations:
             assert fresh is not first and np.array_equal(fresh, first)
             return snap
 
-        with transport(TRANSPORT_ZEROCOPY):
-            snap = spmd(4, fn)[0]
+        snap = spmd(4, fn)[0]
         assert snap["allocations"] == 0
 
     def test_swapping_buffers_revalidates_correctly(self, backend):
@@ -256,14 +254,22 @@ def test_no_buffer_outlives_its_mapping(drop):
     assert spmd(4, fn) == [[True] * 5] * 4
 
 
+#: One warm round-robin exchange by transport, whatever the backend:
+#: ``(allocations, copies)`` over its 12 remote lanes of 1 KiB (4 blocks
+#: each) and every rank's self lane (4 blocks).
+LANE_PROFILES = {
+    TRANSPORT_ZEROCOPY: (0, {"pack": 0, "unpack": 0, "payload": 0, "direct": 64}),
+    TRANSPORT_SHM: (0, {"pack": 48, "unpack": 48, "payload": 12, "direct": 16}),
+    TRANSPORT_PACKED: (16, {"pack": 64, "unpack": 64, "payload": 0, "direct": 0}),
+}
+
+
 class TestTransportParameter:
     def test_invalid_transport_rejected(self):
         def fn(comm):
-            with pytest.raises(ValueError):
-                Redistributor(comm, ndims=1, dtype=np.float64, transport="bogus")
-            red = Redistributor(comm, ndims=1, dtype=np.float64)
-            with pytest.raises(ValueError):
-                red.set_transport("smoke-signals")
+            for bogus in ("bogus", "smoke-signals"):
+                with pytest.raises(ValueError):
+                    Redistributor(comm, ndims=1, dtype=np.float64, transport=bogus)
             return True
 
         assert all(spmd(1, fn))
@@ -280,3 +286,20 @@ class TestTransportParameter:
         snap = results[0][1]
         assert snap["copies"]["direct"] == 0
         assert snap["copies"]["pack"] > 0 and snap["copies"]["unpack"] > 0
+
+    @pytest.mark.parametrize("mode", sorted(LANE_PROFILES))
+    @pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+    def test_named_transport_reaches_every_lane(self, backend, mode):
+        """``transport=`` is the wire of every lane under both protocols,
+        not only the collective's, whatever the process default: shm stages
+        each remote lane as one payload and zerocopy allocates nothing,
+        also on the ``DDR_TRANSPORT`` legs."""
+
+        def fn(comm):
+            red, chunks, out = _round_robin(comm, backend=backend, transport=mode)
+            _, snap = counted_region(comm, lambda: red.exchange(chunks, out))
+            assert _round_robin_ok(out)
+            return snap
+
+        snap = spmd(4, fn, executor="thread")[0]
+        assert (snap["allocations"], snap["copies"]) == LANE_PROFILES[mode]

@@ -18,7 +18,7 @@ import pytest
 from repro.core import Box, Redistributor
 from repro.core.engine import executed_rounds
 from repro.mpisim.datatypes import StructType, SubarrayType
-from repro.mpisim.transport import _TURN, transport, turn
+from repro.mpisim.transport import _TURN, turn
 from repro.volren.decompose import grid_boxes
 from tests.conftest import every_lane, spmd, thread_only
 
@@ -36,10 +36,10 @@ def round_robin(dims):
     ]
 
 
-def load(comm, dims, backend="alltoallw"):
+def load(comm, dims, backend="alltoallw", transport=None):
     """One cold round-robin load: set-up, then the first exchange."""
     own, need = round_robin(dims)[comm.rank]
-    red = Redistributor(comm, ndims=3, dtype=np.float32, backend=backend)
+    red = Redistributor(comm, ndims=3, dtype=np.float32, backend=backend, transport=transport)
     red.setup(own=own, need=need)
     planes = [np.full(box.np_shape(), box.offset[2], np.float32) for box in own]
     out = np.empty(need.np_shape(), np.float32)
@@ -102,7 +102,6 @@ def test_every_stepped_copy_holds_the_turn(monkeypatch, backend):
         fill(self, buffer, pieces)
 
     monkeypatch.setattr(SubarrayType, "_fill", recording)
-    with transport("zerocopy"):
-        spmd(NPROCS, load, (64, 64, 64), backend)
+    spmd(NPROCS, load, (64, 64, 64), backend, "zerocopy")
     assert len(held) == NPROCS * NPROCS  # every lane, self lanes included
     assert held == [(16, True)] * len(held)

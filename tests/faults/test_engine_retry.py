@@ -62,30 +62,6 @@ class TestRoundRetry:
         assert excinfo.value.rank == 0
         assert isinstance(excinfo.value.original, RetriesExhaustedError)
 
-    def test_redistributor_reliability_overrides_layer_policy(self):
-        """A policy passed to the Redistributor wins over FAULTS.policy."""
-        plan = FaultPlan(
-            seed=0, nranks=2,
-            events=(FaultSpec(kind="round", rank=0, op=0, count=3),),
-        )
-
-        def fn(comm):
-            red = Redistributor(
-                comm, ndims=1, dtype=np.float32, backend="p2p",
-                reliability=ReliabilityPolicy(max_retries=1, backoff_base_s=0.0001),
-            )
-            own, need = ring_layout(comm.size, comm.rank)
-            red.setup(own=own, need=need)
-            data = np.full(1, float(comm.rank), dtype=np.float32)
-            red.exchange([data], np.zeros(1, dtype=np.float32))
-
-        # The layer's installed policy would allow 5 retries; the per-
-        # redistributor budget of 1 must lose to the 3 scripted failures.
-        with fault_plan(plan, ReliabilityPolicy(max_retries=5, backoff_base_s=0.0001)):
-            with pytest.raises(RankFailure) as excinfo:
-                spmd(2, fn)
-        assert isinstance(excinfo.value.original, RetriesExhaustedError)
-
 
 class TestResume:
     def test_completed_rounds_are_skipped_on_resume(self):

@@ -32,10 +32,10 @@ from tests.conftest import spmd, thread_only
 
 LBM = LbmConfig(nx=32, ny=16)
 
-#: Fast recovery knobs so a lost frame resolves in well under a second.
-POLICY = ReliabilityPolicy(
-    backoff_base_s=0.0001, backoff_cap_s=0.001, frame_deadline_s=0.3,
-)
+#: Fast recovery knobs, installed with each fault plan, and a frame
+#: deadline so a lost frame resolves in well under a second.
+POLICY = ReliabilityPolicy(backoff_base_s=0.0001, backoff_cap_s=0.001)
+FRAME_DEADLINE_S = 0.3
 
 
 #: Driver modes the degraded-mode contract must hold in.  The resize entry
@@ -51,7 +51,7 @@ MODES = {
 def _config(**overrides):
     defaults = dict(
         lbm=LBM, m=2, n=1, steps=30, output_every=10, keep_frames=True,
-        reliability=POLICY,
+        frame_deadline_s=FRAME_DEADLINE_S,
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
@@ -134,7 +134,7 @@ class TestFailPolicy:
     def test_default_policy_surfaces_typed_timeout(self):
         """frame_drop="fail" keeps the pre-fault-fabric strictness: the
         analysis rank raises a typed error instead of rendering onward."""
-        config = _config(reliability=ReliabilityPolicy(op_deadline_s=0.3))
+        config = _config()
         with fault_plan(_drop_frame_plan(1), ReliabilityPolicy(op_deadline_s=0.3)):
             with pytest.raises(RankFailure) as excinfo:
                 _run(config)
@@ -149,7 +149,7 @@ class TestStragglerAcrossResplit:
         lands after the old receiver is gone; the re-split must drain it
         (and keep the count) rather than leak it in the mailbox."""
         base = dict(lbm=LBM, m=3, n=1, steps=30, output_every=10,
-                    frame_drop=FRAME_DROP_SKIP, reliability=POLICY)
+                    frame_drop=FRAME_DROP_SKIP, frame_deadline_s=FRAME_DEADLINE_S)
         # Sim 0's last transport op in a fault-free two-frame run is its
         # frame-1 slab send: stall exactly that op past the frame deadline.
         with fault_plan(FaultPlan(seed=0, nranks=4), POLICY) as layer:
@@ -158,7 +158,7 @@ class TestStragglerAcrossResplit:
             late_send = layer.op_count(0) - 1
         plan = FaultPlan(seed=0, nranks=4, events=(
             FaultSpec(kind="delay", rank=0, op=late_send,
-                      delay_s=2 * POLICY.frame_deadline_s),
+                      delay_s=2 * FRAME_DEADLINE_S),
         ))
         config = PipelineConfig(
             **base, resize_schedule=((2, 2, 2),))

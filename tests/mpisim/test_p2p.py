@@ -22,12 +22,12 @@ TRANSPORTS = [TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, TRANSPORT_SHM]
 # One send through each typed entry point that shares the post helper, and
 # one receive through each entry point that takes a ``source``.
 SENDS = {
-    "Send": lambda comm, dest, tag: comm.Send(np.zeros(2), dest, tag),
-    "Isend": lambda comm, dest, tag: comm.Isend(np.zeros(2), dest, tag),
-    "Isend-rendezvous": lambda comm, dest, tag: comm.Isend(
-        np.zeros(2), dest, tag, rendezvous=True
+    "Send": lambda comm, dest, tag, mode: comm.Send(np.zeros(2), dest, tag, transport=mode),
+    "Isend": lambda comm, dest, tag, mode: comm.Isend(np.zeros(2), dest, tag, transport=mode),
+    "Isend-rendezvous": lambda comm, dest, tag, mode: comm.Isend(
+        np.zeros(2), dest, tag, rendezvous=True, transport=mode
     ),
-    "send": lambda comm, dest, tag: comm.send("obj", dest, tag),
+    "send": lambda comm, dest, tag, mode: comm.send("obj", dest, tag),
 }
 RECEIVES = {
     "Recv": lambda comm, source: comm.Recv(np.zeros(2), source),
@@ -149,9 +149,8 @@ class TestSendRecv:
         identically on every entry point and transport."""
 
         def fn(comm):
-            comm.transport = mode
             with pytest.raises(CommunicatorError):
-                SENDS[entry](comm, dest, tag)
+                SENDS[entry](comm, dest, tag, mode)
             return comm.fabric.mailbox_depth()
 
         assert spmd(2, fn) == [0, 0]  # nothing was posted before the raise

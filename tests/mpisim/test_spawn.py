@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpisim import TRANSPORT_SHM, transport
+from repro.mpisim import TRANSPORT_SHM
 from repro.mpisim.errors import CommunicatorError
 from tests.conftest import spmd, thread_only
 
@@ -120,9 +120,12 @@ def test_driver_joins_spawned_ranks_before_teardown():
     def fn(comm):
         union = comm.spawn(1, late_receiver)
         if union.rank == 0:
-            union.Send(np.full(4096, 7, dtype=np.float32), union.size - 1, tag=1)
+            # shm: eager, the segment owned by the fabric's pool
+            union.Send(
+                np.full(4096, 7, dtype=np.float32), union.size - 1, tag=1,
+                transport=TRANSPORT_SHM,
+            )
         return True
 
-    with transport(TRANSPORT_SHM):  # eager, segment owned by the fabric's pool
-        assert spmd(2, fn) == [True, True]
+    assert spmd(2, fn) == [True, True]
     assert drained == [True]

@@ -20,9 +20,6 @@ from repro.mpisim import (
     TRANSPORT_SHM,
     TRANSPORT_ZEROCOPY,
     TruncationError,
-    get_transport,
-    set_transport,
-    transport,
 )
 from repro.utils.membudget import MEMORY_BUDGET, budget_scope
 from tests.conftest import counted_region, spmd, thread_only
@@ -32,33 +29,20 @@ TRANSPORTS = [TRANSPORT_ZEROCOPY, TRANSPORT_PACKED]
 
 
 class TestSelection:
+    @thread_only
     def test_default_is_zerocopy_unless_env_overrides(self):
         # CI runs this suite under DDR_TRANSPORT=packed and =shm as well.
-        assert get_transport() == os.environ.get("DDR_TRANSPORT", TRANSPORT_ZEROCOPY)
-
-    def test_context_manager_restores(self):
-        before = get_transport()
-        with transport(TRANSPORT_PACKED):
-            assert get_transport() == TRANSPORT_PACKED
-        assert get_transport() == before
-
-    def test_set_rejects_unknown(self):
-        with pytest.raises(CommunicatorError):
-            set_transport("carrier-pigeon")
-        with pytest.raises(CommunicatorError):
-            with transport("bogus"):
-                pass
+        default = os.environ.get("DDR_TRANSPORT", TRANSPORT_ZEROCOPY)
+        assert all(spmd(2, lambda comm: comm.resolve_transport() == default))
 
     @thread_only
-    def test_per_communicator_override(self):
+    def test_per_call_transport(self):
         def fn(comm):
-            assert comm.resolve_transport() == get_transport()
-            comm.transport = TRANSPORT_PACKED
-            assert comm.resolve_transport() == TRANSPORT_PACKED
-            # per-call override beats the communicator attribute
+            assert comm.resolve_transport(TRANSPORT_PACKED) == TRANSPORT_PACKED
             assert comm.resolve_transport(TRANSPORT_ZEROCOPY) == TRANSPORT_ZEROCOPY
-            with pytest.raises(CommunicatorError):
-                comm.resolve_transport("bogus")
+            for bogus in ("bogus", "carrier-pigeon"):
+                with pytest.raises(CommunicatorError):
+                    comm.resolve_transport(bogus)
             return True
 
         assert all(spmd(2, fn))
@@ -132,11 +116,10 @@ class TestRendezvousP2P:
         cannot deadlock on any transport."""
 
         def fn(comm):
-            comm.transport = mode
             size, rank = comm.size, comm.rank
             send = np.full(8, rank, dtype=np.int32)
             recv = np.zeros(8, dtype=np.int32)
-            req = comm.Isend(send, (rank + 1) % size, tag=7, rendezvous=True)
+            req = comm.Isend(send, (rank + 1) % size, tag=7, rendezvous=True, transport=mode)
             comm.Recv(recv, (rank - 1) % size, tag=7)
             req.wait()
             assert recv.tolist() == [(rank - 1) % size] * 8
@@ -149,7 +132,8 @@ class TestRendezvousP2P:
         def fn(comm):
             if comm.rank == 0:
                 send = np.arange(16, dtype=np.float64)
-                req = comm.Isend(send, 1, tag=5, rendezvous=True)
+                # the other transports stage eagerly
+                req = comm.Isend(send, 1, tag=5, rendezvous=True, transport=TRANSPORT_ZEROCOPY)
                 assert not req.test()  # receiver has not copied yet
                 comm.Barrier()
                 req.wait()
@@ -160,8 +144,7 @@ class TestRendezvousP2P:
                 assert recv.tolist() == list(range(16))
             return True
 
-        with transport(TRANSPORT_ZEROCOPY):  # the other transports stage eagerly
-            assert all(spmd(2, fn))
+        assert all(spmd(2, fn))
 
     def test_handle_completion_is_idempotent_and_reusable(self):
         """The rendezvous handle's lock-based completion: pending until
@@ -297,27 +280,30 @@ def test_small_membered_structs_take_turns():
 class TestStructLanes:
     def test_point_to_point_and_object_drain(self, mode):
         def fn(comm):
-            comm.transport = mode
             rows, send, recv = _struct_case(comm.rank)
             peer = 1 - comm.rank
             expect = np.stack(_struct_case(peer)[0])
             # typed receive: member k of the sender into member k of ours
             out = np.zeros((2, 6), dtype=np.float32)
             request = comm.Irecv((out,), peer, tag=5, datatype=recv)
-            pending = comm.Isend(rows, peer, tag=5, datatype=send, rendezvous=True)
+            pending = comm.Isend(
+                rows, peer, tag=5, datatype=send, rendezvous=True, transport=mode
+            )
             assert request.wait().count_bytes == 48 and np.array_equal(out, expect)
             pending.wait()
             # untyped and object receives see the packed stream
             flat = np.zeros(12, dtype=np.float32)
-            pending = comm.Isend(rows, peer, tag=6, datatype=send, rendezvous=True)
+            pending = comm.Isend(
+                rows, peer, tag=6, datatype=send, rendezvous=True, transport=mode
+            )
             comm.Recv(flat, peer, tag=6)
             pending.wait()
             assert np.array_equal(flat, expect.reshape(-1))
-            comm.Send(rows, peer, tag=7, datatype=send)
+            comm.Send(rows, peer, tag=7, datatype=send, transport=mode)
             assert np.array_equal(comm.recv(peer, tag=7), expect.reshape(-1))
             # a receive type of another size is the receiver's typed error
             short = StructType([(0, FLOAT.Create_contiguous(6))], 1)
-            comm.Send(rows, peer, tag=8, datatype=send)
+            comm.Send(rows, peer, tag=8, datatype=send, transport=mode)
             with pytest.raises(TruncationError):
                 comm.Recv((np.zeros(6, np.float32),), peer, tag=8, datatype=short)
             return True
@@ -365,15 +351,14 @@ class TestStructLanes:
 
     def test_sender_validates_every_member_before_posting(self, mode):
         def fn(comm):
-            comm.transport = mode
             rows, send, _ = _struct_case(comm.rank)
             if comm.rank == 0:
                 with pytest.raises(DatatypeError, match="sequence of 2 buffers"):
-                    comm.Isend(rows[:1], 1, tag=9, datatype=send, rendezvous=True)
+                    comm.Isend(rows[:1], 1, tag=9, datatype=send, rendezvous=True, transport=mode)
                 with pytest.raises(DatatypeError, match="dtype"):
                     comm.Isend(
                         [rows[0], rows[1].astype(np.float64)], 1, tag=9,
-                        datatype=send, rendezvous=True,
+                        datatype=send, rendezvous=True, transport=mode,
                     )
             comm.Barrier()
             return comm.fabric.mailbox_depth(world_rank=comm.world_rank_of(comm.rank))
@@ -415,16 +400,18 @@ def test_self_lane_checks_survive_a_warm_program():
     chunks, send, (recv,) = _chunk_case(0)
     out = np.zeros((2, 6), np.float32)
     for _ in range(2):
-        copy_local(chunks, send, out, recv, True)
+        copy_local(chunks, send, out, recv, TRANSPORT_ZEROCOPY)
     for buffer in (chunks[1], out):
         buffer.dtype = np.int32
         _, cold_send, (cold_recv,) = _chunk_case(0)
-        warm = _message(copy_local, chunks, send, out, recv, True)
-        assert warm == _message(copy_local, chunks, cold_send, out, cold_recv, True)
+        warm = _message(copy_local, chunks, send, out, recv, TRANSPORT_ZEROCOPY)
+        assert warm == _message(
+            copy_local, chunks, cold_send, out, cold_recv, TRANSPORT_ZEROCOPY
+        )
         assert "dtype int32" in warm
         buffer.dtype = np.float32
     out[:] = -1
-    copy_local(chunks, send, out, recv, True)
+    copy_local(chunks, send, out, recv, TRANSPORT_ZEROCOPY)
     assert np.array_equal(out, np.concatenate(chunks))
 
 
@@ -436,7 +423,6 @@ def test_rendezvous_checks_survive_a_warm_program():
     from the receiver's destination (checked on every replay)."""
 
     def fn(comm):
-        comm.transport = TRANSPORT_ZEROCOPY
         peer = 1 - comm.rank
         chunks, send, recvs = _chunk_case(comm.rank, comm.size)
         out = np.zeros((4, 6), np.float32)
@@ -446,7 +432,10 @@ def test_rendezvous_checks_survive_a_warm_program():
 
         def isend(send, recvs):
             if comm.rank == 0:
-                comm.Isend(chunks, 1, tag=3, datatype=send, rendezvous=True).wait()
+                comm.Isend(
+                    chunks, 1, tag=3, datatype=send, rendezvous=True,
+                    transport=TRANSPORT_ZEROCOPY,
+                ).wait()
             else:
                 comm.Recv(out, 0, tag=3, datatype=recvs[0])
 
@@ -471,7 +460,10 @@ def test_rendezvous_checks_survive_a_warm_program():
             ])
         else:
             for types in (send, cold_send):
-                comm.Isend(chunks, 1, tag=3, datatype=types, rendezvous=True).wait()
+                comm.Isend(
+                    chunks, 1, tag=3, datatype=types, rendezvous=True,
+                    transport=TRANSPORT_ZEROCOPY,
+                ).wait()
         for warm, cold in messages:
             assert warm == cold and "dtype int32" in warm
         comm.Barrier()
@@ -540,29 +532,30 @@ def test_drain_contract(mode, outcome):
     charge is back in the ledger."""
 
     def fn(comm):
-        comm.transport = mode
         data = np.arange(DRAIN_COUNT, dtype=np.float32)
         if outcome == "alltoallw-count-mismatch":
             stypes: list = [None, None]
             rtypes: list = [None, None]
             if comm.rank == 0:
                 stypes[1] = FLOAT.Create_contiguous(DRAIN_COUNT)
-                comm.Alltoallw(data, stypes, None, rtypes)  # must return
+                comm.Alltoallw(data, stypes, None, rtypes, transport=mode)  # must return
             else:
                 rtypes[0] = FLOAT.Create_contiguous(DRAIN_COUNT + 1)
                 with pytest.raises(TruncationError, match="lane 0->1"):
-                    comm.Alltoallw(None, stypes, np.zeros(DRAIN_COUNT + 1, np.float32), rtypes)
+                    comm.Alltoallw(
+                        None, stypes, np.zeros(DRAIN_COUNT + 1, np.float32), rtypes,
+                        transport=mode,
+                    )
         elif outcome == "post-refused":
             dup = comm.Split(0, key=comm.rank)
-            dup.transport = mode
             if comm.rank == 0:
                 dup.revoke()
                 with pytest.raises(RevokedError):
-                    dup.Isend(data, 1, DRAIN_TAG, rendezvous=True)
+                    dup.Isend(data, 1, DRAIN_TAG, rendezvous=True, transport=mode)
         elif comm.rank == 0:
             # Rendezvous where the transport allows it: Wait() returning is
             # the "sender not blocked" half of the contract.
-            comm.Isend(data, 1, DRAIN_TAG, rendezvous=True).wait()
+            comm.Isend(data, 1, DRAIN_TAG, rendezvous=True, transport=mode).wait()
             if outcome == "fault-drop":
                 comm.Barrier()
         else:

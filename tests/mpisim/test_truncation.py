@@ -29,9 +29,8 @@ def mode(request):
 class TestP2PTruncation:
     def test_recv_buffer_too_small(self, mode):
         def fn(comm):
-            comm.transport = mode
             if comm.rank == 0:
-                comm.Send(np.arange(10, dtype=np.float64), dest=1)
+                comm.Send(np.arange(10, dtype=np.float64), dest=1, transport=mode)
             else:
                 with pytest.raises(TruncationError):
                     comm.Recv(np.zeros(3), source=0)
@@ -41,10 +40,9 @@ class TestP2PTruncation:
 
     def test_recv_type_selection_mismatch(self, mode):
         def fn(comm):
-            comm.transport = mode
             if comm.rank == 0:
                 comm.Send(np.arange(8, dtype=np.float32), dest=1,
-                          datatype=FLOAT.Create_contiguous(8))
+                          datatype=FLOAT.Create_contiguous(8), transport=mode)
             else:
                 with pytest.raises(TruncationError):
                     comm.Recv(np.zeros(4, dtype=np.float32), source=0,
@@ -60,10 +58,9 @@ class TestRendezvousTruncation:
         posted rendezvous Isend."""
 
         def fn(comm):
-            comm.transport = TRANSPORT_ZEROCOPY
             if comm.rank == 0:
                 request = comm.Isend(np.arange(10, dtype=np.float64), dest=1,
-                                     rendezvous=True)
+                                     rendezvous=True, transport=TRANSPORT_ZEROCOPY)
                 request.wait()  # must complete despite the receiver's error
             else:
                 with pytest.raises(TruncationError):

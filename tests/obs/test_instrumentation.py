@@ -15,7 +15,7 @@ from repro.core import Box, Redistributor
 from repro.core.engine import executed_rounds
 from repro.intransit import PipelineConfig, run_pipeline
 from repro.lbm import LbmConfig
-from repro.mpisim import TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, transport
+from repro.mpisim import TRANSPORT_PACKED, TRANSPORT_ZEROCOPY
 from repro.obs import tracing
 from repro.volren.decompose import grid_boxes
 from tests.conftest import engine_choices, spmd, thread_only
@@ -28,11 +28,12 @@ def dense_layout(nprocs, rank):
     return [Box((rank,), (1,))], Box((0,), (nprocs,))
 
 
-def run_exchange(backend):
-    """One dense 1-D exchange on NPROCS ranks; returns the per-round protocols."""
+def run_exchange(backend, mode=None):
+    """One dense 1-D exchange on NPROCS ranks over the ``mode`` wire (``None``:
+    the process default); returns the per-round protocols."""
 
     def fn(comm):
-        red = Redistributor(comm, ndims=1, dtype=np.float32, backend=backend)
+        red = Redistributor(comm, ndims=1, dtype=np.float32, backend=backend, transport=mode)
         own, need = dense_layout(comm.size, comm.rank)
         red.setup(own=own, need=need)
         data = np.full(1, float(comm.rank), dtype=np.float32)
@@ -51,8 +52,8 @@ def spans_named(records, name):
 @pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto"])
 class TestEngineSpans:
     def test_every_round_traced_with_backend_choice(self, backend, mode):
-        with tracing() as tracer, transport(mode):
-            choices_per_rank = run_exchange(backend)
+        with tracing() as tracer:
+            choices_per_rank = run_exchange(backend, mode)
         records = tracer.records()
 
         exchanges = spans_named(records, "ddr.exchange")
@@ -80,8 +81,8 @@ class TestEngineSpans:
                 assert span.attrs["nbytes"] >= 0
 
     def test_mpi_spans_carry_bytes(self, backend, mode):
-        with tracing() as tracer, transport(mode):
-            run_exchange(backend)
+        with tracing() as tracer:
+            run_exchange(backend, mode)
         mpi = [r for r in tracer.records() if r.category == "mpi"]
         assert mpi, "no mpi.* spans captured"
         moved = [r for r in mpi if "nbytes" in r.attrs]
@@ -109,7 +110,9 @@ class TestSpansPerExchange:
         def fn(comm):
             own = [Box((0, 0, k), (x, y, 1)) for k in range(comm.rank, z, comm.size)]
             need = grid_boxes(self.DIMS, (2, 2, 1))[comm.rank]
-            red = Redistributor(comm, ndims=3, dtype=np.float32, backend=backend)
+            red = Redistributor(
+                comm, ndims=3, dtype=np.float32, backend=backend, transport=mode
+            )
             red.setup(own=own, need=need)
             bufs = [np.zeros(box.np_shape(), np.float32) for box in own]
             out = np.empty(need.np_shape(), np.float32)
@@ -118,7 +121,7 @@ class TestSpansPerExchange:
             executed = executed_rounds(red.mapping, backend, mode == TRANSPORT_ZEROCOPY)
             return red.nrounds, [len(rnd.sends) for rnd in executed]
 
-        with tracing() as tracer, transport(mode):
+        with tracing() as tracer:
             results = spmd(NPROCS, fn)
         spans = Counter(r.rank for r in tracer.records())
         # A zero-copy send (and the collective's own lanes) waits for its

@@ -29,7 +29,6 @@ def make_config(**overrides):
         frame_drop="stale",
         frame_deadline_s=1.0,
         on_rank_loss="shrink",
-        reliability=RELIABILITY,
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)

@@ -35,12 +35,13 @@ class TestRevoke:
     @pytest.mark.parametrize("mode", TRANSPORTS)
     def test_pending_and_future_ops_raise_typed(self, mode):
         def fn(comm):
-            comm.transport = mode
             if comm.rank == 0:
                 time.sleep(0.05)  # let peers block in the barrier first
                 comm.revoke()
             with pytest.raises(RevokedError):
                 comm.Barrier()
+            with pytest.raises(RevokedError):
+                comm.Send(np.zeros(1), (comm.rank + 1) % comm.size, transport=mode)
             return True
 
         assert all(spmd(3, fn))
@@ -111,7 +112,6 @@ class TestShrink:
     @pytest.mark.parametrize("mode", TRANSPORTS)
     def test_dense_renumbering_preserves_order(self, mode):
         def fn(comm):
-            comm.transport = mode
             if comm.rank in (1, 3):
                 raise RankCrashError("scripted death")
             new = comm.shrink(dead=frozenset({1, 3}))
@@ -121,7 +121,7 @@ class TestShrink:
             # the shrunken comm is fully operational under this transport
             assert new.allgather(new.rank) == [0, 1, 2]
             left = np.zeros(1)
-            new.Send(np.array([float(new.rank)]), (new.rank + 1) % new.size)
+            new.Send(np.array([float(new.rank)]), (new.rank + 1) % new.size, transport=mode)
             new.Recv(left, source=(new.rank - 1) % new.size)
             assert left[0] == float((new.rank - 1) % new.size)
             return new.rank
