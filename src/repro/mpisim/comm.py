@@ -48,7 +48,7 @@ from .errors import CommunicatorError, DeadlineError, TruncationError
 from .fabric import Fabric, _Message
 from .request import CompletedRequest, DeferredRequest, Request, Status
 from .transport import copy_local, deliver, discard, materialize, resolve, stage
-from .transport import takes_turns, turn
+from .transport import TRANSPORT_PACKED, check_sends, local_turns, receive_turns, turn
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -289,6 +289,7 @@ class Communicator:
         mode: str,
         what: str,
         rendezvous: bool,
+        checked: bool = False,
     ) -> Any:
         """The one typed send: validate, stage through the transport, post.
 
@@ -296,12 +297,13 @@ class Communicator:
         ``Alltoallw`` lane) lands here.  Returns the pending rendezvous
         lane the caller must :meth:`_await_lanes` before its buffer is its
         own again, or ``None`` when the payload was staged eagerly.
+        ``checked``: the caller checked a struct's buffers already.
         """
         self._check_send(dest, tag)
         world = self._world_ranks[self._rank]
         payload, charged, pending = stage(
             self.fabric, world, self._world_ranks[dest],
-            buf, datatype, mode, what, rendezvous,
+            buf, datatype, mode, what, rendezvous, checked,
         )
         message = _Message(self._rank, tag, internal, payload)
         if charged:
@@ -612,6 +614,11 @@ class Communicator:
         if own != (rtype.size_elements() if rtype is not None else 0):
             raise CommunicatorError("self send/recv types disagree in Alltoallw")
 
+        # A struct's buffers are checked once for every lane, before the first
+        # posts; packed lanes pack, which checks as it goes.
+        checked = mode != TRANSPORT_PACKED
+        if checked:
+            check_sends(sendbuf, sendtypes)
         lanes = []
         for dest in range(self.size):
             if dest == self._rank:
@@ -620,7 +627,7 @@ class Communicator:
             if datatype is None or datatype.size_elements() == 0:
                 continue
             lane = self._post_lane(
-                sendbuf, dest, tag, True, datatype, mode, "Alltoallw lane", True
+                sendbuf, dest, tag, True, datatype, mode, "Alltoallw lane", True, checked
             )
             if lane is not None:
                 lanes.append(lane)
@@ -635,13 +642,14 @@ class Communicator:
                 if source == self._rank or datatype is None or not datatype.size_elements():
                     continue
                 message = self._consume(self._match(source, tag, internal=True), source)
-                if takes_turns(datatype):
+                if receive_turns(datatype, message):
                     held.append((source, datatype, message))
                 else:
                     deliver(recvbuf, datatype, message)
-            with turn(*recvtypes):
+            own_turns = bool(own) and local_turns(stype, rtype, mode)
+            with turn(bool(held) or own_turns):
                 if own:
-                    copy_local(sendbuf, stype, recvbuf, rtype, mode)
+                    copy_local(sendbuf, stype, recvbuf, rtype, mode, checked)
                 while held:
                     source, datatype, message = held.pop(0)
                     deliver(recvbuf, datatype, message)

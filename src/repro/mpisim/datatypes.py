@@ -162,6 +162,52 @@ def _packed(
     return result
 
 
+def _root(array: np.ndarray) -> np.ndarray:
+    """The last ndarray of ``array``'s ``.base`` chain."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _one_view(selection: np.ndarray, blocks: list, axis: int) -> tuple:
+    """``(target, source)`` for one fill: ``blocks`` concatenated along
+    ``axis`` fill ``selection``.
+
+    When the blocks are exact ndarrays of one root array, with equal shape,
+    strides and dtype, whose data addresses step by one nonzero constant,
+    ``source`` is one read-only strided view of exactly their elements: the
+    concatenation axis lengthened when the step is extent x stride along it,
+    else a block axis inserted before it, with ``target`` the selection with
+    that axis split to match.  A lone block is its own view.  Otherwise
+    ``source`` is the block list, and ``target`` the selection."""
+    first = blocks[0]
+    if len(blocks) == 1:
+        return selection, first
+    root = _root(first)
+    shape, strides, dtype = first.shape, first.strides, first.dtype
+    for block in blocks:
+        if (
+            type(block) is not np.ndarray or _root(block) is not root
+            or block.shape != shape or block.strides != strides or block.dtype != dtype
+        ):
+            return selection, blocks
+    start = first.__array_interface__["data"][0]
+    step = blocks[1].__array_interface__["data"][0] - start
+    if step == 0 or any(
+        block.__array_interface__["data"][0] != start + k * step
+        for k, block in enumerate(blocks[2:], 2)
+    ):
+        return selection, blocks
+    count, extent = len(blocks), shape[axis]
+    if step == extent * strides[axis]:
+        shape = (*shape[:axis], count * extent, *shape[axis + 1:])
+    else:
+        shape = (*shape[:axis], count, *shape[axis:])
+        strides = (*strides[:axis], step, *strides[axis:])
+        selection = selection.reshape(shape)  # splits one axis: a view
+    return selection, np.lib.stride_tricks.as_strided(first, shape, strides, writeable=False)
+
+
 def _may_alias(sendbuf, recvbuf) -> bool:
     """Whether a send and a receive buffer (or buffer sequence) may share memory."""
     sends = sendbuf if isinstance(sendbuf, (tuple, list)) else (sendbuf,)
@@ -347,12 +393,15 @@ class SubarrayType(Datatype):
             return selected
         return selected.reshape(self._split[0]).transpose(self._split[1])
 
-    def _fill(self, target: np.ndarray, pieces: Sequence[np.ndarray]) -> None:
-        """``pieces`` (one per block) into ``target``, this type's selection
-        of a buffer before any split (``_grid(buffer)[_slices()]``): one
-        NumPy call."""
-        if len(pieces) == 1:
-            np.copyto(target, pieces[0], casting="unsafe")
+    def _fill(self, target: np.ndarray, pieces) -> None:
+        """A copy program's fill: ``pieces`` into ``target``, this type's
+        selection of a buffer before any split (``_grid(buffer)[_slices()]``,
+        its block axis split in two when ``pieces`` carries a block axis).
+        One NumPy call: ``np.copyto`` of one view (one block, or every block
+        as one strided view), which drops the interpreter lock once, or
+        ``np.concatenate`` of a list of blocks, which drops it once a block."""
+        if type(pieces) is np.ndarray:
+            np.copyto(target, pieces, casting="unsafe")
         else:
             np.concatenate(pieces, axis=self._shape_key[2], out=target, casting="unsafe")
 
@@ -407,6 +456,16 @@ class StructType(Datatype):
             stop = spans[-1].stop
         self._spans = tuple(spans)
         self._size_cache = stop
+        # The checks :meth:`view` makes, one per (buffer, grid) pair: a
+        # subarray member's grid is all it checks, so members that share a
+        # buffer and a grid share a check (the key says which).
+        checks: dict = {}
+        for index, member in self.members:
+            if type(member) is SubarrayType:
+                checks.setdefault((index, member.sizes, member.base_dtype), member)
+            else:
+                checks.setdefault((index, member), member)
+        self._checks = tuple(checks.items())
         self.blocks = sum(member.blocks for _, member in self.members)
         self._fits: dict = {}  # copy_into's verdict per destination type
         self._programs: dict = {}  # copy_into's copy program per destination type
@@ -423,9 +482,19 @@ class StructType(Datatype):
         return buffers
 
     def view(self, buffers: Sequence[np.ndarray]) -> None:
+        self._check(buffers)
+
+    def _check(self, buffers: Sequence[np.ndarray], seen: Optional[set] = None) -> None:
+        """:meth:`view`; with ``seen``, skipping the (buffer, grid) pairs in
+        it and adding the rest: structs over one buffer sequence then check
+        each pair once between them."""
         buffers = self._buffers(buffers)
-        for index, member in self.members:  # a subarray's grid is all it checks
-            (member._grid if type(member) is SubarrayType else member.view)(buffers[index])
+        for key, member in self._checks:
+            if seen is not None:
+                if key in seen:
+                    continue
+                seen.add(key)
+            (member._grid if type(member) is SubarrayType else member.view)(buffers[key[0]])
 
     def pack(self, buffers: Sequence[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
         buffers = self._buffers(buffers)
@@ -454,9 +523,11 @@ class StructType(Datatype):
         the selection it fills — are a *copy program*, kept per destination
         type and replayed while every source and destination buffer is the
         very object it was built for (``is``: the program holds the buffers,
-        so no address is recycled under it).  A replay checks each destination
-        buffer again; this method checks the sources first, :meth:`_copy`
-        trusts a caller that just did."""
+        so no address is recycled under it).  Blocks that sit at one stride
+        in one array become one strided view, copied in one ``np.copyto``
+        (:func:`_one_view`).  A replay checks each destination buffer again;
+        this method checks the sources first, :meth:`_copy` trusts a caller
+        that just did."""
         self.view(src)
         return self._copy(src, dst, dst_type)
 
@@ -499,11 +570,15 @@ class StructType(Datatype):
         self, target: Datatype, fit: tuple, sources: Sequence[np.ndarray],
         dests: Sequence[np.ndarray],
     ) -> tuple:
-        """The copy program ``(sources, dests, fills, overlap)`` into
+        """The copy program ``(sources, dests, fills, overlap, turns)`` into
         ``target``: ``(buffer index, member, selection, blocks)`` per
-        destination member, and whether the two sides may share memory.
-        Kept for replay unless a block had to be reshaped (that may copy it)
-        or a buffer is not an exact ndarray."""
+        destination member (``blocks`` one view or a list, see
+        :meth:`SubarrayType._fill`), whether the two sides may share memory,
+        and whether a replay makes more than one lock-dropping NumPy call
+        (several fills, or a list of blocks), which is what has a rank
+        thread take ``transport.turn``.  Kept for replay unless a block had
+        to be reshaped (that may copy it) or a buffer is not an exact
+        ndarray."""
         pieces = []
         for index, member in self.members:
             if member.blocks == 1:
@@ -515,11 +590,14 @@ class StructType(Datatype):
         fills, first = [], 0
         for index, member in parts:
             blocks, first = pieces[first:first + member.blocks], first + member.blocks
-            fills.append((
-                index, member, member._grid(dests[index])[member._slices_cache],
-                blocks if same_shapes else [piece.reshape(member.subsizes) for piece in blocks],
-            ))
-        program = (tuple(sources), tuple(dests), tuple(fills), _may_alias(sources, dests))
+            if not same_shapes:
+                blocks = [piece.reshape(member.subsizes) for piece in blocks]
+            selection = member._grid(dests[index])[member._slices_cache]
+            fills.append((index, member, *_one_view(selection, blocks, member._shape_key[2])))
+        turns = len(fills) > 1 or type(fills[0][3]) is list
+        program = (
+            tuple(sources), tuple(dests), tuple(fills), _may_alias(sources, dests), turns
+        )
         if same_shapes and all(type(buffer) is np.ndarray for buffer in program[0] + program[1]):
             self._programs[target] = program
         return program

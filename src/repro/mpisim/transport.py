@@ -154,6 +154,7 @@ def stage(
     mode: str,
     what: str,
     rendezvous: bool,
+    checked: bool = False,
 ) -> tuple[Any, int, Optional[_ZeroCopyHandle]]:
     """Turn one send into ``(payload, charged_bytes, pending)``.
 
@@ -164,6 +165,8 @@ def stage(
     that cannot be shared safely (not C-contiguous) is staged eagerly
     instead.  ``what`` labels a dense copy in budget errors; ``world`` is
     the sender, whose ledger is charged and whose alloc faults fire.
+    ``checked`` says the caller has checked a struct's buffers already
+    (:func:`check_sends`).
     """
     if isinstance(datatype, StructType):
         # ``buf`` is the type's buffer sequence; members check their own.
@@ -172,7 +175,7 @@ def stage(
         arr = np.asarray(buf)
         contiguous, dtype = arr.flags["C_CONTIGUOUS"], arr.dtype
     if rendezvous and mode == TRANSPORT_ZEROCOPY and contiguous:
-        if datatype is not None:
+        if datatype is not None and not checked:
             # Sender-side geometry/dtype validation, exactly where pack
             # would have raised on an eager path.
             datatype.view(arr)
@@ -202,45 +205,83 @@ def stage(
     return arr.reshape(-1).copy(), charged, None
 
 
-#: One rank thread at a time copies a merged lane of small blocks (a struct,
-#: or a stepped subarray).  A lane's blocks move in one ``np.concatenate``,
-#: which still drops the interpreter lock once per block it copies; threads
-#: trading the lock across cores every few microseconds made one merged
-#: exchange cost 2.7 or 9 ms depending on where the scheduler had put them.
-#: Reentrant: ``Alltoallw`` holds it over all of a rank's lanes,
-#: :func:`deliver` and :func:`copy_local` per lane for every other caller.
+#: One rank thread at a time copies a merged lane of small blocks whose copy
+#: drops the interpreter lock more than once: ``np.concatenate`` of a block
+#: list drops it once a block, and threads trading the lock across cores
+#: every few microseconds made one merged exchange cost 2.7 or 9 ms depending
+#: on where the scheduler had put them.  A lane a struct's copy program moves
+#: in one NumPy call (its blocks sit at one stride in one array) copies in
+#: parallel.  Reentrant: ``Alltoallw`` holds it over all of a rank's lanes
+#: that take it, :func:`deliver` and :func:`copy_local` per lane otherwise.
 _TURN = threading.RLock()
 _NO_TURN = nullcontext()
 #: "Small": what copies in about the time one thread takes to wake another.
 TURN_MEMBER_BYTES = 256 * 1024
 
 
-def takes_turns(datatype: Optional[Datatype]) -> bool:
+def takes_turns(datatype: Optional[Datatype], source: Optional[Datatype] = None) -> bool:
+    """Whether a copy into ``datatype`` holds the turn.  A struct ``source``
+    (the sender's type, when the copy runs its copy program) decides by its
+    program into ``datatype`` once one is built: a program of one NumPy
+    call never takes it.  Otherwise — a first copy, or any other source — a
+    merged lane (a struct, or a subarray of several blocks) whose blocks
+    average under :data:`TURN_MEMBER_BYTES` does."""
+    if type(source) is StructType:
+        program = source._programs.get(datatype)
+        if program is not None and not program[4]:
+            return False
     if datatype is None or (datatype.blocks == 1 and not isinstance(datatype, StructType)):
         return False
     return datatype.size_bytes() < TURN_MEMBER_BYTES * datatype.blocks
 
 
-def turn(*datatypes: Optional[Datatype]) -> Any:
-    """:data:`_TURN` when one of ``datatypes`` takes turns, else a no-op."""
-    return _TURN if any(map(takes_turns, datatypes)) else _NO_TURN
+def receive_turns(datatype: Optional[Datatype], message: Any) -> bool:
+    """:func:`takes_turns` for delivering ``message`` into ``datatype``: a
+    rendezvous payload's copy runs its sender's type."""
+    payload = message.payload
+    return takes_turns(
+        datatype, payload.datatype if isinstance(payload, _ZeroCopyHandle) else None
+    )
+
+
+def local_turns(send_type: Datatype, recv_type: Datatype, mode: str) -> bool:
+    """:func:`takes_turns` for :func:`copy_local` on transport ``mode``."""
+    return takes_turns(recv_type, send_type if mode != TRANSPORT_PACKED else None)
+
+
+def turn(held: bool) -> Any:
+    """:data:`_TURN` when ``held``, else a no-op context."""
+    return _TURN if held else _NO_TURN
+
+
+def check_sends(sendbuf: Any, sendtypes: Any) -> None:
+    """Check every struct's send buffers once, however many of ``sendtypes``
+    share a (buffer, grid) pair: an ``Alltoallw`` call checks them all
+    before it posts its first lane, and tells :func:`stage` and
+    :func:`copy_local` so."""
+    seen: set = set()
+    for datatype in sendtypes:
+        if type(datatype) is StructType and datatype.size_elements():
+            datatype._check(sendbuf, seen)
 
 
 def copy_local(
-    sendbuf: Any, send_type: Datatype, recvbuf: Any, recv_type: Datatype, mode: str
+    sendbuf: Any, send_type: Datatype, recvbuf: Any, recv_type: Datatype, mode: str,
+    checked: bool = False,
 ) -> None:
     """A rank's lane to itself: no mailbox round-trip on any transport.
 
     Copies directly unless ``mode`` (a resolved transport) is ``packed``,
     which keeps its pack + unpack profile as the baseline, or the two buffers may
     alias, where pack/unpack is the safe order for an overlapping self-transfer.
-    A struct checks its sources here and replays its copy program, whose
-    aliasing verdict rides with it.
+    A struct checks its sources here (unless ``checked``: the caller just
+    did) and replays its copy program, whose aliasing verdict rides with it.
     """
     direct = mode != TRANSPORT_PACKED
-    with turn(recv_type):
+    with turn(local_turns(send_type, recv_type, mode)):
         if direct and isinstance(send_type, StructType):
-            send_type.view(sendbuf)
+            if not checked:
+                send_type.view(sendbuf)
             if send_type._copy(sendbuf, recvbuf, recv_type, local=True) is not None:
                 return
         elif direct and not _may_alias(sendbuf, recvbuf):
@@ -260,7 +301,7 @@ def deliver(buf: np.ndarray, datatype: Optional[Datatype], message: Any) -> int:
     """
     payload = message.payload
     try:
-        with turn(datatype):
+        with turn(receive_turns(datatype, message)):
             if isinstance(payload, _ZeroCopyHandle):
                 return _copy_from_sender(buf, datatype, payload)
             if isinstance(payload, ShmTicket):
@@ -342,7 +383,7 @@ def _copy_from_sender(
                 f"selecting {datatype.size_elements()}"
             )
         if isinstance(src_type, StructType):
-            # stage() checked the sender's buffers when it posted them
+            # the sender checked its buffers before it posted them
             return src_type._copy(handle.buffer, buf, datatype)
         if src_type is None:
             src_type = named_type_for(handle.buffer.dtype).Create_contiguous(count)

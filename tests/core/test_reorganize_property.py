@@ -13,7 +13,10 @@ plans have several rounds, and the budget axis decides how the executed
 rounds group them (``repro.core.schedule.RankPlan.executed``): all in one
 (``none``), some (``between`` one planned round and the whole exchange) or
 one at a time, the over-budget ones cut into piece-rounds (``below`` a
-single round).  The executor axis is covered by re-running this file under
+single round).  The layout axis decides where a rank's chunks live: in
+arrays of their own, or as views of one rank-local array, where a merged
+lane's blocks can sit at one stride and its copy program moves them in one
+call.  The executor axis is covered by re-running this file under
 ``DDR_EXECUTOR=process`` (CI leg).
 """
 
@@ -89,6 +92,24 @@ def crop(global_array: np.ndarray, domain: Box, region: Box) -> np.ndarray:
     return global_array[tuple(slice(s, s + d) for s, d in zip(starts, region.np_shape()))]
 
 
+def chunk_buffers(
+    global_array: np.ndarray, domain: Box, boxes: list[Box], layout: str, spacing: int
+) -> list[np.ndarray]:
+    """A rank's chunk buffers, filled from the global array: ``separate``
+    arrays, or (``one-array``) views of one rank-local array, chunk ``k`` at
+    slot ``spacing * k`` of slots as large as the largest chunk."""
+    crops = [crop(global_array, domain, box) for box in boxes]
+    if layout == "separate":
+        return [part.copy() for part in crops]
+    slot = spacing * max((part.size for part in crops), default=0)
+    stack = np.empty(slot * len(crops), global_array.dtype)
+    buffers = []
+    for k, part in enumerate(crops):
+        buffers.append(stack[k * slot:k * slot + part.size].reshape(part.shape))
+        buffers[-1][...] = part
+    return buffers
+
+
 @st.composite
 def cases(draw):
     ndim = draw(st.integers(1, 3))
@@ -111,6 +132,7 @@ def cases(draw):
         budget="below" if lowering else draw(
             st.sampled_from(["none", "between", "below"] if thread else ["none"])
         ),
+        layout=draw(st.sampled_from(["separate", "one-array"])),
     )
 
 
@@ -126,7 +148,7 @@ def uneven_problem(seed: int):
 
 def run_case(
     seed, ndim, nprocs, scale, dtype, components, backend, transport, budget, problem=None,
-    refusable=True,
+    refusable=True, layout="separate",
 ):
     domain, owns, needs = problem or random_problem(seed, ndim, nprocs, scale)
     shape = domain.np_shape() + ((components,) if components > 1 else ())
@@ -141,7 +163,8 @@ def run_case(
             backend=backend, transport=transport,
         )
         red.setup(own=owns[rank], need=needs[rank])
-        buffers = [np.ascontiguousarray(crop(reference, domain, c)) for c in owns[rank]]
+        # an odd seed spaces one-array chunks two slots apart
+        buffers = chunk_buffers(reference, domain, owns[rank], layout, 1 + seed % 2)
         out = red.gather_need(buffers, fill=7)
         if needs[rank] is None:
             assert out is None
@@ -174,7 +197,7 @@ def run_case(
 @example(
     case=dict(
         seed=0, ndim=2, nprocs=2, scale=1, dtype="u1", components=1,
-        backend="alltoallw", transport="zerocopy", budget="below",
+        backend="alltoallw", transport="zerocopy", budget="below", layout="separate",
     )
 )
 @settings(
@@ -201,6 +224,33 @@ def test_uneven_multichunk_ownership(backend, transport, budget):
     for seed in (3, 5):
         run_case(
             seed, 2, 4, 1, "f4", 1, backend, transport, budget, problem=uneven_problem(seed)
+        )
+
+
+def round_robin_problem():
+    """``redist_rounds`` in small: single z-planes of an 8 x 6 x 12 domain
+    dealt round-robin to four ranks, each needing a quarter column, so every
+    merged lane's blocks are one plane each of a rank's chunks."""
+    domain = Box((0, 0, 0), (8, 6, 12))
+    owns = [[Box((0, 0, z), (8, 6, 1)) for z in range(rank, 12, 4)] for rank in range(4)]
+    needs = [Box((4 * (rank % 2), 3 * (rank // 2), 0), (4, 3, 12)) for rank in range(4)]
+    return domain, owns, needs
+
+
+@pytest.mark.parametrize("layout", ["separate", "one-array"])
+@pytest.mark.parametrize("budget", ["none", "between", "below"])
+@pytest.mark.parametrize("transport", ["packed", "zerocopy", "shm"])
+@pytest.mark.parametrize("backend", ["alltoallw", "p2p", "auto", "bounded"])
+def test_round_robin_planes_in_every_layout(backend, transport, budget, layout):
+    """One-array planes, one slot apart (even seed: the blocks lengthen the
+    plane axis) or two (odd seed: a block axis), copy each lane in one call;
+    separate planes concatenate."""
+    if budget != "none" and default_executor() == "process":
+        pytest.skip("the budget ledger is per process")
+    for seed in (0, 1):
+        run_case(
+            seed, 3, 4, 1, "f4", 1, backend, transport, budget,
+            problem=round_robin_problem(), layout=layout,
         )
 
 

@@ -3,9 +3,9 @@
 Set-up keeps a rank's overlap rows as arrays and builds the rounds it
 executes straight from them: one datatype per distinct geometry, none per
 planned part.  These gates pin that count, the shape of every merged receive
-lane (one stepped subarray) and that such a lane is still copied under
-``transport.turn`` — the guard against rank threads trading the interpreter
-lock once per block.
+lane (one stepped subarray) and that such a lane is copied under
+``transport.turn`` when its copy program concatenates blocks — the guard
+against rank threads trading the interpreter lock once per block.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from repro.core import Box, Redistributor
 from repro.core.engine import executed_rounds
 from repro.mpisim.datatypes import StructType, SubarrayType
-from repro.mpisim.transport import _TURN, turn
+from repro.mpisim.transport import _TURN, takes_turns
 from repro.volren.decompose import grid_boxes
 from tests.conftest import every_lane, spmd, thread_only
 
@@ -36,12 +36,20 @@ def round_robin(dims):
     ]
 
 
-def load(comm, dims, backend="alltoallw", transport=None):
-    """One cold round-robin load: set-up, then the first exchange."""
+def load(comm, dims, backend="alltoallw", transport=None, layout="separate"):
+    """One cold round-robin load: set-up, then the first exchange, from
+    planes allocated one by one or (``layout="one-array"``) views of one
+    rank-local array."""
     own, need = round_robin(dims)[comm.rank]
     red = Redistributor(comm, ndims=3, dtype=np.float32, backend=backend, transport=transport)
     red.setup(own=own, need=need)
-    planes = [np.full(box.np_shape(), box.offset[2], np.float32) for box in own]
+    if layout == "one-array":
+        stack = np.empty((len(own), *own[0].np_shape()), np.float32)
+        planes = list(stack)
+        for plane, box in zip(planes, own):
+            plane.fill(box.offset[2])
+    else:
+        planes = [np.full(box.np_shape(), box.offset[2], np.float32) for box in own]
     out = np.empty(need.np_shape(), np.float32)
     red.exchange(planes, out)
     assert (out == np.arange(dims[2], dtype=np.float32)[:, None, None]).all()
@@ -69,23 +77,47 @@ def test_tiff_load_set_up_builds_one_datatype_per_geometry(monkeypatch):
         assert (mine.count("SubarrayType"), mine.count("StructType")) == (8, 4)
 
 
-@pytest.mark.parametrize(
-    "dims", [(256, 256, 64), (128, 128, 128)], ids=["tiff_load", "redist_rounds"]
-)
-@pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
-def test_merged_receive_lanes_are_one_stepped_subarray_that_takes_turns(dims, backend):
+def lanes_and_turns(dims, backend, layout):
+    """Per rank, after one zero-copy load: each merged receive lane is one
+    stepped subarray, which takes the turn by its type before any copy
+    program exists; returns whether the self lane's program takes it (a
+    remote lane's agrees, where the executor shares one address space)."""
     def fn(comm):
-        red = load(comm, dims, backend)
+        red = load(comm, dims, backend, "zerocopy", layout)
         (rnd,) = executed_rounds(red.mapping, backend, True)
         lanes = every_lane(rnd, "recv")
         assert [lane.peer for lane in lanes] == list(range(NPROCS))
         for lane in lanes:
             assert type(lane.datatype) is SubarrayType
             assert lane.datatype.steps == (dims[2] // NPROCS, 0, NPROCS)
-            assert turn(lane.datatype) is _TURN
-        return True
+            assert takes_turns(lane.datatype)
+        verdict = takes_turns(rnd.self_recv.datatype, rnd.self_send.datatype)
+        for lane in rnd.sends:
+            assert [p[4] for p in lane.datatype._programs.values()] in ([], [verdict])
+        return verdict
 
-    assert all(spmd(NPROCS, fn))
+    return spmd(NPROCS, fn)
+
+
+GEOMETRIES = pytest.mark.parametrize(
+    "dims", [(256, 256, 64), (128, 128, 128)], ids=["tiff_load", "redist_rounds"]
+)
+
+
+@GEOMETRIES
+@pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+def test_merged_receive_lanes_are_one_stepped_subarray_that_takes_turns(dims, backend):
+    """Planes allocated one by one: the copy program concatenates them, and
+    takes the turn."""
+    assert lanes_and_turns(dims, backend, "separate") == [True] * NPROCS
+
+
+@GEOMETRIES
+@pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+def test_planes_of_one_array_copy_in_one_call_without_the_turn(dims, backend):
+    """Planes that are views of one rank-local array sit at one stride: the
+    copy program moves each lane in one ``np.copyto`` and takes no turn."""
+    assert lanes_and_turns(dims, backend, "one-array") == [False] * NPROCS
 
 
 @thread_only

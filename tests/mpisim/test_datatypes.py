@@ -608,7 +608,9 @@ class TestStructRunsOracle:
     def test_threads_sharing_a_type_never_replay_another_threads_program(self):
         """Threads copying through one pair of types, each between its own
         buffers, replace each other's program all the time (one per
-        destination type); every copy still lands its own sources."""
+        destination type); every copy still lands its own sources, whether
+        they fill in one ``np.concatenate`` (separate arrays) or in one
+        ``np.copyto`` (views of one array)."""
         member = SubarrayType(FLOAT, (1, 4, 4), (1, 2, 4), (0, 1, 0))
         send = StructType([(0, member), (1, member)], 2)
         recv = SubarrayType(FLOAT, (4, 2, 4), (1, 2, 4), (1, 0, 0), steps=(2, 0, 2))
@@ -616,6 +618,8 @@ class TestStructRunsOracle:
 
         def work(seed):
             src = [np.full((1, 4, 4), seed + k, np.float32) for k in range(2)]
+            if seed % 20:
+                src = list(np.stack(src))
             dst = np.zeros((4, 2, 4), np.float32)
             for step in range(300):
                 if step % 7 == 0:
@@ -764,3 +768,77 @@ class TestSteppedSubarray:
             return same(comm.recv(source=0))
 
         assert all(run_spmd(2, fn, executor="process", deadlock_timeout=20.0))
+
+
+class _Sub(np.ndarray):
+    """An ndarray subclass: its blocks never become one view."""
+
+
+def _addresses(array):
+    """The byte address of every element of ``array``, sorted."""
+    start = array.__array_interface__["data"][0]
+    index = np.indices(array.shape).reshape(array.ndim, -1)
+    return np.sort(start + (np.array(array.strides)[:, None] * index).sum(0))
+
+
+ROOT = np.random.default_rng(7).random((16, 8, 6), dtype=np.float32)
+#: rows 2..5 of a one- or two-plane chunk
+THIN = SubarrayType(FLOAT, (1, 8, 6), (1, 4, 6), (0, 2, 0))
+THICK = SubarrayType(FLOAT, (2, 8, 6), (2, 4, 6), (0, 2, 0))
+#: four one-cell-thick blocks, planes 1, 5, 9 and 13
+PLANES = SubarrayType(FLOAT, (16, 4, 6), (1, 4, 6), (1, 0, 0), steps=(4, 0, 4))
+#: four abutting blocks along axis 1
+ROWS = SubarrayType(FLOAT, (1, 16, 6), (1, 4, 6), (0, 0, 0), steps=(4, 1, 4))
+#: four abutting two-plane blocks
+SLABS = SubarrayType(FLOAT, (8, 4, 6), (2, 4, 6), (0, 0, 0), steps=(4, 0, 2))
+
+
+class TestOneCallFills:
+    """A copy program fills a destination member in one ``np.copyto`` when
+    its source blocks are one root array's views at one nonzero stride, with
+    equal shape, strides and dtype; else in one ``np.concatenate`` of the
+    block list.  Either way the result is the blocks concatenated, bitwise,
+    and only a concatenating program takes ``transport.turn``."""
+
+    def fill(self, sources, member, recv):
+        """Copy ``sources`` into ``recv`` through a struct; returns the
+        program's one fill ``(target, source)`` and its turn verdict."""
+        send = StructType([(k, member) for k in range(len(sources))], len(sources))
+        out = np.full(recv.sizes, -1, np.float32)
+        assert send.copy_into(sources, out, recv) == send.size_bytes()
+        expect = np.full(recv.sizes, -1, np.float32)
+        blocks = [member.view(source) for source in sources]
+        np.concatenate(blocks, axis=recv.steps[1], out=expect[recv._slices()])
+        assert out.tobytes() == expect.tobytes()
+        program = send._build(recv, send._fit(recv), sources, (out,))
+        ((_, _, target, source),) = program[2]
+        if type(source) is np.ndarray:
+            assert not source.flags.writeable and target.shape == source.shape
+            assert np.array_equal(_addresses(source), np.sort(np.concatenate(
+                [_addresses(block) for block in blocks])))
+        return source, program[4]
+
+    @pytest.mark.parametrize("planes, member, recv, shape", [
+        ([ROOT[k:k + 1] for k in range(3, 7)], THIN, PLANES, (4, 4, 6)),
+        ([ROOT[k:k + 1] for k in range(1, 16, 4)], THIN, PLANES, (4, 1, 4, 6)),
+        ([ROOT[k:k + 1] for k in range(1, 16, 4)], THIN, ROWS, (1, 4, 4, 6)),
+        ([ROOT[k:k + 1] for k in (13, 9, 5, 1)], THIN, PLANES, (4, 1, 4, 6)),
+        ([ROOT[k:k + 2] for k in range(0, 8, 2)], THICK, SLABS, (8, 4, 6)),
+    ], ids=["one-slice-apart", "four-slices-apart", "four-apart-axis-1", "negative-step",
+            "lengthened-axis"])
+    def test_regular_blocks_copy_in_one_call(self, planes, member, recv, shape):
+        source, turns = self.fill(planes, member, recv)
+        assert type(source) is np.ndarray and source.shape == shape and not turns
+
+    @pytest.mark.parametrize("planes", [
+        [ROOT[k:k + 1].copy() for k in range(1, 16, 4)],
+        [ROOT[1:2], ROOT[5:6], ROOT.copy()[9:10], ROOT.copy()[13:14]],
+        [ROOT[k:k + 1] for k in (1, 5, 10, 13)],
+        [ROOT[1:2]] * 4,
+        [ROOT[1:2], ROOT[5][None], ROOT[9:10], ROOT[13:14]],
+        [ROOT[k:k + 1].view(_Sub) for k in range(1, 16, 4)],
+    ], ids=["separate", "two-roots", "irregular-step", "zero-step", "unequal-strides",
+            "subclass"])
+    def test_irregular_blocks_fall_back_to_one_concatenate(self, planes):
+        source, turns = self.fill(planes, THIN, PLANES)
+        assert type(source) is list and len(source) == 4 and turns

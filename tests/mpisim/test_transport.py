@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -264,6 +266,9 @@ def _struct_case(rank):
 
 
 def test_small_membered_structs_take_turns():
+    """Before a struct's copy program into a type exists, the type decides;
+    after, the program: rows of one array fill in one ``np.copyto`` and copy
+    in parallel, separate rows in one ``np.concatenate`` and take turns."""
     from repro.mpisim.transport import _TURN, TURN_MEMBER_BYTES, takes_turns, turn
 
     _, small, _ = _struct_case(0)
@@ -271,8 +276,19 @@ def test_small_membered_structs_take_turns():
     big = StructType([(0, member), (1, member)], 2)
     assert takes_turns(small) and not takes_turns(big)
     assert not takes_turns(member) and not takes_turns(None)
-    assert turn(None, big, small) is _TURN and turn(None, big) is not _TURN
-    with turn(small), turn(small):  # reentrant: Alltoallw holds it around deliver
+
+    row = SubarrayType(FLOAT, (1, 6), (1, 6), (0, 0))
+    send = StructType([(0, row), (1, row)], 2)
+    recv = SubarrayType(FLOAT, (2, 6), (1, 6), (0, 0), steps=(2, 0, 1))
+    assert takes_turns(recv, send)  # no program yet
+    one = np.arange(12, dtype=np.float32).reshape(2, 1, 6)
+    out = np.zeros((2, 6), np.float32)
+    send.copy_into([one[0], one[1]], out, recv)
+    assert not takes_turns(recv, send) and takes_turns(recv)
+    send.copy_into([one[0].copy(), one[1].copy()], out, recv)
+    assert takes_turns(recv, send) and np.array_equal(out, one.reshape(2, 6))
+    assert turn(True) is _TURN and turn(False) is not _TURN
+    with turn(True), turn(True):  # reentrant: Alltoallw holds it around deliver
         pass
 
 
@@ -470,6 +486,40 @@ def test_rendezvous_checks_survive_a_warm_program():
         return len(messages), comm.fabric.mailbox_depth(world_rank=comm.world_rank_of(comm.rank))
 
     assert spmd(2, fn) == [(2, 0), (2, 0)]
+
+
+@thread_only
+def test_a_warm_alltoallw_checks_each_send_buffer_once(monkeypatch):
+    """However many lanes send out of one buffer sequence, an ``Alltoallw``
+    call checks each (buffer, grid) pair of its structs once, before its
+    first lane is posted, and each lane's destination once (the replay):
+    two chunks plus three lanes make five grid checks a rank."""
+    checks = collections.Counter()
+    grid = SubarrayType._grid
+
+    def counting(self, buffer):
+        checks[threading.get_ident()] += 1
+        return grid(self, buffer)
+
+    def fn(comm):
+        chunks, send, recvs = _chunk_case(comm.rank, comm.size)
+        out = np.zeros((2 * comm.size, 6), np.float32)
+
+        def alltoallw():
+            comm.Alltoallw(chunks, [send] * comm.size, out, recvs, transport=TRANSPORT_ZEROCOPY)
+
+        alltoallw()  # builds the copy programs
+        comm.Barrier()
+        if comm.rank == 0:
+            monkeypatch.setattr(SubarrayType, "_grid", counting)
+        comm.Barrier()
+        alltoallw()
+        comm.Barrier()
+        expect = [np.concatenate(_chunk_case(p)[0]) for p in range(comm.size)]
+        assert np.array_equal(out, np.concatenate(expect))
+        return threading.get_ident()
+
+    assert [checks[ident] for ident in spmd(3, fn)] == [2 + 3] * 3
 
 
 # ---------------------------------------------------------------------------
