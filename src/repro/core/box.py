@@ -26,13 +26,12 @@ class Box:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        offset = tuple(int(v) for v in self.offset)
-        dims = tuple(int(v) for v in self.dims)
+        offset, dims = tuple(map(int, self.offset)), tuple(map(int, self.dims))
         if len(offset) != len(dims):
             raise ValueError(f"offset rank {len(offset)} != dims rank {len(dims)}")
         if len(dims) == 0:
             raise ValueError("boxes must have at least one dimension")
-        if any(d < 0 for d in dims):
+        if min(dims) < 0:
             raise ValueError(f"negative dims {dims}")
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "dims", dims)

@@ -49,7 +49,7 @@ from ..faults.injector import FAULTS
 from ..mpisim.comm import Communicator
 from ..mpisim.errors import RetriesExhaustedError, TransientFaultError
 from ..mpisim.request import wait_all
-from ..mpisim.transport import TRANSPORT_PACKED, copy_local
+from ..mpisim.transport import TRANSPORT_PACKED, check_sends, copy_local
 from ..obs.tracer import NULL_SPAN, TRACER
 from ..utils.membudget import MEMORY_BUDGET
 from .mapping import LocalMapping
@@ -276,9 +276,18 @@ def _direct_round(
     mode: str,
     tag: int,
 ) -> None:
+    # Rendezvous on zerocopy and shm alike (under shm an Isend stages the
+    # lane eagerly instead); packed keeps its eager profile as the baseline.
+    # A struct's send buffers are checked once for all the round's lanes, as
+    # ``Alltoallw`` does; packed lanes pack, which checks as it goes.
+    rendezvous = mode != TRANSPORT_PACKED
+    if rendezvous:
+        check_sends(sendbuf, rnd.sendtypes)
     if rnd.self_send is not None:
         # The data a rank keeps: a local copy, never a message.
-        copy_local(sendbuf, rnd.self_send.datatype, need, rnd.self_recv.datatype, mode)
+        copy_local(
+            sendbuf, rnd.self_send.datatype, need, rnd.self_recv.datatype, mode, rendezvous
+        )
     # Every receive is posted before any send: a (source, executed round)
     # pair carries at most one message and the tag is unique per (exchange
     # epoch, planned round) — the pieces of a lowered round reuse it, in
@@ -288,13 +297,10 @@ def _direct_round(
         comm.Irecv(need, lane.peer, tag=tag, datatype=lane.datatype)
         for lane in rnd.recvs
     ]
-    # Rendezvous on zerocopy and shm alike (under shm an Isend stages the
-    # lane eagerly instead); packed keeps its eager profile as the baseline.
-    rendezvous = mode != TRANSPORT_PACKED
     send_requests = [
         comm.Isend(
             sendbuf, lane.peer, tag=tag, datatype=lane.datatype, rendezvous=rendezvous,
-            transport=mode,
+            transport=mode, _checked=rendezvous,
         )
         for lane in rnd.sends
     ]

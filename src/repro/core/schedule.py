@@ -370,7 +370,22 @@ def _step(before: tuple, after: tuple) -> Optional[tuple[int, int]]:
 def _runs(parts: list[tuple]) -> list[tuple[int, Optional[tuple[int, int, int]]]]:
     """A merged lane's parts (overlap rows, in round order) cut into maximal
     runs of :func:`_step`\\ s of one ``(axis, step)``: ``(first part,
-    (count, axis, step))`` each, ``None`` for a run of one part."""
+    (count, axis, step))`` each, ``None`` for a run of one part.  Parts that
+    form one regular run (every lane of a round-robin load) are recognised
+    whole, without a :func:`_step` per part (:func:`_runs_by_part`)."""
+    if len(parts) > 2 and (move := _step(parts[0], parts[1])) is not None:
+        axis, step = move
+        lo, extent = parts[0][2], parts[0][3]
+        head, start, tail = lo[:axis], lo[axis], lo[axis + 1:]
+        if all(part[3] == extent for part in parts) and [part[2] for part in parts] == [
+            (*head, start + k * step, *tail) for k in range(len(parts))
+        ]:
+            return [(0, (len(parts), axis, step))]
+    return _runs_by_part(parts)
+
+
+def _runs_by_part(parts: list[tuple]) -> list[tuple[int, Optional[tuple[int, int, int]]]]:
+    """:func:`_runs`, one :func:`_step` per part."""
     runs, first = [], 0
     while first < len(parts):
         stop, move = first + 1, None
@@ -458,7 +473,10 @@ class RankPlan:
             for peer, parts in groupby(sorted(rows, key=itemgetter(1)), itemgetter(1)):
                 parts = list(parts)
                 if sending and merged:
-                    members = tuple((c, subarray(own[c], lo, ext)) for c, _, lo, ext, _ in parts)
+                    # one look-up per distinct member geometry, not one per part
+                    geometries = [(own[c], lo, ext) for c, _, lo, ext, _ in parts]
+                    found = {key: subarray(*key) for key in dict.fromkeys(geometries)}
+                    members = tuple(zip(map(itemgetter(0), parts), map(found.get, geometries)))
                     datatype = memo((len(own), members), StructType, members, len(own))
                 elif sending:
                     datatype = subarray(own[parts[0][0]], parts[0][2], parts[0][3])
@@ -469,7 +487,7 @@ class RankPlan:
                     )
                     one = len(runs) == 1
                     datatype = runs[0][1] if one else memo((1, runs), StructType, runs, 1)
-                out.append(Lane(peer, sum(part[4] for part in parts), datatype))
+                out.append(Lane(peer, sum(map(itemgetter(4), parts)), datatype))
             return out
 
         def executed_round(send_rows, recv_rows, index, merged=False, **stats) -> RoundSchedule:

@@ -18,7 +18,11 @@ import numpy as np
 
 from .tiff import read_tiff, write_tiff
 
-_SLICE_RE = re.compile(r"^slice_(\d{5})\.tif$")
+#: A slice's name, ``slice_`` + five decimal digits + ``.tif`` (and, as
+#: ``re.match(r"^slice_(\d{5})\.tif$", name)`` has it, one optional trailing
+#: newline), found in a directory listing joined by NULs, which no file name
+#: holds: one search for the whole listing.
+_SLICES_RE = re.compile(r"\0slice_(\d{5})\.tif\n?(?=\0)")
 
 
 def _slice_name(z: int) -> str:
@@ -39,12 +43,8 @@ class TiffStack:
 
     def indices(self) -> list[int]:
         """Slice indices present on disk, sorted."""
-        found = []
-        for name in os.listdir(self.directory):
-            match = _SLICE_RE.match(name)
-            if match:
-                found.append(int(match.group(1)))
-        return sorted(found)
+        listing = "\0".join(["", *os.listdir(self.directory), ""])
+        return sorted(map(int, _SLICES_RE.findall(listing)))
 
     def __len__(self) -> int:
         return len(self.indices())

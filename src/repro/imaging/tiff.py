@@ -45,6 +45,8 @@ SAMPLE_FORMAT_FLOAT = 3
 
 _TYPE_CODE = {TYPE_SHORT: "H", TYPE_LONG: "I"}
 _HEADER, _TAIL = 8, 4096  # the header; what one read takes past the pixels
+_IFD_BYTES = 512  # what a layout read takes from the IFD on (42 entries)
+_BYTE_ORDER = {b"II": "<", b"MM": ">"}
 
 #: dtype -> (bits, sample_format)
 _SUPPORTED_DTYPES = {
@@ -173,6 +175,25 @@ class _Source:
         self.placed = len(self.pixels)
         return bytes(head), bytes(tail), len(plane), self.size
 
+    def layout_read(self) -> None:
+        """Two ``pread``\\ s: the header, then :data:`_TAIL` bytes that end
+        :data:`_IFD_BYTES` past the IFD it points to — the writer's layout
+        puts the strip arrays right in front of the IFD, so parsing it reads
+        nothing else."""
+        head = os.pread(self.fd, _HEADER, 0)
+        self.pieces.append((0, memoryview(head)))
+        bo = _BYTE_ORDER.get(head[:2])
+        if len(head) < _HEADER:
+            self.size = len(head)
+        if len(head) < _HEADER or bo is None:
+            return  # the parse fails on the header
+        start = max(_HEADER, struct.unpack_from(bo + "I", head, 4)[0] + _IFD_BYTES - _TAIL)
+        tail = os.pread(self.fd, _TAIL, start)
+        if 0 < len(tail) < _TAIL:
+            self.size = start + len(tail)  # a short read tells the file's size
+        if tail:
+            self.pieces.append((start, memoryview(tail)))
+
     def fetch(self, offset: int, count: int):
         """``count`` bytes at ``offset``, fewer only where the file ends."""
         for start, piece in self.pieces:  # one that holds it, or ends the file
@@ -205,7 +226,7 @@ def _parse(fetch) -> TiffInfo:
     head = fetch(0, _HEADER)
     if len(head) < _HEADER:
         raise TiffError("file too small for a TIFF header")
-    bo = {b"II": "<", b"MM": ">"}.get(bytes(head[:2]))
+    bo = _BYTE_ORDER.get(bytes(head[:2]))
     if bo is None:
         raise TiffError(f"bad byte-order mark {bytes(head[:2])!r}")
     magic, ifd_offset = struct.unpack_from(bo + "HI", head, 2)
@@ -267,11 +288,13 @@ def _parse(fetch) -> TiffInfo:
 
 def read_tiff_info(data) -> TiffInfo:
     """Parse the header + first IFD of a TIFF: ``data`` is the file's bytes,
-    or its path (then only the header, the IFD and its arrays are read)."""
+    or its path (then only the header, the IFD and its arrays are read: on
+    the writer's layout ``os.open``, two ``os.pread``\\ s and ``os.close``)."""
     if isinstance(data, (bytes, bytearray, memoryview)):
         return _parse(_Source(data=data).fetch)
     source = _Source(os.open(data, os.O_RDONLY))
     try:
+        source.layout_read()
         return _parse(source.fetch)
     finally:
         os.close(source.fd)

@@ -20,7 +20,7 @@ from ..mpisim.comm import Communicator
 from ..utils.timing import Timer
 from ..volren.decompose import split_extent
 from .assignment import Assignment, owned_chunks
-from .stackload import probe_stack, read_chunk
+from .stackload import probe_stack, read_chunks
 
 
 def brick_layer_ranges(n_layers: int, nprocs: int, rank: int) -> tuple[int, int]:
@@ -62,7 +62,7 @@ def convert_stack_to_bricks(
     # Balanced slice reads (the DDR producer side).
     chunks = owned_chunks(geometry, comm.size, comm.rank, strategy)
     with timers.setdefault("read", Timer()):
-        buffers = [read_chunk(stack, chunk, dtype) for chunk in chunks]
+        buffers = read_chunks(stack, chunks, dtype)
 
     # Needs: whole brick z-layers, contiguous per rank (consumer side).
     gx, gy, gz = header.grid

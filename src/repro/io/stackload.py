@@ -54,12 +54,21 @@ def stack_geometry(stack: TiffStack) -> StackGeometry:
     return probe_stack(stack)[0]
 
 
-def read_chunk(stack: TiffStack, chunk: Box, dtype: np.dtype) -> np.ndarray:
-    """Read a chunk's slices straight into its ``(depth, h, w)`` block."""
-    block = np.empty(chunk.np_shape(), dtype=dtype)
-    for k, plane in enumerate(block):
-        stack.read_slice(chunk.offset[2] + k, out=plane)
-    return block
+def read_chunks(stack: TiffStack, chunks: list[Box], dtype: np.dtype) -> list[np.ndarray]:
+    """Read chunks of whole slices into one rank-local array: each chunk's
+    ``(depth, h, w)`` block is a view of it, slice after slice, so the blocks
+    of a merged exchange lane sit at one stride and copy in one NumPy call."""
+    if not chunks:
+        return []
+    planes = np.empty((sum(chunk.dims[2] for chunk in chunks), *chunks[0].np_shape()[1:]), dtype)
+    blocks, first = [], 0
+    for chunk in chunks:
+        block = planes[first:first + chunk.dims[2]]
+        for k, plane in enumerate(block):
+            stack.read_slice(chunk.offset[2] + k, out=plane)
+        blocks.append(block)
+        first += chunk.dims[2]
+    return blocks
 
 
 @dataclass
@@ -103,7 +112,7 @@ def load_stack_ddr(
     need = grid_boxes(geometry.volume_dims, grid)[comm.rank]
     chunks = owned_chunks(geometry, comm.size, comm.rank, strategy)
     with TRACER.span("phase.read", strategy=strategy.name.lower()), Timer() as read:
-        buffers = [read_chunk(stack, chunk, dtype) for chunk in chunks]
+        buffers = read_chunks(stack, chunks, dtype)
 
     with TRACER.span("phase.redistribute", backend=backend), Timer() as exchange:
         red = Redistributor(comm, ndims=3, dtype=dtype, backend=backend)

@@ -48,7 +48,7 @@ from .errors import CommunicatorError, DeadlineError, TruncationError
 from .fabric import Fabric, _Message
 from .request import CompletedRequest, DeferredRequest, Request, Status
 from .transport import copy_local, deliver, discard, materialize, resolve, stage
-from .transport import TRANSPORT_PACKED, check_sends, local_turns, receive_turns, turn
+from .transport import TRANSPORT_PACKED, check_sends, turn
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -356,6 +356,8 @@ class Communicator:
         datatype: Optional[Datatype] = None,
         rendezvous: bool = False,
         transport: Optional[str] = None,
+        *,
+        _checked: bool = False,
     ) -> Request:
         """Nonblocking send.
 
@@ -365,7 +367,9 @@ class Communicator:
         transport the receiver copies directly from ``buf``; the
         buffer must stay untouched until the returned request completes —
         standard MPI nonblocking discipline, now actually load-bearing.
-        ``transport`` picks the wire as ``Alltoallw``'s does.
+        ``transport`` picks the wire as ``Alltoallw``'s does.  (``_checked``,
+        internal: the caller checked a struct's buffers already, as a ``p2p``
+        round does once for all its lanes with ``transport.check_sends``.)
         """
         if TRACER.enabled:
             with self._span(
@@ -375,8 +379,8 @@ class Communicator:
                 rendezvous=rendezvous,
                 nbytes=self._nbytes_of(buf, datatype),
             ):
-                return self._isend(buf, dest, tag, datatype, rendezvous, transport)
-        return self._isend(buf, dest, tag, datatype, rendezvous, transport)
+                return self._isend(buf, dest, tag, datatype, rendezvous, transport, _checked)
+        return self._isend(buf, dest, tag, datatype, rendezvous, transport, _checked)
 
     def _isend(
         self,
@@ -386,10 +390,11 @@ class Communicator:
         datatype: Optional[Datatype],
         rendezvous: bool,
         transport: Optional[str],
+        checked: bool,
     ) -> Request:
         lane = self._post_lane(
             buf, dest, tag, False, datatype, self.resolve_transport(transport),
-            "packed payload", rendezvous,
+            "packed payload", rendezvous, checked,
         )
         status = Status(source=self._rank, tag=tag)
         if lane is None:
@@ -634,30 +639,43 @@ class Communicator:
 
         # Lanes are copied as they arrive, except those that take turns: matched
         # first, then copied back to back in one turn.  The own lane (no peer waits
-        # for it) leads the turn, so the copies that wake peers come last.
-        held = []
+        # for it) leads the turn, so the copies that wake peers come last.  A
+        # receiver-local error stops the copying, not the matching: every other
+        # lane is still matched and discarded, so no sender is left waiting.
+        held: list = []
+        failed = None  # the first lane whose copy raised, and its error
+        copying = self._rank  # whose lane is being copied, for the error message
         try:
             for source in range(self.size):
                 datatype = recvtypes[source]
                 if source == self._rank or datatype is None or not datatype.size_elements():
                     continue
                 message = self._consume(self._match(source, tag, internal=True), source)
-                if receive_turns(datatype, message):
-                    held.append((source, datatype, message))
-                else:
-                    deliver(recvbuf, datatype, message)
-            own_turns = bool(own) and local_turns(stype, rtype, mode)
-            with turn(bool(held) or own_turns):
+                if failed is not None:
+                    discard(message)
+                    continue
+                try:
+                    deliver(recvbuf, datatype, message, held)
+                except Exception as exc:
+                    failed = source, exc
+            if failed is not None:
+                copying = failed[0]
+                raise failed[1]
+            with turn(bool(held)):
                 if own:
                     copy_local(sendbuf, stype, recvbuf, rtype, mode, checked)
                 while held:
-                    source, datatype, message = held.pop(0)
-                    deliver(recvbuf, datatype, message)
+                    copy, message = held.pop(0)
+                    copying = message.source
+                    try:
+                        copy()
+                    finally:
+                        discard(message)
         except TruncationError as exc:
             # The sender is already released; the error is ours.
-            raise TruncationError(f"Alltoallw lane {source}->{self._rank}: {exc}") from None
+            raise TruncationError(f"Alltoallw lane {copying}->{self._rank}: {exc}") from None
         finally:
-            for _, _, message in held:
+            for _, message in held:
                 discard(message)  # matched, never copied: its sender must not wait
 
         if lanes:

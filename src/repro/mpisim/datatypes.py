@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import is_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -428,6 +428,21 @@ class SubarrayType(Datatype):
             TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes(), self.blocks)
 
 
+class _Program(NamedTuple):
+    """A struct's copy program into one destination type (:meth:`StructType._build`)."""
+
+    #: The buffers it was built for, replayed while each is the same object.
+    sources: tuple
+    dests: tuple
+    #: ``(buffer index, member, selection, blocks)`` per destination member.
+    fills: tuple
+    #: Whether the two sides may share memory: decided for a rank's lane to
+    #: itself, the one copy that asks (``None`` until then).
+    overlap: Optional[bool]
+    #: Whether a replay makes more than one lock-dropping NumPy call.
+    turns: bool
+
+
 class StructType(Datatype):
     """Ordered ``(buffer index, member type)`` pairs over a *sequence* of
     ``nbuffers`` buffers — ``MPI_Type_create_struct`` over absolute addresses:
@@ -520,47 +535,66 @@ class StructType(Datatype):
         member.  Otherwise through :meth:`pack`.
 
         The views this takes — every source block, and per destination member
-        the selection it fills — are a *copy program*, kept per destination
-        type and replayed while every source and destination buffer is the
-        very object it was built for (``is``: the program holds the buffers,
-        so no address is recycled under it).  Blocks that sit at one stride
-        in one array become one strided view, copied in one ``np.copyto``
-        (:func:`_one_view`).  A replay checks each destination buffer again;
-        this method checks the sources first, :meth:`_copy` trusts a caller
-        that just did."""
+        the selection it fills — are a *copy program* (:meth:`_program`), kept
+        per destination type and replayed while every source and destination
+        buffer is the very object it was built for (``is``: the program holds
+        the buffers, so no address is recycled under it).  Blocks that sit at
+        one stride in one array become one strided view, copied in one
+        ``np.copyto`` (:func:`_one_view`).  A replay checks each destination
+        buffer again; this method checks the sources first, :meth:`_copy`
+        trusts a caller that just did."""
         self.view(src)
         return self._copy(src, dst, dst_type)
 
     def _copy(
         self, src: Sequence[np.ndarray], dst: Sequence[np.ndarray],
+        dst_type: Optional[Datatype] = None,
+    ) -> int:
+        """:meth:`copy_into` with the sources already checked."""
+        program = self._program(src, dst, dst_type)
+        if program is None:
+            return super().copy_into(src, dst, dst_type)
+        return self._run(program)
+
+    def _program(
+        self, src: Sequence[np.ndarray], dst: Sequence[np.ndarray],
         dst_type: Optional[Datatype] = None, local: bool = False,
-    ) -> Optional[int]:
-        """:meth:`copy_into` with the sources already checked.  ``local`` (a
-        rank's lane to itself) copies nothing and returns ``None`` when the
-        sources and destinations may share memory: the caller stages."""
+    ) -> Optional[_Program]:
+        """The copy program from ``src`` into ``dst_type``'s selection of
+        ``dst``, the sources already checked: the kept one, after checking
+        each destination buffer again, else a new one; ``None`` when the two
+        types do not pair off block for block.  A caller runs it with
+        :meth:`_run`, under ``transport.turn`` when its ``turns`` says so.
+        ``local`` (a rank's lane to itself) also has its ``overlap``
+        decided."""
         target = dst_type if dst_type is not None else self
         if target not in self._fits:  # a property of the two types: decided once
             self._fits[target] = self._fit(target)
         fit = self._fits[target]
         if fit is None:
-            if local and _may_alias(src, dst):
-                return None
-            return super().copy_into(src, dst, dst_type)
+            return None
         sources = self._buffers(src)
         dests = target._buffers(dst) if isinstance(target, StructType) else (dst,)
         program = self._programs.get(target)  # one read: another thread may replace it
         if (
             program is not None
-            and all(map(is_, sources, program[0]))
-            and all(map(is_, dests, program[1]))
+            and all(map(is_, sources, program.sources))
+            and all(map(is_, dests, program.dests))
         ):
-            for index, member, _, _ in program[2]:
+            for index, member, _, _ in program.fills:
                 member._grid(dests[index])
         else:
             program = self._build(target, fit, sources, dests)
-        if local and program[3]:
-            return None
-        for _, member, selection, blocks in program[2]:
+        if local and program.overlap is None:
+            decided = program._replace(overlap=_may_alias(sources, dests))
+            if self._programs.get(target) is program:
+                self._programs[target] = decided
+            program = decided
+        return program
+
+    def _run(self, program: _Program) -> int:
+        """Replay ``program``: one NumPy call per fill.  Returns bytes moved."""
+        for _, member, selection, blocks in program.fills:
             member._fill(selection, blocks)
         if TRANSFER_COUNTERS.enabled:
             TRANSFER_COUNTERS.count_copy("direct", self.size_bytes(), self.blocks)
@@ -569,16 +603,14 @@ class StructType(Datatype):
     def _build(
         self, target: Datatype, fit: tuple, sources: Sequence[np.ndarray],
         dests: Sequence[np.ndarray],
-    ) -> tuple:
-        """The copy program ``(sources, dests, fills, overlap, turns)`` into
-        ``target``: ``(buffer index, member, selection, blocks)`` per
-        destination member (``blocks`` one view or a list, see
-        :meth:`SubarrayType._fill`), whether the two sides may share memory,
-        and whether a replay makes more than one lock-dropping NumPy call
-        (several fills, or a list of blocks), which is what has a rank
-        thread take ``transport.turn``.  Kept for replay unless a block had
-        to be reshaped (that may copy it) or a buffer is not an exact
-        ndarray."""
+    ) -> _Program:
+        """The copy program into ``target``: ``(buffer index, member,
+        selection, blocks)`` per destination member (``blocks`` one view or a
+        list, see :meth:`SubarrayType._fill`), and whether a replay makes more
+        than one lock-dropping NumPy call (several fills, or a list of
+        blocks), which is what has a rank thread take ``transport.turn``.
+        Kept for replay unless a block had to be reshaped (that may copy it)
+        or a buffer is not an exact ndarray."""
         pieces = []
         for index, member in self.members:
             if member.blocks == 1:
@@ -595,10 +627,10 @@ class StructType(Datatype):
             selection = member._grid(dests[index])[member._slices_cache]
             fills.append((index, member, *_one_view(selection, blocks, member._shape_key[2])))
         turns = len(fills) > 1 or type(fills[0][3]) is list
-        program = (
-            tuple(sources), tuple(dests), tuple(fills), _may_alias(sources, dests), turns
-        )
-        if same_shapes and all(type(buffer) is np.ndarray for buffer in program[0] + program[1]):
+        program = _Program(tuple(sources), tuple(dests), tuple(fills), None, turns)
+        if same_shapes and all(
+            type(buffer) is np.ndarray for buffer in program.sources + program.dests
+        ):
             self._programs[target] = program
         return program
 

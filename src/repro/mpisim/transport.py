@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import nullcontext
+from functools import partial
 from typing import Any, Optional
 
 import numpy as np
@@ -219,34 +220,15 @@ _NO_TURN = nullcontext()
 TURN_MEMBER_BYTES = 256 * 1024
 
 
-def takes_turns(datatype: Optional[Datatype], source: Optional[Datatype] = None) -> bool:
-    """Whether a copy into ``datatype`` holds the turn.  A struct ``source``
-    (the sender's type, when the copy runs its copy program) decides by its
-    program into ``datatype`` once one is built: a program of one NumPy
-    call never takes it.  Otherwise — a first copy, or any other source — a
-    merged lane (a struct, or a subarray of several blocks) whose blocks
-    average under :data:`TURN_MEMBER_BYTES` does."""
-    if type(source) is StructType:
-        program = source._programs.get(datatype)
-        if program is not None and not program[4]:
-            return False
+def takes_turns(datatype: Optional[Datatype]) -> bool:
+    """Whether a copy into ``datatype`` may hold the turn: a merged lane (a
+    struct, or a subarray of several blocks) whose blocks average under
+    :data:`TURN_MEMBER_BYTES` does.  A copy that runs a struct's program
+    builds it first, on a first exchange too, and holds the turn only when,
+    besides, the program makes more than one NumPy call."""
     if datatype is None or (datatype.blocks == 1 and not isinstance(datatype, StructType)):
         return False
     return datatype.size_bytes() < TURN_MEMBER_BYTES * datatype.blocks
-
-
-def receive_turns(datatype: Optional[Datatype], message: Any) -> bool:
-    """:func:`takes_turns` for delivering ``message`` into ``datatype``: a
-    rendezvous payload's copy runs its sender's type."""
-    payload = message.payload
-    return takes_turns(
-        datatype, payload.datatype if isinstance(payload, _ZeroCopyHandle) else None
-    )
-
-
-def local_turns(send_type: Datatype, recv_type: Datatype, mode: str) -> bool:
-    """:func:`takes_turns` for :func:`copy_local` on transport ``mode``."""
-    return takes_turns(recv_type, send_type if mode != TRANSPORT_PACKED else None)
 
 
 def turn(held: bool) -> Any:
@@ -256,9 +238,9 @@ def turn(held: bool) -> Any:
 
 def check_sends(sendbuf: Any, sendtypes: Any) -> None:
     """Check every struct's send buffers once, however many of ``sendtypes``
-    share a (buffer, grid) pair: an ``Alltoallw`` call checks them all
-    before it posts its first lane, and tells :func:`stage` and
-    :func:`copy_local` so."""
+    share a (buffer, grid) pair: an ``Alltoallw`` call or a ``p2p`` round
+    checks them all before it posts its first lane, and tells :func:`stage`
+    and :func:`copy_local` so."""
     seen: set = set()
     for datatype in sendtypes:
         if type(datatype) is StructType and datatype.size_elements():
@@ -275,40 +257,79 @@ def copy_local(
     which keeps its pack + unpack profile as the baseline, or the two buffers may
     alias, where pack/unpack is the safe order for an overlapping self-transfer.
     A struct checks its sources here (unless ``checked``: the caller just
-    did) and replays its copy program, whose aliasing verdict rides with it.
+    did) and runs its copy program, which decides the turn and carries the
+    aliasing verdict, computed for this lane only.
     """
     direct = mode != TRANSPORT_PACKED
-    with turn(local_turns(send_type, recv_type, mode)):
-        if direct and isinstance(send_type, StructType):
-            if not checked:
-                send_type.view(sendbuf)
-            if send_type._copy(sendbuf, recvbuf, recv_type, local=True) is not None:
-                return
-        elif direct and not _may_alias(sendbuf, recvbuf):
-            send_type.copy_into(sendbuf, recvbuf, recv_type)
+    if direct and isinstance(send_type, StructType):
+        if not checked:
+            send_type.view(sendbuf)
+        program = send_type._program(sendbuf, recvbuf, recv_type, local=True)
+        if program is not None and not program.overlap:
+            with turn(program.turns and takes_turns(recv_type)):
+                send_type._run(program)
             return
+    elif direct and not _may_alias(sendbuf, recvbuf):
+        with turn(takes_turns(recv_type)):
+            send_type.copy_into(sendbuf, recvbuf, recv_type)
+        return
+    with turn(takes_turns(recv_type)):
         recv_type.unpack(recvbuf, send_type.pack(sendbuf))
 
 
-def deliver(buf: np.ndarray, datatype: Optional[Datatype], message: Any) -> int:
+def deliver(
+    buf: np.ndarray, datatype: Optional[Datatype], message: Any,
+    held: Optional[list] = None,
+) -> int:
     """Typed receive: move ``message``'s payload into ``buf`` through
     ``datatype``; returns the bytes written.
 
     A size mismatch raises :class:`TruncationError` (non-contiguous ``buf``
     without a datatype, :class:`CommunicatorError`).  Whatever happens, the
     payload is finished afterwards — receiver-local errors stay
-    receiver-local.
+    receiver-local.  With ``held`` (a list), a copy that takes the turn is
+    not made: ``(copy, message)`` is appended, and the caller runs
+    ``copy()`` under the turn and then finishes the message with
+    :func:`discard`, as ``Alltoallw`` does for its lanes; this returns 0.
     """
-    payload = message.payload
     try:
-        with turn(receive_turns(datatype, message)):
-            if isinstance(payload, _ZeroCopyHandle):
-                return _copy_from_sender(buf, datatype, payload)
-            if isinstance(payload, ShmTicket):
-                payload = _segment_view(payload)
-            return _unpack_dense(buf, datatype, payload)
+        turns, copy = _receiving(buf, datatype, message.payload)
+        if turns and held is not None:
+            held.append((copy, message))
+            message = None
+            return 0
+        with turn(turns):
+            return copy()
     finally:
-        discard(message)
+        if message is not None:
+            discard(message)
+
+
+def _receiving(buf: np.ndarray, datatype: Optional[Datatype], payload: Any) -> tuple:
+    """``(turns, copy)`` for delivering ``payload``: whether the copy holds
+    the turn, and the copy, which returns the bytes written.  A rendezvous
+    payload's struct sender builds (or checks, when warm) its copy program
+    here, so the program decides the turn."""
+    if isinstance(payload, _ZeroCopyHandle):
+        source = payload.datatype
+        if type(source) is StructType and datatype is not None:
+            _check_count(source.size_elements(), datatype)
+            # the sender checked its buffers before it posted them
+            program = source._program(payload.buffer, buf, datatype)
+            if program is not None:
+                return program.turns and takes_turns(datatype), partial(source._run, program)
+        return takes_turns(datatype), partial(_copy_from_sender, buf, datatype, payload)
+    if isinstance(payload, ShmTicket):
+        payload = _segment_view(payload)
+    return takes_turns(datatype), partial(_unpack_dense, buf, datatype, payload)
+
+
+def _check_count(count: int, datatype: Datatype) -> None:
+    if datatype.size_elements() != count:
+        raise TruncationError(
+            f"message of {count} elements does not match receive type "
+            f"selecting {datatype.size_elements()}"
+        )
 
 
 def materialize(message: Any) -> Any:
@@ -356,11 +377,7 @@ def _segment_view(ticket: ShmTicket) -> np.ndarray:
 def _unpack_dense(buf: np.ndarray, datatype: Optional[Datatype], payload: np.ndarray) -> int:
     """Unpack a dense payload into the user's buffer; returns bytes written."""
     if datatype is not None:
-        if datatype.size_elements() != payload.size:
-            raise TruncationError(
-                f"message of {payload.size} elements does not match receive "
-                f"type selecting {datatype.size_elements()}"
-            )
+        _check_count(payload.size, datatype)
         datatype.unpack(buf, payload)
         return payload.size * payload.dtype.itemsize
     flat = _flat_receive_buffer(buf, payload.size)
@@ -377,11 +394,7 @@ def _copy_from_sender(
     src_type = handle.datatype
     count = src_type.size_elements() if src_type is not None else int(handle.buffer.size)
     if datatype is not None:
-        if datatype.size_elements() != count:
-            raise TruncationError(
-                f"message of {count} elements does not match receive type "
-                f"selecting {datatype.size_elements()}"
-            )
+        _check_count(count, datatype)
         if isinstance(src_type, StructType):
             # the sender checked its buffers before it posted them
             return src_type._copy(handle.buffer, buf, datatype)

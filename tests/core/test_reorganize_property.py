@@ -16,8 +16,10 @@ one at a time, the over-budget ones cut into piece-rounds (``below`` a
 single round).  The layout axis decides where a rank's chunks live: in
 arrays of their own, or as views of one rank-local array, where a merged
 lane's blocks can sit at one stride and its copy program moves them in one
-call.  The executor axis is covered by re-running this file under
-``DDR_EXECUTOR=process`` (CI leg).
+call.  Each case exchanges twice through one fresh mapping: cold (no copy
+program yet: each is built before its copy, which it then decides the turn
+for) and warm (replayed).  The executor axis is covered by re-running this
+file under ``DDR_EXECUTOR=process`` (CI leg).
 """
 
 from __future__ import annotations
@@ -165,11 +167,14 @@ def run_case(
         red.setup(own=owns[rank], need=needs[rank])
         # an odd seed spaces one-array chunks two slots apart
         buffers = chunk_buffers(reference, domain, owns[rank], layout, 1 + seed % 2)
-        out = red.gather_need(buffers, fill=7)
-        if needs[rank] is None:
-            assert out is None
-        else:
-            assert np.array_equal(out, crop(reference, domain, needs[rank])), (rank, owns, needs)
+        assert not red.mapping.types  # fresh: no datatype, so no copy program, yet
+        for exchange in ("cold", "warm"):  # programs built as copies need them, then replayed
+            out = red.gather_need(buffers, fill=7)
+            if needs[rank] is None:
+                assert out is None
+            else:
+                expect = crop(reference, domain, needs[rank])
+                assert np.array_equal(out, expect), (exchange, rank, owns, needs)
 
     if budget == "none":
         spmd(nprocs, fn)

@@ -767,3 +767,38 @@ class TestAccounting:
             for rnd in executed(plan, rank, "alltoallw"):
                 assert rank not in {l.peer for l in rnd.sends + rnd.recvs}
                 assert rnd.self_send is None or rnd.self_send.peer == rank
+
+
+@st.composite
+def part_lists(draw):
+    """A merged receive lane's parts ``(round, peer, lo, extent, nbytes)``:
+    a regular run along one axis, then perhaps one irregular step, one
+    unequal extent or a run along a second axis."""
+    ndims = draw(st.integers(1, 3))
+    extent = tuple(draw(st.lists(st.integers(1, 3), min_size=ndims, max_size=ndims)))
+    axis = draw(st.integers(0, ndims - 1))
+    step = extent[axis] if extent[axis] > 1 else draw(st.integers(1, 4))
+    count = draw(st.integers(1, 12))
+    lo = tuple(draw(st.lists(st.integers(0, 5), min_size=ndims, max_size=ndims)))
+    los = [tuple(v + k * step * (a == axis) for a, v in enumerate(lo)) for k in range(count)]
+    extents = [extent] * count
+    at = draw(st.integers(0, count - 1))
+    flaw = draw(st.sampled_from(["none", "step", "extent", "axis"]))
+    if flaw == "step":
+        los[at:] = [tuple(v + (a == axis) for a, v in enumerate(x)) for x in los[at:]]
+    elif flaw == "extent":
+        extents[at] = tuple(e + (a == 0) for a, e in enumerate(extent))
+    elif flaw == "axis":
+        other = draw(st.integers(0, ndims - 1))
+        los[at:] = [tuple(v + (k + 1) * extent[other] * (a == other) for a, v in enumerate(x))
+                    for k, x in enumerate(los[at:])]
+    return [(k, 0, x, e, 4 * int(np.prod(e))) for k, (x, e) in enumerate(zip(los, extents))]
+
+
+@given(parts=part_lists())
+@settings(max_examples=300, deadline=None)
+def test_a_regular_run_is_recognised_as_part_by_part(parts):
+    """``_runs``' whole-lane fast path cuts a part list exactly as one
+    ``_step`` per part does: regular runs, an irregular step, unequal
+    extents, two axes."""
+    assert schedule_module._runs(parts) == schedule_module._runs_by_part(parts)

@@ -10,6 +10,7 @@ against rank threads trading the interpreter lock once per block.
 
 from __future__ import annotations
 
+import collections
 import threading
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core import Box, Redistributor
 from repro.core.engine import executed_rounds
+from repro.mpisim import transport
 from repro.mpisim.datatypes import StructType, SubarrayType
 from repro.mpisim.transport import _TURN, takes_turns
 from repro.volren.decompose import grid_boxes
@@ -79,9 +81,11 @@ def test_tiff_load_set_up_builds_one_datatype_per_geometry(monkeypatch):
 
 def lanes_and_turns(dims, backend, layout):
     """Per rank, after one zero-copy load: each merged receive lane is one
-    stepped subarray, which takes the turn by its type before any copy
-    program exists; returns whether the self lane's program takes it (a
-    remote lane's agrees, where the executor shares one address space)."""
+    stepped subarray, which would take the turn by its type alone; but the
+    copy into it runs a struct's copy program, built before the copy on the
+    first exchange too, and the program decides.  Returns whether the self
+    lane's program takes the turn (a remote lane's agrees, where the
+    executor shares one address space)."""
     def fn(comm):
         red = load(comm, dims, backend, "zerocopy", layout)
         (rnd,) = executed_rounds(red.mapping, backend, True)
@@ -91,9 +95,9 @@ def lanes_and_turns(dims, backend, layout):
             assert type(lane.datatype) is SubarrayType
             assert lane.datatype.steps == (dims[2] // NPROCS, 0, NPROCS)
             assert takes_turns(lane.datatype)
-        verdict = takes_turns(rnd.self_recv.datatype, rnd.self_send.datatype)
+        verdict = rnd.self_send.datatype._programs[rnd.self_recv.datatype].turns
         for lane in rnd.sends:
-            assert [p[4] for p in lane.datatype._programs.values()] in ([], [verdict])
+            assert [p.turns for p in lane.datatype._programs.values()] in ([], [verdict])
         return verdict
 
     return spmd(NPROCS, fn)
@@ -137,3 +141,40 @@ def test_every_stepped_copy_holds_the_turn(monkeypatch, backend):
     spmd(NPROCS, load, (64, 64, 64), backend, "zerocopy")
     assert len(held) == NPROCS * NPROCS  # every lane, self lanes included
     assert held == [(16, True)] * len(held)
+
+
+class CountingTurn:
+    """Stands in for ``transport._TURN``: a reentrant lock that counts its
+    entries per rank thread."""
+
+    def __init__(self) -> None:
+        self.lock = threading.RLock()
+        self.entries: collections.Counter = collections.Counter()
+
+    def __enter__(self) -> None:
+        self.lock.acquire()
+        self.entries[threading.get_ident()] += 1
+
+    def __exit__(self, *exc) -> None:
+        self.lock.release()
+
+
+@thread_only
+@pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+@pytest.mark.parametrize("layout, enters", [("one-array", False), ("separate", True)])
+def test_a_first_exchange_takes_the_turn_only_for_concatenating_lanes(
+    monkeypatch, backend, layout, enters
+):
+    """A fresh mapping has no copy program yet; its first exchange builds
+    each one before the copy and lets it decide: one-array planes (one
+    ``np.copyto`` a lane) never enter ``transport.turn``, separate planes (one
+    ``np.concatenate``) do, on every rank."""
+    counting = CountingTurn()
+    monkeypatch.setattr(transport, "_TURN", counting)
+
+    def fn(comm):
+        load(comm, (256, 256, 64), backend, "zerocopy", layout)
+        return threading.get_ident()
+
+    idents = spmd(NPROCS, fn)
+    assert [counting.entries[ident] > 0 for ident in idents] == [enters] * NPROCS

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -148,3 +151,21 @@ class TestStack:
         stack = write_stack(tmp_path / "s", 2, lambda z: tooth_slice(spec, z))
         (tmp_path / "s" / "notes.txt").write_text("hi")
         assert stack.indices() == [0, 1]
+
+    def test_indices_accept_exactly_the_slice_names(self, tmp_path):
+        """One search over the listing accepts what matching each name against
+        ``^slice_(\\d{5})\\.tif$`` does — a trailing newline and non-ASCII
+        decimal digits included — and no near miss."""
+        names = [
+            "slice_00003.tif", "slice_00001.tif", "slice_00002.tif\n", "slice_0000٤.tif",
+            "slice_0001.tif", "slice_000005.tif", "slice_00006.tiff", "slice_00007.TIF",
+            "xslice_00008.tif", "slice_00009.tif\n\n", "slice_00010.tif.bak", "slice_0001a.tif",
+            "slice-00011.tif", "slice_00012tif", "\nslice_00013.tif", "slice_00014.tif ",
+            "slice_²0015.tif", "slice_00016.tif\r",
+        ]
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+        rule = re.compile(r"^slice_(\d{5})\.tif$")
+        expected = sorted(int(m.group(1)) for m in map(rule.match, os.listdir(tmp_path)) if m)
+        assert expected == [1, 2, 3, 4]
+        assert TiffStack(tmp_path).indices() == expected

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import repro.imaging.tiff as tiff
 from repro.imaging import TiffError, TiffInfo, TiffStack, read_tiff, read_tiff_info, write_tiff
 from repro.io import Assignment, StackGeometry, owned_chunks
-from repro.io.stackload import read_chunk
+from repro.io.stackload import read_chunks
 
 SAMPLE = {  # dtype -> (bits, sample format)
     np.dtype(np.uint8): (8, 1),
@@ -446,6 +446,20 @@ class TestCost:
             assert (plane == z).all()
         assert counting.calls == {"open": 4, "preadv": 4, "close": 4}
 
+    @pytest.mark.parametrize("rows_per_strip", [1, 64, 256])
+    def test_info_reads_the_writers_layout_in_two_reads(self, tmp_path, monkeypatch,
+                                                       rows_per_strip):
+        """``read_tiff_info(path)``, which every load's probe makes: the header,
+        then one read of the strip arrays and the IFD behind them (it took
+        ``open``, ``fstat``, five ``pread`` and ``close``)."""
+        path = tmp_path / "x.tif"
+        write_tiff(path, np.ones((256, 256), np.float32), rows_per_strip)
+        counting = CountingOs()
+        monkeypatch.setattr(tiff, "os", counting, raising=False)
+        info = read_tiff_info(path)
+        assert astuple(info) == astuple(reference_read_tiff_info(path.read_bytes()))
+        assert counting.calls == {"open": 1, "pread": 2, "close": 1}
+
     def test_a_round_robin_rank_parses_one_header(self, tmp_path, monkeypatch):
         """The 16 slices one of 4 round-robin ranks owns at the benchmark's
         256 x 256 float32 geometry: the first read parses the header, the
@@ -462,7 +476,7 @@ class TestCost:
         monkeypatch.setattr(tiff, "_LAST", (None, None), raising=False)
         counting = CountingOs()
         monkeypatch.setattr(tiff, "os", counting, raising=False)
-        blocks = [read_chunk(stack, chunk, np.dtype(np.float32)) for chunk in chunks]
+        blocks = read_chunks(stack, chunks, np.dtype(np.float32))
         assert all((block == chunk.offset[2]).all() for block, chunk in zip(blocks, chunks))
         assert len(parses) == 1
         assert counting.calls == {"open": 16, "preadv": 16, "close": 16}
@@ -485,7 +499,8 @@ class TestCost:
         """The 16 slices one of 4 round-robin ranks owns at the benchmark's
         256 x 256 float32 geometry: nothing but the blocks themselves is
         allocated beyond 64 KiB at peak (the whole-file reader held a file's
-        bytes, a decoded plane and the ``np.stack`` copy: ~390 KiB more)."""
+        bytes, a decoded plane and the ``np.stack`` copy: ~390 KiB more), and
+        the blocks are views of one array, one slice apart."""
         geometry = StackGeometry(256, 256, 64, 4)
         chunks = owned_chunks(geometry, 4, 0, Assignment.ROUND_ROBIN)
         assert len(chunks) == 16
@@ -493,13 +508,15 @@ class TestCost:
         image = np.arange(256 * 256, dtype=np.float32).reshape(256, 256)
         for chunk in chunks:
             write_tiff(stack.slice_path(chunk.offset[2]), image + chunk.offset[2])
-        read_chunk(stack, chunks[0], np.dtype(np.float32))  # warm every code path once
+        read_chunks(stack, chunks[:1], np.dtype(np.float32))  # warm every code path once
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            blocks = [read_chunk(stack, chunk, np.dtype(np.float32)) for chunk in chunks]
+            blocks = read_chunks(stack, chunks, np.dtype(np.float32))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert all(np.array_equal(b[0], image + c.offset[2]) for b, c in zip(blocks, chunks))
         assert peak - sum(block.nbytes for block in blocks) < 64 * 1024
+        root = blocks[0].base
+        assert all(block.base is root for block in blocks) and root.shape == (16, 256, 256)

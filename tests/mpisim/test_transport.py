@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +251,35 @@ class TestAlltoallwErrorPaths:
         assert all(spmd(3, fn))
 
 
+def test_a_receive_error_still_matches_every_later_lane():
+    """Plain subarray lanes take no turn, so each is copied as soon as it is
+    matched.  Rank 0's receive type for lane 1->0 is one element short: its
+    copy fails first, and rank 0 must still match rank 2's lane and discard
+    it, or rank 2 waits in its rendezvous for the whole deadlock timeout and
+    rank 0's mailbox keeps its message."""
+
+    def fn(comm):
+        size, rank = comm.size, comm.rank
+        send = np.arange(4 * size, dtype=np.float32) + 100 * rank
+        recv = np.full(4 * size, -1, dtype=np.float32)
+        stypes = [SubarrayType(FLOAT, (4 * size,), (4,), (4 * rank,)) for _ in range(size)]
+        rtypes = [SubarrayType(FLOAT, (4 * size,), (4,), (4 * peer,)) for peer in range(size)]
+        began = time.monotonic()
+        if rank == 0:
+            rtypes[1] = SubarrayType(FLOAT, (4 * size,), (3,), (4,))
+            with pytest.raises(TruncationError, match="lane 1->0"):
+                comm.Alltoallw(send, stypes, recv, rtypes, transport=TRANSPORT_ZEROCOPY)
+            assert (recv[8:] == -1).all()  # rank 2's lane: matched, discarded, never copied
+        else:
+            comm.Alltoallw(send, stypes, recv, rtypes, transport=TRANSPORT_ZEROCOPY)
+            assert np.array_equal(recv[:4], np.arange(4, dtype=np.float32))
+        took = time.monotonic() - began
+        comm.Barrier()
+        return took < 2.0, comm.fabric.mailbox_depth(world_rank=comm.world_rank_of(rank))
+
+    assert spmd(3, fn, deadlock_timeout=3.0) == [(True, 0)] * 3
+
+
 # ---------------------------------------------------------------------------
 # Struct lanes: several buffers' selections in one message
 # ---------------------------------------------------------------------------
@@ -265,11 +295,24 @@ def _struct_case(rank):
     return rows, send, recv
 
 
-def test_small_membered_structs_take_turns():
-    """Before a struct's copy program into a type exists, the type decides;
-    after, the program: rows of one array fill in one ``np.copyto`` and copy
-    in parallel, separate rows in one ``np.concatenate`` and take turns."""
-    from repro.mpisim.transport import _TURN, TURN_MEMBER_BYTES, takes_turns, turn
+def _one_call_case(rank):
+    """:func:`_struct_case`'s rows as views of one array, sent as subarrays
+    and received as one stepped subarray: a copy program of one NumPy call,
+    which takes no turn."""
+    rows = list(np.stack(_struct_case(rank)[0])[:, None])
+    row = SubarrayType(FLOAT, (1, 6), (1, 6), (0, 0))
+    send = StructType([(0, row), (1, row)], 2)
+    recv = StructType([(0, SubarrayType(FLOAT, (2, 6), (1, 6), (0, 0), steps=(2, 0, 1)))], 1)
+    return rows, send, recv
+
+
+def test_small_membered_structs_take_turns(monkeypatch):
+    """A copy that runs no copy program takes the turn by its destination
+    type.  One that runs a struct's program builds the program first, on a
+    first copy too, and the program decides: rows of one array fill in one
+    ``np.copyto`` and copy in parallel, separate rows in one
+    ``np.concatenate`` and take turns."""
+    from repro.mpisim.transport import _TURN, TURN_MEMBER_BYTES, copy_local, takes_turns, turn
 
     _, small, _ = _struct_case(0)
     member = FLOAT.Create_contiguous(TURN_MEMBER_BYTES // 4)
@@ -277,16 +320,24 @@ def test_small_membered_structs_take_turns():
     assert takes_turns(small) and not takes_turns(big)
     assert not takes_turns(member) and not takes_turns(None)
 
+    held = []
+    fill = SubarrayType._fill
+
+    def recording(self, target, pieces):
+        held.append(_TURN._is_owned())
+        fill(self, target, pieces)
+
+    monkeypatch.setattr(SubarrayType, "_fill", recording)
     row = SubarrayType(FLOAT, (1, 6), (1, 6), (0, 0))
-    send = StructType([(0, row), (1, row)], 2)
     recv = SubarrayType(FLOAT, (2, 6), (1, 6), (0, 0), steps=(2, 0, 1))
-    assert takes_turns(recv, send)  # no program yet
+    assert takes_turns(recv)  # the type alone
     one = np.arange(12, dtype=np.float32).reshape(2, 1, 6)
-    out = np.zeros((2, 6), np.float32)
-    send.copy_into([one[0], one[1]], out, recv)
-    assert not takes_turns(recv, send) and takes_turns(recv)
-    send.copy_into([one[0].copy(), one[1].copy()], out, recv)
-    assert takes_turns(recv, send) and np.array_equal(out, one.reshape(2, 6))
+    for rows, turns in (([one[0], one[1]], False), ([one[0].copy(), one[1].copy()], True)):
+        send = StructType([(0, row), (1, row)], 2)  # no program yet
+        out = np.zeros((2, 6), np.float32)
+        copy_local(rows, send, out, recv, TRANSPORT_ZEROCOPY)
+        assert held.pop() is turns and send._programs[recv].turns is turns
+        assert np.array_equal(out, one.reshape(2, 6))
     assert turn(True) is _TURN and turn(False) is not _TURN
     with turn(True), turn(True):  # reentrant: Alltoallw holds it around deliver
         pass
@@ -342,11 +393,13 @@ class TestStructLanes:
 
         assert all(spmd(3, fn))
 
-    def test_receiver_error_releases_every_matched_sender(self, mode):
-        # Lanes that take turns are all matched before any is copied: when
-        # the first copy fails, the others' senders must not be left waiting.
+    @pytest.mark.parametrize("case", [_struct_case, _one_call_case], ids=["separate", "one-array"])
+    def test_receiver_error_releases_every_matched_sender(self, mode, case):
+        # Lanes that take turns are all matched before any is copied, one-call
+        # lanes are copied as they arrive: when a copy fails, the other lanes
+        # are still matched, and their senders must not be left waiting.
         def fn(comm):
-            rows, send, recv = _struct_case(comm.rank)
+            rows, send, recv = case(comm.rank)
             outs = [np.zeros((2, 6), dtype=np.float32) for _ in range(comm.size)]
             rtypes = [
                 StructType([(p, m) for _, m in recv.members], comm.size)
@@ -520,6 +573,46 @@ def test_a_warm_alltoallw_checks_each_send_buffer_once(monkeypatch):
         return threading.get_ident()
 
     assert [checks[ident] for ident in spmd(3, fn)] == [2 + 3] * 3
+
+
+@thread_only
+@pytest.mark.parametrize("backend", ["alltoallw", "p2p"])
+def test_a_warm_exchange_checks_each_send_buffer_once_under_both_protocols(
+    monkeypatch, backend
+):
+    """A merged round of two planes a rank, four ranks: both protocols check
+    each (chunk, grid) pair once before the first lane is posted and each
+    lane's destination once (the replay): two chunks plus four lanes, the
+    self lane included, make six grid checks a rank.  A ``p2p`` round used
+    to check the chunks again in ``copy_local`` and in every ``Isend``: 12."""
+    from repro.core import Box, Redistributor
+
+    checks = collections.Counter()
+    grid = SubarrayType._grid
+
+    def counting(self, buffer):
+        checks[threading.get_ident()] += 1
+        return grid(self, buffer)
+
+    def fn(comm):
+        own = [Box((0, 0, z), (4, 4, 1)) for z in (comm.rank, comm.rank + 4)]
+        need = Box((2 * (comm.rank % 2), 2 * (comm.rank // 2), 0), (2, 2, 8))
+        red = Redistributor(comm, ndims=3, dtype=np.float32, backend=backend,
+                            transport=TRANSPORT_ZEROCOPY)
+        red.setup(own=own, need=need)
+        planes = list(np.stack([np.full((1, 4, 4), box.offset[2], np.float32) for box in own]))
+        out = np.empty(need.np_shape(), np.float32)
+        red.exchange(planes, out)  # builds the copy programs
+        comm.Barrier()
+        if comm.rank == 0:
+            monkeypatch.setattr(SubarrayType, "_grid", counting)
+        comm.Barrier()
+        red.exchange(planes, out)
+        comm.Barrier()
+        assert (out == np.arange(8, dtype=np.float32)[:, None, None]).all()
+        return threading.get_ident()
+
+    assert [checks[ident] for ident in spmd(4, fn)] == [2 + 4] * 4
 
 
 # ---------------------------------------------------------------------------
