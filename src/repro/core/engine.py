@@ -18,9 +18,11 @@ The four ``backend=`` values are policies over those protocols
 (:func:`~repro.core.schedule.round_protocol`): ``"alltoallw"`` and ``"p2p"``
 always run their own, ``"auto"`` applies the density rule and ``"bounded"``
 is another name for ``"p2p"``.  There is one budget rule for all four: on a
-staged transport a round over the memory budget runs as piece-rounds of its
-own protocol (:func:`~repro.core.schedule.executed_groups`); what no cut
-fits is left to the ledger's typed ``MemoryBudgetError``.  Everything
+staged transport (``packed`` or ``shm``, which copy each payload into staging
+the budget is charged for) a round over the memory budget runs as
+piece-rounds of its own protocol
+(:func:`~repro.core.schedule.executed_groups`); what no cut fits is left to
+the ledger's typed ``MemoryBudgetError``.  Everything
 is decided from the plan-wide statistics the schedule carries, so every rank
 decides alike without communicating; the trace attribute and the wire
 read the same executed schedule, so they agree by construction.
@@ -49,7 +51,7 @@ from ..faults.injector import FAULTS
 from ..mpisim.comm import Communicator
 from ..mpisim.errors import RetriesExhaustedError, TransientFaultError
 from ..mpisim.request import wait_all
-from ..mpisim.transport import TRANSPORT_PACKED, check_sends, copy_local
+from ..mpisim.transport import TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, check_sends, copy_local
 from ..obs.tracer import NULL_SPAN, TRACER
 from ..utils.membudget import MEMORY_BUDGET
 from .mapping import LocalMapping
@@ -155,7 +157,7 @@ def execute(
         progress = ExchangeProgress()
     if progress.tag_epoch is None:
         progress.tag_epoch = mapping.next_tag_epoch()
-    rounds = executed_rounds(mapping, backend, mode != TRANSPORT_PACKED)
+    rounds = executed_rounds(mapping, backend, mode == TRANSPORT_ZEROCOPY)
     # Tags are unique per (exchange epoch, round): a message lost from one
     # exchange can never satisfy a receive of a later one.  An executed
     # round is tagged (and enters the fault layer) as its first member; the
@@ -199,15 +201,14 @@ def execute(
 
 def executed_rounds(mapping: LocalMapping, backend: str, zero_copy: bool) -> list[RoundSchedule]:
     """What :func:`execute` walks under this call's backend and budget,
-    built from the mapping's rows and cached on it under what they depend on."""
-    limit = MEMORY_BUDGET.limit_bytes
-    key = (backend, limit, zero_copy)
-    rounds = mapping.executed.get(key)
+    built from the mapping's rows and cached on it under what they depend on.
+    ``zero_copy`` says the resolved wire is ``zerocopy``, which stages
+    nothing: no cap on what one round carries."""
+    cap = None if zero_copy else MEMORY_BUDGET.limit_bytes
+    rounds = mapping.executed.get((backend, cap))
     if rounds is None:
-        # A direct transport stages nothing: no cap on what one round carries.
-        rounds = mapping.executed[key] = mapping.plan.executed(
-            backend, None if zero_copy else limit, mapping.mpi_type, mapping.components,
-            mapping.types,
+        rounds = mapping.executed[backend, cap] = mapping.plan.executed(
+            backend, cap, mapping.mpi_type, mapping.components, mapping.types,
         )
     return rounds
 

@@ -48,7 +48,7 @@ from .errors import CommunicatorError, DeadlineError, TruncationError
 from .fabric import Fabric, _Message
 from .request import CompletedRequest, DeferredRequest, Request, Status
 from .transport import copy_local, deliver, discard, materialize, resolve, stage
-from .transport import TRANSPORT_PACKED, check_sends, turn
+from .transport import TRANSPORT_PACKED, check_sends
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -637,14 +637,12 @@ class Communicator:
             if lane is not None:
                 lanes.append(lane)
 
-        # Lanes are copied as they arrive, except those that take turns: matched
-        # first, then copied back to back in one turn.  The own lane (no peer waits
-        # for it) leads the turn, so the copies that wake peers come last.  A
-        # receiver-local error stops the copying, not the matching: every other
-        # lane is still matched and discarded, so no sender is left waiting.
-        held: list = []
-        failed = None  # the first lane whose copy raised, and its error
-        copying = self._rank  # whose lane is being copied, for the error message
+        # Lanes are copied as they arrive; the own lane (no peer waits for it)
+        # last.  A receiver-local error stops the copying, not the matching:
+        # every other lane is still matched and discarded, so no sender is
+        # left waiting.
+        failed = None  # the first error a lane's copy raised
+        copying = self._rank  # whose lane that was, for the error message
         try:
             for source in range(self.size):
                 datatype = recvtypes[source]
@@ -655,28 +653,16 @@ class Communicator:
                     discard(message)
                     continue
                 try:
-                    deliver(recvbuf, datatype, message, held)
+                    deliver(recvbuf, datatype, message)
                 except Exception as exc:
-                    failed = source, exc
+                    copying, failed = source, exc
             if failed is not None:
-                copying = failed[0]
-                raise failed[1]
-            with turn(bool(held)):
-                if own:
-                    copy_local(sendbuf, stype, recvbuf, rtype, mode, checked)
-                while held:
-                    copy, message = held.pop(0)
-                    copying = message.source
-                    try:
-                        copy()
-                    finally:
-                        discard(message)
+                raise failed
+            if own:
+                copy_local(sendbuf, stype, recvbuf, rtype, mode, checked)
         except TruncationError as exc:
             # The sender is already released; the error is ours.
             raise TruncationError(f"Alltoallw lane {copying}->{self._rank}: {exc}") from None
-        finally:
-            for _, message in held:
-                discard(message)  # matched, never copied: its sender must not wait
 
         if lanes:
             self._await_lanes(lanes)

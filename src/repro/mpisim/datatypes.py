@@ -439,8 +439,6 @@ class _Program(NamedTuple):
     #: Whether the two sides may share memory: decided for a rank's lane to
     #: itself, the one copy that asks (``None`` until then).
     overlap: Optional[bool]
-    #: Whether a replay makes more than one lock-dropping NumPy call.
-    turns: bool
 
 
 class StructType(Datatype):
@@ -564,9 +562,8 @@ class StructType(Datatype):
         ``dst``, the sources already checked: the kept one, after checking
         each destination buffer again, else a new one; ``None`` when the two
         types do not pair off block for block.  A caller runs it with
-        :meth:`_run`, under ``transport.turn`` when its ``turns`` says so.
-        ``local`` (a rank's lane to itself) also has its ``overlap``
-        decided."""
+        :meth:`_run`.  ``local`` (a rank's lane to itself) also has its
+        ``overlap`` decided."""
         target = dst_type if dst_type is not None else self
         if target not in self._fits:  # a property of the two types: decided once
             self._fits[target] = self._fit(target)
@@ -606,11 +603,9 @@ class StructType(Datatype):
     ) -> _Program:
         """The copy program into ``target``: ``(buffer index, member,
         selection, blocks)`` per destination member (``blocks`` one view or a
-        list, see :meth:`SubarrayType._fill`), and whether a replay makes more
-        than one lock-dropping NumPy call (several fills, or a list of
-        blocks), which is what has a rank thread take ``transport.turn``.
-        Kept for replay unless a block had to be reshaped (that may copy it)
-        or a buffer is not an exact ndarray."""
+        list, see :meth:`SubarrayType._fill`).  Kept for replay unless a
+        block had to be reshaped (that may copy it) or a buffer is not an
+        exact ndarray."""
         pieces = []
         for index, member in self.members:
             if member.blocks == 1:
@@ -626,8 +621,7 @@ class StructType(Datatype):
                 blocks = [piece.reshape(member.subsizes) for piece in blocks]
             selection = member._grid(dests[index])[member._slices_cache]
             fills.append((index, member, *_one_view(selection, blocks, member._shape_key[2])))
-        turns = len(fills) > 1 or type(fills[0][3]) is list
-        program = _Program(tuple(sources), tuple(dests), tuple(fills), None, turns)
+        program = _Program(tuple(sources), tuple(dests), tuple(fills), None)
         if same_shapes and all(
             type(buffer) is np.ndarray for buffer in program.sources + program.dests
         ):

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import nullcontext
-from functools import partial
 from typing import Any, Optional
 
 import numpy as np
@@ -206,36 +204,6 @@ def stage(
     return arr.reshape(-1).copy(), charged, None
 
 
-#: One rank thread at a time copies a merged lane of small blocks whose copy
-#: drops the interpreter lock more than once: ``np.concatenate`` of a block
-#: list drops it once a block, and threads trading the lock across cores
-#: every few microseconds made one merged exchange cost 2.7 or 9 ms depending
-#: on where the scheduler had put them.  A lane a struct's copy program moves
-#: in one NumPy call (its blocks sit at one stride in one array) copies in
-#: parallel.  Reentrant: ``Alltoallw`` holds it over all of a rank's lanes
-#: that take it, :func:`deliver` and :func:`copy_local` per lane otherwise.
-_TURN = threading.RLock()
-_NO_TURN = nullcontext()
-#: "Small": what copies in about the time one thread takes to wake another.
-TURN_MEMBER_BYTES = 256 * 1024
-
-
-def takes_turns(datatype: Optional[Datatype]) -> bool:
-    """Whether a copy into ``datatype`` may hold the turn: a merged lane (a
-    struct, or a subarray of several blocks) whose blocks average under
-    :data:`TURN_MEMBER_BYTES` does.  A copy that runs a struct's program
-    builds it first, on a first exchange too, and holds the turn only when,
-    besides, the program makes more than one NumPy call."""
-    if datatype is None or (datatype.blocks == 1 and not isinstance(datatype, StructType)):
-        return False
-    return datatype.size_bytes() < TURN_MEMBER_BYTES * datatype.blocks
-
-
-def turn(held: bool) -> Any:
-    """:data:`_TURN` when ``held``, else a no-op context."""
-    return _TURN if held else _NO_TURN
-
-
 def check_sends(sendbuf: Any, sendtypes: Any) -> None:
     """Check every struct's send buffers once, however many of ``sendtypes``
     share a (buffer, grid) pair: an ``Alltoallw`` call or a ``p2p`` round
@@ -257,8 +225,8 @@ def copy_local(
     which keeps its pack + unpack profile as the baseline, or the two buffers may
     alias, where pack/unpack is the safe order for an overlapping self-transfer.
     A struct checks its sources here (unless ``checked``: the caller just
-    did) and runs its copy program, which decides the turn and carries the
-    aliasing verdict, computed for this lane only.
+    did) and runs its copy program, which carries the aliasing verdict,
+    computed for this lane only.
     """
     direct = mode != TRANSPORT_PACKED
     if direct and isinstance(send_type, StructType):
@@ -266,62 +234,32 @@ def copy_local(
             send_type.view(sendbuf)
         program = send_type._program(sendbuf, recvbuf, recv_type, local=True)
         if program is not None and not program.overlap:
-            with turn(program.turns and takes_turns(recv_type)):
-                send_type._run(program)
+            send_type._run(program)
             return
     elif direct and not _may_alias(sendbuf, recvbuf):
-        with turn(takes_turns(recv_type)):
-            send_type.copy_into(sendbuf, recvbuf, recv_type)
+        send_type.copy_into(sendbuf, recvbuf, recv_type)
         return
-    with turn(takes_turns(recv_type)):
-        recv_type.unpack(recvbuf, send_type.pack(sendbuf))
+    recv_type.unpack(recvbuf, send_type.pack(sendbuf))
 
 
-def deliver(
-    buf: np.ndarray, datatype: Optional[Datatype], message: Any,
-    held: Optional[list] = None,
-) -> int:
+def deliver(buf: np.ndarray, datatype: Optional[Datatype], message: Any) -> int:
     """Typed receive: move ``message``'s payload into ``buf`` through
     ``datatype``; returns the bytes written.
 
     A size mismatch raises :class:`TruncationError` (non-contiguous ``buf``
     without a datatype, :class:`CommunicatorError`).  Whatever happens, the
     payload is finished afterwards — receiver-local errors stay
-    receiver-local.  With ``held`` (a list), a copy that takes the turn is
-    not made: ``(copy, message)`` is appended, and the caller runs
-    ``copy()`` under the turn and then finishes the message with
-    :func:`discard`, as ``Alltoallw`` does for its lanes; this returns 0.
+    receiver-local.
     """
+    payload = message.payload
     try:
-        turns, copy = _receiving(buf, datatype, message.payload)
-        if turns and held is not None:
-            held.append((copy, message))
-            message = None
-            return 0
-        with turn(turns):
-            return copy()
+        if isinstance(payload, _ZeroCopyHandle):
+            return _copy_from_sender(buf, datatype, payload)
+        if isinstance(payload, ShmTicket):
+            payload = _segment_view(payload)
+        return _unpack_dense(buf, datatype, payload)
     finally:
-        if message is not None:
-            discard(message)
-
-
-def _receiving(buf: np.ndarray, datatype: Optional[Datatype], payload: Any) -> tuple:
-    """``(turns, copy)`` for delivering ``payload``: whether the copy holds
-    the turn, and the copy, which returns the bytes written.  A rendezvous
-    payload's struct sender builds (or checks, when warm) its copy program
-    here, so the program decides the turn."""
-    if isinstance(payload, _ZeroCopyHandle):
-        source = payload.datatype
-        if type(source) is StructType and datatype is not None:
-            _check_count(source.size_elements(), datatype)
-            # the sender checked its buffers before it posted them
-            program = source._program(payload.buffer, buf, datatype)
-            if program is not None:
-                return program.turns and takes_turns(datatype), partial(source._run, program)
-        return takes_turns(datatype), partial(_copy_from_sender, buf, datatype, payload)
-    if isinstance(payload, ShmTicket):
-        payload = _segment_view(payload)
-    return takes_turns(datatype), partial(_unpack_dense, buf, datatype, payload)
+        discard(message)
 
 
 def _check_count(count: int, datatype: Datatype) -> None:

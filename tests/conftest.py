@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from repro.core import Box, round_protocol
 from repro.core.engine import executed_rounds
-from repro.mpisim import TRANSPORT_PACKED, default_executor, run_spmd
+from repro.mpisim import TRANSPORT_ZEROCOPY, default_executor, run_spmd
 from repro.utils.timing import TRANSFER_COUNTERS
 
 #: CI runs ``pytest --hypothesis-profile=ci``: the same examples on every
@@ -83,7 +83,7 @@ def engine_choices(red):
     under the installed memory budget, read off the executed rounds: a round
     run in pieces answers once.  The planned-protocol oracle the trace and
     the wire are compared with."""
-    zero_copy = red.comm.resolve_transport(red.transport) != TRANSPORT_PACKED
+    zero_copy = red.comm.resolve_transport(red.transport) == TRANSPORT_ZEROCOPY
     return [
         round_protocol(red.backend, rnd)
         for rnd in executed_rounds(red.mapping, red.backend, zero_copy)

@@ -797,12 +797,11 @@ class TestOneCallFills:
     """A copy program fills a destination member in one ``np.copyto`` when
     its source blocks are one root array's views at one nonzero stride, with
     equal shape, strides and dtype; else in one ``np.concatenate`` of the
-    block list.  Either way the result is the blocks concatenated, bitwise,
-    and only a concatenating program takes ``transport.turn``."""
+    block list.  Either way the result is the blocks concatenated, bitwise."""
 
     def fill(self, sources, member, recv):
         """Copy ``sources`` into ``recv`` through a struct; returns the
-        program's one fill ``(target, source)`` and its turn verdict."""
+        source of the program's one fill."""
         send = StructType([(k, member) for k in range(len(sources))], len(sources))
         out = np.full(recv.sizes, -1, np.float32)
         assert send.copy_into(sources, out, recv) == send.size_bytes()
@@ -816,7 +815,7 @@ class TestOneCallFills:
             assert not source.flags.writeable and target.shape == source.shape
             assert np.array_equal(_addresses(source), np.sort(np.concatenate(
                 [_addresses(block) for block in blocks])))
-        return source, program[4]
+        return source
 
     @pytest.mark.parametrize("planes, member, recv, shape", [
         ([ROOT[k:k + 1] for k in range(3, 7)], THIN, PLANES, (4, 4, 6)),
@@ -827,8 +826,8 @@ class TestOneCallFills:
     ], ids=["one-slice-apart", "four-slices-apart", "four-apart-axis-1", "negative-step",
             "lengthened-axis"])
     def test_regular_blocks_copy_in_one_call(self, planes, member, recv, shape):
-        source, turns = self.fill(planes, member, recv)
-        assert type(source) is np.ndarray and source.shape == shape and not turns
+        source = self.fill(planes, member, recv)
+        assert type(source) is np.ndarray and source.shape == shape
 
     @pytest.mark.parametrize("planes", [
         [ROOT[k:k + 1].copy() for k in range(1, 16, 4)],
@@ -840,5 +839,5 @@ class TestOneCallFills:
     ], ids=["separate", "two-roots", "irregular-step", "zero-step", "unequal-strides",
             "subclass"])
     def test_irregular_blocks_fall_back_to_one_concatenate(self, planes):
-        source, turns = self.fill(planes, THIN, PLANES)
-        assert type(source) is list and len(source) == 4 and turns
+        source = self.fill(planes, THIN, PLANES)
+        assert type(source) is list and len(source) == 4
