@@ -17,8 +17,7 @@ single round).  The layout axis decides where a rank's chunks live: in
 arrays of their own, or as views of one rank-local array, where a merged
 lane's blocks can sit at one stride and its copy program moves them in one
 call.  Each case exchanges twice through one fresh mapping: cold (no copy
-program yet: each is built before its copy, which it then decides the turn
-for) and warm (replayed).  The executor axis is covered by re-running this
+program yet: each is built on its first copy) and warm (replayed).  The executor axis is covered by re-running this
 file under ``DDR_EXECUTOR=process`` (CI leg).
 """
 
